@@ -44,7 +44,7 @@ from .model import (
     euler_char,
 )
 from .quadrature import Tolerance
-from .sweep import SweepReport, default_worker_count, run_sweep
+from .sweep import SweepReport, run_sweep
 from .zoo import ZOO_BUILDERS, zoo_entry
 
 CSV_HEADER = ["h", "mu", "lambda", "c_trunc", "quad_error", "gb_residual"]
@@ -302,12 +302,7 @@ def cmd_list(fmt: str) -> int:
 
 
 def _run_config(config: RunConfig, model: SurfaceModel) -> SweepReport:
-    return run_sweep(
-        model,
-        config.schedule(),
-        tol=config.tolerance(),
-        workers=default_worker_count(),
-    )
+    return run_sweep(model, config.schedule(), tol=config.tolerance())
 
 
 def cmd_sweep(config: RunConfig, model: SurfaceModel) -> int:

@@ -17,7 +17,9 @@ are ``t`` and ``theta``; the function set is exp, log, sqrt, sin, cos,
 sinh, cosh, tanh.
 
 Evaluation returns a :class:`~cvlab.jets.Jet2` carrying the value and
-exact first/second t-derivatives; theta is a passive parameter.
+exact first/second t-derivatives; theta is a passive parameter.  ``t``
+and ``theta`` may be numpy arrays (broadcast against each other), so a
+whole quadrature panel costs one walk of the tree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jpow
 
@@ -263,7 +267,7 @@ def serialize(expr: MetricExpr | Node) -> str:
     return _serialize_node(node)
 
 
-def _eval_node(node: Node, t: float, theta: float) -> Jet2:
+def _eval_node(node: Node, t, theta) -> Jet2:
     if isinstance(node, Const):
         return Jet2(node.value)
     if isinstance(node, Var):
@@ -290,14 +294,19 @@ def _eval_node(node: Node, t: float, theta: float) -> Jet2:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_jet(expr: MetricExpr | Node, t: float, theta: float) -> Jet2:
-    """Evaluate the expression and its first two exact t-derivatives.
+def eval_jet(expr: MetricExpr | Node, t, theta) -> Jet2:
+    """Evaluate the expression and its first two exact t-derivatives at
+    scalar or array points ``(t, theta)``.
 
     Raises :class:`DomainError` on out-of-domain intermediates or a
-    non-finite result.
+    non-finite result anywhere among the points.
     """
     node = expr.root if isinstance(expr, MetricExpr) else expr
-    return ensure_finite(_eval_node(node, t, theta), "metric expression")
+    # float semantics: arithmetic that overflows yields inf or nan, which
+    # the finiteness check below turns into DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = _eval_node(node, t, theta)
+    return ensure_finite(jet, "metric expression")
 
 
 # re-exported so callers of the DSL see one error surface

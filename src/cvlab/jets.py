@@ -5,12 +5,19 @@ t-derivatives and pushes all three through arithmetic, so metric
 coefficients report exact derivatives at every evaluation point.  The
 angular coordinate rides along as a passive parameter and never
 contributes to the derivative slots.
+
+The slots may be floats or numpy arrays: one jet then carries every
+node of a quadrature panel, and arithmetic broadcasts slot by slot.  A
+scalar is a 0-d input, so pointwise callers see the same code path.
+Elementary functions compute under ``np.errstate`` and raise the
+exception classes below from explicit checks, never from warnings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -26,7 +33,7 @@ class Overflow(DomainError):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two t-derivatives at a point."""
+    """Value and first two t-derivatives at a point or an array of points."""
 
     f: float
     d1: float = 0.0
@@ -60,7 +67,7 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         o = as_jet(other)
-        if o.f == 0.0:
+        if np.any(o.f == 0.0):
             raise DomainError("division by zero")
         q = self.f / o.f
         q1 = (self.d1 - q * o.d1) / o.f
@@ -74,10 +81,10 @@ class Jet2:
         return jpow(self, exponent)
 
     def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.f)
-            and math.isfinite(self.d1)
-            and math.isfinite(self.d2)
+        return bool(
+            np.all(np.isfinite(self.f))
+            and np.all(np.isfinite(self.d1))
+            and np.all(np.isfinite(self.d2))
         )
 
 
@@ -93,71 +100,89 @@ def ensure_finite(jet: Jet2, context: str = "expression") -> Jet2:
     return jet
 
 
-def _lift(g: Jet2, v: float, dv: float, ddv: float) -> Jet2:
+def _first(x, mask) -> float:
+    """First entry of ``x`` where ``mask`` holds, for error messages."""
+    return float(np.broadcast_to(x, np.shape(mask))[mask].flat[0])
+
+
+def _check_positive(x, what: str) -> None:
+    bad = x <= 0.0
+    if np.any(bad):
+        raise DomainError(f"{what} of nonpositive value {_first(x, bad)!r}")
+
+
+def _check_overflow(x, v, template: str) -> None:
+    # a finite argument with an infinite result: too large to represent
+    hit = np.isinf(v) & np.isfinite(x)
+    if np.any(hit):
+        raise Overflow("overflow in " + template.format(repr(_first(x, hit))))
+
+
+def _lift(g: Jet2, v, dv, ddv) -> Jet2:
     # chain rule at second order: (u g)'' = u''(g) g'^2 + u'(g) g''
     return Jet2(v, dv * g.d1, ddv * g.d1 * g.d1 + dv * g.d2)
 
 
 def jexp(x) -> Jet2:
     g = as_jet(x)
-    try:
-        v = math.exp(g.f)
-    except OverflowError as err:
-        raise Overflow(f"overflow in exp({g.f!r})") from err
-    return _lift(g, v, v, v)
+    with np.errstate(all="ignore"):
+        v = np.exp(g.f)
+        _check_overflow(g.f, v, "exp({})")
+        return _lift(g, v, v, v)
 
 
 def jlog(x) -> Jet2:
     g = as_jet(x)
-    if g.f <= 0.0:
-        raise DomainError(f"log of nonpositive value {g.f!r}")
-    inv = 1.0 / g.f
-    return _lift(g, math.log(g.f), inv, -inv * inv)
+    _check_positive(g.f, "log")
+    with np.errstate(all="ignore"):
+        inv = 1.0 / g.f
+        return _lift(g, np.log(g.f), inv, -inv * inv)
 
 
 def jsqrt(x) -> Jet2:
     g = as_jet(x)
-    if g.f <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {g.f!r}")
-    s = math.sqrt(g.f)
-    return _lift(g, s, 0.5 / s, -0.25 / (s * g.f))
+    _check_positive(g.f, "sqrt")
+    with np.errstate(all="ignore"):
+        s = np.sqrt(g.f)
+        return _lift(g, s, 0.5 / s, -0.25 / (s * g.f))
 
 
 def jsin(x) -> Jet2:
     g = as_jet(x)
-    s, c = math.sin(g.f), math.cos(g.f)
-    return _lift(g, s, c, -s)
+    with np.errstate(all="ignore"):
+        s, c = np.sin(g.f), np.cos(g.f)
+        return _lift(g, s, c, -s)
 
 
 def jcos(x) -> Jet2:
     g = as_jet(x)
-    s, c = math.sin(g.f), math.cos(g.f)
-    return _lift(g, c, -s, -c)
+    with np.errstate(all="ignore"):
+        s, c = np.sin(g.f), np.cos(g.f)
+        return _lift(g, c, -s, -c)
 
 
 def jsinh(x) -> Jet2:
     g = as_jet(x)
-    try:
-        s, c = math.sinh(g.f), math.cosh(g.f)
-    except OverflowError as err:
-        raise Overflow(f"overflow in sinh({g.f!r})") from err
-    return _lift(g, s, c, s)
+    with np.errstate(all="ignore"):
+        s, c = np.sinh(g.f), np.cosh(g.f)
+        _check_overflow(g.f, c, "sinh({})")
+        return _lift(g, s, c, s)
 
 
 def jcosh(x) -> Jet2:
     g = as_jet(x)
-    try:
-        s, c = math.sinh(g.f), math.cosh(g.f)
-    except OverflowError as err:
-        raise Overflow(f"overflow in cosh({g.f!r})") from err
-    return _lift(g, c, s, c)
+    with np.errstate(all="ignore"):
+        s, c = np.sinh(g.f), np.cosh(g.f)
+        _check_overflow(g.f, c, "cosh({})")
+        return _lift(g, c, s, c)
 
 
 def jtanh(x) -> Jet2:
     g = as_jet(x)
-    v = math.tanh(g.f)
-    sech2 = 1.0 - v * v
-    return _lift(g, v, sech2, -2.0 * v * sech2)
+    with np.errstate(all="ignore"):
+        v = np.tanh(g.f)
+        sech2 = 1.0 - v * v
+        return _lift(g, v, sech2, -2.0 * v * sech2)
 
 
 def _ipow(g: Jet2, n: int) -> Jet2:
@@ -167,28 +192,36 @@ def _ipow(g: Jet2, n: int) -> Jet2:
         return Jet2(1.0) / _ipow(g, -n)
     if n == 1:
         return g
-    try:
-        v = g.f**n
-        vm1 = g.f ** (n - 1)
-        vm2 = g.f ** (n - 2)
-    except OverflowError as err:
-        raise Overflow(f"overflow in power {g.f!r}^{n}") from err
-    return Jet2(
-        v,
-        n * vm1 * g.d1,
-        n * (n - 1) * vm2 * g.d1 * g.d1 + n * vm1 * g.d2,
-    )
+    with np.errstate(all="ignore"):
+        v = np.power(g.f, n)
+        _check_overflow(g.f, v, f"power {{}}^{n}")
+        vm1 = np.power(g.f, n - 1)
+        vm2 = np.power(g.f, n - 2)
+        return Jet2(
+            v,
+            n * vm1 * g.d1,
+            n * (n - 1) * vm2 * g.d1 * g.d1 + n * vm1 * g.d2,
+        )
 
 
 def jpow(base, exponent) -> Jet2:
     """Power with an integer fast path.
 
-    A non-integer (or t-dependent) exponent routes through exp/log and
-    therefore requires a positive base.
+    The fast path needs a constant exponent: a 0-d integer value with
+    zero derivatives.  Any other exponent (non-integer, or an array of
+    per-point values) routes through exp/log and therefore requires a
+    positive base.
     """
     g = as_jet(base)
     e = as_jet(exponent)
-    if e.d1 == 0.0 and e.d2 == 0.0 and float(e.f).is_integer() and abs(e.f) < 1e9:
+    constant = np.ndim(e.f) == np.ndim(e.d1) == np.ndim(e.d2) == 0
+    if (
+        constant
+        and e.d1 == 0.0
+        and e.d2 == 0.0
+        and float(e.f).is_integer()
+        and abs(e.f) < 1e9
+    ):
         return _ipow(g, int(e.f))
     return jexp(e * jlog(g))
 

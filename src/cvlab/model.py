@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
+import numpy as np
+
 from .jets import DomainError, Jet2, Overflow, jsqrt
 
 POLE_GUARD = 1e-8  # no pointwise evaluation closer to a polar-cap pole
@@ -55,12 +57,14 @@ class EndChart:
 
     ``g_jet(t, theta)`` returns the jet of ``G``; charts that know
     ``sqrt(G)`` in closed form may supply ``sqrt_g_jet`` directly, which
-    is better conditioned when ``G`` is tiny.
+    is better conditioned when ``G`` is tiny.  Both closures take scalar
+    or numpy-array points and must use numpy functions; a jet with
+    scalar slots (``Jet2(1.0)``) stands for every point.
     """
 
-    g_jet: Callable[[float, float], Jet2]
+    g_jet: Callable[..., Jet2]
     t_min: float = 0.0
-    sqrt_g_jet: Callable[[float, float], Jet2] | None = None
+    sqrt_g_jet: Callable[..., Jet2] | None = None
     derivative_order: int = 2
     label: str = ""
 
@@ -68,10 +72,10 @@ class EndChart:
         if self.derivative_order < 2:
             raise ValueError("charts must provide at least two t-derivatives")
 
-    def g(self, t: float, theta: float) -> float:
+    def g(self, t, theta):
         return self.g_jet(t, theta).f
 
-    def sqrt_jet(self, t: float, theta: float) -> Jet2:
+    def sqrt_jet(self, t, theta) -> Jet2:
         if self.sqrt_g_jet is not None:
             return self.sqrt_g_jet(t, theta)
         return jsqrt(self.g_jet(t, theta))
@@ -149,8 +153,29 @@ def _positivity_probes(end: EndChart, samples_per_axis: int, skip_pole: bool):
     window = 8.0
     ts = [lo + window * i / (samples_per_axis - 1) for i in range(samples_per_axis)]
     ts += [end.t_min + w for w in (16.0, 32.0, 64.0)]
-    thetas = [2.0 * math.pi * j / samples_per_axis for j in range(samples_per_axis)]
+    thetas = 2.0 * math.pi * np.arange(samples_per_axis) / samples_per_axis
     return ts, thetas
+
+
+def _g_row(end: EndChart, t: float, thetas):
+    """``(theta, G or the DomainError raised there)`` along one row.
+
+    The row is one array call; only a row that raises is walked again
+    point by point, so the caller sees which point failed first.
+    """
+    try:
+        values = np.broadcast_to(end.g(t, thetas), thetas.shape)
+    except DomainError:
+        for theta in thetas:
+            try:
+                yield theta, end.g(t, theta)
+            except DomainError as err:
+                yield theta, err
+    else:
+        yield from zip(thetas, values)
+
+
+_PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
 
 
 def validate_surface(
@@ -212,14 +237,12 @@ def validate_surface(
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
         stop = False
         for t in ts:
-            for theta in thetas:
-                try:
-                    value = end.g(t, theta)
-                except Overflow:
+            for theta, value in _g_row(end, t, thetas):
+                if isinstance(value, Overflow):
                     # too large to represent is still positive
                     continue
-                except DomainError as err:
-                    flag(f"end {j + 1}: evaluation failed at (t={t:g}): {err}")
+                if isinstance(value, DomainError):
+                    flag(f"end {j + 1}: evaluation failed at (t={t:g}): {value}")
                     stop = True
                     break
                 if not (value > 0.0) or not math.isfinite(value):
@@ -231,11 +254,12 @@ def validate_surface(
         if not stop:
             for t in ts[1 :: max(1, len(ts) // 4)]:
                 mismatch = None
-                for theta in (0.0, 0.9, 2.5, 4.2):
-                    try:
-                        here = end.g(t, theta)
-                        shifted = end.g(t, theta + 2.0 * math.pi)
-                    except DomainError:
+                rows = zip(
+                    _g_row(end, t, _PERIOD_THETAS),
+                    _g_row(end, t, _PERIOD_THETAS + 2.0 * math.pi),
+                )
+                for (theta, here), (_, shifted) in rows:
+                    if isinstance(here, DomainError) or isinstance(shifted, DomainError):
                         continue
                     scale = max(abs(here), abs(shifted), 1e-300)
                     if abs(here - shifted) > 1e-9 * scale:

@@ -7,6 +7,11 @@ the tolerance or the evaluation budget runs out.  Improper integrals
 over ``[t_lo, inf)`` walk doubling windows and accelerate the partial
 sums with a geometric tail model; divergence is detected and reported
 as a first-class result, never as an exception.
+
+Integrands are called once per panel on the whole node array (15
+abscissae in 1-D, a 15 x 15 grid in 2-D, as in QUADPACK's vectorised
+QK15), so they must be written with numpy functions.  A scalar result
+is broadcast to the nodes' shape.
 """
 
 from __future__ import annotations
@@ -127,10 +132,11 @@ class TailLimit(NamedTuple):
     error_bound: float
 
 
-def _panel_1d(f: Callable[[float], float], a: float, b: float):
+def _panel_1d(f: Callable, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fv = np.array([f(mid + half * x) for x in _XGK])
+    fv = np.empty(15)
+    fv[...] = f(mid + half * _XGK)
     if not np.all(np.isfinite(fv)):
         raise DomainError(f"non-finite integrand value on [{a}, {b}]")
     kron = half * float(_WGK @ fv)
@@ -153,10 +159,10 @@ def _adapt_1d(f, a: float, b: float, tol: Tolerance, initial: int = 2) -> QuadRe
         counter += 1
 
     def totals():
-        vs = sorted(p for p in panels if p is not None)
+        live = [p for p in panels if p is not None]
         return (
-            math.fsum(p[2] for p in vs),
-            math.fsum(p[3] for p in vs),
+            math.fsum(p[2] for p in live),
+            math.fsum(p[3] for p in live),
         )
 
     while True:
@@ -179,7 +185,7 @@ def _adapt_1d(f, a: float, b: float, tol: Tolerance, initial: int = 2) -> QuadRe
             counter += 1
 
 
-def integrate_circle(f: Callable[[float], float], tol: Tolerance = DEFAULT_TOL) -> QuadResult:
+def integrate_circle(f: Callable, tol: Tolerance = DEFAULT_TOL) -> QuadResult:
     """Integrate ``f(theta)`` over one full period ``[0, 2*pi]``."""
     return _adapt_1d(f, 0.0, TWO_PI, tol)
 
@@ -190,9 +196,7 @@ def _panel_2d(f, a, b, c, d):
     tv = 0.5 * (a + b) + half_t * _XGK
     sv = 0.5 * (c + d) + half_s * _XGK
     grid = np.empty((15, 15))
-    for i, t in enumerate(tv):
-        for j, s in enumerate(sv):
-            grid[i, j] = f(t, s)
+    grid[...] = f(tv[:, None], sv[None, :])
     if not np.all(np.isfinite(grid)):
         raise DomainError(f"non-finite integrand value on [{a},{b}]x[{c},{d}]")
     kron = half_t * half_s * float(_WGK @ grid @ _WGK)
@@ -207,7 +211,7 @@ def _panel_2d(f, a, b, c, d):
 
 
 def integrate_annulus(
-    f: Callable[[float, float], float],
+    f: Callable,
     t_lo: float,
     t_hi: float,
     tol: Tolerance = DEFAULT_TOL,
@@ -233,10 +237,10 @@ def integrate_annulus(
     push(t_lo, t_hi, 0.0, TWO_PI)
 
     def totals():
-        vs = sorted(p for p in panels if p is not None)
+        live = [p for p in panels if p is not None]
         return (
-            math.fsum(p[4] for p in vs),
-            math.fsum(p[5] for p in vs),
+            math.fsum(p[4] for p in live),
+            math.fsum(p[5] for p in live),
         )
 
     while True:
@@ -282,7 +286,7 @@ def _geometric_tail(increments: Sequence[float]):
 
 
 def integrate_improper(
-    f: Callable[[float, float], float],
+    f: Callable,
     t_lo: float,
     tol: Tolerance = DEFAULT_TOL,
     initial_width: float = 1.0,

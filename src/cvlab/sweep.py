@@ -19,10 +19,10 @@ verdict for every identity and inequality the toolkit certifies.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .curvature import gauss_curvature
 from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel, POLE_GUARD, validate_surface
@@ -250,14 +250,13 @@ def detect_h1(
         raise ValueError("grid must be at least 8")
     if h_probe_max <= max(end.t_min for end in model.ends):
         raise ValueError("h_probe_max must exceed every chart edge")
-    thetas = [TWO_PI * j / theta_samples for j in range(theta_samples)]
+    thetas = _probe_thetas(theta_samples)
 
     def bad_at(t: float) -> bool:
         for end in model.ends:
             te = max(t, end.t_min + POLE_GUARD)
-            for theta in thetas:
-                if gauss_curvature(end, te, theta) < -k_slack:
-                    return True
+            if np.any(gauss_curvature(end, te, thetas) < -k_slack):
+                return True
         return False
 
     origin = max(end.t_min for end in model.ends)
@@ -281,6 +280,10 @@ def detect_h1(
     return hi
 
 
+def _probe_thetas(theta_samples: int):
+    return TWO_PI * np.arange(theta_samples) / theta_samples
+
+
 def _probe_heights(origin: float, h_probe_max: float, grid: int) -> list[float]:
     """Uniform height grid plus geometric refinement toward the origin,
     so sign features much narrower than the uniform spacing still get
@@ -301,15 +304,14 @@ def sampled_curvature_range(
     theta_samples: int = 16,
 ) -> tuple[float, float]:
     """(min, max) of Gaussian curvature over the detection grid."""
-    thetas = [TWO_PI * j / theta_samples for j in range(theta_samples)]
+    thetas = _probe_thetas(theta_samples)
     kmin, kmax = math.inf, -math.inf
     for end in model.ends:
         lo = end.t_min + POLE_GUARD
         for t in _probe_heights(lo, h_probe_max, grid):
-            for theta in thetas:
-                k = gauss_curvature(end, t, theta)
-                kmin = min(kmin, k)
-                kmax = max(kmax, k)
+            k = gauss_curvature(end, t, thetas)
+            kmin = min(kmin, float(np.min(k)))
+            kmax = max(kmax, float(np.max(k)))
     return kmin, kmax
 
 
@@ -370,23 +372,18 @@ def measure_mu_prime_order(
     return devs[0], devs[1], floor
 
 
-def default_worker_count() -> int:
-    cap = os.environ.get("CVLAB_THREADS")
-    if cap is not None:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            return 1
-    return 1
-
-
 def run_sweep(
     model: SurfaceModel,
     schedule: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
     workers: int | None = None,
 ) -> SweepReport:
-    """Run the full truncation procedure over an increasing height schedule."""
+    """Run the full truncation procedure over an increasing height schedule.
+
+    Samples are computed one after another in schedule order.  ``workers``
+    is accepted for compatibility and ignored: the sweep is
+    single-threaded, and its results never depended on it.
+    """
     schedule = list(schedule)
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
@@ -395,15 +392,7 @@ def run_sweep(
     validate_surface(model, samples_per_axis=16, strict=True)
     _require_height(model, schedule[0])
 
-    if workers is None:
-        workers = default_worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = tuple(
-                pool.map(lambda h: compute_sample(model, h, tol), schedule)
-            )
-    else:
-        samples = tuple(compute_sample(model, h, tol) for h in schedule)
+    samples = tuple(compute_sample(model, h, tol) for h in schedule)
 
     chi = model.chi
     verdicts: dict[str, Verdict] = {}

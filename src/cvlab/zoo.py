@@ -18,11 +18,11 @@ inequalities.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -69,7 +69,8 @@ class MeridianArcProfile:
     integrator at build time (dense output, tolerances 1e-12) and extends
     the solved span on demand.  Derivatives at a query point come from
     the closed-form slope, not from the interpolant, so the jets stay
-    consistent to the ODE tolerance.
+    consistent to the ODE tolerance.  Queries take scalar or array
+    arc lengths; ``slope`` and ``dslope_dr`` must accept arrays.
     """
 
     def __init__(self, slope, dslope_dr, initial_span: float = 64.0):
@@ -79,7 +80,6 @@ class MeridianArcProfile:
         self._sols: list = []
         self._state = 0.0
         self._extend(initial_span)
-        self._memo: dict[float, float] = {}
 
     def _extend(self, t_target: float) -> None:
         while self._spans[-1] < t_target:
@@ -100,22 +100,21 @@ class MeridianArcProfile:
             self._spans.append(t1)
             self._state = float(sol.y[0, -1])
 
-    def radius(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        hit = self._memo.get(t)
-        if hit is not None:
-            return hit
-        if t > self._spans[-1]:
-            self._extend(t)
-        idx = bisect.bisect_left(self._spans, t, lo=1) - 1
-        value = float(self._sols[idx](t)[0])
-        if len(self._memo) > 200_000:
-            self._memo.clear()
-        self._memo[t] = value
-        return value
+    def radius(self, t):
+        """Radius at arc length t; the dense output of each solved span
+        is evaluated once, on all the points that fall in it."""
+        t = np.asarray(t, dtype=float)
+        r = np.zeros(t.shape)
+        inside = t > 0.0
+        if np.any(inside):
+            self._extend(float(np.max(t)))
+            span = np.searchsorted(self._spans, t) - 1
+            for k in np.unique(span[inside]):
+                hit = inside & (span == k)
+                r[hit] = self._sols[k](t[hit])[0]
+        return r[()]
 
-    def jets(self, t: float) -> tuple[float, float, float]:
+    def jets(self, t):
         """(r, dr/dt, d2r/dt2) at arc length t."""
         r = self.radius(t)
         s = self._slope(r)
@@ -211,7 +210,7 @@ def paraboloid_radius_oracle(t: float) -> float:
 def make_paraboloid() -> ZooEntry:
     """Rotation surface z = r^2/2, reparametrized by meridian arc length."""
     profile = MeridianArcProfile(
-        slope=lambda r: 1.0 / math.sqrt(1.0 + r * r),
+        slope=lambda r: 1.0 / np.sqrt(1.0 + r * r),
         dslope_dr=lambda r: -r * (1.0 + r * r) ** -1.5,
     )
 
@@ -260,7 +259,7 @@ def make_paraboloid() -> ZooEntry:
 _CONE_CAP_RADIUS = 10.0
 
 
-def _cone_profile_jets(t: float, slant: float, tc: float = _CONE_CAP_RADIUS):
+def _cone_profile_jets(t, slant: float, tc: float = _CONE_CAP_RADIUS):
     """w = sqrt(G) for a smooth cap blending into an exact cone.
 
     The radial derivative w' descends from 1 to the slant along a
@@ -268,13 +267,16 @@ def _cone_profile_jets(t: float, slant: float, tc: float = _CONE_CAP_RADIUS):
     cone w = slant*t + b.  The blend keeps w' nonincreasing, hence
     curvature nonnegative, and w'' vanishes at both junctions.
     """
-    if t >= tc:
-        return slant * t + 0.5 * (1.0 - slant) * tc, slant, 0.0
-    u = t / tc
+    cone = t >= tc
+    u = np.minimum(t, tc) / tc  # the cap polynomials stay bounded on the cone
     p = ((6.0 * u - 15.0) * u + 10.0) * u**3
     dp = ((30.0 * u - 60.0) * u + 30.0) * u**2
     P = ((u - 3.0) * u + 2.5) * u**4
-    return t - (1.0 - slant) * tc * P, 1.0 - (1.0 - slant) * p, -(1.0 - slant) * dp / tc
+    return (
+        np.where(cone, slant * t + 0.5 * (1.0 - slant) * tc, t - (1.0 - slant) * tc * P),
+        np.where(cone, slant, 1.0 - (1.0 - slant) * p),
+        np.where(cone, 0.0, -(1.0 - slant) * dp / tc),
+    )
 
 
 def make_capped_cone(slant: float = 0.5) -> ZooEntry:
@@ -301,18 +303,21 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
         name="capped-cone",
     )
 
+    def profile(h: float) -> tuple[float, float, float]:
+        return tuple(float(v) for v in _cone_profile_jets(h, slant))
+
     def K(t, theta):
-        w, _, w2 = _cone_profile_jets(t, slant)
+        w, _, w2 = profile(t)
         if w == 0.0:
             return 0.0
         return -w2 / w
 
     oracle = Oracle(
         gauss_K=K,
-        kappa_g=lambda h: _cone_profile_jets(h, slant)[1],
-        mu=lambda h: TWO_PI * _cone_profile_jets(h, slant)[0],
-        lam=lambda h: TWO_PI * _cone_profile_jets(h, slant)[1],
-        c_trunc=lambda h: TWO_PI * (1.0 - _cone_profile_jets(h, slant)[1]),
+        kappa_g=lambda h: profile(h)[1],
+        mu=lambda h: TWO_PI * profile(h)[0],
+        lam=lambda h: TWO_PI * profile(h)[1],
+        c_trunc=lambda h: TWO_PI * (1.0 - profile(h)[1]),
         L=TWO_PI * slant,
         c_total=TWO_PI * (1.0 - slant),
         chi=1,
@@ -334,7 +339,7 @@ def make_catenoid() -> ZooEntry:
         return Jet2(1.0 + t * t, 2.0 * t, 2.0)
 
     def sqrt_g_jet(t, theta):
-        w = math.sqrt(1.0 + t * t)
+        w = np.sqrt(1.0 + t * t)
         return Jet2(w, t / w, 1.0 / w**3)
 
     def chart() -> EndChart:
@@ -376,11 +381,11 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
     """
 
     def g_jet(t, theta):
-        e = math.exp(-2.0 * t)
+        e = np.exp(-2.0 * t)
         return Jet2(e, -2.0 * e, 4.0 * e)
 
     def sqrt_g_jet(t, theta):
-        e = math.exp(-t)
+        e = np.exp(-t)
         return Jet2(e, -e, e)
 
     chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="hyperbolic cusp end")

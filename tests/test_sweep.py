@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cvlab.jets import Jet2
@@ -130,7 +131,7 @@ class TestDetectH1:
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
         # negative somewhere for every t < 5, nonnegative beyond
         def sqrt_g_jet(t, theta):
-            return Jet2(1.0, 0.0, -(t - 5.0) * math.sin(theta) ** 2)
+            return Jet2(1.0, 0.0, -(t - 5.0) * np.sin(theta) ** 2)
 
         def g_jet(t, theta):
             w = sqrt_g_jet(t, theta)
@@ -264,7 +265,7 @@ class TestDirectTotalCurvature:
         end = entry.model.ends[0]
 
         def k_minus_density(t, theta):
-            return max(-gauss_curvature(end, t, theta), 0.0) * end.sqrt_jet(t, theta).f
+            return np.maximum(-gauss_curvature(end, t, theta), 0.0) * end.sqrt_jet(t, theta).f
 
         res = integrate_improper(k_minus_density, 1e-6)
         assert res.converged
