@@ -151,11 +151,7 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
                 f"config {path}: declared chi = {declared} but genus {genus} "
                 f"with {n_ends} end(s) gives chi = {actual}"
             )
-    hint = float(top["hypothesis_hint"]) if "hypothesis_hint" in top else None
-    return SurfaceModel(
-        topology=topology, ends=tuple(charts), core=core, name=name,
-        hypothesis_hint=hint,
-    )
+    return SurfaceModel(topology=topology, ends=tuple(charts), core=core, name=name)
 
 
 def resolve_surface(surface: str | None, config: str | None) -> SurfaceModel:

@@ -65,12 +65,7 @@ class EndChart:
     g_jet: Callable[..., Jet2]
     t_min: float = 0.0
     sqrt_g_jet: Callable[..., Jet2] | None = None
-    derivative_order: int = 2
     label: str = ""
-
-    def __post_init__(self):
-        if self.derivative_order < 2:
-            raise ValueError("charts must provide at least two t-derivatives")
 
     def g(self, t, theta):
         return self.g_jet(t, theta).f
@@ -123,7 +118,6 @@ class SurfaceModel:
     ends: tuple[EndChart, ...]
     core: Core
     name: str = ""
-    hypothesis_hint: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ends", tuple(self.ends))
@@ -154,7 +148,7 @@ def _positivity_probes(end: EndChart, samples_per_axis: int, skip_pole: bool):
     ts = [lo + window * i / (samples_per_axis - 1) for i in range(samples_per_axis)]
     ts += [end.t_min + w for w in (16.0, 32.0, 64.0)]
     thetas = 2.0 * math.pi * np.arange(samples_per_axis) / samples_per_axis
-    return ts, thetas
+    return np.array(ts), thetas
 
 
 def _g_row(end: EndChart, t: float, thetas):
@@ -175,7 +169,22 @@ def _g_row(end: EndChart, t: float, thetas):
         yield from zip(thetas, values)
 
 
+def _g_rows(end: EndChart, ts, thetas):
+    """``(t, row)`` for every height, each row as :func:`_g_row` yields it.
+
+    The whole ``(ts, thetas)`` grid is one array call; only a grid that
+    raises is walked again row by row.
+    """
+    try:
+        grid = np.broadcast_to(end.g(ts[:, None], thetas[None, :]), (ts.size, thetas.size))
+    except DomainError:
+        return [(t, _g_row(end, t, thetas)) for t in ts]
+    return [(t, zip(thetas, row)) for t, row in zip(ts, grid)]
+
+
 _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
+# each period probe next to its shift by one period, so a row is one call
+_PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
 
 
 def validate_surface(
@@ -236,8 +245,8 @@ def validate_surface(
     for j, end in enumerate(model.ends):
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
         stop = False
-        for t in ts:
-            for theta, value in _g_row(end, t, thetas):
+        for t, row in _g_rows(end, ts, thetas):
+            for theta, value in row:
                 if isinstance(value, Overflow):
                     # too large to represent is still positive
                     continue
@@ -252,13 +261,12 @@ def validate_surface(
             if stop:
                 break
         if not stop:
-            for t in ts[1 :: max(1, len(ts) // 4)]:
+            period_ts = ts[1 :: max(1, len(ts) // 4)]
+            n = _PERIOD_THETAS.size
+            for t, row in _g_rows(end, period_ts, _PERIOD_PAIRS):
+                row = list(row)
                 mismatch = None
-                rows = zip(
-                    _g_row(end, t, _PERIOD_THETAS),
-                    _g_row(end, t, _PERIOD_THETAS + 2.0 * math.pi),
-                )
-                for (theta, here), (_, shifted) in rows:
+                for (theta, here), (_, shifted) in zip(row[:n], row[n:]):
                     if isinstance(here, DomainError) or isinstance(shifted, DomainError):
                         continue
                     scale = max(abs(here), abs(shifted), 1e-300)

@@ -252,28 +252,31 @@ def detect_h1(
         raise ValueError("h_probe_max must exceed every chart edge")
     thetas = _probe_thetas(theta_samples)
 
-    def bad_at(t: float) -> bool:
+    def bad_rows(t):
+        # an end is probed only at heights whose verdict is still open, so
+        # no chart is evaluated where an earlier end already decided it
+        bad = np.zeros(t.shape, dtype=bool)
         for end in model.ends:
-            te = max(t, end.t_min + POLE_GUARD)
-            if np.any(gauss_curvature(end, te, thetas) < -k_slack):
-                return True
-        return False
+            todo = ~bad
+            if not todo.any():
+                break
+            te = np.maximum(t[todo], end.t_min + POLE_GUARD)
+            bad[todo] = np.any(_curvature_grid(end, te, thetas) < -k_slack, axis=1)
+        return bad
 
     origin = max(end.t_min for end in model.ends)
     heights = _probe_heights(origin, h_probe_max, grid)
-    last_bad = None
-    for i, t in enumerate(heights):
-        if bad_at(t):
-            last_bad = i
-    if last_bad is None:
+    violating = np.flatnonzero(bad_rows(heights))
+    if violating.size == 0:
         return origin
+    last_bad = violating[-1]
     if last_bad == len(heights) - 1:
         return None
-    lo, hi = heights[last_bad], heights[last_bad + 1]
+    lo, hi = float(heights[last_bad]), float(heights[last_bad + 1])
     resolution = h_probe_max / 4096.0
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if bad_at(mid):
+        if bad_rows(np.array([mid]))[0]:
             lo = mid
         else:
             hi = mid
@@ -284,7 +287,7 @@ def _probe_thetas(theta_samples: int):
     return TWO_PI * np.arange(theta_samples) / theta_samples
 
 
-def _probe_heights(origin: float, h_probe_max: float, grid: int) -> list[float]:
+def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
     """Uniform height grid plus geometric refinement toward the origin,
     so sign features much narrower than the uniform spacing still get
     sampled."""
@@ -294,7 +297,17 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> list[float]:
     while scale > POLE_GUARD:
         heights.add(origin + scale)
         scale /= 2.0
-    return sorted(heights)
+    return np.array(sorted(heights))
+
+
+def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Gaussian curvature on the ``(heights, thetas)`` grid as one call.
+
+    A chart with constant curvature may return a 0-d K; it is broadcast
+    so every grid point is present.
+    """
+    k = gauss_curvature(end, heights[:, None], thetas[None, :])
+    return np.broadcast_to(k, (heights.size, thetas.size))
 
 
 def sampled_curvature_range(
@@ -307,11 +320,10 @@ def sampled_curvature_range(
     thetas = _probe_thetas(theta_samples)
     kmin, kmax = math.inf, -math.inf
     for end in model.ends:
-        lo = end.t_min + POLE_GUARD
-        for t in _probe_heights(lo, h_probe_max, grid):
-            k = gauss_curvature(end, t, thetas)
-            kmin = min(kmin, float(np.min(k)))
-            kmax = max(kmax, float(np.max(k)))
+        heights = _probe_heights(end.t_min + POLE_GUARD, h_probe_max, grid)
+        k = _curvature_grid(end, heights, thetas)
+        kmin = min(kmin, float(np.min(k)))
+        kmax = max(kmax, float(np.max(k)))
     return kmin, kmax
 
 
@@ -384,7 +396,7 @@ def run_sweep(
     is accepted for compatibility and ignored: the sweep is
     single-threaded, and its results never depended on it.
     """
-    schedule = list(schedule)
+    schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):

@@ -6,10 +6,21 @@ import random
 import numpy as np
 import pytest
 
+from cvlab.curvature import gauss_curvature
 from cvlab.dsl import eval_jet
 from cvlab.jets import DomainError, Jet2, Overflow, jcosh, jexp, jlog, jpow, jsqrt
+from cvlab.model import (
+    POLE_GUARD,
+    AnalyticCore,
+    PolarCap,
+    SurfaceModel,
+    Topology,
+    chart_from_expression,
+)
 from cvlab.quadrature import _XGK
+from cvlab.sweep import K_SLACK, detect_h1, sampled_curvature_range
 from cvlab.zoo import zoo_entry, zoo_names
+from conftest import SCHEDULES
 from test_dsl import random_expression
 
 REL = 1e-12
@@ -96,3 +107,97 @@ def test_single_out_of_domain_entry_raises_domain_error():
         with pytest.raises(DomainError) as err:
             fn(x)
         assert not isinstance(err.value, Overflow)
+
+
+# --- probe scans: one grid call per end against the per-height loop ------
+
+
+def reference_heights(origin, h_probe_max, grid=64):
+    span = h_probe_max - origin
+    heights = {origin + span * i / (grid - 1) for i in range(grid)}
+    scale = span / 2.0
+    while scale > POLE_GUARD:
+        heights.add(origin + scale)
+        scale /= 2.0
+    return sorted(heights)
+
+
+def reference_detect_h1(model, h_probe_max):
+    """Per-height scan: one curvature row per (height, end), ends
+    short-circuited at the first violating one."""
+    thetas = 2.0 * math.pi * np.arange(16) / 16
+
+    def bad_at(t):
+        for end in model.ends:
+            te = max(t, end.t_min + POLE_GUARD)
+            if np.any(gauss_curvature(end, te, thetas) < -K_SLACK):
+                return True
+        return False
+
+    origin = max(end.t_min for end in model.ends)
+    heights = reference_heights(origin, h_probe_max)
+    last_bad = None
+    for i, t in enumerate(heights):
+        if bad_at(t):
+            last_bad = i
+    if last_bad is None:
+        return origin
+    if last_bad == len(heights) - 1:
+        return None
+    lo, hi = heights[last_bad], heights[last_bad + 1]
+    while hi - lo > h_probe_max / 4096.0:
+        mid = 0.5 * (lo + hi)
+        if bad_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reference_curvature_range(model, h_probe_max):
+    thetas = 2.0 * math.pi * np.arange(16) / 16
+    kmin, kmax = math.inf, -math.inf
+    for end in model.ends:
+        for t in reference_heights(end.t_min + POLE_GUARD, h_probe_max):
+            k = gauss_curvature(end, t, thetas)
+            kmin = min(kmin, float(np.min(k)))
+            kmax = max(kmax, float(np.max(k)))
+    return kmin, kmax
+
+
+def theta_cap():
+    chart = chart_from_expression("t^2*(1+0.3*sin(2*theta)*t^2*exp(-1.5*t))^2")
+    return SurfaceModel(Topology(0, 1), (chart,), PolarCap(), name="theta-cap")
+
+
+def three_ends():
+    # K < 0 below t = 3 on the first end and below t = 5 on the second;
+    # the unequal t_min clamp every end differently on the shared grid
+    ends = (
+        chart_from_expression("(2 + tanh(t - 3))^2", t_min=0.4),
+        chart_from_expression("(2 + tanh(t - 5))^2", t_min=0.0),
+        chart_from_expression("(1 + t)^2", t_min=0.25),
+    )
+    core = AnalyticCore(0.0, tuple(end.t_min for end in ends))
+    return SurfaceModel(Topology(0, 3), ends, core, name="three-ends")
+
+
+PROBE_EXTRAS = {"theta-cap": (theta_cap, 64.0), "three-ends": (three_ends, 16.0)}
+
+
+@pytest.mark.parametrize("name", zoo_names() + tuple(PROBE_EXTRAS))
+def test_probe_scans_match_per_height_loop(name):
+    if name in PROBE_EXTRAS:
+        build, h_probe_max = PROBE_EXTRAS[name]
+        model = build()
+    else:
+        model, h_probe_max = zoo_entry(name).model, SCHEDULES[name][-1]
+    want = reference_detect_h1(model, h_probe_max)
+    h1 = detect_h1(model, h_probe_max)
+    assert h1 == want and type(h1) is type(want)
+    assert sampled_curvature_range(model, h_probe_max) == reference_curvature_range(
+        model, h_probe_max
+    )
+    if name == "three-ends":
+        # the scan saw violations on two ends and the bisection ran past t = 5
+        assert 5.0 < h1 < 5.0 + h_probe_max / 4096.0

@@ -109,6 +109,14 @@ class TestSweep:
         for h, m in zip(hs, mus):
             assert m == pytest.approx(2 * math.pi * h, abs=1e-8)
 
+    def test_numpy_schedule_csv_cells_are_numbers(self, zoo_reports):
+        # the catenoid runs on an np.geomspace schedule
+        rows = list(csv.reader(io.StringIO(report_to_csv(zoo_reports["catenoid"]))))
+        assert rows[0] == CSV_HEADER
+        for row in rows[1:]:
+            for cell in row:
+                float(cell)
+
     def test_json_artifact_keys_and_round_trip(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -168,6 +176,11 @@ class TestConfigFiles:
         assert isinstance(model.core, AnalyticCore)
         assert model.core.total_curvature == pytest.approx(4 * math.pi)
         assert model.ends[0].g(1.0, 0.0) == pytest.approx(math.exp(-2.0))
+
+    def test_unused_hypothesis_hint_key_still_loads(self, tmp_path):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace("chi = 1\n", "chi = 1\nhypothesis_hint = 0.5\n"))
+        assert load_surface_config(path).name == "my-cusp"
 
     def test_polar_cap_core(self, tmp_path):
         path = tmp_path / "plane.cfg"

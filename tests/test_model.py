@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from cvlab.jets import Jet2
+from cvlab.jets import DomainError, Jet2
 from cvlab.model import (
     AnalyticCore,
     EndChart,
@@ -139,6 +140,68 @@ class TestValidateSurface:
         )
         assert swapped.chi == model.chi
         assert validate_surface(swapped, 16).ok
+
+
+def recording_model(expr, walk_rows=False):
+    """One-end model whose chart logs the shape of every ``t`` it sees.
+
+    With ``walk_rows`` a grid call raises, so validation walks the rows
+    as it does for a chart that fails somewhere on the grid.
+    """
+    chart = chart_from_expression(expr)
+    shapes = []
+
+    def g_jet(t, theta):
+        shapes.append(np.shape(t))
+        if walk_rows and np.ndim(t) == 2:
+            raise DomainError("grid refused")
+        return chart.g_jet(t, theta)
+
+    model = SurfaceModel(
+        topology=Topology(0, 1),
+        ends=(EndChart(g_jet=g_jet),),
+        core=AnalyticCore(0.0, (0.0,)),
+    )
+    return model, shapes
+
+
+# G vanishes at the interior grid point t = 8*4/15, theta = pi
+INTERIOR_ZERO = "1 + cos(theta) + (t - 32/15)^2"
+ZERO_MESSAGE = "end 1: G <= 0 at sampled point (t=2.13333, theta=3.14159)"
+PERIOD_MESSAGE = (
+    "end 1: G is not 2*pi-periodic in theta "
+    "(t=0.533333, theta=0.9: 2.5775 vs 1.65665)"
+)
+
+
+class TestValidationGrid:
+    """The positivity grid is one call per end; a grid that raises is
+    walked row by row, and either way the violations are the row walk's."""
+
+    @pytest.mark.parametrize(
+        "expr,want",
+        [
+            (INTERIOR_ZERO, [ZERO_MESSAGE]),
+            ("exp(t^2/5)*(2 + sin(theta/2))", [PERIOD_MESSAGE]),
+            ("exp(t^2/5)*(" + INTERIOR_ZERO + ")", [ZERO_MESSAGE]),
+            ("exp(t^2/5)", []),
+        ],
+        ids=["grid-zero", "overflow-period", "overflow-zero", "overflow-only"],
+    )
+    def test_violations_equal_row_walk(self, expr, want):
+        model, shapes = recording_model(expr)
+        walked, _ = recording_model(expr, walk_rows=True)
+        assert validate_surface(model, 16).violations == want
+        assert validate_surface(walked, 16).violations == want
+        grid_raises = expr.startswith("exp(t^2/5)")  # overflows at t_min + 64 only
+        assert shapes[0] == (19, 1)
+        assert any(shape == () for shape in shapes) == grid_raises
+
+    def test_grid_path_is_one_call_per_grid(self):
+        model, shapes = recording_model("2 + sin(theta)")
+        assert validate_surface(model, 16).ok
+        # positivity grid, then the period rows as one grid
+        assert shapes == [(19, 1), (5, 1)]
 
 
 def test_chart_sqrt_jet_consistency():
