@@ -1,9 +1,13 @@
 """Adaptive quadrature over boundary circles, end bands, and full ends.
 
 All integrals run on panels carrying an embedded Gauss(7)/Kronrod(15)
-rule pair; the panel error is the difference of the two rules.  Panels
-split adaptively (worst first) until the summed error estimate meets
-the tolerance or the evaluation budget runs out.  Improper integrals
+rule pair; the panel error is the difference of the two rules.  One
+worst-first driver, as in QUADPACK's QAG, refines circles and bands
+alike: it keeps a heap of the live panels and splits the one with the
+largest error (the older one on a tie) in two, until the summed error
+estimate meets the tolerance.  It stops early, with ``converged=False``,
+before a split whose two new panels would take the evaluation count past
+``max_evaluations``.  Improper integrals
 over ``[t_lo, inf)`` walk doubling windows and accelerate the partial
 sums with a geometric tail model; divergence is detected and reported
 as a first-class result, never as an exception.
@@ -144,53 +148,54 @@ def _panel_1d(f: Callable, a: float, b: float):
     return kron, abs(kron - gauss), 15
 
 
-def _adapt_1d(f, a: float, b: float, tol: Tolerance, initial: int = 2) -> QuadResult:
-    width = (b - a) / initial
-    panels = []  # (a, b, value, error)
-    evals = 0
+def _adapt(panel: Callable, boxes, points: int, tol: Tolerance) -> QuadResult:
+    """Worst-first adaptive refinement shared by every integral.
+
+    ``panel(box)`` integrates one box with ``points`` evaluations and
+    returns ``(value, error, children)``; the heap holds exactly the live
+    panels, largest error first, ties broken by creation order.  The loop
+    stops once the summed error meets the tolerance, or before a split
+    whose two children would exceed ``tol.max_evaluations``.
+    """
     heap: list = []
-    counter = 0
-    for i in range(initial):
-        pa, pb = a + i * width, a + (i + 1) * width
-        val, err, n = _panel_1d(f, pa, pb)
-        evals += n
-        panels.append((pa, pb, val, err))
-        heapq.heappush(heap, (-err, counter, len(panels) - 1))
-        counter += 1
+    evals = 0
 
-    def totals():
-        live = [p for p in panels if p is not None]
-        return (
-            math.fsum(p[2] for p in live),
-            math.fsum(p[3] for p in live),
-        )
+    def push(box):
+        nonlocal evals
+        value, error, children = panel(box)
+        evals += points  # grows with every panel: the creation-order tie-break
+        heapq.heappush(heap, (-error, evals, value, children))
 
+    for box in boxes:
+        push(box)
     while True:
-        value, error = totals()
+        value = math.fsum(item[2] for item in heap)
+        error = math.fsum(-item[0] for item in heap)
         if error <= tol.target(value):
             return QuadResult(value, error, evals, True)
-        if evals + 30 > tol.max_evaluations or not heap:
+        if evals + 2 * points > tol.max_evaluations:
             return QuadResult(value, error, evals, False)
-        _, _, idx = heapq.heappop(heap)
-        if panels[idx] is None:
-            continue
-        pa, pb, _, _ = panels[idx]
-        panels[idx] = None
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            val, err, n = _panel_1d(f, qa, qb)
-            evals += n
-            panels.append((qa, qb, val, err))
-            heapq.heappush(heap, (-err, counter, len(panels) - 1))
-            counter += 1
+        for child in heapq.heappop(heap)[3]:
+            push(child)
 
 
 def integrate_circle(f: Callable, tol: Tolerance = DEFAULT_TOL) -> QuadResult:
     """Integrate ``f(theta)`` over one full period ``[0, 2*pi]``."""
-    return _adapt_1d(f, 0.0, TWO_PI, tol)
+
+    def panel(box):
+        a, b = box
+        value, error, _ = _panel_1d(f, a, b)
+        mid = 0.5 * (a + b)
+        return value, error, ((a, mid), (mid, b))
+
+    return _adapt(panel, ((0.0, math.pi), (math.pi, TWO_PI)), 15, tol)
 
 
-def _panel_2d(f, a, b, c, d):
+def _panel_2d(f, box):
+    """One tensor-product panel over ``box = (a, b, c, d)``, i.e.
+    ``[a, b] x [c, d]`` in ``(t, theta)``, split in two along the axis of
+    larger variation."""
+    a, b, c, d = box
     half_t = 0.5 * (b - a)
     half_s = 0.5 * (d - c)
     tv = 0.5 * (a + b) + half_t * _XGK
@@ -202,12 +207,17 @@ def _panel_2d(f, a, b, c, d):
     kron = half_t * half_s * float(_WGK @ grid @ _WGK)
     sub = grid[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
     gauss = half_t * half_s * float(_WG7 @ sub @ _WG7)
-    # variation along each axis decides the split direction
     row_means = grid.mean(axis=1)
     col_means = grid.mean(axis=0)
     var_t = float(row_means.max() - row_means.min())
     var_s = float(col_means.max() - col_means.min())
-    return kron, abs(kron - gauss), 225, var_t, var_s
+    if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
+        mid = 0.5 * (a + b)
+        children = ((a, mid, c, d), (mid, b, c, d))
+    else:
+        mid = 0.5 * (c + d)
+        children = ((a, b, c, mid), (a, b, mid, d))
+    return kron, abs(kron - gauss), children
 
 
 def integrate_annulus(
@@ -221,48 +231,7 @@ def integrate_annulus(
         raise ValueError("t_hi must not be below t_lo")
     if t_hi == t_lo:
         return QuadResult(0.0, 0.0, 0, True)
-    panels = []
-    heap: list = []
-    counter = 0
-    evals = 0
-
-    def push(a, b, c, d):
-        nonlocal counter, evals
-        val, err, n, var_t, var_s = _panel_2d(f, a, b, c, d)
-        evals += n
-        panels.append((a, c, b, d, val, err, var_t, var_s))
-        heapq.heappush(heap, (-err, counter, len(panels) - 1))
-        counter += 1
-
-    push(t_lo, t_hi, 0.0, TWO_PI)
-
-    def totals():
-        live = [p for p in panels if p is not None]
-        return (
-            math.fsum(p[4] for p in live),
-            math.fsum(p[5] for p in live),
-        )
-
-    while True:
-        value, error = totals()
-        if error <= tol.target(value):
-            return QuadResult(value, error, evals, True)
-        if evals + 450 > tol.max_evaluations or not heap:
-            return QuadResult(value, error, evals, False)
-        _, _, idx = heapq.heappop(heap)
-        if panels[idx] is None:
-            continue
-        a, c, b, d, _, _, var_t, var_s = panels[idx]
-        panels[idx] = None
-        split_t = var_t > var_s or (var_t == var_s and (b - a) >= (d - c))
-        if split_t:
-            mid = 0.5 * (a + b)
-            push(a, mid, c, d)
-            push(mid, b, c, d)
-        else:
-            mid = 0.5 * (c + d)
-            push(a, b, c, mid)
-            push(a, b, mid, d)
+    return _adapt(lambda box: _panel_2d(f, box), ((t_lo, t_hi, 0.0, TWO_PI),), 225, tol)
 
 
 def _geometric_tail(increments: Sequence[float]):

@@ -107,23 +107,16 @@ def residual_bound(quad_error: float) -> float:
     return 10.0 * quad_error + 1e-9
 
 
-def _mu_with_error(model: SurfaceModel, h: float, tol: Tolerance):
+def _boundary_with_error(model: SurfaceModel, h: float, tol: Tolerance, slot: str):
+    """Per-end sum of circle integrals of one jet slot of sqrt(G) at
+    height h: slot ``"f"`` gives mu, slot ``"d1"`` gives lambda."""
     total, err = 0.0, 0.0
     for end in model.ends:
-        res = integrate_circle(lambda theta: end.sqrt_jet(h, theta).f, tol)
+        res = integrate_circle(lambda theta: getattr(end.sqrt_jet(h, theta), slot), tol)
         total += res.value
         err += res.error_estimate
-    if total <= 0.0:
+    if slot == "f" and total <= 0.0:
         raise NonPositiveMu(f"mu({h}) = {total} <= 0")
-    return total, err
-
-
-def _lambda_with_error(model: SurfaceModel, h: float, tol: Tolerance):
-    total, err = 0.0, 0.0
-    for end in model.ends:
-        res = integrate_circle(lambda theta: end.sqrt_jet(h, theta).d1, tol)
-        total += res.value
-        err += res.error_estimate
     return total, err
 
 
@@ -137,12 +130,13 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
 
     Integrates [eps, h] and shrinks eps geometrically until the added
     slivers stop mattering; the smooth-cap boundary behavior makes the
-    remaining stub quadratically small.
+    remaining stub quadratically small.  Returns ``(value, error,
+    evaluations)``.
     """
     f = _curvature_density(end)
     eps = min(0.5, h / 4.0)
     res = integrate_annulus(f, eps, h, tol)
-    total, err = res.value, res.error_estimate
+    total, err, evals = res.value, res.error_estimate, res.evaluations
     quiet = 0
     last = 0.0
     while eps > POLE_GUARD:
@@ -150,13 +144,14 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
         sliver = integrate_annulus(f, lower, eps, tol)
         total += sliver.value
         err += sliver.error_estimate
+        evals += sliver.evaluations
         eps = lower
         last = abs(sliver.value)
         quiet = quiet + 1 if last <= tol.target(total) else 0
         if quiet >= 2:
             break
     err += min(last, abs(total) + last)
-    return total, err
+    return total, err, evals
 
 
 def _band_with_error(model: SurfaceModel, h: float, tol: Tolerance):
@@ -165,7 +160,7 @@ def _band_with_error(model: SurfaceModel, h: float, tol: Tolerance):
         end = model.ends[0]
         if h <= end.t_min:
             return 0.0, 0.0
-        return _pole_band(end, h, tol)
+        return _pole_band(end, h, tol)[:2]
     core: AnalyticCore = model.core
     total, err = core.total_curvature, 0.0
     for end in model.ends:
@@ -180,13 +175,13 @@ def _band_with_error(model: SurfaceModel, h: float, tol: Tolerance):
 def mu(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Total boundary length of the truncation at height h."""
     _require_height(model, h)
-    return _mu_with_error(model, h, tol)[0]
+    return _boundary_with_error(model, h, tol, "f")[0]
 
 
 def lambda_total(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Total geodesic curvature of the positively oriented boundary."""
     _require_height(model, h)
-    return _lambda_with_error(model, h, tol)[0]
+    return _boundary_with_error(model, h, tol, "d1")[0]
 
 
 def truncated_total_curvature(
@@ -208,8 +203,8 @@ def compute_sample(
     model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL
 ) -> TruncationSample:
     _require_height(model, h)
-    m, em = _mu_with_error(model, h, tol)
-    l, el = _lambda_with_error(model, h, tol)
+    m, em = _boundary_with_error(model, h, tol, "f")
+    l, el = _boundary_with_error(model, h, tol, "d1")
     c, ec = _band_with_error(model, h, tol)
     quad_error = em + el + ec
     residual = abs(TWO_PI * model.chi - c - l)
@@ -333,12 +328,12 @@ def total_curvature_direct(
     """Total curvature by direct improper integration over all ends."""
     if isinstance(model.core, PolarCap):
         end = model.ends[0]
-        head, head_err = _pole_band(end, end.t_min + 1.0, tol)
+        head, head_err, head_evals = _pole_band(end, end.t_min + 1.0, tol)
         tail = integrate_improper(_curvature_density(end), end.t_min + 1.0, tol)
         return ImproperResult(
             value=head + tail.value,
             error_estimate=head_err + tail.error_estimate,
-            evaluations=tail.evaluations,
+            evaluations=head_evals + tail.evaluations,
             converged=tail.converged,
             divergence=tail.divergence,
             partial_sums=tail.partial_sums,
@@ -373,12 +368,12 @@ def measure_mu_prime_order(
 ):
     """Deviation of the central difference of mu from lambda at h0, for
     the given step and its half; returns (dev_step, dev_half, floor)."""
-    lam0, el = _lambda_with_error(model, h0, tol)
+    lam0, el = _boundary_with_error(model, h0, tol, "d1")
     devs = []
     floor = 0.0
     for s in (step, 0.5 * step):
-        hi, ehi = _mu_with_error(model, h0 + s, tol)
-        lo, elo = _mu_with_error(model, h0 - s, tol)
+        hi, ehi = _boundary_with_error(model, h0 + s, tol, "f")
+        lo, elo = _boundary_with_error(model, h0 - s, tol, "f")
         devs.append(abs((hi - lo) / (2.0 * s) - lam0))
         floor = max(floor, residual_bound(ehi + elo) / (2.0 * s) + residual_bound(el))
     return devs[0], devs[1], floor

@@ -139,6 +139,98 @@ class TestAnnulus:
             assert fine <= coarse + 1e-12
 
 
+# fixed integrands f(t, theta); the circle tests read them at t = 1.25
+PINNED_INTEGRANDS = {
+    "peaked": lambda t, theta: np.exp(-20.0 * ((t - 1.0) ** 2 + (theta - 3.0) ** 2)),
+    "oscillatory": lambda t, theta: np.sin(3.0 * t) * np.cos(7.0 * theta) ** 2 + 0.1 * t,
+    "theta-dependent": lambda t, theta: (
+        t**2 * (1.0 + 0.3 * np.sin(2.0 * theta) * np.exp(-t)) ** 2
+    ),
+}
+
+
+class TestAdaptiveDriver:
+    """Pin the worst-first driver: split order, stopping rule and the
+    exact sums it returns, not just agreement with closed forms."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("peaked", (0.11355122822910524, 1.759489568649977e-10, 210)),
+            ("oscillatory", (-1.0102146766395899, 3.219646771412954e-15, 90)),
+            ("theta-dependent", (9.853741083996525, 3.016311644898906e-10, 90)),
+        ],
+    )
+    def test_circle_pinned(self, name, expected):
+        f = PINNED_INTEGRANDS[name]
+        res = integrate_circle(lambda theta: f(1.25, theta))
+        assert res.converged
+        assert (res.value, res.error_estimate, res.evaluations) == expected
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("peaked", (0.15695668627364504, 1.2428108591870188e-09, 13725)),
+            ("oscillatory", (1.596035743799475, 1.5810669797992677e-08, 58275)),
+            ("theta-dependent", (32.51932261847515, 2.9452941838897795e-07, 26775)),
+        ],
+    )
+    def test_annulus_pinned(self, name, expected):
+        res = integrate_annulus(PINNED_INTEGRANDS[name], 0.5, 2.5)
+        assert res.converged
+        assert (res.value, res.error_estimate, res.evaluations) == expected
+
+    def test_annulus_stops_before_exceeding_budget(self):
+        # a split costs two 15 x 15 panels; the driver stops before one
+        # that would overrun the budget
+        tol = Tolerance(max_evaluations=1000)
+        res = integrate_annulus(PINNED_INTEGRANDS["peaked"], 0.5, 2.5, tol)
+        assert not res.converged
+        assert res.evaluations <= 1000 < res.evaluations + 450
+
+    def test_equal_errors_split_the_older_panel_first(self):
+        # a constant gives both starting halves the same error estimate;
+        # the unreachable tolerance lets the budget stop the driver
+        left_half = []
+
+        def recording(theta):
+            left_half.append(bool(theta.max() <= math.pi))
+            return np.ones_like(theta)
+
+        tol = Tolerance(abs_tol=1e-300, rel_tol=1e-300, max_evaluations=100)
+        res = integrate_circle(recording, tol)
+        assert not res.converged
+        assert res.evaluations == 90
+        assert left_half == [True, False, True, True, False, False]
+
+    @staticmethod
+    def _node_ranges(f, t_lo, t_hi):
+        ranges = []
+
+        def recording(t, theta):
+            ranges.append(((t.min(), t.max()), (theta.min(), theta.max())))
+            return f(t, theta)
+
+        res = integrate_annulus(recording, t_lo, t_hi)
+        assert res.converged
+        assert len(ranges) > 1
+        return ranges
+
+    def test_theta_only_integrand_never_split_in_t(self):
+        ranges = self._node_ranges(
+            lambda t, theta: np.exp(-20.0 * (theta - 3.0) ** 2) + 0.0 * t, 0.5, 2.5
+        )
+        assert len({t_range for t_range, _ in ranges}) == 1
+        assert len({s_range for _, s_range in ranges}) > 1
+
+    def test_t_only_integrand_never_split_in_theta(self):
+        ranges = self._node_ranges(
+            lambda t, theta: np.exp(-20.0 * (t - 1.0) ** 2) + 0.0 * theta, 0.0, 2.0
+        )
+        assert len({s_range for _, s_range in ranges}) == 1
+        assert len({t_range for t_range, _ in ranges}) > 1
+
+
 class TestImproper:
     def test_zero(self):
         res = integrate_improper(lambda t, theta: 0.0, 0.0)

@@ -272,3 +272,25 @@ class TestDirectTotalCurvature:
         assert res.value == pytest.approx(0.0, abs=1e-9)
         direct = total_curvature_direct(entry.model)
         assert direct.value == pytest.approx(entry.oracle.c_total, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["paraboloid", "polar-plane", "capped-cone", "catenoid"])
+    def test_evaluations_count_every_integral(self, name, monkeypatch):
+        # polar caps integrate a pole band before the improper tail; its
+        # evaluations belong to the reported count as much as the tail's
+        import cvlab.sweep as sweep
+
+        counted = []
+
+        def counting(integrate):
+            def wrapper(*args, **kwargs):
+                res = integrate(*args, **kwargs)
+                counted.append(res.evaluations)
+                return res
+
+            return wrapper
+
+        for fn in ("integrate_circle", "integrate_annulus", "integrate_improper"):
+            monkeypatch.setattr(sweep, fn, counting(getattr(sweep, fn)))
+        res = total_curvature_direct(zoo_entry(name).model)
+        assert counted
+        assert res.evaluations == sum(counted)
