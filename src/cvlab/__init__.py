@@ -49,6 +49,7 @@ from .sweep import (
     mu,
     sampled_curvature_range,
     run_sweep,
+    sweep_samples,
     total_curvature_direct,
     truncated_total_curvature,
 )

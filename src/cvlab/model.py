@@ -60,12 +60,18 @@ class EndChart:
     is better conditioned when ``G`` is tiny.  Both closures take scalar
     or numpy-array points and must use numpy functions; a jet with
     scalar slots (``Jet2(1.0)``) stands for every point.
+
+    ``theta_free`` declares that ``G`` does not depend on theta (a
+    rotation-symmetric end); boundary circles and curvature bands are
+    then integrated in t alone.  Validation checks the declaration on
+    its sample grid.
     """
 
     g_jet: Callable[..., Jet2]
     t_min: float = 0.0
     sqrt_g_jet: Callable[..., Jet2] | None = None
     label: str = ""
+    theta_free: bool = False
 
     def g(self, t, theta):
         return self.g_jet(t, theta).f
@@ -77,8 +83,11 @@ class EndChart:
 
 
 def chart_from_expression(expr_or_text, t_min: float = 0.0, label: str = "") -> EndChart:
-    """Build an end chart from a DSL expression (text or parsed tree)."""
-    from .dsl import MetricExpr, eval_jet, parse_metric
+    """Build an end chart from a DSL expression (text or parsed tree).
+
+    The chart is theta-free exactly when the tree has no ``theta``.
+    """
+    from .dsl import MetricExpr, eval_jet, parse_metric, uses_theta
 
     expr = expr_or_text
     if isinstance(expr, str):
@@ -89,6 +98,7 @@ def chart_from_expression(expr_or_text, t_min: float = 0.0, label: str = "") -> 
         g_jet=lambda t, theta: eval_jet(expr, t, theta),
         t_min=t_min,
         label=label or expr.source,
+        theta_free=not uses_theta(expr),
     )
 
 
@@ -246,6 +256,7 @@ def validate_surface(
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
         stop = False
         for t, row in _g_rows(end, ts, thetas):
+            first = None
             for theta, value in row:
                 if isinstance(value, Overflow):
                     # too large to represent is still positive
@@ -256,6 +267,15 @@ def validate_surface(
                     break
                 if not (value > 0.0) or not math.isfinite(value):
                     flag(f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})")
+                    stop = True
+                    break
+                if first is None:
+                    first = value
+                elif end.theta_free and value != first:
+                    flag(
+                        f"end {j + 1}: declared theta-free but G varies in theta "
+                        f"(t={t:g}, theta={theta:g}: {value:g} vs {first:g})"
+                    )
                     stop = True
                     break
             if stop:

@@ -9,11 +9,16 @@ For a truncation height ``h`` the three computed quantities are
 * ``c_trunc(h)`` - curvature integral over the truncated surface: core
                    term plus band integrals of ``K dA``.
 
-``run_sweep`` samples these over a height schedule, locates the height
-beyond which sampled curvature stays nonnegative, extrapolates the
-limit of ``lambda``, forms the total curvature both as
-``2*pi*chi - limit`` and by direct improper integration, and renders a
-verdict for every identity and inequality the toolkit certifies.
+``sweep_samples`` computes them over a height schedule; ``c_trunc`` is
+additive in the bands ``[h_{i-1}, h_i]``, so each band is integrated
+once and the values and error estimates are prefix-summed.  On a
+theta-free end the circle integrals are ``2*pi`` times one point value
+and the bands are 1-D integrals in t.  ``run_sweep`` takes those
+samples, locates the height beyond which sampled curvature stays
+nonnegative, extrapolates the limit of ``lambda``, forms the total
+curvature both as ``2*pi*chi - limit`` and by direct improper
+integration, and renders a verdict for every identity and inequality
+the toolkit certifies.
 """
 
 from __future__ import annotations
@@ -109,9 +114,14 @@ def residual_bound(quad_error: float) -> float:
 
 def _boundary_with_error(model: SurfaceModel, h: float, tol: Tolerance, slot: str):
     """Per-end sum of circle integrals of one jet slot of sqrt(G) at
-    height h: slot ``"f"`` gives mu, slot ``"d1"`` gives lambda."""
+    height h: slot ``"f"`` gives mu, slot ``"d1"`` gives lambda.  On a
+    theta-free end the integral is ``2*pi`` times the value at theta = 0,
+    with no quadrature error."""
     total, err = 0.0, 0.0
     for end in model.ends:
+        if end.theta_free:
+            total += TWO_PI * float(getattr(end.sqrt_jet(h, 0.0), slot))
+            continue
         res = integrate_circle(lambda theta: getattr(end.sqrt_jet(h, theta), slot), tol)
         total += res.value
         err += res.error_estimate
@@ -135,13 +145,13 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
     """
     f = _curvature_density(end)
     eps = min(0.5, h / 4.0)
-    res = integrate_annulus(f, eps, h, tol)
+    res = integrate_annulus(f, eps, h, tol, theta_free=end.theta_free)
     total, err, evals = res.value, res.error_estimate, res.evaluations
     quiet = 0
     last = 0.0
     while eps > POLE_GUARD:
         lower = max(eps / 2.0, POLE_GUARD / 2.0)
-        sliver = integrate_annulus(f, lower, eps, tol)
+        sliver = integrate_annulus(f, lower, eps, tol, theta_free=end.theta_free)
         total += sliver.value
         err += sliver.error_estimate
         evals += sliver.evaluations
@@ -154,22 +164,34 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
     return total, err, evals
 
 
-def _band_with_error(model: SurfaceModel, h: float, tol: Tolerance):
-    """Curvature integral over the truncation at height h."""
-    if isinstance(model.core, PolarCap):
-        end = model.ends[0]
-        if h <= end.t_min:
-            return 0.0, 0.0
-        return _pole_band(end, h, tol)[:2]
-    core: AnalyticCore = model.core
-    total, err = core.total_curvature, 0.0
-    for end in model.ends:
-        if h <= end.t_min:
-            continue
-        res = integrate_annulus(_curvature_density(end), end.t_min, h, tol)
-        total += res.value
-        err += res.error_estimate
-    return total, err
+def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
+    """Yield ``(c_trunc, error)`` at each height of an increasing schedule.
+
+    Per end, the head from the chart edge (through the pole on a polar
+    cap) up to the first height above it and every band between
+    consecutive heights are integrated once; ``c_trunc`` and its error
+    estimate are their running sums, starting from the core term.
+    """
+    polar = isinstance(model.core, PolarCap)
+    total = 0.0 if polar else model.core.total_curvature
+    err = 0.0
+    previous = -math.inf
+    for h in schedule:
+        for end in model.ends:
+            lo = max(previous, end.t_min)
+            if h <= lo:
+                continue
+            if polar and lo == end.t_min:
+                value, error, _ = _pole_band(end, h, tol)
+            else:
+                res = integrate_annulus(
+                    _curvature_density(end), lo, h, tol, theta_free=end.theta_free
+                )
+                value, error = res.value, res.error_estimate
+            total += value
+            err += error
+        yield total, err
+        previous = h
 
 
 def mu(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -189,7 +211,7 @@ def truncated_total_curvature(
 ) -> float:
     """Curvature integral over the truncated surface at height h."""
     _require_height(model, h)
-    return _band_with_error(model, h, tol)[0]
+    return next(_truncated_curvatures(model, (h,), tol))[0]
 
 
 def _require_height(model: SurfaceModel, h: float) -> None:
@@ -199,16 +221,32 @@ def _require_height(model: SurfaceModel, h: float) -> None:
         )
 
 
+def sweep_samples(
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance = DEFAULT_TOL
+) -> tuple[TruncationSample, ...]:
+    """One sample per height of a strictly increasing schedule, sharing
+    the curvature bands between consecutive heights."""
+    if not schedule:
+        raise ValueError("schedule needs at least one height")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    _require_height(model, schedule[0])
+    curvatures = _truncated_curvatures(model, schedule, tol)
+    samples = []
+    for h in schedule:
+        m, em = _boundary_with_error(model, h, tol, "f")
+        l, el = _boundary_with_error(model, h, tol, "d1")
+        c, ec = next(curvatures)
+        residual = abs(TWO_PI * model.chi - c - l)
+        samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
+    return tuple(samples)
+
+
 def compute_sample(
     model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL
 ) -> TruncationSample:
-    _require_height(model, h)
-    m, em = _boundary_with_error(model, h, tol, "f")
-    l, el = _boundary_with_error(model, h, tol, "d1")
-    c, ec = _band_with_error(model, h, tol)
-    quad_error = em + el + ec
-    residual = abs(TWO_PI * model.chi - c - l)
-    return TruncationSample(h, m, l, c, quad_error, residual)
+    """The sample at one height: :func:`sweep_samples` on ``[h]``."""
+    return sweep_samples(model, (h,), tol)[0]
 
 
 def check_gauss_bonnet_truncated(sample: TruncationSample, chi: int) -> float:
@@ -329,7 +367,9 @@ def total_curvature_direct(
     if isinstance(model.core, PolarCap):
         end = model.ends[0]
         head, head_err, head_evals = _pole_band(end, end.t_min + 1.0, tol)
-        tail = integrate_improper(_curvature_density(end), end.t_min + 1.0, tol)
+        tail = integrate_improper(
+            _curvature_density(end), end.t_min + 1.0, tol, theta_free=end.theta_free
+        )
         return ImproperResult(
             value=head + tail.value,
             error_estimate=head_err + tail.error_estimate,
@@ -344,7 +384,9 @@ def total_curvature_direct(
     converged = True
     trace: tuple = ()
     for end in model.ends:
-        res = integrate_improper(_curvature_density(end), end.t_min, tol)
+        res = integrate_improper(
+            _curvature_density(end), end.t_min, tol, theta_free=end.theta_free
+        )
         evals += res.evaluations
         if res.divergence is not None or not res.converged:
             divergence = divergence or res.divergence
@@ -394,12 +436,8 @@ def run_sweep(
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
     validate_surface(model, samples_per_axis=16, strict=True)
-    _require_height(model, schedule[0])
-
-    samples = tuple(compute_sample(model, h, tol) for h in schedule)
+    samples = sweep_samples(model, schedule, tol)
 
     chi = model.chi
     verdicts: dict[str, Verdict] = {}

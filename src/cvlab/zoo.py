@@ -10,6 +10,9 @@ against independent formulas.  For a metric ``dt^2 + G dtheta^2`` with
 * the boundary circle at height ``h`` has length ``2*pi*w(h)`` and
   geodesic curvature ``w'(h)``.
 
+Every entry is a surface of rotation, so each chart declares
+``theta_free`` and the sweep integrates it in t alone.
+
 The catenoid and the capped pseudosphere-like cusp violate the
 "curvature nonnegative far out" hypothesis on purpose: they pin down
 that the verifier separates certified verdicts from merely observed
@@ -134,6 +137,7 @@ def make_flat_cylinder() -> ZooEntry:
             g_jet=lambda t, theta: unit,
             sqrt_g_jet=lambda t, theta: unit,
             label="flat cylinder end",
+            theta_free=True,
         )
 
     model = SurfaceModel(
@@ -167,6 +171,7 @@ def make_polar_plane() -> ZooEntry:
         g_jet=lambda t, theta: Jet2(t * t, 2.0 * t, 2.0),
         sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0),
         label="polar plane end",
+        theta_free=True,
     )
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
@@ -222,7 +227,9 @@ def make_paraboloid() -> ZooEntry:
         r, r1, r2 = profile.jets(t)
         return Jet2(r, r1, r2)
 
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="paraboloid end")
+    chart = EndChart(
+        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="paraboloid end", theta_free=True
+    )
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),
@@ -295,7 +302,9 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
         w, w1, w2 = _cone_profile_jets(t, slant)
         return Jet2(w * w, 2.0 * w * w1, 2.0 * (w1 * w1 + w * w2))
 
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="capped cone end")
+    chart = EndChart(
+        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="capped cone end", theta_free=True
+    )
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),
@@ -343,7 +352,9 @@ def make_catenoid() -> ZooEntry:
         return Jet2(w, t / w, 1.0 / w**3)
 
     def chart() -> EndChart:
-        return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="catenoid end")
+        return EndChart(
+            g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="catenoid end", theta_free=True
+        )
 
     model = SurfaceModel(
         topology=Topology(genus=0, ends=2),
@@ -388,7 +399,9 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
         e = np.exp(-t)
         return Jet2(e, -e, e)
 
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="hyperbolic cusp end")
+    chart = EndChart(
+        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="hyperbolic cusp end", theta_free=True
+    )
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),

@@ -210,3 +210,40 @@ def test_chart_sqrt_jet_consistency():
     assert direct.f == pytest.approx(pytest.approx(0.6065306597126334))
     assert direct.d1 == pytest.approx(-direct.f, rel=1e-12)
     assert direct.d2 == pytest.approx(direct.f, rel=1e-12)
+
+
+class TestThetaFreeDeclaration:
+    @pytest.mark.parametrize(
+        "expr,theta_free",
+        [
+            ("t^2", True),
+            ("cosh(t)^2", True),
+            ("t^2*(1+0.1*sin(theta))", False),
+            ("t^2+0*theta", False),
+        ],
+    )
+    def test_derived_from_the_tree(self, expr, theta_free):
+        assert chart_from_expression(expr).theta_free is theta_free
+
+    def test_zoo_charts_are_declared(self):
+        assert all(end.theta_free for entry in all_entries() for end in entry.model.ends)
+
+    @pytest.mark.parametrize("walk_rows", [False, True], ids=["grid", "row-walk"])
+    def test_varying_g_declared_theta_free_rejected(self, walk_rows):
+        g_jet = chart_from_expression("2 + sin(theta)").g_jet
+
+        def refusing(t, theta):
+            if walk_rows and np.ndim(t) == 2:
+                raise DomainError("grid refused")
+            return g_jet(t, theta)
+
+        model = SurfaceModel(
+            topology=Topology(0, 1),
+            ends=(EndChart(g_jet=refusing, theta_free=True),),
+            core=AnalyticCore(0.0, (0.0,)),
+        )
+        with pytest.raises(ModelInvalid, match="end 1: declared theta-free but G varies in theta"):
+            validate_surface(model, 16, strict=True)
+        # the same G without the declaration is a valid chart
+        honest = SurfaceModel(model.topology, (EndChart(g_jet=refusing),), model.core)
+        assert validate_surface(honest, 16, strict=True).ok

@@ -334,3 +334,63 @@ def test_tolerance_invariants():
     assert DEFAULT_TOL.abs_tol == 1e-9
     assert DEFAULT_TOL.rel_tol == 1e-8
     assert DEFAULT_TOL.max_evaluations == 2_000_000
+
+
+# t-only integrands f(t, theta): a theta-free band is 2*pi times a 1-D rule
+T_ONLY_INTEGRANDS = {
+    "peaked": lambda t, theta: np.exp(-20.0 * (t - 1.0) ** 2) + 0.0 * theta,
+    "oscillatory": lambda t, theta: np.sin(3.0 * t) + 0.1 * t + 0.0 * theta,
+    "growing": lambda t, theta: t**2 * (1.0 + 0.3 * np.exp(-t)) ** 2 + 0.0 * theta,
+    "cusp-density": lambda t, theta: -np.exp(-t) + 0.0 * theta,
+}
+
+
+class TestThetaFree:
+    @pytest.mark.parametrize("name", sorted(T_ONLY_INTEGRANDS))
+    def test_band_matches_2d_on_the_same_panel_tree(self, name):
+        f = T_ONLY_INTEGRANDS[name]
+        full = integrate_annulus(f, 0.5, 2.5)
+        flat = integrate_annulus(f, 0.5, 2.5, theta_free=True)
+        assert full.converged and flat.converged
+        assert flat.value == pytest.approx(full.value, rel=1e-12, abs=0.0)
+        assert flat.evaluations * 15 == full.evaluations
+
+    def test_integrand_is_read_at_theta_zero(self):
+        thetas = []
+
+        def recording(t, theta):
+            thetas.append(theta)
+            assert np.shape(t) == (15,)
+            return np.ones_like(t)
+
+        res = integrate_annulus(recording, 0.0, 3.0, theta_free=True)
+        assert res.value == pytest.approx(3.0 * TWO_PI, rel=1e-14)
+        assert thetas and all(theta == 0.0 for theta in thetas)
+
+    def test_improper_windows_collapse(self):
+        f = T_ONLY_INTEGRANDS["cusp-density"]
+        full = integrate_improper(f, 0.0)
+        flat = integrate_improper(f, 0.0, theta_free=True)
+        assert flat.converged and full.converged
+        assert flat.value == pytest.approx(-TWO_PI, abs=1e-8)
+        assert flat.value == pytest.approx(full.value, rel=1e-12)
+        assert flat.evaluations * 15 == full.evaluations
+        assert len(flat.partial_sums) == len(full.partial_sums)
+
+
+class TestStartingBudget:
+    def test_budget_below_the_first_2d_panel_is_refused(self):
+        f = T_ONLY_INTEGRANDS["peaked"]
+        with pytest.raises(ValueError, match="max_evaluations=100"):
+            integrate_annulus(f, 0.0, 2.0, Tolerance(max_evaluations=100))
+
+    def test_same_budget_pays_for_a_theta_free_band(self):
+        f = T_ONLY_INTEGRANDS["peaked"]
+        res = integrate_annulus(f, 0.0, 2.0, Tolerance(max_evaluations=100), theta_free=True)
+        assert 15 <= res.evaluations <= 100
+        assert res.value == pytest.approx(TWO_PI * math.sqrt(math.pi / 20.0), rel=1e-3)
+
+    def test_circle_fits_the_floor(self):
+        # the two starting half-period panels cost 30 of the minimum 100
+        res = integrate_circle(lambda theta: np.cos(theta) ** 2, Tolerance(max_evaluations=100))
+        assert res.converged and res.evaluations <= 100

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import cvlab.sweep as sweep
 from cvlab.jets import Jet2
-from cvlab.model import AnalyticCore, EndChart, ModelInvalid, SurfaceModel, Topology
+from cvlab.model import (
+    AnalyticCore,
+    EndChart,
+    ModelInvalid,
+    PolarCap,
+    SurfaceModel,
+    Topology,
+    chart_from_expression,
+)
 from cvlab.sweep import (
     NonPositiveMu,
     check_gauss_bonnet_truncated,
@@ -14,12 +23,16 @@ from cvlab.sweep import (
     lambda_total,
     measure_mu_prime_order,
     mu,
+    residual_bound,
     run_sweep,
     sampled_curvature_range,
+    sweep_samples,
     total_curvature_direct,
     truncated_total_curvature,
 )
-from cvlab.zoo import zoo_entry
+from cvlab.zoo import zoo_entry, zoo_names
+from conftest import SCHEDULES
+from test_array_eval import theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
 
@@ -294,3 +307,97 @@ class TestDirectTotalCurvature:
         res = total_curvature_direct(zoo_entry(name).model)
         assert counted
         assert res.evaluations == sum(counted)
+
+
+BAND_SCHEDULES = {
+    **SCHEDULES,
+    "theta-cap": list(np.geomspace(1.0, 64.0, 12)),
+    "three-ends": list(np.geomspace(1.0, 16.0, 12)),
+}
+BAND_MODELS = {"theta-cap": theta_cap, "three-ends": three_ends}
+
+
+class TestBandReuse:
+    @pytest.mark.parametrize("name", zoo_names() + tuple(BAND_MODELS))
+    def test_sweep_matches_per_height_path(self, name, zoo_reports):
+        if name in BAND_MODELS:
+            model = BAND_MODELS[name]()
+            report = run_sweep(model, BAND_SCHEDULES[name])
+        else:
+            model, report = zoo_entry(name).model, zoo_reports[name]
+        for s in report.samples:
+            one = compute_sample(model, s.h)
+            assert truncated_total_curvature(model, s.h) == one.c_trunc
+            assert abs(s.c_trunc - one.c_trunc) <= residual_bound(s.quad_error + one.quad_error)
+
+    @staticmethod
+    def _band_calls(monkeypatch, model, schedule):
+        """``((t_lo, t_hi), error_estimate)`` of every band integral, and
+        the samples."""
+        calls = []
+        integrate = sweep.integrate_annulus
+
+        def recording(f, t_lo, t_hi, tol, **kwargs):
+            res = integrate(f, t_lo, t_hi, tol, **kwargs)
+            calls.append(((t_lo, t_hi), res.error_estimate))
+            return res
+
+        monkeypatch.setattr(sweep, "integrate_annulus", recording)
+        return calls, sweep_samples(model, schedule)
+
+    def test_each_band_is_integrated_once(self, monkeypatch):
+        model = three_ends()
+        schedule = [1.0, 2.0, 4.0, 8.0]
+        calls, samples = self._band_calls(monkeypatch, model, schedule)
+        heads = [(end.t_min, 1.0) for end in model.ends]
+        bands = [(a, b) for a, b in zip(schedule, schedule[1:]) for _ in model.ends]
+        assert [box for box, _ in calls] == heads + bands
+        # theta-free ends: the error is the running sum of band errors alone
+        errors, running = [], 0.0
+        for i, (_, error) in enumerate(calls, 1):
+            running += error
+            if i % len(model.ends) == 0:
+                errors.append(running)
+        assert [s.quad_error for s in samples] == errors
+
+    def test_pole_band_is_integrated_once(self, monkeypatch):
+        schedule = [1.0, 2.0, 4.0, 8.0]
+        calls, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
+        calls = [box for box, _ in calls]
+        assert calls[-3:] == list(zip(schedule, schedule[1:]))
+        assert calls[0] == (0.25, 1.0)
+        assert all(t_hi <= 0.25 for _, t_hi in calls[1:-3])
+
+    def test_schedule_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_samples(zoo_entry("paraboloid").model, [1.0, 4.0, 2.0])
+
+
+class TestThetaFreeSweep:
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_circles_are_point_values(self, name, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a theta-free end needs no circle quadrature")
+
+        monkeypatch.setattr(sweep, "integrate_circle", forbidden)
+        model = zoo_entry(name).model
+        h = 3.0
+        assert mu(model, h) == sum(TWO_PI * float(e.sqrt_jet(h, 0.0).f) for e in model.ends)
+        assert lambda_total(model, h) == sum(
+            TWO_PI * float(e.sqrt_jet(h, 0.0).d1) for e in model.ends
+        )
+
+    def test_collapsed_cap_matches_2d_cap(self):
+        # the same metric, once with a vanishing theta term that keeps the
+        # tree theta-dependent and so the 2-D rules
+        schedule = [1.0, 2.0, 4.0, 8.0]
+        samples = []
+        for expr in ("sinh(t)^2", "sinh(t)^2 + 0*theta"):
+            chart = chart_from_expression(expr)
+            model = SurfaceModel(Topology(0, 1), (chart,), PolarCap())
+            samples.append(sweep_samples(model, schedule))
+        for flat, full in zip(*samples):
+            bound = residual_bound(flat.quad_error + full.quad_error)
+            for key in ("mu", "lam", "c_trunc"):
+                assert abs(getattr(flat, key) - getattr(full, key)) <= bound, key
+            assert flat.c_trunc == pytest.approx(TWO_PI * (1.0 - math.cosh(flat.h)), rel=1e-9)
