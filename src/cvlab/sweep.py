@@ -425,13 +425,10 @@ def run_sweep(
     model: SurfaceModel,
     schedule: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
-    workers: int | None = None,
 ) -> SweepReport:
     """Run the full truncation procedure over an increasing height schedule.
 
-    Samples are computed one after another in schedule order.  ``workers``
-    is accepted for compatibility and ignored: the sweep is
-    single-threaded, and its results never depended on it.
+    Samples are computed one after another in schedule order.
     """
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
@@ -579,9 +576,15 @@ def run_sweep(
                 + f" (margin {margin:.6g}), not certified",
             )
 
+    # the premise K >= 0 on all of Sigma is sampled only when the ends
+    # cover the whole surface, that is on a polar cap; an analytic core
+    # is a number, never probed
     origin = max(end.t_min for end in model.ends)
     grid_step = (schedule[-1] - origin) / 63.0
-    if h1 is not None and h1 <= origin + grid_step and kmax > K_SLACK:
+    if not isinstance(model.core, PolarCap):
+        reason = "analytic core is never sampled, so K >= 0 on all of Sigma is unchecked"
+        verdicts["corollary"] = Verdict("not-applicable", None, None, reason)
+    elif h1 is not None and h1 <= origin + grid_step and kmax > K_SLACK:
         verdicts["corollary"] = Verdict(
             "pass" if chi >= 1 else "fail",
             float(chi),

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .jets import Jet2
@@ -63,65 +62,6 @@ class ZooEntry:
     @property
     def name(self) -> str:
         return self.model.name
-
-
-class MeridianArcProfile:
-    """Arc-length reparametrization ``r(t)`` of a rotation-surface profile.
-
-    Solves ``dr/dt = slope(r)``, ``r(0) = 0`` with an adaptive one-step
-    integrator at build time (dense output, tolerances 1e-12) and extends
-    the solved span on demand.  Derivatives at a query point come from
-    the closed-form slope, not from the interpolant, so the jets stay
-    consistent to the ODE tolerance.  Queries take scalar or array
-    arc lengths; ``slope`` and ``dslope_dr`` must accept arrays.
-    """
-
-    def __init__(self, slope, dslope_dr, initial_span: float = 64.0):
-        self._slope = slope
-        self._dslope = dslope_dr
-        self._spans: list[float] = [0.0]
-        self._sols: list = []
-        self._state = 0.0
-        self._extend(initial_span)
-
-    def _extend(self, t_target: float) -> None:
-        while self._spans[-1] < t_target:
-            t0 = self._spans[-1]
-            t1 = max(2.0 * t0, t0 + 64.0)
-            sol = solve_ivp(
-                lambda _, y: [self._slope(y[0])],
-                (t0, t1),
-                [self._state],
-                method="DOP853",
-                dense_output=True,
-                rtol=1e-12,
-                atol=1e-12,
-            )
-            if sol.status != 0:
-                raise RuntimeError(f"profile integration failed: {sol.message}")
-            self._sols.append(sol.sol)
-            self._spans.append(t1)
-            self._state = float(sol.y[0, -1])
-
-    def radius(self, t):
-        """Radius at arc length t; the dense output of each solved span
-        is evaluated once, on all the points that fall in it."""
-        t = np.asarray(t, dtype=float)
-        r = np.zeros(t.shape)
-        inside = t > 0.0
-        if np.any(inside):
-            self._extend(float(np.max(t)))
-            span = np.searchsorted(self._spans, t) - 1
-            for k in np.unique(span[inside]):
-                hit = inside & (span == k)
-                r[hit] = self._sols[k](t[hit])[0]
-        return r[()]
-
-    def jets(self, t):
-        """(r, dr/dt, d2r/dt2) at arc length t."""
-        r = self.radius(t)
-        s = self._slope(r)
-        return r, s, self._dslope(r) * s
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +141,39 @@ def _paraboloid_arc_length(r: float) -> float:
     return 0.5 * (r * math.sqrt(1.0 + r * r) + math.asinh(r))
 
 
+def paraboloid_profile_jets(t):
+    """(r, dr/dt, d2r/dt2) at meridian arc length t of z = r^2/2.
+
+    Inverts the closed-form arc length t(r) = (r*sqrt(1+r^2) + asinh r)/2
+    by Newton's method.  t(r) is convex with t'(r) = sqrt(1+r^2) and the
+    start min(t, sqrt(2t)) lies at or above the root (t(r) >= r and
+    t(r) >= r^2/2), so the iterates fall onto it monotonically.  Each
+    element stops on its own step, so a value never depends on the other
+    points of its batch.  The derivatives are closed forms in r; t <= 0
+    maps to the pole (0, 1, 0).
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    pole = flat <= 0.0
+    r = np.where(pole, 0.0, np.minimum(flat, np.sqrt(2.0 * np.maximum(flat, 0.0))))
+    live = np.flatnonzero(~pole)
+    while live.size:
+        x = r[live]
+        q = np.sqrt(1.0 + x * x)
+        step = (0.5 * (x * q + np.arcsinh(x)) - flat[live]) / q
+        r[live] = x - step
+        # quadratic convergence: after a relative step of 1e-9 the error
+        # is below 1e-18 relative, under one ulp; NaN stops at once
+        live = live[np.abs(step) > 1e-9 * x]
+    r = r.reshape(t.shape)
+    q2 = 1.0 + r * r
+    return r[()], (1.0 / np.sqrt(q2))[()], (-r / (q2 * q2))[()]
+
+
 def paraboloid_radius_oracle(t: float) -> float:
     """Independent inverse of the closed-form meridian arc length of
-    z = r^2/2, used only by the oracle (the model runs on the ODE)."""
+    z = r^2/2 by bracketed root finding, used only by the oracle (the
+    model inverts it by Newton's method)."""
     if t <= 0.0:
         return 0.0
     hi = max(2.0, math.sqrt(2.0 * t) + 2.0)
@@ -214,18 +184,13 @@ def paraboloid_radius_oracle(t: float) -> float:
 
 def make_paraboloid() -> ZooEntry:
     """Rotation surface z = r^2/2, reparametrized by meridian arc length."""
-    profile = MeridianArcProfile(
-        slope=lambda r: 1.0 / np.sqrt(1.0 + r * r),
-        dslope_dr=lambda r: -r * (1.0 + r * r) ** -1.5,
-    )
 
     def g_jet(t, theta):
-        r, r1, r2 = profile.jets(t)
+        r, r1, r2 = paraboloid_profile_jets(t)
         return Jet2(r * r, 2.0 * r * r1, 2.0 * (r1 * r1 + r * r2))
 
     def sqrt_g_jet(t, theta):
-        r, r1, r2 = profile.jets(t)
-        return Jet2(r, r1, r2)
+        return Jet2(*paraboloid_profile_jets(t))
 
     chart = EndChart(
         g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="paraboloid end", theta_free=True

@@ -206,6 +206,24 @@ class TestConfigFiles:
         assert main(["sweep", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_corollary_not_certified_over_analytic_core(self, tmp_path, capsys, genus):
+        # w = t + 0.5*log(1+t) has K >= 0 on the end, but the core value
+        # 2*pi*chi - lambda(1) carries negative curvature that no probe sees
+        chi = 1 - 2 * genus
+        core = 2 * math.pi * chi - 2 * math.pi * 1.25
+        path = tmp_path / "log-end.cfg"
+        path.write_text(
+            f"[surface]\ngenus = {genus}\nends = 1\ncore = analytic:{core!r}\n\n"
+            "[end1]\ng = (t + 0.5*log(1+t))^2\nt_min = 1\n"
+        )
+        assert main(["verify", "--config", str(path), "--strict"]) == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("corollary")
+        )
+        assert line.split()[1] == "not-applicable"
+        assert "analytic core is never sampled" in line
+
     def test_divergent_end_reported_not_crashed(self, tmp_path, capsys):
         path = tmp_path / "flared.cfg"
         path.write_text(DIVERGENT_CONFIG)

@@ -252,14 +252,6 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(model, [1.0, 1.0, 2.0])
 
-    def test_workers_do_not_change_results(self):
-        model = zoo_entry("polar-plane").model
-        schedule = [1.0, 2.0, 4.0, 8.0]
-        seq = run_sweep(model, schedule, workers=1)
-        par = run_sweep(model, schedule, workers=4)
-        assert [s.mu for s in seq.samples] == [s.mu for s in par.samples]
-        assert [s.c_trunc for s in seq.samples] == [s.c_trunc for s in par.samples]
-
 
 class TestDirectTotalCurvature:
     def test_catenoid_classical_value(self):

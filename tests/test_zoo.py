@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from cvlab.model import AnalyticCore, PolarCap, euler_char, validate_surface
@@ -7,9 +10,9 @@ from cvlab.quadrature import Tolerance
 from cvlab.sweep import compute_sample, detect_h1
 from cvlab.zoo import (
     InvalidParameter,
-    MeridianArcProfile,
     all_entries,
     make_capped_cone,
+    paraboloid_profile_jets,
     paraboloid_radius_oracle,
     zoo_entry,
     zoo_names,
@@ -111,17 +114,56 @@ def test_paraboloid_entry():
 
 
 def test_paraboloid_profile_matches_closed_form_inverse():
-    profile = MeridianArcProfile(
-        slope=lambda r: 1.0 / math.sqrt(1.0 + r * r),
-        dslope_dr=lambda r: -r * (1.0 + r * r) ** -1.5,
-    )
     for t in (0.3, 1.0, 4.0, 37.0, 512.0, 10000.0):
-        assert profile.radius(t) == pytest.approx(
-            paraboloid_radius_oracle(t), rel=1e-10
+        assert paraboloid_profile_jets(t)[0] == pytest.approx(
+            paraboloid_radius_oracle(t), rel=1e-12
         )
-    r, r1, r2 = profile.jets(2.0)
-    assert r1 == pytest.approx(1.0 / math.sqrt(1.0 + r * r), rel=1e-12)
-    assert r2 == pytest.approx(-r / (1.0 + r * r) ** 2, rel=1e-10)
+    r, r1, r2 = paraboloid_profile_jets(2.0)
+    assert r1 == pytest.approx(1.0 / math.sqrt(1.0 + r * r), rel=1e-14)
+    assert r2 == pytest.approx(-r / (1.0 + r * r) ** 2, rel=1e-14)
+
+
+def test_paraboloid_radius_solves_arc_length():
+    # the arc length residual stays at rounding level; against the brentq
+    # oracle the bound is 1.5e-13 relative plus the oracle's own absolute
+    # xtol of 1e-14, which still shows near r = 0.014 on this grid
+    t = np.geomspace(1e-7, 1e4, 2001)
+    r = paraboloid_profile_jets(t)[0]
+    for ti, ri in zip(t.tolist(), r.tolist()):
+        arc = 0.5 * (ri * math.sqrt(1.0 + ri * ri) + math.asinh(ri))
+        assert abs(arc - ti) <= 4.0 * sys.float_info.epsilon * ti, (ti, ri)
+        if ti >= 1e-3:
+            want = paraboloid_radius_oracle(ti)
+            assert abs(ri - want) <= 1.5e-13 * want + 1e-14, (ti, ri, want)
+
+
+def test_paraboloid_profile_pole():
+    for t in (0.0, -0.5, -1e300):
+        assert tuple(paraboloid_profile_jets(t)) == (0.0, 1.0, 0.0)
+    r, r1, r2 = paraboloid_profile_jets(np.array([0.0, -3.0, 1.0]))
+    assert list(r[:2]) == [0.0, 0.0] and list(r1[:2]) == [1.0, 1.0]
+    assert list(r2[:2]) == [0.0, 0.0] and r[2] > 0.0
+
+
+def test_paraboloid_profile_value_does_not_depend_on_batch():
+    grid = np.geomspace(1e-7, 1e4, 601)
+    mixed = np.concatenate([grid[::3], grid[1::3][::-1], [0.0, -1.0], grid[2::3]])
+    batch = paraboloid_profile_jets(mixed)
+    for i, t in enumerate(mixed):
+        single = paraboloid_profile_jets(float(t))
+        assert [jet[i] for jet in batch] == list(single), t
+    shaped = paraboloid_profile_jets(mixed[:400].reshape(20, 20))
+    assert all(
+        np.array_equal(a.ravel(), b[:400]) for a, b in zip(shaped, batch)
+    )
+
+
+def test_cli_import_leaves_ode_solvers_unloaded():
+    code = "import sys, cvlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestCappedCone:
