@@ -31,7 +31,9 @@ from .quadrature import (
     Tolerance,
     estimate_tail_limit,
     integrate_annulus,
+    integrate_bands,
     integrate_circle,
+    integrate_circles,
     integrate_improper,
 )
 from .sweep import (

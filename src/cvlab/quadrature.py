@@ -14,10 +14,19 @@ integrals over ``[t_lo, inf)`` walk doubling windows and accelerate the
 partial sums with a geometric tail model; divergence is detected and
 reported as a first-class result, never as an exception.
 
-Integrands are called once per panel on the whole node array (15
-abscissae in 1-D, a 15 x 15 grid in 2-D, as in QUADPACK's vectorised
-QK15), so they must be written with numpy functions.  A scalar result
-is broadcast to the nodes' shape.
+The driver runs K integrals in lockstep (:func:`integrate_circles`,
+:func:`integrate_bands`): each keeps its own heap, tie-break, stopping
+rule and budget, so it returns exactly what a lone run returns, while
+every refinement round integrates the new panels of all K integrals
+with one call of the integrand.  A batched integrand gets one row per
+panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
+``(K, 1, 15)`` node arrays for 15 x 15 grids in 2-D (as in QUADPACK's
+vectorised QK15, one level up).  :func:`integrate_circle` and
+:func:`integrate_annulus` are the one-integral case; their integrands
+are still called once per panel, on 15 nodes or a 15 x 15 grid.
+Integrands must be written with numpy functions; a scalar result is
+broadcast to the nodes' shape, and a non-finite value anywhere fails
+the whole call with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -138,100 +147,185 @@ class TailLimit(NamedTuple):
     error_bound: float
 
 
+def _require_finite(values: np.ndarray, jobs) -> None:
+    if np.isfinite(values).all():
+        return
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    box = jobs[int(np.argmin(finite))][1]
+    raise DomainError(f"non-finite integrand value on panel {box}")
+
+
+def _panels_1d(values: Callable, jobs, scale: float = 1.0):
+    """GK15 panels over the intervals of ``jobs``, ``(member, (a, b))``
+    pairs, from one call ``values(members, x)`` on the ``(J, 15)`` node
+    array.  Returns ``(value, error, children)`` per job: ``scale`` times
+    the Kronrod value and the Kronrod-Gauss difference, and the halves."""
+    members = np.array([k for k, _ in jobs])
+    ab = np.array([box for _, box in jobs], dtype=float)
+    half = 0.5 * (ab[:, 1:] - ab[:, :1])
+    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
+    fv = np.empty((len(jobs), 15))
+    fv[...] = values(members, mid + half * _XGK)
+    _require_finite(fv, jobs)
+    out = []
+    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
+        kron = h * float(_WGK @ row)
+        gauss = h * float(_WG7 @ row[_GAUSS_IDX])
+        out.append((scale * kron, scale * abs(kron - gauss), ((a, m), (m, b))))
+    return out
+
+
 def _panel_1d(f: Callable, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fv = np.empty(15)
-    fv[...] = f(mid + half * _XGK)
-    if not np.all(np.isfinite(fv)):
-        raise DomainError(f"non-finite integrand value on [{a}, {b}]")
-    kron = half * float(_WGK @ fv)
-    gauss = half * float(_WG7 @ fv[_GAUSS_IDX])
-    return kron, abs(kron - gauss), 15
+    """One GK15 panel of ``f(x)`` over ``[a, b]``: ``(value, error, 15)``."""
+    value, error, _ = _panels_1d(lambda _, x: f(x), [(0, (a, b))])[0]
+    return value, error, 15
 
 
-def _adapt(panel: Callable, boxes, points: int, tol: Tolerance) -> QuadResult:
-    """Worst-first adaptive refinement shared by every integral.
-
-    ``panel(box)`` integrates one box with ``points`` evaluations and
-    returns ``(value, error, children)``; the heap holds exactly the live
-    panels, largest error first, ties broken by creation order.  The loop
-    stops once the summed error meets the tolerance, or before a split
-    whose two children would exceed ``tol.max_evaluations``.  A budget
-    that cannot pay for the starting panels raises :class:`ValueError`.
-    """
-    if len(boxes) * points > tol.max_evaluations:
-        raise ValueError(
-            f"max_evaluations={tol.max_evaluations} cannot pay for the "
-            f"{len(boxes) * points} evaluations of the starting panels"
-        )
-    heap: list = []
-    evals = 0
-
-    def push(box):
-        nonlocal evals
-        value, error, children = panel(box)
-        evals += points  # grows with every panel: the creation-order tie-break
-        heapq.heappush(heap, (-error, evals, value, children))
-
-    for box in boxes:
-        push(box)
-    while True:
-        value = math.fsum(item[2] for item in heap)
-        error = math.fsum(-item[0] for item in heap)
-        if error <= tol.target(value):
-            return QuadResult(value, error, evals, True)
-        if evals + 2 * points > tol.max_evaluations:
-            return QuadResult(value, error, evals, False)
-        for child in heapq.heappop(heap)[3]:
-            push(child)
-
-
-def _halving(f: Callable, scale: float = 1.0):
-    """Panel for :func:`_adapt` over intervals ``(a, b)``: ``scale``
-    times a 1-D panel of ``f``, split in half."""
-
-    def panel(box):
-        a, b = box
-        value, error, _ = _panel_1d(f, a, b)
-        mid = 0.5 * (a + b)
-        return scale * value, scale * error, ((a, mid), (mid, b))
-
-    return panel
-
-
-def integrate_circle(f: Callable, tol: Tolerance = DEFAULT_TOL) -> QuadResult:
-    """Integrate ``f(theta)`` over one full period ``[0, 2*pi]``."""
-    return _adapt(_halving(f), ((0.0, math.pi), (math.pi, TWO_PI)), 15, tol)
-
-
-def _panel_2d(f, box):
-    """One tensor-product panel over ``box = (a, b, c, d)``, i.e.
-    ``[a, b] x [c, d]`` in ``(t, theta)``, split in two along the axis of
-    larger variation."""
-    a, b, c, d = box
+def _panels_2d(f: Callable, jobs):
+    """Tensor-product panels over the boxes of ``jobs``, ``(member, (a, b,
+    c, d))`` pairs for ``[a, b] x [c, d]`` in ``(t, theta)``, from one call
+    ``f(t, theta)`` on ``(J, 15, 1)`` and ``(J, 1, 15)`` node arrays.  Each
+    box splits in two along the axis of larger variation."""
+    box = np.array([box for _, box in jobs], dtype=float)
+    a, b, c, d = (box[:, i : i + 1] for i in range(4))
     half_t = 0.5 * (b - a)
     half_s = 0.5 * (d - c)
     tv = 0.5 * (a + b) + half_t * _XGK
     sv = 0.5 * (c + d) + half_s * _XGK
-    grid = np.empty((15, 15))
-    grid[...] = f(tv[:, None], sv[None, :])
-    if not np.all(np.isfinite(grid)):
-        raise DomainError(f"non-finite integrand value on [{a},{b}]x[{c},{d}]")
-    kron = half_t * half_s * float(_WGK @ grid @ _WGK)
-    sub = grid[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
-    gauss = half_t * half_s * float(_WG7 @ sub @ _WG7)
-    row_means = grid.mean(axis=1)
-    col_means = grid.mean(axis=0)
-    var_t = float(row_means.max() - row_means.min())
-    var_s = float(col_means.max() - col_means.min())
-    if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
-        mid = 0.5 * (a + b)
-        children = ((a, mid, c, d), (mid, b, c, d))
+    grids = np.empty((len(jobs), 15, 15))
+    grids[...] = f(tv[:, :, None], sv[:, None, :])
+    _require_finite(grids, jobs)
+    out = []
+    for (_, (a, b, c, d)), ht, hs, grid in zip(
+        jobs, half_t[:, 0].tolist(), half_s[:, 0].tolist(), grids
+    ):
+        kron = ht * hs * float(_WGK @ grid @ _WGK)
+        sub = grid[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
+        gauss = ht * hs * float(_WG7 @ sub @ _WG7)
+        row_means = grid.mean(axis=1)
+        col_means = grid.mean(axis=0)
+        var_t = float(row_means.max() - row_means.min())
+        var_s = float(col_means.max() - col_means.min())
+        if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
+            mid = 0.5 * (a + b)
+            children = ((a, mid, c, d), (mid, b, c, d))
+        else:
+            mid = 0.5 * (c + d)
+            children = ((a, b, c, mid), (a, b, mid, d))
+        out.append((kron, abs(kron - gauss), children))
+    return out
+
+
+def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[QuadResult]:
+    """Worst-first adaptive refinement of several integrals in lockstep.
+
+    ``starts[k]`` lists the starting boxes of integral ``k``;
+    ``panels(jobs)`` integrates ``(k, box)`` pairs with ``points``
+    evaluations each, in one call, and returns ``(value, error,
+    children)`` per job.  Each integral keeps its own heap of live panels,
+    largest error first, ties broken by creation order, and stops on its
+    own once its summed error meets the tolerance, or before a split whose
+    two children would exceed ``tol.max_evaluations``.  Each round the
+    children of every integral still running go to one ``panels`` call,
+    so the results are exactly those of one run per integral.  A budget
+    that cannot pay for the starting panels raises :class:`ValueError`.
+    """
+    for boxes in starts:
+        if len(boxes) * points > tol.max_evaluations:
+            raise ValueError(
+                f"max_evaluations={tol.max_evaluations} cannot pay for the "
+                f"{len(boxes) * points} evaluations of the starting panels"
+            )
+    heaps: list[list] = [[] for _ in starts]
+    evals = [0] * len(starts)
+    results: list = [None] * len(starts)
+    live = list(range(len(starts)))
+    jobs = [(k, box) for k in live for box in starts[k]]
+    while jobs:
+        for (k, _), (value, error, children) in zip(jobs, panels(jobs)):
+            evals[k] += points  # grows with every panel: the creation-order tie-break
+            heapq.heappush(heaps[k], (-error, evals[k], value, children))
+        jobs, running = [], []
+        for k in live:
+            heap = heaps[k]
+            value = math.fsum(item[2] for item in heap)
+            error = math.fsum(-item[0] for item in heap)
+            if error <= tol.target(value):
+                results[k] = QuadResult(value, error, evals[k], True)
+            elif evals[k] + 2 * points > tol.max_evaluations:
+                results[k] = QuadResult(value, error, evals[k], False)
+            else:
+                jobs += [(k, child) for child in heapq.heappop(heap)[3]]
+                running.append(k)
+        live = running
+    return results
+
+
+def _per_panel(f: Callable) -> Callable:
+    """Batched form of an integrand that takes one panel's nodes per call,
+    the calling convention of the one-integral entry points."""
+
+    def batched(*nodes):
+        out = np.empty(np.broadcast_shapes(*(np.shape(x) for x in nodes)))
+        for j in range(len(out)):
+            out[j] = f(*(x[j] if np.ndim(x) else x for x in nodes))
+        return out
+
+    return batched
+
+
+def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list[QuadResult]:
+    """Integrate ``f(p, theta)`` over ``[0, 2*pi]`` for every ``p`` in
+    ``params``, all in lockstep.
+
+    Each round ``f`` is called once, with the ``(J, 1)`` array of the
+    parameters and the ``(J, 15)`` array of the nodes of the round's J
+    panels; every result equals that of a lone :func:`integrate_circle`.
+    """
+    params = np.asarray(params)
+
+    def panels(jobs):
+        return _panels_1d(lambda members, theta: f(params[members][:, None], theta), jobs)
+
+    return _adapt_many(panels, [((0.0, math.pi), (math.pi, TWO_PI))] * len(params), 15, tol)
+
+
+def integrate_circle(f: Callable, tol: Tolerance = DEFAULT_TOL) -> QuadResult:
+    """Integrate ``f(theta)`` over one full period ``[0, 2*pi]``; ``f`` is
+    called once per panel on its 15 nodes."""
+    return integrate_circles(_per_panel(lambda p, theta: f(theta)), (0.0,), tol)[0]
+
+
+def integrate_bands(
+    f: Callable, edges: Sequence[float], tol: Tolerance = DEFAULT_TOL, *, theta_free: bool = False
+) -> list[QuadResult]:
+    """Integrate ``f(t, theta)`` over every band ``[edges[i], edges[i+1]] x
+    [0, 2*pi]``, all in lockstep.
+
+    Each round ``f`` is called once, on ``(J, 15, 1)`` and ``(J, 1, 15)``
+    node arrays for the round's J tensor-product panels.  With
+    ``theta_free`` the caller vouches that ``f`` does not depend on theta;
+    each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, called
+    on ``(J, 15)`` nodes at 15 evaluations a panel instead of 225, on the
+    t-panels that the 2-D rule splits such an integrand into.  A band of
+    zero width is 0 without an evaluation.  Every result equals that of a
+    lone :func:`integrate_annulus`.
+    """
+    edges = [float(e) for e in edges]
+    if any(hi < lo for lo, hi in zip(edges, edges[1:])):
+        raise ValueError("t_hi must not be below t_lo")
+    bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    if theta_free:
+        panels = lambda jobs: _panels_1d(lambda _, t: f(t, 0.0), jobs, TWO_PI)
+        found = iter(_adapt_many(panels, [(band,) for band in bands], 15, tol))
     else:
-        mid = 0.5 * (c + d)
-        children = ((a, b, c, mid), (a, b, mid, d))
-    return kron, abs(kron - gauss), children
+        panels = lambda jobs: _panels_2d(f, jobs)
+        starts = [((lo, hi, 0.0, TWO_PI),) for lo, hi in bands]
+        found = iter(_adapt_many(panels, starts, 225, tol))
+    return [
+        next(found) if hi > lo else QuadResult(0.0, 0.0, 0, True)
+        for lo, hi in zip(edges, edges[1:])
+    ]
 
 
 def integrate_annulus(
@@ -242,20 +336,11 @@ def integrate_annulus(
     *,
     theta_free: bool = False,
 ) -> QuadResult:
-    """Integrate ``f(t, theta)`` over the band ``[t_lo, t_hi] x [0, 2*pi]``.
-
-    With ``theta_free`` the caller vouches that ``f`` does not depend on
-    theta; the band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``
-    at 15 evaluations a panel instead of 225, on the t-panels that
-    :func:`_panel_2d` splits such an integrand into.
-    """
-    if t_hi < t_lo:
-        raise ValueError("t_hi must not be below t_lo")
-    if t_hi == t_lo:
-        return QuadResult(0.0, 0.0, 0, True)
-    if theta_free:
-        return _adapt(_halving(lambda t: f(t, 0.0), TWO_PI), ((t_lo, t_hi),), 15, tol)
-    return _adapt(lambda box: _panel_2d(f, box), ((t_lo, t_hi, 0.0, TWO_PI),), 225, tol)
+    """Integrate ``f(t, theta)`` over the band ``[t_lo, t_hi] x [0, 2*pi]``;
+    ``f`` is called once per panel, on ``(15, 1)`` and ``(1, 15)`` nodes,
+    or with ``theta_free`` on 15 nodes and theta = 0 (see
+    :func:`integrate_bands`)."""
+    return integrate_bands(_per_panel(f), (t_lo, t_hi), tol, theta_free=theta_free)[0]
 
 
 def _geometric_tail(increments: Sequence[float]):
@@ -294,7 +379,8 @@ def integrate_improper(
     increments, falls below tolerance.  Growing same-sign increments are
     reported as ``+inf``/``-inf`` divergence, alternating growth as
     ``oscillatory``; both come back as results with ``converged=False``.
-    ``theta_free`` is passed on to every window's :func:`integrate_annulus`.
+    Each window is one :func:`integrate_bands` call; ``theta_free`` is
+    passed on to it.
     """
     window_tol = Tolerance(
         abs_tol=max(tol.abs_tol / 8.0, 1e-15),
@@ -313,7 +399,7 @@ def integrate_improper(
     for k in range(max_windows):
         upper = t_lo + initial_width * (2.0**k)
         try:
-            part = integrate_annulus(f, edges, upper, window_tol, theta_free=theta_free)
+            part = integrate_bands(f, (edges, upper), window_tol, theta_free=theta_free)[0]
         except (DomainError, OverflowError):
             direction = _divergence_direction(densities)
             if direction is not None:

@@ -11,9 +11,17 @@ For a truncation height ``h`` the three computed quantities are
 
 ``sweep_samples`` computes them over a height schedule; ``c_trunc`` is
 additive in the bands ``[h_{i-1}, h_i]``, so each band is integrated
-once and the values and error estimates are prefix-summed.  On a
-theta-free end the circle integrals are ``2*pi`` times one point value
-and the bands are 1-D integrals in t.  ``run_sweep`` takes those
+once and the values and error estimates are prefix-summed.  The
+integrals of a sweep run in lockstep, one batch per end: the ``mu`` and
+``lambda`` circles of every height are one :func:`integrate_circles`
+call, whose integrand gets ``(K, 1)`` heights against ``(K, 15)``
+angles, and the bands are one :func:`integrate_bands` call on
+``(K, 15, 1)`` x ``(K, 1, 15)`` nodes, so each refinement round costs one
+chart call per end.  On a theta-free end the circle integrals are
+``2*pi`` times point values, all heights in one ``sqrt_jet`` call, and
+the bands are 1-D integrals in t on ``(K, 15)`` nodes.  The polar head,
+the improper windows and the ``h1`` bisection stay sequential, since
+each step depends on the last.  ``run_sweep`` takes those
 samples, locates the height beyond which sampled curvature stays
 nonnegative, extrapolates the limit of ``lambda``, forms the total
 curvature both as ``2*pi*chi - limit`` and by direct improper
@@ -38,8 +46,8 @@ from .quadrature import (
     TailLimit,
     Tolerance,
     estimate_tail_limit,
-    integrate_annulus,
-    integrate_circle,
+    integrate_bands,
+    integrate_circles,
     integrate_improper,
 )
 
@@ -112,22 +120,38 @@ def residual_bound(quad_error: float) -> float:
     return 10.0 * quad_error + 1e-9
 
 
-def _boundary_with_error(model: SurfaceModel, h: float, tol: Tolerance, slot: str):
-    """Per-end sum of circle integrals of one jet slot of sqrt(G) at
-    height h: slot ``"f"`` gives mu, slot ``"d1"`` gives lambda.  On a
-    theta-free end the integral is ``2*pi`` times the value at theta = 0,
-    with no quadrature error."""
-    total, err = 0.0, 0.0
+def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, slots):
+    """Per-end sums of the circle integrals of one jet slot of sqrt(G):
+    slot ``"f"`` gives mu, slot ``"d1"`` gives lambda.
+
+    ``heights`` and ``slots`` pair up.  On a theta-free end one
+    ``sqrt_jet(heights, 0)`` call gives every value, ``2*pi`` times the
+    value at theta = 0 with no quadrature error; on any other end the
+    circles of all pairs run as one :func:`integrate_circles` batch.
+    Returns ``(values, errors)``; the first nonpositive mu in the given
+    order raises :class:`NonPositiveMu`.
+    """
+    hs = np.array(heights, dtype=float)
+    is_mu = np.array([slot == "f" for slot in slots])
+    totals, errors = [0.0] * hs.size, [0.0] * hs.size
     for end in model.ends:
         if end.theta_free:
-            total += TWO_PI * float(getattr(end.sqrt_jet(h, 0.0), slot))
+            w = end.sqrt_jet(hs, 0.0)
+            values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
+            totals = [total + float(v) for total, v in zip(totals, values)]
             continue
-        res = integrate_circle(lambda theta: getattr(end.sqrt_jet(h, theta), slot), tol)
-        total += res.value
-        err += res.error_estimate
-    if slot == "f" and total <= 0.0:
-        raise NonPositiveMu(f"mu({h}) = {total} <= 0")
-    return total, err
+
+        def slot_values(i, theta, end=end):
+            w = end.sqrt_jet(hs[i], theta)
+            return np.where(is_mu[i], w.f, w.d1)
+
+        for i, res in enumerate(integrate_circles(slot_values, np.arange(hs.size), tol)):
+            totals[i] += res.value
+            errors[i] += res.error_estimate
+    for h, mu_slot, total in zip(heights, is_mu, totals):
+        if mu_slot and total <= 0.0:
+            raise NonPositiveMu(f"mu({h}) = {total} <= 0")
+    return totals, errors
 
 
 def _curvature_density(end: EndChart):
@@ -145,13 +169,13 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
     """
     f = _curvature_density(end)
     eps = min(0.5, h / 4.0)
-    res = integrate_annulus(f, eps, h, tol, theta_free=end.theta_free)
+    res = integrate_bands(f, (eps, h), tol, theta_free=end.theta_free)[0]
     total, err, evals = res.value, res.error_estimate, res.evaluations
     quiet = 0
     last = 0.0
     while eps > POLE_GUARD:
         lower = max(eps / 2.0, POLE_GUARD / 2.0)
-        sliver = integrate_annulus(f, lower, eps, tol, theta_free=end.theta_free)
+        sliver = integrate_bands(f, (lower, eps), tol, theta_free=end.theta_free)[0]
         total += sliver.value
         err += sliver.error_estimate
         evals += sliver.evaluations
@@ -165,45 +189,50 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
 
 
 def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
-    """Yield ``(c_trunc, error)`` at each height of an increasing schedule.
+    """``(c_trunc, error)`` at each height of an increasing schedule.
 
     Per end, the head from the chart edge (through the pole on a polar
     cap) up to the first height above it and every band between
-    consecutive heights are integrated once; ``c_trunc`` and its error
-    estimate are their running sums, starting from the core term.
+    consecutive heights are integrated once, all of an end's bands but the
+    polar head as one :func:`integrate_bands` batch; ``c_trunc`` and its
+    error estimate are their running sums in schedule order, starting from
+    the core term.
     """
     polar = isinstance(model.core, PolarCap)
+    per_end = []
+    for end in model.ends:
+        above = [i for i, h in enumerate(schedule) if h > end.t_min]
+        edges = [end.t_min] + [schedule[i] for i in above]
+        density = _curvature_density(end)
+        head = []
+        if polar and above:
+            head = [_pole_band(end, edges[1], tol)[:2]]
+            edges = edges[1:]
+        bands = integrate_bands(density, edges, tol, theta_free=end.theta_free)
+        per_end.append(dict(zip(above, head + [(r.value, r.error_estimate) for r in bands])))
     total = 0.0 if polar else model.core.total_curvature
     err = 0.0
-    previous = -math.inf
-    for h in schedule:
-        for end in model.ends:
-            lo = max(previous, end.t_min)
-            if h <= lo:
-                continue
-            if polar and lo == end.t_min:
-                value, error, _ = _pole_band(end, h, tol)
-            else:
-                res = integrate_annulus(
-                    _curvature_density(end), lo, h, tol, theta_free=end.theta_free
-                )
-                value, error = res.value, res.error_estimate
-            total += value
-            err += error
-        yield total, err
-        previous = h
+    out = []
+    for i in range(len(schedule)):
+        for bands in per_end:
+            if i in bands:
+                value, error = bands[i]
+                total += value
+                err += error
+        out.append((total, err))
+    return out
 
 
 def mu(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Total boundary length of the truncation at height h."""
     _require_height(model, h)
-    return _boundary_with_error(model, h, tol, "f")[0]
+    return _boundaries(model, (h,), tol, ("f",))[0][0]
 
 
 def lambda_total(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Total geodesic curvature of the positively oriented boundary."""
     _require_height(model, h)
-    return _boundary_with_error(model, h, tol, "d1")[0]
+    return _boundaries(model, (h,), tol, ("d1",))[0][0]
 
 
 def truncated_total_curvature(
@@ -211,7 +240,7 @@ def truncated_total_curvature(
 ) -> float:
     """Curvature integral over the truncated surface at height h."""
     _require_height(model, h)
-    return next(_truncated_curvatures(model, (h,), tol))[0]
+    return _truncated_curvatures(model, (h,), tol)[0][0]
 
 
 def _require_height(model: SurfaceModel, h: float) -> None:
@@ -224,19 +253,22 @@ def _require_height(model: SurfaceModel, h: float) -> None:
 def sweep_samples(
     model: SurfaceModel, schedule: Sequence[float], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[TruncationSample, ...]:
-    """One sample per height of a strictly increasing schedule, sharing
+    """One sample per height of a strictly increasing schedule: the
+    boundary circles of all heights run as one batch per end, and so do
     the curvature bands between consecutive heights."""
     if not schedule:
         raise ValueError("schedule needs at least one height")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     _require_height(model, schedule[0])
+    n = len(schedule)
+    values, errors = _boundaries(model, list(schedule) * 2, tol, ("f",) * n + ("d1",) * n)
     curvatures = _truncated_curvatures(model, schedule, tol)
     samples = []
-    for h in schedule:
-        m, em = _boundary_with_error(model, h, tol, "f")
-        l, el = _boundary_with_error(model, h, tol, "d1")
-        c, ec = next(curvatures)
+    for i, h in enumerate(schedule):
+        m, em = values[i], errors[i]
+        l, el = values[n + i], errors[n + i]
+        c, ec = curvatures[i]
         residual = abs(TWO_PI * model.chi - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
     return tuple(samples)
@@ -336,9 +368,12 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
 def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Gaussian curvature on the ``(heights, thetas)`` grid as one call.
 
-    A chart with constant curvature may return a 0-d K; it is broadcast
-    so every grid point is present.
+    A theta-free end is evaluated on the first theta column alone, which
+    holds every value of its rows.  A chart with constant curvature may
+    return a 0-d K; it is broadcast so every grid point is present.
     """
+    if end.theta_free:
+        thetas = thetas[:1]
     k = gauss_curvature(end, heights[:, None], thetas[None, :])
     return np.broadcast_to(k, (heights.size, thetas.size))
 
@@ -410,12 +445,15 @@ def measure_mu_prime_order(
 ):
     """Deviation of the central difference of mu from lambda at h0, for
     the given step and its half; returns (dev_step, dev_half, floor)."""
-    lam0, el = _boundary_with_error(model, h0, tol, "d1")
+    steps = (step, 0.5 * step)
+    heights = [h0, h0 + steps[0], h0 - steps[0], h0 + steps[1], h0 - steps[1]]
+    values, errors = _boundaries(model, heights, tol, ("d1", "f", "f", "f", "f"))
+    lam0, el = values[0], errors[0]
     devs = []
     floor = 0.0
-    for s in (step, 0.5 * step):
-        hi, ehi = _boundary_with_error(model, h0 + s, tol, "f")
-        lo, elo = _boundary_with_error(model, h0 - s, tol, "f")
+    for k, s in enumerate(steps):
+        hi, lo = values[1 + 2 * k], values[2 + 2 * k]
+        ehi, elo = errors[1 + 2 * k], errors[2 + 2 * k]
         devs.append(abs((hi - lo) / (2.0 * s) - lam0))
         floor = max(floor, residual_bound(ehi + elo) / (2.0 * s) + residual_bound(el))
     return devs[0], devs[1], floor

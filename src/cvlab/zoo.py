@@ -173,12 +173,14 @@ def paraboloid_profile_jets(t):
 def paraboloid_radius_oracle(t: float) -> float:
     """Independent inverse of the closed-form meridian arc length of
     z = r^2/2 by bracketed root finding, used only by the oracle (the
-    model inverts it by Newton's method)."""
+    model inverts it by Newton's method).  The absolute ``xtol`` is tiny,
+    so the relative ``rtol`` of about 4 ulp decides when to stop, down to
+    the smallest radii."""
     if t <= 0.0:
         return 0.0
     hi = max(2.0, math.sqrt(2.0 * t) + 2.0)
     return brentq(
-        lambda r: _paraboloid_arc_length(r) - t, 0.0, hi, xtol=1e-14, rtol=8.9e-16
+        lambda r: _paraboloid_arc_length(r) - t, 0.0, hi, xtol=1e-300, rtol=8.9e-16
     )
 
 

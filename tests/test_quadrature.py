@@ -14,7 +14,9 @@ from cvlab.quadrature import (
     _panel_1d,
     estimate_tail_limit,
     integrate_annulus,
+    integrate_bands,
     integrate_circle,
+    integrate_circles,
     integrate_improper,
 )
 from cvlab.zoo import paraboloid_radius_oracle, zoo_entry
@@ -394,3 +396,108 @@ class TestStartingBudget:
         # the two starting half-period panels cost 30 of the minimum 100
         res = integrate_circle(lambda theta: np.cos(theta) ** 2, Tolerance(max_evaluations=100))
         assert res.converged and res.evaluations <= 100
+
+
+def _outcome(res):
+    return (res.value, res.error_estimate, res.evaluations, res.converged)
+
+
+class TestLockstep:
+    """The batched entry points run K integrals side by side; each result
+    must equal, to the bit, that of a lone one-integral run."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_INTEGRANDS))
+    def test_circles_match_lone_circles(self, name):
+        f = PINNED_INTEGRANDS[name]
+        params = [0.5, 1.25, 2.0, 3.0]
+        batch = integrate_circles(f, params)
+        assert [_outcome(r) for r in batch] == [
+            _outcome(integrate_circle(lambda theta: f(p, theta))) for p in params
+        ]
+
+    def test_circles_are_one_call_per_round(self):
+        shapes = []
+
+        def recording(p, theta):
+            shapes.append((p.shape, theta.shape))
+            return np.exp(-p * (theta - 3.0) ** 2)
+
+        batch = integrate_circles(recording, [1.0, 20.0, 80.0])
+        # the first round holds both starting halves of every circle
+        assert shapes[0] == ((6, 1), (6, 15))
+        # two 15-node panels a round: the starting halves, then two children
+        assert len(shapes) == max(r.evaluations for r in batch) // 30
+        assert all(p[1] == 1 and t[1] == 15 and p[0] == t[0] for p, t in shapes)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_INTEGRANDS))
+    def test_bands_match_lone_annuli(self, name):
+        f = PINNED_INTEGRANDS[name]
+        edges = [0.5, 1.0, 1.0, 1.7, 2.5]
+        batch = integrate_bands(f, edges, Tolerance(abs_tol=1e-7, rel_tol=1e-7))
+        lone = [
+            integrate_annulus(f, lo, hi, Tolerance(abs_tol=1e-7, rel_tol=1e-7))
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
+        assert batch[1].evaluations == 0
+
+    @pytest.mark.parametrize("name", sorted(T_ONLY_INTEGRANDS))
+    def test_theta_free_bands_match_lone_annuli(self, name):
+        f = T_ONLY_INTEGRANDS[name]
+        edges = [0.0, 0.5, 1.25, 2.5, 5.0]
+        batch = integrate_bands(f, edges, theta_free=True)
+        lone = [integrate_annulus(f, lo, hi, theta_free=True) for lo, hi in zip(edges, edges[1:])]
+        assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
+
+    def test_band_nodes_are_batched(self):
+        shapes = []
+
+        def recording(t, theta):
+            shapes.append((np.shape(t), np.shape(theta)))
+            return np.exp(-t) + 0.0 * theta
+
+        integrate_bands(recording, [0.0, 1.0, 2.0], Tolerance(abs_tol=1e-6, rel_tol=1e-6))
+        assert shapes[0] == ((2, 15, 1), (2, 1, 15))
+        shapes.clear()
+        integrate_bands(recording, [0.0, 1.0, 2.0], theta_free=True)
+        assert shapes[0] == ((2, 15), ())
+
+    def test_exhausted_member_leaves_the_others_alone(self):
+        # the sharp circle runs out of budget, the broad one converges
+        f = lambda p, theta: np.exp(-p * (theta - 3.0) ** 2)
+        tol = Tolerance(max_evaluations=150)
+        batch = integrate_circles(f, [1.0, 80.0], tol)
+        assert [r.converged for r in batch] == [True, False]
+        assert batch[1].evaluations <= 150
+        lone = [integrate_circle(lambda theta: f(p, theta), tol) for p in (1.0, 80.0)]
+        assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
+
+    def test_exhausted_band_leaves_the_others_alone(self):
+        f = PINNED_INTEGRANDS["peaked"]
+        tol = Tolerance(max_evaluations=1000)
+        edges = [0.5, 1.5, 3.0, 4.0]
+        batch = integrate_bands(f, edges, tol)
+        assert [r.converged for r in batch] == [False, False, True]
+        lone = [integrate_annulus(f, lo, hi, tol) for lo, hi in zip(edges, edges[1:])]
+        assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
+
+    def test_non_finite_member_fails_the_call(self):
+        def circle(p, theta):
+            return np.where(p == 2.0, np.nan, np.cos(theta) ** 2)
+
+        with pytest.raises(DomainError):
+            integrate_circles(circle, [1.0, 2.0, 3.0])
+
+        def band(t, theta):
+            return np.where(t > 2.0, np.inf, 1.0 + 0.0 * theta)
+
+        with pytest.raises(DomainError):
+            integrate_bands(band, [0.0, 1.0, 3.0])
+        with pytest.raises(DomainError):
+            integrate_bands(band, [0.0, 1.0, 3.0], theta_free=True)
+
+    def test_empty_and_decreasing_edges(self):
+        assert integrate_bands(lambda t, theta: 1.0, [1.0]) == []
+        assert integrate_circles(lambda p, theta: 1.0, []) == []
+        with pytest.raises(ValueError):
+            integrate_bands(lambda t, theta: 1.0, [0.0, 2.0, 1.0])

@@ -289,12 +289,13 @@ class TestDirectTotalCurvature:
         def counting(integrate):
             def wrapper(*args, **kwargs):
                 res = integrate(*args, **kwargs)
-                counted.append(res.evaluations)
+                # the batched entry points return one result per integral
+                counted.extend(r.evaluations for r in (res if isinstance(res, list) else [res]))
                 return res
 
             return wrapper
 
-        for fn in ("integrate_circle", "integrate_annulus", "integrate_improper"):
+        for fn in ("integrate_circles", "integrate_bands", "integrate_improper"):
             monkeypatch.setattr(sweep, fn, counting(getattr(sweep, fn)))
         res = total_curvature_direct(zoo_entry(name).model)
         assert counted
@@ -324,23 +325,27 @@ class TestBandReuse:
 
     @staticmethod
     def _band_calls(monkeypatch, model, schedule):
-        """``((t_lo, t_hi), error_estimate)`` of every band integral, and
-        the samples."""
+        """``((t_lo, t_hi), error_estimate)`` of every band integral, one
+        list per ``integrate_bands`` call, and the samples."""
         calls = []
-        integrate = sweep.integrate_annulus
+        integrate = sweep.integrate_bands
 
-        def recording(f, t_lo, t_hi, tol, **kwargs):
-            res = integrate(f, t_lo, t_hi, tol, **kwargs)
-            calls.append(((t_lo, t_hi), res.error_estimate))
-            return res
+        def recording(f, edges, tol, **kwargs):
+            results = integrate(f, edges, tol, **kwargs)
+            bands = zip(edges, edges[1:])
+            calls.append([(box, res.error_estimate) for box, res in zip(bands, results)])
+            return results
 
-        monkeypatch.setattr(sweep, "integrate_annulus", recording)
+        monkeypatch.setattr(sweep, "integrate_bands", recording)
         return calls, sweep_samples(model, schedule)
 
     def test_each_band_is_integrated_once(self, monkeypatch):
         model = three_ends()
         schedule = [1.0, 2.0, 4.0, 8.0]
-        calls, samples = self._band_calls(monkeypatch, model, schedule)
+        batches, samples = self._band_calls(monkeypatch, model, schedule)
+        # one batch per end; regrouped by height, in the sweep's summation order
+        assert len(batches) == len(model.ends)
+        calls = [band for bands in zip(*batches) for band in bands]
         heads = [(end.t_min, 1.0) for end in model.ends]
         bands = [(a, b) for a, b in zip(schedule, schedule[1:]) for _ in model.ends]
         assert [box for box, _ in calls] == heads + bands
@@ -354,8 +359,8 @@ class TestBandReuse:
 
     def test_pole_band_is_integrated_once(self, monkeypatch):
         schedule = [1.0, 2.0, 4.0, 8.0]
-        calls, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
-        calls = [box for box, _ in calls]
+        batches, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
+        calls = [box for bands in batches for box, _ in bands]
         assert calls[-3:] == list(zip(schedule, schedule[1:]))
         assert calls[0] == (0.25, 1.0)
         assert all(t_hi <= 0.25 for _, t_hi in calls[1:-3])
@@ -371,13 +376,33 @@ class TestThetaFreeSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a theta-free end needs no circle quadrature")
 
-        monkeypatch.setattr(sweep, "integrate_circle", forbidden)
+        monkeypatch.setattr(sweep, "integrate_circles", forbidden)
         model = zoo_entry(name).model
         h = 3.0
         assert mu(model, h) == sum(TWO_PI * float(e.sqrt_jet(h, 0.0).f) for e in model.ends)
         assert lambda_total(model, h) == sum(
             TWO_PI * float(e.sqrt_jet(h, 0.0).d1) for e in model.ends
         )
+
+    @pytest.mark.parametrize("name", zoo_names() + ("three-ends",))
+    def test_sweep_path_needs_no_circle_quadrature(self, name, monkeypatch):
+        # every boundary value of the sweep and of the mu' check is a
+        # point value on theta-free ends
+        model = three_ends() if name == "three-ends" else zoo_entry(name).model
+        schedule = BAND_SCHEDULES[name]
+        expected = [
+            [sum(TWO_PI * float(getattr(e.sqrt_jet(h, 0.0), slot)) for e in model.ends)
+             for h in schedule]
+            for slot in ("f", "d1")
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a theta-free end needs no circle quadrature")
+
+        monkeypatch.setattr(sweep, "integrate_circles", forbidden)
+        samples = sweep_samples(model, schedule)
+        assert [[s.mu for s in samples], [s.lam for s in samples]] == expected
+        measure_mu_prime_order(model, schedule[len(schedule) // 2], 0.05)
 
     def test_collapsed_cap_matches_2d_cap(self):
         # the same metric, once with a vanishing theta term that keeps the
@@ -393,3 +418,77 @@ class TestThetaFreeSweep:
             for key in ("mu", "lam", "c_trunc"):
                 assert abs(getattr(flat, key) - getattr(full, key)) <= bound, key
             assert flat.c_trunc == pytest.approx(TWO_PI * (1.0 - math.cosh(flat.h)), rel=1e-9)
+
+
+def _exp_cap_chart(theta_free):
+    """``sqrt(G) = exp(-t) * (1 + 0.5*cos(theta))`` (theta dropped when
+    ``theta_free``): mu underflows to exactly 0 between h = 700 and 760."""
+
+    def sqrt_g_jet(t, theta):
+        w = np.exp(-t) * (1.0 if theta_free else 1.0 + 0.5 * np.cos(theta))
+        return Jet2(w, -w, w)
+
+    def g_jet(t, theta):
+        w = sqrt_g_jet(t, theta).f
+        return Jet2(w * w, -2.0 * w * w, 4.0 * w * w)
+
+    return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+
+
+class TestLockstepSweep:
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_non_positive_mu_names_the_first_height(self, theta_free):
+        model = SurfaceModel(
+            Topology(0, 1), (_exp_cap_chart(theta_free),), AnalyticCore(TWO_PI, (0.0,))
+        )
+        assert mu(model, 700.0) > 0.0
+        with pytest.raises(NonPositiveMu, match=r"^mu\(760\.0\) = 0\.0 <= 0$"):
+            sweep_samples(model, [1.0, 700.0, 760.0, 800.0])
+
+    def test_cusp_cap_non_positive_mu_in_schedule_order(self):
+        with pytest.raises(NonPositiveMu, match=r"^mu\(760\.0\)"):
+            sweep_samples(zoo_entry("cusp-cap").model, [1.0, 700.0, 760.0, 800.0])
+
+    @pytest.mark.parametrize("name", sorted(BAND_MODELS))
+    def test_batched_boundaries_match_single_heights(self, name):
+        model = BAND_MODELS[name]()
+        schedule = BAND_SCHEDULES[name]
+        samples = sweep_samples(model, schedule)
+        assert [s.mu for s in samples] == [mu(model, h) for h in schedule]
+        assert [s.lam for s in samples] == [lambda_total(model, h) for h in schedule]
+
+    def test_theta_cap_circles_are_one_batch(self, monkeypatch):
+        batches = []
+        integrate = sweep.integrate_circles
+
+        def recording(f, params, tol):
+            batches.append(len(params))
+            return integrate(f, params, tol)
+
+        monkeypatch.setattr(sweep, "integrate_circles", recording)
+        schedule = BAND_SCHEDULES["theta-cap"]
+        sweep_samples(theta_cap(), schedule)
+        assert batches == [2 * len(schedule)]
+        batches.clear()
+        measure_mu_prime_order(theta_cap(), 8.0, 0.05)
+        assert batches == [5]
+
+
+class TestProbeColumns:
+    @pytest.mark.parametrize("name", ["paraboloid", "three-ends", "theta-cap"])
+    def test_theta_free_ends_probe_one_column(self, name, monkeypatch):
+        model = three_ends() if name == "three-ends" else (
+            theta_cap() if name == "theta-cap" else zoo_entry(name).model
+        )
+        columns = []
+        curvature = sweep.gauss_curvature
+
+        def recording(end, t, theta):
+            columns.append((end.theta_free, np.shape(theta)[-1]))
+            return curvature(end, t, theta)
+
+        monkeypatch.setattr(sweep, "gauss_curvature", recording)
+        detect_h1(model, 16.0)
+        sampled_curvature_range(model, 16.0)
+        assert columns
+        assert all(n == (1 if free else 16) for free, n in columns)

@@ -124,17 +124,16 @@ def test_paraboloid_profile_matches_closed_form_inverse():
 
 
 def test_paraboloid_radius_solves_arc_length():
-    # the arc length residual stays at rounding level; against the brentq
-    # oracle the bound is 1.5e-13 relative plus the oracle's own absolute
-    # xtol of 1e-14, which still shows near r = 0.014 on this grid
+    # the arc length residual stays at rounding level; the brentq oracle
+    # stops on a relative tolerance, so it pins the radius relatively down
+    # to the smallest t of the grid
     t = np.geomspace(1e-7, 1e4, 2001)
     r = paraboloid_profile_jets(t)[0]
     for ti, ri in zip(t.tolist(), r.tolist()):
         arc = 0.5 * (ri * math.sqrt(1.0 + ri * ri) + math.asinh(ri))
         assert abs(arc - ti) <= 4.0 * sys.float_info.epsilon * ti, (ti, ri)
-        if ti >= 1e-3:
-            want = paraboloid_radius_oracle(ti)
-            assert abs(ri - want) <= 1.5e-13 * want + 1e-14, (ti, ri, want)
+        want = paraboloid_radius_oracle(ti)
+        assert abs(ri - want) <= 1.5e-13 * want, (ti, ri, want)
 
 
 def test_paraboloid_profile_pole():
