@@ -3,16 +3,15 @@
 
 Usage (from anywhere):
 
-    python3 scripts/fidelity.py --seeds 7 11 [--parent /path/to/parent/checkout] [--out DIR]
+    python3 scripts/fidelity.py --seeds 7 11 [--parent /path/to/parent/checkout]
 
 For each seed and each workload of ``perfbench/workloads.py`` (zoo,
 dsl-theta, dsl-ends) the script sweeps every surface of one benchmark
 pass with ``run_sweep`` and renders its JSON and CSV reports as
-``cvlab sweep`` does.  ``--out`` writes them to ``DIR/<tree>/``.  With
-``--parent`` the same surfaces are also rendered from the ``src/`` of
-that checkout (the jobs always come from this checkout's
-``perfbench/``), and the script reports which surfaces are
-byte-identical and the worst deviation of any numeric JSON field,
+``cvlab sweep`` does.  With ``--parent`` the same surfaces are also
+rendered from the ``src/`` of that checkout (the jobs always come from
+this checkout's ``perfbench/``), and the script reports which surfaces
+are byte-identical and the worst deviation of any numeric JSON field,
 ``|a - b| / max(|a|, 1)``.  Each tree is rendered in a fresh
 interpreter.
 
@@ -119,7 +118,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     parser.add_argument("--parent", type=Path, help="checkout to compare against")
-    parser.add_argument("--out", type=Path, help="write the rendered reports under this directory")
     parser.add_argument("--render-tree", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.render_tree is not None:
@@ -130,14 +128,6 @@ def main(argv=None) -> int:
     if args.parent is not None:
         trees["parent"] = args.parent.resolve()
     rendered = {name: render_in_subprocess(tree, args.seeds) for name, tree in trees.items()}
-    if args.out is not None:
-        for name, surfaces in rendered.items():
-            for key, item in surfaces.items():
-                base = args.out / name / key
-                base.parent.mkdir(parents=True, exist_ok=True)
-                for ext in ("json", "csv"):
-                    if ext in item:
-                        base.with_suffix(f".{ext}").write_text(item[ext])
 
     ok = True
     for name, surfaces in rendered.items():

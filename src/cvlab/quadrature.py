@@ -24,6 +24,8 @@ panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 vectorised QK15, one level up).  :func:`integrate_circle` and
 :func:`integrate_annulus` are the one-integral case; their integrands
 are still called once per panel, on 15 nodes or a 15 x 15 grid.
+:func:`integrate_improper` runs each window through
+:func:`integrate_bands`, so its integrand gets the batched arrays.
 Integrands must be written with numpy functions; a scalar result is
 broadcast to the nodes' shape, and a non-finite value anywhere fails
 the whole call with :class:`DomainError`.
@@ -380,7 +382,11 @@ def integrate_improper(
     reported as ``+inf``/``-inf`` divergence, alternating growth as
     ``oscillatory``; both come back as results with ``converged=False``.
     Each window is one :func:`integrate_bands` call; ``theta_free`` is
-    passed on to it.
+    passed on to it.  ``f`` therefore gets batched node arrays, one row
+    per panel of a refinement round: ``(J, 15, 1)`` and ``(J, 1, 15)``,
+    or ``(J, 15)`` and theta = 0 when theta-free, with J = 1 for a
+    window's first panel and J = 2 after each split.  It must act
+    elementwise.
     """
     window_tol = Tolerance(
         abs_tol=max(tol.abs_tol / 8.0, 1e-15),

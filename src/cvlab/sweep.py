@@ -466,7 +466,9 @@ def run_sweep(
 ) -> SweepReport:
     """Run the full truncation procedure over an increasing height schedule.
 
-    Samples are computed one after another in schedule order.
+    The boundary circles of all heights run first, as one batch per end,
+    then each end's curvature bands as one batch; the samples come back
+    in schedule order.
     """
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:

@@ -270,6 +270,28 @@ class TestImproper:
         assert not res.converged
         assert res.divergence is not None
 
+    @pytest.mark.parametrize("theta_free", [False, True])
+    def test_integrand_gets_batched_nodes(self, theta_free):
+        # each window is one integrate_bands call: a window's first panel
+        # comes as J = 1 row, the two halves of every split as J = 2
+        shapes = []
+
+        def recording(t, theta):
+            shapes.append((np.shape(t), np.shape(theta)))
+            if theta_free:
+                assert theta == 0.0
+            peaked = (1.0 + t) ** -3 + np.exp(-40.0 * (t - 1.3) ** 2)
+            return peaked * (1.0 + 0.5 * np.cos(theta) ** 2)
+
+        res = integrate_improper(recording, 0.0, theta_free=theta_free)
+        assert res.converged
+        if theta_free:
+            allowed = {((j, 15), ()) for j in (1, 2)}
+        else:
+            allowed = {((j, 15, 1), (j, 1, 15)) for j in (1, 2)}
+        assert set(shapes) == allowed
+        assert shapes[0] == min(allowed)
+
     def test_converged_error_estimate_meets_tolerance(self):
         tol = Tolerance()
         for decay in (lambda t: np.exp(-t), lambda t: (1.0 + t) ** -3):
