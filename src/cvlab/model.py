@@ -179,15 +179,19 @@ def _g_row(end: EndChart, t: float, thetas):
         yield from zip(thetas, values)
 
 
-def _g_rows(end: EndChart, ts, thetas):
-    """``(t, row)`` for every height, each row as :func:`_g_row` yields it.
-
-    The whole ``(ts, thetas)`` grid is one array call; only a grid that
-    raises is walked again row by row.
-    """
+def _g_grid(end: EndChart, ts, thetas):
+    """G on the whole ``(ts, thetas)`` grid as one array call, or ``None``
+    when that call raises."""
     try:
-        grid = np.broadcast_to(end.g(ts[:, None], thetas[None, :]), (ts.size, thetas.size))
+        return np.broadcast_to(end.g(ts[:, None], thetas[None, :]), (ts.size, thetas.size))
     except DomainError:
+        return None
+
+
+def _g_rows(end: EndChart, ts, thetas, grid):
+    """``(t, row)`` for every height, each row as :func:`_g_row` yields it:
+    read from ``grid``, or walked row by row when the grid call raised."""
+    if grid is None:
         return [(t, _g_row(end, t, thetas)) for t in ts]
     return [(t, zip(thetas, row)) for t, row in zip(ts, grid)]
 
@@ -195,6 +199,65 @@ def _g_rows(end: EndChart, ts, thetas):
 _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
 # each period probe next to its shift by one period, so a row is one call
 _PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
+
+
+def _positivity_holds(grid, theta_free: bool) -> bool:
+    """Whether an evaluated grid is finite and positive everywhere and,
+    on a theta-free end, constant along each row."""
+    if grid is None or not (np.isfinite(grid).all() and (grid > 0.0).all()):
+        return False
+    return not theta_free or bool((grid == grid[:, :1]).all())
+
+
+def _positivity_violation(j: int, end: EndChart, ts, thetas, grid) -> str | None:
+    """The first positivity or theta-free violation, point by point."""
+    for t, row in _g_rows(end, ts, thetas, grid):
+        first = None
+        for theta, value in row:
+            if isinstance(value, Overflow):
+                # too large to represent is still positive
+                continue
+            if isinstance(value, DomainError):
+                return f"end {j + 1}: evaluation failed at (t={t:g}): {value}"
+            if not (value > 0.0) or not math.isfinite(value):
+                return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
+            if first is None:
+                first = value
+            elif end.theta_free and value != first:
+                return (
+                    f"end {j + 1}: declared theta-free but G varies in theta "
+                    f"(t={t:g}, theta={theta:g}: {value:g} vs {first:g})"
+                )
+    return None
+
+
+def _periods_hold(grid) -> bool:
+    """Whether every period pair of an evaluated grid agrees to 1e-9
+    relative."""
+    if grid is None:
+        return False
+    n = _PERIOD_THETAS.size
+    here, shifted = grid[:, :n], grid[:, n:]
+    scale = np.maximum(np.maximum(np.abs(here), np.abs(shifted)), 1e-300)
+    return bool((np.abs(here - shifted) <= 1e-9 * scale).all())
+
+
+def _period_violation(j: int, end: EndChart, ts, grid) -> str | None:
+    """The first period mismatch, point by point; a pair with a point
+    that fails to evaluate is skipped."""
+    n = _PERIOD_THETAS.size
+    for t, row in _g_rows(end, ts, _PERIOD_PAIRS, grid):
+        row = list(row)
+        for (theta, here), (_, shifted) in zip(row[:n], row[n:]):
+            if isinstance(here, DomainError) or isinstance(shifted, DomainError):
+                continue
+            scale = max(abs(here), abs(shifted), 1e-300)
+            if abs(here - shifted) > 1e-9 * scale:
+                return (
+                    f"end {j + 1}: G is not 2*pi-periodic in theta "
+                    f"(t={t:g}, theta={theta:g}: {here:g} vs {shifted:g})"
+                )
+    return None
 
 
 def validate_surface(
@@ -252,54 +315,21 @@ def validate_surface(
     else:
         flag(f"unknown core descriptor {model.core!r}")
 
+    # an evaluated grid is checked as arrays; only a grid that fails a
+    # check or did not evaluate is walked point by point for the message
     for j, end in enumerate(model.ends):
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
-        stop = False
-        for t, row in _g_rows(end, ts, thetas):
-            first = None
-            for theta, value in row:
-                if isinstance(value, Overflow):
-                    # too large to represent is still positive
-                    continue
-                if isinstance(value, DomainError):
-                    flag(f"end {j + 1}: evaluation failed at (t={t:g}): {value}")
-                    stop = True
-                    break
-                if not (value > 0.0) or not math.isfinite(value):
-                    flag(f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})")
-                    stop = True
-                    break
-                if first is None:
-                    first = value
-                elif end.theta_free and value != first:
-                    flag(
-                        f"end {j + 1}: declared theta-free but G varies in theta "
-                        f"(t={t:g}, theta={theta:g}: {value:g} vs {first:g})"
-                    )
-                    stop = True
-                    break
-            if stop:
-                break
-        if not stop:
+        grid = _g_grid(end, ts, thetas)
+        message = None
+        if not _positivity_holds(grid, end.theta_free):
+            message = _positivity_violation(j, end, ts, thetas, grid)
+        if message is None:
             period_ts = ts[1 :: max(1, len(ts) // 4)]
-            n = _PERIOD_THETAS.size
-            for t, row in _g_rows(end, period_ts, _PERIOD_PAIRS):
-                row = list(row)
-                mismatch = None
-                for (theta, here), (_, shifted) in zip(row[:n], row[n:]):
-                    if isinstance(here, DomainError) or isinstance(shifted, DomainError):
-                        continue
-                    scale = max(abs(here), abs(shifted), 1e-300)
-                    if abs(here - shifted) > 1e-9 * scale:
-                        mismatch = (theta, here, shifted)
-                        break
-                if mismatch is not None:
-                    theta, here, shifted = mismatch
-                    flag(
-                        f"end {j + 1}: G is not 2*pi-periodic in theta "
-                        f"(t={t:g}, theta={theta:g}: {here:g} vs {shifted:g})"
-                    )
-                    break
+            grid = _g_grid(end, period_ts, _PERIOD_PAIRS)
+            if not _periods_hold(grid):
+                message = _period_violation(j, end, period_ts, grid)
+        if message is not None:
+            flag(message)
 
     if polar and model.ends:
         end = model.ends[0]

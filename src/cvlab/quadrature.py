@@ -24,8 +24,11 @@ panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 vectorised QK15, one level up).  :func:`integrate_circle` and
 :func:`integrate_annulus` are the one-integral case; their integrands
 are still called once per panel, on 15 nodes or a 15 x 15 grid.
-:func:`integrate_improper` runs each window through
-:func:`integrate_bands`, so its integrand gets the batched arrays.
+A chain of consecutive bands whose every step decides whether to take
+the next, such as the improper windows, is walked in look-ahead chunks
+(:func:`_walk`): each chunk is one :func:`integrate_bands` call, the
+walk reads its bands one by one, and the bands past its stop are
+integrated and discarded; their evaluations are still counted.
 Integrands must be written with numpy functions; a scalar result is
 broadcast to the nodes' shape, and a non-finite value anywhere fails
 the whole call with :class:`DomainError`.
@@ -34,9 +37,10 @@ the whole call with :class:`DomainError`.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,6 +349,45 @@ def integrate_annulus(
     return integrate_bands(_per_panel(f), (t_lo, t_hi), tol, theta_free=theta_free)[0]
 
 
+_FIRST_WINDOWS = 2  # the shortest improper walk that can stop
+_CHUNK = 4  # bands per look-ahead chunk after the first
+
+
+def _walk(bands: Callable, edges: Iterable[float], first: int):
+    """Yield ``(result, spent)`` for the bands between consecutive
+    ``edges``, in order, integrated in lockstep chunks.
+
+    ``bands(edges)`` integrates the bands between increasing edges, one
+    result per band, as :func:`integrate_bands` does; ``edges`` may also
+    decrease, and each chunk is then integrated in reverse.  The first
+    chunk holds ``first`` bands, later ones ``_CHUNK``.  ``spent`` counts
+    the evaluations of every band integrated so far, including the rest
+    of the current chunk, which the caller may never walk.  A chunk that
+    raises :class:`DomainError` or :class:`OverflowError` is integrated
+    again one band at a time, so the band that raises does so at its own
+    step.
+    """
+    edges = iter(edges)
+    chunk = list(itertools.islice(edges, first + 1))
+    spent = 0
+    while len(chunk) > 1:
+        ascending = chunk[1] > chunk[0]
+        try:
+            results = bands(chunk if ascending else chunk[::-1])
+        except (DomainError, OverflowError):
+            results = None
+        if results is None:
+            for pair in zip(chunk, chunk[1:]):
+                result = bands(sorted(pair))[0]
+                spent += result.evaluations
+                yield result, spent
+        else:
+            spent += sum(r.evaluations for r in results)
+            for result in results if ascending else results[::-1]:
+                yield result, spent
+        chunk = chunk[-1:] + list(itertools.islice(edges, _CHUNK))
+
+
 def _geometric_tail(increments: Sequence[float]):
     """Tail estimate from the last increments under a geometric model.
 
@@ -381,41 +424,46 @@ def integrate_improper(
     increments, falls below tolerance.  Growing same-sign increments are
     reported as ``+inf``/``-inf`` divergence, alternating growth as
     ``oscillatory``; both come back as results with ``converged=False``.
-    Each window is one :func:`integrate_bands` call; ``theta_free`` is
-    passed on to it.  ``f`` therefore gets batched node arrays, one row
-    per panel of a refinement round: ``(J, 15, 1)`` and ``(J, 1, 15)``,
-    or ``(J, 15)`` and theta = 0 when theta-free, with J = 1 for a
-    window's first panel and J = 2 after each split.  It must act
-    elementwise.
+    The windows are integrated in look-ahead chunks of consecutive
+    windows, each chunk one :func:`integrate_bands` call (see
+    :func:`_walk`), while the stopping, divergence and budget rules run
+    window by window; every window's result is that of a lone call.
+    ``evaluations`` counts every window integrated, including look-ahead
+    past the window where the walk stopped.  ``theta_free`` is passed on
+    to :func:`integrate_bands`, so ``f`` gets batched node arrays, one
+    row per panel of a refinement round: ``(J, 15, 1)`` and ``(J, 1,
+    15)``, or ``(J, 15)`` and theta = 0 when theta-free.  A chunk's first
+    round has one row per window, J = 2 for the first chunk and up to 4
+    after it, and each later round two per window still refining, so J <= 8.
+    It must act elementwise.
     """
     window_tol = Tolerance(
         abs_tol=max(tol.abs_tol / 8.0, 1e-15),
         rel_tol=tol.rel_tol,
         max_evaluations=tol.max_evaluations,
     )
-    edges = t_lo
+    uppers = [t_lo + initial_width * (2.0**k) for k in range(max_windows)]
+    walk = _walk(
+        lambda edges: integrate_bands(f, edges, window_tol, theta_free=theta_free),
+        [t_lo] + uppers,
+        _FIRST_WINDOWS,
+    )
+    lower = t_lo
     total = 0.0
     quad_err = 0.0
-    evals = 0
+    walked = 0  # evaluations of the windows walked, for the budget rule
+    spent = 0  # evaluations of every window integrated, look-ahead included
     increments: list[float] = []
     densities: list[float] = []
     trace: list[tuple[float, float]] = []
     accel_prev: float | None = None
 
-    for k in range(max_windows):
-        upper = t_lo + initial_width * (2.0**k)
-        try:
-            part = integrate_bands(f, (edges, upper), window_tol, theta_free=theta_free)[0]
-        except (DomainError, OverflowError):
-            direction = _divergence_direction(densities)
-            if direction is not None:
-                return ImproperResult(
-                    total, quad_err, evals, False, direction, tuple(trace)
-                )
-            raise
-        densities.append(part.value / (upper - edges))
-        edges = upper
-        evals += part.evaluations
+    # a window that raises propagates: no divergence can be read from the
+    # densities before it, or the walk would have stopped there
+    for upper, (part, spent) in zip(uppers, walk):
+        densities.append(part.value / (upper - lower))
+        lower = upper
+        walked += part.evaluations
         quad_err += part.error_estimate
         total += part.value
         increments.append(part.value)
@@ -425,14 +473,14 @@ def integrate_improper(
             return ImproperResult(
                 total,
                 quad_err,
-                evals,
+                spent,
                 False,
                 "+inf" if total > 0 else "-inf",
                 tuple(trace),
             )
         direction = _divergence_direction(densities)
         if direction is not None:
-            return ImproperResult(total, quad_err, evals, False, direction, tuple(trace))
+            return ImproperResult(total, quad_err, spent, False, direction, tuple(trace))
 
         tail = _geometric_tail(increments)
         if tail is not None:
@@ -442,7 +490,7 @@ def integrate_improper(
             accel_prev = accel
             err = quad_err + tail_unc + drift
             if err <= tol.target(accel):
-                return ImproperResult(accel, err, evals, True, None, tuple(trace))
+                return ImproperResult(accel, err, spent, True, None, tuple(trace))
         else:
             accel_prev = None
             if len(increments) >= 2:
@@ -450,14 +498,14 @@ def integrate_improper(
                 last_two = max(abs(increments[-1]), abs(increments[-2]))
                 err = quad_err + last_two
                 if err <= tol.target(total):
-                    return ImproperResult(total, err, evals, True, None, tuple(trace))
-        if evals >= tol.max_evaluations:
+                    return ImproperResult(total, err, spent, True, None, tuple(trace))
+        if walked >= tol.max_evaluations:
             break
 
     tail = _geometric_tail(increments)
     value = total + tail[0] if tail is not None else total
     err = quad_err + (tail[1] if tail is not None else abs(increments[-1]) if increments else 0.0)
-    return ImproperResult(value, err, evals, False, None, tuple(trace))
+    return ImproperResult(value, err, spent, False, None, tuple(trace))
 
 
 def _divergence_direction(densities: Sequence[float]) -> str | None:

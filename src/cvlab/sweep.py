@@ -19,9 +19,12 @@ angles, and the bands are one :func:`integrate_bands` call on
 ``(K, 15, 1)`` x ``(K, 1, 15)`` nodes, so each refinement round costs one
 chart call per end.  On a theta-free end the circle integrals are
 ``2*pi`` times point values, all heights in one ``sqrt_jet`` call, and
-the bands are 1-D integrals in t on ``(K, 15)`` nodes.  The polar head,
-the improper windows and the ``h1`` bisection stay sequential, since
-each step depends on the last.  ``run_sweep`` takes those
+the bands are 1-D integrals in t on ``(K, 15)`` nodes.  The chains in
+which each step decides whether to take the next, the polar head and
+its slivers and the improper windows, are integrated in look-ahead
+chunks of consecutive bands, one :func:`integrate_bands` call per chunk
+(see :func:`cvlab.quadrature._walk`), and the ``h1`` bisection probes
+every midpoint it can visit in one call.  ``run_sweep`` takes those
 samples, locates the height beyond which sampled curvature stays
 nonnegative, extrapolates the limit of ``lambda``, forms the total
 curvature both as ``2*pi*chi - limit`` and by direct improper
@@ -45,6 +48,7 @@ from .quadrature import (
     NotMonotone,
     TailLimit,
     Tolerance,
+    _walk,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -159,36 +163,65 @@ def _curvature_density(end: EndChart):
     return lambda t, theta: -end.sqrt_jet(t, theta).d2
 
 
+_POLE_FIRST_BANDS = 3  # the head and two quiet slivers: the shortest walk that can stop
+
+
+def _pole_edges(h: float):
+    """``h``, then ``eps = min(0.5, h/4)`` halved until it passes
+    ``POLE_GUARD``: the edges of the pole band's head and slivers."""
+    eps = min(0.5, h / 4.0)
+    yield h
+    yield eps
+    while eps > POLE_GUARD:
+        eps /= 2.0
+        yield eps
+
+
 def _pole_band(end: EndChart, h: float, tol: Tolerance):
     """Curvature integral over (0, h] when the chart closes at a pole.
 
-    Integrates [eps, h] and shrinks eps geometrically until the added
-    slivers stop mattering; the smooth-cap boundary behavior makes the
-    remaining stub quadratically small.  Returns ``(value, error,
-    evaluations)``.
+    Integrates the head [eps, h] and then slivers [eps/2, eps], halving
+    eps until two slivers in a row stop mattering; the smooth-cap
+    boundary behavior makes the remaining stub quadratically small.  The
+    head and slivers are walked in look-ahead chunks of descending bands
+    (see :func:`cvlab.quadrature._walk`), each chunk one
+    :func:`integrate_bands` call.  Returns ``(value, error,
+    evaluations)``; the evaluations include look-ahead slivers past the
+    stop.
     """
     f = _curvature_density(end)
-    eps = min(0.5, h / 4.0)
-    res = integrate_bands(f, (eps, h), tol, theta_free=end.theta_free)[0]
-    total, err, evals = res.value, res.error_estimate, res.evaluations
+    walk = _walk(
+        lambda edges: integrate_bands(f, edges, tol, theta_free=end.theta_free),
+        _pole_edges(h),
+        _POLE_FIRST_BANDS,
+    )
+    head, spent = next(walk)
+    total, err = head.value, head.error_estimate
     quiet = 0
     last = 0.0
-    while eps > POLE_GUARD:
-        lower = max(eps / 2.0, POLE_GUARD / 2.0)
-        sliver = integrate_bands(f, (lower, eps), tol, theta_free=end.theta_free)[0]
+    for sliver, spent in walk:
         total += sliver.value
         err += sliver.error_estimate
-        evals += sliver.evaluations
-        eps = lower
         last = abs(sliver.value)
         quiet = quiet + 1 if last <= tol.target(total) else 0
         if quiet >= 2:
             break
     err += min(last, abs(total) + last)
-    return total, err, evals
+    return total, err, spent
 
 
-def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
+def _shared_pole_band(end: EndChart, h: float, tol: Tolerance, poles: dict):
+    """:func:`_pole_band` up to ``h``, looked up in ``poles`` (pole bands
+    by height) first.  One sweep passes the same dict to its truncation
+    head and its direct route, so a band both need is integrated once."""
+    if h not in poles:
+        poles[h] = _pole_band(end, h, tol)
+    return poles[h]
+
+
+def _truncated_curvatures(
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict
+):
     """``(c_trunc, error)`` at each height of an increasing schedule.
 
     Per end, the head from the chart edge (through the pole on a polar
@@ -196,7 +229,8 @@ def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: T
     consecutive heights are integrated once, all of an end's bands but the
     polar head as one :func:`integrate_bands` batch; ``c_trunc`` and its
     error estimate are their running sums in schedule order, starting from
-    the core term.
+    the core term.  The polar head comes from ``poles`` (see
+    :func:`_shared_pole_band`).
     """
     polar = isinstance(model.core, PolarCap)
     per_end = []
@@ -206,7 +240,7 @@ def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: T
         density = _curvature_density(end)
         head = []
         if polar and above:
-            head = [_pole_band(end, edges[1], tol)[:2]]
+            head = [_shared_pole_band(end, edges[1], tol, poles)[:2]]
             edges = edges[1:]
         bands = integrate_bands(density, edges, tol, theta_free=end.theta_free)
         per_end.append(dict(zip(above, head + [(r.value, r.error_estimate) for r in bands])))
@@ -240,7 +274,7 @@ def truncated_total_curvature(
 ) -> float:
     """Curvature integral over the truncated surface at height h."""
     _require_height(model, h)
-    return _truncated_curvatures(model, (h,), tol)[0][0]
+    return _truncated_curvatures(model, (h,), tol, {})[0][0]
 
 
 def _require_height(model: SurfaceModel, h: float) -> None:
@@ -256,6 +290,10 @@ def sweep_samples(
     """One sample per height of a strictly increasing schedule: the
     boundary circles of all heights run as one batch per end, and so do
     the curvature bands between consecutive heights."""
+    return _sweep_samples(model, schedule, tol, {})
+
+
+def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict):
     if not schedule:
         raise ValueError("schedule needs at least one height")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -263,7 +301,7 @@ def sweep_samples(
     _require_height(model, schedule[0])
     n = len(schedule)
     values, errors = _boundaries(model, list(schedule) * 2, tol, ("f",) * n + ("d1",) * n)
-    curvatures = _truncated_curvatures(model, schedule, tol)
+    curvatures = _truncated_curvatures(model, schedule, tol, poles)
     samples = []
     for i, h in enumerate(schedule):
         m, em = values[i], errors[i]
@@ -308,8 +346,11 @@ def detect_h1(
     """Smallest height beyond which sampled curvature stays >= -k_slack.
 
     Scans a height grid per end, then refines the boundary of the last
-    violation by bisection to resolution ``h_probe_max / 2**12``.
-    Returns ``None`` when violations persist up to the probe ceiling.
+    violation by bisection to resolution ``h_probe_max / 2**12``.  The
+    midpoints of every bracket the bisection can reach are probed in one
+    call, the whole tree down to that resolution, and the bisection then
+    reads its steps from them.  Returns ``None`` when violations persist
+    up to the probe ceiling.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -339,9 +380,17 @@ def detect_h1(
         return None
     lo, hi = float(heights[last_bad]), float(heights[last_bad + 1])
     resolution = h_probe_max / 4096.0
+    # every bracket the bisection can reach, level by level, and then
+    # all of their midpoints as one probe
+    brackets, level = [], [(lo, hi)]
+    while level:
+        level = [(a, b) for a, b in level if b - a > resolution]
+        brackets += level
+        level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    bad = dict(zip(brackets, bad_rows(np.array([0.5 * (a + b) for a, b in brackets]))))
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if bad_rows(np.array([mid]))[0]:
+        if bad[lo, hi]:
             lo = mid
         else:
             hi = mid
@@ -399,9 +448,15 @@ def total_curvature_direct(
     model: SurfaceModel, tol: Tolerance = DEFAULT_TOL
 ) -> ImproperResult:
     """Total curvature by direct improper integration over all ends."""
+    return _total_curvature_direct(model, tol, {})
+
+
+def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, poles: dict) -> ImproperResult:
+    """:func:`total_curvature_direct`; a polar cap's head up to
+    ``t_min + 1`` comes from ``poles`` (see :func:`_shared_pole_band`)."""
     if isinstance(model.core, PolarCap):
         end = model.ends[0]
-        head, head_err, head_evals = _pole_band(end, end.t_min + 1.0, tol)
+        head, head_err, head_evals = _shared_pole_band(end, end.t_min + 1.0, tol, poles)
         tail = integrate_improper(
             _curvature_density(end), end.t_min + 1.0, tol, theta_free=end.theta_free
         )
@@ -468,13 +523,16 @@ def run_sweep(
 
     The boundary circles of all heights run first, as one batch per end,
     then each end's curvature bands as one batch; the samples come back
-    in schedule order.
+    in schedule order.  On a polar cap whose first height is
+    ``t_min + 1`` the truncation head and the direct route share one
+    pole band.
     """
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
     validate_surface(model, samples_per_axis=16, strict=True)
-    samples = sweep_samples(model, schedule, tol)
+    poles: dict = {}
+    samples = _sweep_samples(model, schedule, tol, poles)
 
     chi = model.chi
     verdicts: dict[str, Verdict] = {}
@@ -553,7 +611,7 @@ def run_sweep(
         note = monotone_note or "hypothesis unmet"
         verdicts["L-nonneg"] = Verdict("not-applicable", None, None, note)
 
-    direct = total_curvature_direct(model, tol)
+    direct = _total_curvature_direct(model, tol, poles)
 
     c_total: float | None
     if h1 is not None and limit is not None:

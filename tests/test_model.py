@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -196,6 +197,29 @@ class TestValidationGrid:
         grid_raises = expr.startswith("exp(t^2/5)")  # overflows at t_min + 64 only
         assert shapes[0] == (19, 1)
         assert any(shape == () for shape in shapes) == grid_raises
+
+    @pytest.mark.parametrize("theta_free", [False, True])
+    def test_nan_grid_point_gets_its_message(self, theta_free):
+        # NaN at the grid point t = 8*5/15, theta = 2*pi*3/16, without raising
+        def g_jet(t, theta):
+            hit = (np.abs(t - 8.0 * 5 / 15) < 1e-12) & (np.abs(theta - 2 * math.pi * 3 / 16) < 1e-12)
+            return Jet2(np.where(hit, np.nan, 1.0 + 0.0 * t * theta))
+
+        model = SurfaceModel(
+            Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0, (0.0,))
+        )
+        assert validate_surface(model, 16).violations == [
+            "end 1: G <= 0 at sampled point (t=2.66667, theta=1.1781)"
+        ]
+
+    def test_period_mismatch_on_a_clean_grid_gets_its_message(self):
+        model, shapes = recording_model("2 + sin(theta/2)*t")
+        assert validate_surface(model, 16).violations == [
+            "end 1: G is not 2*pi-periodic in theta "
+            "(t=0.533333, theta=0.9: 2.23198 vs 1.76802)"
+        ]
+        # both grids evaluated, then read again point by point for the message
+        assert shapes == [(19, 1), (5, 1)]
 
     def test_grid_path_is_one_call_per_grid(self):
         model, shapes = recording_model("2 + sin(theta)")

@@ -6,6 +6,7 @@ import pytest
 import cvlab.sweep as sweep
 from cvlab.jets import Jet2
 from cvlab.model import (
+    POLE_GUARD,
     AnalyticCore,
     EndChart,
     ModelInvalid,
@@ -360,7 +361,10 @@ class TestBandReuse:
     def test_pole_band_is_integrated_once(self, monkeypatch):
         schedule = [1.0, 2.0, 4.0, 8.0]
         batches, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
-        calls = [box for bands in batches for box, _ in bands]
+        # the pole band's chunks run bottom up, slivers before the head;
+        # the last batch holds the bands between heights
+        chunks, bands = batches[:-1], batches[-1]
+        calls = [box for chunk in chunks for box, _ in chunk[::-1]] + [box for box, _ in bands]
         assert calls[-3:] == list(zip(schedule, schedule[1:]))
         assert calls[0] == (0.25, 1.0)
         assert all(t_hi <= 0.25 for _, t_hi in calls[1:-3])
@@ -492,3 +496,162 @@ class TestProbeColumns:
         sampled_curvature_range(model, 16.0)
         assert columns
         assert all(n == (1 if free else 16) for free, n in columns)
+
+
+def per_sliver_pole_band(end, h, tol):
+    """Reference: the pole band with one integrate_bands call per band."""
+    f = sweep._curvature_density(end)
+    eps = min(0.5, h / 4.0)
+    res = sweep.integrate_bands(f, (eps, h), tol, theta_free=end.theta_free)[0]
+    total, err, evals = res.value, res.error_estimate, res.evaluations
+    quiet = 0
+    last = 0.0
+    while eps > POLE_GUARD:
+        lower = max(eps / 2.0, POLE_GUARD / 2.0)
+        sliver = sweep.integrate_bands(f, (lower, eps), tol, theta_free=end.theta_free)[0]
+        total += sliver.value
+        err += sliver.error_estimate
+        evals += sliver.evaluations
+        eps = lower
+        last = abs(sliver.value)
+        quiet = quiet + 1 if last <= tol.target(total) else 0
+        if quiet >= 2:
+            break
+    err += min(last, abs(total) + last)
+    return total, err, evals
+
+
+def per_step_detect_h1(model, h_probe_max, grid):
+    """Reference: the h1 scan with one probe per bisection step."""
+    thetas = sweep._probe_thetas(16)
+
+    def bad_at(t):
+        bad = np.zeros(t.shape, dtype=bool)
+        for end in model.ends:
+            todo = ~bad
+            te = np.maximum(t[todo], end.t_min + POLE_GUARD)
+            bad[todo] = np.any(sweep._curvature_grid(end, te, thetas) < -sweep.K_SLACK, axis=1)
+        return bad
+
+    origin = max(end.t_min for end in model.ends)
+    heights = sweep._probe_heights(origin, h_probe_max, grid)
+    violating = np.flatnonzero(bad_at(heights))
+    if violating.size == 0:
+        return origin
+    if violating[-1] == len(heights) - 1:
+        return None
+    lo, hi = float(heights[violating[-1]]), float(heights[violating[-1] + 1])
+    while hi - lo > h_probe_max / 4096.0:
+        mid = 0.5 * (lo + hi)
+        if bad_at(np.array([mid]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def sign_change_model(roots):
+    """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``:
+    negative below the first root, then alternating at each root."""
+
+    def sqrt_g_jet(t, theta):
+        k = np.sin(theta) ** 2
+        for r in roots:
+            k = k * (t - r)
+        return Jet2(1.0, 0.0, -k)
+
+    def g_jet(t, theta):
+        return Jet2(1.0, 0.0, 2.0 * sqrt_g_jet(t, theta).d2)
+
+    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet)
+    return SurfaceModel(Topology(0, 1), (chart,), AnalyticCore(TWO_PI, (0.0,)), name="sign-change")
+
+
+POLE_MODELS = {
+    "paraboloid": lambda: zoo_entry("paraboloid").model,
+    "capped-cone": lambda: zoo_entry("capped-cone").model,
+    "polar-plane": lambda: zoo_entry("polar-plane").model,
+    "theta-cap": theta_cap,
+}
+
+
+class TestLookahead:
+    """The pole band's slivers run in look-ahead chunks and the h1
+    bisection reads a tree of probes made in one call; outcomes must equal
+    those of the step-by-step walks."""
+
+    @staticmethod
+    def _counted_bands(monkeypatch):
+        results = []
+        integrate = sweep.integrate_bands
+
+        def recording(f, edges, tol, **kwargs):
+            out = integrate(f, edges, tol, **kwargs)
+            results.extend(out)
+            return out
+
+        monkeypatch.setattr(sweep, "integrate_bands", recording)
+        return results
+
+    @pytest.mark.parametrize("h", [1.0, 0.3, 6.0])
+    @pytest.mark.parametrize("name", sorted(POLE_MODELS))
+    def test_pole_band_matches_per_sliver_walk(self, name, h, monkeypatch):
+        end = POLE_MODELS[name]().ends[0]
+        tol = sweep.DEFAULT_TOL
+        want = per_sliver_pole_band(end, h, tol)
+        results = self._counted_bands(monkeypatch)
+        value, error, evaluations = sweep._pole_band(end, h, tol)
+        assert (value, error) == want[:2]
+        assert evaluations == sum(r.evaluations for r in results) >= want[2]
+
+    @pytest.mark.parametrize("grid", [8, 16, 64])
+    def test_detect_h1_matches_per_step_bisection(self, grid, monkeypatch):
+        model = sign_change_model([5.0])
+        want = per_step_detect_h1(model, 10.0, grid)
+        calls = []
+        curvature = sweep.gauss_curvature
+
+        def counting(end, t, theta):
+            calls.append(np.shape(t))
+            return curvature(end, t, theta)
+
+        monkeypatch.setattr(sweep, "gauss_curvature", counting)
+        h1 = detect_h1(model, 10.0, grid=grid)
+        assert h1 == want
+        assert abs(h1 - 5.0) <= 10.0 / 4096.0
+        # the grid scan, then the whole bisection tree
+        assert len(calls) == 2
+
+    def test_two_sign_changes_inside_one_bracket(self):
+        # K < 0 below 4.05 and on (4.2, 4.5), all within the grid bracket
+        # [4, 4.67]; the bisection settles on one of the two upward crossings
+        model = sign_change_model([4.05, 4.2, 4.5])
+        heights = sweep._probe_heights(0.0, 10.0, 16)
+        assert not any(4.05 < h < 4.5 for h in heights)
+        want = per_step_detect_h1(model, 10.0, 16)
+        assert detect_h1(model, 10.0, grid=16) == want
+        assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
+
+    @pytest.mark.parametrize(
+        "name,schedule,calls",
+        [
+            ("paraboloid", [1.0, 2.0, 4.0, 8.0, 16.0], 1),
+            ("theta-cap", BAND_SCHEDULES["theta-cap"], 1),
+            ("paraboloid", [2.0, 4.0, 8.0, 16.0], 2),
+        ],
+        ids=["paraboloid", "theta-cap", "paraboloid-from-2"],
+    )
+    def test_sweep_integrates_one_pole_band(self, name, schedule, calls, monkeypatch):
+        # the truncation head and the direct route share the band up to
+        # t_min + 1 when the schedule's first height is t_min + 1
+        heights = []
+        pole_band = sweep._pole_band
+
+        def recording(end, h, tol):
+            heights.append(h)
+            return pole_band(end, h, tol)
+
+        monkeypatch.setattr(sweep, "_pole_band", recording)
+        run_sweep(POLE_MODELS[name](), schedule)
+        assert len(heights) == calls
+        assert sorted(heights) == sorted({1.0, schedule[0]})
