@@ -1,14 +1,7 @@
 """cvlab: total-curvature and Gauss-Bonnet checks for complete surfaces
 with cylindrical ends ``dt^2 + G(t, theta) dtheta^2``."""
 
-from .curvature import (
-    CurvatureSample,
-    curvature_split,
-    gauss_curvature,
-    geodesic_curvature,
-    geodesic_curvature_from_g,
-    sample_curvature,
-)
+from .curvature import gauss_curvature, geodesic_curvature, geodesic_curvature_from_g
 from .dsl import DomainError, MetricExpr, ParseError, UnknownIdentifier, eval_jet, parse_metric, serialize
 from .jets import Jet2, Overflow
 from .model import (
@@ -30,9 +23,7 @@ from .quadrature import (
     TailLimit,
     Tolerance,
     estimate_tail_limit,
-    integrate_annulus,
     integrate_bands,
-    integrate_circle,
     integrate_circles,
     integrate_improper,
 )
@@ -41,8 +32,6 @@ from .sweep import (
     SweepReport,
     TruncationSample,
     Verdict,
-    check_gauss_bonnet_truncated,
-    check_lambda_is_mu_prime,
     compute_sample,
     detect_h1,
     geometric_schedule,

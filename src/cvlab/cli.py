@@ -136,6 +136,8 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
             value = float(core_text.split(":", 1)[1])
         except ValueError as err:
             raise InputError(f"config {path}: bad analytic core value") from err
+        if not math.isfinite(value):
+            raise InputError(f"config {path}: analytic core value {value} is not finite")
         core = AnalyticCore(value, tuple(c.t_min for c in charts))
     else:
         raise InputError(

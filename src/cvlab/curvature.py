@@ -14,31 +14,12 @@ that fails at any of the points raises for the whole call.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jets import DomainError
 from .model import EndChart
 
-__all__ = [
-    "CurvatureSample",
-    "curvature_split",
-    "gauss_curvature",
-    "geodesic_curvature",
-    "geodesic_curvature_from_g",
-    "sample_curvature",
-]
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    t: float
-    theta: float
-    gauss_K: float
-    geodesic_kappa: float
-    area_density: float
+__all__ = ["gauss_curvature", "geodesic_curvature", "geodesic_curvature_from_g"]
 
 
 def _point(t, theta, bad) -> str:
@@ -78,30 +59,12 @@ def geodesic_curvature(end: EndChart, h, theta):
 def geodesic_curvature_from_g(end: EndChart, h, theta):
     """Same quantity through the alternative form ``(dG/dt) / (2 sqrt(G))``.
 
-    Kept as a cross-check path; ``geodesic_curvature`` is the production
-    route because it conditions better when G is tiny.
+    Kept as a cross-check path.  The sweep reads ``sqrt_jet(...).d1``
+    directly, as :func:`geodesic_curvature` does, because that form
+    conditions better when G is tiny.
     """
     g = end.g_jet(h, theta)
     bad = ~(np.isfinite(g.f) & np.isfinite(g.d1) & np.isfinite(g.d2)) | (g.f <= 0.0)
     if np.any(bad):
         raise DomainError(f"G not positive/finite at {_point(h, theta, bad)}")
     return g.d1 / (2.0 * np.sqrt(g.f))
-
-
-def curvature_split(k: float) -> tuple[float, float]:
-    """Split into nonnegative and nonpositive parts: ``k = k_plus - k_minus``."""
-    if not math.isfinite(k):
-        raise ValueError("curvature must be finite")
-    return (max(k, 0.0), max(-k, 0.0))
-
-
-def sample_curvature(end: EndChart, t: float, theta: float) -> CurvatureSample:
-    w = _sqrt_jet_checked(end, t, theta)
-    return CurvatureSample(
-        t=t,
-        theta=theta,
-        gauss_K=-w.d2 / w.f,
-        geodesic_kappa=w.d1,
-        area_density=w.f,
-    )
-

@@ -21,9 +21,7 @@ every refinement round integrates the new panels of all K integrals
 with one call of the integrand.  A batched integrand gets one row per
 panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 ``(K, 1, 15)`` node arrays for 15 x 15 grids in 2-D (as in QUADPACK's
-vectorised QK15, one level up).  :func:`integrate_circle` and
-:func:`integrate_annulus` are the one-integral case; their integrands
-are still called once per panel, on 15 nodes or a 15 x 15 grid.
+vectorised QK15, one level up); a single integral is the K = 1 call.
 A chain of consecutive bands whose every step decides whether to take
 the next, such as the improper windows, is walked in look-ahead chunks
 (:func:`_walk`): each chunk is one :func:`integrate_bands` call, the
@@ -181,12 +179,6 @@ def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     return out
 
 
-def _panel_1d(f: Callable, a: float, b: float):
-    """One GK15 panel of ``f(x)`` over ``[a, b]``: ``(value, error, 15)``."""
-    value, error, _ = _panels_1d(lambda _, x: f(x), [(0, (a, b))])[0]
-    return value, error, 15
-
-
 def _panels_2d(f: Callable, jobs):
     """Tensor-product panels over the boxes of ``jobs``, ``(member, (a, b,
     c, d))`` pairs for ``[a, b] x [c, d]`` in ``(t, theta)``, from one call
@@ -267,26 +259,13 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
     return results
 
 
-def _per_panel(f: Callable) -> Callable:
-    """Batched form of an integrand that takes one panel's nodes per call,
-    the calling convention of the one-integral entry points."""
-
-    def batched(*nodes):
-        out = np.empty(np.broadcast_shapes(*(np.shape(x) for x in nodes)))
-        for j in range(len(out)):
-            out[j] = f(*(x[j] if np.ndim(x) else x for x in nodes))
-        return out
-
-    return batched
-
-
 def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list[QuadResult]:
     """Integrate ``f(p, theta)`` over ``[0, 2*pi]`` for every ``p`` in
     ``params``, all in lockstep.
 
     Each round ``f`` is called once, with the ``(J, 1)`` array of the
     parameters and the ``(J, 15)`` array of the nodes of the round's J
-    panels; every result equals that of a lone :func:`integrate_circle`.
+    panels; every result equals that of a K = 1 call on its ``p`` alone.
     """
     params = np.asarray(params)
 
@@ -294,12 +273,6 @@ def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list
         return _panels_1d(lambda members, theta: f(params[members][:, None], theta), jobs)
 
     return _adapt_many(panels, [((0.0, math.pi), (math.pi, TWO_PI))] * len(params), 15, tol)
-
-
-def integrate_circle(f: Callable, tol: Tolerance = DEFAULT_TOL) -> QuadResult:
-    """Integrate ``f(theta)`` over one full period ``[0, 2*pi]``; ``f`` is
-    called once per panel on its 15 nodes."""
-    return integrate_circles(_per_panel(lambda p, theta: f(theta)), (0.0,), tol)[0]
 
 
 def integrate_bands(
@@ -315,7 +288,7 @@ def integrate_bands(
     on ``(J, 15)`` nodes at 15 evaluations a panel instead of 225, on the
     t-panels that the 2-D rule splits such an integrand into.  A band of
     zero width is 0 without an evaluation.  Every result equals that of a
-    lone :func:`integrate_annulus`.
+    K = 1 call on its band alone.
     """
     edges = [float(e) for e in edges]
     if any(hi < lo for lo, hi in zip(edges, edges[1:])):
@@ -334,23 +307,9 @@ def integrate_bands(
     ]
 
 
-def integrate_annulus(
-    f: Callable,
-    t_lo: float,
-    t_hi: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    theta_free: bool = False,
-) -> QuadResult:
-    """Integrate ``f(t, theta)`` over the band ``[t_lo, t_hi] x [0, 2*pi]``;
-    ``f`` is called once per panel, on ``(15, 1)`` and ``(1, 15)`` nodes,
-    or with ``theta_free`` on 15 nodes and theta = 0 (see
-    :func:`integrate_bands`)."""
-    return integrate_bands(_per_panel(f), (t_lo, t_hi), tol, theta_free=theta_free)[0]
-
-
 _FIRST_WINDOWS = 2  # the shortest improper walk that can stop
 _CHUNK = 4  # bands per look-ahead chunk after the first
+_MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
 
 
 def _walk(bands: Callable, edges: Iterable[float], first: int):
@@ -412,18 +371,18 @@ def integrate_improper(
     f: Callable,
     t_lo: float,
     tol: Tolerance = DEFAULT_TOL,
-    initial_width: float = 1.0,
-    max_windows: int = 64,
     *,
     theta_free: bool = False,
 ) -> ImproperResult:
     """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]``.
 
-    Walks windows ``[t_lo + 2^(k-1) w, t_lo + 2^k w]`` and stops once the
-    remaining tail, estimated from the geometric decay of the window
-    increments, falls below tolerance.  Growing same-sign increments are
-    reported as ``+inf``/``-inf`` divergence, alternating growth as
-    ``oscillatory``; both come back as results with ``converged=False``.
+    Walks windows ``[t_lo + 2^(k-1), t_lo + 2^k]``, the first one
+    ``[t_lo, t_lo + 1]`` and at most ``_MAX_WINDOWS`` in all, and stops
+    once the remaining tail, estimated from the geometric decay of the
+    window increments, falls below tolerance.  Growing same-sign
+    increments are reported as ``+inf``/``-inf`` divergence, alternating
+    growth as ``oscillatory``; both come back as results with
+    ``converged=False``.
     The windows are integrated in look-ahead chunks of consecutive
     windows, each chunk one :func:`integrate_bands` call (see
     :func:`_walk`), while the stopping, divergence and budget rules run
@@ -442,7 +401,7 @@ def integrate_improper(
         rel_tol=tol.rel_tol,
         max_evaluations=tol.max_evaluations,
     )
-    uppers = [t_lo + initial_width * (2.0**k) for k in range(max_windows)]
+    uppers = [t_lo + 2.0**k for k in range(_MAX_WINDOWS)]
     walk = _walk(
         lambda edges: integrate_bands(f, edges, window_tol, theta_free=theta_free),
         [t_lo] + uppers,

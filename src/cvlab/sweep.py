@@ -68,6 +68,8 @@ CHECK_NAMES = (
 )
 
 K_SLACK = 1e-10  # sampled curvature this far below zero still counts as >= 0
+_PROBE_GRID = 64  # uniform heights of the curvature probe scans
+_PROBE_THETAS = TWO_PI * np.arange(16) / 16  # their angles
 
 
 class NonPositiveMu(ValueError):
@@ -319,31 +321,8 @@ def compute_sample(
     return sweep_samples(model, (h,), tol)[0]
 
 
-def check_gauss_bonnet_truncated(sample: TruncationSample, chi: int) -> float:
-    """Residual of 2*pi*chi = c_trunc(h) + lambda(h) for one sample."""
-    return abs(TWO_PI * chi - sample.c_trunc - sample.lam)
-
-
-def check_lambda_is_mu_prime(samples: Sequence[TruncationSample]) -> float:
-    """Worst deviation of lambda from the central difference of mu over
-    the schedule's interior points."""
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    worst = 0.0
-    for prev, mid, nxt in zip(samples, samples[1:], samples[2:]):
-        diff = (nxt.mu - prev.mu) / (nxt.h - prev.h)
-        worst = max(worst, abs(diff - mid.lam))
-    return worst
-
-
-def detect_h1(
-    model: SurfaceModel,
-    h_probe_max: float,
-    grid: int = 64,
-    theta_samples: int = 16,
-    k_slack: float = K_SLACK,
-) -> float | None:
-    """Smallest height beyond which sampled curvature stays >= -k_slack.
+def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) -> float | None:
+    """Smallest height beyond which sampled curvature stays >= -K_SLACK.
 
     Scans a height grid per end, then refines the boundary of the last
     violation by bisection to resolution ``h_probe_max / 2**12``.  The
@@ -356,7 +335,6 @@ def detect_h1(
         raise ValueError("grid must be at least 8")
     if h_probe_max <= max(end.t_min for end in model.ends):
         raise ValueError("h_probe_max must exceed every chart edge")
-    thetas = _probe_thetas(theta_samples)
 
     def bad_rows(t):
         # an end is probed only at heights whose verdict is still open, so
@@ -367,7 +345,7 @@ def detect_h1(
             if not todo.any():
                 break
             te = np.maximum(t[todo], end.t_min + POLE_GUARD)
-            bad[todo] = np.any(_curvature_grid(end, te, thetas) < -k_slack, axis=1)
+            bad[todo] = np.any(_curvature_grid(end, te, _PROBE_THETAS) < -K_SLACK, axis=1)
         return bad
 
     origin = max(end.t_min for end in model.ends)
@@ -397,10 +375,6 @@ def detect_h1(
     return hi
 
 
-def _probe_thetas(theta_samples: int):
-    return TWO_PI * np.arange(theta_samples) / theta_samples
-
-
 def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
     """Uniform height grid plus geometric refinement toward the origin,
     so sign features much narrower than the uniform spacing still get
@@ -427,18 +401,12 @@ def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> n
     return np.broadcast_to(k, (heights.size, thetas.size))
 
 
-def sampled_curvature_range(
-    model: SurfaceModel,
-    h_probe_max: float,
-    grid: int = 64,
-    theta_samples: int = 16,
-) -> tuple[float, float]:
+def sampled_curvature_range(model: SurfaceModel, h_probe_max: float) -> tuple[float, float]:
     """(min, max) of Gaussian curvature over the detection grid."""
-    thetas = _probe_thetas(theta_samples)
     kmin, kmax = math.inf, -math.inf
     for end in model.ends:
-        heights = _probe_heights(end.t_min + POLE_GUARD, h_probe_max, grid)
-        k = _curvature_grid(end, heights, thetas)
+        heights = _probe_heights(end.t_min + POLE_GUARD, h_probe_max, _PROBE_GRID)
+        k = _curvature_grid(end, heights, _PROBE_THETAS)
         kmin = min(kmin, float(np.min(k)))
         kmax = max(kmax, float(np.max(k)))
     return kmin, kmax
@@ -678,7 +646,7 @@ def run_sweep(
     # cover the whole surface, that is on a polar cap; an analytic core
     # is a number, never probed
     origin = max(end.t_min for end in model.ends)
-    grid_step = (schedule[-1] - origin) / 63.0
+    grid_step = (schedule[-1] - origin) / (_PROBE_GRID - 1)
     if not isinstance(model.core, PolarCap):
         reason = "analytic core is never sampled, so K >= 0 on all of Sigma is unchecked"
         verdicts["corollary"] = Verdict("not-applicable", None, None, reason)

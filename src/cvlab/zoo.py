@@ -167,7 +167,11 @@ def paraboloid_profile_jets(t):
         live = live[np.abs(step) > 1e-9 * x]
     r = r.reshape(t.shape)
     q2 = 1.0 + r * r
-    return r[()], (1.0 / np.sqrt(q2))[()], (-r / (q2 * q2))[()]
+    # q2 * q2 overflows to inf for t above about 6.7e153; r'' is then
+    # -0.0, within 1e-231 of its true value
+    with np.errstate(over="ignore"):
+        r2 = -r / (q2 * q2)
+    return r[()], (1.0 / np.sqrt(q2))[()], r2[()]
 
 
 def paraboloid_radius_oracle(t: float) -> float:

@@ -198,6 +198,17 @@ class TestConfigFiles:
         with pytest.raises(InputError):
             load_surface_config(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_analytic_core_exits_one(self, tmp_path, capsys, value):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace("12.566370614359172", value))
+        with pytest.raises(InputError, match="not finite"):
+            load_surface_config(path)
+        assert main(["sweep", "--config", str(path), "--format", "json", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
         path.write_text(

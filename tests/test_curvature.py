@@ -2,16 +2,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cvlab.curvature import (
-    curvature_split,
-    gauss_curvature,
-    geodesic_curvature,
-    geodesic_curvature_from_g,
-    sample_curvature,
-)
+from cvlab.curvature import gauss_curvature, geodesic_curvature, geodesic_curvature_from_g
 from cvlab.jets import DomainError, Jet2
 from cvlab.model import EndChart, chart_from_expression
 from cvlab.zoo import all_entries
@@ -62,24 +54,6 @@ class TestGeodesicCurvature:
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-class TestCurvatureSplit:
-    def test_positive(self):
-        assert curvature_split(3.5) == (3.5, 0.0)
-
-    def test_negative(self):
-        assert curvature_split(-2.0) == (0.0, 2.0)
-
-    def test_zero(self):
-        assert curvature_split(0.0) == (0.0, 0.0)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=200)
-    def test_reconstruction_is_exact(self, k):
-        plus, minus = curvature_split(k)
-        assert plus >= 0.0 and minus >= 0.0
-        assert plus - minus == k
-
-
 def central_fd_curvature(end, t, theta, h=1e-4):
     """Second-order finite differences of sqrt(G) as the curvature oracle."""
     w = lambda s: math.sqrt(end.g(s, theta))
@@ -110,9 +84,3 @@ def test_geodesic_curvature_matches_finite_differences():
         fd = (w(t0 + h) - w(t0 - h)) / (2 * h)
         assert geodesic_curvature(end, t0, 0.3) == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
-
-def test_sample_carries_consistent_fields():
-    s = sample_curvature(CUSP, 2.0, 0.1)
-    assert s.area_density == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert s.geodesic_kappa == pytest.approx(-math.exp(-2.0), rel=1e-12)
-    assert s.gauss_K == pytest.approx(-1.0, rel=1e-12)

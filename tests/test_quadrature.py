@@ -15,11 +15,9 @@ from cvlab.quadrature import (
     Tolerance,
     _divergence_direction,
     _geometric_tail,
-    _panel_1d,
+    _panels_1d,
     estimate_tail_limit,
-    integrate_annulus,
     integrate_bands,
-    integrate_circle,
     integrate_circles,
     integrate_improper,
 )
@@ -30,37 +28,37 @@ TWO_PI = 2.0 * math.pi
 
 class TestCircle:
     def test_constant(self):
-        res = integrate_circle(lambda theta: 1.0)
+        res = integrate_circles(lambda _, theta: 1.0, [0.0])[0]
         assert res.converged
         assert res.value == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_cosine_squared(self):
-        res = integrate_circle(lambda theta: np.cos(theta) ** 2)
+        res = integrate_circles(lambda _, theta: np.cos(theta) ** 2, [0.0])[0]
         assert res.value == pytest.approx(math.pi, abs=1e-10)
 
     def test_paraboloid_parallel_circumference(self):
         # closed-form oracle: the parallel at height h has radius r(h)
         entry = zoo_entry("paraboloid")
         end = entry.model.ends[0]
-        res = integrate_circle(lambda theta: end.sqrt_jet(1.0, theta).f)
+        res = integrate_circles(lambda _, theta: end.sqrt_jet(1.0, theta).f, [0.0])[0]
         expected = TWO_PI * paraboloid_radius_oracle(1.0)
         assert res.value == pytest.approx(expected, abs=1e-8)
 
     def test_error_estimate_honest_on_peaked_integrand(self):
-        res = integrate_circle(lambda theta: np.exp(-80.0 * (theta - 3.0) ** 2))
+        res = integrate_circles(lambda _, theta: np.exp(-80.0 * (theta - 3.0) ** 2), [0.0])[0]
         exact = math.sqrt(math.pi / 80.0)  # tails beyond [0, 2pi] are ~1e-270
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-10)
 
     def test_domain_error_propagates(self):
-        def bad(theta):
+        def bad(_, theta):
             raise DomainError("boom")
 
         with pytest.raises(DomainError):
-            integrate_circle(bad)
+            integrate_circles(bad, [0.0])
 
     def test_budget_exhaustion_reports_nonconverged(self):
         tol = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_evaluations=200)
-        res = integrate_circle(lambda theta: np.sin(7 * theta) ** 4 + theta, tol)
+        res = integrate_circles(lambda _, theta: np.sin(7 * theta) ** 4 + theta, [0.0], tol)[0]
         assert not res.converged
         assert res.evaluations <= 200
 
@@ -79,13 +77,13 @@ class TestCircle:
 @settings(max_examples=80, deadline=None)
 def test_trig_polynomials_integrate_to_constant_term(coeffs, constant):
     # over a full period every pure harmonic integrates to zero
-    def f(theta):
+    def f(_, theta):
         total = constant
         for n, (a, b) in enumerate(coeffs, start=1):
             total += a * np.cos(n * theta) + b * np.sin(n * theta)
         return total
 
-    res = integrate_circle(f)
+    res = integrate_circles(f, [0.0])[0]
     expected = constant * TWO_PI
     assert abs(res.value - expected) <= max(res.error_estimate * 10, 1e-9)
 
@@ -93,44 +91,44 @@ def test_trig_polynomials_integrate_to_constant_term(coeffs, constant):
 class TestPanelExactness:
     @pytest.mark.parametrize("degree", range(14))
     def test_polynomials_exact_on_single_panel(self, degree):
-        value, err, _ = _panel_1d(lambda x: x**degree, 0.0, TWO_PI)
+        value, _, _ = _panels_1d(lambda _, x: x**degree, [(0, (0.0, TWO_PI))])[0]
         exact = TWO_PI ** (degree + 1) / (degree + 1)
         assert value == pytest.approx(exact, rel=1e-13)
 
 
 class TestAnnulus:
     def test_zero_integrand(self):
-        res = integrate_annulus(lambda t, theta: 0.0, 0.0, 5.0)
+        res = integrate_bands(lambda t, theta: 0.0, [0.0, 5.0])[0]
         assert res.value == 0.0
         assert res.converged
 
     def test_flat_cylinder_curvature_density(self):
         end = zoo_entry("flat-cylinder").model.ends[0]
-        res = integrate_annulus(lambda t, theta: -end.sqrt_jet(t, theta).d2, 0.0, 4.0)
+        res = integrate_bands(lambda t, theta: -end.sqrt_jet(t, theta).d2, [0.0, 4.0])[0]
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_cusp_band_matches_hand_integral(self):
         # integrand K*sqrt(G) = -e^{-t}; over [0,1] x circle this gives
         # -2*pi*(1 - 1/e)
         end = chart_from_expression("exp(-2*t)")
-        res = integrate_annulus(lambda t, theta: -end.sqrt_jet(t, theta).d2, 0.0, 1.0)
+        res = integrate_bands(lambda t, theta: -end.sqrt_jet(t, theta).d2, [0.0, 1.0])[0]
         assert res.value == pytest.approx(-TWO_PI * (1.0 - math.exp(-1.0)), abs=1e-8)
 
     def test_theta_dependence(self):
-        res = integrate_annulus(lambda t, theta: t * np.sin(theta) ** 2, 0.0, 2.0)
+        res = integrate_bands(lambda t, theta: t * np.sin(theta) ** 2, [0.0, 2.0])[0]
         assert res.value == pytest.approx(2.0 * math.pi, rel=1e-9)
 
     def test_additivity(self):
         end = chart_from_expression("exp(-2*t)")
         f = lambda t, theta: -end.sqrt_jet(t, theta).d2
-        left = integrate_annulus(f, 0.0, 1.3)
-        right = integrate_annulus(f, 1.3, 3.0)
-        whole = integrate_annulus(f, 0.0, 3.0)
+        left = integrate_bands(f, [0.0, 1.3])[0]
+        right = integrate_bands(f, [1.3, 3.0])[0]
+        whole = integrate_bands(f, [0.0, 3.0])[0]
         combined_err = left.error_estimate + right.error_estimate + whole.error_estimate
         assert abs(left.value + right.value - whole.value) <= combined_err + 1e-13
 
     def test_degenerate_band(self):
-        res = integrate_annulus(lambda t, theta: 1.0, 2.0, 2.0)
+        res = integrate_bands(lambda t, theta: 1.0, [2.0, 2.0])[0]
         assert res.value == 0.0 and res.converged
 
     def test_monotone_refinement_on_closed_form(self):
@@ -139,7 +137,7 @@ class TestAnnulus:
         exact = -TWO_PI * (1.0 - math.exp(-2.0))
         errors = []
         for abs_tol in (1e-3, 1e-5, 1e-7, 1e-9):
-            res = integrate_annulus(f, 0.0, 2.0, Tolerance(abs_tol=abs_tol))
+            res = integrate_bands(f, [0.0, 2.0], Tolerance(abs_tol=abs_tol))[0]
             errors.append(abs(res.value - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse + 1e-12
@@ -169,7 +167,7 @@ class TestAdaptiveDriver:
     )
     def test_circle_pinned(self, name, expected):
         f = PINNED_INTEGRANDS[name]
-        res = integrate_circle(lambda theta: f(1.25, theta))
+        res = integrate_circles(f, [1.25])[0]
         assert res.converged
         assert (res.value, res.error_estimate, res.evaluations) == expected
 
@@ -182,7 +180,7 @@ class TestAdaptiveDriver:
         ],
     )
     def test_annulus_pinned(self, name, expected):
-        res = integrate_annulus(PINNED_INTEGRANDS[name], 0.5, 2.5)
+        res = integrate_bands(PINNED_INTEGRANDS[name], [0.5, 2.5])[0]
         assert res.converged
         assert (res.value, res.error_estimate, res.evaluations) == expected
 
@@ -190,7 +188,7 @@ class TestAdaptiveDriver:
         # a split costs two 15 x 15 panels; the driver stops before one
         # that would overrun the budget
         tol = Tolerance(max_evaluations=1000)
-        res = integrate_annulus(PINNED_INTEGRANDS["peaked"], 0.5, 2.5, tol)
+        res = integrate_bands(PINNED_INTEGRANDS["peaked"], [0.5, 2.5], tol)[0]
         assert not res.converged
         assert res.evaluations <= 1000 < res.evaluations + 450
 
@@ -199,12 +197,12 @@ class TestAdaptiveDriver:
         # the unreachable tolerance lets the budget stop the driver
         left_half = []
 
-        def recording(theta):
-            left_half.append(bool(theta.max() <= math.pi))
+        def recording(_, theta):
+            left_half.extend(bool(row.max() <= math.pi) for row in theta)
             return np.ones_like(theta)
 
         tol = Tolerance(abs_tol=1e-300, rel_tol=1e-300, max_evaluations=100)
-        res = integrate_circle(recording, tol)
+        res = integrate_circles(recording, [0.0], tol)[0]
         assert not res.converged
         assert res.evaluations == 90
         assert left_half == [True, False, True, True, False, False]
@@ -214,10 +212,12 @@ class TestAdaptiveDriver:
         ranges = []
 
         def recording(t, theta):
-            ranges.append(((t.min(), t.max()), (theta.min(), theta.max())))
+            # one row per panel of the round
+            for tp, sp in zip(t, theta):
+                ranges.append(((tp.min(), tp.max()), (sp.min(), sp.max())))
             return f(t, theta)
 
-        res = integrate_annulus(recording, t_lo, t_hi)
+        res = integrate_bands(recording, [t_lo, t_hi])[0]
         assert res.converged
         assert len(ranges) > 1
         return ranges
@@ -343,9 +343,9 @@ class TestTailLimit:
 
 
 def test_results_are_deterministic():
-    f = lambda theta: np.sin(3 * theta) ** 2 + 0.25
-    a = integrate_circle(f)
-    b = integrate_circle(f)
+    f = lambda _, theta: np.sin(3 * theta) ** 2 + 0.25
+    a = integrate_circles(f, [0.0])[0]
+    b = integrate_circles(f, [0.0])[0]
     assert (a.value, a.error_estimate, a.evaluations) == (
         b.value,
         b.error_estimate,
@@ -378,8 +378,8 @@ class TestThetaFree:
     @pytest.mark.parametrize("name", sorted(T_ONLY_INTEGRANDS))
     def test_band_matches_2d_on_the_same_panel_tree(self, name):
         f = T_ONLY_INTEGRANDS[name]
-        full = integrate_annulus(f, 0.5, 2.5)
-        flat = integrate_annulus(f, 0.5, 2.5, theta_free=True)
+        full = integrate_bands(f, [0.5, 2.5])[0]
+        flat = integrate_bands(f, [0.5, 2.5], theta_free=True)[0]
         assert full.converged and flat.converged
         assert flat.value == pytest.approx(full.value, rel=1e-12, abs=0.0)
         assert flat.evaluations * 15 == full.evaluations
@@ -389,10 +389,10 @@ class TestThetaFree:
 
         def recording(t, theta):
             thetas.append(theta)
-            assert np.shape(t) == (15,)
+            assert np.shape(t) == (1, 15)
             return np.ones_like(t)
 
-        res = integrate_annulus(recording, 0.0, 3.0, theta_free=True)
+        res = integrate_bands(recording, [0.0, 3.0], theta_free=True)[0]
         assert res.value == pytest.approx(3.0 * TWO_PI, rel=1e-14)
         assert thetas and all(theta == 0.0 for theta in thetas)
 
@@ -411,17 +411,19 @@ class TestStartingBudget:
     def test_budget_below_the_first_2d_panel_is_refused(self):
         f = T_ONLY_INTEGRANDS["peaked"]
         with pytest.raises(ValueError, match="max_evaluations=100"):
-            integrate_annulus(f, 0.0, 2.0, Tolerance(max_evaluations=100))
+            integrate_bands(f, [0.0, 2.0], Tolerance(max_evaluations=100))
 
     def test_same_budget_pays_for_a_theta_free_band(self):
         f = T_ONLY_INTEGRANDS["peaked"]
-        res = integrate_annulus(f, 0.0, 2.0, Tolerance(max_evaluations=100), theta_free=True)
+        res = integrate_bands(f, [0.0, 2.0], Tolerance(max_evaluations=100), theta_free=True)[0]
         assert 15 <= res.evaluations <= 100
         assert res.value == pytest.approx(TWO_PI * math.sqrt(math.pi / 20.0), rel=1e-3)
 
     def test_circle_fits_the_floor(self):
         # the two starting half-period panels cost 30 of the minimum 100
-        res = integrate_circle(lambda theta: np.cos(theta) ** 2, Tolerance(max_evaluations=100))
+        res = integrate_circles(
+            lambda _, theta: np.cos(theta) ** 2, [0.0], Tolerance(max_evaluations=100)
+        )[0]
         assert res.converged and res.evaluations <= 100
 
 
@@ -431,7 +433,7 @@ def _outcome(res):
 
 class TestLockstep:
     """The batched entry points run K integrals side by side; each result
-    must equal, to the bit, that of a lone one-integral run."""
+    must equal, to the bit, that of a K = 1 call on that integral alone."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_INTEGRANDS))
     def test_circles_match_lone_circles(self, name):
@@ -439,7 +441,7 @@ class TestLockstep:
         params = [0.5, 1.25, 2.0, 3.0]
         batch = integrate_circles(f, params)
         assert [_outcome(r) for r in batch] == [
-            _outcome(integrate_circle(lambda theta: f(p, theta))) for p in params
+            _outcome(integrate_circles(f, [p])[0]) for p in params
         ]
 
     def test_circles_are_one_call_per_round(self):
@@ -462,7 +464,7 @@ class TestLockstep:
         edges = [0.5, 1.0, 1.0, 1.7, 2.5]
         batch = integrate_bands(f, edges, Tolerance(abs_tol=1e-7, rel_tol=1e-7))
         lone = [
-            integrate_annulus(f, lo, hi, Tolerance(abs_tol=1e-7, rel_tol=1e-7))
+            integrate_bands(f, [lo, hi], Tolerance(abs_tol=1e-7, rel_tol=1e-7))[0]
             for lo, hi in zip(edges, edges[1:])
         ]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
@@ -473,7 +475,7 @@ class TestLockstep:
         f = T_ONLY_INTEGRANDS[name]
         edges = [0.0, 0.5, 1.25, 2.5, 5.0]
         batch = integrate_bands(f, edges, theta_free=True)
-        lone = [integrate_annulus(f, lo, hi, theta_free=True) for lo, hi in zip(edges, edges[1:])]
+        lone = [integrate_bands(f, [lo, hi], theta_free=True)[0] for lo, hi in zip(edges, edges[1:])]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
 
     def test_band_nodes_are_batched(self):
@@ -496,7 +498,7 @@ class TestLockstep:
         batch = integrate_circles(f, [1.0, 80.0], tol)
         assert [r.converged for r in batch] == [True, False]
         assert batch[1].evaluations <= 150
-        lone = [integrate_circle(lambda theta: f(p, theta), tol) for p in (1.0, 80.0)]
+        lone = [integrate_circles(f, [p], tol)[0] for p in (1.0, 80.0)]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
 
     def test_exhausted_band_leaves_the_others_alone(self):
@@ -505,7 +507,7 @@ class TestLockstep:
         edges = [0.5, 1.5, 3.0, 4.0]
         batch = integrate_bands(f, edges, tol)
         assert [r.converged for r in batch] == [False, False, True]
-        lone = [integrate_annulus(f, lo, hi, tol) for lo, hi in zip(edges, edges[1:])]
+        lone = [integrate_bands(f, [lo, hi], tol)[0] for lo, hi in zip(edges, edges[1:])]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
 
     def test_non_finite_member_fails_the_call(self):
@@ -530,7 +532,7 @@ class TestLockstep:
             integrate_bands(lambda t, theta: 1.0, [0.0, 2.0, 1.0])
 
 
-def per_window_improper(f, t_lo, tol=DEFAULT_TOL, initial_width=1.0, max_windows=64, *, theta_free=False):
+def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     """Reference: the improper walk with one integrate_bands call per
     window and no look-ahead."""
     window_tol = Tolerance(
@@ -544,8 +546,8 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, initial_width=1.0, max_windows
     evals = 0
     increments, densities, trace = [], [], []
     accel_prev = None
-    for k in range(max_windows):
-        upper = t_lo + initial_width * (2.0**k)
+    for k in range(64):
+        upper = t_lo + 2.0**k
         try:
             part = integrate_bands(f, (edges, upper), window_tol, theta_free=theta_free)[0]
         except (DomainError, OverflowError):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvlab.sweep as sweep
+from cvlab.cli import RunConfig
 from cvlab.jets import Jet2
 from cvlab.model import (
     POLE_GUARD,
@@ -17,8 +20,6 @@ from cvlab.model import (
 )
 from cvlab.sweep import (
     NonPositiveMu,
-    check_gauss_bonnet_truncated,
-    check_lambda_is_mu_prime,
     compute_sample,
     detect_h1,
     lambda_total,
@@ -103,27 +104,27 @@ class TestTruncatedTotalCurvature:
 class TestGaussBonnetResidual:
     def test_flat_cylinder(self):
         sample = compute_sample(zoo_entry("flat-cylinder").model, 3.0)
-        assert check_gauss_bonnet_truncated(sample, 0) < 1e-10
+        assert sample.gb_residual < 1e-10
 
     def test_polar_plane(self):
         sample = compute_sample(zoo_entry("polar-plane").model, 2.0)
-        assert check_gauss_bonnet_truncated(sample, 1) < 1e-10
+        assert sample.gb_residual < 1e-10
 
     def test_paraboloid_heights(self):
         model = zoo_entry("paraboloid").model
         for h in (1.0, 2.0, 4.0, 8.0):
             sample = compute_sample(model, h)
-            assert check_gauss_bonnet_truncated(sample, 1) < 1e-6
+            assert sample.gb_residual < 1e-6
 
 
 class TestLambdaMuPrime:
     def test_polar_plane_linear_mu(self):
-        samples = [compute_sample(zoo_entry("polar-plane").model, h) for h in (1, 2, 3, 4)]
-        assert check_lambda_is_mu_prime(samples) < 1e-10
+        dev, dev_half, _ = measure_mu_prime_order(zoo_entry("polar-plane").model, 2.5, 1.0)
+        assert max(dev, dev_half) < 1e-10
 
     def test_flat_cylinder(self):
-        samples = [compute_sample(zoo_entry("flat-cylinder").model, h) for h in (1, 2, 3)]
-        assert check_lambda_is_mu_prime(samples) < 1e-12
+        dev, dev_half, _ = measure_mu_prime_order(zoo_entry("flat-cylinder").model, 2.0, 1.0)
+        assert max(dev, dev_half) < 1e-12
 
     def test_paraboloid_second_order(self):
         dev, dev_half, _ = measure_mu_prime_order(
@@ -131,6 +132,34 @@ class TestLambdaMuPrime:
         )
         ratio = dev / dev_half
         assert 3.5 < ratio < 4.5
+
+
+@given(
+    b=st.floats(min_value=0.1, max_value=2.0),
+    e=st.floats(min_value=0.0, max_value=0.9),
+    k=st.sampled_from([1, 2, 3]),
+    t_min=st.floats(min_value=0.5, max_value=2.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_theta_dependent_log_end_meets_closed_forms(b, e, k, t_min):
+    # w = sqrt(G) = t + b*(1 + e*cos(k*theta))*log(1+t) has the theta means
+    # mu = 2*pi*(h + b*log(1+h)) and lambda = 2*pi*(1 + b/(1+h)), so L = 2*pi;
+    # the core value 2*pi - lambda(t_min) closes Gauss-Bonnet, so c_total = 0
+    lam = lambda h: TWO_PI * (1.0 + b / (1.0 + h))
+    end = chart_from_expression(
+        f"(t + {b!r}*(1 + {e!r}*cos({k}*theta))*log(1+t))^2", t_min=t_min
+    )
+    core = AnalyticCore(TWO_PI - lam(t_min), (t_min,))
+    model = SurfaceModel(Topology(genus=0, ends=1), (end,), core, name="log-end")
+    report = run_sweep(model, RunConfig("log-end", h_min=t_min + 0.5, h_max=64.0).schedule())
+    for s in report.samples:
+        assert s.gb_residual <= residual_bound(s.quad_error), s.h
+        assert s.mu == pytest.approx(TWO_PI * (s.h + b * math.log1p(s.h)), rel=0.0, abs=1e-9)
+        assert s.lam == pytest.approx(lam(s.h), rel=0.0, abs=1e-9)
+    assert abs(report.c_total) <= 1e-6
+    assert report.limit.value == pytest.approx(TWO_PI, rel=0.0, abs=1e-6)
+    assert all(v.status != "fail" for v in report.verdicts.values()), report.verdicts
+    assert report.verdicts["corollary"].status == "not-applicable"
 
 
 class TestDetectH1:
@@ -523,14 +552,14 @@ def per_sliver_pole_band(end, h, tol):
 
 def per_step_detect_h1(model, h_probe_max, grid):
     """Reference: the h1 scan with one probe per bisection step."""
-    thetas = sweep._probe_thetas(16)
-
     def bad_at(t):
         bad = np.zeros(t.shape, dtype=bool)
         for end in model.ends:
             todo = ~bad
             te = np.maximum(t[todo], end.t_min + POLE_GUARD)
-            bad[todo] = np.any(sweep._curvature_grid(end, te, thetas) < -sweep.K_SLACK, axis=1)
+            bad[todo] = np.any(
+                sweep._curvature_grid(end, te, sweep._PROBE_THETAS) < -sweep.K_SLACK, axis=1
+            )
         return bad
 
     origin = max(end.t_min for end in model.ends)

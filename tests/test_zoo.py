@@ -144,6 +144,17 @@ def test_paraboloid_profile_pole():
     assert list(r2[:2]) == [0.0, 0.0] and r[2] > 0.0
 
 
+def test_paraboloid_profile_at_huge_heights():
+    # q2 * q2 in r'' overflows above t ~ 6.7e153: no RuntimeWarning may
+    # escape, and r'' stays within 1e-231 of its true value
+    for t in (1e160, 1e200, 1e300):
+        r, r1, r2 = paraboloid_profile_jets(t)
+        assert 0.5 * (r * math.sqrt(1.0 + r * r) + math.asinh(r)) == pytest.approx(t, rel=1e-15)
+        assert r == pytest.approx(math.sqrt(2.0 * t), rel=1e-15)
+        assert r1 == pytest.approx(1.0 / math.sqrt(1.0 + r * r), rel=1e-15)
+        assert -1e-231 <= r2 <= 0.0
+
+
 def test_paraboloid_profile_value_does_not_depend_on_batch():
     grid = np.geomspace(1e-7, 1e4, 601)
     mixed = np.concatenate([grid[::3], grid[1::3][::-1], [0.0, -1.0], grid[2::3]])
