@@ -12,7 +12,7 @@ import math
 import sys
 
 from cvlab.quadrature import estimate_tail_limit
-from cvlab.sweep import lambda_total
+from cvlab.sweep import sweep_samples
 from cvlab.zoo import zoo_entry
 
 
@@ -20,10 +20,9 @@ def study(name: str, true_limit: float, depths) -> None:
     model = zoo_entry(name).model
     print(f"\n{name}: true limit {true_limit:.6g}")
     print(f"{'h_max':>8} {'raw tail':>12} {'estimate':>12} {'bound':>10} {'true err':>10}")
-    values = {}
     for depth in depths:
         heights = [2.0**k for k in range(depth + 1)]
-        samples = [(h, values.setdefault(h, lambda_total(model, h))) for h in heights]
+        samples = [(s.h, s.lam) for s in sweep_samples(model, heights)]
         limit, bound = estimate_tail_limit(samples, 0.0, noise=1e-9)
         print(
             f"{heights[-1]:>8g} {samples[-1][1]:>12.4e} {limit:>12.4e}"

@@ -32,17 +32,13 @@ from .sweep import (
     SweepReport,
     TruncationSample,
     Verdict,
-    compute_sample,
     detect_h1,
     geometric_schedule,
-    lambda_total,
     measure_mu_prime_order,
-    mu,
     sampled_curvature_range,
     run_sweep,
     sweep_samples,
     total_curvature_direct,
-    truncated_total_curvature,
 )
 from .zoo import InvalidParameter, Oracle, ZooEntry, all_entries, zoo_entry, zoo_names
 

@@ -67,6 +67,9 @@ class RunConfig:
     strict: bool = False
 
     def __post_init__(self):
+        for key in ("h_min", "h_max"):
+            if not math.isfinite(getattr(self, key)):
+                raise InputError(f"{key} = {getattr(self, key)} is not finite")
         if not self.h_min < self.h_max:
             raise InputError("h_min must be below h_max")
         if self.steps < 3:
@@ -126,6 +129,8 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
             raise InputError(f"config {path}: [{section}] lacks the metric key 'g'")
         source = spec["g"].strip().strip('"')
         t_min = float(spec.get("t_min", "0.0"))
+        if not math.isfinite(t_min):
+            raise InputError(f"config {path}: [{section}] t_min {t_min} is not finite")
         charts.append(chart_from_expression(source, t_min=t_min, label=source))
 
     core_text = need("core").strip()
@@ -299,12 +304,8 @@ def cmd_list(fmt: str) -> int:
     return 0
 
 
-def _run_config(config: RunConfig, model: SurfaceModel) -> SweepReport:
-    return run_sweep(model, config.schedule(), tol=config.tolerance())
-
-
 def cmd_sweep(config: RunConfig, model: SurfaceModel) -> int:
-    report = _run_config(config, model)
+    report = run_sweep(model, config.schedule(), tol=config.tolerance())
     if config.output_format == "json":
         emit(json.dumps(report_to_json_dict(report), indent=2), config.output_path)
     elif config.output_format == "csv":
@@ -317,7 +318,7 @@ def cmd_sweep(config: RunConfig, model: SurfaceModel) -> int:
 
 
 def cmd_verify(config: RunConfig, model: SurfaceModel) -> int:
-    report = _run_config(config, model)
+    report = run_sweep(model, config.schedule(), tol=config.tolerance())
     print(f"surface: {report.surface}   chi = {report.chi}")
     print(verdict_table(report))
     failures = [n for n, v in report.verdicts.items() if v.status == "fail"]

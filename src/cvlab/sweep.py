@@ -57,16 +57,6 @@ from .quadrature import (
 
 TWO_PI = 2.0 * math.pi
 
-CHECK_NAMES = (
-    "gauss-bonnet-truncated",
-    "lambda-mu-prime",
-    "lambda-monotone",
-    "L-nonneg",
-    "theorem",
-    "corollary",
-    "c-total-consistency",
-)
-
 K_SLACK = 1e-10  # sampled curvature this far below zero still counts as >= 0
 _PROBE_GRID = 64  # uniform heights of the curvature probe scans
 _PROBE_THETAS = TWO_PI * np.arange(16) / 16  # their angles
@@ -259,33 +249,6 @@ def _truncated_curvatures(
     return out
 
 
-def mu(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Total boundary length of the truncation at height h."""
-    _require_height(model, h)
-    return _boundaries(model, (h,), tol, ("f",))[0][0]
-
-
-def lambda_total(model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Total geodesic curvature of the positively oriented boundary."""
-    _require_height(model, h)
-    return _boundaries(model, (h,), tol, ("d1",))[0][0]
-
-
-def truncated_total_curvature(
-    model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Curvature integral over the truncated surface at height h."""
-    _require_height(model, h)
-    return _truncated_curvatures(model, (h,), tol, {})[0][0]
-
-
-def _require_height(model: SurfaceModel, h: float) -> None:
-    if h < model.min_height:
-        raise ValueError(
-            f"height {h} lies below the chart edge {model.min_height}"
-        )
-
-
 def sweep_samples(
     model: SurfaceModel, schedule: Sequence[float], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[TruncationSample, ...]:
@@ -300,7 +263,8 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
         raise ValueError("schedule needs at least one height")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    _require_height(model, schedule[0])
+    if schedule[0] < model.min_height:
+        raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
     n = len(schedule)
     values, errors = _boundaries(model, list(schedule) * 2, tol, ("f",) * n + ("d1",) * n)
     curvatures = _truncated_curvatures(model, schedule, tol, poles)
@@ -312,13 +276,6 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
         residual = abs(TWO_PI * model.chi - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
     return tuple(samples)
-
-
-def compute_sample(
-    model: SurfaceModel, h: float, tol: Tolerance = DEFAULT_TOL
-) -> TruncationSample:
-    """The sample at one height: :func:`sweep_samples` on ``[h]``."""
-    return sweep_samples(model, (h,), tol)[0]
 
 
 def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) -> float | None:
@@ -333,7 +290,7 @@ def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) 
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
-    if h_probe_max <= max(end.t_min for end in model.ends):
+    if h_probe_max <= model.min_height:
         raise ValueError("h_probe_max must exceed every chart edge")
 
     def bad_rows(t):
@@ -348,7 +305,7 @@ def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) 
             bad[todo] = np.any(_curvature_grid(end, te, _PROBE_THETAS) < -K_SLACK, axis=1)
         return bad
 
-    origin = max(end.t_min for end in model.ends)
+    origin = model.min_height
     heights = _probe_heights(origin, h_probe_max, grid)
     violating = np.flatnonzero(bad_rows(heights))
     if violating.size == 0:
@@ -493,7 +450,8 @@ def run_sweep(
     then each end's curvature bands as one batch; the samples come back
     in schedule order.  On a polar cap whose first height is
     ``t_min + 1`` the truncation head and the direct route share one
-    pole band.
+    pole band.  Each measurement runs once; the verdicts are formed from
+    them by one function each.
     """
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
@@ -501,194 +459,159 @@ def run_sweep(
     validate_surface(model, samples_per_axis=16, strict=True)
     poles: dict = {}
     samples = _sweep_samples(model, schedule, tol, poles)
-
-    chi = model.chi
-    verdicts: dict[str, Verdict] = {}
-
-    # truncated closed-surface count at every height
-    worst = max(samples, key=lambda s: s.gb_residual)
-    gb_bound = residual_bound(worst.quad_error)
-    gb_ok = all(s.gb_residual <= residual_bound(s.quad_error) for s in samples)
-    verdicts["gauss-bonnet-truncated"] = Verdict(
-        "pass" if gb_ok else "fail", worst.gb_residual, gb_bound
-    )
-
-    # lambda = mu' by refinement at a representative interior height
-    h0 = _refinement_height(model, schedule)
-    step = min(0.05, 0.125 * (h0 - model.min_height))
-    dev_full, dev_half, floor = measure_mu_prime_order(model, h0, step, tol)
-    lm_bound = max(floor, dev_full / 2.5)
-    lm_ok = dev_half <= lm_bound
-    order = math.log2(dev_full / dev_half) if dev_half > floor and dev_full > 0 else None
-    verdicts["lambda-mu-prime"] = Verdict(
-        "pass" if lm_ok else "fail",
-        dev_half,
-        lm_bound,
-        f"h0={h0:g}, step={step:g}"
-        + (f", measured order {order:.2f}" if order is not None else ", at noise floor"),
-    )
-
+    mu_prime = _mu_prime_verdict(model, schedule, tol)
     h1 = detect_h1(model, h_probe_max=schedule[-1])
     kmin, kmax = sampled_curvature_range(model, schedule[-1])
-
-    tail_from = h1 if h1 is not None else schedule[max(0, len(schedule) // 2 - 1)]
-    noise = residual_bound(max(s.quad_error for s in samples))
-    tail_points = [(s.h, s.lam) for s in samples]
-
-    limit: TailLimit | None = None
-    monotone_note = ""
-    increases = [
-        (a.h, b.h, b.lam - a.lam)
-        for a, b in zip(samples, samples[1:])
-        if a.h > tail_from or b.h > tail_from
-        if b.lam > a.lam + residual_bound(a.quad_error + b.quad_error)
-    ]
-    try:
-        limit = estimate_tail_limit(tail_points, tail_from, noise)
-    except NotMonotone as err:
-        monotone_note = f"NotMonotone: {err}"
-    except ValueError as err:
-        monotone_note = f"limit not estimated: {err}"
-
-    if not increases:
-        verdicts["lambda-monotone"] = Verdict(
-            "pass" if h1 is not None else "not-applicable",
-            0.0,
-            None,
-            "" if h1 is not None else "no curvature-sign height found; decrease observed anyway",
-        )
-    else:
-        worst_rise = max(inc for _, _, inc in increases)
-        note = (
-            f"NotMonotone: lambda rose by {worst_rise:.3e} across "
-            f"{len(increases)} step(s)"
-        )
-        if h1 is None:
-            note += "; hypothesis unmet, decrease not expected"
-        verdicts["lambda-monotone"] = Verdict("fail", worst_rise, 0.0, note)
-
-    if h1 is not None and limit is not None:
-        ok = limit.value >= -limit.error_bound
-        verdicts["L-nonneg"] = Verdict(
-            "pass" if ok else "fail",
-            limit.value,
-            limit.error_bound,
-            f"L = {limit.value:.6g}",
-        )
-    else:
-        note = monotone_note or "hypothesis unmet"
-        verdicts["L-nonneg"] = Verdict("not-applicable", None, None, note)
-
+    tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
+    limit, limit_note = _tail_limit(samples, tail_from)
+    # the limit is reported either way, but only h1 certifies it
+    certified = limit if h1 is not None else None
     direct = _total_curvature_direct(model, tol, poles)
-
-    c_total: float | None
-    if h1 is not None and limit is not None:
-        c_total = TWO_PI * chi - limit.value
-        c_err = limit.error_bound
-        route = "limit"
-        if direct.converged:
-            resid = abs(c_total - direct.value)
-            bound = residual_bound(c_err + direct.error_estimate)
-            verdicts["c-total-consistency"] = Verdict(
-                "pass" if resid <= bound else "fail", resid, bound
-            )
-        else:
-            verdicts["c-total-consistency"] = Verdict(
-                "not-applicable", None, None, "direct route did not converge"
-            )
-    elif direct.converged:
-        c_total = direct.value
-        c_err = direct.error_estimate
-        route = "direct"
-        verdicts["c-total-consistency"] = Verdict(
-            "not-applicable", None, None, "limit route unavailable"
-        )
-    else:
-        c_total = None
-        c_err = math.inf
-        route = "none"
-        verdicts["c-total-consistency"] = Verdict(
-            "not-applicable", None, None, "neither route converged"
-        )
-
+    c_total, c_err, route, consistency = _total_curvature(model.chi, certified, direct)
     divergence = direct.divergence if c_total is None else None
-
-    if c_total is None:
-        direction = divergence or "unknown"
-        verdicts["theorem"] = Verdict(
-            "not-applicable",
-            None,
-            None,
-            f"total curvature does not converge (toward {direction})",
-        )
-    else:
-        margin = TWO_PI * chi - c_total
-        bound = residual_bound(c_err)
-        if h1 is not None:
-            verdicts["theorem"] = Verdict(
-                "pass" if margin >= -bound else "fail",
-                margin,
-                bound,
-                f"margin {margin:.6g}",
-            )
-        else:
-            held = margin >= -bound
-            verdicts["theorem"] = Verdict(
-                "not-applicable",
-                margin,
-                bound,
-                "hypothesis unmet; inequality "
-                + ("observed to hold" if held else "violated numerically")
-                + f" (margin {margin:.6g}), not certified",
-            )
-
-    # the premise K >= 0 on all of Sigma is sampled only when the ends
-    # cover the whole surface, that is on a polar cap; an analytic core
-    # is a number, never probed
-    origin = max(end.t_min for end in model.ends)
-    grid_step = (schedule[-1] - origin) / (_PROBE_GRID - 1)
-    if not isinstance(model.core, PolarCap):
-        reason = "analytic core is never sampled, so K >= 0 on all of Sigma is unchecked"
-        verdicts["corollary"] = Verdict("not-applicable", None, None, reason)
-    elif h1 is not None and h1 <= origin + grid_step and kmax > K_SLACK:
-        verdicts["corollary"] = Verdict(
-            "pass" if chi >= 1 else "fail",
-            float(chi),
-            1.0,
-            f"K >= 0 sampled everywhere, max K = {kmax:.3g} > 0, chi = {chi}",
-        )
-    else:
-        reason = (
-            "curvature vanishes at every sample"
-            if h1 is not None and kmax <= K_SLACK
-            else "sampled curvature is not nonnegative from the bottom"
-        )
-        verdicts["corollary"] = Verdict("not-applicable", None, None, reason)
-
     return SweepReport(
         surface=model.name,
-        chi=chi,
+        chi=model.chi,
         samples=samples,
         h1=h1,
         limit=limit,
         c_total=c_total,
         divergence=divergence,
         c_total_route=route,
-        verdicts=verdicts,
+        verdicts={
+            "gauss-bonnet-truncated": _gauss_bonnet_verdict(samples),
+            "lambda-mu-prime": mu_prime,
+            "lambda-monotone": _monotone_verdict(samples, tail_from, h1),
+            "L-nonneg": _limit_verdict(certified, limit_note),
+            "c-total-consistency": consistency,
+            "theorem": _theorem_verdict(model.chi, c_total, c_err, h1, divergence),
+            "corollary": _corollary_verdict(model, schedule[-1], h1, kmax),
+        },
         kmin_sampled=kmin,
         kmax_sampled=kmax,
     )
 
 
-def _refinement_height(model: SurfaceModel, schedule: Sequence[float]) -> float:
-    """Interior height for the mu-derivative refinement check: the
-    geometric middle of the schedule, clamped safely inside the chart."""
+def _gauss_bonnet_verdict(samples) -> Verdict:
+    """The truncated closed-surface count at every height."""
+    worst = max(samples, key=lambda s: s.gb_residual)
+    ok = all(s.gb_residual <= residual_bound(s.quad_error) for s in samples)
+    return Verdict("pass" if ok else "fail", worst.gb_residual, residual_bound(worst.quad_error))
+
+
+def _mu_prime_verdict(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> Verdict:
+    """``lambda = mu'`` by step halving at the geometric middle of the
+    schedule, clamped safely inside the chart."""
     lo, hi = schedule[0], schedule[-1]
-    if lo > 0:
-        mid = math.sqrt(lo * hi)
-    else:
-        mid = 0.5 * (lo + hi)
-    return max(mid, model.min_height + 0.5)
+    mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
+    h0 = max(mid, model.min_height + 0.5)
+    step = min(0.05, 0.125 * (h0 - model.min_height))
+    dev_full, dev_half, floor = measure_mu_prime_order(model, h0, step, tol)
+    bound = max(floor, dev_full / 2.5)
+    order = math.log2(dev_full / dev_half) if dev_half > floor and dev_full > 0 else None
+    note = f"h0={h0:g}, step={step:g}" + (
+        f", measured order {order:.2f}" if order is not None else ", at noise floor"
+    )
+    return Verdict("pass" if dev_half <= bound else "fail", dev_half, bound, note)
+
+
+def _tail_limit(samples, tail_from: float) -> tuple[TailLimit | None, str]:
+    """The extrapolated limit of lambda beyond ``tail_from``, or ``None``
+    and why it was not estimated."""
+    noise = residual_bound(max(s.quad_error for s in samples))
+    try:
+        return estimate_tail_limit([(s.h, s.lam) for s in samples], tail_from, noise), ""
+    except NotMonotone as err:
+        return None, f"NotMonotone: {err}"
+    except ValueError as err:
+        return None, f"limit not estimated: {err}"
+
+
+def _monotone_verdict(samples, tail_from: float, h1: float | None) -> Verdict:
+    """No step beyond ``tail_from`` raises lambda past its error bars."""
+    increases = [
+        b.lam - a.lam
+        for a, b in zip(samples, samples[1:])
+        if a.h > tail_from or b.h > tail_from
+        if b.lam > a.lam + residual_bound(a.quad_error + b.quad_error)
+    ]
+    if not increases:
+        if h1 is not None:
+            return Verdict("pass", 0.0)
+        note = "no curvature-sign height found; decrease observed anyway"
+        return Verdict("not-applicable", 0.0, None, note)
+    rise = max(increases)
+    note = f"NotMonotone: lambda rose by {rise:.3e} across {len(increases)} step(s)"
+    if h1 is None:
+        note += "; hypothesis unmet, decrease not expected"
+    return Verdict("fail", rise, 0.0, note)
+
+
+def _limit_verdict(limit: TailLimit | None, note: str) -> Verdict:
+    """``L >= 0`` on a certified limit; ``note`` says why one is missing."""
+    if limit is None:
+        return Verdict("not-applicable", None, None, note or "hypothesis unmet")
+    status = "pass" if limit.value >= -limit.error_bound else "fail"
+    return Verdict(status, limit.value, limit.error_bound, f"L = {limit.value:.6g}")
+
+
+def _total_curvature(chi: int, limit: TailLimit | None, direct: ImproperResult):
+    """``(c_total, error, route, c-total-consistency verdict)``: ``2*pi*chi
+    - L`` on a certified limit, checked against the direct integral, else
+    the direct integral alone, else ``None``."""
+    if limit is None:
+        if direct.converged:
+            unavailable = Verdict("not-applicable", None, None, "limit route unavailable")
+            return direct.value, direct.error_estimate, "direct", unavailable
+        neither = Verdict("not-applicable", None, None, "neither route converged")
+        return None, math.inf, "none", neither
+    c_total = TWO_PI * chi - limit.value
+    if not direct.converged:
+        unchecked = Verdict("not-applicable", None, None, "direct route did not converge")
+        return c_total, limit.error_bound, "limit", unchecked
+    resid = abs(c_total - direct.value)
+    bound = residual_bound(limit.error_bound + direct.error_estimate)
+    checked = Verdict("pass" if resid <= bound else "fail", resid, bound)
+    return c_total, limit.error_bound, "limit", checked
+
+
+def _theorem_verdict(
+    chi: int, c_total: float | None, c_err: float, h1: float | None, divergence: str | None
+) -> Verdict:
+    """``2*pi*chi >= c_total``, certified only when h1 was found."""
+    if c_total is None:
+        note = f"total curvature does not converge (toward {divergence or 'unknown'})"
+        return Verdict("not-applicable", None, None, note)
+    margin = TWO_PI * chi - c_total
+    bound = residual_bound(c_err)
+    held = margin >= -bound
+    if h1 is not None:
+        return Verdict("pass" if held else "fail", margin, bound, f"margin {margin:.6g}")
+    seen = "observed to hold" if held else "violated numerically"
+    note = f"hypothesis unmet; inequality {seen} (margin {margin:.6g}), not certified"
+    return Verdict("not-applicable", margin, bound, note)
+
+
+def _corollary_verdict(
+    model: SurfaceModel, h_max: float, h1: float | None, kmax: float
+) -> Verdict:
+    """``chi >= 1`` when ``K >= 0`` everywhere and somewhere ``K > 0``.
+
+    The premise is sampled only when the ends cover the whole surface,
+    that is on a polar cap; an analytic core is a number, never probed.
+    """
+    if not isinstance(model.core, PolarCap):
+        note = "analytic core is never sampled, so K >= 0 on all of Sigma is unchecked"
+        return Verdict("not-applicable", None, None, note)
+    origin = model.min_height
+    grid_step = (h_max - origin) / (_PROBE_GRID - 1)
+    if h1 is not None and h1 <= origin + grid_step and kmax > K_SLACK:
+        note = f"K >= 0 sampled everywhere, max K = {kmax:.3g} > 0, chi = {model.chi}"
+        return Verdict("pass" if model.chi >= 1 else "fail", float(model.chi), 1.0, note)
+    if h1 is not None and kmax <= K_SLACK:
+        return Verdict("not-applicable", None, None, "curvature vanishes at every sample")
+    note = "sampled curvature is not nonnegative from the bottom"
+    return Verdict("not-applicable", None, None, note)
 
 
 def geometric_schedule(start: float, doublings: int = 10) -> list[float]:

@@ -16,7 +16,7 @@ from cvlab.cli import main
 from cvlab.dsl import MetricExpr, parse_metric, serialize
 from cvlab.quadrature import NotMonotone, Tolerance, estimate_tail_limit, integrate_improper
 from cvlab.model import chart_from_expression
-from cvlab.sweep import compute_sample, measure_mu_prime_order
+from cvlab.sweep import measure_mu_prime_order, sweep_samples
 from cvlab.zoo import zoo_entry, zoo_names
 
 from test_dsl import check_against_finite_differences, random_expression
@@ -39,7 +39,7 @@ def test_criterion_1_truncated_identity_all_surfaces():
     for name in zoo_names():
         model = zoo_entry(name).model
         for h in schedule:
-            sample = compute_sample(model, h)
+            sample = sweep_samples(model, [h])[0]
             worst = max(worst, sample.gb_residual)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 30.0

@@ -135,6 +135,10 @@ class TestSweep:
         assert set(data["samples"][0]) == {
             "h", "mu", "lambda", "c_trunc", "quad_error", "gb_residual",
         }
+        assert list(data["verdicts"]) == [
+            "gauss-bonnet-truncated", "lambda-mu-prime", "lambda-monotone", "L-nonneg",
+            "c-total-consistency", "theorem", "corollary",
+        ]
         # emitted floats survive a decode/encode/decode cycle bit-exactly
         again = json.loads(json.dumps(data))
         assert again == data
@@ -164,6 +168,14 @@ class TestVerify:
 
     def test_unknown_surface_exit_one(self, capsys):
         assert main(["verify", "--surface", "nope"]) == 1
+
+    @pytest.mark.parametrize("option", ["--h-min", "--h-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_height_exits_one(self, capsys, option, value):
+        assert main(["verify", "--surface", "paraboloid", f"{option}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option[2:].replace('-', '_')} = {value} is not finite\n"
 
 
 class TestConfigFiles:
@@ -208,6 +220,17 @@ class TestConfigFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_min_exits_one(self, tmp_path, capsys, value):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace("t_min = 0.0", f"t_min = {value}"))
+        with pytest.raises(InputError, match=rf"\[end1\] t_min {value} is not finite"):
+            load_surface_config(path)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[end1] t_min" in captured.err
 
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

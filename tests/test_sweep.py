@@ -18,19 +18,17 @@ from cvlab.model import (
     Topology,
     chart_from_expression,
 )
+from cvlab.quadrature import ImproperResult, NotMonotone, TailLimit
 from cvlab.sweep import (
     NonPositiveMu,
-    compute_sample,
+    Verdict,
     detect_h1,
-    lambda_total,
     measure_mu_prime_order,
-    mu,
     residual_bound,
     run_sweep,
     sampled_curvature_range,
     sweep_samples,
     total_curvature_direct,
-    truncated_total_curvature,
 )
 from cvlab.zoo import zoo_entry, zoo_names
 from conftest import SCHEDULES
@@ -47,73 +45,73 @@ def reports(zoo_reports):
 class TestBoundaryFunctionals:
     def test_flat_cylinder_mu(self):
         model = zoo_entry("flat-cylinder").model
-        assert mu(model, 5.0) == pytest.approx(2 * TWO_PI, abs=1e-10)
+        assert sweep_samples(model, [5.0])[0].mu == pytest.approx(2 * TWO_PI, abs=1e-10)
 
     def test_polar_plane_mu(self):
-        assert mu(zoo_entry("polar-plane").model, 3.0) == pytest.approx(
+        assert sweep_samples(zoo_entry("polar-plane").model, [3.0])[0].mu == pytest.approx(
             3 * TWO_PI, abs=1e-9
         )
 
     def test_cusp_mu(self):
-        assert mu(zoo_entry("cusp-cap").model, 2.0) == pytest.approx(
+        assert sweep_samples(zoo_entry("cusp-cap").model, [2.0])[0].mu == pytest.approx(
             TWO_PI * math.exp(-2.0), abs=1e-9
         )
 
     def test_mu_underflow_raises(self):
         with pytest.raises(NonPositiveMu):
-            mu(zoo_entry("cusp-cap").model, 800.0)
+            sweep_samples(zoo_entry("cusp-cap").model, [800.0])
 
     def test_flat_cylinder_lambda(self):
-        assert lambda_total(zoo_entry("flat-cylinder").model, 9.0) == pytest.approx(
+        assert sweep_samples(zoo_entry("flat-cylinder").model, [9.0])[0].lam == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_polar_plane_lambda(self):
-        assert lambda_total(zoo_entry("polar-plane").model, 4.0) == pytest.approx(
+        assert sweep_samples(zoo_entry("polar-plane").model, [4.0])[0].lam == pytest.approx(
             TWO_PI, abs=1e-9
         )
 
     def test_paraboloid_lambda_at_unit_radius(self):
         h = 0.5 * (math.sqrt(2.0) + math.asinh(1.0))
-        assert lambda_total(zoo_entry("paraboloid").model, h) == pytest.approx(
+        assert sweep_samples(zoo_entry("paraboloid").model, [h])[0].lam == pytest.approx(
             TWO_PI / math.sqrt(2.0), abs=1e-6
         )
 
     def test_heights_below_chart_rejected(self):
         with pytest.raises(ValueError):
-            mu(zoo_entry("polar-plane").model, -1.0)
+            sweep_samples(zoo_entry("polar-plane").model, [-1.0])
 
 
 class TestTruncatedTotalCurvature:
     def test_flat_cases_vanish(self):
-        assert truncated_total_curvature(
-            zoo_entry("flat-cylinder").model, 6.0
-        ) == pytest.approx(0.0, abs=1e-10)
-        assert truncated_total_curvature(
-            zoo_entry("polar-plane").model, 6.0
-        ) == pytest.approx(0.0, abs=1e-8)
+        assert sweep_samples(
+            zoo_entry("flat-cylinder").model, [6.0]
+        )[0].c_trunc == pytest.approx(0.0, abs=1e-10)
+        assert sweep_samples(
+            zoo_entry("polar-plane").model, [6.0]
+        )[0].c_trunc == pytest.approx(0.0, abs=1e-8)
 
     def test_paraboloid_matches_slope_formula(self):
         entry = zoo_entry("paraboloid")
         for h in (1.0, 2.0, 8.0):
-            assert truncated_total_curvature(entry.model, h) == pytest.approx(
+            assert sweep_samples(entry.model, [h])[0].c_trunc == pytest.approx(
                 entry.oracle.c_trunc(h), abs=1e-6
             )
 
 
 class TestGaussBonnetResidual:
     def test_flat_cylinder(self):
-        sample = compute_sample(zoo_entry("flat-cylinder").model, 3.0)
+        sample = sweep_samples(zoo_entry("flat-cylinder").model, [3.0])[0]
         assert sample.gb_residual < 1e-10
 
     def test_polar_plane(self):
-        sample = compute_sample(zoo_entry("polar-plane").model, 2.0)
+        sample = sweep_samples(zoo_entry("polar-plane").model, [2.0])[0]
         assert sample.gb_residual < 1e-10
 
     def test_paraboloid_heights(self):
         model = zoo_entry("paraboloid").model
         for h in (1.0, 2.0, 4.0, 8.0):
-            sample = compute_sample(model, h)
+            sample = sweep_samples(model, [h])[0]
             assert sample.gb_residual < 1e-6
 
 
@@ -283,6 +281,165 @@ class TestRunSweep:
             run_sweep(model, [1.0, 1.0, 2.0])
 
 
+BRANCH_SCHEDULE = [1.0, 2.0, 4.0, 8.0]
+FALLING = (4.0, 3.0, 2.5, 2.25)  # lambda at the branch schedule's heights
+
+
+def _direct(value=0.0, error=1e-6, converged=True, divergence=None):
+    return ImproperResult(value, error, 0, converged, divergence)
+
+
+# one row per verdict branch: the measurements run_sweep reads, faked, and
+# the verdict they must produce; unset measurements take the defaults of
+# test_verdict_branch
+VERDICT_BRANCHES = {
+    "gauss-bonnet-fail": dict(
+        gb=(0.0, 1e-3, 0.0, 0.0),
+        check="gauss-bonnet-truncated",
+        want=Verdict("fail", 1e-3, 1e-9),
+    ),
+    "mu-prime-fail": dict(
+        mu_prime=(1e-3, 1e-3, 1e-9),
+        check="lambda-mu-prime",
+        want=Verdict("fail", 1e-3, 1e-3 / 2.5, "h0=2.82843, step=0.05, measured order 0.00"),
+    ),
+    "mu-prime-noise-floor": dict(
+        mu_prime=(1e-10, 1e-10, 1e-9),
+        check="lambda-mu-prime",
+        want=Verdict("pass", 1e-10, 1e-9, "h0=2.82843, step=0.05, at noise floor"),
+    ),
+    "monotone-no-h1": dict(
+        h1=None,
+        check="lambda-monotone",
+        want=Verdict(
+            "not-applicable", 0.0, None, "no curvature-sign height found; decrease observed anyway"
+        ),
+    ),
+    "monotone-fail-with-h1": dict(
+        lam=(4.0, 3.0, 3.5, 3.25),
+        check="lambda-monotone",
+        want=Verdict("fail", 0.5, 0.0, "NotMonotone: lambda rose by 5.000e-01 across 1 step(s)"),
+    ),
+    "monotone-fail-no-h1": dict(
+        h1=None,
+        lam=(4.0, 3.0, 3.5, 3.25),
+        check="lambda-monotone",
+        want=Verdict(
+            "fail",
+            0.5,
+            0.0,
+            "NotMonotone: lambda rose by 5.000e-01 across 1 step(s); "
+            "hypothesis unmet, decrease not expected",
+        ),
+    ),
+    "L-fail": dict(
+        limit=TailLimit(-1.0, 1e-3),
+        check="L-nonneg",
+        want=Verdict("fail", -1.0, 1e-3, "L = -1"),
+    ),
+    "L-hypothesis-unmet": dict(
+        h1=None,
+        check="L-nonneg",
+        want=Verdict("not-applicable", None, None, "hypothesis unmet"),
+    ),
+    "L-not-estimated": dict(
+        limit=ValueError("need at least 3 tail points"),
+        check="L-nonneg",
+        want=Verdict(
+            "not-applicable", None, None, "limit not estimated: need at least 3 tail points"
+        ),
+    ),
+    "L-not-monotone": dict(
+        limit=NotMonotone("rise at h=4"),
+        check="L-nonneg",
+        want=Verdict("not-applicable", None, None, "NotMonotone: rise at h=4"),
+    ),
+    "consistency-fail": dict(
+        limit=TailLimit(1.0, 1e-3),
+        direct=_direct(value=0.5),
+        check="c-total-consistency",
+        want=Verdict("fail", 1.5, residual_bound(1e-3 + 1e-6)),
+    ),
+    "consistency-direct-unconverged": dict(
+        direct=_direct(converged=False),
+        check="c-total-consistency",
+        want=Verdict("not-applicable", None, None, "direct route did not converge"),
+    ),
+    "consistency-limit-unavailable": dict(
+        h1=None,
+        check="c-total-consistency",
+        want=Verdict("not-applicable", None, None, "limit route unavailable"),
+    ),
+    "consistency-no-route": dict(
+        h1=None,
+        direct=_direct(converged=False, divergence="-inf"),
+        check="c-total-consistency",
+        want=Verdict("not-applicable", None, None, "neither route converged"),
+    ),
+    "theorem-fail": dict(
+        limit=TailLimit(-1.0, 1e-3),
+        check="theorem",
+        want=Verdict("fail", -1.0, residual_bound(1e-3), "margin -1"),
+    ),
+    "theorem-violated-unmet": dict(
+        h1=None,
+        direct=_direct(value=1.0),
+        check="theorem",
+        want=Verdict(
+            "not-applicable",
+            -1.0,
+            residual_bound(1e-6),
+            "hypothesis unmet; inequality violated numerically (margin -1), not certified",
+        ),
+    ),
+    "theorem-divergent": dict(
+        h1=None,
+        direct=_direct(converged=False, divergence="-inf"),
+        check="theorem",
+        want=Verdict(
+            "not-applicable", None, None, "total curvature does not converge (toward -inf)"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_BRANCHES))
+def test_verdict_branch(case, monkeypatch):
+    # every branch of every verdict, reached by faking the measurements the
+    # sweep reads: the flat cylinder (chi = 0, analytic core) only passes
+    # validation, so the numbers below are all the verdicts see
+    row = VERDICT_BRANCHES[case]
+    gb = row.get("gb", (0.0,) * 4)
+    lam = row.get("lam", FALLING)
+    h1 = row.get("h1", 1.0)
+    limit = row.get("limit", TailLimit(0.5, 1e-3))
+    direct = row.get("direct", _direct(value=-0.5))
+
+    def fake_samples(model, schedule, tol, poles):
+        return tuple(
+            sweep.TruncationSample(h, 1.0, l, 0.0, 0.0, r)
+            for h, l, r in zip(schedule, lam, gb)
+        )
+
+    def fake_limit(points, tail_from, noise):
+        if isinstance(limit, Exception):
+            raise limit
+        return limit
+
+    monkeypatch.setattr(sweep, "_sweep_samples", fake_samples)
+    monkeypatch.setattr(
+        sweep, "measure_mu_prime_order", lambda *a: row.get("mu_prime", (4e-6, 1e-6, 1e-9))
+    )
+    monkeypatch.setattr(sweep, "detect_h1", lambda model, h_probe_max: h1)
+    monkeypatch.setattr(sweep, "sampled_curvature_range", lambda model, h: (0.0, 1.0))
+    monkeypatch.setattr(sweep, "estimate_tail_limit", fake_limit)
+    monkeypatch.setattr(sweep, "_total_curvature_direct", lambda model, tol, poles: direct)
+    report = run_sweep(zoo_entry("flat-cylinder").model, BRANCH_SCHEDULE)
+    assert report.verdicts[row["check"]] == row["want"]
+    # the limit is reported whenever it was estimated, certified by h1 or not
+    assert report.limit == (None if isinstance(limit, Exception) else limit)
+
+
 class TestDirectTotalCurvature:
     def test_catenoid_classical_value(self):
         res = total_curvature_direct(zoo_entry("catenoid").model)
@@ -349,8 +506,7 @@ class TestBandReuse:
         else:
             model, report = zoo_entry(name).model, zoo_reports[name]
         for s in report.samples:
-            one = compute_sample(model, s.h)
-            assert truncated_total_curvature(model, s.h) == one.c_trunc
+            one = sweep_samples(model, [s.h])[0]
             assert abs(s.c_trunc - one.c_trunc) <= residual_bound(s.quad_error + one.quad_error)
 
     @staticmethod
@@ -412,8 +568,9 @@ class TestThetaFreeSweep:
         monkeypatch.setattr(sweep, "integrate_circles", forbidden)
         model = zoo_entry(name).model
         h = 3.0
-        assert mu(model, h) == sum(TWO_PI * float(e.sqrt_jet(h, 0.0).f) for e in model.ends)
-        assert lambda_total(model, h) == sum(
+        sample = sweep_samples(model, [h])[0]
+        assert sample.mu == sum(TWO_PI * float(e.sqrt_jet(h, 0.0).f) for e in model.ends)
+        assert sample.lam == sum(
             TWO_PI * float(e.sqrt_jet(h, 0.0).d1) for e in model.ends
         )
 
@@ -474,7 +631,7 @@ class TestLockstepSweep:
         model = SurfaceModel(
             Topology(0, 1), (_exp_cap_chart(theta_free),), AnalyticCore(TWO_PI, (0.0,))
         )
-        assert mu(model, 700.0) > 0.0
+        assert sweep_samples(model, [700.0])[0].mu > 0.0
         with pytest.raises(NonPositiveMu, match=r"^mu\(760\.0\) = 0\.0 <= 0$"):
             sweep_samples(model, [1.0, 700.0, 760.0, 800.0])
 
@@ -487,8 +644,9 @@ class TestLockstepSweep:
         model = BAND_MODELS[name]()
         schedule = BAND_SCHEDULES[name]
         samples = sweep_samples(model, schedule)
-        assert [s.mu for s in samples] == [mu(model, h) for h in schedule]
-        assert [s.lam for s in samples] == [lambda_total(model, h) for h in schedule]
+        singles = [sweep_samples(model, [h])[0] for h in schedule]
+        assert [s.mu for s in samples] == [one.mu for one in singles]
+        assert [s.lam for s in samples] == [one.lam for one in singles]
 
     def test_theta_cap_circles_are_one_batch(self, monkeypatch):
         batches = []

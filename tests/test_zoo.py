@@ -7,7 +7,7 @@ import pytest
 
 from cvlab.model import AnalyticCore, PolarCap, euler_char, validate_surface
 from cvlab.quadrature import Tolerance
-from cvlab.sweep import compute_sample, detect_h1
+from cvlab.sweep import detect_h1, sweep_samples
 from cvlab.zoo import (
     InvalidParameter,
     all_entries,
@@ -56,7 +56,7 @@ def test_computed_quantities_match_oracles(name):
     oracle = entry.oracle
     tol = Tolerance()
     for h in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-        sample = compute_sample(entry.model, h, tol)
+        sample = sweep_samples(entry.model, [h], tol)[0]
         for got, want, label in (
             (sample.mu, oracle.mu(h), "mu"),
             (sample.lam, oracle.lam(h), "lambda"),
@@ -198,7 +198,7 @@ class TestCappedCone:
         entry = make_capped_cone(0.5)
         values = [entry.oracle.lam(h) for h in (11.0, 20.0, 45.0)]
         assert max(values) - min(values) < 1e-10
-        sample = compute_sample(entry.model, 12.0)
+        sample = sweep_samples(entry.model, [12.0])[0]
         assert abs(sample.lam - math.pi) < 1e-10
 
     def test_flat_plane_degeneration(self):
