@@ -35,7 +35,6 @@ from .sweep import (
     detect_h1,
     geometric_schedule,
     measure_mu_prime_order,
-    sampled_curvature_range,
     run_sweep,
     sweep_samples,
     total_curvature_direct,

@@ -112,11 +112,15 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
             raise InputError(f"config {path}: [surface] lacks {key!r}")
         return top[key]
 
-    try:
-        genus = int(need("genus"))
-        n_ends = int(need("ends"))
-    except ValueError as err:
-        raise InputError(f"config {path}: {err}") from err
+    def number(kind, section: str, key: str, text: str):
+        try:
+            return kind(text)
+        except ValueError as err:
+            msg = f"config {path}: [{section}] {key} {text!r} is not a valid {kind.__name__}"
+            raise InputError(msg) from err
+
+    genus = number(int, "surface", "genus", need("genus"))
+    n_ends = number(int, "surface", "ends", need("ends"))
     name = top.get("name", Path(path).stem)
 
     charts = []
@@ -128,7 +132,7 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
         if "g" not in spec:
             raise InputError(f"config {path}: [{section}] lacks the metric key 'g'")
         source = spec["g"].strip().strip('"')
-        t_min = float(spec.get("t_min", "0.0"))
+        t_min = number(float, section, "t_min", spec.get("t_min", "0.0"))
         if not math.isfinite(t_min):
             raise InputError(f"config {path}: [{section}] t_min {t_min} is not finite")
         charts.append(chart_from_expression(source, t_min=t_min, label=source))
@@ -151,7 +155,7 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
 
     topology = Topology(genus=genus, ends=n_ends)
     if "chi" in top:
-        declared = int(top["chi"])
+        declared = number(int, "surface", "chi", top["chi"])
         actual = euler_char(topology)
         if declared != actual:
             raise InputError(

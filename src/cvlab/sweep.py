@@ -23,13 +23,14 @@ the bands are 1-D integrals in t on ``(K, 15)`` nodes.  The chains in
 which each step decides whether to take the next, the polar head and
 its slivers and the improper windows, are integrated in look-ahead
 chunks of consecutive bands, one :func:`integrate_bands` call per chunk
-(see :func:`cvlab.quadrature._walk`), and the ``h1`` bisection probes
-every midpoint it can visit in one call.  ``run_sweep`` takes those
-samples, locates the height beyond which sampled curvature stays
-nonnegative, extrapolates the limit of ``lambda``, forms the total
-curvature both as ``2*pi*chi - limit`` and by direct improper
-integration, and renders a verdict for every identity and inequality
-the toolkit certifies.
+(see :func:`cvlab.quadrature._walk`).  ``run_sweep`` measures, then
+judges.  :func:`_measure` puts into one frozen record the samples, the
+``lambda = mu'`` differences, one curvature scan per end (the height
+``h1`` beyond which sampled curvature stays nonnegative and the sampled
+``K`` range), the extrapolated limit of ``lambda`` and the direct
+improper integral; :func:`_report` reads only that record to form the
+total curvature and a verdict for every identity and inequality the
+toolkit certifies.
 """
 
 from __future__ import annotations
@@ -279,40 +280,49 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
 
 
 def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) -> float | None:
-    """Smallest height beyond which sampled curvature stays >= -K_SLACK.
+    """Smallest height beyond which sampled curvature stays >= -K_SLACK, or
+    ``None`` when violations persist up to ``h_probe_max``; see :func:`_curvature_scan`."""
+    return _curvature_scan(model, h_probe_max, grid)[0]
 
-    Scans a height grid per end, then refines the boundary of the last
-    violation by bisection to resolution ``h_probe_max / 2**12``.  The
-    midpoints of every bracket the bisection can reach are probed in one
-    call, the whole tree down to that resolution, and the bisection then
-    reads its steps from them.  Returns ``None`` when violations persist
-    up to the probe ceiling.
+
+def _curvature_scan(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID):
+    """``(h1, kmin, kmax)``: :func:`detect_h1`'s height and the curvature
+    range of its grid scan.
+
+    Every end is evaluated on one :func:`_probe_heights` grid from
+    ``model.min_height`` to ``h_probe_max``, each height clamped to the
+    end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call;
+    those values give the violating rows and ``kmin``/``kmax``.  The boundary of the last
+    violation is then refined by bisection to ``h_probe_max / 2**12``:
+    the midpoints of every bracket it can reach are probed in one call
+    per end and the bisection reads its steps from them.  ``h1`` is
+    ``None`` when violations persist up to the probe ceiling.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if h_probe_max <= model.min_height:
         raise ValueError("h_probe_max must exceed every chart edge")
 
-    def bad_rows(t):
-        # an end is probed only at heights whose verdict is still open, so
-        # no chart is evaluated where an earlier end already decided it
-        bad = np.zeros(t.shape, dtype=bool)
-        for end in model.ends:
-            todo = ~bad
-            if not todo.any():
-                break
-            te = np.maximum(t[todo], end.t_min + POLE_GUARD)
-            bad[todo] = np.any(_curvature_grid(end, te, _PROBE_THETAS) < -K_SLACK, axis=1)
-        return bad
+    def curvatures(t):
+        return [
+            _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), _PROBE_THETAS)
+            for end in model.ends
+        ]
+
+    def bad_rows(ks):
+        return np.any([np.any(k < -K_SLACK, axis=1) for k in ks], axis=0)
 
     origin = model.min_height
     heights = _probe_heights(origin, h_probe_max, grid)
-    violating = np.flatnonzero(bad_rows(heights))
+    ks = curvatures(heights)
+    kmin = min(float(np.min(k)) for k in ks)
+    kmax = max(float(np.max(k)) for k in ks)
+    violating = np.flatnonzero(bad_rows(ks))
     if violating.size == 0:
-        return origin
+        return origin, kmin, kmax
     last_bad = violating[-1]
     if last_bad == len(heights) - 1:
-        return None
+        return None, kmin, kmax
     lo, hi = float(heights[last_bad]), float(heights[last_bad + 1])
     resolution = h_probe_max / 4096.0
     # every bracket the bisection can reach, level by level, and then
@@ -322,14 +332,14 @@ def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) 
         level = [(a, b) for a, b in level if b - a > resolution]
         brackets += level
         level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    bad = dict(zip(brackets, bad_rows(np.array([0.5 * (a + b) for a, b in brackets]))))
+    bad = dict(zip(brackets, bad_rows(curvatures(np.array([0.5 * (a + b) for a, b in brackets])))))
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if bad[lo, hi]:
             lo = mid
         else:
             hi = mid
-    return hi
+    return hi, kmin, kmax
 
 
 def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
@@ -356,17 +366,6 @@ def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> n
         thetas = thetas[:1]
     k = gauss_curvature(end, heights[:, None], thetas[None, :])
     return np.broadcast_to(k, (heights.size, thetas.size))
-
-
-def sampled_curvature_range(model: SurfaceModel, h_probe_max: float) -> tuple[float, float]:
-    """(min, max) of Gaussian curvature over the detection grid."""
-    kmin, kmax = math.inf, -math.inf
-    for end in model.ends:
-        heights = _probe_heights(end.t_min + POLE_GUARD, h_probe_max, _PROBE_GRID)
-        k = _curvature_grid(end, heights, _PROBE_THETAS)
-        kmin = min(kmin, float(np.min(k)))
-        kmax = max(kmax, float(np.max(k)))
-    return kmin, kmax
 
 
 def total_curvature_direct(
@@ -439,56 +438,88 @@ def measure_mu_prime_order(
     return devs[0], devs[1], floor
 
 
+def _mu_prime_point(model: SurfaceModel, schedule: Sequence[float]) -> tuple[float, float]:
+    """``(h0, step)`` of the ``lambda = mu'`` check: the geometric middle
+    of the schedule, clamped safely inside the chart, and a step of 0.05
+    floored at ``h0 * eps**(1/3)``, so that ``h0 +- step/2`` still differ
+    from ``h0`` at large heights."""
+    lo, hi = schedule[0], schedule[-1]
+    mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
+    h0 = max(mid, model.min_height + 0.5)
+    step = min(max(0.05, h0 * np.finfo(float).eps ** (1 / 3)), 0.125 * (h0 - model.min_height))
+    return h0, step
+
+
+@dataclass(frozen=True)
+class _Measured:
+    """Every quantity the verdicts of one sweep read, measured once."""
+    samples: tuple[TruncationSample, ...]
+    mu_prime: tuple[float, float, float, float, float]  # h0, step, dev_full, dev_half, floor
+    h1: float | None
+    kmin: float
+    kmax: float
+    tail_from: float
+    limit: TailLimit | None
+    limit_note: str
+    direct: ImproperResult
+
+
+def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
+    """Run each measurement of a sweep once.  On a polar cap whose first
+    height is ``t_min + 1`` the truncation head and the direct route
+    share one pole band through the ``poles`` memo."""
+    poles: dict = {}
+    samples = _sweep_samples(model, schedule, tol, poles)
+    h0, step = _mu_prime_point(model, schedule)
+    mu_prime = (h0, step, *measure_mu_prime_order(model, h0, step, tol))
+    h1, kmin, kmax = _curvature_scan(model, schedule[-1])
+    tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
+    limit, limit_note = _tail_limit(samples, tail_from)
+    direct = _total_curvature_direct(model, tol, poles)
+    return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
+
+
 def run_sweep(
     model: SurfaceModel,
     schedule: Sequence[float],
     tol: Tolerance = DEFAULT_TOL,
 ) -> SweepReport:
-    """Run the full truncation procedure over an increasing height schedule.
-
-    The boundary circles of all heights run first, as one batch per end,
-    then each end's curvature bands as one batch; the samples come back
-    in schedule order.  On a polar cap whose first height is
-    ``t_min + 1`` the truncation head and the direct route share one
-    pole band.  Each measurement runs once; the verdicts are formed from
-    them by one function each.
-    """
+    """Run the full truncation procedure over an increasing height schedule:
+    check the schedule and the model, measure everything the verdicts read
+    once (:func:`_measure`), then judge those numbers alone (:func:`_report`)."""
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
     validate_surface(model, samples_per_axis=16, strict=True)
-    poles: dict = {}
-    samples = _sweep_samples(model, schedule, tol, poles)
-    mu_prime = _mu_prime_verdict(model, schedule, tol)
-    h1 = detect_h1(model, h_probe_max=schedule[-1])
-    kmin, kmax = sampled_curvature_range(model, schedule[-1])
-    tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
-    limit, limit_note = _tail_limit(samples, tail_from)
+    return _report(model, _measure(model, schedule, tol))
+
+
+def _report(model: SurfaceModel, m: _Measured) -> SweepReport:
+    """The report and one verdict per check, formed from ``m`` alone."""
     # the limit is reported either way, but only h1 certifies it
-    certified = limit if h1 is not None else None
-    direct = _total_curvature_direct(model, tol, poles)
-    c_total, c_err, route, consistency = _total_curvature(model.chi, certified, direct)
-    divergence = direct.divergence if c_total is None else None
+    certified = m.limit if m.h1 is not None else None
+    c_total, c_err, route, consistency = _total_curvature(model.chi, certified, m.direct)
+    divergence = m.direct.divergence if c_total is None else None
     return SweepReport(
         surface=model.name,
         chi=model.chi,
-        samples=samples,
-        h1=h1,
-        limit=limit,
+        samples=m.samples,
+        h1=m.h1,
+        limit=m.limit,
         c_total=c_total,
         divergence=divergence,
         c_total_route=route,
         verdicts={
-            "gauss-bonnet-truncated": _gauss_bonnet_verdict(samples),
-            "lambda-mu-prime": mu_prime,
-            "lambda-monotone": _monotone_verdict(samples, tail_from, h1),
-            "L-nonneg": _limit_verdict(certified, limit_note),
+            "gauss-bonnet-truncated": _gauss_bonnet_verdict(m.samples),
+            "lambda-mu-prime": _mu_prime_verdict(*m.mu_prime),
+            "lambda-monotone": _monotone_verdict(m.samples, m.tail_from, m.h1),
+            "L-nonneg": _limit_verdict(certified, m.limit_note),
             "c-total-consistency": consistency,
-            "theorem": _theorem_verdict(model.chi, c_total, c_err, h1, divergence),
-            "corollary": _corollary_verdict(model, schedule[-1], h1, kmax),
+            "theorem": _theorem_verdict(model.chi, c_total, c_err, m.h1, divergence),
+            "corollary": _corollary_verdict(model, m.samples[-1].h, m.h1, m.kmax),
         },
-        kmin_sampled=kmin,
-        kmax_sampled=kmax,
+        kmin_sampled=m.kmin,
+        kmax_sampled=m.kmax,
     )
 
 
@@ -499,14 +530,9 @@ def _gauss_bonnet_verdict(samples) -> Verdict:
     return Verdict("pass" if ok else "fail", worst.gb_residual, residual_bound(worst.quad_error))
 
 
-def _mu_prime_verdict(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> Verdict:
-    """``lambda = mu'`` by step halving at the geometric middle of the
-    schedule, clamped safely inside the chart."""
-    lo, hi = schedule[0], schedule[-1]
-    mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-    h0 = max(mid, model.min_height + 0.5)
-    step = min(0.05, 0.125 * (h0 - model.min_height))
-    dev_full, dev_half, floor = measure_mu_prime_order(model, h0, step, tol)
+def _mu_prime_verdict(h0, step, dev_full, dev_half, floor) -> Verdict:
+    """``lambda = mu'`` by step halving at ``h0``: halving the step must
+    cut the deviation from lambda 2.5-fold or leave it within the floor."""
     bound = max(floor, dev_full / 2.5)
     order = math.log2(dev_full / dev_half) if dev_half > floor and dev_full > 0 else None
     note = f"h0={h0:g}, step={step:g}" + (

@@ -18,7 +18,7 @@ from cvlab.model import (
     chart_from_expression,
 )
 from cvlab.quadrature import _XGK
-from cvlab.sweep import K_SLACK, detect_h1, sampled_curvature_range
+from cvlab.sweep import K_SLACK, _curvature_scan, detect_h1
 from cvlab.zoo import zoo_entry, zoo_names
 from conftest import SCHEDULES
 from test_dsl import random_expression
@@ -155,11 +155,13 @@ def reference_detect_h1(model, h_probe_max):
 
 
 def reference_curvature_range(model, h_probe_max):
+    """Per-height range of K on the h1 scan's grid, every end at every
+    height, clamped to its own ``t_min + POLE_GUARD``."""
     thetas = 2.0 * math.pi * np.arange(16) / 16
     kmin, kmax = math.inf, -math.inf
     for end in model.ends:
-        for t in reference_heights(end.t_min + POLE_GUARD, h_probe_max):
-            k = gauss_curvature(end, t, thetas)
+        for t in reference_heights(max(e.t_min for e in model.ends), h_probe_max):
+            k = gauss_curvature(end, max(t, end.t_min + POLE_GUARD), thetas)
             kmin = min(kmin, float(np.min(k)))
             kmax = max(kmax, float(np.max(k)))
     return kmin, kmax
@@ -195,8 +197,8 @@ def test_probe_scans_match_per_height_loop(name):
     want = reference_detect_h1(model, h_probe_max)
     h1 = detect_h1(model, h_probe_max)
     assert h1 == want and type(h1) is type(want)
-    assert sampled_curvature_range(model, h_probe_max) == reference_curvature_range(
-        model, h_probe_max
+    assert _curvature_scan(model, h_probe_max) == (
+        want, *reference_curvature_range(model, h_probe_max)
     )
     if name == "three-ends":
         # the scan saw violations on two ends and the bisection ran past t = 5

@@ -232,6 +232,24 @@ class TestConfigFiles:
         assert captured.out == ""
         assert "[end1] t_min" in captured.err
 
+    @pytest.mark.parametrize(
+        "old,new,where",
+        [
+            ("t_min = 0.0", "t_min = abc", "[end1] t_min 'abc'"),
+            ("chi = 1", "chi = one", "[surface] chi 'one'"),
+        ],
+        ids=["t_min", "chi"],
+    )
+    def test_non_numeric_value_names_file_and_section(self, tmp_path, capsys, old, new, where):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace(old, new))
+        with pytest.raises(InputError, match=r"^config .*cusp\.cfg: \["):
+            load_surface_config(path)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: config {path}: {where} is not a valid" in captured.err
+
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
         path.write_text(

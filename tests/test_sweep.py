@@ -18,7 +18,7 @@ from cvlab.model import (
     Topology,
     chart_from_expression,
 )
-from cvlab.quadrature import ImproperResult, NotMonotone, TailLimit
+from cvlab.quadrature import ImproperResult, TailLimit
 from cvlab.sweep import (
     NonPositiveMu,
     Verdict,
@@ -26,7 +26,6 @@ from cvlab.sweep import (
     measure_mu_prime_order,
     residual_bound,
     run_sweep,
-    sampled_curvature_range,
     sweep_samples,
     total_curvature_direct,
 )
@@ -189,7 +188,7 @@ class TestDetectH1:
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
     def test_curvature_range_scan(self):
-        kmin, kmax = sampled_curvature_range(zoo_entry("capped-cone").model, 64.0)
+        _, kmin, kmax = sweep._curvature_scan(zoo_entry("capped-cone").model, 64.0)
         assert kmin >= 0.0
         assert kmax > 1e-3
 
@@ -289,9 +288,9 @@ def _direct(value=0.0, error=1e-6, converged=True, divergence=None):
     return ImproperResult(value, error, 0, converged, divergence)
 
 
-# one row per verdict branch: the measurements run_sweep reads, faked, and
-# the verdict they must produce; unset measurements take the defaults of
-# test_verdict_branch
+# one row per verdict branch: fields of the measurement record the verdicts
+# read, and the verdict they must produce; unset fields take the defaults
+# of test_verdict_branch
 VERDICT_BRANCHES = {
     "gauss-bonnet-fail": dict(
         gb=(0.0, 1e-3, 0.0, 0.0),
@@ -343,14 +342,16 @@ VERDICT_BRANCHES = {
         want=Verdict("not-applicable", None, None, "hypothesis unmet"),
     ),
     "L-not-estimated": dict(
-        limit=ValueError("need at least 3 tail points"),
+        limit=None,
+        limit_note="limit not estimated: need at least 3 tail points",
         check="L-nonneg",
         want=Verdict(
             "not-applicable", None, None, "limit not estimated: need at least 3 tail points"
         ),
     ),
     "L-not-monotone": dict(
-        limit=NotMonotone("rise at h=4"),
+        limit=None,
+        limit_note="NotMonotone: rise at h=4",
         check="L-nonneg",
         want=Verdict("not-applicable", None, None, "NotMonotone: rise at h=4"),
     ),
@@ -404,40 +405,62 @@ VERDICT_BRANCHES = {
 
 
 @pytest.mark.parametrize("case", sorted(VERDICT_BRANCHES))
-def test_verdict_branch(case, monkeypatch):
-    # every branch of every verdict, reached by faking the measurements the
-    # sweep reads: the flat cylinder (chi = 0, analytic core) only passes
-    # validation, so the numbers below are all the verdicts see
+def test_verdict_branch(case):
+    # every branch of every verdict, reached by building the measurement
+    # record the verdicts read; the flat cylinder (chi = 0, analytic core)
+    # supplies only the name, chi and core, so the numbers below are all
+    # the verdicts see
     row = VERDICT_BRANCHES[case]
+    model = zoo_entry("flat-cylinder").model
     gb = row.get("gb", (0.0,) * 4)
     lam = row.get("lam", FALLING)
     h1 = row.get("h1", 1.0)
-    limit = row.get("limit", TailLimit(0.5, 1e-3))
-    direct = row.get("direct", _direct(value=-0.5))
-
-    def fake_samples(model, schedule, tol, poles):
-        return tuple(
+    measured = sweep._Measured(
+        samples=tuple(
             sweep.TruncationSample(h, 1.0, l, 0.0, 0.0, r)
-            for h, l, r in zip(schedule, lam, gb)
-        )
-
-    def fake_limit(points, tail_from, noise):
-        if isinstance(limit, Exception):
-            raise limit
-        return limit
-
-    monkeypatch.setattr(sweep, "_sweep_samples", fake_samples)
-    monkeypatch.setattr(
-        sweep, "measure_mu_prime_order", lambda *a: row.get("mu_prime", (4e-6, 1e-6, 1e-9))
+            for h, l, r in zip(BRANCH_SCHEDULE, lam, gb)
+        ),
+        mu_prime=(
+            *sweep._mu_prime_point(model, BRANCH_SCHEDULE),
+            *row.get("mu_prime", (4e-6, 1e-6, 1e-9)),
+        ),
+        h1=h1,
+        kmin=0.0,
+        kmax=1.0,
+        tail_from=h1 if h1 is not None else BRANCH_SCHEDULE[1],
+        limit=row.get("limit", TailLimit(0.5, 1e-3)),
+        limit_note=row.get("limit_note", ""),
+        direct=row.get("direct", _direct(value=-0.5)),
     )
-    monkeypatch.setattr(sweep, "detect_h1", lambda model, h_probe_max: h1)
-    monkeypatch.setattr(sweep, "sampled_curvature_range", lambda model, h: (0.0, 1.0))
-    monkeypatch.setattr(sweep, "estimate_tail_limit", fake_limit)
-    monkeypatch.setattr(sweep, "_total_curvature_direct", lambda model, tol, poles: direct)
-    report = run_sweep(zoo_entry("flat-cylinder").model, BRANCH_SCHEDULE)
+    report = sweep._report(model, measured)
     assert report.verdicts[row["check"]] == row["want"]
     # the limit is reported whenever it was estimated, certified by h1 or not
-    assert report.limit == (None if isinstance(limit, Exception) else limit)
+    assert report.limit == measured.limit
+
+
+def test_tail_limit_notes_why_it_is_missing():
+    samples = tuple(
+        sweep.TruncationSample(h, 1.0, l, 0.0, 0.0, 0.0) for h, l in zip(BRANCH_SCHEDULE, FALLING)
+    )
+    assert sweep._tail_limit(samples, 1.0)[0] is not None
+    limit, note = sweep._tail_limit(samples, 4.0)
+    assert limit is None
+    assert note == "limit not estimated: need at least 3 samples beyond monotone_from"
+    rising = tuple(sweep.TruncationSample(s.h, 1.0, -s.lam, 0.0, 0.0, 0.0) for s in samples)
+    limit, note = sweep._tail_limit(rising, 1.0)
+    assert limit is None and note.startswith("NotMonotone: ")
+
+
+def test_mu_prime_step_resolves_large_heights():
+    # a fixed step of 0.05 vanishes against h0 = 1e80: h0 +- step == h0
+    model = zoo_entry("paraboloid").model
+    schedule = RunConfig("paraboloid", h_max=1e160).schedule()
+    h0, step = sweep._mu_prime_point(model, schedule)
+    assert h0 == pytest.approx(1e80, rel=1e-6)
+    assert h0 + step / 2 != h0 and h0 - step / 2 != h0
+    assert h0 - step > model.min_height
+    # the benchmark heights keep the fixed step
+    assert sweep._mu_prime_point(model, SCHEDULES["paraboloid"])[1] == 0.05
 
 
 class TestDirectTotalCurvature:
@@ -679,10 +702,27 @@ class TestProbeColumns:
             return curvature(end, t, theta)
 
         monkeypatch.setattr(sweep, "gauss_curvature", recording)
-        detect_h1(model, 16.0)
-        sampled_curvature_range(model, 16.0)
+        sweep._curvature_scan(model, 16.0)
         assert columns
         assert all(n == (1 if free else 16) for free, n in columns)
+
+    @pytest.mark.parametrize("name", ["paraboloid", "catenoid", "three-ends"])
+    def test_sweep_scans_each_end_once(self, name, monkeypatch):
+        # h1 and the sampled K range come from one grid scan per end
+        model = three_ends() if name == "three-ends" else zoo_entry(name).model
+        schedule = BAND_SCHEDULES[name]
+        rows = len(sweep._probe_heights(model.min_height, schedule[-1], sweep._PROBE_GRID))
+        scans = []
+        curvature = sweep.gauss_curvature
+
+        def recording(end, t, theta):
+            if np.shape(t)[0] == rows:
+                scans.append(id(end))
+            return curvature(end, t, theta)
+
+        monkeypatch.setattr(sweep, "gauss_curvature", recording)
+        run_sweep(model, schedule)
+        assert sorted(scans) == sorted(id(end) for end in model.ends)
 
 
 def per_sliver_pole_band(end, h, tol):
