@@ -17,20 +17,26 @@ are ``t`` and ``theta``; the function set is exp, log, sqrt, sin, cos,
 sinh, cosh, tanh.
 
 Evaluation returns a :class:`~cvlab.jets.Jet2` carrying the value and
-exact first/second t-derivatives; theta is a passive parameter.  ``t``
-and ``theta`` may be numpy arrays (broadcast against each other), so a
-whole quadrature panel costs one walk of the tree.
+exact first/second t-derivatives; theta is a passive parameter.  Each
+tree is compiled once into nested closures (forward-mode activity
+analysis, as in Griewank and Walther, *Evaluating Derivatives*, ch. 6):
+a subtree without ``t`` yields plain values and no derivative slots,
+and a jet meets such a value through the reduced rule of a constant.
+``t`` and ``theta`` may be numpy arrays (broadcast against each other),
+so a whole quadrature panel costs one call of the kernel.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jpow
+from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jexp, jlog, jpow
+from .jets import _VALUES, _integer_exponent, _ipow, _nonzero, _value_pow
 
 __all__ = [
     "Binary",
@@ -97,10 +103,15 @@ Node = Union[Const, Var, Unary, Binary]
 
 @dataclass(frozen=True)
 class MetricExpr:
-    """Parsed expression tree plus the original source text."""
+    """Parsed expression tree plus the original source text, compiled
+    once into the kernel that :func:`eval_jet` runs."""
 
     root: Node
     source: str = field(compare=False, default="")
+    _kernel: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kernel", _kernel(self.root))
 
 
 _TOKEN_RE = re.compile(
@@ -281,45 +292,87 @@ def uses_theta(expr: MetricExpr | Node) -> bool:
     return False
 
 
-def _eval_node(node: Node, t, theta) -> Jet2:
+def _scaled(v, a: Jet2) -> Jet2:
+    return Jet2(v * a.f, v * a.d1, v * a.d2)
+
+
+def _jet_pow(g: Jet2, e) -> Jet2:
+    return _ipow(g, int(e)) if _integer_exponent(e) else jexp(_scaled(e, jlog(g)))
+
+
+# (op, left has t, right has t) -> rule.  A t-free operand is a plain
+# value, and a jet meets it through the reduced formula of a constant.
+_BINARY = {
+    ("add", True, True): operator.add,
+    ("add", True, False): lambda a, v: Jet2(a.f + v, a.d1, a.d2),
+    ("add", False, True): lambda v, a: Jet2(v + a.f, a.d1, a.d2),
+    ("add", False, False): operator.add,
+    ("sub", True, True): operator.sub,
+    ("sub", True, False): lambda a, v: Jet2(a.f - v, a.d1, a.d2),
+    ("sub", False, True): lambda v, a: Jet2(v - a.f, -a.d1, -a.d2),
+    ("sub", False, False): operator.sub,
+    ("mul", True, True): operator.mul,
+    ("mul", True, False): lambda a, v: _scaled(v, a),
+    ("mul", False, True): _scaled,
+    ("mul", False, False): operator.mul,
+    ("div", True, True): operator.truediv,
+    ("div", True, False): lambda a, v: Jet2(a.f / _nonzero(v), a.d1 / v, a.d2 / v),
+    ("div", False, True): lambda v, a: Jet2(v) / a,
+    ("div", False, False): lambda v, w: v / _nonzero(w),
+    ("pow", True, True): jpow,
+    ("pow", True, False): _jet_pow,
+    ("pow", False, True): lambda v, a: jpow(Jet2(v), a),
+    ("pow", False, False): _value_pow,
+}
+
+
+def _compile(node: Node):
+    """``(has_t, kernel)``: ``kernel(t, theta)`` returns a :class:`Jet2`
+    when the subtree contains ``t``, otherwise its plain value."""
     if isinstance(node, Const):
-        return Jet2(node.value)
+        value = node.value
+        return False, lambda t, theta: value
     if isinstance(node, Var):
         if node.name == "t":
-            return Jet2(t, 1.0, 0.0)
-        return Jet2(theta, 0.0, 0.0)
+            return True, lambda t, theta: Jet2(t, 1.0, 0.0)
+        return False, lambda t, theta: theta
     if isinstance(node, Unary):
-        arg = _eval_node(node.arg, t, theta)
+        has_t, arg = _compile(node.arg)
         if node.op == "neg":
-            return -arg
-        return FUNCTIONS[node.op](arg)
+            return has_t, lambda t, theta: -arg(t, theta)
+        fn = (FUNCTIONS if has_t else _VALUES)[node.op]
+        return has_t, lambda t, theta: fn(arg(t, theta))
     if isinstance(node, Binary):
-        left = _eval_node(node.left, t, theta)
-        right = _eval_node(node.right, t, theta)
-        if node.op == "add":
-            return left + right
-        if node.op == "sub":
-            return left - right
-        if node.op == "mul":
-            return left * right
-        if node.op == "div":
-            return left / right
-        return jpow(left, right)
+        left_t, left = _compile(node.left)
+        right_t, right = _compile(node.right)
+        rule = _BINARY[node.op, left_t, right_t]
+        if left_t and node.op == "pow" and isinstance(node.right, Const):
+            if _integer_exponent(node.right.value):  # jpow's test, decided once
+                n = int(node.right.value)
+                rule = lambda a, _: _ipow(a, n)
+        return left_t or right_t, lambda t, theta: rule(left(t, theta), right(t, theta))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _kernel(node: Node):
+    has_t, kernel = _compile(node)
+    return kernel if has_t else lambda t, theta: Jet2(kernel(t, theta))
 
 
 def eval_jet(expr: MetricExpr | Node, t, theta) -> Jet2:
     """Evaluate the expression and its first two exact t-derivatives at
     scalar or array points ``(t, theta)``.
 
-    Raises :class:`DomainError` on out-of-domain intermediates or a
-    non-finite result anywhere among the points.
+    A :class:`MetricExpr` runs the kernel compiled when it was built; a
+    bare node is compiled on the spot.  Raises :class:`DomainError` on
+    out-of-domain intermediates or a non-finite result anywhere among
+    the points.
     """
-    node = expr.root if isinstance(expr, MetricExpr) else expr
+    kernel = expr._kernel if isinstance(expr, MetricExpr) else _kernel(expr)
     # float semantics: arithmetic that overflows yields inf or nan, which
     # the finiteness check below turns into DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = _eval_node(node, t, theta)
+        jet = kernel(t, theta)
     return ensure_finite(jet, "metric expression")
 
 

@@ -67,9 +67,7 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         o = as_jet(other)
-        if np.any(o.f == 0.0):
-            raise DomainError("division by zero")
-        q = self.f / o.f
+        q = self.f / _nonzero(o.f)
         q1 = (self.d1 - q * o.d1) / o.f
         q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.f
         return Jet2(q, q1, q2)
@@ -82,9 +80,9 @@ class Jet2:
 
     def is_finite(self) -> bool:
         return bool(
-            np.all(np.isfinite(self.f))
-            and np.all(np.isfinite(self.d1))
-            and np.all(np.isfinite(self.d2))
+            np.isfinite(self.f).all()
+            and np.isfinite(self.d1).all()
+            and np.isfinite(self.d2).all()
         )
 
 
@@ -105,84 +103,71 @@ def _first(x, mask) -> float:
     return float(np.broadcast_to(x, np.shape(mask))[mask].flat[0])
 
 
-def _check_positive(x, what: str) -> None:
+def _check_positive(x, what: str):
     bad = x <= 0.0
     if np.any(bad):
         raise DomainError(f"{what} of nonpositive value {_first(x, bad)!r}")
+    return x
 
 
-def _check_overflow(x, v, template: str) -> None:
+def _check_overflow(x, v, template: str):
     # a finite argument with an infinite result: too large to represent
-    hit = np.isinf(v) & np.isfinite(x)
-    if np.any(hit):
-        raise Overflow("overflow in " + template.format(repr(_first(x, hit))))
+    if np.isinf(v).any():
+        hit = np.isinf(v) & np.isfinite(x)
+        if hit.any():
+            raise Overflow("overflow in " + template.format(repr(_first(x, hit))))
+    return v
 
 
-def _lift(g: Jet2, v, dv, ddv) -> Jet2:
-    # chain rule at second order: (u g)'' = u''(g) g'^2 + u'(g) g''
-    return Jet2(v, dv * g.d1, ddv * g.d1 * g.d1 + dv * g.d2)
+def _nonzero(divisor):
+    if np.any(divisor == 0.0):
+        raise DomainError("division by zero")
+    return divisor
 
 
-def jexp(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        v = np.exp(g.f)
-        _check_overflow(g.f, v, "exp({})")
-        return _lift(g, v, v, v)
+# The value slot of each elementary function with its checks, for the
+# jet rules below and for arguments that carry no derivatives.  sinh
+# overflows exactly where cosh does.
+_VALUES = {
+    "exp": lambda x: _check_overflow(x, np.exp(x), "exp({})"),
+    "log": lambda x: np.log(_check_positive(x, "log")),
+    "sqrt": lambda x: np.sqrt(_check_positive(x, "sqrt")),
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": lambda x: _check_overflow(x, np.sinh(x), "sinh({})"),
+    "cosh": lambda x: _check_overflow(x, np.cosh(x), "cosh({})"),
+    "tanh": np.tanh,
+}
 
 
-def jlog(x) -> Jet2:
-    g = as_jet(x)
-    _check_positive(g.f, "log")
-    with np.errstate(all="ignore"):
-        inv = 1.0 / g.f
-        return _lift(g, np.log(g.f), inv, -inv * inv)
+def _jet_rule(name: str, derivatives):
+    """The jet of ``_VALUES[name]``; ``derivatives(x, v)`` returns the
+    first and second derivative at ``x``, where the value is ``v``."""
+    value = _VALUES[name]
+
+    def rule(x) -> Jet2:
+        g = as_jet(x)
+        with np.errstate(all="ignore"):
+            v = value(g.f)
+            dv, ddv = derivatives(g.f, v)
+            # chain rule at second order: (u g)'' = u''(g) g'^2 + u'(g) g''
+            return Jet2(v, dv * g.d1, ddv * g.d1 * g.d1 + dv * g.d2)
+
+    rule.__name__ = rule.__qualname__ = "j" + name
+    return rule
 
 
-def jsqrt(x) -> Jet2:
-    g = as_jet(x)
-    _check_positive(g.f, "sqrt")
-    with np.errstate(all="ignore"):
-        s = np.sqrt(g.f)
-        return _lift(g, s, 0.5 / s, -0.25 / (s * g.f))
-
-
-def jsin(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        s, c = np.sin(g.f), np.cos(g.f)
-        return _lift(g, s, c, -s)
-
-
-def jcos(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        s, c = np.sin(g.f), np.cos(g.f)
-        return _lift(g, c, -s, -c)
-
-
-def jsinh(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        s, c = np.sinh(g.f), np.cosh(g.f)
-        _check_overflow(g.f, c, "sinh({})")
-        return _lift(g, s, c, s)
-
-
-def jcosh(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        s, c = np.sinh(g.f), np.cosh(g.f)
-        _check_overflow(g.f, c, "cosh({})")
-        return _lift(g, c, s, c)
-
-
-def jtanh(x) -> Jet2:
-    g = as_jet(x)
-    with np.errstate(all="ignore"):
-        v = np.tanh(g.f)
-        sech2 = 1.0 - v * v
-        return _lift(g, v, sech2, -2.0 * v * sech2)
+FUNCTIONS = {
+    "exp": _jet_rule("exp", lambda x, v: (v, v)),
+    "log": _jet_rule("log", lambda x, v: (inv := 1.0 / x, -inv * inv)),
+    "sqrt": _jet_rule("sqrt", lambda x, s: (0.5 / s, -0.25 / (s * x))),
+    "sin": _jet_rule("sin", lambda x, s: (np.cos(x), -s)),
+    "cos": _jet_rule("cos", lambda x, c: (-np.sin(x), -c)),
+    "sinh": _jet_rule("sinh", lambda x, s: (np.cosh(x), s)),
+    "cosh": _jet_rule("cosh", lambda x, c: (np.sinh(x), c)),
+    "tanh": _jet_rule("tanh", lambda x, v: (sech2 := 1.0 - v * v, -2.0 * v * sech2)),
+}
+jexp, jlog, jsqrt, jsin, jcos, jsinh, jcosh, jtanh = FUNCTIONS.values()
 
 
 def _ipow(g: Jet2, n: int) -> Jet2:
@@ -193,8 +178,10 @@ def _ipow(g: Jet2, n: int) -> Jet2:
     if n == 1:
         return g
     with np.errstate(all="ignore"):
-        v = np.power(g.f, n)
-        _check_overflow(g.f, v, f"power {{}}^{n}")
+        if n == 2:  # squaring: the products the general rule reduces to
+            v = _check_overflow(g.f, g.f * g.f, "power {}^2")
+            return Jet2(v, 2.0 * g.f * g.d1, 2.0 * g.d1 * g.d1 + 2.0 * g.f * g.d2)
+        v = _check_overflow(g.f, np.power(g.f, n), f"power {{}}^{n}")
         vm1 = np.power(g.f, n - 1)
         vm2 = np.power(g.f, n - 2)
         return Jet2(
@@ -202,6 +189,11 @@ def _ipow(g: Jet2, n: int) -> Jet2:
             n * vm1 * g.d1,
             n * (n - 1) * vm2 * g.d1 * g.d1 + n * vm1 * g.d2,
         )
+
+
+def _integer_exponent(e) -> bool:
+    """Whether an exponent without derivatives takes the integer path."""
+    return np.ndim(e) == 0 and float(e).is_integer() and abs(e) < 1e9
 
 
 def jpow(base, exponent) -> Jet2:
@@ -214,25 +206,18 @@ def jpow(base, exponent) -> Jet2:
     """
     g = as_jet(base)
     e = as_jet(exponent)
-    constant = np.ndim(e.f) == np.ndim(e.d1) == np.ndim(e.d2) == 0
-    if (
-        constant
-        and e.d1 == 0.0
-        and e.d2 == 0.0
-        and float(e.f).is_integer()
-        and abs(e.f) < 1e9
-    ):
+    if np.ndim(e.d1) == np.ndim(e.d2) == 0 and e.d1 == e.d2 == 0.0 and _integer_exponent(e.f):
         return _ipow(g, int(e.f))
     return jexp(e * jlog(g))
 
 
-FUNCTIONS = {
-    "exp": jexp,
-    "log": jlog,
-    "sqrt": jsqrt,
-    "sin": jsin,
-    "cos": jcos,
-    "sinh": jsinh,
-    "cosh": jcosh,
-    "tanh": jtanh,
-}
+def _value_pow(x, e):
+    """The value slot of ``jpow(x, e)`` for operands without derivatives."""
+    if not _integer_exponent(e):
+        return _VALUES["exp"](e * _VALUES["log"](x))
+    n = int(e)
+    if n < 0:
+        return 1.0 / _nonzero(_value_pow(x, -n))
+    if n < 2:
+        return x if n else 1.0
+    return _check_overflow(x, np.power(x, n), f"power {{}}^{n}")

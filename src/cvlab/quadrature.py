@@ -183,7 +183,11 @@ def _panels_2d(f: Callable, jobs):
     """Tensor-product panels over the boxes of ``jobs``, ``(member, (a, b,
     c, d))`` pairs for ``[a, b] x [c, d]`` in ``(t, theta)``, from one call
     ``f(t, theta)`` on ``(J, 15, 1)`` and ``(J, 1, 15)`` node arrays.  Each
-    box splits in two along the axis of larger variation."""
+    box splits in two along the axis of larger variation.
+
+    The rule pair, the error and the variations of all J panels are
+    stacked products; a stacked matmul reduces each panel on its own, so
+    every number is bitwise that of a lone panel."""
     box = np.array([box for _, box in jobs], dtype=float)
     a, b, c, d = (box[:, i : i + 1] for i in range(4))
     half_t = 0.5 * (b - a)
@@ -193,24 +197,25 @@ def _panels_2d(f: Callable, jobs):
     grids = np.empty((len(jobs), 15, 15))
     grids[...] = f(tv[:, :, None], sv[:, None, :])
     _require_finite(grids, jobs)
+    area = (half_t * half_s)[:, 0]
+    kron = area * ((_WGK @ grids)[:, None, :] @ _WGK[:, None])[:, 0, 0]
+    sub = np.ascontiguousarray(grids[:, 1::2, 1::2])
+    gauss = area * ((_WG7 @ sub)[:, None, :] @ _WG7[:, None])[:, 0, 0]
+    row_means = grids.mean(axis=2)
+    col_means = grids.mean(axis=1)
+    var_t = row_means.max(axis=1) - row_means.min(axis=1)
+    var_s = col_means.max(axis=1) - col_means.min(axis=1)
     out = []
-    for (_, (a, b, c, d)), ht, hs, grid in zip(
-        jobs, half_t[:, 0].tolist(), half_s[:, 0].tolist(), grids
+    for (_, (a, b, c, d)), value, error, vt, vs in zip(
+        jobs, kron.tolist(), np.abs(kron - gauss).tolist(), var_t.tolist(), var_s.tolist()
     ):
-        kron = ht * hs * float(_WGK @ grid @ _WGK)
-        sub = grid[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
-        gauss = ht * hs * float(_WG7 @ sub @ _WG7)
-        row_means = grid.mean(axis=1)
-        col_means = grid.mean(axis=0)
-        var_t = float(row_means.max() - row_means.min())
-        var_s = float(col_means.max() - col_means.min())
-        if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
+        if vt > vs or (vt == vs and (b - a) >= (d - c)):
             mid = 0.5 * (a + b)
             children = ((a, mid, c, d), (mid, b, c, d))
         else:
             mid = 0.5 * (c + d)
             children = ((a, b, c, mid), (a, b, mid, d))
-        out.append((kron, abs(kron - gauss), children))
+        out.append((value, error, children))
     return out
 
 
@@ -401,7 +406,8 @@ def integrate_improper(
         rel_tol=tol.rel_tol,
         max_evaluations=tol.max_evaluations,
     )
-    uppers = [t_lo + 2.0**k for k in range(_MAX_WINDOWS)]
+    # far out, t_lo + 2^k rounds to t_lo (or to an earlier edge) for small k
+    uppers = sorted({t_lo + 2.0**k for k in range(_MAX_WINDOWS)} - {t_lo})
     walk = _walk(
         lambda edges: integrate_bands(f, edges, window_tol, theta_free=theta_free),
         [t_lo] + uppers,

@@ -276,6 +276,18 @@ class TestConfigFiles:
         assert line.split()[1] == "not-applicable"
         assert "analytic core is never sampled" in line
 
+    def test_far_chart_edge_gives_a_report(self, tmp_path, capsys):
+        # the improper windows t_min + 2^k round back to t_min = 1e17
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            "[surface]\ngenus = 0\nends = 1\ncore = analytic:6.283185307179586\n\n"
+            "[end1]\ng = 1\nt_min = 1e17\n"
+        )
+        assert main(["verify", "--config", str(path), "--h-min", "1e17", "--h-max", "4e17"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "theorem" in captured.out
+
     def test_divergent_end_reported_not_crashed(self, tmp_path, capsys):
         path = tmp_path / "flared.cfg"
         path.write_text(DIVERGENT_CONFIG)

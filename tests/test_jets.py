@@ -72,3 +72,23 @@ def test_scalar_coercion():
     assert (2 * t).d1 == 2.0
     assert (1 / t).f == pytest.approx(1 / 3)
     assert (t - 1).f == 2.0
+
+
+def test_sinh_overflows_where_cosh_does():
+    import numpy as np
+
+    from cvlab.dsl import eval_jet, parse_metric
+    from cvlab.jets import Overflow, jsinh
+
+    edge = 710.4758600739439  # the largest double whose cosh is finite
+    for x in (edge, -edge):
+        assert np.isfinite(jsinh(Jet2(x, 1.0, 0.0)).f)
+        assert np.isfinite(jcosh(Jet2(x, 1.0, 0.0)).f)
+    for x in (np.nextafter(edge, 1e3), -np.nextafter(edge, 1e3), 800.0):
+        for fn, name in ((jsinh, "sinh"), (jcosh, "cosh")):
+            with pytest.raises(Overflow, match=rf"^overflow in {name}\("):
+                fn(Jet2(np.array([1.0, x]), 1.0, 0.0))
+    # a t-free argument takes the value rule, with the same check
+    for source in ("sinh(theta*200)", "t*sinh(theta*200)"):
+        with pytest.raises(Overflow, match=r"^overflow in sinh\(800\.0\)$"):
+            eval_jet(parse_metric(source), 1.0, 4.0)

@@ -16,6 +16,7 @@ from cvlab.quadrature import (
     _divergence_direction,
     _geometric_tail,
     _panels_1d,
+    _panels_2d,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -94,6 +95,77 @@ class TestPanelExactness:
         value, _, _ = _panels_1d(lambda _, x: x**degree, [(0, (0.0, TWO_PI))])[0]
         exact = TWO_PI ** (degree + 1) / (degree + 1)
         assert value == pytest.approx(exact, rel=1e-13)
+
+
+def per_panel_2d(f, jobs):
+    """The 2-D rule one panel at a time, as before it was stacked."""
+    wgk, wg7, gauss_idx = quadrature._WGK, quadrature._WG7, np.arange(1, 15, 2)
+    box = np.array([box for _, box in jobs], dtype=float)
+    a, b, c, d = (box[:, i : i + 1] for i in range(4))
+    half_t = 0.5 * (b - a)
+    half_s = 0.5 * (d - c)
+    tv = 0.5 * (a + b) + half_t * quadrature._XGK
+    sv = 0.5 * (c + d) + half_s * quadrature._XGK
+    grids = np.empty((len(jobs), 15, 15))
+    grids[...] = f(tv[:, :, None], sv[:, None, :])
+    out = []
+    for (_, (a, b, c, d)), ht, hs, grid in zip(
+        jobs, half_t[:, 0].tolist(), half_s[:, 0].tolist(), grids
+    ):
+        kron = ht * hs * float(wgk @ grid @ wgk)
+        sub = grid[np.ix_(gauss_idx, gauss_idx)]
+        gauss = ht * hs * float(wg7 @ sub @ wg7)
+        row_means = grid.mean(axis=1)
+        col_means = grid.mean(axis=0)
+        var_t = float(row_means.max() - row_means.min())
+        var_s = float(col_means.max() - col_means.min())
+        if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
+            mid = 0.5 * (a + b)
+            children = ((a, mid, c, d), (mid, b, c, d))
+        else:
+            mid = 0.5 * (c + d)
+            children = ((a, b, c, mid), (a, b, mid, d))
+        out.append((kron, abs(kron - gauss), children))
+    return out
+
+
+class TestStackedPanels:
+    """The stacked 2-D rule against the per-panel loop, bit for bit."""
+
+    @staticmethod
+    def random_jobs(rng, count):
+        lo = rng.uniform(0.0, 50.0, count)
+        width = rng.uniform(1e-3, 20.0, count)
+        c = rng.uniform(0.0, 3.0, count)
+        return [
+            (k, (float(a), float(a + w), float(s), float(s + h)))
+            for k, (a, w, s, h) in enumerate(zip(lo, width, c, rng.uniform(1e-3, 3.0, count)))
+        ]
+
+    @pytest.mark.parametrize("count", [1, 2, 15, 64])
+    def test_random_grids_match_per_panel_loop(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            jobs = self.random_jobs(rng, count)
+            scale = 10.0 ** rng.uniform(-8, 8, (count, 1, 1))
+            grids = scale * rng.standard_normal((count, 15, 15))
+            assert _panels_2d(lambda t, s: grids, jobs) == per_panel_2d(lambda t, s: grids, jobs)
+
+    def test_integrand_on_nodes_matches_per_panel_loop(self):
+        jobs = self.random_jobs(np.random.default_rng(7), 40)
+        f = lambda t, s: t * t * (1.0 + 0.3 * np.cos(3.0 * s) * np.exp(-t))
+        assert _panels_2d(f, jobs) == per_panel_2d(f, jobs)
+
+    def test_constant_grid_ties_split_the_longer_side(self):
+        # var_t == var_s == 0: the tie goes to t when b - a >= d - c
+        jobs = [(0, (0.0, 2.0, 0.0, 2.0)), (1, (0.0, 1.0, 0.0, 2.0)), (2, (0.0, 3.0, 0.0, 2.0))]
+        got = _panels_2d(lambda t, s: 1.5, jobs)
+        assert got == per_panel_2d(lambda t, s: 1.5, jobs)
+        assert [children for _, _, children in got] == [
+            ((0.0, 1.0, 0.0, 2.0), (1.0, 2.0, 0.0, 2.0)),
+            ((0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 2.0)),
+            ((0.0, 1.5, 0.0, 2.0), (1.5, 3.0, 0.0, 2.0)),
+        ]
 
 
 class TestAnnulus:
@@ -257,6 +329,18 @@ class TestImproper:
         )
         assert res.converged
         assert res.value == pytest.approx(TWO_PI, abs=1e-6)
+
+    @pytest.mark.parametrize("t_lo", [1e17, 2.0**53 + 2.0])
+    def test_far_chart_edge_skips_windows_that_round_away(self, t_lo):
+        # t_lo + 2^k rounds to t_lo for small k; at 2^53 + 2, t_lo + 1
+        # rounds up onto t_lo + 2, which would repeat an edge
+        res = integrate_improper(lambda t, theta: np.exp(-(t - t_lo) / 64.0), t_lo, theta_free=True)
+        ends = [t_lo] + [end for end, _ in res.partial_sums]
+        assert all(hi > lo for lo, hi in zip(ends, ends[1:]))
+        assert res.converged and res.divergence is None
+        # the nodes themselves round to the grid of t_lo, so the value is
+        # only near 2*pi*64
+        assert res.value == pytest.approx(TWO_PI * 64.0, rel=0.05)
 
     def test_flared_end_diverges_downward(self):
         end = chart_from_expression("exp(t^2)")
