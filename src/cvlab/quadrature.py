@@ -406,8 +406,9 @@ def integrate_improper(
         rel_tol=tol.rel_tol,
         max_evaluations=tol.max_evaluations,
     )
-    # far out, t_lo + 2^k rounds to t_lo (or to an earlier edge) for small k
-    uppers = sorted({t_lo + 2.0**k for k in range(_MAX_WINDOWS)} - {t_lo})
+    # far out, t_lo + 2^k rounds back onto t_lo or onto the edge before it
+    edges = [t_lo] + [t_lo + 2.0**k for k in range(_MAX_WINDOWS)]
+    uppers = [hi for lo, hi in zip(edges, edges[1:]) if hi > lo]
     walk = _walk(
         lambda edges: integrate_bands(f, edges, window_tol, theta_free=theta_free),
         [t_lo] + uppers,
