@@ -14,9 +14,9 @@ import random
 import numpy as np
 import pytest
 
-from cvlab.dsl import Binary, Const, Node, Unary, Var, eval_jet, parse_metric
+from cvlab.dsl import Const, Node, Unary, Var, eval_jet, parse_metric
 from cvlab.jets import FUNCTIONS, Jet2, ensure_finite, jpow
-from cvlab.quadrature import _XGK
+from test_array_eval import panel_nodes
 from test_dsl import random_expression
 
 
@@ -68,10 +68,6 @@ def assert_same(node, t, theta):
         for slot in ("f", "d1", "d2"):
             assert np.all(getattr(got, slot) == getattr(want, slot)), (node, slot)
     return want_err is not None
-
-
-def panel_nodes(a, b):
-    return 0.5 * (a + b) + 0.5 * (b - a) * _XGK
 
 
 PANEL_T = panel_nodes(0.05, 6.0)[:, None]

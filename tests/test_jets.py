@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from cvlab.jets import DomainError, Jet2, jcosh, jexp, jlog, jpow, jsin, jsqrt, jtanh
+from cvlab.dsl import eval_jet, parse_metric
+from cvlab.jets import DomainError, Jet2, Overflow, jcosh, jexp, jlog, jpow, jsin, jsinh, jsqrt, jtanh
 
 
 def fd_checks(fn, jfn, x0, h=1e-5):
@@ -75,11 +77,6 @@ def test_scalar_coercion():
 
 
 def test_sinh_overflows_where_cosh_does():
-    import numpy as np
-
-    from cvlab.dsl import eval_jet, parse_metric
-    from cvlab.jets import Overflow, jsinh
-
     edge = 710.4758600739439  # the largest double whose cosh is finite
     for x in (edge, -edge):
         assert np.isfinite(jsinh(Jet2(x, 1.0, 0.0)).f)
