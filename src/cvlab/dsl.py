@@ -21,7 +21,8 @@ exact first/second t-derivatives; theta is a passive parameter.  Each
 tree is compiled once into nested closures (forward-mode activity
 analysis, as in Griewank and Walther, *Evaluating Derivatives*, ch. 6):
 a subtree without ``t`` yields plain values and no derivative slots,
-and a jet meets such a value through the reduced rule of a constant.
+and :class:`~cvlab.jets.Jet2` takes such a value as a constant, so the
+kernel has one jet rule and one value rule per operator.
 ``t`` and ``theta`` may be numpy arrays (broadcast against each other),
 so a whole quadrature panel costs one call of the kernel.
 """
@@ -35,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jexp, jlog, jpow
+from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jpow
 from .jets import _VALUES, _integer_exponent, _ipow, _nonzero, _value_pow
 
 __all__ = [
@@ -292,37 +293,14 @@ def uses_theta(expr: MetricExpr | Node) -> bool:
     return False
 
 
-def _scaled(v, a: Jet2) -> Jet2:
-    return Jet2(v * a.f, v * a.d1, v * a.d2)
-
-
-def _jet_pow(g: Jet2, e) -> Jet2:
-    return _ipow(g, int(e)) if _integer_exponent(e) else jexp(_scaled(e, jlog(g)))
-
-
-# (op, left has t, right has t) -> rule.  A t-free operand is a plain
-# value, and a jet meets it through the reduced formula of a constant.
-_BINARY = {
-    ("add", True, True): operator.add,
-    ("add", True, False): lambda a, v: Jet2(a.f + v, a.d1, a.d2),
-    ("add", False, True): lambda v, a: Jet2(v + a.f, a.d1, a.d2),
-    ("add", False, False): operator.add,
-    ("sub", True, True): operator.sub,
-    ("sub", True, False): lambda a, v: Jet2(a.f - v, a.d1, a.d2),
-    ("sub", False, True): lambda v, a: Jet2(v - a.f, -a.d1, -a.d2),
-    ("sub", False, False): operator.sub,
-    ("mul", True, True): operator.mul,
-    ("mul", True, False): lambda a, v: _scaled(v, a),
-    ("mul", False, True): _scaled,
-    ("mul", False, False): operator.mul,
-    ("div", True, True): operator.truediv,
-    ("div", True, False): lambda a, v: Jet2(a.f / _nonzero(v), a.d1 / v, a.d2 / v),
-    ("div", False, True): lambda v, a: Jet2(v) / a,
-    ("div", False, False): lambda v, w: v / _nonzero(w),
-    ("pow", True, True): jpow,
-    ("pow", True, False): _jet_pow,
-    ("pow", False, True): lambda v, a: jpow(Jet2(v), a),
-    ("pow", False, False): _value_pow,
+# op -> (rule when an operand has t, rule when neither does).  A t-free
+# operand is a plain value, which Jet2 takes as a constant.
+_RULES = {
+    "add": (operator.add, operator.add),
+    "sub": (operator.sub, operator.sub),
+    "mul": (operator.mul, operator.mul),
+    "div": (operator.truediv, lambda v, w: v / _nonzero(w)),
+    "pow": (jpow, _value_pow),
 }
 
 
@@ -345,12 +323,14 @@ def _compile(node: Node):
     if isinstance(node, Binary):
         left_t, left = _compile(node.left)
         right_t, right = _compile(node.right)
-        rule = _BINARY[node.op, left_t, right_t]
+        has_t = left_t or right_t
+        jet_rule, value_rule = _RULES[node.op]
+        rule = jet_rule if has_t else value_rule
         if left_t and node.op == "pow" and isinstance(node.right, Const):
             if _integer_exponent(node.right.value):  # jpow's test, decided once
                 n = int(node.right.value)
                 rule = lambda a, _: _ipow(a, n)
-        return left_t or right_t, lambda t, theta: rule(left(t, theta), right(t, theta))
+        return has_t, lambda t, theta: rule(left(t, theta), right(t, theta))
     raise TypeError(f"not an expression node: {node!r}")
 
 

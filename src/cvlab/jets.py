@@ -9,6 +9,10 @@ contributes to the derivative slots.
 The slots may be floats or numpy arrays: one jet then carries every
 node of a quadrature panel, and arithmetic broadcasts slot by slot.  A
 scalar is a 0-d input, so pointwise callers see the same code path.
+Any other operand (a number, a numpy scalar or array) is a constant, a
+jet with zero derivative slots (forward mode, as in Griewank and
+Walther, *Evaluating Derivatives*, ch. 6), and takes the reduced rules:
+it adds to the value slot only and scales or divides all three.
 Elementary functions compute under ``np.errstate`` and raise the
 exception classes below from explicit checks, never from warnings.
 """
@@ -33,47 +37,55 @@ class Overflow(DomainError):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two t-derivatives at a point or an array of points."""
+    """Value and first two t-derivatives at a point or an array of points;
+    any other operand is a constant, with zero derivative slots."""
 
     f: float
     d1: float = 0.0
     d2: float = 0.0
 
+    # numpy operands on the left defer to the reflected operators below
+    __array_ufunc__ = None
+
     def __add__(self, other) -> "Jet2":
-        o = as_jet(other)
-        return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+        if isinstance(other, Jet2):
+            return Jet2(self.f + other.f, self.d1 + other.d1, self.d2 + other.d2)
+        return Jet2(self.f + other, self.d1, self.d2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
-        o = as_jet(other)
-        return Jet2(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
+        if isinstance(other, Jet2):
+            return Jet2(self.f - other.f, self.d1 - other.d1, self.d2 - other.d2)
+        return Jet2(self.f - other, self.d1, self.d2)
 
     def __rsub__(self, other) -> "Jet2":
-        return as_jet(other) - self
+        return Jet2(other - self.f, -self.d1, -self.d2)
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.f, -self.d1, -self.d2)
 
     def __mul__(self, other) -> "Jet2":
-        o = as_jet(other)
-        return Jet2(
-            self.f * o.f,
-            self.f * o.d1 + self.d1 * o.f,
-            self.f * o.d2 + 2.0 * self.d1 * o.d1 + self.d2 * o.f,
-        )
+        if isinstance(other, Jet2):
+            return Jet2(
+                self.f * other.f,
+                self.f * other.d1 + self.d1 * other.f,
+                self.f * other.d2 + 2.0 * self.d1 * other.d1 + self.d2 * other.f,
+            )
+        return Jet2(other * self.f, other * self.d1, other * self.d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet2":
-        o = as_jet(other)
-        q = self.f / _nonzero(o.f)
-        q1 = (self.d1 - q * o.d1) / o.f
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.f
+        if not isinstance(other, Jet2):
+            return Jet2(self.f / _nonzero(other), self.d1 / other, self.d2 / other)
+        q = self.f / _nonzero(other.f)
+        q1 = (self.d1 - q * other.d1) / other.f
+        q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.f
         return Jet2(q, q1, q2)
 
     def __rtruediv__(self, other) -> "Jet2":
-        return as_jet(other) / self
+        return Jet2(other) / self
 
     def __pow__(self, exponent) -> "Jet2":
         return jpow(self, exponent)
@@ -84,12 +96,6 @@ class Jet2:
             and np.isfinite(self.d1).all()
             and np.isfinite(self.d2).all()
         )
-
-
-def as_jet(x) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2(float(x))
 
 
 def ensure_finite(jet: Jet2, context: str = "expression") -> Jet2:
@@ -146,7 +152,7 @@ def _jet_rule(name: str, derivatives):
     value = _VALUES[name]
 
     def rule(x) -> Jet2:
-        g = as_jet(x)
+        g = x if isinstance(x, Jet2) else Jet2(x)
         with np.errstate(all="ignore"):
             v = value(g.f)
             dv, ddv = derivatives(g.f, v)
@@ -199,16 +205,18 @@ def _integer_exponent(e) -> bool:
 def jpow(base, exponent) -> Jet2:
     """Power with an integer fast path.
 
-    The fast path needs a constant exponent: a 0-d integer value with
-    zero derivatives.  Any other exponent (non-integer, or an array of
-    per-point values) routes through exp/log and therefore requires a
-    positive base.
+    The fast path needs a constant exponent: a 0-d integer, given as a
+    value or as a jet with zero derivatives.  Any other exponent
+    (non-integer, or an array of per-point values) routes through
+    exp/log and therefore requires a positive base.
     """
-    g = as_jet(base)
-    e = as_jet(exponent)
-    if np.ndim(e.d1) == np.ndim(e.d2) == 0 and e.d1 == e.d2 == 0.0 and _integer_exponent(e.f):
-        return _ipow(g, int(e.f))
-    return jexp(e * jlog(g))
+    g = base if isinstance(base, Jet2) else Jet2(base)
+    e = exponent
+    if isinstance(e, Jet2) and np.ndim(e.d1) == np.ndim(e.d2) == 0 and e.d1 == e.d2 == 0.0:
+        e = e.f
+    if not isinstance(e, Jet2) and _integer_exponent(e):
+        return _ipow(g, int(e))
+    return jexp(exponent * jlog(g))
 
 
 def _value_pow(x, e):

@@ -11,7 +11,9 @@ integral over the core.
 Truncation applies one global height ``h`` to every end at once, so the
 boundary functionals stay single-variable.  Nonorientable surfaces are
 rejected; analyze their orientable double cover instead (curvature
-integrals double, the Euler characteristic doubles too).
+integrals double, the Euler characteristic doubles too).  Validation
+evaluates each sampling grid of an end once and reads the first
+violation from array masks.
 """
 
 from __future__ import annotations
@@ -161,39 +163,28 @@ def _positivity_probes(end: EndChart, samples_per_axis: int, skip_pole: bool):
     return np.array(ts), thetas
 
 
-def _g_row(end: EndChart, t: float, thetas):
-    """``(theta, G or the DomainError raised there)`` along one row.
+def _evaluate(end: EndChart, ts, thetas):
+    """G on the ``(ts, thetas)`` grid, NaN where a point raised, and the
+    DomainError raised at each such point, keyed by its index.
 
-    The row is one array call; only a row that raises is walked again
-    point by point, so the caller sees which point failed first.
+    The grid is one call.  Only when it raises are the rows called, and
+    only in a row that raises are its points called one by one.
     """
+    values = np.full((ts.size, thetas.size), np.nan)
+    errors = {}
     try:
-        values = np.broadcast_to(end.g(t, thetas), thetas.shape)
+        values[:] = end.g(ts[:, None], thetas[None, :])
     except DomainError:
-        for theta in thetas:
+        for i, t in enumerate(ts):
             try:
-                yield theta, end.g(t, theta)
-            except DomainError as err:
-                yield theta, err
-    else:
-        yield from zip(thetas, values)
-
-
-def _g_grid(end: EndChart, ts, thetas):
-    """G on the whole ``(ts, thetas)`` grid as one array call, or ``None``
-    when that call raises."""
-    try:
-        return np.broadcast_to(end.g(ts[:, None], thetas[None, :]), (ts.size, thetas.size))
-    except DomainError:
-        return None
-
-
-def _g_rows(end: EndChart, ts, thetas, grid):
-    """``(t, row)`` for every height, each row as :func:`_g_row` yields it:
-    read from ``grid``, or walked row by row when the grid call raised."""
-    if grid is None:
-        return [(t, _g_row(end, t, thetas)) for t in ts]
-    return [(t, zip(thetas, row)) for t, row in zip(ts, grid)]
+                values[i] = end.g(t, thetas)
+            except DomainError:
+                for k, theta in enumerate(thetas):
+                    try:
+                        values[i, k] = end.g(t, theta)
+                    except DomainError as err:
+                        errors[i, k] = err
+    return values, errors
 
 
 _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
@@ -201,63 +192,47 @@ _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
 _PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
 
 
-def _positivity_holds(grid, theta_free: bool) -> bool:
-    """Whether an evaluated grid is finite and positive everywhere and,
-    on a theta-free end, constant along each row."""
-    if grid is None or not (np.isfinite(grid).all() and (grid > 0.0).all()):
-        return False
-    return not theta_free or bool((grid == grid[:, :1]).all())
+def _positivity_violation(j: int, end: EndChart, ts, thetas) -> str | None:
+    """The first positivity or theta-free violation in row-major order."""
+    values, errors = _evaluate(end, ts, thetas)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if end.theta_free:
+        # a row's reference is its first value that is not NaN; a point
+        # before it is itself bad or an overflow, which is skipped
+        first = values[np.arange(ts.size), np.isnan(values).argmin(axis=1)]
+        bad |= values != first[:, None]
+    for index, err in errors.items():
+        # too large to represent is still positive
+        bad[index] = not isinstance(err, Overflow)
+    if not bad.any():
+        return None
+    i, k = np.argwhere(bad)[0]
+    t, theta, value = ts[i], thetas[k], values[i, k]
+    if (i, k) in errors:
+        return f"end {j + 1}: evaluation failed at (t={t:g}): {errors[i, k]}"
+    if not (value > 0.0 and math.isfinite(value)):
+        return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
+    return (
+        f"end {j + 1}: declared theta-free but G varies in theta "
+        f"(t={t:g}, theta={theta:g}: {value:g} vs {first[i]:g})"
+    )
 
 
-def _positivity_violation(j: int, end: EndChart, ts, thetas, grid) -> str | None:
-    """The first positivity or theta-free violation, point by point."""
-    for t, row in _g_rows(end, ts, thetas, grid):
-        first = None
-        for theta, value in row:
-            if isinstance(value, Overflow):
-                # too large to represent is still positive
-                continue
-            if isinstance(value, DomainError):
-                return f"end {j + 1}: evaluation failed at (t={t:g}): {value}"
-            if not (value > 0.0) or not math.isfinite(value):
-                return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
-            if first is None:
-                first = value
-            elif end.theta_free and value != first:
-                return (
-                    f"end {j + 1}: declared theta-free but G varies in theta "
-                    f"(t={t:g}, theta={theta:g}: {value:g} vs {first:g})"
-                )
-    return None
-
-
-def _periods_hold(grid) -> bool:
-    """Whether every period pair of an evaluated grid agrees to 1e-9
-    relative."""
-    if grid is None:
-        return False
+def _period_violation(j: int, end: EndChart, ts) -> str | None:
+    """The first period mismatch in row-major order.  A point that raised
+    reads NaN, which never mismatches, so its pair is skipped."""
+    values, _ = _evaluate(end, ts, _PERIOD_PAIRS)
     n = _PERIOD_THETAS.size
-    here, shifted = grid[:, :n], grid[:, n:]
+    here, shifted = values[:, :n], values[:, n:]
     scale = np.maximum(np.maximum(np.abs(here), np.abs(shifted)), 1e-300)
-    return bool((np.abs(here - shifted) <= 1e-9 * scale).all())
-
-
-def _period_violation(j: int, end: EndChart, ts, grid) -> str | None:
-    """The first period mismatch, point by point; a pair with a point
-    that fails to evaluate is skipped."""
-    n = _PERIOD_THETAS.size
-    for t, row in _g_rows(end, ts, _PERIOD_PAIRS, grid):
-        row = list(row)
-        for (theta, here), (_, shifted) in zip(row[:n], row[n:]):
-            if isinstance(here, DomainError) or isinstance(shifted, DomainError):
-                continue
-            scale = max(abs(here), abs(shifted), 1e-300)
-            if abs(here - shifted) > 1e-9 * scale:
-                return (
-                    f"end {j + 1}: G is not 2*pi-periodic in theta "
-                    f"(t={t:g}, theta={theta:g}: {here:g} vs {shifted:g})"
-                )
-    return None
+    bad = np.abs(here - shifted) > 1e-9 * scale
+    if not bad.any():
+        return None
+    i, k = np.argwhere(bad)[0]
+    return (
+        f"end {j + 1}: G is not 2*pi-periodic in theta "
+        f"(t={ts[i]:g}, theta={_PERIOD_THETAS[k]:g}: {here[i, k]:g} vs {shifted[i, k]:g})"
+    )
 
 
 def validate_surface(
@@ -315,19 +290,11 @@ def validate_surface(
     else:
         flag(f"unknown core descriptor {model.core!r}")
 
-    # an evaluated grid is checked as arrays; only a grid that fails a
-    # check or did not evaluate is walked point by point for the message
     for j, end in enumerate(model.ends):
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
-        grid = _g_grid(end, ts, thetas)
-        message = None
-        if not _positivity_holds(grid, end.theta_free):
-            message = _positivity_violation(j, end, ts, thetas, grid)
+        message = _positivity_violation(j, end, ts, thetas)
         if message is None:
-            period_ts = ts[1 :: max(1, len(ts) // 4)]
-            grid = _g_grid(end, period_ts, _PERIOD_PAIRS)
-            if not _periods_hold(grid):
-                message = _period_violation(j, end, period_ts, grid)
+            message = _period_violation(j, end, ts[1 :: max(1, len(ts) // 4)])
         if message is not None:
             flag(message)
 

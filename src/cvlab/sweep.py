@@ -445,6 +445,8 @@ def _mu_prime_point(model: SurfaceModel, schedule: Sequence[float]) -> tuple[flo
     from ``h0`` at large heights."""
     lo, hi = schedule[0], schedule[-1]
     mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
+    if math.isinf(mid):  # lo * hi overflowed; the roots of each do not
+        mid = math.sqrt(lo) * math.sqrt(hi)
     h0 = max(mid, model.min_height + 0.5)
     step = min(max(0.05, h0 * np.finfo(float).eps ** (1 / 3)), 0.125 * (h0 - model.min_height))
     return h0, step

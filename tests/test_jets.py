@@ -89,3 +89,30 @@ def test_sinh_overflows_where_cosh_does():
     for source in ("sinh(theta*200)", "t*sinh(theta*200)"):
         with pytest.raises(Overflow, match=r"^overflow in sinh\(800\.0\)$"):
             eval_jet(parse_metric(source), 1.0, 4.0)
+
+
+def test_array_constants_meet_jets_through_jet2():
+    jet = Jet2(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0]), np.array([0.25, 3.0, -1.5]))
+    arr = np.array([3.0, 4.0, 0.5])
+    const = Jet2(arr, 0.0, 0.0)  # the same constant, through the full rules
+    cases = [
+        (jet + arr, jet + const),
+        (arr - jet, const - jet),
+        (arr * jet, const * jet),
+        (np.float64(2.0) * jet, Jet2(2.0, 0.0, 0.0) * jet),
+        (jet / arr, jet / const),
+        (arr / jet, const / jet),
+        (jpow(jet, arr), jpow(jet, const)),
+    ]
+    for got, want in cases:
+        assert isinstance(got, Jet2)
+        for slot in ("f", "d1", "d2"):
+            assert np.all(getattr(got, slot) == getattr(want, slot)), slot
+
+
+def test_elementary_functions_take_a_plain_number_as_a_constant_jet():
+    for fn in (jexp, jlog, jsqrt, jsin, jcosh, jtanh):
+        jet = fn(1.5)
+        assert isinstance(jet, Jet2)
+        assert jet.f == fn(Jet2(1.5)).f
+        assert jet.d1 == jet.d2 == 0.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cvlab.jets import DomainError, Jet2
+from cvlab.jets import DomainError, Jet2, Overflow
 from cvlab.model import (
     AnalyticCore,
     EndChart,
@@ -177,7 +177,7 @@ PERIOD_MESSAGE = (
 
 class TestValidationGrid:
     """The positivity grid is one call per end; a grid that raises is
-    walked row by row, and either way the violations are the row walk's."""
+    called again row by row, and either way the violations are the same."""
 
     @pytest.mark.parametrize(
         "expr,want",
@@ -218,7 +218,7 @@ class TestValidationGrid:
             "end 1: G is not 2*pi-periodic in theta "
             "(t=0.533333, theta=0.9: 2.23198 vs 1.76802)"
         ]
-        # both grids evaluated, then read again point by point for the message
+        # both grids evaluated once; the message is read from their masks
         assert shapes == [(19, 1), (5, 1)]
 
     def test_grid_path_is_one_call_per_grid(self):
@@ -226,6 +226,46 @@ class TestValidationGrid:
         assert validate_surface(model, 16).ok
         # positivity grid, then the period rows as one grid
         assert shapes == [(19, 1), (5, 1)]
+
+
+def one_end(expr):
+    return SurfaceModel(Topology(0, 1), (chart_from_expression(expr),), AnalyticCore(0.0, (0.0,)))
+
+
+def test_first_failing_point_names_its_error():
+    assert validate_surface(one_end("log(t - 4)"), 16).violations == [
+        "end 1: evaluation failed at (t=0): log of nonpositive value -4.0"
+    ]
+
+
+def test_period_pair_with_a_failing_point_is_skipped():
+    # log(9 - theta) raises at 4.2 + 2*pi only, which pairs with theta = 4.2
+    assert validate_surface(one_end("2 + sin(theta) + 0*log(9 - theta)"), 16).ok
+
+
+def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
+    # exp(t^2/5) overflows at t_min + 64 only: the grid, its 19 rows, the
+    # 16 points of the last row, then the period grid
+    chart = chart_from_expression("exp(t^2/5)")
+    calls = []
+
+    def g_jet(t, theta):
+        calls.append((np.ndim(t), np.ndim(theta)))
+        return chart.g_jet(t, theta)
+
+    model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet),), AnalyticCore(0.0, (0.0,)))
+    assert validate_surface(model, 16).ok
+    assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 16 + [(2, 2)]
+
+
+def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
+    def g_jet(t, theta):
+        if np.any((np.asarray(t) > 60.0) & (np.asarray(theta) == 0.0)):
+            raise Overflow("overflow in exp(1000.0)")
+        return Jet2(2.0 + 0.0 * t * theta)
+
+    model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0, (0.0,)))
+    assert validate_surface(model, 16).ok
 
 
 def test_chart_sqrt_jet_consistency():

@@ -463,6 +463,17 @@ def test_mu_prime_step_resolves_large_heights():
     assert sweep._mu_prime_point(model, SCHEDULES["paraboloid"])[1] == 0.05
 
 
+def test_mu_prime_point_survives_heights_whose_product_overflows():
+    # h_min * h_max = 4e400 is past double range; the square roots are not
+    model = zoo_entry("paraboloid").model
+    report = run_sweep(model, RunConfig(surface="paraboloid", h_min=1e200, h_max=4e200).schedule())
+    verdict = report.verdicts["lambda-mu-prime"]
+    assert verdict.status == "pass"
+    assert verdict.note.startswith("h0=2e+200")
+    # a finite product keeps its form: sqrt(2 * 50) is 10, sqrt(2) * sqrt(50) is not
+    assert sweep._mu_prime_point(model, [2.0, 50.0])[0] == 10.0
+
+
 class TestDirectTotalCurvature:
     def test_catenoid_classical_value(self):
         res = total_curvature_direct(zoo_entry("catenoid").model)
