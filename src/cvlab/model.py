@@ -12,8 +12,8 @@ Truncation applies one global height ``h`` to every end at once, so the
 boundary functionals stay single-variable.  Nonorientable surfaces are
 rejected; analyze their orientable double cover instead (curvature
 integrals double, the Euler characteristic doubles too).  Validation
-evaluates each sampling grid of an end once and reads the first
-violation from array masks.
+evaluates one sampling grid per end, the positivity angles and the
+period pairs side by side, and reads the first violation from masks.
 """
 
 from __future__ import annotations
@@ -188,13 +188,14 @@ def _evaluate(end: EndChart, ts, thetas):
 
 
 _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
-# each period probe next to its shift by one period, so a row is one call
+# each period probe next to its shift by one period
 _PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
 
 
-def _positivity_violation(j: int, end: EndChart, ts, thetas) -> str | None:
+def _positivity_violation(j: int, end: EndChart, ts, thetas, values, errors) -> str | None:
     """The first positivity or theta-free violation in row-major order."""
-    values, errors = _evaluate(end, ts, thetas)
+    values = values[:, : thetas.size]
+    errors = {(i, k): err for (i, k), err in errors.items() if k < thetas.size}
     bad = ~(np.isfinite(values) & (values > 0.0))
     if end.theta_free:
         # a row's reference is its first value that is not NaN; a point
@@ -218,10 +219,9 @@ def _positivity_violation(j: int, end: EndChart, ts, thetas) -> str | None:
     )
 
 
-def _period_violation(j: int, end: EndChart, ts) -> str | None:
+def _period_violation(j: int, ts, values) -> str | None:
     """The first period mismatch in row-major order.  A point that raised
     reads NaN, which never mismatches, so its pair is skipped."""
-    values, _ = _evaluate(end, ts, _PERIOD_PAIRS)
     n = _PERIOD_THETAS.size
     here, shifted = values[:, :n], values[:, n:]
     scale = np.maximum(np.maximum(np.abs(here), np.abs(shifted)), 1e-300)
@@ -292,9 +292,11 @@ def validate_surface(
 
     for j, end in enumerate(model.ends):
         ts, thetas = _positivity_probes(end, samples_per_axis, polar)
-        message = _positivity_violation(j, end, ts, thetas)
+        values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
+        message = _positivity_violation(j, end, ts, thetas, values, errors)
         if message is None:
-            message = _period_violation(j, end, ts[1 :: max(1, len(ts) // 4)])
+            rows = slice(1, None, max(1, len(ts) // 4))
+            message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:
             flag(message)
 

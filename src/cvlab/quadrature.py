@@ -24,9 +24,9 @@ panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 vectorised QK15, one level up); a single integral is the K = 1 call.
 A chain of consecutive bands whose every step decides whether to take
 the next, such as the improper windows, is walked in look-ahead chunks
-(:func:`_walk`): each chunk is one :func:`integrate_bands` call, the
-walk reads its bands one by one, and the bands past its stop are
-integrated and discarded; their evaluations are still counted.
+(:func:`_walk`), each one :func:`integrate_bands` call or, the first,
+part of a caller's batch; the walk reads the bands one by one, and
+bands past its stop are integrated and discarded but still counted.
 Integrands must be written with numpy functions; a scalar result is
 broadcast to the nodes' shape, and a non-finite value anywhere fails
 the whole call with :class:`DomainError`.
@@ -97,7 +97,6 @@ _WG7 = np.array(
         0.129484966168870,
     ]
 )
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 
 class NotMonotone(ValueError):
@@ -163,7 +162,8 @@ def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     """GK15 panels over the intervals of ``jobs``, ``(member, (a, b))``
     pairs, from one call ``values(members, x)`` on the ``(J, 15)`` node
     array.  Returns ``(value, error, children)`` per job: ``scale`` times
-    the Kronrod value and the Kronrod-Gauss difference, and the halves."""
+    the Kronrod value and the Kronrod-Gauss difference, and the halves.
+    The rule pair is a stacked product, bitwise that of a lone panel."""
     members = np.array([k for k, _ in jobs])
     ab = np.array([box for _, box in jobs], dtype=float)
     half = 0.5 * (ab[:, 1:] - ab[:, :1])
@@ -171,12 +171,12 @@ def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     fv = np.empty((len(jobs), 15))
     fv[...] = values(members, mid + half * _XGK)
     _require_finite(fv, jobs)
-    out = []
-    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
-        kron = h * float(_WGK @ row)
-        gauss = h * float(_WG7 @ row[_GAUSS_IDX])
-        out.append((scale * kron, scale * abs(kron - gauss), ((a, m), (m, b))))
-    return out
+    kron = half[:, 0] * (fv[:, None, :] @ _WGK[:, None])[:, 0, 0]
+    sub = np.ascontiguousarray(fv[:, 1::2])
+    gauss = half[:, 0] * (sub[:, None, :] @ _WG7[:, None])[:, 0, 0]
+    scaled, errors = (scale * kron).tolist(), (scale * np.abs(kron - gauss)).tolist()
+    rows = zip(jobs, mid[:, 0].tolist(), scaled, errors)
+    return [(v, e, ((a, m), (m, b))) for (_, (a, b)), m, v, e in rows]
 
 
 def _panels_2d(f: Callable, jobs):
@@ -317,19 +317,20 @@ _CHUNK = 4  # bands per look-ahead chunk after the first
 _MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
 
 
-def _walk(bands: Callable, edges: Iterable[float], first: int):
+def _walk(bands: Callable, edges: Iterable[float], first: int, first_chunk: list | None = None):
     """Yield ``(result, spent)`` for the bands between consecutive
     ``edges``, in order, integrated in lockstep chunks.
 
     ``bands(edges)`` integrates the bands between increasing edges, one
     result per band, as :func:`integrate_bands` does; ``edges`` may also
     decrease, and each chunk is then integrated in reverse.  The first
-    chunk holds ``first`` bands, later ones ``_CHUNK``.  ``spent`` counts
-    the evaluations of every band integrated so far, including the rest
-    of the current chunk, which the caller may never walk.  A chunk that
-    raises :class:`DomainError` or :class:`OverflowError` is integrated
-    again one band at a time, so the band that raises does so at its own
-    step.
+    chunk holds ``first`` bands, later ones ``_CHUNK``; ``first_chunk``,
+    if given, is the first chunk's results as ``bands`` returns them.
+    ``spent`` counts the evaluations of every band integrated so far,
+    including the rest of the current chunk, which the caller may never
+    walk.  A chunk that raises :class:`DomainError` or
+    :class:`OverflowError` is integrated again one band at a time, so the
+    band that raises does so at its own step.
     """
     edges = iter(edges)
     chunk = list(itertools.islice(edges, first + 1))
@@ -337,9 +338,10 @@ def _walk(bands: Callable, edges: Iterable[float], first: int):
     while len(chunk) > 1:
         ascending = chunk[1] > chunk[0]
         try:
-            results = bands(chunk if ascending else chunk[::-1])
+            results = first_chunk or bands(chunk if ascending else chunk[::-1])
         except (DomainError, OverflowError):
             results = None
+        first_chunk = None
         if results is None:
             for pair in zip(chunk, chunk[1:]):
                 result = bands(sorted(pair))[0]

@@ -12,25 +12,25 @@ For a truncation height ``h`` the three computed quantities are
 ``sweep_samples`` computes them over a height schedule; ``c_trunc`` is
 additive in the bands ``[h_{i-1}, h_i]``, so each band is integrated
 once and the values and error estimates are prefix-summed.  The
-integrals of a sweep run in lockstep, one batch per end: the ``mu`` and
-``lambda`` circles of every height are one :func:`integrate_circles`
-call, whose integrand gets ``(K, 1)`` heights against ``(K, 15)``
-angles, and the bands are one :func:`integrate_bands` call on
-``(K, 15, 1)`` x ``(K, 1, 15)`` nodes, so each refinement round costs one
-chart call per end.  On a theta-free end the circle integrals are
-``2*pi`` times point values, all heights in one ``sqrt_jet`` call, and
-the bands are 1-D integrals in t on ``(K, 15)`` nodes.  The chains in
-which each step decides whether to take the next, the polar head and
-its slivers and the improper windows, are integrated in look-ahead
-chunks of consecutive bands, one :func:`integrate_bands` call per chunk
-(see :func:`cvlab.quadrature._walk`).  ``run_sweep`` measures, then
-judges.  :func:`_measure` puts into one frozen record the samples, the
-``lambda = mu'`` differences, one curvature scan per end (the height
-``h1`` beyond which sampled curvature stays nonnegative and the sampled
-``K`` range), the extrapolated limit of ``lambda`` and the direct
-improper integral; :func:`_report` reads only that record to form the
-total curvature and a verdict for every identity and inequality the
-toolkit certifies.
+integrals of a sweep run in lockstep, one batch per end, so each
+refinement round costs one chart call per end: the ``mu`` and ``lambda``
+circles of every height and the five of the ``lambda = mu'`` check are
+one :func:`integrate_circles` call on ``(K, 1)`` heights against
+``(K, 15)`` angles, and the bands one :func:`integrate_bands` call on
+``(K, 15, 1)`` x ``(K, 1, 15)`` nodes.  On a theta-free end the circle
+integrals are ``2*pi`` times point values, all heights in one
+``sqrt_jet`` call, and the bands are 1-D integrals in t on ``(K, 15)``
+nodes.  Chains in which each step decides whether to take the next, the
+polar head and its slivers and the improper windows, run in look-ahead
+chunks (see :func:`cvlab.quadrature._walk`); a polar head's first chunk
+rides in the band batch.  A merged batch that raises runs again as
+separate calls, so each error is the one a lone call raises.
+``run_sweep`` measures, then judges: :func:`_measure` puts into one
+frozen record the samples, the ``lambda = mu'`` differences, one
+curvature scan per end (``h1``, beyond which sampled curvature stays
+nonnegative, and the sampled ``K`` range), the extrapolated limit of
+``lambda`` and the direct improper integral, and :func:`_report` reads
+only that record to form the total curvature and every verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import gauss_curvature
+from .jets import DomainError
 from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel, POLE_GUARD, validate_surface
 from .quadrature import (
     DEFAULT_TOL,
@@ -61,6 +62,7 @@ TWO_PI = 2.0 * math.pi
 K_SLACK = 1e-10  # sampled curvature this far below zero still counts as >= 0
 _PROBE_GRID = 64  # uniform heights of the curvature probe scans
 _PROBE_THETAS = TWO_PI * np.arange(16) / 16  # their angles
+_MU_PRIME_SLOTS = ("d1", "f", "f", "f", "f")  # lambda at h0, then mu at h0 +- step, +- step/2
 
 
 class NonPositiveMu(ValueError):
@@ -170,7 +172,7 @@ def _pole_edges(h: float):
         yield eps
 
 
-def _pole_band(end: EndChart, h: float, tol: Tolerance):
+def _pole_band(end: EndChart, h: float, tol: Tolerance, first_chunk: list | None = None):
     """Curvature integral over (0, h] when the chart closes at a pole.
 
     Integrates the head [eps, h] and then slivers [eps/2, eps], halving
@@ -178,15 +180,16 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
     boundary behavior makes the remaining stub quadratically small.  The
     head and slivers are walked in look-ahead chunks of descending bands
     (see :func:`cvlab.quadrature._walk`), each chunk one
-    :func:`integrate_bands` call.  Returns ``(value, error,
-    evaluations)``; the evaluations include look-ahead slivers past the
-    stop.
+    :func:`integrate_bands` call but the first if ``first_chunk`` holds its
+    results.  Returns ``(value, error, evaluations)``; the evaluations
+    include look-ahead slivers past the stop.
     """
     f = _curvature_density(end)
     walk = _walk(
         lambda edges: integrate_bands(f, edges, tol, theta_free=end.theta_free),
         _pole_edges(h),
         _POLE_FIRST_BANDS,
+        first_chunk,
     )
     head, spent = next(walk)
     total, err = head.value, head.error_estimate
@@ -203,13 +206,21 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance):
     return total, err, spent
 
 
-def _shared_pole_band(end: EndChart, h: float, tol: Tolerance, poles: dict):
-    """:func:`_pole_band` up to ``h``, looked up in ``poles`` (pole bands
-    by height) first.  One sweep passes the same dict to its truncation
-    head and its direct route, so a band both need is integrated once."""
-    if h not in poles:
+def _polar_bands(end: EndChart, edges: list, tol: Tolerance, poles: dict):
+    """``(value, error)`` of the pole band up to ``h = edges[0]``, put in
+    ``poles[h]``, and of each band between ``edges``, as one batch with the
+    pole walk's first chunk ``[eps/4, eps/2, eps, h]``; if that raises, the
+    pole band and then the bands run apart, so each error is a lone call's."""
+    h, density = edges[0], _curvature_density(end)
+    below = list(_pole_edges(h))[_POLE_FIRST_BANDS:0:-1]
+    try:
+        results = integrate_bands(density, below + edges, tol, theta_free=end.theta_free)
+        poles[h] = _pole_band(end, h, tol, results[: len(below)])
+        results = results[len(below) :]
+    except (DomainError, OverflowError):
         poles[h] = _pole_band(end, h, tol)
-    return poles[h]
+        results = integrate_bands(density, edges, tol, theta_free=end.theta_free)
+    return [poles[h][:2]] + [(r.value, r.error_estimate) for r in results]
 
 
 def _truncated_curvatures(
@@ -219,24 +230,23 @@ def _truncated_curvatures(
 
     Per end, the head from the chart edge (through the pole on a polar
     cap) up to the first height above it and every band between
-    consecutive heights are integrated once, all of an end's bands but the
-    polar head as one :func:`integrate_bands` batch; ``c_trunc`` and its
-    error estimate are their running sums in schedule order, starting from
-    the core term.  The polar head comes from ``poles`` (see
-    :func:`_shared_pole_band`).
+    consecutive heights are integrated once, all of an end's bands as one
+    :func:`integrate_bands` batch (on a polar cap with the pole walk's first
+    chunk; see :func:`_polar_bands`).  ``c_trunc`` and its error estimate
+    are their running sums in schedule order, starting from the core term.
     """
     polar = isinstance(model.core, PolarCap)
     per_end = []
     for end in model.ends:
         above = [i for i, h in enumerate(schedule) if h > end.t_min]
         edges = [end.t_min] + [schedule[i] for i in above]
-        density = _curvature_density(end)
-        head = []
         if polar and above:
-            head = [_shared_pole_band(end, edges[1], tol, poles)[:2]]
-            edges = edges[1:]
-        bands = integrate_bands(density, edges, tol, theta_free=end.theta_free)
-        per_end.append(dict(zip(above, head + [(r.value, r.error_estimate) for r in bands])))
+            bands = _polar_bands(end, edges[1:], tol, poles)
+        else:
+            density = _curvature_density(end)
+            results = integrate_bands(density, edges, tol, theta_free=end.theta_free)
+            bands = [(r.value, r.error_estimate) for r in results]
+        per_end.append(dict(zip(above, bands)))
     total = 0.0 if polar else model.core.total_curvature
     err = 0.0
     out = []
@@ -256,10 +266,15 @@ def sweep_samples(
     """One sample per height of a strictly increasing schedule: the
     boundary circles of all heights run as one batch per end, and so do
     the curvature bands between consecutive heights."""
-    return _sweep_samples(model, schedule, tol, {})
+    return _sweep_samples(model, schedule, tol, {})[0]
 
 
-def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict):
+def _sweep_samples(
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict, mu_prime=False
+):
+    """``(samples, None)``, or with ``mu_prime`` ``(samples, (h0, step,
+    *measure_mu_prime_order(model, h0, step)))`` at :func:`_mu_prime_point`,
+    whose five heights ride in the boundary batch."""
     if not schedule:
         raise ValueError("schedule needs at least one height")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -267,7 +282,11 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
     if schedule[0] < model.min_height:
         raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
     n = len(schedule)
-    values, errors = _boundaries(model, list(schedule) * 2, tol, ("f",) * n + ("d1",) * n)
+    heights, slots = [*schedule, *schedule], ("f",) * n + ("d1",) * n
+    if mu_prime:
+        h0, step = _mu_prime_point(model, schedule)
+        heights, slots = heights + _mu_prime_heights(h0, step), slots + _MU_PRIME_SLOTS
+    values, errors = _boundaries(model, heights, tol, slots)
     curvatures = _truncated_curvatures(model, schedule, tol, poles)
     samples = []
     for i, h in enumerate(schedule):
@@ -276,7 +295,9 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
         c, ec = curvatures[i]
         residual = abs(TWO_PI * model.chi - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
-    return tuple(samples)
+    if not mu_prime:
+        return tuple(samples), None
+    return tuple(samples), (h0, step, *_mu_prime_order(values[2 * n :], errors[2 * n :], step))
 
 
 def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) -> float | None:
@@ -377,13 +398,11 @@ def total_curvature_direct(
 
 def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, poles: dict) -> ImproperResult:
     """:func:`total_curvature_direct`; a polar cap's head up to
-    ``t_min + 1`` comes from ``poles`` (see :func:`_shared_pole_band`)."""
+    ``t_min + 1`` comes from ``poles`` if the sweep's truncation put it there."""
     if isinstance(model.core, PolarCap):
-        end = model.ends[0]
-        head, head_err, head_evals = _shared_pole_band(end, end.t_min + 1.0, tol, poles)
-        tail = integrate_improper(
-            _curvature_density(end), end.t_min + 1.0, tol, theta_free=end.theta_free
-        )
+        end, h = model.ends[0], model.ends[0].t_min + 1.0
+        head, head_err, head_evals = poles.get(h) or _pole_band(end, h, tol)
+        tail = integrate_improper(_curvature_density(end), h, tol, theta_free=end.theta_free)
         return ImproperResult(
             value=head + tail.value,
             error_estimate=head_err + tail.error_estimate,
@@ -424,13 +443,20 @@ def measure_mu_prime_order(
 ):
     """Deviation of the central difference of mu from lambda at h0, for
     the given step and its half; returns (dev_step, dev_half, floor)."""
-    steps = (step, 0.5 * step)
-    heights = [h0, h0 + steps[0], h0 - steps[0], h0 + steps[1], h0 - steps[1]]
-    values, errors = _boundaries(model, heights, tol, ("d1", "f", "f", "f", "f"))
+    values, errors = _boundaries(model, _mu_prime_heights(h0, step), tol, _MU_PRIME_SLOTS)
+    return _mu_prime_order(values, errors, step)
+
+
+def _mu_prime_heights(h0: float, step: float) -> list[float]:
+    return [h0, h0 + step, h0 - step, h0 + 0.5 * step, h0 - 0.5 * step]
+
+
+def _mu_prime_order(values, errors, step: float):
+    """:func:`measure_mu_prime_order` from the values at its heights."""
     lam0, el = values[0], errors[0]
     devs = []
     floor = 0.0
-    for k, s in enumerate(steps):
+    for k, s in enumerate((step, 0.5 * step)):
         hi, lo = values[1 + 2 * k], values[2 + 2 * k]
         ehi, elo = errors[1 + 2 * k], errors[2 + 2 * k]
         devs.append(abs((hi - lo) / (2.0 * s) - lam0))
@@ -469,11 +495,15 @@ class _Measured:
 def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
     """Run each measurement of a sweep once.  On a polar cap whose first
     height is ``t_min + 1`` the truncation head and the direct route
-    share one pole band through the ``poles`` memo."""
+    share one pole band through the ``poles`` memo.  If the samples and
+    the mu' check raise merged, they run again apart, in that order."""
     poles: dict = {}
-    samples = _sweep_samples(model, schedule, tol, poles)
-    h0, step = _mu_prime_point(model, schedule)
-    mu_prime = (h0, step, *measure_mu_prime_order(model, h0, step, tol))
+    try:
+        samples, mu_prime = _sweep_samples(model, schedule, tol, poles, mu_prime=True)
+    except (DomainError, OverflowError, NonPositiveMu):
+        samples = _sweep_samples(model, schedule, tol, poles)[0]
+        h0, step = _mu_prime_point(model, schedule)
+        mu_prime = (h0, step, *measure_mu_prime_order(model, h0, step, tol))
     h1, kmin, kmax = _curvature_scan(model, schedule[-1])
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)

@@ -176,8 +176,9 @@ PERIOD_MESSAGE = (
 
 
 class TestValidationGrid:
-    """The positivity grid is one call per end; a grid that raises is
-    called again row by row, and either way the violations are the same."""
+    """The validation grid, positivity angles then period pairs, is one
+    call per end; a grid that raises is called again row by row, and
+    either way the violations are the same."""
 
     @pytest.mark.parametrize(
         "expr,want",
@@ -218,14 +219,14 @@ class TestValidationGrid:
             "end 1: G is not 2*pi-periodic in theta "
             "(t=0.533333, theta=0.9: 2.23198 vs 1.76802)"
         ]
-        # both grids evaluated once; the message is read from their masks
-        assert shapes == [(19, 1), (5, 1)]
+        # one grid holds both checks; the message is read from its masks
+        assert shapes == [(19, 1)]
 
     def test_grid_path_is_one_call_per_grid(self):
         model, shapes = recording_model("2 + sin(theta)")
         assert validate_surface(model, 16).ok
-        # positivity grid, then the period rows as one grid
-        assert shapes == [(19, 1), (5, 1)]
+        # the positivity angles and the period pairs as one grid
+        assert shapes == [(19, 1)]
 
 
 def one_end(expr):
@@ -244,8 +245,8 @@ def test_period_pair_with_a_failing_point_is_skipped():
 
 
 def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
-    # exp(t^2/5) overflows at t_min + 64 only: the grid, its 19 rows, the
-    # 16 points of the last row, then the period grid
+    # exp(t^2/5) overflows at t_min + 64 only: the grid, its 19 rows, then
+    # the 16 positivity and 8 period points of the last row
     chart = chart_from_expression("exp(t^2/5)")
     calls = []
 
@@ -255,7 +256,7 @@ def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
 
     model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet),), AnalyticCore(0.0, (0.0,)))
     assert validate_surface(model, 16).ok
-    assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 16 + [(2, 2)]
+    assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 24
 
 
 def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():

@@ -168,6 +168,45 @@ class TestStackedPanels:
         ]
 
 
+def per_panel_1d(values, jobs, scale=1.0):
+    """The 1-D rule one panel at a time, as before it was stacked."""
+    members = np.array([k for k, _ in jobs])
+    ab = np.array([box for _, box in jobs], dtype=float)
+    half = 0.5 * (ab[:, 1:] - ab[:, :1])
+    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
+    fv = np.empty((len(jobs), 15))
+    fv[...] = values(members, mid + half * quadrature._XGK)
+    out = []
+    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
+        kron = h * float(quadrature._WGK @ row)
+        gauss = h * float(quadrature._WG7 @ row[np.arange(1, 15, 2)])
+        out.append((scale * kron, scale * abs(kron - gauss), ((a, m), (m, b))))
+    return out
+
+
+class TestStackedPanels1d:
+    """The stacked 1-D rule against the per-panel loop, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, TWO_PI])
+    @pytest.mark.parametrize("count", [1, 2, 15, 64])
+    def test_random_rows_match_per_panel_loop(self, count, scale):
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            lo = rng.uniform(-50.0, 50.0, count)
+            width = rng.uniform(1e-6, 30.0, count)
+            jobs = [(k, (float(a), float(a + w))) for k, (a, w) in enumerate(zip(lo, width))]
+            rows = 10.0 ** rng.uniform(-8, 8, (count, 1)) * rng.standard_normal((count, 15))
+            f = lambda _, x: rows
+            assert _panels_1d(f, jobs, scale) == per_panel_1d(f, jobs, scale)
+
+    def test_integrand_on_nodes_matches_per_panel_loop(self):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(0.0, 20.0, 40)
+        jobs = [(k, (float(a), float(a + 0.5 * k + 0.1))) for k, a in enumerate(lo)]
+        f = lambda _, t: t * t * np.exp(-0.3 * t) * np.cos(3.0 * t)
+        assert _panels_1d(f, jobs, TWO_PI) == per_panel_1d(f, jobs, TWO_PI)
+
+
 class TestAnnulus:
     def test_zero_integrand(self):
         res = integrate_bands(lambda t, theta: 0.0, [0.0, 5.0])[0]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cvlab.sweep as sweep
 from cvlab.cli import RunConfig
-from cvlab.jets import Jet2
+from cvlab.jets import DomainError, Jet2
 from cvlab.model import (
     POLE_GUARD,
     AnalyticCore,
@@ -30,7 +30,7 @@ from cvlab.sweep import (
     total_curvature_direct,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import SCHEDULES
+from conftest import DEEP_SCHEDULE, SCHEDULES
 from test_array_eval import theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
@@ -580,13 +580,16 @@ class TestBandReuse:
     def test_pole_band_is_integrated_once(self, monkeypatch):
         schedule = [1.0, 2.0, 4.0, 8.0]
         batches, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
-        # the pole band's chunks run bottom up, slivers before the head;
-        # the last batch holds the bands between heights
-        chunks, bands = batches[:-1], batches[-1]
-        calls = [box for chunk in chunks for box, _ in chunk[::-1]] + [box for box, _ in bands]
-        assert calls[-3:] == list(zip(schedule, schedule[1:]))
+        # the first batch holds the pole band's first chunk, bottom up,
+        # slivers before the head, then the bands between heights; the
+        # pole band's later chunks follow
+        first, chunks = batches[0], batches[1:]
+        calls = [box for box, _ in first[2::-1]]
+        calls += [box for chunk in chunks for box, _ in chunk[::-1]]
+        assert [box for box, _ in first[3:]] == list(zip(schedule, schedule[1:]))
         assert calls[0] == (0.25, 1.0)
-        assert all(t_hi <= 0.25 for _, t_hi in calls[1:-3])
+        assert all(t_hi <= 0.25 for _, t_hi in calls[1:])
+        assert len(set(calls)) == len(calls)
 
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -885,11 +888,147 @@ class TestLookahead:
         heights = []
         pole_band = sweep._pole_band
 
-        def recording(end, h, tol):
+        def recording(end, h, tol, *first_chunk):
             heights.append(h)
-            return pole_band(end, h, tol)
+            return pole_band(end, h, tol, *first_chunk)
 
         monkeypatch.setattr(sweep, "_pole_band", recording)
         run_sweep(POLE_MODELS[name](), schedule)
         assert len(heights) == calls
         assert sorted(heights) == sorted({1.0, schedule[0]})
+
+
+def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
+    """``sqrt(G) = t``, but raising :class:`DomainError` that names the
+    first point inside a ``raise_in`` window, and negative inside a
+    ``negative_in`` window."""
+
+    def inside(t, windows):
+        hit = np.zeros(t.shape, dtype=bool)
+        for lo, hi in windows:
+            hit |= (lo < t) & (t < hi)
+        return hit
+
+    def sqrt_g_jet(t, theta):
+        t = np.asarray(t + 0.0 * theta)
+        hit = inside(t, raise_in)
+        if hit.any():
+            raise DomainError(f"fault at t={float(t[hit][0])!r}")
+        f = np.where(inside(t, negative_in), -t, t)
+        return Jet2(f, np.ones_like(f), np.zeros_like(f))
+
+    def g_jet(t, theta):
+        w = sqrt_g_jet(t, theta)
+        return Jet2(w.f * w.f, 2.0 * w.f, 2.0)
+
+    return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+
+
+def _error_of(*steps):
+    """The first error raised by the steps run in order, or ``None``."""
+    try:
+        for step in steps:
+            step()
+    except (DomainError, OverflowError, NonPositiveMu) as err:
+        return err
+    return None
+
+
+class TestMergedBatches:
+    """The mu' heights ride in the sweep's boundary batch and a polar
+    cap's first pole chunk in its band batch; each value, and each error
+    raised, is that of the measurement run apart."""
+
+    @pytest.mark.parametrize("name", zoo_names() + ("theta-cap",))
+    def test_mu_prime_equals_the_separate_measurement(self, name):
+        model = theta_cap() if name == "theta-cap" else zoo_entry(name).model
+        m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL)
+        assert m.mu_prime[2:] == measure_mu_prime_order(model, *m.mu_prime[:2])
+
+    @pytest.mark.parametrize("h", [1.0, 2.0])
+    @pytest.mark.parametrize("name", sorted(POLE_MODELS))
+    def test_polar_head_equals_the_pole_band_alone(self, name, h):
+        model = POLE_MODELS[name]()
+        tol = sweep.DEFAULT_TOL
+        poles = {}
+        sweep._truncated_curvatures(model, [h, 2.0 * h, 4.0 * h], tol, poles)
+        assert poles[h] == sweep._pole_band(model.ends[0], h, tol)
+
+    @pytest.mark.parametrize("theta_free", [True, False])
+    @pytest.mark.parametrize(
+        "windows",
+        [[(0.07, 0.11), (0.5, 0.6)], [(0.07, 0.11), (5.0, 6.0)], [(5.0, 6.0)]],
+        ids=["sliver-and-head", "sliver-and-band", "band"],
+    )
+    def test_cap_that_raises_keeps_the_separate_error(self, windows, theta_free):
+        # merged, the bottom sliver is the first row of the batch; apart,
+        # the pole walk integrates the head first and the bands come last
+        end = _faulty_chart(raise_in=windows, theta_free=theta_free)
+        model = SurfaceModel(Topology(0, 1), (end,), PolarCap())
+        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
+        density = sweep._curvature_density(end)
+        want = _error_of(
+            lambda: sweep._pole_band(end, schedule[0], tol),
+            lambda: sweep.integrate_bands(density, schedule, tol, theta_free=theta_free),
+        )
+        got = _error_of(lambda: sweep_samples(model, schedule, tol))
+        assert want is not None
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    def test_dsl_cap_that_raises_keeps_the_separate_error(self):
+        end = chart_from_expression("t^2 + 0*log(t - 0.6)")
+        model = SurfaceModel(Topology(0, 1), (end,), PolarCap())
+        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
+        want = _error_of(lambda: sweep._pole_band(end, schedule[0], tol))
+        got = _error_of(lambda: sweep_samples(model, schedule, tol))
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {"raise_in": [(2.7, 2.9)]},
+            {"raise_in": [(2.877, 2.879)]},
+            {"negative_in": [(2.85, 2.9)]},
+            {"negative_in": [(2.85, 2.9)], "raise_in": [(5.0, 6.0)]},
+        ],
+        ids=["mu-prime-and-band", "mu-prime-only", "nonpositive-mu", "nonpositive-mu-after-band"],
+    )
+    def test_mu_prime_fault_keeps_the_separate_error(self, faults):
+        # the schedule's mu' heights are 2.828 +- 0.05 and +- 0.025
+        model = SurfaceModel(Topology(0, 1), (_faulty_chart(**faults),), AnalyticCore(0.0, (0.0,)))
+        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
+        want = _error_of(
+            lambda: sweep_samples(model, schedule, tol),
+            lambda: measure_mu_prime_order(model, *sweep._mu_prime_point(model, schedule), tol),
+        )
+        got = _error_of(lambda: sweep._measure(model, schedule, tol))
+        assert want is not None
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
+CHART_CALL_CASES = {
+    "paraboloid": (lambda: zoo_entry("paraboloid").model, DEEP_SCHEDULE),
+    "theta-cap": (theta_cap, RunConfig("theta-cap").schedule()),
+    "three-ends": (three_ends, BAND_SCHEDULES["three-ends"]),
+}
+
+
+@pytest.mark.parametrize(
+    "name,calls", [("paraboloid", 15), ("theta-cap", 7), ("three-ends", 40)]
+)
+def test_chart_calls_per_sweep(name, calls, monkeypatch):
+    # chart calls do not depend on the machine: pinning them keeps the
+    # merged batches merged
+    build, schedule = CHART_CALL_CASES[name]
+    model = build()
+    counted = []
+    for method in ("sqrt_jet", "g"):
+        original = getattr(EndChart, method)
+
+        def counting(self, t, theta, original=original):
+            counted.append(method)
+            return original(self, t, theta)
+
+        monkeypatch.setattr(EndChart, method, counting)
+    run_sweep(model, schedule)
+    assert len(counted) == calls
