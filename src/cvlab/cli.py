@@ -33,10 +33,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsl import ParseError
 from .model import (
     AnalyticCore,
-    ModelInvalid,
     PolarCap,
     SurfaceModel,
     Topology,
@@ -98,7 +96,11 @@ class RunConfig:
 def load_surface_config(path: str | Path) -> SurfaceModel:
     """Read a surface definition file into a model."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err  # not the path again
+        raise InputError(f"cannot read config {path}: {reason}") from err
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -275,10 +277,14 @@ def verdict_table(report: SweepReport) -> str:
 
 
 def emit(text: str, output_path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output_path is None or output_path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(output_path).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output_path).write_text(text)
+    except OSError as err:
+        raise InputError(f"cannot write {output_path}: {err.strerror or err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, model)
         return cmd_verify(config, model)
-    except (InputError, ParseError, ModelInvalid, ValueError) as err:
+    # bad input (InputError, ParseError, ModelInvalid) and a sweep that
+    # fails (DomainError, NonPositiveMu) are ValueErrors
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -152,14 +152,17 @@ class ValidationReport:
         return not self.violations
 
 
-def _positivity_probes(end: EndChart, samples_per_axis: int, skip_pole: bool):
+_SAMPLES_PER_AXIS = 16  # positivity heights in [t_min, t_min + 8] and angles
+
+
+def _positivity_probes(end: EndChart, skip_pole: bool):
     lo = end.t_min
     if skip_pole:
         lo = lo + POLE_GUARD
     window = 8.0
-    ts = [lo + window * i / (samples_per_axis - 1) for i in range(samples_per_axis)]
+    ts = [lo + window * i / (_SAMPLES_PER_AXIS - 1) for i in range(_SAMPLES_PER_AXIS)]
     ts += [end.t_min + w for w in (16.0, 32.0, 64.0)]
-    thetas = 2.0 * math.pi * np.arange(samples_per_axis) / samples_per_axis
+    thetas = 2.0 * math.pi * np.arange(_SAMPLES_PER_AXIS) / _SAMPLES_PER_AXIS
     return np.array(ts), thetas
 
 
@@ -235,16 +238,12 @@ def _period_violation(j: int, ts, values) -> str | None:
     )
 
 
-def validate_surface(
-    model: SurfaceModel, samples_per_axis: int = 16, strict: bool = False
-) -> ValidationReport:
+def validate_surface(model: SurfaceModel, strict: bool = False) -> ValidationReport:
     """Check model invariants; sampling catches nonpositive G.
 
     Returns a report listing every violation found.  In strict mode the
     first violation raises :class:`ModelInvalid` instead.
     """
-    if samples_per_axis < 4:
-        raise ValueError("samples_per_axis must be at least 4")
     report = ValidationReport()
 
     def flag(message: str):
@@ -291,7 +290,7 @@ def validate_surface(
         flag(f"unknown core descriptor {model.core!r}")
 
     for j, end in enumerate(model.ends):
-        ts, thetas = _positivity_probes(end, samples_per_axis, polar)
+        ts, thetas = _positivity_probes(end, polar)
         values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
         message = _positivity_violation(j, end, ts, thetas, values, errors)
         if message is None:

@@ -23,8 +23,8 @@ integrals are ``2*pi`` times point values, all heights in one
 nodes.  Chains in which each step decides whether to take the next, the
 polar head and its slivers and the improper windows, run in look-ahead
 chunks (see :func:`cvlab.quadrature._walk`); a polar head's first chunk
-rides in the band batch.  A merged batch that raises runs again as
-separate calls, so each error is the one a lone call raises.
+rides in the band batch.  A merged batch that raises fails the sweep
+with its own error.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
 frozen record the samples, the ``lambda = mu'`` differences, one
 curvature scan per end (``h1``, beyond which sampled curvature stays
@@ -42,8 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import gauss_curvature
-from .jets import DomainError
-from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel, POLE_GUARD, validate_surface
+from .model import EndChart, PolarCap, SurfaceModel, POLE_GUARD, validate_surface
 from .quadrature import (
     DEFAULT_TOL,
     ImproperResult,
@@ -154,7 +153,7 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
 
 
 def _curvature_density(end: EndChart):
-    # K * sqrt(G) = -d2 sqrt(G): no division, well behaved near poles
+    # K * sqrt(G) = -d2 sqrt(G): no division, well behaved near a pole
     return lambda t, theta: -end.sqrt_jet(t, theta).d2
 
 
@@ -206,46 +205,34 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance, first_chunk: list | None
     return total, err, spent
 
 
-def _polar_bands(end: EndChart, edges: list, tol: Tolerance, poles: dict):
-    """``(value, error)`` of the pole band up to ``h = edges[0]``, put in
-    ``poles[h]``, and of each band between ``edges``, as one batch with the
-    pole walk's first chunk ``[eps/4, eps/2, eps, h]``; if that raises, the
-    pole band and then the bands run apart, so each error is a lone call's."""
-    h, density = edges[0], _curvature_density(end)
-    below = list(_pole_edges(h))[_POLE_FIRST_BANDS:0:-1]
-    try:
-        results = integrate_bands(density, below + edges, tol, theta_free=end.theta_free)
-        poles[h] = _pole_band(end, h, tol, results[: len(below)])
-        results = results[len(below) :]
-    except (DomainError, OverflowError):
-        poles[h] = _pole_band(end, h, tol)
-        results = integrate_bands(density, edges, tol, theta_free=end.theta_free)
-    return [poles[h][:2]] + [(r.value, r.error_estimate) for r in results]
-
-
-def _truncated_curvatures(
-    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict
-):
-    """``(c_trunc, error)`` at each height of an increasing schedule.
+def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
+    """``(c_trunc, error)`` at each height of an increasing schedule, and
+    on a polar cap the pole band up to the first height as
+    :func:`_pole_band` returns it (else ``None``).
 
     Per end, the head from the chart edge (through the pole on a polar
     cap) up to the first height above it and every band between
     consecutive heights are integrated once, all of an end's bands as one
-    :func:`integrate_bands` batch (on a polar cap with the pole walk's first
-    chunk; see :func:`_polar_bands`).  ``c_trunc`` and its error estimate
-    are their running sums in schedule order, starting from the core term.
+    :func:`integrate_bands` batch, on a polar cap with the pole walk's
+    first chunk ``[eps/4, eps/2, eps, h]``.  ``c_trunc`` and its error
+    estimate are their running sums in schedule order, starting from the
+    core term.
     """
     polar = isinstance(model.core, PolarCap)
+    head = None
     per_end = []
     for end in model.ends:
         above = [i for i, h in enumerate(schedule) if h > end.t_min]
         edges = [end.t_min] + [schedule[i] for i in above]
-        if polar and above:
-            bands = _polar_bands(end, edges[1:], tol, poles)
-        else:
-            density = _curvature_density(end)
-            results = integrate_bands(density, edges, tol, theta_free=end.theta_free)
-            bands = [(r.value, r.error_estimate) for r in results]
+        below = []
+        if polar and above:  # the pole band, not [0, h], is the head
+            below = list(_pole_edges(edges[1]))[_POLE_FIRST_BANDS:0:-1]
+            edges = below + edges[1:]
+        results = integrate_bands(_curvature_density(end), edges, tol, theta_free=end.theta_free)
+        bands = [(r.value, r.error_estimate) for r in results[len(below) :]]
+        if below:
+            head = _pole_band(end, edges[len(below)], tol, results[: len(below)])
+            bands.insert(0, head[:2])
         per_end.append(dict(zip(above, bands)))
     total = 0.0 if polar else model.core.total_curvature
     err = 0.0
@@ -257,7 +244,7 @@ def _truncated_curvatures(
                 total += value
                 err += error
         out.append((total, err))
-    return out
+    return out, head
 
 
 def sweep_samples(
@@ -266,28 +253,29 @@ def sweep_samples(
     """One sample per height of a strictly increasing schedule: the
     boundary circles of all heights run as one batch per end, and so do
     the curvature bands between consecutive heights."""
-    return _sweep_samples(model, schedule, tol, {})[0]
+    _check_schedule(model, schedule)
+    return _sweep_samples(model, schedule, tol)[0]
 
 
-def _sweep_samples(
-    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, poles: dict, mu_prime=False
-):
-    """``(samples, None)``, or with ``mu_prime`` ``(samples, (h0, step,
-    *measure_mu_prime_order(model, h0, step)))`` at :func:`_mu_prime_point`,
-    whose five heights ride in the boundary batch."""
+def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
     if not schedule:
         raise ValueError("schedule needs at least one height")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     if schedule[0] < model.min_height:
         raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
+
+
+def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, probes=()):
+    """``(samples, values, errors, head)`` on a checked schedule:
+    :func:`sweep_samples`, the boundary values and errors at the extra
+    ``(height, slot)`` ``probes``, which ride in the boundary batch, and
+    the polar head of :func:`_truncated_curvatures`."""
     n = len(schedule)
-    heights, slots = [*schedule, *schedule], ("f",) * n + ("d1",) * n
-    if mu_prime:
-        h0, step = _mu_prime_point(model, schedule)
-        heights, slots = heights + _mu_prime_heights(h0, step), slots + _MU_PRIME_SLOTS
+    heights = [*schedule, *schedule, *(h for h, _ in probes)]
+    slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
     values, errors = _boundaries(model, heights, tol, slots)
-    curvatures = _truncated_curvatures(model, schedule, tol, poles)
+    curvatures, head = _truncated_curvatures(model, schedule, tol)
     samples = []
     for i, h in enumerate(schedule):
         m, em = values[i], errors[i]
@@ -295,18 +283,16 @@ def _sweep_samples(
         c, ec = curvatures[i]
         residual = abs(TWO_PI * model.chi - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
-    if not mu_prime:
-        return tuple(samples), None
-    return tuple(samples), (h0, step, *_mu_prime_order(values[2 * n :], errors[2 * n :], step))
+    return tuple(samples), values[2 * n :], errors[2 * n :], head
 
 
-def detect_h1(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID) -> float | None:
+def detect_h1(model: SurfaceModel, h_probe_max: float) -> float | None:
     """Smallest height beyond which sampled curvature stays >= -K_SLACK, or
     ``None`` when violations persist up to ``h_probe_max``; see :func:`_curvature_scan`."""
-    return _curvature_scan(model, h_probe_max, grid)[0]
+    return _curvature_scan(model, h_probe_max)[0]
 
 
-def _curvature_scan(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_GRID):
+def _curvature_scan(model: SurfaceModel, h_probe_max: float):
     """``(h1, kmin, kmax)``: :func:`detect_h1`'s height and the curvature
     range of its grid scan.
 
@@ -319,8 +305,6 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_
     per end and the bisection reads its steps from them.  ``h1`` is
     ``None`` when violations persist up to the probe ceiling.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
     if h_probe_max <= model.min_height:
         raise ValueError("h_probe_max must exceed every chart edge")
 
@@ -334,7 +318,7 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float, grid: int = _PROBE_
         return np.any([np.any(k < -K_SLACK, axis=1) for k in ks], axis=0)
 
     origin = model.min_height
-    heights = _probe_heights(origin, h_probe_max, grid)
+    heights = _probe_heights(origin, h_probe_max, _PROBE_GRID)
     ks = curvatures(heights)
     kmin = min(float(np.min(k)) for k in ks)
     kmax = max(float(np.max(k)) for k in ks)
@@ -393,33 +377,25 @@ def total_curvature_direct(
     model: SurfaceModel, tol: Tolerance = DEFAULT_TOL
 ) -> ImproperResult:
     """Total curvature by direct improper integration over all ends."""
-    return _total_curvature_direct(model, tol, {})
+    return _total_curvature_direct(model, tol)
 
 
-def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, poles: dict) -> ImproperResult:
-    """:func:`total_curvature_direct`; a polar cap's head up to
-    ``t_min + 1`` comes from ``poles`` if the sweep's truncation put it there."""
+def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, head=None) -> ImproperResult:
+    """:func:`total_curvature_direct`.  The core term is the analytic
+    core's value, or on a polar cap the pole band up to ``t_min + 1``
+    (``head`` if given, as :func:`_pole_band` returns it) with the improper
+    tail starting there.  An end whose tail does not converge adds only
+    its evaluations; the first divergence and trace are reported."""
     if isinstance(model.core, PolarCap):
-        end, h = model.ends[0], model.ends[0].t_min + 1.0
-        head, head_err, head_evals = poles.get(h) or _pole_band(end, h, tol)
-        tail = integrate_improper(_curvature_density(end), h, tol, theta_free=end.theta_free)
-        return ImproperResult(
-            value=head + tail.value,
-            error_estimate=head_err + tail.error_estimate,
-            evaluations=head_evals + tail.evaluations,
-            converged=tail.converged,
-            divergence=tail.divergence,
-            partial_sums=tail.partial_sums,
-        )
-    core: AnalyticCore = model.core
-    total, err, evals = core.total_curvature, 0.0, 0
-    divergence = None
-    converged = True
-    trace: tuple = ()
-    for end in model.ends:
-        res = integrate_improper(
-            _curvature_density(end), end.t_min, tol, theta_free=end.theta_free
-        )
+        end = model.ends[0]
+        starts = [(end, end.t_min + 1.0)]
+        total, err, evals = head or _pole_band(end, end.t_min + 1.0, tol)
+    else:
+        starts = [(end, end.t_min) for end in model.ends]
+        total, err, evals = model.core.total_curvature, 0.0, 0
+    divergence, converged, trace = None, True, ()
+    for end, t_lo in starts:
+        res = integrate_improper(_curvature_density(end), t_lo, tol, theta_free=end.theta_free)
         evals += res.evaluations
         if res.divergence is not None or not res.converged:
             divergence = divergence or res.divergence
@@ -428,14 +404,7 @@ def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, poles: dict) ->
             continue
         total += res.value
         err += res.error_estimate
-    return ImproperResult(
-        value=total,
-        error_estimate=err,
-        evaluations=evals,
-        converged=converged,
-        divergence=divergence,
-        partial_sums=trace,
-    )
+    return ImproperResult(total, err, evals, converged, divergence, trace)
 
 
 def measure_mu_prime_order(
@@ -493,21 +462,20 @@ class _Measured:
 
 
 def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
-    """Run each measurement of a sweep once.  On a polar cap whose first
-    height is ``t_min + 1`` the truncation head and the direct route
-    share one pole band through the ``poles`` memo.  If the samples and
-    the mu' check raise merged, they run again apart, in that order."""
-    poles: dict = {}
-    try:
-        samples, mu_prime = _sweep_samples(model, schedule, tol, poles, mu_prime=True)
-    except (DomainError, OverflowError, NonPositiveMu):
-        samples = _sweep_samples(model, schedule, tol, poles)[0]
-        h0, step = _mu_prime_point(model, schedule)
-        mu_prime = (h0, step, *measure_mu_prime_order(model, h0, step, tol))
+    """Run each measurement of a sweep once.  The five heights of the
+    ``lambda = mu'`` check ride in the samples' boundary batch, and on a
+    polar cap whose first height is ``t_min + 1`` the direct route reuses
+    the truncation's pole band."""
+    _check_schedule(model, schedule)
+    h0, step = _mu_prime_point(model, schedule)
+    probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
+    samples, values, errors, head = _sweep_samples(model, schedule, tol, probes)
+    mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
     h1, kmin, kmax = _curvature_scan(model, schedule[-1])
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    direct = _total_curvature_direct(model, tol, poles)
+    shared = head if schedule[0] == model.min_height + 1.0 else None
+    direct = _total_curvature_direct(model, tol, shared)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 
@@ -522,7 +490,7 @@ def run_sweep(
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
-    validate_surface(model, samples_per_axis=16, strict=True)
+    validate_surface(model, strict=True)
     return _report(model, _measure(model, schedule, tol))
 
 

@@ -109,6 +109,13 @@ class TestSweep:
         for h, m in zip(hs, mus):
             assert m == pytest.approx(2 * math.pi * h, abs=1e-8)
 
+    def test_output_path_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        argv = ["sweep", "--surface", "flat-cylinder", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_numpy_schedule_csv_cells_are_numbers(self, zoo_reports):
         # the catenoid runs on an np.geomspace schedule
         rows = list(csv.reader(io.StringIO(report_to_csv(zoo_reports["catenoid"]))))
@@ -249,6 +256,20 @@ class TestConfigFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: config {path}: {where} is not a valid" in captured.err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_names_its_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "surface.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(CUSP_CONFIG.encode("utf-16"))
+        with pytest.raises(InputError, match="^cannot read config "):
+            load_surface_config(path)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config {path}: ")
 
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

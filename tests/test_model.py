@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cvlab.model as model_module
 from cvlab.jets import DomainError, Jet2, Overflow
 from cvlab.model import (
     AnalyticCore,
@@ -53,7 +54,7 @@ class TestValidateSurface:
             core=AnalyticCore(0.0, (0.0, 0.0)),
             name="flat",
         )
-        assert validate_surface(model, 16).ok
+        assert validate_surface(model).ok
 
     def test_decaying_linear_metric_flagged(self):
         model = SurfaceModel(
@@ -61,7 +62,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("1 - t"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model, 16)
+        report = validate_surface(model)
         assert any("G <= 0" in v for v in report.violations)
 
     def test_polar_cap_needs_single_end(self):
@@ -70,7 +71,7 @@ class TestValidateSurface:
             ends=(flat_chart(), flat_chart()),
             core=PolarCap(),
         )
-        report = validate_surface(model, 8)
+        report = validate_surface(model)
         assert any("single end" in v for v in report.violations)
 
     def test_strict_mode_raises(self):
@@ -80,7 +81,7 @@ class TestValidateSurface:
             core=PolarCap(),
         )
         with pytest.raises(ModelInvalid):
-            validate_surface(model, 8, strict=True)
+            validate_surface(model, strict=True)
 
     def test_end_count_mismatch(self):
         model = SurfaceModel(
@@ -88,7 +89,7 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        assert not validate_surface(model, 8).ok
+        assert not validate_surface(model).ok
 
     def test_core_height_mismatch(self):
         model = SurfaceModel(
@@ -96,7 +97,7 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (1.0,)),
         )
-        report = validate_surface(model, 8)
+        report = validate_surface(model)
         assert any("t_min" in v for v in report.violations)
 
     def test_aperiodic_theta_dependence_flagged(self):
@@ -105,7 +106,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("2 + sin(theta/2)"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model, 16)
+        report = validate_surface(model)
         assert any("periodic" in v for v in report.violations)
 
     def test_periodic_theta_dependence_accepted(self):
@@ -114,7 +115,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("2 + sin(theta)"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        assert validate_surface(model, 16).ok
+        assert validate_surface(model).ok
 
     def test_nonorientable_rejected_with_double_cover_hint(self):
         model = SurfaceModel(
@@ -122,12 +123,13 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model, 8)
+        report = validate_surface(model)
         assert any("double cover" in v for v in report.violations)
 
-    def test_every_zoo_surface_validates_at_64(self):
+    def test_every_zoo_surface_validates_at_64(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_SAMPLES_PER_AXIS", 64)
         for entry in all_entries():
-            report = validate_surface(entry.model, 64)
+            report = validate_surface(entry.model)
             assert report.ok, (entry.name, report.violations)
 
     def test_chi_invariant_under_end_permutation(self):
@@ -140,7 +142,7 @@ class TestValidateSurface:
             name=model.name,
         )
         assert swapped.chi == model.chi
-        assert validate_surface(swapped, 16).ok
+        assert validate_surface(swapped).ok
 
 
 def recording_model(expr, walk_rows=False):
@@ -193,8 +195,8 @@ class TestValidationGrid:
     def test_violations_equal_row_walk(self, expr, want):
         model, shapes = recording_model(expr)
         walked, _ = recording_model(expr, walk_rows=True)
-        assert validate_surface(model, 16).violations == want
-        assert validate_surface(walked, 16).violations == want
+        assert validate_surface(model).violations == want
+        assert validate_surface(walked).violations == want
         grid_raises = expr.startswith("exp(t^2/5)")  # overflows at t_min + 64 only
         assert shapes[0] == (19, 1)
         assert any(shape == () for shape in shapes) == grid_raises
@@ -209,13 +211,13 @@ class TestValidationGrid:
         model = SurfaceModel(
             Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0, (0.0,))
         )
-        assert validate_surface(model, 16).violations == [
+        assert validate_surface(model).violations == [
             "end 1: G <= 0 at sampled point (t=2.66667, theta=1.1781)"
         ]
 
     def test_period_mismatch_on_a_clean_grid_gets_its_message(self):
         model, shapes = recording_model("2 + sin(theta/2)*t")
-        assert validate_surface(model, 16).violations == [
+        assert validate_surface(model).violations == [
             "end 1: G is not 2*pi-periodic in theta "
             "(t=0.533333, theta=0.9: 2.23198 vs 1.76802)"
         ]
@@ -224,7 +226,7 @@ class TestValidationGrid:
 
     def test_grid_path_is_one_call_per_grid(self):
         model, shapes = recording_model("2 + sin(theta)")
-        assert validate_surface(model, 16).ok
+        assert validate_surface(model).ok
         # the positivity angles and the period pairs as one grid
         assert shapes == [(19, 1)]
 
@@ -234,14 +236,14 @@ def one_end(expr):
 
 
 def test_first_failing_point_names_its_error():
-    assert validate_surface(one_end("log(t - 4)"), 16).violations == [
+    assert validate_surface(one_end("log(t - 4)")).violations == [
         "end 1: evaluation failed at (t=0): log of nonpositive value -4.0"
     ]
 
 
 def test_period_pair_with_a_failing_point_is_skipped():
     # log(9 - theta) raises at 4.2 + 2*pi only, which pairs with theta = 4.2
-    assert validate_surface(one_end("2 + sin(theta) + 0*log(9 - theta)"), 16).ok
+    assert validate_surface(one_end("2 + sin(theta) + 0*log(9 - theta)")).ok
 
 
 def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
@@ -255,7 +257,7 @@ def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
         return chart.g_jet(t, theta)
 
     model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet),), AnalyticCore(0.0, (0.0,)))
-    assert validate_surface(model, 16).ok
+    assert validate_surface(model).ok
     assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 24
 
 
@@ -266,7 +268,7 @@ def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
         return Jet2(2.0 + 0.0 * t * theta)
 
     model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0, (0.0,)))
-    assert validate_surface(model, 16).ok
+    assert validate_surface(model).ok
 
 
 def test_chart_sqrt_jet_consistency():
@@ -308,7 +310,7 @@ class TestThetaFreeDeclaration:
             core=AnalyticCore(0.0, (0.0,)),
         )
         with pytest.raises(ModelInvalid, match="end 1: declared theta-free but G varies in theta"):
-            validate_surface(model, 16, strict=True)
+            validate_surface(model, strict=True)
         # the same G without the declaration is a valid chart
         honest = SurfaceModel(model.topology, (EndChart(g_jet=refusing),), model.core)
-        assert validate_surface(honest, 16, strict=True).ok
+        assert validate_surface(honest, strict=True).ok

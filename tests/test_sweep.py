@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestDetectH1:
     def test_cusp_not_found(self):
         assert detect_h1(zoo_entry("cusp-cap").model, 64.0) is None
 
-    def test_constructed_sign_change_located(self):
+    def test_constructed_sign_change_located(self, monkeypatch):
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
         # negative somewhere for every t < 5, nonnegative beyond
         def sqrt_g_jet(t, theta):
@@ -184,7 +185,8 @@ class TestDetectH1:
             core=AnalyticCore(TWO_PI, (0.0,)),
             name="sign-change",
         )
-        h1 = detect_h1(model, 10.0, grid=16)
+        monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
+        h1 = detect_h1(model, 10.0)
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
     def test_curvature_range_scan(self):
@@ -595,6 +597,11 @@ class TestBandReuse:
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_samples(zoo_entry("paraboloid").model, [1.0, 4.0, 2.0])
 
+    def test_sweep_checks_the_schedule_before_the_mu_prime_point(self):
+        # the mu' point of [1, 4, -2] would take the root of a negative
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_sweep(zoo_entry("paraboloid").model, [1.0, 4.0, -2.0])
+
 
 class TestThetaFreeSweep:
     @pytest.mark.parametrize("name", zoo_names())
@@ -700,6 +707,22 @@ class TestLockstepSweep:
         batches.clear()
         measure_mu_prime_order(theta_cap(), 8.0, 0.05)
         assert batches == [5]
+
+
+@pytest.mark.parametrize("a", [0.7, 2.0])
+def test_rotation_leaves_the_samples_unchanged(a):
+    # theta -> theta + a moves no boundary circle and no band of a 2-D cap
+    def cap(a):
+        g = f"t^2*(1+0.3*cos(3*(theta+{a}))*t^2*exp(-1.5*t))^2"
+        return SurfaceModel(Topology(0, 1), (chart_from_expression(g),), PolarCap())
+
+    schedule = [1.0, 2.0, 4.0, 8.0, 16.0]
+    base, turned = cap(0.0), cap(a)
+    assert not turned.ends[0].theta_free
+    for s, r in zip(sweep_samples(base, schedule), sweep_samples(turned, schedule)):
+        bound = residual_bound(s.quad_error + r.quad_error)
+        for field in ("mu", "lam", "c_trunc"):
+            assert abs(getattr(s, field) - getattr(r, field)) <= bound, (s.h, field)
 
 
 class TestProbeColumns:
@@ -857,20 +880,22 @@ class TestLookahead:
             return curvature(end, t, theta)
 
         monkeypatch.setattr(sweep, "gauss_curvature", counting)
-        h1 = detect_h1(model, 10.0, grid=grid)
+        monkeypatch.setattr(sweep, "_PROBE_GRID", grid)
+        h1 = detect_h1(model, 10.0)
         assert h1 == want
         assert abs(h1 - 5.0) <= 10.0 / 4096.0
         # the grid scan, then the whole bisection tree
         assert len(calls) == 2
 
-    def test_two_sign_changes_inside_one_bracket(self):
+    def test_two_sign_changes_inside_one_bracket(self, monkeypatch):
         # K < 0 below 4.05 and on (4.2, 4.5), all within the grid bracket
         # [4, 4.67]; the bisection settles on one of the two upward crossings
         model = sign_change_model([4.05, 4.2, 4.5])
         heights = sweep._probe_heights(0.0, 10.0, 16)
         assert not any(4.05 < h < 4.5 for h in heights)
         want = per_step_detect_h1(model, 10.0, 16)
-        assert detect_h1(model, 10.0, grid=16) == want
+        monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
+        assert detect_h1(model, 10.0) == want
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
 
     @pytest.mark.parametrize(
@@ -924,20 +949,50 @@ def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
     return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
 
 
-def _error_of(*steps):
-    """The first error raised by the steps run in order, or ``None``."""
-    try:
-        for step in steps:
-            step()
-    except (DomainError, OverflowError, NonPositiveMu) as err:
-        return err
-    return None
+def _cap(end):
+    return SurfaceModel(Topology(0, 1), (end,), PolarCap())
+
+
+def _analytic(end):
+    return SurfaceModel(Topology(0, 1), (end,), AnalyticCore(0.0, (0.0,)))
+
+
+CAP_FAULTS = {
+    "sliver-and-head": [(0.07, 0.11), (0.5, 0.6)],
+    "sliver-and-band": [(0.07, 0.11), (5.0, 6.0)],
+    "band": [(5.0, 6.0)],
+}
+# the mu' heights of the schedule [1, 2, 4, 8] are 2.828 +- 0.05 and +- 0.025
+MU_PRIME_FAULTS = {
+    "mu-prime-and-band": {"raise_in": [(2.7, 2.9)]},
+    "mu-prime-only": {"raise_in": [(2.877, 2.879)]},
+    "nonpositive-mu": {"negative_in": [(2.85, 2.9)]},
+    "nonpositive-mu-after-band": {"negative_in": [(2.85, 2.9)], "raise_in": [(5.0, 6.0)]},
+}
+# name: (model builder, fault windows of the values the error may name)
+FAULT_CASES = {
+    **{
+        f"{name}-{free}": (
+            lambda w=windows, free=free: _cap(_faulty_chart(raise_in=w, theta_free=free)),
+            windows,
+        )
+        for name, windows in CAP_FAULTS.items()
+        for free in (True, False)
+    },
+    # the DSL names the log's argument t - 0.6, negative below t = 0.6
+    "dsl-cap": (lambda: _cap(chart_from_expression("t^2 + 0*log(t - 0.6)")), [(-0.6, 0.0)]),
+    **{
+        name: (lambda f=faults: _analytic(_faulty_chart(**f)), sum(faults.values(), []))
+        for name, faults in MU_PRIME_FAULTS.items()
+    },
+}
 
 
 class TestMergedBatches:
     """The mu' heights ride in the sweep's boundary batch and a polar
-    cap's first pole chunk in its band batch; each value, and each error
-    raised, is that of the measurement run apart."""
+    cap's first pole chunk in its band batch; each value is that of the
+    measurement run apart, and a merged batch that raises fails the sweep
+    with its own error."""
 
     @pytest.mark.parametrize("name", zoo_names() + ("theta-cap",))
     def test_mu_prime_equals_the_separate_measurement(self, name):
@@ -950,60 +1005,19 @@ class TestMergedBatches:
     def test_polar_head_equals_the_pole_band_alone(self, name, h):
         model = POLE_MODELS[name]()
         tol = sweep.DEFAULT_TOL
-        poles = {}
-        sweep._truncated_curvatures(model, [h, 2.0 * h, 4.0 * h], tol, poles)
-        assert poles[h] == sweep._pole_band(model.ends[0], h, tol)
+        _, head = sweep._truncated_curvatures(model, [h, 2.0 * h, 4.0 * h], tol)
+        assert head == sweep._pole_band(model.ends[0], h, tol)
 
-    @pytest.mark.parametrize("theta_free", [True, False])
-    @pytest.mark.parametrize(
-        "windows",
-        [[(0.07, 0.11), (0.5, 0.6)], [(0.07, 0.11), (5.0, 6.0)], [(5.0, 6.0)]],
-        ids=["sliver-and-head", "sliver-and-band", "band"],
-    )
-    def test_cap_that_raises_keeps_the_separate_error(self, windows, theta_free):
-        # merged, the bottom sliver is the first row of the batch; apart,
-        # the pole walk integrates the head first and the bands come last
-        end = _faulty_chart(raise_in=windows, theta_free=theta_free)
-        model = SurfaceModel(Topology(0, 1), (end,), PolarCap())
-        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
-        density = sweep._curvature_density(end)
-        want = _error_of(
-            lambda: sweep._pole_band(end, schedule[0], tol),
-            lambda: sweep.integrate_bands(density, schedule, tol, theta_free=theta_free),
-        )
-        got = _error_of(lambda: sweep_samples(model, schedule, tol))
-        assert want is not None
-        assert (type(got), str(got)) == (type(want), str(want))
-
-    def test_dsl_cap_that_raises_keeps_the_separate_error(self):
-        end = chart_from_expression("t^2 + 0*log(t - 0.6)")
-        model = SurfaceModel(Topology(0, 1), (end,), PolarCap())
-        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
-        want = _error_of(lambda: sweep._pole_band(end, schedule[0], tol))
-        got = _error_of(lambda: sweep_samples(model, schedule, tol))
-        assert (type(got), str(got)) == (type(want), str(want))
-
-    @pytest.mark.parametrize(
-        "faults",
-        [
-            {"raise_in": [(2.7, 2.9)]},
-            {"raise_in": [(2.877, 2.879)]},
-            {"negative_in": [(2.85, 2.9)]},
-            {"negative_in": [(2.85, 2.9)], "raise_in": [(5.0, 6.0)]},
-        ],
-        ids=["mu-prime-and-band", "mu-prime-only", "nonpositive-mu", "nonpositive-mu-after-band"],
-    )
-    def test_mu_prime_fault_keeps_the_separate_error(self, faults):
-        # the schedule's mu' heights are 2.828 +- 0.05 and +- 0.025
-        model = SurfaceModel(Topology(0, 1), (_faulty_chart(**faults),), AnalyticCore(0.0, (0.0,)))
-        schedule, tol = [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL
-        want = _error_of(
-            lambda: sweep_samples(model, schedule, tol),
-            lambda: measure_mu_prime_order(model, *sweep._mu_prime_point(model, schedule), tol),
-        )
-        got = _error_of(lambda: sweep._measure(model, schedule, tol))
-        assert want is not None
-        assert (type(got), str(got)) == (type(want), str(want))
+    @pytest.mark.parametrize("name", FAULT_CASES)
+    def test_fault_fails_the_sweep(self, name):
+        # the error is one a lone call raises too, and it names a point of
+        # a fault window; with two faults either one may be named
+        build, windows = FAULT_CASES[name]
+        with pytest.raises((DomainError, OverflowError, NonPositiveMu)) as caught:
+            sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL)
+        message = str(caught.value)
+        named = [float(x) for x in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", message)]
+        assert any(lo < x < hi for x in named for lo, hi in windows), message
 
 
 CHART_CALL_CASES = {

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import cvlab.model as model_module
+from cvlab.curvature import geodesic_curvature
 from cvlab.model import AnalyticCore, PolarCap, euler_char, validate_surface
 from cvlab.quadrature import Tolerance
 from cvlab.sweep import detect_h1, sweep_samples
@@ -48,6 +50,18 @@ def test_oracle_self_consistency(name):
     for h in HEIGHTS:
         residual = abs(TWO_PI * oracle.chi - oracle.c_trunc(h) - oracle.lam(h))
         assert residual < 1e-10, (name, h, residual)
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_geodesic_curvature_matches_oracle(name):
+    # every zoo end is a surface of rotation, so kappa_g takes no angle
+    entry = zoo_entry(name)
+    for end in entry.model.ends:
+        for h in (0.5, 1.0, 3.0, 12.0, 40.0):
+            want = entry.oracle.kappa_g(h)
+            for theta in (0.0, 2.1, 4.9):
+                got = float(geodesic_curvature(end, h, theta))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (h, theta)
 
 
 @pytest.mark.parametrize("name", zoo_names())
@@ -242,6 +256,7 @@ def test_core_descriptors_match_construction():
     assert core.total_curvature == pytest.approx(2 * TWO_PI)
 
 
-def test_entries_validate_cleanly():
+def test_entries_validate_cleanly(monkeypatch):
+    monkeypatch.setattr(model_module, "_SAMPLES_PER_AXIS", 32)
     for entry in all_entries():
-        assert validate_surface(entry.model, 32).ok
+        assert validate_surface(entry.model).ok
