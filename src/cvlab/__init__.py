@@ -37,7 +37,6 @@ from .sweep import (
     measure_mu_prime_order,
     run_sweep,
     sweep_samples,
-    total_curvature_direct,
 )
 from .zoo import InvalidParameter, Oracle, ZooEntry, all_entries, zoo_entry, zoo_names
 

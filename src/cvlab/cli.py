@@ -287,6 +287,15 @@ def emit(text: str, output_path: str | None) -> None:
         raise InputError(f"cannot write {output_path}: {err.strerror or err}") from err
 
 
+def _check_writable(output_path: str | None) -> None:
+    """Fail on an unwritable ``output_path`` up front; appending leaves the file as it is."""
+    try:
+        if output_path not in (None, "-"):
+            open(output_path, "a").close()
+    except OSError as err:
+        raise InputError(f"cannot write {output_path}: {err.strerror or err}") from err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -315,6 +324,7 @@ def cmd_list(fmt: str) -> int:
 
 
 def cmd_sweep(config: RunConfig, model: SurfaceModel) -> int:
+    _check_writable(config.output_path)
     report = run_sweep(model, config.schedule(), tol=config.tolerance())
     if config.output_format == "json":
         emit(json.dumps(report_to_json_dict(report), indent=2), config.output_path)

@@ -317,6 +317,10 @@ _CHUNK = 4  # bands per look-ahead chunk after the first
 _MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
 
 
+class _BudgetSpent(Exception):
+    """The evaluations left cannot pay for the next chunk of windows."""
+
+
 def _walk(bands: Callable, edges: Iterable[float], first: int, first_chunk: list | None = None):
     """Yield ``(result, spent)`` for the bands between consecutive
     ``edges``, in order, integrated in lockstep chunks.
@@ -374,6 +378,12 @@ def _geometric_tail(increments: Sequence[float]):
     return tail, uncertainty
 
 
+def _doublings(origin: float, width: float) -> list[float]:
+    """``origin + width*2^k`` for k < ``_MAX_WINDOWS``: window edges whose
+    distance from ``origin`` doubles at each step."""
+    return [origin + width * 2.0**k for k in range(_MAX_WINDOWS)]
+
+
 def integrate_improper(
     f: Callable,
     t_lo: float,
@@ -381,46 +391,49 @@ def integrate_improper(
     *,
     theta_free: bool = False,
 ) -> ImproperResult:
-    """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]``.
-
-    Walks windows ``[t_lo + 2^(k-1), t_lo + 2^k]``, the first one
-    ``[t_lo, t_lo + 1]`` and at most ``_MAX_WINDOWS`` in all, and stops
-    once the remaining tail, estimated from the geometric decay of the
-    window increments, falls below tolerance.  Growing same-sign
-    increments are reported as ``+inf``/``-inf`` divergence, alternating
-    growth as ``oscillatory``; both come back as results with
-    ``converged=False``.
-    The windows are integrated in look-ahead chunks of consecutive
-    windows, each chunk one :func:`integrate_bands` call (see
-    :func:`_walk`), while the stopping, divergence and budget rules run
-    window by window; every window's result is that of a lone call.
-    ``evaluations`` counts every window integrated, including look-ahead
-    past the window where the walk stopped.  ``theta_free`` is passed on
-    to :func:`integrate_bands`, so ``f`` gets batched node arrays, one
-    row per panel of a refinement round: ``(J, 15, 1)`` and ``(J, 1,
-    15)``, or ``(J, 15)`` and theta = 0 when theta-free.  A chunk's first
-    round has one row per window, J = 2 for the first chunk and up to 4
-    after it, and each later round two per window still refining, so J <= 8.
-    It must act elementwise.
+    """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]`` on the
+    window ``[t_lo, t_lo + 1]`` and then ``[t_lo + 2^(k-1), t_lo + 2^k]``,
+    the :func:`_doublings` about ``t_lo``; see :func:`_integrate_windows`.
+    ``theta_free`` is passed on to :func:`integrate_bands`, so ``f`` gets
+    ``(J, 15, 1)`` and ``(J, 1, 15)`` node arrays, or ``(J, 15)`` and
+    theta = 0 when theta-free, one row per panel of a refinement round:
+    J = 2 in the first chunk's first round, up to 4 in a later chunk's,
+    and two per window still refining after that, so J <= 8.  It must act
+    elementwise.
     """
-    window_tol = Tolerance(
-        abs_tol=max(tol.abs_tol / 8.0, 1e-15),
-        rel_tol=tol.rel_tol,
-        max_evaluations=tol.max_evaluations,
-    )
-    # far out, t_lo + 2^k rounds back onto t_lo or onto the edge before it
-    edges = [t_lo] + [t_lo + 2.0**k for k in range(_MAX_WINDOWS)]
+    return _integrate_windows(f, [t_lo, *_doublings(t_lo, 1.0)], tol, theta_free)
+
+
+def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, theta_free: bool):
+    """:func:`integrate_improper` over the windows between ``edges``; an
+    edge not above the one before it (far out, ``t_lo + 2^k`` rounds back
+    onto ``t_lo``) is skipped.  The walk stops once the tail that the
+    geometric decay of the increments predicts falls below tolerance, or,
+    while that model is missing or has no drift yet, once the last two
+    increments do.  Growing same-sign increments are reported as
+    ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
+    with ``converged=False``.  The windows run in look-ahead chunks (see
+    :func:`_walk`) and are read one by one.  Each window of a chunk may
+    spend what is left of ``tol.max_evaluations``, and the walk stops
+    unconverged before a chunk whose first panels that cannot pay for, so
+    only the last chunk can take it past its budget.  ``evaluations``
+    counts every window integrated, look-ahead past the stop included.
+    """
     uppers = [hi for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    walk = _walk(
-        lambda edges: integrate_bands(f, edges, window_tol, theta_free=theta_free),
-        [t_lo] + uppers,
-        _FIRST_WINDOWS,
-    )
-    lower = t_lo
+    points = 15 if theta_free else 225
+    spent = 0  # evaluations of every window integrated, look-ahead included
+
+    def windows(chunk):
+        left = tol.max_evaluations - spent
+        if left < max(100, (len(chunk) - 1) * points):
+            raise _BudgetSpent
+        window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
+        return integrate_bands(f, chunk, window_tol, theta_free=theta_free)
+
+    walk = _walk(windows, [edges[0], *uppers], _FIRST_WINDOWS)
+    lower = edges[0]
     total = 0.0
     quad_err = 0.0
-    walked = 0  # evaluations of the windows walked, for the budget rule
-    spent = 0  # evaluations of every window integrated, look-ahead included
     increments: list[float] = []
     densities: list[float] = []
     trace: list[tuple[float, float]] = []
@@ -428,47 +441,35 @@ def integrate_improper(
 
     # a window that raises propagates: no divergence can be read from the
     # densities before it, or the walk would have stopped there
-    for upper, (part, spent) in zip(uppers, walk):
-        densities.append(part.value / (upper - lower))
-        lower = upper
-        walked += part.evaluations
-        quad_err += part.error_estimate
-        total += part.value
-        increments.append(part.value)
-        trace.append((upper, total))
+    try:
+        for upper, (part, spent) in zip(uppers, walk):
+            densities.append(part.value / (upper - lower))
+            lower = upper
+            quad_err += part.error_estimate
+            total += part.value
+            increments.append(part.value)
+            trace.append((upper, total))
 
-        if abs(total) > 1e14:
-            return ImproperResult(
-                total,
-                quad_err,
-                spent,
-                False,
-                "+inf" if total > 0 else "-inf",
-                tuple(trace),
-            )
-        direction = _divergence_direction(densities)
-        if direction is not None:
-            return ImproperResult(total, quad_err, spent, False, direction, tuple(trace))
+            direction = _divergence_direction(densities)
+            if abs(total) > 1e14:
+                direction = "+inf" if total > 0 else "-inf"
+            if direction is not None:
+                return ImproperResult(total, quad_err, spent, False, direction, tuple(trace))
 
-        tail = _geometric_tail(increments)
-        if tail is not None:
-            tail_est, tail_unc = tail
-            accel = total + tail_est
-            drift = abs(accel - accel_prev) if accel_prev is not None else math.inf
-            accel_prev = accel
-            err = quad_err + tail_unc + drift
-            if err <= tol.target(accel):
-                return ImproperResult(accel, err, spent, True, None, tuple(trace))
-        else:
-            accel_prev = None
-            if len(increments) >= 2:
+            tail = _geometric_tail(increments)
+            if tail is not None and accel_prev is not None:
+                accel = total + tail[0]
+                err = quad_err + tail[1] + abs(accel - accel_prev)
+                if err <= tol.target(accel):
+                    return ImproperResult(accel, err, spent, True, None, tuple(trace))
+            elif len(increments) >= 2:
                 # both of the last two increments below tolerance
-                last_two = max(abs(increments[-1]), abs(increments[-2]))
-                err = quad_err + last_two
+                err = quad_err + max(abs(increments[-1]), abs(increments[-2]))
                 if err <= tol.target(total):
                     return ImproperResult(total, err, spent, True, None, tuple(trace))
-        if walked >= tol.max_evaluations:
-            break
+            accel_prev = total + tail[0] if tail is not None else None
+    except _BudgetSpent:
+        pass
 
     tail = _geometric_tail(increments)
     value = total + tail[0] if tail is not None else total

@@ -29,8 +29,9 @@ with its own error.
 frozen record the samples, the ``lambda = mu'`` differences, one
 curvature scan per end (``h1``, beyond which sampled curvature stays
 nonnegative, and the sampled ``K`` range), the extrapolated limit of
-``lambda`` and the direct improper integral, and :func:`_report` reads
-only that record to form the total curvature and every verdict.
+``lambda`` and the direct route (``c_trunc`` at the last height plus each
+end's improper tail beyond it), and :func:`_report` reads only that
+record to form the total curvature and every verdict.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ from .quadrature import (
     NotMonotone,
     TailLimit,
     Tolerance,
+    _doublings,
+    _integrate_windows,
     _walk,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
-    integrate_improper,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -205,46 +207,38 @@ def _pole_band(end: EndChart, h: float, tol: Tolerance, first_chunk: list | None
     return total, err, spent
 
 
-def _truncated_curvatures(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
-    """``(c_trunc, error)`` at each height of an increasing schedule, and
-    on a polar cap the pole band up to the first height as
-    :func:`_pole_band` returns it (else ``None``).
-
-    Per end, the head from the chart edge (through the pole on a polar
-    cap) up to the first height above it and every band between
-    consecutive heights are integrated once, all of an end's bands as one
-    :func:`integrate_bands` batch, on a polar cap with the pole walk's
-    first chunk ``[eps/4, eps/2, eps, h]``.  ``c_trunc`` and its error
-    estimate are their running sums in schedule order, starting from the
-    core term.
-    """
-    polar = isinstance(model.core, PolarCap)
-    head = None
+def _end_bands(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
+    """Per end, ``(value, error, evaluations)`` of the curvature integral
+    up to each height from the height before, or from the chart edge
+    (through the pole on a polar cap, by :func:`_pole_band`) for the first
+    height above it; zeros at or below the edge.  An end's bands are one
+    :func:`integrate_bands` batch, with the pole walk's first chunk."""
     per_end = []
     for end in model.ends:
-        above = [i for i, h in enumerate(schedule) if h > end.t_min]
-        edges = [end.t_min] + [schedule[i] for i in above]
-        below = []
-        if polar and above:  # the pole band, not [0, h], is the head
-            below = list(_pole_edges(edges[1]))[_POLE_FIRST_BANDS:0:-1]
-            edges = below + edges[1:]
+        above = [h for h in schedule if h > end.t_min]
+        pole = isinstance(model.core, PolarCap) and bool(above)
+        below = list(_pole_edges(above[0]))[_POLE_FIRST_BANDS:0:-1] if pole else [end.t_min]
+        edges = below + above
         results = integrate_bands(_curvature_density(end), edges, tol, theta_free=end.theta_free)
-        bands = [(r.value, r.error_estimate) for r in results[len(below) :]]
-        if below:
-            head = _pole_band(end, edges[len(below)], tol, results[: len(below)])
-            bands.insert(0, head[:2])
-        per_end.append(dict(zip(above, bands)))
-    total = 0.0 if polar else model.core.total_curvature
+        bands = [(r.value, r.error_estimate, r.evaluations) for r in results]
+        if pole:  # the pole band, not [0, h], is the head
+            bands[: len(below)] = [_pole_band(end, above[0], tol, results[: len(below)])]
+        per_end.append([(0.0, 0.0, 0)] * (len(schedule) - len(bands)) + bands)
+    return per_end
+
+
+def _truncated_curvatures(model: SurfaceModel, bands) -> list[tuple[float, float]]:
+    """``(c_trunc, error)`` at each height: the core term plus the running
+    sums of the :func:`_end_bands` in schedule order."""
+    total = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
     err = 0.0
     out = []
-    for i in range(len(schedule)):
-        for bands in per_end:
-            if i in bands:
-                value, error = bands[i]
-                total += value
-                err += error
+    for row in zip(*bands):
+        for value, error, _ in row:
+            total += value
+            err += error
         out.append((total, err))
-    return out, head
+    return out
 
 
 def sweep_samples(
@@ -260,6 +254,8 @@ def sweep_samples(
 def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
     if not schedule:
         raise ValueError("schedule needs at least one height")
+    if not all(math.isfinite(h) for h in schedule):
+        raise ValueError("schedule heights must be finite")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     if schedule[0] < model.min_height:
@@ -267,15 +263,16 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
 
 
 def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, probes=()):
-    """``(samples, values, errors, head)`` on a checked schedule:
+    """``(samples, values, errors, bands)`` on a checked schedule:
     :func:`sweep_samples`, the boundary values and errors at the extra
     ``(height, slot)`` ``probes``, which ride in the boundary batch, and
-    the polar head of :func:`_truncated_curvatures`."""
+    the :func:`_end_bands` that ``c_trunc`` sums."""
     n = len(schedule)
     heights = [*schedule, *schedule, *(h for h, _ in probes)]
     slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
     values, errors = _boundaries(model, heights, tol, slots)
-    curvatures, head = _truncated_curvatures(model, schedule, tol)
+    bands = _end_bands(model, schedule, tol)
+    curvatures = _truncated_curvatures(model, bands)
     samples = []
     for i, h in enumerate(schedule):
         m, em = values[i], errors[i]
@@ -283,7 +280,7 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
         c, ec = curvatures[i]
         residual = abs(TWO_PI * model.chi - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
-    return tuple(samples), values[2 * n :], errors[2 * n :], head
+    return tuple(samples), values[2 * n :], errors[2 * n :], bands
 
 
 def detect_h1(model: SurfaceModel, h_probe_max: float) -> float | None:
@@ -373,29 +370,23 @@ def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> n
     return np.broadcast_to(k, (heights.size, thetas.size))
 
 
-def total_curvature_direct(
-    model: SurfaceModel, tol: Tolerance = DEFAULT_TOL
-) -> ImproperResult:
-    """Total curvature by direct improper integration over all ends."""
-    return _total_curvature_direct(model, tol)
-
-
-def _total_curvature_direct(model: SurfaceModel, tol: Tolerance, head=None) -> ImproperResult:
-    """:func:`total_curvature_direct`.  The core term is the analytic
-    core's value, or on a polar cap the pole band up to ``t_min + 1``
-    (``head`` if given, as :func:`_pole_band` returns it) with the improper
-    tail starting there.  An end whose tail does not converge adds only
-    its evaluations; the first divergence and trace are reported."""
-    if isinstance(model.core, PolarCap):
-        end = model.ends[0]
-        starts = [(end, end.t_min + 1.0)]
-        total, err, evals = head or _pole_band(end, end.t_min + 1.0, tol)
-    else:
-        starts = [(end, end.t_min) for end in model.ends]
-        total, err, evals = model.core.total_curvature, 0.0, 0
+def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Tolerance):
+    """The direct route: ``c_trunc(h_max)``, core term included, plus per
+    end the integral of ``K dA`` on the windows ``t_min + (h_max -
+    t_min)*2^k``, counting the evaluations of both.  An end whose last two
+    bands each lie within ``tol.target(0)``, value plus error, is quiet:
+    its tail is 0, with their sum as error.  An end whose tail does not
+    converge adds only its evaluations; the first divergence is reported."""
+    total, err = _truncated_curvatures(model, bands)[-1]
+    evals = sum(n for per_end in bands for _, _, n in per_end)
     divergence, converged, trace = None, True, ()
-    for end, t_lo in starts:
-        res = integrate_improper(_curvature_density(end), t_lo, tol, theta_free=end.theta_free)
+    for end, per_end in zip(model.ends, bands):
+        quiet = [abs(value) + error for value, error, _ in per_end[-2:]]
+        if max(quiet) <= tol.target(0.0):
+            err += sum(quiet)
+            continue
+        edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
+        res = _integrate_windows(_curvature_density(end), edges, tol, end.theta_free)
         evals += res.evaluations
         if res.divergence is not None or not res.converged:
             divergence = divergence or res.divergence
@@ -463,19 +454,17 @@ class _Measured:
 
 def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
     """Run each measurement of a sweep once.  The five heights of the
-    ``lambda = mu'`` check ride in the samples' boundary batch, and on a
-    polar cap whose first height is ``t_min + 1`` the direct route reuses
-    the truncation's pole band."""
+    ``lambda = mu'`` check ride in the samples' boundary batch, and the
+    direct route continues the truncation's bands beyond the last height."""
     _check_schedule(model, schedule)
     h0, step = _mu_prime_point(model, schedule)
     probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
-    samples, values, errors, head = _sweep_samples(model, schedule, tol, probes)
+    samples, values, errors, bands = _sweep_samples(model, schedule, tol, probes)
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
     h1, kmin, kmax = _curvature_scan(model, schedule[-1])
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    shared = head if schedule[0] == model.min_height + 1.0 else None
-    direct = _total_curvature_direct(model, tol, shared)
+    direct = _total_curvature_direct(model, schedule[-1], bands, tol)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 

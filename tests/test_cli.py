@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import cvlab.cli as cli
 from cvlab.cli import (
     CSV_HEADER,
     InputError,
@@ -17,6 +18,7 @@ from cvlab.cli import (
     report_to_json_dict,
     resolve_surface,
 )
+from cvlab.jets import DomainError
 from cvlab.model import AnalyticCore, PolarCap
 
 DIVERGENT_CONFIG = """\
@@ -115,6 +117,27 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_unwritable_output_fails_before_the_sweep(self, kind, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path if kind == "directory" else tmp_path / "missing" / "report.csv"
+        assert main(["sweep", "--surface", "flat-cylinder", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_existing_output_is_kept_when_the_sweep_fails(self, tmp_path, monkeypatch):
+        # the early check opens the path for appending, which changes nothing
+        def failing_sweep(*args, **kwargs):
+            raise DomainError("the sweep failed")
+
+        out = tmp_path / "report.csv"
+        out.write_text("earlier report\n")
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        assert main(["sweep", "--surface", "flat-cylinder", "--out", str(out)]) == 1
+        assert out.read_text() == "earlier report\n"
 
     def test_numpy_schedule_csv_cells_are_numbers(self, zoo_reports):
         # the catenoid runs on an np.geomspace schedule

@@ -657,20 +657,27 @@ class TestLockstep:
 
 def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     """Reference: the improper walk with one integrate_bands call per
-    window and no look-ahead."""
-    window_tol = Tolerance(
-        abs_tol=max(tol.abs_tol / 8.0, 1e-15),
-        rel_tol=tol.rel_tol,
-        max_evaluations=tol.max_evaluations,
-    )
+    window and no look-ahead.  The budget is shared out at the windows
+    that start the walk's chunks (0, 2, 6, 10, ...): there the walk has
+    integrated exactly the windows walked so far."""
+    points = 15 if theta_free else 225
     edges = t_lo
     total = 0.0
     quad_err = 0.0
     evals = 0
     increments, densities, trace = [], [], []
     accel_prev = None
+    chunk_start, chunk = 0, quadrature._FIRST_WINDOWS
     for k in range(64):
         upper = t_lo + 2.0**k
+        if k == chunk_start:
+            left = tol.max_evaluations - evals
+            if left < max(100, min(chunk, 64 - k) * points):
+                break
+            window_tol = Tolerance(
+                abs_tol=max(tol.abs_tol / 8.0, 1e-15), rel_tol=tol.rel_tol, max_evaluations=left
+            )
+            chunk_start, chunk = k + chunk, quadrature._CHUNK
         try:
             part = integrate_bands(f, (edges, upper), window_tol, theta_free=theta_free)[0]
         except (DomainError, OverflowError):
@@ -692,23 +699,20 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
         if direction is not None:
             return ImproperResult(total, quad_err, evals, False, direction, tuple(trace))
         tail = _geometric_tail(increments)
-        if tail is not None:
+        if tail is not None and accel_prev is not None:
             tail_est, tail_unc = tail
             accel = total + tail_est
-            drift = abs(accel - accel_prev) if accel_prev is not None else math.inf
-            accel_prev = accel
-            err = quad_err + tail_unc + drift
+            err = quad_err + tail_unc + abs(accel - accel_prev)
             if err <= tol.target(accel):
                 return ImproperResult(accel, err, evals, True, None, tuple(trace))
-        else:
-            accel_prev = None
-            if len(increments) >= 2:
-                last_two = max(abs(increments[-1]), abs(increments[-2]))
-                err = quad_err + last_two
-                if err <= tol.target(total):
-                    return ImproperResult(total, err, evals, True, None, tuple(trace))
-        if evals >= tol.max_evaluations:
-            break
+        elif len(increments) >= 2:
+            # both of the last two increments below tolerance, also on a
+            # geometric model that has no drift yet
+            last_two = max(abs(increments[-1]), abs(increments[-2]))
+            err = quad_err + last_two
+            if err <= tol.target(total):
+                return ImproperResult(total, err, evals, True, None, tuple(trace))
+        accel_prev = total + tail[0] if tail is not None else None
     tail = _geometric_tail(increments)
     value = total + tail[0] if tail is not None else total
     err = quad_err + (tail[1] if tail is not None else abs(increments[-1]) if increments else 0.0)
@@ -729,7 +733,7 @@ LOOKAHEAD_CASES = {
         lambda t, theta: np.exp(-t) * (1.0 + 0.5 * np.cos(theta) ** 2), False, DEFAULT_TOL, 7
     ),
     "stops-at-23": (lambda t, theta: (1.0 + t) ** -1.45, True, DEFAULT_TOL, 23),
-    "budget": (lambda t, theta: (1.0 + t) ** -1.45, True, Tolerance(max_evaluations=200), 14),
+    "budget": (lambda t, theta: (1.0 + t) ** -1.45, True, Tolerance(max_evaluations=200), 10),
     "flared-exp-t2": (_curvature_density_of("exp(t^2)"), True, DEFAULT_TOL, None),
     "oscillatory": (lambda t, theta: np.sin(math.pi * t) * np.exp(0.5 * t), True, DEFAULT_TOL, None),
     "underflowing-exp-2t": (_curvature_density_of("exp(-2*t)"), True, DEFAULT_TOL, 7),
@@ -775,6 +779,39 @@ class TestLookahead:
             assert len(got.partial_sums) == windows
         else:
             assert got.divergence is not None
+
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_budget_binds_all_but_the_last_chunk(self, theta_free, monkeypatch):
+        # each window of a chunk may spend what the walk has left, and the
+        # walk stops before a chunk it cannot pay for: only the last chunk
+        # can take it past the budget (one window per budget used to take
+        # 4,140 evaluations here)
+        calls = self._recorded(monkeypatch)
+        budget = 1000
+        res = integrate_improper(
+            lambda t, theta: np.sin(40.0 * t) * (1.0 + t) ** -1.1,
+            0.0,
+            Tolerance(max_evaluations=budget),
+            theta_free=theta_free,
+        )
+        spent = [sum(r.evaluations for r in results) for _, results in calls]
+        assert not res.converged and res.divergence is None
+        assert res.evaluations == sum(spent)
+        assert sum(spent[:-1]) < budget
+        assert all(r.evaluations <= budget - sum(spent[:-1]) for r in calls[-1][1])
+
+    def test_quiet_increments_stop_a_geometric_model_without_drift(self):
+        # the tail of G = exp(-2t) beyond 16 on the windows [16, 32, 64,
+        # 128, ...]: after three windows the increments look geometric but
+        # have no drift yet, and the last two are below tolerance.  Stopping
+        # there keeps the walk out of [128, 256]: the second derivative of
+        # sqrt(G) overflows past t ~ 236
+        density = _curvature_density_of("exp(-2*t)")
+        edges = [16.0, *quadrature._doublings(0.0, 32.0)]
+        res = quadrature._integrate_windows(density, edges, DEFAULT_TOL, True)
+        assert res.converged
+        assert res.partial_sums[-1][0] == 128.0
+        assert res.value == pytest.approx(-TWO_PI * math.exp(-16.0), rel=1e-9)
 
     def test_first_chunks_hold_two_then_four_windows(self, monkeypatch):
         calls = self._recorded(monkeypatch)

@@ -28,7 +28,6 @@ from cvlab.sweep import (
     residual_bound,
     run_sweep,
     sweep_samples,
-    total_curvature_direct,
 )
 from cvlab.zoo import zoo_entry, zoo_names
 from conftest import DEEP_SCHEDULE, SCHEDULES
@@ -476,9 +475,14 @@ def test_mu_prime_point_survives_heights_whose_product_overflows():
     assert sweep._mu_prime_point(model, [2.0, 50.0])[0] == 10.0
 
 
+def _direct_route(name):
+    """The direct route of a zoo surface on its test schedule."""
+    return sweep._measure(zoo_entry(name).model, SCHEDULES[name], sweep.DEFAULT_TOL).direct
+
+
 class TestDirectTotalCurvature:
     def test_catenoid_classical_value(self):
-        res = total_curvature_direct(zoo_entry("catenoid").model)
+        res = _direct_route("catenoid")
         assert res.converged
         assert res.value == pytest.approx(-2 * TWO_PI, abs=1e-5)
 
@@ -498,15 +502,14 @@ class TestDirectTotalCurvature:
         res = integrate_improper(k_minus_density, 1e-6)
         assert res.converged
         assert res.value == pytest.approx(0.0, abs=1e-9)
-        direct = total_curvature_direct(entry.model)
+        direct = _direct_route("capped-cone")
         assert direct.value == pytest.approx(entry.oracle.c_total, abs=1e-6)
 
     @pytest.mark.parametrize("name", ["paraboloid", "polar-plane", "capped-cone", "catenoid"])
     def test_evaluations_count_every_integral(self, name, monkeypatch):
-        # polar caps integrate a pole band before the improper tail; its
-        # evaluations belong to the reported count as much as the tail's
-        import cvlab.sweep as sweep
-
+        # the direct route is c_trunc(h_max) plus the tails beyond: the
+        # bands, a polar cap's pole band and the tail windows all belong
+        # to its count
         counted = []
 
         def counting(integrate):
@@ -518,11 +521,50 @@ class TestDirectTotalCurvature:
 
             return wrapper
 
-        for fn in ("integrate_circles", "integrate_bands", "integrate_improper"):
+        for fn in ("integrate_circles", "integrate_bands", "_integrate_windows"):
             monkeypatch.setattr(sweep, fn, counting(getattr(sweep, fn)))
-        res = total_curvature_direct(zoo_entry(name).model)
+        res = _direct_route(name)
         assert counted
         assert res.evaluations == sum(counted)
+
+
+# the verdicts of the exp(-2t) surface below, the same at both heights
+# before the direct route continued the truncation
+QUIET_END_VERDICTS = {
+    "gauss-bonnet-truncated": "pass",
+    "lambda-mu-prime": "pass",
+    "lambda-monotone": "fail",
+    "L-nonneg": "not-applicable",
+    "c-total-consistency": "not-applicable",
+    "theorem": "not-applicable",
+    "corollary": "not-applicable",
+}
+
+
+@pytest.mark.parametrize("h_max", [100.0, 230.0])
+def test_quiet_end_walks_no_window_past_h_max(h_max):
+    # the exp(-2t) end's last two bands are quiet, so its tail is 0; a
+    # first window [h_max, 2*h_max] would reach past t ~ 236, where the
+    # second derivative of sqrt(G) overflows
+    ends = (chart_from_expression("exp(-2*t)"), chart_from_expression("1+t^2"))
+    model = SurfaceModel(Topology(0, 2), ends, AnalyticCore(TWO_PI, (0.0, 0.0)))
+    report = run_sweep(model, list(np.geomspace(1.0, h_max, 12)))
+    assert {name: v.status for name, v in report.verdicts.items()} == QUIET_END_VERDICTS
+    # L = 2*pi from the 1+t^2 end, so c = -2*pi, by the direct route
+    assert report.c_total_route == "direct"
+    assert report.c_total == pytest.approx(-TWO_PI, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "h_min,h_max", [(1.0, 1e160), (1e200, 4e200)], ids=["to-1e160", "1e200-to-4e200"]
+)
+def test_long_band_defect_stays_flagged(h_min, h_max):
+    # a long band such as [3.5e14, 1.2e29] is one GK15 panel whose error
+    # estimate misses its mass; the direct route now sums the same bands,
+    # and the defect must still fail gauss-bonnet-truncated
+    schedule = RunConfig("paraboloid", h_min=h_min, h_max=h_max).schedule()
+    report = run_sweep(zoo_entry("paraboloid").model, schedule)
+    assert report.verdicts["gauss-bonnet-truncated"].status == "fail"
 
 
 BAND_SCHEDULES = {
@@ -596,6 +638,15 @@ class TestBandReuse:
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_samples(zoo_entry("paraboloid").model, [1.0, 4.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_schedule_heights_must_be_finite(self, bad):
+        # NaN passes every comparison of the order checks
+        model = zoo_entry("paraboloid").model
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(model, [1.0, bad, 3.0, 5.0])
+        with pytest.raises(ValueError, match="finite"):
+            sweep_samples(model, [1.0, 3.0, bad])
 
     def test_sweep_checks_the_schedule_before_the_mu_prime_point(self):
         # the mu' point of [1, 4, -2] would take the root of a negative
@@ -899,17 +950,18 @@ class TestLookahead:
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
 
     @pytest.mark.parametrize(
-        "name,schedule,calls",
+        "name,schedule",
         [
-            ("paraboloid", [1.0, 2.0, 4.0, 8.0, 16.0], 1),
-            ("theta-cap", BAND_SCHEDULES["theta-cap"], 1),
-            ("paraboloid", [2.0, 4.0, 8.0, 16.0], 2),
+            ("paraboloid", [1.0, 2.0, 4.0, 8.0, 16.0]),
+            ("theta-cap", BAND_SCHEDULES["theta-cap"]),
+            ("paraboloid", [2.0, 4.0, 8.0, 16.0]),
         ],
         ids=["paraboloid", "theta-cap", "paraboloid-from-2"],
     )
-    def test_sweep_integrates_one_pole_band(self, name, schedule, calls, monkeypatch):
-        # the truncation head and the direct route share the band up to
-        # t_min + 1 when the schedule's first height is t_min + 1
+    def test_sweep_integrates_one_pole_band(self, name, schedule, monkeypatch):
+        # the direct route continues the truncation beyond the last height,
+        # so the truncation's head up to the first height is the only pole
+        # band, whatever that height
         heights = []
         pole_band = sweep._pole_band
 
@@ -919,8 +971,7 @@ class TestLookahead:
 
         monkeypatch.setattr(sweep, "_pole_band", recording)
         run_sweep(POLE_MODELS[name](), schedule)
-        assert len(heights) == calls
-        assert sorted(heights) == sorted({1.0, schedule[0]})
+        assert heights == [schedule[0]]
 
 
 def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
@@ -1005,7 +1056,7 @@ class TestMergedBatches:
     def test_polar_head_equals_the_pole_band_alone(self, name, h):
         model = POLE_MODELS[name]()
         tol = sweep.DEFAULT_TOL
-        _, head = sweep._truncated_curvatures(model, [h, 2.0 * h, 4.0 * h], tol)
+        head = sweep._end_bands(model, [h, 2.0 * h, 4.0 * h], tol)[0][0]
         assert head == sweep._pole_band(model.ends[0], h, tol)
 
     @pytest.mark.parametrize("name", FAULT_CASES)
@@ -1028,11 +1079,11 @@ CHART_CALL_CASES = {
 
 
 @pytest.mark.parametrize(
-    "name,calls", [("paraboloid", 15), ("theta-cap", 7), ("three-ends", 40)]
+    "name,calls", [("paraboloid", 13), ("theta-cap", 6), ("three-ends", 19)]
 )
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the
-    # merged batches merged
+    # merged batches merged and the direct route on the truncation's bands
     build, schedule = CHART_CALL_CASES[name]
     model = build()
     counted = []
