@@ -95,7 +95,10 @@ class RunConfig:
 
 def load_surface_config(path: str | Path) -> SurfaceModel:
     """Read a surface definition file into a model."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are read verbatim: no %-interpolation
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:

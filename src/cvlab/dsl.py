@@ -14,7 +14,9 @@ A leading minus scopes over the whole product that follows, so
 ``-2*t`` denotes ``-(2*t)``, and ``-t^2`` denotes ``-(t^2)``.  Numeric
 literals may use decimal or scientific notation.  The only variables
 are ``t`` and ``theta``; the function set is exp, log, sqrt, sin, cos,
-sinh, cosh, tanh.
+sinh, cosh, tanh.  Parentheses, function calls, each unary minus and
+each ``^`` open one nesting level; past :data:`MAX_NESTING` levels the
+source is a :class:`ParseError`.
 
 Evaluation returns a :class:`~cvlab.jets.Jet2` carrying the value and
 exact first/second t-derivatives; theta is a passive parameter.  Each
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -54,6 +57,11 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "theta")
+
+# levels of (), f(), unary minus and '^' one expression may open; each
+# costs the recursive descent up to four Python frames, so a deeper
+# source is a ParseError well before Python's recursion limit
+MAX_NESTING = 200
 
 BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
@@ -153,6 +161,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -165,6 +174,15 @@ class _Parser:
     def error(self, message: str, expected: frozenset = frozenset()) -> ParseError:
         _, _, idx = self.peek()
         return ParseError(message, _byte_offset(self.source, idx), expected)
+
+    @contextmanager
+    def deeper(self):
+        """Open one more nesting level at the next token."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def expect_op(self, symbol: str) -> None:
         kind, text, _ = self.peek()
@@ -193,8 +211,9 @@ class _Parser:
     def term(self) -> Node:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
-            self.take()
-            return Unary("neg", self.term())
+            with self.deeper():
+                self.take()
+                return Unary("neg", self.term())
         node = self.factor()
         while True:
             kind, text, _ = self.peek()
@@ -209,8 +228,9 @@ class _Parser:
         node = self.base()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
-            self.take()
-            return Binary("pow", node, self.factor())
+            with self.deeper():
+                self.take()
+                return Binary("pow", node, self.factor())
         return node
 
     def base(self) -> Node:
@@ -223,19 +243,22 @@ class _Parser:
             if text in VARIABLES:
                 return Var(text)
             if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
+                with self.deeper():
+                    self.expect_op("(")
+                    arg = self.expression()
+                    self.expect_op(")")
                 return Unary(text, arg)
             raise UnknownIdentifier(text, _byte_offset(self.source, idx))
         if kind == "op" and text == "(":
-            self.take()
-            node = self.expression()
-            self.expect_op(")")
+            with self.deeper():
+                self.take()
+                node = self.expression()
+                self.expect_op(")")
             return node
         if kind == "op" and text == "-":
-            self.take()
-            return Unary("neg", self.base())
+            with self.deeper():
+                self.take()
+                return Unary("neg", self.base())
         raise self.error(
             f"expected a value, got {text!r}" if text else "unexpected end of input",
             frozenset({"number", "t", "theta", "name(", "(", "-"}),

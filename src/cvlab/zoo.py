@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .jets import Jet2
 from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel, Topology, euler_char
@@ -180,6 +179,8 @@ def paraboloid_radius_oracle(t: float) -> float:
     model inverts it by Newton's method).  The absolute ``xtol`` is tiny,
     so the relative ``rtol`` of about 4 ulp decides when to stop, down to
     the smallest radii."""
+    from scipy.optimize import brentq  # here, so no CLI run loads scipy
+
     if t <= 0.0:
         return 0.0
     hi = max(2.0, math.sqrt(2.0 * t) + 2.0)

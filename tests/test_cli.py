@@ -302,6 +302,24 @@ class TestConfigFiles:
         assert main(["sweep", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("g = exp(-2*t)", "g = t^2 % 3", "unexpected character '%'"),
+            ("t_min = 0.0", "t_min = 0.0 %", "[end1] t_min '0.0 %' is not a valid float"),
+        ],
+        ids=["g", "t_min"],
+    )
+    def test_percent_is_read_verbatim(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace(old, new))
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("genus", [0, 1])
     def test_corollary_not_certified_over_analytic_core(self, tmp_path, capsys, genus):
         # w = t + 0.5*log(1+t) has K >= 0 on the end, but the core value

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvlab.cli import main
 from cvlab.dsl import (
+    MAX_NESTING,
     Binary,
     Const,
     MetricExpr,
@@ -18,6 +20,8 @@ from cvlab.dsl import (
     serialize,
 )
 from cvlab.jets import DomainError
+from cvlab.model import PolarCap, SurfaceModel, Topology, chart_from_expression
+from cvlab.sweep import run_sweep
 
 
 class TestParser:
@@ -68,6 +72,60 @@ class TestParser:
     def test_missing_close_paren(self):
         with pytest.raises(ParseError):
             parse_metric("exp(t")
+
+
+# n levels of each nesting form, all equal to t
+NESTED = {
+    "parentheses": lambda n: "(" * n + "t" + ")" * n,
+    "unary-minus": lambda n: "-" * n + "t",
+    "power-chain": lambda n: "t" + "^1" * n,
+}
+
+
+def _polar_cap_report(g):
+    model = SurfaceModel(Topology(0, 1), (chart_from_expression(g),), PolarCap())
+    return run_sweep(model, [1, 2, 4, 8])
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("form", NESTED)
+    def test_deepest_accepted_expression_sweeps(self, form):
+        # the wrapping parentheses open one level, the inner form the rest
+        deepest = f"({NESTED[form](MAX_NESTING - 1)})^2"
+        report = _polar_cap_report(deepest)
+        plane = _polar_cap_report("t^2")
+        assert report.samples == plane.samples
+        assert report.verdicts == plane.verdicts
+
+    @pytest.mark.parametrize("form", NESTED)
+    def test_one_level_deeper_is_a_parse_error(self, form, tmp_path, capsys):
+        source = f"({NESTED[form](MAX_NESTING)})^2"
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels") as err:
+            parse_metric(source)
+        opener = {"parentheses": "(", "unary-minus": "-", "power-chain": "^"}[form]
+        assert source[err.value.offset] == opener
+        path = tmp_path / "deep.cfg"
+        path.write_text(
+            f"[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n[end1]\ng = {source}\n"
+        )
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: nesting deeper than")
+
+    @pytest.mark.parametrize(
+        "source", ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t", "t" + "^t" * 2000]
+    )
+    def test_far_too_deep_is_a_parse_error(self, source):
+        with pytest.raises(ParseError):
+            parse_metric(source)
+
+    def test_function_calls_count(self):
+        parse_metric("exp(" * MAX_NESTING + "t" + ")" * MAX_NESTING)
+        with pytest.raises(ParseError) as err:
+            parse_metric("exp(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1))
+        assert err.value.offset == 4 * MAX_NESTING + 3
 
 
 class TestSerialize:

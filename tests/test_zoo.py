@@ -182,12 +182,46 @@ def test_paraboloid_profile_value_does_not_depend_on_batch():
     )
 
 
-def test_cli_import_leaves_ode_solvers_unloaded():
-    code = "import sys, cvlab.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+COLD_START = """\
+import contextlib, io, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import cvlab
+print(scipy_loaded())
+import cvlab.cli
+print("scipy.integrate" in sys.modules)
+print(scipy_loaded())
+for argv in (
+    ["list"],
+    ["verify", "--surface", "paraboloid"],
+    ["sweep", "--config", sys.argv[1], "--format", "json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cvlab.cli.main(argv)
+    print(code, scipy_loaded())
+from cvlab.zoo import paraboloid_radius_oracle
+print(paraboloid_radius_oracle(2.0).hex())
+"""
+
+
+def test_cli_import_leaves_ode_solvers_unloaded(tmp_path):
+    """No CLI run imports scipy; only the paraboloid oracle does."""
+    path = tmp_path / "theta-cap.cfg"
+    path.write_text(
+        "[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n[end1]\n"
+        "g = t^2*(1+0.3*cos(3*theta)*t^2*exp(-2*t))^2\n"
     )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "[]", "False", "[]", "0 []", "0 []", "0 []",
+        # the root brentq finds, bit for bit
+        "0x1.87216546fa86bp+0",
+    ]
 
 
 class TestCappedCone:
