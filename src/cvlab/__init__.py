@@ -1,8 +1,8 @@
 """cvlab: total-curvature and Gauss-Bonnet checks for complete surfaces
 with cylindrical ends ``dt^2 + G(t, theta) dtheta^2``."""
 
-from .curvature import gauss_curvature, geodesic_curvature, geodesic_curvature_from_g
-from .dsl import DomainError, MetricExpr, ParseError, UnknownIdentifier, eval_jet, parse_metric, serialize
+from .curvature import gauss_curvature
+from .dsl import DomainError, MetricExpr, ParseError, UnknownIdentifier, eval_jet, parse_metric
 from .jets import Jet2, Overflow
 from .model import (
     AnalyticCore,
@@ -32,9 +32,7 @@ from .sweep import (
     SweepReport,
     TruncationSample,
     Verdict,
-    detect_h1,
     geometric_schedule,
-    measure_mu_prime_order,
     run_sweep,
     sweep_samples,
 )

@@ -41,9 +41,9 @@ from .model import (
     chart_from_expression,
     euler_char,
 )
-from .quadrature import Tolerance
+from .quadrature import DEFAULT_TOL, Tolerance
 from .sweep import SweepReport, run_sweep
-from .zoo import ZOO_BUILDERS, zoo_entry
+from .zoo import ZOO_BUILDERS, all_entries, zoo_entry
 
 CSV_HEADER = ["h", "mu", "lambda", "c_trunc", "quad_error", "gb_residual"]
 
@@ -58,8 +58,8 @@ class RunConfig:
     h_min: float = 1.0
     h_max: float = 64.0
     steps: int = 12
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
+    abs_tol: float = DEFAULT_TOL.abs_tol
+    rel_tol: float = DEFAULT_TOL.rel_tol
     output_format: str = "human"
     output_path: str | None = None
     strict: bool = False
@@ -140,7 +140,7 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
         t_min = number(float, section, "t_min", spec.get("t_min", "0.0"))
         if not math.isfinite(t_min):
             raise InputError(f"config {path}: [{section}] t_min {t_min} is not finite")
-        charts.append(chart_from_expression(source, t_min=t_min, label=source))
+        charts.append(chart_from_expression(source, t_min=t_min))
 
     core_text = need("core").strip()
     if core_text == "polar-cap":
@@ -304,7 +304,7 @@ def _check_writable(output_path: str | None) -> None:
 
 
 def cmd_list(fmt: str) -> int:
-    entries = [zoo_entry(name) for name in ZOO_BUILDERS]
+    entries = all_entries()
     if fmt == "json":
         records = [
             {
@@ -374,12 +374,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--surface", help="built-in surface name or config path")
         p.add_argument("--config", help="surface definition file")
-        p.add_argument("--h-min", type=float, default=1.0)
-        p.add_argument("--h-max", type=float, default=64.0)
-        p.add_argument("--steps", type=int, default=12)
-        p.add_argument("--abs-tol", type=float, default=1e-9)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
-        p.add_argument("--format", default="human", choices=("human", "json", "csv"))
+        p.add_argument("--h-min", type=float, default=RunConfig.h_min)
+        p.add_argument("--h-max", type=float, default=RunConfig.h_max)
+        p.add_argument("--steps", type=int, default=RunConfig.steps)
+        p.add_argument("--abs-tol", type=float, default=RunConfig.abs_tol)
+        p.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol)
+        p.add_argument(
+            "--format", default=RunConfig.output_format, choices=("human", "json", "csv")
+        )
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when any verdict fails")

@@ -15,8 +15,10 @@ A leading minus scopes over the whole product that follows, so
 literals may use decimal or scientific notation.  The only variables
 are ``t`` and ``theta``; the function set is exp, log, sqrt, sin, cos,
 sinh, cosh, tanh.  Parentheses, function calls, each unary minus and
-each ``^`` open one nesting level; past :data:`MAX_NESTING` levels the
-source is a :class:`ParseError`.
+each ``^`` open one nesting level, and each ``+ - * /`` operator nests
+everything to its left one level deeper and opens one level for its
+right operand, as the left-associative tree does; past
+:data:`MAX_NESTING` levels the source is a :class:`ParseError`.
 
 Evaluation returns a :class:`~cvlab.jets.Jet2` carrying the value and
 exact first/second t-derivatives; theta is a passive parameter.  Each
@@ -58,9 +60,10 @@ __all__ = [
 
 VARIABLES = ("t", "theta")
 
-# levels of (), f(), unary minus and '^' one expression may open; each
-# costs the recursive descent up to four Python frames, so a deeper
-# source is a ParseError well before Python's recursion limit
+# levels of (), f(), unary minus, '^' and chain operators one expression
+# may reach; a level costs the recursive descent up to four Python frames
+# and the compiled tree at most one, so a deeper source is a ParseError
+# well before Python's recursion limit
 MAX_NESTING = 200
 
 BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
@@ -112,11 +115,10 @@ Node = Union[Const, Var, Unary, Binary]
 
 @dataclass(frozen=True)
 class MetricExpr:
-    """Parsed expression tree plus the original source text, compiled
-    once into the kernel that :func:`eval_jet` runs."""
+    """Parsed expression tree, compiled once into the kernel that
+    :func:`eval_jet` runs."""
 
     root: Node
-    source: str = field(compare=False, default="")
     _kernel: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,7 +163,8 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.depth = 0
+        self.depth = 0  # levels open at the next token
+        self.peak = 0  # the deepest level reached in the current chain
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -175,12 +178,16 @@ class _Parser:
         _, _, idx = self.peek()
         return ParseError(message, _byte_offset(self.source, idx), expected)
 
+    def too_deep(self) -> ParseError:
+        return self.error(f"nesting deeper than {MAX_NESTING} levels")
+
     @contextmanager
     def deeper(self):
         """Open one more nesting level at the next token."""
         if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+            raise self.too_deep()
         self.depth += 1
+        self.peak = max(self.peak, self.depth)
         yield
         self.depth -= 1
 
@@ -197,16 +204,33 @@ class _Parser:
             raise self.error(f"unexpected trailing input {text!r}")
         return node
 
+    @contextmanager
+    def chain(self):
+        """Parse a left-associative chain ``operand (op operand)*`` at the
+        depth it yields.  Each operator (:meth:`link`) nests everything to
+        its left one level deeper, as the tree does, and opens one level
+        for its right operand; ``peak`` follows the deepest level."""
+        outer, enclosing = self.depth, self.peak
+        self.peak = outer
+        yield outer
+        self.depth, self.peak = outer, max(enclosing, self.peak)
+
+    def link(self, outer: int) -> None:
+        """Take the next operator of the chain at depth ``outer``."""
+        if self.peak == MAX_NESTING:
+            raise self.too_deep()
+        self.take()
+        self.depth, self.peak = outer + 1, self.peak + 1
+
     def expression(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                rhs = self.term()
-                node = Binary("add" if text == "+" else "sub", node, rhs)
-            else:
-                return node
+        with self.chain() as outer:
+            node = self.term()
+            while True:
+                kind, text, _ = self.peek()
+                if kind != "op" or text not in "+-":
+                    return node
+                self.link(outer)
+                node = Binary("add" if text == "+" else "sub", node, self.term())
 
     def term(self) -> Node:
         kind, text, _ = self.peek()
@@ -214,15 +238,14 @@ class _Parser:
             with self.deeper():
                 self.take()
                 return Unary("neg", self.term())
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                rhs = self.factor()
-                node = Binary("mul" if text == "*" else "div", node, rhs)
-            else:
-                return node
+        with self.chain() as outer:
+            node = self.factor()
+            while True:
+                kind, text, _ = self.peek()
+                if kind != "op" or text not in "*/":
+                    return node
+                self.link(outer)
+                node = Binary("mul" if text == "*" else "div", node, self.factor())
 
     def factor(self) -> Node:
         node = self.base()
@@ -267,8 +290,7 @@ class _Parser:
 
 def parse_metric(source: str) -> MetricExpr:
     """Parse a metric-coefficient expression into a tree."""
-    root = _Parser(source).parse()
-    return MetricExpr(root=root, source=source)
+    return MetricExpr(_Parser(source).parse())
 
 
 def _format_number(value: float) -> str:
@@ -362,20 +384,18 @@ def _kernel(node: Node):
     return kernel if has_t else lambda t, theta: Jet2(kernel(t, theta))
 
 
-def eval_jet(expr: MetricExpr | Node, t, theta) -> Jet2:
+def eval_jet(expr: MetricExpr, t, theta) -> Jet2:
     """Evaluate the expression and its first two exact t-derivatives at
-    scalar or array points ``(t, theta)``.
+    scalar or array points ``(t, theta)``, through the kernel compiled
+    when ``expr`` was built.
 
-    A :class:`MetricExpr` runs the kernel compiled when it was built; a
-    bare node is compiled on the spot.  Raises :class:`DomainError` on
-    out-of-domain intermediates or a non-finite result anywhere among
-    the points.
+    Raises :class:`DomainError` on out-of-domain intermediates or a
+    non-finite result anywhere among the points.
     """
-    kernel = expr._kernel if isinstance(expr, MetricExpr) else _kernel(expr)
     # float semantics: arithmetic that overflows yields inf or nan, which
     # the finiteness check below turns into DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = kernel(t, theta)
+        jet = expr._kernel(t, theta)
     return ensure_finite(jet, "metric expression")
 
 

@@ -13,13 +13,14 @@ boundary functionals stay single-variable.  Nonorientable surfaces are
 rejected; analyze their orientable double cover instead (curvature
 integrals double, the Euler characteristic doubles too).  Validation
 evaluates one sampling grid per end, the positivity angles and the
-period pairs side by side, and reads the first violation from masks.
+period pairs side by side, reads the first violation from masks and
+raises it as :class:`ModelInvalid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -30,7 +31,7 @@ POLE_GUARD = 1e-8  # no pointwise evaluation closer to a polar-cap pole
 
 
 class ModelInvalid(ValueError):
-    """First violated model invariant, signalled in strict validation."""
+    """The first violated model invariant, raised by :func:`validate_surface`."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class EndChart:
     g_jet: Callable[..., Jet2]
     t_min: float = 0.0
     sqrt_g_jet: Callable[..., Jet2] | None = None
-    label: str = ""
     theta_free: bool = False
 
     def g(self, t, theta):
@@ -84,22 +84,17 @@ class EndChart:
         return jsqrt(self.g_jet(t, theta))
 
 
-def chart_from_expression(expr_or_text, t_min: float = 0.0, label: str = "") -> EndChart:
-    """Build an end chart from a DSL expression (text or parsed tree).
+def chart_from_expression(text: str, t_min: float = 0.0) -> EndChart:
+    """Build an end chart from DSL source text.
 
     The chart is theta-free exactly when the tree has no ``theta``.
     """
-    from .dsl import MetricExpr, eval_jet, parse_metric, uses_theta
+    from .dsl import eval_jet, parse_metric, uses_theta
 
-    expr = expr_or_text
-    if isinstance(expr, str):
-        expr = parse_metric(expr)
-    if not isinstance(expr, MetricExpr):
-        raise TypeError("expected DSL source text or a MetricExpr")
+    expr = parse_metric(text)
     return EndChart(
         g_jet=lambda t, theta: eval_jet(expr, t, theta),
         t_min=t_min,
-        label=label or expr.source,
         theta_free=not uses_theta(expr),
     )
 
@@ -141,15 +136,6 @@ class SurfaceModel:
     @property
     def min_height(self) -> float:
         return max(end.t_min for end in self.ends)
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 _SAMPLES_PER_AXIS = 16  # positivity heights in [t_min, t_min + 8] and angles
@@ -238,28 +224,20 @@ def _period_violation(j: int, ts, values) -> str | None:
     )
 
 
-def validate_surface(model: SurfaceModel, strict: bool = False) -> ValidationReport:
+def validate_surface(model: SurfaceModel) -> None:
     """Check model invariants; sampling catches nonpositive G.
 
-    Returns a report listing every violation found.  In strict mode the
-    first violation raises :class:`ModelInvalid` instead.
+    Raises :class:`ModelInvalid` with the first violation found.
     """
-    report = ValidationReport()
-
-    def flag(message: str):
-        if strict:
-            raise ModelInvalid(message)
-        report.violations.append(message)
-
     topo = model.topology
     if not topo.orientable:
-        flag(
+        raise ModelInvalid(
             "nonorientable surfaces are not accepted; pass the orientable "
             "double cover instead (all curvature integrals and the Euler "
             "characteristic double)"
         )
     if len(model.ends) != topo.ends:
-        flag(
+        raise ModelInvalid(
             f"topology declares {topo.ends} end(s) but the model carries "
             f"{len(model.ends)} chart(s)"
         )
@@ -267,27 +245,27 @@ def validate_surface(model: SurfaceModel, strict: bool = False) -> ValidationRep
     polar = isinstance(model.core, PolarCap)
     if polar:
         if topo.ends != 1:
-            flag("PolarCap requires single end")
+            raise ModelInvalid("PolarCap requires single end")
         if model.ends and model.ends[0].t_min != 0.0:
-            flag("PolarCap requires the chart to start at t = 0")
+            raise ModelInvalid("PolarCap requires the chart to start at t = 0")
         if topo.genus != 0:
-            flag("PolarCap core implies genus 0 (chi = 1)")
+            raise ModelInvalid("PolarCap core implies genus 0 (chi = 1)")
     elif isinstance(model.core, AnalyticCore):
         heights = model.core.boundary_heights
         if len(heights) != len(model.ends):
-            flag(
+            raise ModelInvalid(
                 f"core lists {len(heights)} boundary height(s) for "
                 f"{len(model.ends)} end(s)"
             )
         else:
             for j, (height, end) in enumerate(zip(heights, model.ends)):
                 if height != end.t_min:
-                    flag(
+                    raise ModelInvalid(
                         f"core boundary height {height} of end {j + 1} does "
                         f"not match the chart's t_min {end.t_min}"
                     )
     else:
-        flag(f"unknown core descriptor {model.core!r}")
+        raise ModelInvalid(f"unknown core descriptor {model.core!r}")
 
     for j, end in enumerate(model.ends):
         ts, thetas = _positivity_probes(end, polar)
@@ -297,7 +275,7 @@ def validate_surface(model: SurfaceModel, strict: bool = False) -> ValidationRep
             rows = slice(1, None, max(1, len(ts) // 4))
             message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:
-            flag(message)
+            raise ModelInvalid(message)
 
     if polar and model.ends:
         end = model.ends[0]
@@ -305,17 +283,15 @@ def validate_surface(model: SurfaceModel, strict: bool = False) -> ValidationRep
         try:
             w = end.sqrt_jet(probe, 0.0)
         except DomainError as err:
-            flag(f"polar cap: sqrt(G) not evaluable near the pole: {err}")
+            raise ModelInvalid(f"polar cap: sqrt(G) not evaluable near the pole: {err}")
         else:
             if abs(w.f - probe) > 1e-2 * probe + 1e-12:
-                flag(
+                raise ModelInvalid(
                     "polar cap: sqrt(G) does not vanish linearly at the pole "
                     f"(sqrt(G)({probe:g}) = {w.f:.3e})"
                 )
             if abs(w.d1 - 1.0) > 1e-2:
-                flag(
+                raise ModelInvalid(
                     "polar cap: d/dt sqrt(G) at the pole is "
                     f"{w.d1:.6f}, expected 1"
                 )
-
-    return report

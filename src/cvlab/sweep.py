@@ -283,15 +283,9 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
     return tuple(samples), values[2 * n :], errors[2 * n :], bands
 
 
-def detect_h1(model: SurfaceModel, h_probe_max: float) -> float | None:
-    """Smallest height beyond which sampled curvature stays >= -K_SLACK, or
-    ``None`` when violations persist up to ``h_probe_max``; see :func:`_curvature_scan`."""
-    return _curvature_scan(model, h_probe_max)[0]
-
-
 def _curvature_scan(model: SurfaceModel, h_probe_max: float):
-    """``(h1, kmin, kmax)``: :func:`detect_h1`'s height and the curvature
-    range of its grid scan.
+    """``(h1, kmin, kmax)``: the smallest height beyond which sampled
+    curvature stays ``>= -K_SLACK``, and the curvature range of the scan.
 
     Every end is evaluated on one :func:`_probe_heights` grid from
     ``model.min_height`` to ``h_probe_max``, each height clamped to the
@@ -398,21 +392,15 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Toler
     return ImproperResult(total, err, evals, converged, divergence, trace)
 
 
-def measure_mu_prime_order(
-    model: SurfaceModel, h0: float, step: float, tol: Tolerance = DEFAULT_TOL
-):
-    """Deviation of the central difference of mu from lambda at h0, for
-    the given step and its half; returns (dev_step, dev_half, floor)."""
-    values, errors = _boundaries(model, _mu_prime_heights(h0, step), tol, _MU_PRIME_SLOTS)
-    return _mu_prime_order(values, errors, step)
-
-
 def _mu_prime_heights(h0: float, step: float) -> list[float]:
     return [h0, h0 + step, h0 - step, h0 + 0.5 * step, h0 - 0.5 * step]
 
 
 def _mu_prime_order(values, errors, step: float):
-    """:func:`measure_mu_prime_order` from the values at its heights."""
+    """``(dev_step, dev_half, floor)``: the deviations from lambda at
+    ``h0`` of the central differences of mu for ``step`` and its half,
+    and their noise floor, from the values and errors at the
+    :func:`_mu_prime_heights` in :data:`_MU_PRIME_SLOTS` order."""
     lam0, el = values[0], errors[0]
     devs = []
     floor = 0.0
@@ -479,7 +467,7 @@ def run_sweep(
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
-    validate_surface(model, strict=True)
+    validate_surface(model)
     return _report(model, _measure(model, schedule, tol))
 
 

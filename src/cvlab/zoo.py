@@ -56,7 +56,6 @@ class Oracle:
 class ZooEntry:
     model: SurfaceModel
     oracle: Oracle
-    provenance_note: str
 
     @property
     def name(self) -> str:
@@ -68,14 +67,18 @@ class ZooEntry:
 
 
 def make_flat_cylinder() -> ZooEntry:
-    """Product cylinder: two flat ends, zero everything."""
+    """Product cylinder: two flat ends, zero everything.
+
+    G = 1 on both ends: every boundary circle is a unit-speed geodesic
+    of length 2*pi, so mu = 4*pi, lambda = 0, and all curvature
+    integrals vanish.
+    """
     unit = Jet2(1.0)
 
     def chart() -> EndChart:
         return EndChart(
             g_jet=lambda t, theta: unit,
             sqrt_g_jet=lambda t, theta: unit,
-            label="flat cylinder end",
             theta_free=True,
         )
 
@@ -96,20 +99,18 @@ def make_flat_cylinder() -> ZooEntry:
         chi=0,
         hypothesis_holds=True,
     )
-    note = (
-        "G = 1 on both ends: every boundary circle is a unit-speed geodesic "
-        "of length 2*pi, so mu = 4*pi, lambda = 0, and all curvature "
-        "integrals vanish."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 def make_polar_plane() -> ZooEntry:
-    """Euclidean plane in polar normal form, G = t^2."""
+    """Euclidean plane in polar normal form, G = t^2.
+
+    sqrt(G) = t exactly: circles of radius h have length 2*pi*h and
+    unit radial growth, curvature vanishes.
+    """
     chart = EndChart(
         g_jet=lambda t, theta: Jet2(t * t, 2.0 * t, 2.0),
         sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0),
-        label="polar plane end",
         theta_free=True,
     )
     model = SurfaceModel(
@@ -129,11 +130,7 @@ def make_polar_plane() -> ZooEntry:
         chi=1,
         hypothesis_holds=True,
     )
-    note = (
-        "sqrt(G) = t exactly: circles of radius h have length 2*pi*h and "
-        "unit radial growth, curvature vanishes."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 def _paraboloid_arc_length(r: float) -> float:
@@ -190,7 +187,15 @@ def paraboloid_radius_oracle(t: float) -> float:
 
 
 def make_paraboloid() -> ZooEntry:
-    """Rotation surface z = r^2/2, reparametrized by meridian arc length."""
+    """Rotation surface z = r^2/2, reparametrized by meridian arc length.
+
+    For z = r^2/2 the meridian slope angle phi satisfies tan(phi) = r,
+    so the parallel at radius r has geodesic curvature cos(phi) =
+    1/sqrt(1+r^2) per unit angle; band curvature integrals telescope to
+    2*pi*(cos phi_lo - cos phi_hi) and the Gauss map fills an open
+    hemisphere, total curvature 2*pi.  Oracle radii invert the
+    closed-form arc length t(r) = (r*sqrt(1+r^2) + asinh r)/2.
+    """
 
     def g_jet(t, theta):
         r, r1, r2 = paraboloid_profile_jets(t)
@@ -199,9 +204,7 @@ def make_paraboloid() -> ZooEntry:
     def sqrt_g_jet(t, theta):
         return Jet2(*paraboloid_profile_jets(t))
 
-    chart = EndChart(
-        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="paraboloid end", theta_free=True
-    )
+    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),
@@ -224,15 +227,7 @@ def make_paraboloid() -> ZooEntry:
         chi=1,
         hypothesis_holds=True,
     )
-    note = (
-        "For z = r^2/2 the meridian slope angle phi satisfies tan(phi) = r, "
-        "so the parallel at radius r has geodesic curvature cos(phi) = "
-        "1/sqrt(1+r^2) per unit angle; band curvature integrals telescope to "
-        "2*pi*(cos phi_lo - cos phi_hi) and the Gauss map fills an open "
-        "hemisphere, total curvature 2*pi.  Oracle radii invert the "
-        "closed-form arc length t(r) = (r*sqrt(1+r^2) + asinh r)/2."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 _CONE_CAP_RADIUS = 10.0
@@ -262,6 +257,11 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
     """Smooth cap opening into an exact cone of the given slant.
 
     ``slant`` is the sine of the cone half-angle and must lie in (0, 1).
+
+    w' falls from 1 (smooth pole) to the slant along a quintic
+    smoothstep over [0, 10], exact cone afterwards; curvature integrals
+    telescope, giving the cone-angle deficit c_total = 2*pi*(1 - slant)
+    and boundary turning 2*pi*slant.
     """
     if not (0.0 < slant < 1.0):
         raise InvalidParameter(f"slant must lie in (0, 1), got {slant!r}")
@@ -274,9 +274,7 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
         w, w1, w2 = _cone_profile_jets(t, slant)
         return Jet2(w * w, 2.0 * w * w1, 2.0 * (w1 * w1 + w * w2))
 
-    chart = EndChart(
-        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="capped cone end", theta_free=True
-    )
+    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),
@@ -304,17 +302,18 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
         chi=1,
         hypothesis_holds=True,
     )
-    note = (
-        "w' falls from 1 (smooth pole) to the slant along a quintic "
-        "smoothstep over [0, 10], exact cone afterwards; curvature "
-        "integrals telescope, giving the cone-angle deficit "
-        "c_total = 2*pi*(1 - slant) and boundary turning 2*pi*slant."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 def make_catenoid() -> ZooEntry:
-    """Catenoid in arc-length form: both ends carry G = 1 + t^2."""
+    """Catenoid in arc-length form: both ends carry G = 1 + t^2.
+
+    Arc length along the cosh meridian gives sqrt(G) = sqrt(1+t^2) on
+    each half; the waist t = 0 is a geodesic, so the core contributes
+    nothing, and each end carries curvature integral -2*pi, the
+    classical total -4*pi.  Curvature is negative everywhere, so the
+    nonnegative-at-infinity hypothesis fails.
+    """
 
     def g_jet(t, theta):
         return Jet2(1.0 + t * t, 2.0 * t, 2.0)
@@ -324,9 +323,7 @@ def make_catenoid() -> ZooEntry:
         return Jet2(w, t / w, 1.0 / w**3)
 
     def chart() -> EndChart:
-        return EndChart(
-            g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="catenoid end", theta_free=True
-        )
+        return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
 
     model = SurfaceModel(
         topology=Topology(genus=0, ends=2),
@@ -345,14 +342,7 @@ def make_catenoid() -> ZooEntry:
         chi=0,
         hypothesis_holds=False,
     )
-    note = (
-        "Arc length along the cosh meridian gives sqrt(G) = sqrt(1+t^2) on "
-        "each half; the waist t = 0 is a geodesic, so the core contributes "
-        "nothing, and each end carries curvature integral -2*pi, the "
-        "classical total -4*pi.  Curvature is negative everywhere, so the "
-        "nonnegative-at-infinity hypothesis fails."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 def make_hyperbolic_cusp_cap() -> ZooEntry:
@@ -361,6 +351,11 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
     A closed cap whose boundary circle has length 2*pi*e^0 and inward
     geodesic curvature -1 must carry curvature integral 4*pi; that value
     enters as the analytic core term.
+
+    sqrt(G) = e^{-t}: constant curvature -1 on the end with curvature
+    integral -2*pi, cap forced to 4*pi by the closed-surface count,
+    total 2*pi.  lambda(h) = -2*pi*e^{-h} increases toward 0, the
+    standard nonincreasing control violation.
     """
 
     def g_jet(t, theta):
@@ -371,9 +366,7 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
         e = np.exp(-t)
         return Jet2(e, -e, e)
 
-    chart = EndChart(
-        g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, label="hyperbolic cusp end", theta_free=True
-    )
+    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
         topology=Topology(genus=0, ends=1),
         ends=(chart,),
@@ -391,13 +384,7 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
         chi=1,
         hypothesis_holds=False,
     )
-    note = (
-        "sqrt(G) = e^{-t}: constant curvature -1 on the end with curvature "
-        "integral -2*pi, cap forced to 4*pi by the closed-surface count, "
-        "total 2*pi.  lambda(h) = -2*pi*e^{-h} increases toward 0, the "
-        "standard nonincreasing control violation."
-    )
-    return ZooEntry(model, oracle, note)
+    return ZooEntry(model, oracle)
 
 
 ZOO_BUILDERS: dict[str, Callable[[], ZooEntry]] = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cvlab.sweep as sweep
 from cvlab.sweep import geometric_schedule, run_sweep
 from cvlab.zoo import zoo_entry
 
@@ -18,6 +19,15 @@ SCHEDULES = {
     "catenoid": SHALLOW_SCHEDULE,
     "cusp-cap": SHALLOW_SCHEDULE,
 }
+
+
+def mu_prime_order(model, h0, step, tol=sweep.DEFAULT_TOL):
+    """``(dev_step, dev_half, floor)`` of the ``lambda = mu'`` check at
+    ``h0``, measured apart from a sweep: its five heights as one boundary
+    batch of their own."""
+    heights = sweep._mu_prime_heights(h0, step)
+    values, errors = sweep._boundaries(model, heights, tol, sweep._MU_PRIME_SLOTS)
+    return sweep._mu_prime_order(values, errors, step)
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,10 @@ from cvlab.cli import main
 from cvlab.dsl import MetricExpr, parse_metric, serialize
 from cvlab.quadrature import NotMonotone, Tolerance, estimate_tail_limit, integrate_improper
 from cvlab.model import chart_from_expression
-from cvlab.sweep import measure_mu_prime_order, sweep_samples
+from cvlab.sweep import sweep_samples
 from cvlab.zoo import zoo_entry, zoo_names
 
+from conftest import mu_prime_order
 from test_dsl import check_against_finite_differences, random_expression
 
 TWO_PI = 2.0 * math.pi
@@ -58,7 +59,7 @@ def test_criterion_2_lambda_equals_mu_derivative():
     details = []
     for name, h0 in (("paraboloid", 5.0), ("capped-cone", 2.0)):
         model = zoo_entry(name).model
-        dev, dev_half, _ = measure_mu_prime_order(model, h0, 0.05)
+        dev, dev_half, _ = mu_prime_order(model, h0, 0.05)
         order = math.log2(dev / dev_half)
         details.append(f"{name}: dev(0.05)={dev:.2e}, order={order:.2f}")
         ok = ok and dev < 1e-4 and order >= 1.9

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvlab.curvature import gauss_curvature
-from cvlab.dsl import eval_jet
+from cvlab.dsl import MetricExpr, eval_jet
 from cvlab.jets import DomainError, Jet2, Overflow, jcosh, jexp, jlog, jpow, jsqrt
 from cvlab.model import (
     POLE_GUARD,
@@ -18,7 +18,7 @@ from cvlab.model import (
     chart_from_expression,
 )
 from cvlab.quadrature import _XGK
-from cvlab.sweep import K_SLACK, _curvature_scan, detect_h1
+from cvlab.sweep import K_SLACK, _curvature_scan
 from cvlab.zoo import zoo_entry, zoo_names
 from conftest import SCHEDULES
 from test_dsl import random_expression
@@ -53,11 +53,12 @@ def test_dsl_panel_grid_matches_pointwise_calls():
     agreed = raised = 0
     for _ in range(120):
         node = random_expression(rng, rng.randint(1, 4))
-        whole, whole_err = outcome(lambda: eval_jet(node, t, theta))
+        expr = MetricExpr(node)
+        whole, whole_err = outcome(lambda: eval_jet(expr, t, theta))
         points, point_errs = {}, set()
         for i in range(15):
             for j in range(15):
-                jet, err = outcome(lambda: eval_jet(node, float(t[i, 0]), float(theta[0, j])))
+                jet, err = outcome(lambda: eval_jet(expr, float(t[i, 0]), float(theta[0, j])))
                 if err is None:
                     points[i, j] = jet
                 else:
@@ -195,7 +196,7 @@ def test_probe_scans_match_per_height_loop(name):
     else:
         model, h_probe_max = zoo_entry(name).model, SCHEDULES[name][-1]
     want = reference_detect_h1(model, h_probe_max)
-    h1 = detect_h1(model, h_probe_max)
+    h1 = _curvature_scan(model, h_probe_max)[0]
     assert h1 == want and type(h1) is type(want)
     assert _curvature_scan(model, h_probe_max) == (
         want, *reference_curvature_range(model, h_probe_max)

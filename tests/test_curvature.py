@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cvlab.curvature import gauss_curvature, geodesic_curvature, geodesic_curvature_from_g
+from cvlab.curvature import _point, gauss_curvature
 from cvlab.jets import DomainError, Jet2
 from cvlab.model import EndChart, chart_from_expression
 from cvlab.zoo import all_entries
@@ -11,6 +12,17 @@ from cvlab.zoo import all_entries
 FLAT = EndChart(g_jet=lambda t, theta: Jet2(1.0))
 CUSP = chart_from_expression("exp(-2*t)")
 POLAR = EndChart(g_jet=lambda t, theta: Jet2(t * t, 2 * t, 2.0))
+
+
+def geodesic_curvature_from_g(end, h, theta):
+    """The same quantity through the alternative form ``(dG/dt) / (2 sqrt(G))``,
+    as a cross-check.  The sweep reads ``sqrt_jet(...).d1`` because that
+    form conditions better when G is tiny."""
+    g = end.g_jet(h, theta)
+    bad = ~(np.isfinite(g.f) & np.isfinite(g.d1) & np.isfinite(g.d2)) | (g.f <= 0.0)
+    if np.any(bad):
+        raise DomainError(f"G not positive/finite at {_point(h, theta, bad)}")
+    return g.d1 / (2.0 * np.sqrt(g.f))
 
 
 class TestGaussCurvature:
@@ -32,13 +44,13 @@ class TestGaussCurvature:
 
 class TestGeodesicCurvature:
     def test_flat_boundaries_are_geodesics(self):
-        assert geodesic_curvature(FLAT, 3.0, 1.0) == 0.0
+        assert FLAT.sqrt_jet(3.0, 1.0).d1 == 0.0
 
     def test_polar_circle(self):
-        assert geodesic_curvature(POLAR, 5.0, 2.0) == pytest.approx(1.0, rel=1e-13)
+        assert POLAR.sqrt_jet(5.0, 2.0).d1 == pytest.approx(1.0, rel=1e-13)
 
     def test_cusp_circle(self):
-        assert geodesic_curvature(CUSP, 1.0, 0.0) == pytest.approx(
+        assert CUSP.sqrt_jet(1.0, 0.0).d1 == pytest.approx(
             -math.exp(-1.0), rel=1e-12
         )
 
@@ -49,7 +61,7 @@ class TestGeodesicCurvature:
                 for _ in range(16):
                     h = end.t_min + rng.uniform(0.05, 6.0)
                     theta = rng.uniform(0.0, 2 * math.pi)
-                    a = geodesic_curvature(end, h, theta)
+                    a = end.sqrt_jet(h, theta).d1
                     b = geodesic_curvature_from_g(end, h, theta)
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
@@ -82,5 +94,5 @@ def test_geodesic_curvature_matches_finite_differences():
         end = entry.model.ends[0]
         w = lambda s: math.sqrt(end.g(s, 0.3))
         fd = (w(t0 + h) - w(t0 - h)) / (2 * h)
-        assert geodesic_curvature(end, t0, 0.3) == pytest.approx(fd, rel=1e-8, abs=1e-10)
+        assert end.sqrt_jet(t0, 0.3).d1 == pytest.approx(fd, rel=1e-8, abs=1e-10)
 

@@ -127,6 +127,49 @@ class TestNestingCap:
             parse_metric("exp(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1))
         assert err.value.offset == 4 * MAX_NESTING + 3
 
+    def test_chains_stay_left_associative(self):
+        a, b, c = Var("t"), Const(2.0), Var("theta")
+        assert parse_metric("t + 2 - theta").root == Binary("sub", Binary("add", a, b), c)
+        assert parse_metric("t * 2 / theta").root == Binary("div", Binary("mul", a, b), c)
+
+    # t^2 opens one level for its exponent, and each operator of the
+    # chain nests t^2 one level deeper
+    @pytest.mark.parametrize("link", ["*1", "/1", "+0", "-0"])
+    def test_deepest_accepted_chain_sweeps(self, link):
+        report = _polar_cap_report("t^2" + link * (MAX_NESTING - 1))
+        plane = _polar_cap_report("t^2")
+        assert report.samples == plane.samples
+        assert report.verdicts == plane.verdicts
+
+    @pytest.mark.parametrize("link", ["*1", "/1", "+0", "-0"])
+    def test_one_operand_more_is_a_parse_error(self, link):
+        source = "t^2" + link * MAX_NESTING
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels") as err:
+            parse_metric(source)
+        assert err.value.offset == len(source) - 2
+
+    def test_chains_nested_as_first_operands_count(self):
+        # each chain alone is short, but every one of them pushes the
+        # chains inside its first operand deeper into the tree
+        source = "t"
+        for _ in range(60):
+            source = "(" + source + "+1" * 130 + ")"
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels"):
+            parse_metric(source)
+
+    def test_long_chain_config_exits_one(self, tmp_path, capsys):
+        # 980 operands used to compile, then overflow the stack in validation
+        path = tmp_path / "chain.cfg"
+        path.write_text(
+            "[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n[end1]\n"
+            f"g = t^2{'*1' * 980}\n"
+        )
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: nesting deeper than")
+
 
 class TestSerialize:
     def test_power(self):
@@ -254,9 +297,10 @@ def check_against_finite_differences(node, t0, theta0, rel=1e-6):
     wild scale); raises AssertionError on a genuine mismatch.
     """
     h = 1e-4
+    expr = MetricExpr(node)
     try:
-        jet = eval_jet(node, t0, theta0)
-        values = {dt: eval_jet(node, t0 + dt, theta0).f
+        jet = eval_jet(expr, t0, theta0)
+        values = {dt: eval_jet(expr, t0 + dt, theta0).f
                   for dt in (-h, -h / 2, 0.0, h / 2, h)}
     except DomainError:
         return False

@@ -43,7 +43,16 @@ class TestEulerChar:
 
 
 def flat_chart():
-    return EndChart(g_jet=lambda t, theta: Jet2(1.0), label="flat")
+    return EndChart(g_jet=lambda t, theta: Jet2(1.0))
+
+
+def violation(model):
+    """The message of the ModelInvalid that validation raises, or None."""
+    try:
+        validate_surface(model)
+    except ModelInvalid as err:
+        return str(err)
+    return None
 
 
 class TestValidateSurface:
@@ -54,7 +63,7 @@ class TestValidateSurface:
             core=AnalyticCore(0.0, (0.0, 0.0)),
             name="flat",
         )
-        assert validate_surface(model).ok
+        assert violation(model) is None
 
     def test_decaying_linear_metric_flagged(self):
         model = SurfaceModel(
@@ -62,8 +71,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("1 - t"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model)
-        assert any("G <= 0" in v for v in report.violations)
+        assert "G <= 0" in violation(model)
 
     def test_polar_cap_needs_single_end(self):
         model = SurfaceModel(
@@ -71,8 +79,7 @@ class TestValidateSurface:
             ends=(flat_chart(), flat_chart()),
             core=PolarCap(),
         )
-        report = validate_surface(model)
-        assert any("single end" in v for v in report.violations)
+        assert "single end" in violation(model)
 
     def test_strict_mode_raises(self):
         model = SurfaceModel(
@@ -81,7 +88,7 @@ class TestValidateSurface:
             core=PolarCap(),
         )
         with pytest.raises(ModelInvalid):
-            validate_surface(model, strict=True)
+            validate_surface(model)
 
     def test_end_count_mismatch(self):
         model = SurfaceModel(
@@ -89,7 +96,7 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        assert not validate_surface(model).ok
+        assert violation(model) is not None
 
     def test_core_height_mismatch(self):
         model = SurfaceModel(
@@ -97,8 +104,7 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (1.0,)),
         )
-        report = validate_surface(model)
-        assert any("t_min" in v for v in report.violations)
+        assert "t_min" in violation(model)
 
     def test_aperiodic_theta_dependence_flagged(self):
         model = SurfaceModel(
@@ -106,8 +112,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("2 + sin(theta/2)"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model)
-        assert any("periodic" in v for v in report.violations)
+        assert "periodic" in violation(model)
 
     def test_periodic_theta_dependence_accepted(self):
         model = SurfaceModel(
@@ -115,7 +120,7 @@ class TestValidateSurface:
             ends=(chart_from_expression("2 + sin(theta)"),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        assert validate_surface(model).ok
+        assert violation(model) is None
 
     def test_nonorientable_rejected_with_double_cover_hint(self):
         model = SurfaceModel(
@@ -123,14 +128,12 @@ class TestValidateSurface:
             ends=(flat_chart(),),
             core=AnalyticCore(0.0, (0.0,)),
         )
-        report = validate_surface(model)
-        assert any("double cover" in v for v in report.violations)
+        assert "double cover" in violation(model)
 
     def test_every_zoo_surface_validates_at_64(self, monkeypatch):
         monkeypatch.setattr(model_module, "_SAMPLES_PER_AXIS", 64)
         for entry in all_entries():
-            report = validate_surface(entry.model)
-            assert report.ok, (entry.name, report.violations)
+            assert violation(entry.model) is None, entry.name
 
     def test_chi_invariant_under_end_permutation(self):
         entry = next(e for e in all_entries() if len(e.model.ends) == 2)
@@ -142,7 +145,7 @@ class TestValidateSurface:
             name=model.name,
         )
         assert swapped.chi == model.chi
-        assert validate_surface(swapped).ok
+        assert violation(swapped) is None
 
 
 def recording_model(expr, walk_rows=False):
@@ -185,18 +188,18 @@ class TestValidationGrid:
     @pytest.mark.parametrize(
         "expr,want",
         [
-            (INTERIOR_ZERO, [ZERO_MESSAGE]),
-            ("exp(t^2/5)*(2 + sin(theta/2))", [PERIOD_MESSAGE]),
-            ("exp(t^2/5)*(" + INTERIOR_ZERO + ")", [ZERO_MESSAGE]),
-            ("exp(t^2/5)", []),
+            (INTERIOR_ZERO, ZERO_MESSAGE),
+            ("exp(t^2/5)*(2 + sin(theta/2))", PERIOD_MESSAGE),
+            ("exp(t^2/5)*(" + INTERIOR_ZERO + ")", ZERO_MESSAGE),
+            ("exp(t^2/5)", None),
         ],
         ids=["grid-zero", "overflow-period", "overflow-zero", "overflow-only"],
     )
     def test_violations_equal_row_walk(self, expr, want):
         model, shapes = recording_model(expr)
         walked, _ = recording_model(expr, walk_rows=True)
-        assert validate_surface(model).violations == want
-        assert validate_surface(walked).violations == want
+        assert violation(model) == want
+        assert violation(walked) == want
         grid_raises = expr.startswith("exp(t^2/5)")  # overflows at t_min + 64 only
         assert shapes[0] == (19, 1)
         assert any(shape == () for shape in shapes) == grid_raises
@@ -211,22 +214,22 @@ class TestValidationGrid:
         model = SurfaceModel(
             Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0, (0.0,))
         )
-        assert validate_surface(model).violations == [
+        assert violation(model) == (
             "end 1: G <= 0 at sampled point (t=2.66667, theta=1.1781)"
-        ]
+        )
 
     def test_period_mismatch_on_a_clean_grid_gets_its_message(self):
         model, shapes = recording_model("2 + sin(theta/2)*t")
-        assert validate_surface(model).violations == [
+        assert violation(model) == (
             "end 1: G is not 2*pi-periodic in theta "
             "(t=0.533333, theta=0.9: 2.23198 vs 1.76802)"
-        ]
+        )
         # one grid holds both checks; the message is read from its masks
         assert shapes == [(19, 1)]
 
     def test_grid_path_is_one_call_per_grid(self):
         model, shapes = recording_model("2 + sin(theta)")
-        assert validate_surface(model).ok
+        assert violation(model) is None
         # the positivity angles and the period pairs as one grid
         assert shapes == [(19, 1)]
 
@@ -236,14 +239,14 @@ def one_end(expr):
 
 
 def test_first_failing_point_names_its_error():
-    assert validate_surface(one_end("log(t - 4)")).violations == [
+    assert violation(one_end("log(t - 4)")) == (
         "end 1: evaluation failed at (t=0): log of nonpositive value -4.0"
-    ]
+    )
 
 
 def test_period_pair_with_a_failing_point_is_skipped():
     # log(9 - theta) raises at 4.2 + 2*pi only, which pairs with theta = 4.2
-    assert validate_surface(one_end("2 + sin(theta) + 0*log(9 - theta)")).ok
+    assert violation(one_end("2 + sin(theta) + 0*log(9 - theta)")) is None
 
 
 def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
@@ -257,7 +260,7 @@ def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
         return chart.g_jet(t, theta)
 
     model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet),), AnalyticCore(0.0, (0.0,)))
-    assert validate_surface(model).ok
+    assert violation(model) is None
     assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 24
 
 
@@ -268,7 +271,7 @@ def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
         return Jet2(2.0 + 0.0 * t * theta)
 
     model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0, (0.0,)))
-    assert validate_surface(model).ok
+    assert violation(model) is None
 
 
 def test_chart_sqrt_jet_consistency():
@@ -310,7 +313,7 @@ class TestThetaFreeDeclaration:
             core=AnalyticCore(0.0, (0.0,)),
         )
         with pytest.raises(ModelInvalid, match="end 1: declared theta-free but G varies in theta"):
-            validate_surface(model, strict=True)
+            validate_surface(model)
         # the same G without the declaration is a valid chart
         honest = SurfaceModel(model.topology, (EndChart(g_jet=refusing),), model.core)
-        assert validate_surface(honest, strict=True).ok
+        assert violation(honest) is None

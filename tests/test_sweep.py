@@ -23,14 +23,12 @@ from cvlab.quadrature import ImproperResult, TailLimit
 from cvlab.sweep import (
     NonPositiveMu,
     Verdict,
-    detect_h1,
-    measure_mu_prime_order,
     residual_bound,
     run_sweep,
     sweep_samples,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import DEEP_SCHEDULE, SCHEDULES
+from conftest import DEEP_SCHEDULE, SCHEDULES, mu_prime_order
 from test_array_eval import theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
@@ -116,15 +114,15 @@ class TestGaussBonnetResidual:
 
 class TestLambdaMuPrime:
     def test_polar_plane_linear_mu(self):
-        dev, dev_half, _ = measure_mu_prime_order(zoo_entry("polar-plane").model, 2.5, 1.0)
+        dev, dev_half, _ = mu_prime_order(zoo_entry("polar-plane").model, 2.5, 1.0)
         assert max(dev, dev_half) < 1e-10
 
     def test_flat_cylinder(self):
-        dev, dev_half, _ = measure_mu_prime_order(zoo_entry("flat-cylinder").model, 2.0, 1.0)
+        dev, dev_half, _ = mu_prime_order(zoo_entry("flat-cylinder").model, 2.0, 1.0)
         assert max(dev, dev_half) < 1e-12
 
     def test_paraboloid_second_order(self):
-        dev, dev_half, _ = measure_mu_prime_order(
+        dev, dev_half, _ = mu_prime_order(
             zoo_entry("paraboloid").model, 5.0, 0.1
         )
         ratio = dev / dev_half
@@ -162,10 +160,10 @@ def test_theta_dependent_log_end_meets_closed_forms(b, e, k, t_min):
 class TestDetectH1:
     def test_paraboloid_found_at_origin(self):
         model = zoo_entry("paraboloid").model
-        assert detect_h1(model, 64.0) == pytest.approx(0.0, abs=1e-9)
+        assert sweep._curvature_scan(model, 64.0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_cusp_not_found(self):
-        assert detect_h1(zoo_entry("cusp-cap").model, 64.0) is None
+        assert sweep._curvature_scan(zoo_entry("cusp-cap").model, 64.0)[0] is None
 
     def test_constructed_sign_change_located(self, monkeypatch):
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
@@ -185,7 +183,7 @@ class TestDetectH1:
             name="sign-change",
         )
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
-        h1 = detect_h1(model, 10.0)
+        h1 = sweep._curvature_scan(model, 10.0)[0]
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
     def test_curvature_range_scan(self):
@@ -195,7 +193,7 @@ class TestDetectH1:
 
     def test_probe_ceiling_must_clear_chart_edges(self):
         with pytest.raises(ValueError):
-            detect_h1(zoo_entry("polar-plane").model, 0.0)
+            sweep._curvature_scan(zoo_entry("polar-plane").model, 0.0)
 
 
 class TestRunSweep:
@@ -687,7 +685,7 @@ class TestThetaFreeSweep:
         monkeypatch.setattr(sweep, "integrate_circles", forbidden)
         samples = sweep_samples(model, schedule)
         assert [[s.mu for s in samples], [s.lam for s in samples]] == expected
-        measure_mu_prime_order(model, schedule[len(schedule) // 2], 0.05)
+        mu_prime_order(model, schedule[len(schedule) // 2], 0.05)
 
     def test_collapsed_cap_matches_2d_cap(self):
         # the same metric, once with a vanishing theta term that keeps the
@@ -756,7 +754,7 @@ class TestLockstepSweep:
         sweep_samples(theta_cap(), schedule)
         assert batches == [2 * len(schedule)]
         batches.clear()
-        measure_mu_prime_order(theta_cap(), 8.0, 0.05)
+        mu_prime_order(theta_cap(), 8.0, 0.05)
         assert batches == [5]
 
 
@@ -932,7 +930,7 @@ class TestLookahead:
 
         monkeypatch.setattr(sweep, "gauss_curvature", counting)
         monkeypatch.setattr(sweep, "_PROBE_GRID", grid)
-        h1 = detect_h1(model, 10.0)
+        h1 = sweep._curvature_scan(model, 10.0)[0]
         assert h1 == want
         assert abs(h1 - 5.0) <= 10.0 / 4096.0
         # the grid scan, then the whole bisection tree
@@ -946,7 +944,7 @@ class TestLookahead:
         assert not any(4.05 < h < 4.5 for h in heights)
         want = per_step_detect_h1(model, 10.0, 16)
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
-        assert detect_h1(model, 10.0) == want
+        assert sweep._curvature_scan(model, 10.0)[0] == want
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
 
     @pytest.mark.parametrize(
@@ -1049,7 +1047,7 @@ class TestMergedBatches:
     def test_mu_prime_equals_the_separate_measurement(self, name):
         model = theta_cap() if name == "theta-cap" else zoo_entry(name).model
         m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL)
-        assert m.mu_prime[2:] == measure_mu_prime_order(model, *m.mu_prime[:2])
+        assert m.mu_prime[2:] == mu_prime_order(model, *m.mu_prime[:2])
 
     @pytest.mark.parametrize("h", [1.0, 2.0])
     @pytest.mark.parametrize("name", sorted(POLE_MODELS))

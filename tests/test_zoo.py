@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import cvlab.model as model_module
-from cvlab.curvature import geodesic_curvature
 from cvlab.model import AnalyticCore, PolarCap, euler_char, validate_surface
 from cvlab.quadrature import Tolerance
-from cvlab.sweep import detect_h1, sweep_samples
+from cvlab.sweep import _curvature_scan, sweep_samples
 from cvlab.zoo import (
     InvalidParameter,
     all_entries,
@@ -60,7 +59,7 @@ def test_geodesic_curvature_matches_oracle(name):
         for h in (0.5, 1.0, 3.0, 12.0, 40.0):
             want = entry.oracle.kappa_g(h)
             for theta in (0.0, 2.1, 4.9):
-                got = float(geodesic_curvature(end, h, theta))
+                got = float(end.sqrt_jet(h, theta).d1)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (h, theta)
 
 
@@ -88,7 +87,7 @@ def test_computed_quantities_match_oracles(name):
 @pytest.mark.parametrize("name", zoo_names())
 def test_hypothesis_flag_agrees_with_detection(name):
     entry = zoo_entry(name)
-    h1 = detect_h1(entry.model, h_probe_max=64.0)
+    h1 = _curvature_scan(entry.model, h_probe_max=64.0)[0]
     assert (h1 is not None) == entry.oracle.hypothesis_holds, (name, h1)
 
 
@@ -293,4 +292,4 @@ def test_core_descriptors_match_construction():
 def test_entries_validate_cleanly(monkeypatch):
     monkeypatch.setattr(model_module, "_SAMPLES_PER_AXIS", 32)
     for entry in all_entries():
-        assert validate_surface(entry.model).ok
+        validate_surface(entry.model)  # raises ModelInvalid on a violation
