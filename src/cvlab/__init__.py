@@ -10,9 +10,7 @@ from .model import (
     ModelInvalid,
     PolarCap,
     SurfaceModel,
-    Topology,
     chart_from_expression,
-    euler_char,
     validate_surface,
 )
 from .quadrature import (

@@ -1,7 +1,7 @@
 """Command-line front end: list built-in surfaces, sweep, verify.
 
-Exit codes are the process-level contract: 0 all good, 1 input or model
-error, 2 verdict failure under --strict.
+Exit codes are the process-level contract: 0 all good, 1 usage, input or
+model error, 2 verdict failure under --strict.
 
 Surface definitions come either from a built-in name or from an INI-style
 config file::
@@ -18,7 +18,8 @@ config file::
     t_min = 0.0
 
 Each ``[endN]`` section supplies the metric coefficient ``g`` in the
-expression DSL and the chart's inner edge ``t_min``.
+expression DSL and the chart's inner edge ``t_min``, where it is glued
+to the core.  Any other section or key is an error.
 """
 
 from __future__ import annotations
@@ -33,19 +34,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import (
-    AnalyticCore,
-    PolarCap,
-    SurfaceModel,
-    Topology,
-    chart_from_expression,
-    euler_char,
-)
+from .model import AnalyticCore, PolarCap, SurfaceModel, chart_from_expression
 from .quadrature import DEFAULT_TOL, Tolerance
 from .sweep import SweepReport, run_sweep
 from .zoo import ZOO_BUILDERS, all_entries, zoo_entry
 
 CSV_HEADER = ["h", "mu", "lambda", "c_trunc", "quad_error", "gb_residual"]
+
+# the keys a config file may carry; hypothesis_hint is read and ignored
+SURFACE_KEYS = frozenset({"name", "genus", "ends", "core", "chi", "hypothesis_hint"})
+END_KEYS = frozenset({"g", "t_min"})
 
 
 class InputError(ValueError):
@@ -95,9 +93,11 @@ class RunConfig:
 
 def load_surface_config(path: str | Path) -> SurfaceModel:
     """Read a surface definition file into a model."""
-    # values are read verbatim: no %-interpolation
+    # values are read verbatim: no %-interpolation.  No header can name
+    # the empty default section, so "[DEFAULT]" is an ordinary section
+    # here, stray like any other, and no key reaches every section.
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
     )
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -152,22 +152,29 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
             raise InputError(f"config {path}: bad analytic core value") from err
         if not math.isfinite(value):
             raise InputError(f"config {path}: analytic core value {value} is not finite")
-        core = AnalyticCore(value, tuple(c.t_min for c in charts))
+        core = AnalyticCore(value)
     else:
         raise InputError(
             f"config {path}: core must be 'polar-cap' or 'analytic:<value>'"
         )
 
-    topology = Topology(genus=genus, ends=n_ends)
+    model = SurfaceModel(genus=genus, ends=tuple(charts), core=core, name=name)
+    keys = {"surface": SURFACE_KEYS}
+    keys.update((f"end{j}", END_KEYS) for j in range(1, n_ends + 1))
+    for section in parser.sections():
+        if section not in keys:
+            raise InputError(f"config {path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in keys[section]:
+                raise InputError(f"config {path}: [{section}] unknown key {key!r}")
     if "chi" in top:
         declared = number(int, "surface", "chi", top["chi"])
-        actual = euler_char(topology)
-        if declared != actual:
+        if declared != model.chi:
             raise InputError(
                 f"config {path}: declared chi = {declared} but genus {genus} "
-                f"with {n_ends} end(s) gives chi = {actual}"
+                f"with {n_ends} end(s) gives chi = {model.chi}"
             )
-    return SurfaceModel(topology=topology, ends=tuple(charts), core=core, name=name)
+    return model
 
 
 def resolve_surface(surface: str | None, config: str | None) -> SurfaceModel:
@@ -354,8 +361,15 @@ def cmd_verify(config: RunConfig, model: SurfaceModel) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are bad input: one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        raise InputError(f"{message} (see {self.prog} --help)")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cvlab",
         description=(
             "Total-curvature and boundary-functional checks for complete "
@@ -379,18 +393,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=RunConfig.steps)
         p.add_argument("--abs-tol", type=float, default=RunConfig.abs_tol)
         p.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol)
-        p.add_argument(
-            "--format", default=RunConfig.output_format, choices=("human", "json", "csv")
-        )
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if name == "sweep":
+            p.add_argument(
+                "--format", default=RunConfig.output_format, choices=("human", "json", "csv")
+            )
+            p.add_argument("--out", default=None, help="output path (default stdout)")
+        else:
+            p.set_defaults(format=RunConfig.output_format, out=None)
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when any verdict fails")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         if args.command == "list":
             return cmd_list(args.format)
         config = RunConfig(
@@ -408,8 +425,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, model)
         return cmd_verify(config, model)
-    # bad input (InputError, ParseError, ModelInvalid) and a sweep that
-    # fails (DomainError, NonPositiveMu) are ValueErrors
+    # bad input (a usage error, InputError, ParseError, ModelInvalid) and
+    # a sweep that fails (DomainError, NonPositiveMu) are ValueErrors
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,20 +1,24 @@
-"""Topological and metric data model for surfaces with cylindrical ends.
+"""Data model for surfaces with cylindrical ends.
 
-A surface is a compact core plus finitely many half-infinite cylinders.
+A surface is a closed orientable genus-``g`` surface with ``p``
+punctures: a compact core plus ``p`` half-infinite cylinders, so
+``chi = 2 - 2g - p``.  :class:`SurfaceModel` states each of these facts
+once: the genus, the end charts (whose count is ``p``) and the core.
 Each end carries coordinates ``(t, theta)`` with ``theta`` periodic of
 period ``2*pi`` and metric ``dt^2 + G(t, theta) dtheta^2``; the chart
-reports exact first and second t-derivatives of ``G``.  The core is
-never meshed: it is either a smooth polar cap (the single chart closes
-up at ``t = 0``) or an analytic descriptor carrying the exact curvature
-integral over the core.
+reports exact first and second t-derivatives of ``G``, and its ``t_min``
+is where it is glued to the core.  The core is never meshed: it is
+either a smooth polar cap (the single chart closes up at ``t = 0``) or
+an analytic descriptor carrying the exact curvature integral over the
+core.
 
 Truncation applies one global height ``h`` to every end at once, so the
-boundary functionals stay single-variable.  Nonorientable surfaces are
-rejected; analyze their orientable double cover instead (curvature
-integrals double, the Euler characteristic doubles too).  Validation
-evaluates one sampling grid per end, the positivity angles and the
-period pairs side by side, reads the first violation from masks and
-raises it as :class:`ModelInvalid`.
+boundary functionals stay single-variable.  Only orientable surfaces
+can be described; for a nonorientable one, analyze its orientable
+double cover (curvature integrals double, the Euler characteristic
+doubles too).  Validation evaluates one sampling grid per end, the
+positivity angles and the period pairs side by side, reads the first
+violation from masks and raises it as :class:`ModelInvalid`.
 """
 
 from __future__ import annotations
@@ -32,26 +36,6 @@ POLE_GUARD = 1e-8  # no pointwise evaluation closer to a polar-cap pole
 
 class ModelInvalid(ValueError):
     """The first violated model invariant, raised by :func:`validate_surface`."""
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Closed-surface genus plus the number of punctures (ends)."""
-
-    genus: int
-    ends: int
-    orientable: bool = True
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if self.ends < 1:
-            raise ValueError("a noncompact surface needs at least one end")
-
-
-def euler_char(topology: Topology) -> int:
-    """Euler characteristic: closed-surface value minus the puncture count."""
-    return (2 - 2 * topology.genus) - topology.ends
 
 
 @dataclass(frozen=True)
@@ -107,13 +91,10 @@ class PolarCap:
 
 @dataclass(frozen=True)
 class AnalyticCore:
-    """Compact core supplied through its exact curvature integral."""
+    """Compact core supplied through its exact curvature integral; each
+    end is glued to it at that end's ``t_min``."""
 
     total_curvature: float
-    boundary_heights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundary_heights", tuple(self.boundary_heights))
 
 
 Core = Union[PolarCap, AnalyticCore]
@@ -121,17 +102,24 @@ Core = Union[PolarCap, AnalyticCore]
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    topology: Topology
+    """Genus, one chart per end, and the core."""
+
+    genus: int
     ends: tuple[EndChart, ...]
     core: Core
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "ends", tuple(self.ends))
+        if self.genus < 0:
+            raise ValueError("genus must be nonnegative")
+        if not self.ends:
+            raise ValueError("a noncompact surface needs at least one end")
 
     @property
     def chi(self) -> int:
-        return euler_char(self.topology)
+        """Closed-surface value minus the puncture count."""
+        return 2 - 2 * self.genus - len(self.ends)
 
     @property
     def min_height(self) -> float:
@@ -229,42 +217,15 @@ def validate_surface(model: SurfaceModel) -> None:
 
     Raises :class:`ModelInvalid` with the first violation found.
     """
-    topo = model.topology
-    if not topo.orientable:
-        raise ModelInvalid(
-            "nonorientable surfaces are not accepted; pass the orientable "
-            "double cover instead (all curvature integrals and the Euler "
-            "characteristic double)"
-        )
-    if len(model.ends) != topo.ends:
-        raise ModelInvalid(
-            f"topology declares {topo.ends} end(s) but the model carries "
-            f"{len(model.ends)} chart(s)"
-        )
-
     polar = isinstance(model.core, PolarCap)
     if polar:
-        if topo.ends != 1:
+        if len(model.ends) != 1:
             raise ModelInvalid("PolarCap requires single end")
-        if model.ends and model.ends[0].t_min != 0.0:
+        if model.ends[0].t_min != 0.0:
             raise ModelInvalid("PolarCap requires the chart to start at t = 0")
-        if topo.genus != 0:
+        if model.genus != 0:
             raise ModelInvalid("PolarCap core implies genus 0 (chi = 1)")
-    elif isinstance(model.core, AnalyticCore):
-        heights = model.core.boundary_heights
-        if len(heights) != len(model.ends):
-            raise ModelInvalid(
-                f"core lists {len(heights)} boundary height(s) for "
-                f"{len(model.ends)} end(s)"
-            )
-        else:
-            for j, (height, end) in enumerate(zip(heights, model.ends)):
-                if height != end.t_min:
-                    raise ModelInvalid(
-                        f"core boundary height {height} of end {j + 1} does "
-                        f"not match the chart's t_min {end.t_min}"
-                    )
-    else:
+    elif not isinstance(model.core, AnalyticCore):
         raise ModelInvalid(f"unknown core descriptor {model.core!r}")
 
     for j, end in enumerate(model.ends):
@@ -277,7 +238,7 @@ def validate_surface(model: SurfaceModel) -> None:
         if message is not None:
             raise ModelInvalid(message)
 
-    if polar and model.ends:
+    if polar:
         end = model.ends[0]
         probe = 1e-6
         try:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import Jet2
-from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel, Topology, euler_char
+from .model import AnalyticCore, EndChart, PolarCap, SurfaceModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,9 +83,9 @@ def make_flat_cylinder() -> ZooEntry:
         )
 
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=2),
+        genus=0,
         ends=(chart(), chart()),
-        core=AnalyticCore(0.0, (0.0, 0.0)),
+        core=AnalyticCore(0.0),
         name="flat-cylinder",
     )
     oracle = Oracle(
@@ -114,7 +114,7 @@ def make_polar_plane() -> ZooEntry:
         theta_free=True,
     )
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=1),
+        genus=0,
         ends=(chart,),
         core=PolarCap(),
         name="polar-plane",
@@ -206,7 +206,7 @@ def make_paraboloid() -> ZooEntry:
 
     chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=1),
+        genus=0,
         ends=(chart,),
         core=PolarCap(),
         name="paraboloid",
@@ -276,7 +276,7 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
 
     chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=1),
+        genus=0,
         ends=(chart,),
         core=PolarCap(),
         name="capped-cone",
@@ -326,9 +326,9 @@ def make_catenoid() -> ZooEntry:
         return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
 
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=2),
+        genus=0,
         ends=(chart(), chart()),
-        core=AnalyticCore(0.0, (0.0, 0.0)),
+        core=AnalyticCore(0.0),
         name="catenoid",
     )
     oracle = Oracle(
@@ -368,9 +368,9 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
 
     chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
-        topology=Topology(genus=0, ends=1),
+        genus=0,
         ends=(chart,),
-        core=AnalyticCore(2.0 * TWO_PI, (0.0,)),
+        core=AnalyticCore(2.0 * TWO_PI),
         name="cusp-cap",
     )
     oracle = Oracle(
@@ -407,7 +407,7 @@ def zoo_entry(name: str) -> ZooEntry:
     except KeyError:
         raise KeyError(f"unknown surface {name!r}; known: {', '.join(ZOO_BUILDERS)}")
     entry = builder()
-    assert entry.oracle.chi == euler_char(entry.model.topology)
+    assert entry.oracle.chi == entry.model.chi
     return entry
 
 

@@ -14,7 +14,6 @@ from cvlab.model import (
     AnalyticCore,
     PolarCap,
     SurfaceModel,
-    Topology,
     chart_from_expression,
 )
 from cvlab.quadrature import _XGK
@@ -170,7 +169,7 @@ def reference_curvature_range(model, h_probe_max):
 
 def theta_cap():
     chart = chart_from_expression("t^2*(1+0.3*sin(2*theta)*t^2*exp(-1.5*t))^2")
-    return SurfaceModel(Topology(0, 1), (chart,), PolarCap(), name="theta-cap")
+    return SurfaceModel(0, (chart,), PolarCap(), name="theta-cap")
 
 
 def three_ends():
@@ -181,8 +180,8 @@ def three_ends():
         chart_from_expression("(2 + tanh(t - 5))^2", t_min=0.0),
         chart_from_expression("(1 + t)^2", t_min=0.25),
     )
-    core = AnalyticCore(0.0, tuple(end.t_min for end in ends))
-    return SurfaceModel(Topology(0, 3), ends, core, name="three-ends")
+    core = AnalyticCore(0.0)
+    return SurfaceModel(0, ends, core, name="three-ends")
 
 
 PROBE_EXTRAS = {"theta-cap": (theta_cap, 64.0), "three-ends": (three_ends, 16.0)}

@@ -320,6 +320,69 @@ class TestConfigFiles:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("ends = 1", "ends = 0", "a noncompact surface needs at least one end"),
+            ("genus = 0", "genus = -1", "genus must be nonnegative"),
+        ],
+        ids=["no-ends", "negative-genus"],
+    )
+    def test_impossible_topology_exits_one(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace(old, new).replace("chi = 1\n", ""))
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "extra,where",
+        [
+            ("\n[end2]\ng = t^2\n", "unknown section [end2]"),
+            ("\n[edn3]\ng = 1\n", "unknown section [edn3]"),
+            ("t_mn = 0.5\n", "[end1] unknown key 't_mn'"),
+            ("\n[surface ]\ng = 1\n", "unknown section [surface ]"),
+        ],
+        ids=["end-beyond-count", "misspelled-section", "misspelled-end-key", "near-miss-section"],
+    )
+    def test_stray_section_or_key_exits_one(self, tmp_path, capsys, extra, where):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG + extra)
+        with pytest.raises(InputError):
+            load_surface_config(path)
+        assert main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {path}: {where}\n"
+
+    def test_misspelled_surface_key_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace("name = my-cusp", "nmae = x"))
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {path}: [surface] unknown key 'nmae'\n"
+
+    @pytest.mark.parametrize("body", ["t_min = 0.5\n", ""], ids=["with-key", "empty"])
+    def test_default_section_is_a_stray_section(self, tmp_path, capsys, body):
+        # configparser would copy [DEFAULT] keys into every section; here
+        # it is one more section that the format does not have
+        path = tmp_path / "cusp.cfg"
+        path.write_text(f"[DEFAULT]\n{body}\n" + CUSP_CONFIG)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {path}: unknown section [DEFAULT]\n"
+
+    def test_keys_are_case_insensitive_sections_are_not(self, tmp_path):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(CUSP_CONFIG.replace("t_min", "T_MIN"))
+        assert load_surface_config(path).ends[0].t_min == 0.0
+        path.write_text(CUSP_CONFIG.replace("[end1]", "[End1]"))
+        with pytest.raises(InputError, match=r"lacks section \[end1\]"):
+            load_surface_config(path)
+
     @pytest.mark.parametrize("genus", [0, 1])
     def test_corollary_not_certified_over_analytic_core(self, tmp_path, capsys, genus):
         # w = t + 0.5*log(1+t) has K >= 0 on the end, but the core value
@@ -385,6 +448,54 @@ class TestConfigFiles:
             assert a.lam == pytest.approx(b.lam, rel=1e-10)
             assert a.c_trunc == pytest.approx(b.c_trunc, rel=1e-9)
         assert user.c_total == pytest.approx(builtin.c_total, abs=1e-8)
+
+
+class TestUsageErrors:
+    """argparse errors are bad input: exit 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--surface", "paraboloid", "--steps", "abc"],
+             "argument --steps: invalid int value: 'abc'"),
+            (["sweep", "--surface", "paraboloid", "--h-min", "one"],
+             "argument --h-min: invalid float value: 'one'"),
+            (["sweep", "--surface", "paraboloid", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'"),
+            (["sweep", "--surface", "paraboloid", "--no-such-flag"],
+             "unrecognized arguments: --no-such-flag"),
+            (["verify", "--surface", "paraboloid", "--out", "v.json"],
+             "unrecognized arguments: --out v.json"),
+            (["verify", "--surface", "paraboloid", "--format", "json"],
+             "unrecognized arguments: --format json"),
+            ([], "the following arguments are required: command"),
+            (["moebius"], "argument command: invalid choice: 'moebius'"),
+        ],
+        ids=["bad-int", "bad-float", "bad-choice", "unknown-flag", "verify-out",
+             "verify-format", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_usage_error_exits_one(self, capsys, monkeypatch, argv, message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a usage error ran a sweep")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_verify_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--surface", "paraboloid", "--format", "json", "--out", "v.json"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cvlab")
 
 
 class TestRunConfig:

@@ -20,7 +20,7 @@ from cvlab.dsl import (
     serialize,
 )
 from cvlab.jets import DomainError
-from cvlab.model import PolarCap, SurfaceModel, Topology, chart_from_expression
+from cvlab.model import PolarCap, SurfaceModel, chart_from_expression
 from cvlab.sweep import run_sweep
 
 
@@ -83,7 +83,7 @@ NESTED = {
 
 
 def _polar_cap_report(g):
-    model = SurfaceModel(Topology(0, 1), (chart_from_expression(g),), PolarCap())
+    model = SurfaceModel(0, (chart_from_expression(g),), PolarCap())
     return run_sweep(model, [1, 2, 4, 8])
 
 

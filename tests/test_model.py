@@ -12,9 +12,7 @@ from cvlab.model import (
     ModelInvalid,
     PolarCap,
     SurfaceModel,
-    Topology,
     chart_from_expression,
-    euler_char,
     validate_surface,
 )
 from cvlab.zoo import all_entries
@@ -22,24 +20,25 @@ from cvlab.zoo import all_entries
 
 class TestEulerChar:
     def test_plane(self):
-        assert euler_char(Topology(genus=0, ends=1)) == 1
+        assert SurfaceModel(genus=0, ends=(flat_chart(),), core=PolarCap()).chi == 1
 
     def test_cylinder(self):
         # the circle-times-line cylinder has vanishing Euler characteristic
-        assert euler_char(Topology(genus=0, ends=2)) == 0
+        assert SurfaceModel(genus=0, ends=(flat_chart(),) * 2, core=AnalyticCore(0.0)).chi == 0
 
     def test_punctured_torus(self):
-        assert euler_char(Topology(genus=1, ends=1)) == -1
+        assert SurfaceModel(genus=1, ends=(flat_chart(),), core=AnalyticCore(0.0)).chi == -1
 
     def test_alternating_sum_small_cases(self):
         for genus, ends in itertools.product(range(5), range(1, 5)):
-            assert euler_char(Topology(genus, ends)) == 2 - 2 * genus - ends
+            model = SurfaceModel(genus, (flat_chart(),) * ends, AnalyticCore(0.0))
+            assert model.chi == 2 - 2 * genus - ends
 
     def test_invalid_topologies_rejected(self):
         with pytest.raises(ValueError):
-            Topology(genus=-1, ends=1)
+            SurfaceModel(genus=-1, ends=(flat_chart(),), core=AnalyticCore(0.0))
         with pytest.raises(ValueError):
-            Topology(genus=0, ends=0)
+            SurfaceModel(genus=0, ends=(), core=AnalyticCore(0.0))
 
 
 def flat_chart():
@@ -58,24 +57,24 @@ def violation(model):
 class TestValidateSurface:
     def test_flat_cylinder_accepted(self):
         model = SurfaceModel(
-            topology=Topology(0, 2),
+            genus=0,
             ends=(flat_chart(), flat_chart()),
-            core=AnalyticCore(0.0, (0.0, 0.0)),
+            core=AnalyticCore(0.0),
             name="flat",
         )
         assert violation(model) is None
 
     def test_decaying_linear_metric_flagged(self):
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(chart_from_expression("1 - t"),),
-            core=AnalyticCore(0.0, (0.0,)),
+            core=AnalyticCore(0.0),
         )
         assert "G <= 0" in violation(model)
 
     def test_polar_cap_needs_single_end(self):
         model = SurfaceModel(
-            topology=Topology(0, 2),
+            genus=0,
             ends=(flat_chart(), flat_chart()),
             core=PolarCap(),
         )
@@ -83,52 +82,28 @@ class TestValidateSurface:
 
     def test_strict_mode_raises(self):
         model = SurfaceModel(
-            topology=Topology(0, 2),
+            genus=0,
             ends=(flat_chart(), flat_chart()),
             core=PolarCap(),
         )
         with pytest.raises(ModelInvalid):
             validate_surface(model)
 
-    def test_end_count_mismatch(self):
-        model = SurfaceModel(
-            topology=Topology(0, 2),
-            ends=(flat_chart(),),
-            core=AnalyticCore(0.0, (0.0,)),
-        )
-        assert violation(model) is not None
-
-    def test_core_height_mismatch(self):
-        model = SurfaceModel(
-            topology=Topology(0, 1),
-            ends=(flat_chart(),),
-            core=AnalyticCore(0.0, (1.0,)),
-        )
-        assert "t_min" in violation(model)
-
     def test_aperiodic_theta_dependence_flagged(self):
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(chart_from_expression("2 + sin(theta/2)"),),
-            core=AnalyticCore(0.0, (0.0,)),
+            core=AnalyticCore(0.0),
         )
         assert "periodic" in violation(model)
 
     def test_periodic_theta_dependence_accepted(self):
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(chart_from_expression("2 + sin(theta)"),),
-            core=AnalyticCore(0.0, (0.0,)),
+            core=AnalyticCore(0.0),
         )
         assert violation(model) is None
-
-    def test_nonorientable_rejected_with_double_cover_hint(self):
-        model = SurfaceModel(
-            topology=Topology(0, 1, orientable=False),
-            ends=(flat_chart(),),
-            core=AnalyticCore(0.0, (0.0,)),
-        )
-        assert "double cover" in violation(model)
 
     def test_every_zoo_surface_validates_at_64(self, monkeypatch):
         monkeypatch.setattr(model_module, "_SAMPLES_PER_AXIS", 64)
@@ -139,7 +114,7 @@ class TestValidateSurface:
         entry = next(e for e in all_entries() if len(e.model.ends) == 2)
         model = entry.model
         swapped = SurfaceModel(
-            topology=model.topology,
+            genus=model.genus,
             ends=model.ends[::-1],
             core=model.core,
             name=model.name,
@@ -164,9 +139,9 @@ def recording_model(expr, walk_rows=False):
         return chart.g_jet(t, theta)
 
     model = SurfaceModel(
-        topology=Topology(0, 1),
+        genus=0,
         ends=(EndChart(g_jet=g_jet),),
-        core=AnalyticCore(0.0, (0.0,)),
+        core=AnalyticCore(0.0),
     )
     return model, shapes
 
@@ -212,7 +187,7 @@ class TestValidationGrid:
             return Jet2(np.where(hit, np.nan, 1.0 + 0.0 * t * theta))
 
         model = SurfaceModel(
-            Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0, (0.0,))
+            0, (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0)
         )
         assert violation(model) == (
             "end 1: G <= 0 at sampled point (t=2.66667, theta=1.1781)"
@@ -235,7 +210,7 @@ class TestValidationGrid:
 
 
 def one_end(expr):
-    return SurfaceModel(Topology(0, 1), (chart_from_expression(expr),), AnalyticCore(0.0, (0.0,)))
+    return SurfaceModel(0, (chart_from_expression(expr),), AnalyticCore(0.0))
 
 
 def test_first_failing_point_names_its_error():
@@ -259,7 +234,7 @@ def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
         calls.append((np.ndim(t), np.ndim(theta)))
         return chart.g_jet(t, theta)
 
-    model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet),), AnalyticCore(0.0, (0.0,)))
+    model = SurfaceModel(0, (EndChart(g_jet=g_jet),), AnalyticCore(0.0))
     assert violation(model) is None
     assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 24
 
@@ -270,7 +245,7 @@ def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
             raise Overflow("overflow in exp(1000.0)")
         return Jet2(2.0 + 0.0 * t * theta)
 
-    model = SurfaceModel(Topology(0, 1), (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0, (0.0,)))
+    model = SurfaceModel(0, (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0))
     assert violation(model) is None
 
 
@@ -308,12 +283,12 @@ class TestThetaFreeDeclaration:
             return g_jet(t, theta)
 
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(EndChart(g_jet=refusing, theta_free=True),),
-            core=AnalyticCore(0.0, (0.0,)),
+            core=AnalyticCore(0.0),
         )
         with pytest.raises(ModelInvalid, match="end 1: declared theta-free but G varies in theta"):
             validate_surface(model)
         # the same G without the declaration is a valid chart
-        honest = SurfaceModel(model.topology, (EndChart(g_jet=refusing),), model.core)
+        honest = SurfaceModel(model.genus, (EndChart(g_jet=refusing),), model.core)
         assert violation(honest) is None

@@ -16,7 +16,6 @@ from cvlab.model import (
     ModelInvalid,
     PolarCap,
     SurfaceModel,
-    Topology,
     chart_from_expression,
 )
 from cvlab.quadrature import ImproperResult, TailLimit
@@ -144,8 +143,8 @@ def test_theta_dependent_log_end_meets_closed_forms(b, e, k, t_min):
     end = chart_from_expression(
         f"(t + {b!r}*(1 + {e!r}*cos({k}*theta))*log(1+t))^2", t_min=t_min
     )
-    core = AnalyticCore(TWO_PI - lam(t_min), (t_min,))
-    model = SurfaceModel(Topology(genus=0, ends=1), (end,), core, name="log-end")
+    core = AnalyticCore(TWO_PI - lam(t_min))
+    model = SurfaceModel(0, (end,), core, name="log-end")
     report = run_sweep(model, RunConfig("log-end", h_min=t_min + 0.5, h_max=64.0).schedule())
     for s in report.samples:
         assert s.gb_residual <= residual_bound(s.quad_error), s.h
@@ -177,9 +176,9 @@ class TestDetectH1:
 
         chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet)
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(chart,),
-            core=AnalyticCore(TWO_PI, (0.0,)),
+            core=AnalyticCore(TWO_PI),
             name="sign-change",
         )
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
@@ -263,9 +262,9 @@ class TestRunSweep:
         from cvlab.model import chart_from_expression
 
         model = SurfaceModel(
-            topology=Topology(0, 1),
+            genus=0,
             ends=(chart_from_expression("1 - t"),),
-            core=AnalyticCore(0.0, (0.0,)),
+            core=AnalyticCore(0.0),
             name="broken",
         )
         with pytest.raises(ModelInvalid):
@@ -545,7 +544,7 @@ def test_quiet_end_walks_no_window_past_h_max(h_max):
     # first window [h_max, 2*h_max] would reach past t ~ 236, where the
     # second derivative of sqrt(G) overflows
     ends = (chart_from_expression("exp(-2*t)"), chart_from_expression("1+t^2"))
-    model = SurfaceModel(Topology(0, 2), ends, AnalyticCore(TWO_PI, (0.0, 0.0)))
+    model = SurfaceModel(0, ends, AnalyticCore(TWO_PI))
     report = run_sweep(model, list(np.geomspace(1.0, h_max, 12)))
     assert {name: v.status for name, v in report.verdicts.items()} == QUIET_END_VERDICTS
     # L = 2*pi from the 1+t^2 end, so c = -2*pi, by the direct route
@@ -694,7 +693,7 @@ class TestThetaFreeSweep:
         samples = []
         for expr in ("sinh(t)^2", "sinh(t)^2 + 0*theta"):
             chart = chart_from_expression(expr)
-            model = SurfaceModel(Topology(0, 1), (chart,), PolarCap())
+            model = SurfaceModel(0, (chart,), PolarCap())
             samples.append(sweep_samples(model, schedule))
         for flat, full in zip(*samples):
             bound = residual_bound(flat.quad_error + full.quad_error)
@@ -722,7 +721,7 @@ class TestLockstepSweep:
     @pytest.mark.parametrize("theta_free", [True, False])
     def test_non_positive_mu_names_the_first_height(self, theta_free):
         model = SurfaceModel(
-            Topology(0, 1), (_exp_cap_chart(theta_free),), AnalyticCore(TWO_PI, (0.0,))
+            0, (_exp_cap_chart(theta_free),), AnalyticCore(TWO_PI)
         )
         assert sweep_samples(model, [700.0])[0].mu > 0.0
         with pytest.raises(NonPositiveMu, match=r"^mu\(760\.0\) = 0\.0 <= 0$"):
@@ -763,7 +762,7 @@ def test_rotation_leaves_the_samples_unchanged(a):
     # theta -> theta + a moves no boundary circle and no band of a 2-D cap
     def cap(a):
         g = f"t^2*(1+0.3*cos(3*(theta+{a}))*t^2*exp(-1.5*t))^2"
-        return SurfaceModel(Topology(0, 1), (chart_from_expression(g),), PolarCap())
+        return SurfaceModel(0, (chart_from_expression(g),), PolarCap())
 
     schedule = [1.0, 2.0, 4.0, 8.0, 16.0]
     base, turned = cap(0.0), cap(a)
@@ -877,7 +876,7 @@ def sign_change_model(roots):
         return Jet2(1.0, 0.0, 2.0 * sqrt_g_jet(t, theta).d2)
 
     chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet)
-    return SurfaceModel(Topology(0, 1), (chart,), AnalyticCore(TWO_PI, (0.0,)), name="sign-change")
+    return SurfaceModel(0, (chart,), AnalyticCore(TWO_PI), name="sign-change")
 
 
 POLE_MODELS = {
@@ -999,11 +998,11 @@ def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
 
 
 def _cap(end):
-    return SurfaceModel(Topology(0, 1), (end,), PolarCap())
+    return SurfaceModel(0, (end,), PolarCap())
 
 
 def _analytic(end):
-    return SurfaceModel(Topology(0, 1), (end,), AnalyticCore(0.0, (0.0,)))
+    return SurfaceModel(0, (end,), AnalyticCore(0.0))
 
 
 CAP_FAULTS = {

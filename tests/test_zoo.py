@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cvlab.model as model_module
-from cvlab.model import AnalyticCore, PolarCap, euler_char, validate_surface
+from cvlab.model import AnalyticCore, PolarCap, validate_surface
 from cvlab.quadrature import Tolerance
 from cvlab.sweep import _curvature_scan, sweep_samples
 from cvlab.zoo import (
@@ -45,7 +45,7 @@ def test_oracle_self_consistency(name):
     # identically in h
     entry = zoo_entry(name)
     oracle = entry.oracle
-    assert oracle.chi == euler_char(entry.model.topology)
+    assert oracle.chi == entry.model.chi
     for h in HEIGHTS:
         residual = abs(TWO_PI * oracle.chi - oracle.c_trunc(h) - oracle.lam(h))
         assert residual < 1e-10, (name, h, residual)
