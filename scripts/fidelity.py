@@ -15,9 +15,15 @@ are byte-identical and the worst deviation of any numeric JSON field,
 ``|a - b| / max(|a|, 1)``.  Each tree is rendered in a fresh
 interpreter.
 
+With ``--parent`` it also checks that every moved sample value stays
+inside the parent's error bound: each sample's ``mu``, ``lambda`` and
+``c_trunc`` may move by at most the parent sample's ``10*quad_error +
+1e-9`` (``cvlab.sweep.residual_bound``), and the script prints the worst
+ratio of a move to that bound.
+
 The exit code is 1 when a sweep raises, or, with ``--parent``, when a
-verdict status, ``h1`` or the ``c_total`` route differs on any surface;
-otherwise 0.
+verdict status, ``h1`` or the ``c_total`` route differs on any surface,
+or a sample value moves beyond the parent's bound; otherwise 0.
 """
 
 from __future__ import annotations
@@ -87,11 +93,23 @@ def numeric_deviations(a, b, path=""):
         yield path, abs(a - b) / max(abs(a), 1.0)
 
 
+def sample_moves(old: dict, new: dict):
+    """``(h, field, |new - old| / bound)`` for ``mu``, ``lambda`` and
+    ``c_trunc`` of every sample of two parsed reports, ``bound`` being the
+    parent sample's ``10*quad_error + 1e-9``."""
+    for a, b in zip(old["samples"], new["samples"]):
+        bound = 10.0 * a["quad_error"] + 1e-9
+        for field in ("mu", "lambda", "c_trunc"):
+            yield a["h"], field, abs(b[field] - a[field]) / bound
+
+
 def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
-    """Report lines and whether every verdict, h1 and route agree."""
+    """Report lines and whether every verdict, h1 and route agree and
+    every sample value stays inside the parent's bound."""
     lines, agree = [], True
     identical = 0
     worst = (0.0, "-")
+    worst_move = (0.0, "-")
     for key in sorted(parent.keys() | change.keys()):
         old, new = parent.get(key), change.get(key)
         if old is None or new is None or "error" in old or "error" in new:
@@ -104,13 +122,21 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
             if old[field] != new[field]:
                 agree = False
                 lines.append(f"{key}: {field} differs: {old[field]!r} -> {new[field]!r}")
-        for path, dev in numeric_deviations(json.loads(old["json"]), json.loads(new["json"])):
+        old_report, new_report = json.loads(old["json"]), json.loads(new["json"])
+        for path, dev in numeric_deviations(old_report, new_report):
             if dev > worst[0]:
                 worst = (dev, f"{key} {path}")
+        for h, field, ratio in sample_moves(old_report, new_report):
+            if ratio > 1.0:
+                agree = False
+                lines.append(f"{key}: {field} at h={h!r} moved {ratio:.3g} times the parent's bound")
+            if ratio > worst_move[0]:
+                worst_move = (ratio, f"{key} {field} at h={h!r}")
         if not same:
             lines.append(f"{key}: rendered report differs")
     lines.append(f"byte-identical JSON and CSV: {identical} of {len(parent.keys() | change.keys())} surfaces")
     lines.append(f"worst numeric deviation: {worst[0]:.3g} ({worst[1]})")
+    lines.append(f"worst sample move over the parent's bound: {worst_move[0]:.3g} ({worst_move[1]})")
     return lines, agree
 
 

@@ -22,11 +22,11 @@ with one call of the integrand.  A batched integrand gets one row per
 panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 ``(K, 1, 15)`` node arrays for 15 x 15 grids in 2-D (as in QUADPACK's
 vectorised QK15, one level up); a single integral is the K = 1 call.
-A chain of consecutive bands whose every step decides whether to take
-the next, such as the improper windows, is walked in look-ahead chunks
-(:func:`_walk`), each one :func:`integrate_bands` call or, the first,
-part of a caller's batch; the walk reads the bands one by one, and
-bands past its stop are integrated and discarded but still counted.
+The improper windows, a chain whose every step decides whether to take
+the next, are walked in look-ahead chunks (:func:`_walk`), each one
+:func:`integrate_bands` call; the walk reads the windows one by one,
+and windows past its stop are integrated and discarded but still
+counted.
 Integrands must be written with numpy functions; a scalar result is
 broadcast to the nodes' shape, and a non-finite value anywhere fails
 the whole call with :class:`DomainError`.
@@ -321,15 +321,13 @@ class _BudgetSpent(Exception):
     """The evaluations left cannot pay for the next chunk of windows."""
 
 
-def _walk(bands: Callable, edges: Iterable[float], first: int, first_chunk: list | None = None):
+def _walk(bands: Callable, edges: Iterable[float]):
     """Yield ``(result, spent)`` for the bands between consecutive
-    ``edges``, in order, integrated in lockstep chunks.
+    increasing ``edges``, in order, integrated in lockstep chunks.
 
-    ``bands(edges)`` integrates the bands between increasing edges, one
-    result per band, as :func:`integrate_bands` does; ``edges`` may also
-    decrease, and each chunk is then integrated in reverse.  The first
-    chunk holds ``first`` bands, later ones ``_CHUNK``; ``first_chunk``,
-    if given, is the first chunk's results as ``bands`` returns them.
+    ``bands(edges)`` integrates the bands between the edges of a chunk,
+    one result per band, as :func:`integrate_bands` does.  The first
+    chunk holds ``_FIRST_WINDOWS`` bands, later ones ``_CHUNK``.
     ``spent`` counts the evaluations of every band integrated so far,
     including the rest of the current chunk, which the caller may never
     walk.  A chunk that raises :class:`DomainError` or
@@ -337,23 +335,21 @@ def _walk(bands: Callable, edges: Iterable[float], first: int, first_chunk: list
     band that raises does so at its own step.
     """
     edges = iter(edges)
-    chunk = list(itertools.islice(edges, first + 1))
+    chunk = list(itertools.islice(edges, _FIRST_WINDOWS + 1))
     spent = 0
     while len(chunk) > 1:
-        ascending = chunk[1] > chunk[0]
         try:
-            results = first_chunk or bands(chunk if ascending else chunk[::-1])
+            results = bands(chunk)
         except (DomainError, OverflowError):
             results = None
-        first_chunk = None
         if results is None:
             for pair in zip(chunk, chunk[1:]):
-                result = bands(sorted(pair))[0]
+                result = bands(pair)[0]
                 spent += result.evaluations
                 yield result, spent
         else:
             spent += sum(r.evaluations for r in results)
-            for result in results if ascending else results[::-1]:
+            for result in results:
                 yield result, spent
         chunk = chunk[-1:] + list(itertools.islice(edges, _CHUNK))
 
@@ -430,7 +426,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
         window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
         return integrate_bands(f, chunk, window_tol, theta_free=theta_free)
 
-    walk = _walk(windows, [edges[0], *uppers], _FIRST_WINDOWS)
+    walk = _walk(windows, [edges[0], *uppers])
     lower = edges[0]
     total = 0.0
     quad_err = 0.0

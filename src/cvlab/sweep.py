@@ -11,20 +11,22 @@ For a truncation height ``h`` the three computed quantities are
 
 ``sweep_samples`` computes them over a height schedule; ``c_trunc`` is
 additive in the bands ``[h_{i-1}, h_i]``, so each band is integrated
-once and the values and error estimates are prefix-summed.  The
-integrals of a sweep run in lockstep, one batch per end, so each
-refinement round costs one chart call per end: the ``mu`` and ``lambda``
-circles of every height and the five of the ``lambda = mu'`` check are
+once and the values and error estimates are prefix-summed.  Each end's
+first band starts at its ``t_min``, the pole ``t = 0`` on a polar cap:
+``K dA = -d2 sqrt(G) dt dtheta`` has no division, and GK15 nodes never
+touch a panel's ends.  The integrals of a sweep run in lockstep, one
+batch per end, so each refinement round costs one chart call per end:
+the ``mu`` and ``lambda`` circles of every height and the five of the
+``lambda = mu'`` check are
 one :func:`integrate_circles` call on ``(K, 1)`` heights against
 ``(K, 15)`` angles, and the bands one :func:`integrate_bands` call on
 ``(K, 15, 1)`` x ``(K, 1, 15)`` nodes.  On a theta-free end the circle
 integrals are ``2*pi`` times point values, all heights in one
 ``sqrt_jet`` call, and the bands are 1-D integrals in t on ``(K, 15)``
-nodes.  Chains in which each step decides whether to take the next, the
-polar head and its slivers and the improper windows, run in look-ahead
-chunks (see :func:`cvlab.quadrature._walk`); a polar head's first chunk
-rides in the band batch.  A merged batch that raises fails the sweep
-with its own error.
+nodes.  The improper windows of the direct route, where each step
+decides whether to take the next, run in look-ahead chunks (see
+:func:`cvlab.quadrature._walk`).  A merged batch that raises fails the
+sweep with its own error.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
 frozen record the samples, the ``lambda = mu'`` differences, one
 curvature scan per end (``h1``, beyond which sampled curvature stays
@@ -52,7 +54,6 @@ from .quadrature import (
     Tolerance,
     _doublings,
     _integrate_windows,
-    _walk,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -159,70 +160,17 @@ def _curvature_density(end: EndChart):
     return lambda t, theta: -end.sqrt_jet(t, theta).d2
 
 
-_POLE_FIRST_BANDS = 3  # the head and two quiet slivers: the shortest walk that can stop
-
-
-def _pole_edges(h: float):
-    """``h``, then ``eps = min(0.5, h/4)`` halved until it passes
-    ``POLE_GUARD``: the edges of the pole band's head and slivers."""
-    eps = min(0.5, h / 4.0)
-    yield h
-    yield eps
-    while eps > POLE_GUARD:
-        eps /= 2.0
-        yield eps
-
-
-def _pole_band(end: EndChart, h: float, tol: Tolerance, first_chunk: list | None = None):
-    """Curvature integral over (0, h] when the chart closes at a pole.
-
-    Integrates the head [eps, h] and then slivers [eps/2, eps], halving
-    eps until two slivers in a row stop mattering; the smooth-cap
-    boundary behavior makes the remaining stub quadratically small.  The
-    head and slivers are walked in look-ahead chunks of descending bands
-    (see :func:`cvlab.quadrature._walk`), each chunk one
-    :func:`integrate_bands` call but the first if ``first_chunk`` holds its
-    results.  Returns ``(value, error, evaluations)``; the evaluations
-    include look-ahead slivers past the stop.
-    """
-    f = _curvature_density(end)
-    walk = _walk(
-        lambda edges: integrate_bands(f, edges, tol, theta_free=end.theta_free),
-        _pole_edges(h),
-        _POLE_FIRST_BANDS,
-        first_chunk,
-    )
-    head, spent = next(walk)
-    total, err = head.value, head.error_estimate
-    quiet = 0
-    last = 0.0
-    for sliver, spent in walk:
-        total += sliver.value
-        err += sliver.error_estimate
-        last = abs(sliver.value)
-        quiet = quiet + 1 if last <= tol.target(total) else 0
-        if quiet >= 2:
-            break
-    err += min(last, abs(total) + last)
-    return total, err, spent
-
-
 def _end_bands(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
     """Per end, ``(value, error, evaluations)`` of the curvature integral
     up to each height from the height before, or from the chart edge
-    (through the pole on a polar cap, by :func:`_pole_band`) for the first
-    height above it; zeros at or below the edge.  An end's bands are one
-    :func:`integrate_bands` batch, with the pole walk's first chunk."""
+    ``t_min`` for the first height above it, the pole ``t = 0`` on a
+    polar cap; zeros at or below the edge.  An end's bands are one
+    :func:`integrate_bands` batch."""
     per_end = []
     for end in model.ends:
-        above = [h for h in schedule if h > end.t_min]
-        pole = isinstance(model.core, PolarCap) and bool(above)
-        below = list(_pole_edges(above[0]))[_POLE_FIRST_BANDS:0:-1] if pole else [end.t_min]
-        edges = below + above
+        edges = [end.t_min] + [h for h in schedule if h > end.t_min]
         results = integrate_bands(_curvature_density(end), edges, tol, theta_free=end.theta_free)
         bands = [(r.value, r.error_estimate, r.evaluations) for r in results]
-        if pole:  # the pole band, not [0, h], is the head
-            bands[: len(below)] = [_pole_band(end, above[0], tol, results[: len(below)])]
         per_end.append([(0.0, 0.0, 0)] * (len(schedule) - len(bands)) + bands)
     return per_end
 

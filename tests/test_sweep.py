@@ -17,6 +17,7 @@ from cvlab.model import (
     PolarCap,
     SurfaceModel,
     chart_from_expression,
+    validate_surface,
 )
 from cvlab.quadrature import ImproperResult, TailLimit
 from cvlab.sweep import (
@@ -88,11 +89,13 @@ class TestTruncatedTotalCurvature:
         )[0].c_trunc == pytest.approx(0.0, abs=1e-8)
 
     def test_paraboloid_matches_slope_formula(self):
+        # the head [0, h] is one band from the pole, with no mass dropped
+        # below its nodes
         entry = zoo_entry("paraboloid")
-        for h in (1.0, 2.0, 8.0):
-            assert sweep_samples(entry.model, [h])[0].c_trunc == pytest.approx(
-                entry.oracle.c_trunc(h), abs=1e-6
-            )
+        for h in (0.01, 1.0, 2.0, 8.0, 128.0, 1e6):
+            exact = entry.oracle.c_trunc(h)
+            got = sweep_samples(entry.model, [h])[0].c_trunc
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), h
 
 
 class TestGaussBonnetResidual:
@@ -505,8 +508,8 @@ class TestDirectTotalCurvature:
     @pytest.mark.parametrize("name", ["paraboloid", "polar-plane", "capped-cone", "catenoid"])
     def test_evaluations_count_every_integral(self, name, monkeypatch):
         # the direct route is c_trunc(h_max) plus the tails beyond: the
-        # bands, a polar cap's pole band and the tail windows all belong
-        # to its count
+        # bands, a polar cap's head among them, and the tail windows all
+        # belong to its count
         counted = []
 
         def counting(integrate):
@@ -564,6 +567,39 @@ def test_long_band_defect_stays_flagged(h_min, h_max):
     assert report.verdicts["gauss-bonnet-truncated"].status == "fail"
 
 
+def _dsl_cap(g):
+    model = SurfaceModel(0, (chart_from_expression(g),), PolarCap())
+    validate_surface(model)
+    return model
+
+
+# DSL caps G = w^2 and the closed form of c_trunc(h) = 2*pi*(1 - w'(h))
+POLAR_HEAD_CAPS = {
+    "sinh(t)^2": lambda h: TWO_PI * (1.0 - math.cosh(h)),
+    "(t+t^3)^2": lambda h: -6.0 * math.pi * h * h,
+}
+
+
+class TestPolarHead:
+    """A polar cap's head is the band from the pole, t = 0, to the first
+    height: the density -w'' has no division and GK15 nodes never touch
+    t = 0, so no mass below the nodes is dropped."""
+
+    @pytest.mark.parametrize("h", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("g", sorted(POLAR_HEAD_CAPS))
+    def test_dsl_cap_head_matches_closed_form(self, g, h):
+        exact = POLAR_HEAD_CAPS[g](h)
+        got = sweep_samples(_dsl_cap(g), [h])[0].c_trunc
+        assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("h", [0.5, 1.0, 4.0])
+    def test_singular_density_is_covered_by_its_error(self, h):
+        # w = t + t^1.5 passes validation, but w'' = 0.75/sqrt(t) is
+        # singular at the pole; c_trunc(h) = 2*pi*(1 - w'(h)) = -3*pi*sqrt(h)
+        s = sweep_samples(_dsl_cap("(t + t^1.5)^2"), [h])[0]
+        assert abs(s.c_trunc + 3.0 * math.pi * math.sqrt(h)) <= s.quad_error
+
+
 BAND_SCHEDULES = {
     **SCHEDULES,
     "theta-cap": list(np.geomspace(1.0, 64.0, 12)),
@@ -601,14 +637,19 @@ class TestBandReuse:
         return calls, sweep_samples(model, schedule)
 
     def test_each_band_is_integrated_once(self, monkeypatch):
-        model = three_ends()
         schedule = [1.0, 2.0, 4.0, 8.0]
+        # a polar cap's head is an ordinary band from the pole, in the one batch
+        batches, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
+        steps = list(zip(schedule, schedule[1:]))
+        assert [[box for box, _ in batch] for batch in batches] == [[(0.0, 1.0)] + steps]
+        monkeypatch.undo()
+        model = three_ends()
         batches, samples = self._band_calls(monkeypatch, model, schedule)
         # one batch per end; regrouped by height, in the sweep's summation order
         assert len(batches) == len(model.ends)
         calls = [band for bands in zip(*batches) for band in bands]
         heads = [(end.t_min, 1.0) for end in model.ends]
-        bands = [(a, b) for a, b in zip(schedule, schedule[1:]) for _ in model.ends]
+        bands = [step for step in steps for _ in model.ends]
         assert [box for box, _ in calls] == heads + bands
         # theta-free ends: the error is the running sum of band errors alone
         errors, running = [], 0.0
@@ -617,20 +658,6 @@ class TestBandReuse:
             if i % len(model.ends) == 0:
                 errors.append(running)
         assert [s.quad_error for s in samples] == errors
-
-    def test_pole_band_is_integrated_once(self, monkeypatch):
-        schedule = [1.0, 2.0, 4.0, 8.0]
-        batches, _ = self._band_calls(monkeypatch, theta_cap(), schedule)
-        # the first batch holds the pole band's first chunk, bottom up,
-        # slivers before the head, then the bands between heights; the
-        # pole band's later chunks follow
-        first, chunks = batches[0], batches[1:]
-        calls = [box for box, _ in first[2::-1]]
-        calls += [box for chunk in chunks for box, _ in chunk[::-1]]
-        assert [box for box, _ in first[3:]] == list(zip(schedule, schedule[1:]))
-        assert calls[0] == (0.25, 1.0)
-        assert all(t_hi <= 0.25 for _, t_hi in calls[1:])
-        assert len(set(calls)) == len(calls)
 
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -810,29 +837,6 @@ class TestProbeColumns:
         assert sorted(scans) == sorted(id(end) for end in model.ends)
 
 
-def per_sliver_pole_band(end, h, tol):
-    """Reference: the pole band with one integrate_bands call per band."""
-    f = sweep._curvature_density(end)
-    eps = min(0.5, h / 4.0)
-    res = sweep.integrate_bands(f, (eps, h), tol, theta_free=end.theta_free)[0]
-    total, err, evals = res.value, res.error_estimate, res.evaluations
-    quiet = 0
-    last = 0.0
-    while eps > POLE_GUARD:
-        lower = max(eps / 2.0, POLE_GUARD / 2.0)
-        sliver = sweep.integrate_bands(f, (lower, eps), tol, theta_free=end.theta_free)[0]
-        total += sliver.value
-        err += sliver.error_estimate
-        evals += sliver.evaluations
-        eps = lower
-        last = abs(sliver.value)
-        quiet = quiet + 1 if last <= tol.target(total) else 0
-        if quiet >= 2:
-            break
-    err += min(last, abs(total) + last)
-    return total, err, evals
-
-
 def per_step_detect_h1(model, h_probe_max, grid):
     """Reference: the h1 scan with one probe per bisection step."""
     def bad_at(t):
@@ -879,42 +883,9 @@ def sign_change_model(roots):
     return SurfaceModel(0, (chart,), AnalyticCore(TWO_PI), name="sign-change")
 
 
-POLE_MODELS = {
-    "paraboloid": lambda: zoo_entry("paraboloid").model,
-    "capped-cone": lambda: zoo_entry("capped-cone").model,
-    "polar-plane": lambda: zoo_entry("polar-plane").model,
-    "theta-cap": theta_cap,
-}
-
-
 class TestLookahead:
-    """The pole band's slivers run in look-ahead chunks and the h1
-    bisection reads a tree of probes made in one call; outcomes must equal
-    those of the step-by-step walks."""
-
-    @staticmethod
-    def _counted_bands(monkeypatch):
-        results = []
-        integrate = sweep.integrate_bands
-
-        def recording(f, edges, tol, **kwargs):
-            out = integrate(f, edges, tol, **kwargs)
-            results.extend(out)
-            return out
-
-        monkeypatch.setattr(sweep, "integrate_bands", recording)
-        return results
-
-    @pytest.mark.parametrize("h", [1.0, 0.3, 6.0])
-    @pytest.mark.parametrize("name", sorted(POLE_MODELS))
-    def test_pole_band_matches_per_sliver_walk(self, name, h, monkeypatch):
-        end = POLE_MODELS[name]().ends[0]
-        tol = sweep.DEFAULT_TOL
-        want = per_sliver_pole_band(end, h, tol)
-        results = self._counted_bands(monkeypatch)
-        value, error, evaluations = sweep._pole_band(end, h, tol)
-        assert (value, error) == want[:2]
-        assert evaluations == sum(r.evaluations for r in results) >= want[2]
+    """The h1 bisection reads a tree of probes made in one call; its
+    outcome must equal that of the step-by-step bisection."""
 
     @pytest.mark.parametrize("grid", [8, 16, 64])
     def test_detect_h1_matches_per_step_bisection(self, grid, monkeypatch):
@@ -945,30 +916,6 @@ class TestLookahead:
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
         assert sweep._curvature_scan(model, 10.0)[0] == want
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
-
-    @pytest.mark.parametrize(
-        "name,schedule",
-        [
-            ("paraboloid", [1.0, 2.0, 4.0, 8.0, 16.0]),
-            ("theta-cap", BAND_SCHEDULES["theta-cap"]),
-            ("paraboloid", [2.0, 4.0, 8.0, 16.0]),
-        ],
-        ids=["paraboloid", "theta-cap", "paraboloid-from-2"],
-    )
-    def test_sweep_integrates_one_pole_band(self, name, schedule, monkeypatch):
-        # the direct route continues the truncation beyond the last height,
-        # so the truncation's head up to the first height is the only pole
-        # band, whatever that height
-        heights = []
-        pole_band = sweep._pole_band
-
-        def recording(end, h, tol, *first_chunk):
-            heights.append(h)
-            return pole_band(end, h, tol, *first_chunk)
-
-        monkeypatch.setattr(sweep, "_pole_band", recording)
-        run_sweep(POLE_MODELS[name](), schedule)
-        assert heights == [schedule[0]]
 
 
 def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
@@ -1005,6 +952,7 @@ def _analytic(end):
     return SurfaceModel(0, (end,), AnalyticCore(0.0))
 
 
+# the windows below t = 1 lie in the head [0, 1] of the schedule [1, 2, 4, 8]
 CAP_FAULTS = {
     "sliver-and-head": [(0.07, 0.11), (0.5, 0.6)],
     "sliver-and-band": [(0.07, 0.11), (5.0, 6.0)],
@@ -1037,24 +985,15 @@ FAULT_CASES = {
 
 
 class TestMergedBatches:
-    """The mu' heights ride in the sweep's boundary batch and a polar
-    cap's first pole chunk in its band batch; each value is that of the
-    measurement run apart, and a merged batch that raises fails the sweep
-    with its own error."""
+    """The mu' heights ride in the sweep's boundary batch; each value is
+    that of the measurement run apart, and a merged batch that raises
+    fails the sweep with its own error."""
 
     @pytest.mark.parametrize("name", zoo_names() + ("theta-cap",))
     def test_mu_prime_equals_the_separate_measurement(self, name):
         model = theta_cap() if name == "theta-cap" else zoo_entry(name).model
         m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL)
         assert m.mu_prime[2:] == mu_prime_order(model, *m.mu_prime[:2])
-
-    @pytest.mark.parametrize("h", [1.0, 2.0])
-    @pytest.mark.parametrize("name", sorted(POLE_MODELS))
-    def test_polar_head_equals_the_pole_band_alone(self, name, h):
-        model = POLE_MODELS[name]()
-        tol = sweep.DEFAULT_TOL
-        head = sweep._end_bands(model, [h, 2.0 * h, 4.0 * h], tol)[0][0]
-        assert head == sweep._pole_band(model.ends[0], h, tol)
 
     @pytest.mark.parametrize("name", FAULT_CASES)
     def test_fault_fails_the_sweep(self, name):
@@ -1076,7 +1015,7 @@ CHART_CALL_CASES = {
 
 
 @pytest.mark.parametrize(
-    "name,calls", [("paraboloid", 13), ("theta-cap", 6), ("three-ends", 19)]
+    "name,calls", [("paraboloid", 11), ("theta-cap", 6), ("three-ends", 19)]
 )
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the
