@@ -26,7 +26,10 @@ tree is compiled once into nested closures (forward-mode activity
 analysis, as in Griewank and Walther, *Evaluating Derivatives*, ch. 6):
 a subtree without ``t`` yields plain values and no derivative slots,
 and :class:`~cvlab.jets.Jet2` takes such a value as a constant, so the
-kernel has one jet rule and one value rule per operator.
+kernel has one jet rule and one value rule per operator.  The kernel
+calls the bare jet rules of :mod:`cvlab.jets`, which open no
+``np.errstate``; :func:`eval_jet` opens one ``np.errstate(all="ignore")``
+around the whole kernel instead of one per function node.
 ``t`` and ``theta`` may be numpy arrays (broadcast against each other),
 so a whole quadrature panel costs one call of the kernel.
 """
@@ -41,8 +44,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite, jpow
-from .jets import _VALUES, _integer_exponent, _ipow, _nonzero, _value_pow
+from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite
+from .jets import _BARE, _VALUES, _bare_ipow, _bare_pow, _integer_exponent, _nonzero, _value_pow
 
 __all__ = [
     "Binary",
@@ -345,7 +348,7 @@ _RULES = {
     "sub": (operator.sub, operator.sub),
     "mul": (operator.mul, operator.mul),
     "div": (operator.truediv, lambda v, w: v / _nonzero(w)),
-    "pow": (jpow, _value_pow),
+    "pow": (_bare_pow, _value_pow),
 }
 
 
@@ -363,7 +366,7 @@ def _compile(node: Node):
         has_t, arg = _compile(node.arg)
         if node.op == "neg":
             return has_t, lambda t, theta: -arg(t, theta)
-        fn = (FUNCTIONS if has_t else _VALUES)[node.op]
+        fn = (_BARE if has_t else _VALUES)[node.op]
         return has_t, lambda t, theta: fn(arg(t, theta))
     if isinstance(node, Binary):
         left_t, left = _compile(node.left)
@@ -374,7 +377,7 @@ def _compile(node: Node):
         if left_t and node.op == "pow" and isinstance(node.right, Const):
             if _integer_exponent(node.right.value):  # jpow's test, decided once
                 n = int(node.right.value)
-                rule = lambda a, _: _ipow(a, n)
+                rule = lambda a, _: _bare_ipow(a, n)
         return has_t, lambda t, theta: rule(left(t, theta), right(t, theta))
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -392,9 +395,11 @@ def eval_jet(expr: MetricExpr, t, theta) -> Jet2:
     Raises :class:`DomainError` on out-of-domain intermediates or a
     non-finite result anywhere among the points.
     """
-    # float semantics: arithmetic that overflows yields inf or nan, which
-    # the finiteness check below turns into DomainError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the one error state of the kernel, whose jet rules are the bare
+    # forms: float semantics, where arithmetic that overflows yields inf
+    # or nan, which the explicit checks and the finiteness check below
+    # turn into DomainError
+    with np.errstate(all="ignore"):
         jet = expr._kernel(t, theta)
     return ensure_finite(jet, "metric expression")
 

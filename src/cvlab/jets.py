@@ -13,13 +13,17 @@ Any other operand (a number, a numpy scalar or array) is a constant, a
 jet with zero derivative slots (forward mode, as in Griewank and
 Walther, *Evaluating Derivatives*, ch. 6), and takes the reduced rules:
 it adds to the value slot only and scales or divides all three.
-Elementary functions compute under ``np.errstate`` and raise the
-exception classes below from explicit checks, never from warnings.
+Elementary functions raise the exception classes below from explicit
+checks, never from warnings.  Each rule has a bare form that opens no
+``np.errstate``: the compiled DSL kernel calls the bare forms inside the
+one ``np.errstate(all="ignore")`` that :func:`cvlab.dsl.eval_jet` opens.
+The public ``jexp`` ... ``jtanh`` and :func:`jpow` each open that
+context themselves, for charts and other direct callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +39,10 @@ class Overflow(DomainError):
     represent" differently from "undefined"."""
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value and first two t-derivatives at a point or an array of points;
-    any other operand is a constant, with zero derivative slots."""
+    any other operand is a constant, with zero derivative slots.  A named
+    tuple: immutable, and cheaper to build than a frozen dataclass."""
 
     f: float
     d1: float = 0.0
@@ -110,8 +114,8 @@ def _first(x, mask) -> float:
 
 
 def _check_positive(x, what: str):
-    bad = x <= 0.0
-    if np.any(bad):
+    bad = np.less_equal(x, 0.0)
+    if bad.any():
         raise DomainError(f"{what} of nonpositive value {_first(x, bad)!r}")
     return x
 
@@ -126,7 +130,7 @@ def _check_overflow(x, v, template: str):
 
 
 def _nonzero(divisor):
-    if np.any(divisor == 0.0):
+    if np.equal(divisor, 0.0).any():
         raise DomainError("division by zero")
     return divisor
 
@@ -147,23 +151,33 @@ _VALUES = {
 
 
 def _jet_rule(name: str, derivatives):
-    """The jet of ``_VALUES[name]``; ``derivatives(x, v)`` returns the
-    first and second derivative at ``x``, where the value is ``v``."""
+    """The bare jet of ``_VALUES[name]``; ``derivatives(x, v)`` returns
+    the first and second derivative at ``x``, where the value is ``v``."""
     value = _VALUES[name]
 
     def rule(x) -> Jet2:
         g = x if isinstance(x, Jet2) else Jet2(x)
-        with np.errstate(all="ignore"):
-            v = value(g.f)
-            dv, ddv = derivatives(g.f, v)
-            # chain rule at second order: (u g)'' = u''(g) g'^2 + u'(g) g''
-            return Jet2(v, dv * g.d1, ddv * g.d1 * g.d1 + dv * g.d2)
+        v = value(g.f)
+        dv, ddv = derivatives(g.f, v)
+        # chain rule at second order: (u g)'' = u''(g) g'^2 + u'(g) g''
+        return Jet2(v, dv * g.d1, ddv * g.d1 * g.d1 + dv * g.d2)
 
-    rule.__name__ = rule.__qualname__ = "j" + name
     return rule
 
 
-FUNCTIONS = {
+def _ignoring_errors(bare, name: str):
+    """``bare`` under its own ``np.errstate(all="ignore")``."""
+
+    def rule(x) -> Jet2:
+        with np.errstate(all="ignore"):
+            return bare(x)
+
+    rule.__name__ = rule.__qualname__ = name
+    return rule
+
+
+# the bare rules, for the compiled DSL kernel inside eval_jet's context
+_BARE = {
     "exp": _jet_rule("exp", lambda x, v: (v, v)),
     "log": _jet_rule("log", lambda x, v: (inv := 1.0 / x, -inv * inv)),
     "sqrt": _jet_rule("sqrt", lambda x, s: (0.5 / s, -0.25 / (s * x))),
@@ -173,28 +187,28 @@ FUNCTIONS = {
     "cosh": _jet_rule("cosh", lambda x, c: (np.sinh(x), c)),
     "tanh": _jet_rule("tanh", lambda x, v: (sech2 := 1.0 - v * v, -2.0 * v * sech2)),
 }
+FUNCTIONS = {name: _ignoring_errors(bare, "j" + name) for name, bare in _BARE.items()}
 jexp, jlog, jsqrt, jsin, jcos, jsinh, jcosh, jtanh = FUNCTIONS.values()
 
 
-def _ipow(g: Jet2, n: int) -> Jet2:
+def _bare_ipow(g: Jet2, n: int) -> Jet2:
     if n == 0:
         return Jet2(1.0)
     if n < 0:
-        return Jet2(1.0) / _ipow(g, -n)
+        return Jet2(1.0) / _bare_ipow(g, -n)
     if n == 1:
         return g
-    with np.errstate(all="ignore"):
-        if n == 2:  # squaring: the products the general rule reduces to
-            v = _check_overflow(g.f, g.f * g.f, "power {}^2")
-            return Jet2(v, 2.0 * g.f * g.d1, 2.0 * g.d1 * g.d1 + 2.0 * g.f * g.d2)
-        v = _check_overflow(g.f, np.power(g.f, n), f"power {{}}^{n}")
-        vm1 = np.power(g.f, n - 1)
-        vm2 = np.power(g.f, n - 2)
-        return Jet2(
-            v,
-            n * vm1 * g.d1,
-            n * (n - 1) * vm2 * g.d1 * g.d1 + n * vm1 * g.d2,
-        )
+    if n == 2:  # squaring: the products the general rule reduces to
+        v = _check_overflow(g.f, g.f * g.f, "power {}^2")
+        return Jet2(v, 2.0 * g.f * g.d1, 2.0 * g.d1 * g.d1 + 2.0 * g.f * g.d2)
+    v = _check_overflow(g.f, np.power(g.f, n), f"power {{}}^{n}")
+    vm1 = np.power(g.f, n - 1)
+    vm2 = np.power(g.f, n - 2)
+    return Jet2(
+        v,
+        n * vm1 * g.d1,
+        n * (n - 1) * vm2 * g.d1 * g.d1 + n * vm1 * g.d2,
+    )
 
 
 def _integer_exponent(e) -> bool:
@@ -210,13 +224,18 @@ def jpow(base, exponent) -> Jet2:
     (non-integer, or an array of per-point values) routes through
     exp/log and therefore requires a positive base.
     """
+    with np.errstate(all="ignore"):
+        return _bare_pow(base, exponent)
+
+
+def _bare_pow(base, exponent) -> Jet2:
     g = base if isinstance(base, Jet2) else Jet2(base)
     e = exponent
     if isinstance(e, Jet2) and np.ndim(e.d1) == np.ndim(e.d2) == 0 and e.d1 == e.d2 == 0.0:
         e = e.f
     if not isinstance(e, Jet2) and _integer_exponent(e):
-        return _ipow(g, int(e))
-    return jexp(exponent * jlog(g))
+        return _bare_ipow(g, int(e))
+    return _BARE["exp"](exponent * _BARE["log"](g))
 
 
 def _value_pow(x, e):

@@ -164,8 +164,9 @@ def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     array.  Returns ``(value, error, children)`` per job: ``scale`` times
     the Kronrod value and the Kronrod-Gauss difference, and the halves.
     The rule pair is a stacked product, bitwise that of a lone panel."""
-    members = np.array([k for k, _ in jobs])
-    ab = np.array([box for _, box in jobs], dtype=float)
+    members, boxes = zip(*jobs)
+    members = np.array(members)
+    ab = np.array(boxes, dtype=float)
     half = 0.5 * (ab[:, 1:] - ab[:, :1])
     mid = 0.5 * (ab[:, :1] + ab[:, 1:])
     fv = np.empty((len(jobs), 15))
@@ -239,6 +240,7 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
                 f"max_evaluations={tol.max_evaluations} cannot pay for the "
                 f"{len(boxes) * points} evaluations of the starting panels"
             )
+    abs_tol, rel_tol, budget = tol.abs_tol, tol.rel_tol, tol.max_evaluations
     heaps: list[list] = [[] for _ in starts]
     evals = [0] * len(starts)
     results: list = [None] * len(starts)
@@ -251,11 +253,15 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
         jobs, running = [], []
         for k in live:
             heap = heaps[k]
-            value = math.fsum(item[2] for item in heap)
-            error = math.fsum(-item[0] for item in heap)
-            if error <= tol.target(value):
+            if len(heap) == 1:
+                # what fsum returns for one term: fsum([-0.0]) is 0.0
+                value, error = heap[0][2] + 0.0, -heap[0][0]
+            else:
+                value = math.fsum([item[2] for item in heap])
+                error = math.fsum([-item[0] for item in heap])
+            if error <= max(abs_tol, rel_tol * abs(value)):  # tol.target(value)
                 results[k] = QuadResult(value, error, evals[k], True)
-            elif evals[k] + 2 * points > tol.max_evaluations:
+            elif evals[k] + 2 * points > budget:
                 results[k] = QuadResult(value, error, evals[k], False)
             else:
                 jobs += [(k, child) for child in heapq.heappop(heap)[3]]

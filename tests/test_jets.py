@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvlab.dsl import eval_jet, parse_metric
 from cvlab.jets import DomainError, Jet2, Overflow, jcosh, jexp, jlog, jpow, jsin, jsinh, jsqrt, jtanh
+from cvlab.model import chart_from_expression
 
 
 def fd_checks(fn, jfn, x0, h=1e-5):
@@ -116,3 +118,75 @@ def test_elementary_functions_take_a_plain_number_as_a_constant_jet():
         assert isinstance(jet, Jet2)
         assert jet.f == fn(Jet2(1.5)).f
         assert jet.d1 == jet.d2 == 0.0
+
+
+def test_jet2_is_immutable():
+    jet = Jet2(1.0, 2.0, 3.0)
+    for slot in ("f", "d1", "d2"):
+        with pytest.raises(AttributeError):
+            setattr(jet, slot, 0.0)
+    assert jet == Jet2(1.0, 2.0, 3.0)
+
+
+# Outside eval_jet each public rule opens its own np.errstate, so a
+# failing evaluation raises its DomainError or Overflow from an explicit
+# check and emits no RuntimeWarning on the way.  With RuntimeWarning an
+# error, a rule that lost its context raises the warning instead.
+DIRECT_FAILURES = [
+    (lambda: jexp(Jet2(1000.0, 1.0, 0.0)), Overflow, r"^overflow in exp\(1000\.0\)$"),
+    (lambda: jexp(Jet2(np.array([1.0, 1e9]))), Overflow, r"^overflow in exp\(1000000000\.0\)$"),
+    (lambda: jlog(Jet2(-1.0)), DomainError, r"^log of nonpositive value -1\.0$"),
+    (lambda: jlog(Jet2(0.0, 1.0, 0.0)), DomainError, r"^log of nonpositive value 0\.0$"),
+    (lambda: jsqrt(Jet2(-2.0, 1.0, 0.0)), DomainError, r"^sqrt of nonpositive value -2\.0$"),
+    (lambda: jpow(Jet2(-4.0, 1.0, 0.0), 0.5), DomainError, r"^log of nonpositive value -4\.0$"),
+    (lambda: jpow(Jet2(1e200, 1.0, 0.0), 3), Overflow, r"^overflow in power 1e\+200\^3$"),
+    (lambda: Jet2(1.0) / Jet2(0.0), DomainError, r"^division by zero$"),
+]
+
+
+@pytest.mark.parametrize("run, error, message", DIRECT_FAILURES)
+def test_public_rules_raise_without_a_runtime_warning(run, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=message) as raised:
+            run()
+    assert type(raised.value) is error
+
+
+# Through eval_jet the kernel's bare rules run inside eval_jet's one
+# np.errstate(all="ignore"): each failure raises from an explicit check
+# or from the final finiteness check, never as a RuntimeWarning.
+KERNEL_FAILURES = [
+    ("exp(t)", 1000.0, Overflow, r"^overflow in exp\(1000\.0\)$"),
+    ("exp(t)", np.array([1.0, 1000.0]), Overflow, r"^overflow in exp\(1000\.0\)$"),
+    ("1/(t-1)", 1.0, DomainError, r"^division by zero$"),
+    ("log(t-1)", 1.0, DomainError, r"^log of nonpositive value 0\.0$"),
+    ("log(t-1)", np.array([2.0, 1.0]), DomainError, r"^log of nonpositive value 0\.0$"),
+    # sqrt's second derivative divides by an underflowed s*x: -inf
+    ("sqrt(exp(-t)^2)", 360.0, DomainError, r"^non-finite result in metric expression$"),
+    ("t^0.5", -4.0, DomainError, r"^log of nonpositive value -4\.0$"),
+]
+
+
+@pytest.mark.parametrize("source, t, error, message", KERNEL_FAILURES)
+def test_kernel_failures_keep_their_class_and_message(source, t, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=message) as raised:
+            eval_jet(parse_metric(source), t, 0.0)
+    assert type(raised.value) is error
+
+
+def test_dsl_chart_sqrt_jet_past_underflow():
+    chart = chart_from_expression("exp(-t)^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # G is subnormal: sqrt(G) is finite, and s*G underflows to 0 in
+        # jsqrt's second derivative, which is -inf, not a warning
+        jet = chart.sqrt_jet(360.0, 0.0)
+        assert jet.f > 0.0 and np.isinf(jet.d2)
+        # G underflows to 0
+        for t in (400.0, np.array([1.0, 360.0, 400.0])):
+            with pytest.raises(DomainError, match=r"^sqrt of nonpositive value 0\.0$") as raised:
+                chart.sqrt_jet(t, 0.0)
+            assert type(raised.value) is DomainError
