@@ -23,10 +23,10 @@ panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
 ``(K, 1, 15)`` node arrays for 15 x 15 grids in 2-D (as in QUADPACK's
 vectorised QK15, one level up); a single integral is the K = 1 call.
 The improper windows, a chain whose every step decides whether to take
-the next, are walked in look-ahead chunks (:func:`_walk`), each one
-:func:`integrate_bands` call; the walk reads the windows one by one,
-and windows past its stop are integrated and discarded but still
-counted.
+the next, are integrated in look-ahead chunks, one
+:func:`integrate_bands` call each, and read one by one in the same loop
+(:func:`_integrate_windows`); windows past the stop are integrated and
+discarded but still counted.
 Integrands must be written with numpy functions; a scalar result is
 broadcast to the nodes' shape, and a non-finite value anywhere fails
 the whole call with :class:`DomainError`.
@@ -35,10 +35,9 @@ the whole call with :class:`DomainError`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,10 +297,13 @@ def integrate_bands(
     each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, called
     on ``(J, 15)`` nodes at 15 evaluations a panel instead of 225, on the
     t-panels that the 2-D rule splits such an integrand into.  A band of
-    zero width is 0 without an evaluation.  Every result equals that of a
-    K = 1 call on its band alone.
+    zero width is 0 without an evaluation; a NaN edge is refused with
+    :class:`ValueError`.  Every result equals that of a K = 1 call on its
+    band alone.
     """
     edges = [float(e) for e in edges]
+    if any(map(math.isnan, edges)):
+        raise ValueError("band edges must not be NaN")
     if any(hi < lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("t_hi must not be below t_lo")
     bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
@@ -321,43 +323,6 @@ def integrate_bands(
 _FIRST_WINDOWS = 2  # the shortest improper walk that can stop
 _CHUNK = 4  # bands per look-ahead chunk after the first
 _MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
-
-
-class _BudgetSpent(Exception):
-    """The evaluations left cannot pay for the next chunk of windows."""
-
-
-def _walk(bands: Callable, edges: Iterable[float]):
-    """Yield ``(result, spent)`` for the bands between consecutive
-    increasing ``edges``, in order, integrated in lockstep chunks.
-
-    ``bands(edges)`` integrates the bands between the edges of a chunk,
-    one result per band, as :func:`integrate_bands` does.  The first
-    chunk holds ``_FIRST_WINDOWS`` bands, later ones ``_CHUNK``.
-    ``spent`` counts the evaluations of every band integrated so far,
-    including the rest of the current chunk, which the caller may never
-    walk.  A chunk that raises :class:`DomainError` or
-    :class:`OverflowError` is integrated again one band at a time, so the
-    band that raises does so at its own step.
-    """
-    edges = iter(edges)
-    chunk = list(itertools.islice(edges, _FIRST_WINDOWS + 1))
-    spent = 0
-    while len(chunk) > 1:
-        try:
-            results = bands(chunk)
-        except (DomainError, OverflowError):
-            results = None
-        if results is None:
-            for pair in zip(chunk, chunk[1:]):
-                result = bands(pair)[0]
-                spent += result.evaluations
-                yield result, spent
-        else:
-            spent += sum(r.evaluations for r in results)
-            for result in results:
-                yield result, spent
-        chunk = chunk[-1:] + list(itertools.islice(edges, _CHUNK))
 
 
 def _geometric_tail(increments: Sequence[float]):
@@ -396,12 +361,13 @@ def integrate_improper(
     """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]`` on the
     window ``[t_lo, t_lo + 1]`` and then ``[t_lo + 2^(k-1), t_lo + 2^k]``,
     the :func:`_doublings` about ``t_lo``; see :func:`_integrate_windows`.
-    ``theta_free`` is passed on to :func:`integrate_bands`, so ``f`` gets
-    ``(J, 15, 1)`` and ``(J, 1, 15)`` node arrays, or ``(J, 15)`` and
-    theta = 0 when theta-free, one row per panel of a refinement round:
-    J = 2 in the first chunk's first round, up to 4 in a later chunk's,
-    and two per window still refining after that, so J <= 8.  It must act
-    elementwise.
+    A NaN ``t_lo`` is refused with :class:`ValueError`.  Each look-ahead
+    chunk of windows is one :func:`integrate_bands` call, which is passed
+    ``theta_free``, so ``f`` gets ``(J, 15, 1)`` and ``(J, 1, 15)`` node
+    arrays, or ``(J, 15)`` and theta = 0 when theta-free, one row per
+    panel of a refinement round: J = 2 in the first chunk's first round,
+    up to 4 in a later chunk's, and two per window still refining after
+    that, so J <= 8.  It must act elementwise.
     """
     return _integrate_windows(f, [t_lo, *_doublings(t_lo, 1.0)], tol, theta_free)
 
@@ -409,44 +375,61 @@ def integrate_improper(
 def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, theta_free: bool):
     """:func:`integrate_improper` over the windows between ``edges``; an
     edge not above the one before it (far out, ``t_lo + 2^k`` rounds back
-    onto ``t_lo``) is skipped.  The walk stops once the tail that the
-    geometric decay of the increments predicts falls below tolerance, or,
-    while that model is missing or has no drift yet, once the last two
+    onto ``t_lo``) is skipped, and a NaN edge is refused with
+    :class:`ValueError`.  The walk stops once the tail that the geometric
+    decay of the increments predicts falls below tolerance, or, while
+    that model is missing or has no drift yet, once the last two
     increments do.  Growing same-sign increments are reported as
     ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
-    with ``converged=False``.  The windows run in look-ahead chunks (see
-    :func:`_walk`) and are read one by one.  Each window of a chunk may
-    spend what is left of ``tol.max_evaluations``, and the walk stops
-    unconverged before a chunk whose first panels that cannot pay for, so
-    only the last chunk can take it past its budget.  ``evaluations``
-    counts every window integrated, look-ahead past the stop included.
+    with ``converged=False``.
+
+    The windows are integrated in look-ahead chunks, ``_FIRST_WINDOWS``
+    and then ``_CHUNK`` at a time, one :func:`integrate_bands` call per
+    chunk, and read one by one.  Each window of a chunk may spend what is
+    left of ``tol.max_evaluations``, and the walk stops unconverged
+    before a chunk whose first panels that cannot pay for, so only the
+    last chunk can take it past its budget.  A chunk that raises
+    :class:`DomainError` or :class:`OverflowError` is taken again as
+    one-window chunks, so the window that raises does so at its own step;
+    a one-window chunk that raises propagates.  ``evaluations`` counts
+    every window integrated, look-ahead past the stop included.
     """
-    uppers = [hi for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    if any(map(math.isnan, edges)):
+        raise ValueError("improper window edges must not be NaN")
+    edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
     points = 15 if theta_free else 225
     spent = 0  # evaluations of every window integrated, look-ahead included
-
-    def windows(chunk):
-        left = tol.max_evaluations - spent
-        if left < max(100, (len(chunk) - 1) * points):
-            raise _BudgetSpent
-        window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
-        return integrate_bands(f, chunk, window_tol, theta_free=theta_free)
-
-    walk = _walk(windows, [edges[0], *uppers])
-    lower = edges[0]
     total = 0.0
     quad_err = 0.0
     increments: list[float] = []
     densities: list[float] = []
     trace: list[tuple[float, float]] = []
     accel_prev: float | None = None
+    start = 0  # index in edges of the next window's lower end
+    alone_to = 0  # the windows of a chunk that raised, up to here, go one per call
 
-    # a window that raises propagates: no divergence can be read from the
-    # densities before it, or the walk would have stopped there
-    try:
-        for upper, (part, spent) in zip(uppers, walk):
+    while start + 1 < len(edges):
+        width = 1 if start < alone_to else _FIRST_WINDOWS if start == 0 else _CHUNK
+        chunk = edges[start : start + width + 1]
+        left = tol.max_evaluations - spent
+        if left < max(100, (len(chunk) - 1) * points):
+            break
+        window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
+        try:
+            parts = integrate_bands(f, chunk, window_tol, theta_free=theta_free)
+        except (DomainError, OverflowError):
+            # a window that raises propagates: no divergence can be read
+            # from the densities before it, or the walk would have stopped
+            # there
+            if len(chunk) == 2:
+                raise
+            alone_to = start + len(chunk) - 1
+            continue
+        spent += sum(part.evaluations for part in parts)
+        start += len(parts)
+
+        for lower, upper, part in zip(chunk, chunk[1:], parts):
             densities.append(part.value / (upper - lower))
-            lower = upper
             quad_err += part.error_estimate
             total += part.value
             increments.append(part.value)
@@ -470,8 +453,6 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
                 if err <= tol.target(total):
                     return ImproperResult(total, err, spent, True, None, tuple(trace))
             accel_prev = total + tail[0] if tail is not None else None
-    except _BudgetSpent:
-        pass
 
     tail = _geometric_tail(increments)
     value = total + tail[0] if tail is not None else total

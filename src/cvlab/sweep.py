@@ -25,7 +25,7 @@ integrals are ``2*pi`` times point values, all heights in one
 ``sqrt_jet`` call, and the bands are 1-D integrals in t on ``(K, 15)``
 nodes.  The improper windows of the direct route, where each step
 decides whether to take the next, run in look-ahead chunks (see
-:func:`cvlab.quadrature._walk`).  A merged batch that raises fails the
+:func:`cvlab.quadrature._integrate_windows`).  A merged batch that raises fails the
 sweep with its own error.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
 frozen record the samples, the ``lambda = mu'`` differences, one

@@ -420,6 +420,12 @@ class TestImproper:
         assert set(shapes) <= allowed
         assert shapes[0] == min(allowed)
 
+    def test_nan_lower_end_is_refused(self):
+        # every window edge is NaN, so none is above the one before: the
+        # skip of edges that round back alone would walk no window at all
+        with pytest.raises(ValueError, match="NaN"):
+            integrate_improper(lambda t, theta: np.exp(-t), math.nan, theta_free=True)
+
     def test_converged_error_estimate_meets_tolerance(self):
         tol = Tolerance()
         for decay in (lambda t: np.exp(-t), lambda t: (1.0 + t) ** -3):
@@ -654,12 +660,22 @@ class TestLockstep:
         with pytest.raises(ValueError):
             integrate_bands(lambda t, theta: 1.0, [0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_nan_edge_is_refused(self, theta_free):
+        # hi < lo is False for NaN, so the order check alone would take
+        # such a band as empty: a converged zero
+        with pytest.raises(ValueError, match="NaN"):
+            integrate_bands(lambda t, theta: 1.0, [0.0, math.nan, 1.0], theta_free=theta_free)
+
 
 def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     """Reference: the improper walk with one integrate_bands call per
     window and no look-ahead.  The budget is shared out at the windows
     that start the walk's chunks (0, 2, 6, 10, ...): there the walk has
-    integrated exactly the windows walked so far."""
+    integrated exactly the windows walked so far.  It therefore disagrees
+    with the walk when a chunk raises under a budget that binds: the walk
+    then shares out the budget at every window of that chunk (see
+    ``test_budget_binds_inside_a_chunk_walked_again``)."""
     points = 15 if theta_free else 225
     edges = t_lo
     total = 0.0
@@ -829,6 +845,40 @@ class TestLookahead:
             ([32.0, 64.0, 128.0, 256.0, 512.0], DomainError),
             ([32.0, 64.0], list),
         ]
+
+    def test_budget_binds_inside_a_chunk_walked_again(self, monkeypatch):
+        # the chunk [2, 32] raises (NaN past t = 9); its windows are taken
+        # alone, each checked against what is left, and after [4, 8] the
+        # budget is spent to the last evaluation
+        calls = self._recorded(monkeypatch)
+        res = integrate_improper(
+            lambda t, theta: np.where(t > 9.0, np.nan, np.sin(40.0 * t) * (1.0 + t) ** -1.1),
+            0.0,
+            Tolerance(max_evaluations=1500),
+            theta_free=True,
+        )
+        assert [
+            (edges, sum(r.evaluations for r in out) if isinstance(out, list) else type(out))
+            for edges, out in calls
+        ] == [
+            ([0.0, 1.0, 2.0], 510),
+            ([2.0, 4.0, 8.0, 16.0, 32.0], DomainError),
+            ([2.0, 4.0], 705),
+            ([4.0, 8.0], 285),
+        ]
+        assert res.evaluations == 1500
+        assert res.partial_sums[-1][0] == 8.0
+        assert res.converged is False and res.divergence is None
+
+    def test_one_window_chunk_that_raises_is_integrated_once(self, monkeypatch):
+        # (1+t)^-1.05 decays too slowly to stop at t = 2, and the last
+        # chunk, [2, 3] alone, meets the NaN past t = 2.5
+        calls = self._recorded(monkeypatch)
+        density = lambda t, theta: np.where(t > 2.5, np.nan, (1.0 + t) ** -1.05)
+        with pytest.raises(DomainError) as got:
+            quadrature._integrate_windows(density, [0.0, 1.0, 2.0, 3.0], DEFAULT_TOL, True)
+        assert str(got.value) == "non-finite integrand value on panel (2.0, 3.0)"
+        assert [edges for edges, _ in calls] == [[0.0, 1.0, 2.0], [2.0, 3.0]]
 
     def test_band_that_raises_today_raises_at_its_own_step(self):
         # the first window is clean, the second raises: no look-ahead may
