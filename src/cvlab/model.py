@@ -6,9 +6,10 @@ punctures: a compact core plus ``p`` half-infinite cylinders, so
 once: the genus, the end charts (whose count is ``p``) and the core.
 Each end carries coordinates ``(t, theta)`` with ``theta`` periodic of
 period ``2*pi`` and metric ``dt^2 + G(t, theta) dtheta^2``; the chart
-reports exact first and second t-derivatives of ``G``, and its ``t_min``
-is where it is glued to the core.  The core is never meshed: it is
-either a smooth polar cap (the single chart closes up at ``t = 0``) or
+states exactly one of ``G`` and ``sqrt(G)``, with exact first and
+second t-derivatives, and derives the other; its ``t_min`` is where it
+is glued to the core.  The core is never meshed: it is either a smooth
+polar cap (the single chart closes up at ``t = 0``) or
 an analytic descriptor carrying the exact curvature integral over the
 core.
 
@@ -42,10 +43,13 @@ class ModelInvalid(ValueError):
 class EndChart:
     """One cylindrical end's metric coefficient with exact t-jets.
 
-    ``g_jet(t, theta)`` returns the jet of ``G``; charts that know
-    ``sqrt(G)`` in closed form may supply ``sqrt_g_jet`` directly, which
-    is better conditioned when ``G`` is tiny.  Both closures take scalar
-    or numpy-array points and must use numpy functions; a jet with
+    A chart states its metric once, as exactly one closure, and the
+    other is derived: ``g_jet(t, theta)`` returns the jet of ``G`` (a DSL
+    chart), ``sqrt_g_jet`` that of ``w = sqrt(G)`` (every built-in),
+    which is better conditioned when ``G`` is tiny.  On a ``sqrt_g_jet``
+    chart :meth:`g` is ``w*|w|``, negative where ``w`` is, so validation
+    checks the very function the sweep integrates.  Both closures take
+    scalar or numpy-array points and must use numpy functions; a jet with
     scalar slots (``Jet2(1.0)``) stands for every point.
 
     ``theta_free`` declares that ``G`` does not depend on theta (a
@@ -54,13 +58,21 @@ class EndChart:
     its sample grid.
     """
 
-    g_jet: Callable[..., Jet2]
+    g_jet: Callable[..., Jet2] | None = None
     t_min: float = 0.0
     sqrt_g_jet: Callable[..., Jet2] | None = None
     theta_free: bool = False
 
+    def __post_init__(self):
+        if (self.g_jet is None) == (self.sqrt_g_jet is None):
+            raise ValueError("an end chart takes exactly one of g_jet and sqrt_g_jet")
+
     def g(self, t, theta):
-        return self.g_jet(t, theta).f
+        if self.g_jet is not None:
+            return self.g_jet(t, theta).f
+        w = self.sqrt_g_jet(t, theta).f
+        with np.errstate(over="ignore"):
+            return w * np.abs(w)
 
     def sqrt_jet(self, t, theta) -> Jet2:
         if self.sqrt_g_jet is not None:

@@ -361,8 +361,11 @@ def integrate_improper(
     """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]`` on the
     window ``[t_lo, t_lo + 1]`` and then ``[t_lo + 2^(k-1), t_lo + 2^k]``,
     the :func:`_doublings` about ``t_lo``; see :func:`_integrate_windows`.
-    A NaN ``t_lo`` is refused with :class:`ValueError`.  Each look-ahead
-    chunk of windows is one :func:`integrate_bands` call, which is passed
+    A NaN or infinite ``t_lo`` is refused with :class:`ValueError`; a
+    finite one so far out that every ``t_lo + 2^k`` rounds back onto it
+    (``1e300``) walks no window and gives an unconverged 0 with no
+    evaluations.  Each look-ahead chunk of windows is one
+    :func:`integrate_bands` call, which is passed
     ``theta_free``, so ``f`` gets ``(J, 15, 1)`` and ``(J, 1, 15)`` node
     arrays, or ``(J, 15)`` and theta = 0 when theta-free, one row per
     panel of a refinement round: J = 2 in the first chunk's first round,
@@ -375,10 +378,12 @@ def integrate_improper(
 def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, theta_free: bool):
     """:func:`integrate_improper` over the windows between ``edges``; an
     edge not above the one before it (far out, ``t_lo + 2^k`` rounds back
-    onto ``t_lo``) is skipped, and a NaN edge is refused with
-    :class:`ValueError`.  The walk stops once the tail that the geometric
-    decay of the increments predicts falls below tolerance, or, while
-    that model is missing or has no drift yet, once the last two
+    onto ``t_lo``) is skipped, and a NaN edge or an infinite first edge is
+    refused with :class:`ValueError`.  An inner edge that overflows to
+    ``inf`` is kept: the window it closes raises like any window whose
+    integrand is not finite.  The walk stops once the tail that the
+    geometric decay of the increments predicts falls below tolerance, or,
+    while that model is missing or has no drift yet, once the last two
     increments do.  Growing same-sign increments are reported as
     ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
     with ``converged=False``.
@@ -396,6 +401,8 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
     """
     if any(map(math.isnan, edges)):
         raise ValueError("improper window edges must not be NaN")
+    if math.isinf(edges[0]):
+        raise ValueError("an improper integral needs a finite lower end")
     edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
     points = 15 if theta_free else 225
     spent = 0  # evaluations of every window integrated, look-ahead included

@@ -161,18 +161,17 @@ def _curvature_density(end: EndChart):
 
 
 def _end_bands(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
-    """Per end, ``(value, error, evaluations)`` of the curvature integral
-    up to each height from the height before, or from the chart edge
-    ``t_min`` for the first height above it, the pole ``t = 0`` on a
-    polar cap; zeros at or below the edge.  An end's bands are one
+    """Per end, the :class:`QuadResult` of the curvature integral up to
+    each height from the height before, or from the chart edge ``t_min``
+    for the first height, the pole ``t = 0`` on a polar cap; a first
+    height on the edge gives a zero-width band.  An end's bands are one
     :func:`integrate_bands` batch."""
-    per_end = []
-    for end in model.ends:
-        edges = [end.t_min] + [h for h in schedule if h > end.t_min]
-        results = integrate_bands(_curvature_density(end), edges, tol, theta_free=end.theta_free)
-        bands = [(r.value, r.error_estimate, r.evaluations) for r in results]
-        per_end.append([(0.0, 0.0, 0)] * (len(schedule) - len(bands)) + bands)
-    return per_end
+    return [
+        integrate_bands(
+            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=end.theta_free
+        )
+        for end in model.ends
+    ]
 
 
 def _truncated_curvatures(model: SurfaceModel, bands) -> list[tuple[float, float]]:
@@ -182,9 +181,9 @@ def _truncated_curvatures(model: SurfaceModel, bands) -> list[tuple[float, float
     err = 0.0
     out = []
     for row in zip(*bands):
-        for value, error, _ in row:
-            total += value
-            err += error
+        for band in row:
+            total += band.value
+            err += band.error_estimate
         out.append((total, err))
     return out
 
@@ -320,10 +319,10 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Toler
     its tail is 0, with their sum as error.  An end whose tail does not
     converge adds only its evaluations; the first divergence is reported."""
     total, err = _truncated_curvatures(model, bands)[-1]
-    evals = sum(n for per_end in bands for _, _, n in per_end)
+    evals = sum(band.evaluations for per_end in bands for band in per_end)
     divergence, converged, trace = None, True, ()
     for end, per_end in zip(model.ends, bands):
-        quiet = [abs(value) + error for value, error, _ in per_end[-2:]]
+        quiet = [abs(band.value) + band.error_estimate for band in per_end[-2:]]
         if max(quiet) <= tol.target(0.0):
             err += sum(quiet)
             continue
@@ -441,7 +440,7 @@ def _report(model: SurfaceModel, m: _Measured) -> SweepReport:
             "L-nonneg": _limit_verdict(certified, m.limit_note),
             "c-total-consistency": consistency,
             "theorem": _theorem_verdict(model.chi, c_total, c_err, m.h1, divergence),
-            "corollary": _corollary_verdict(model, m.samples[-1].h, m.h1, m.kmax),
+            "corollary": _corollary_verdict(model, m.kmin, m.kmax),
         },
         kmin_sampled=m.kmin,
         kmax_sampled=m.kmax,
@@ -543,26 +542,24 @@ def _theorem_verdict(
     return Verdict("not-applicable", margin, bound, note)
 
 
-def _corollary_verdict(
-    model: SurfaceModel, h_max: float, h1: float | None, kmax: float
-) -> Verdict:
+def _corollary_verdict(model: SurfaceModel, kmin: float, kmax: float) -> Verdict:
     """``chi >= 1`` when ``K >= 0`` everywhere and somewhere ``K > 0``.
 
-    The premise is sampled only when the ends cover the whole surface,
-    that is on a polar cap; an analytic core is a number, never probed.
+    The premise is read from the curvature scan's range: every sample
+    ``K >= -K_SLACK`` and some ``K > K_SLACK``.  It is sampled only when
+    the ends cover the whole surface, that is on a polar cap; an analytic
+    core is a number, never probed.
     """
     if not isinstance(model.core, PolarCap):
         note = "analytic core is never sampled, so K >= 0 on all of Sigma is unchecked"
         return Verdict("not-applicable", None, None, note)
-    origin = model.min_height
-    grid_step = (h_max - origin) / (_PROBE_GRID - 1)
-    if h1 is not None and h1 <= origin + grid_step and kmax > K_SLACK:
-        note = f"K >= 0 sampled everywhere, max K = {kmax:.3g} > 0, chi = {model.chi}"
-        return Verdict("pass" if model.chi >= 1 else "fail", float(model.chi), 1.0, note)
-    if h1 is not None and kmax <= K_SLACK:
+    if kmin < -K_SLACK:
+        note = "sampled curvature is not nonnegative from the bottom"
+        return Verdict("not-applicable", None, None, note)
+    if kmax <= K_SLACK:
         return Verdict("not-applicable", None, None, "curvature vanishes at every sample")
-    note = "sampled curvature is not nonnegative from the bottom"
-    return Verdict("not-applicable", None, None, note)
+    note = f"K >= 0 sampled everywhere, max K = {kmax:.3g} > 0, chi = {model.chi}"
+    return Verdict("pass" if model.chi >= 1 else "fail", float(model.chi), 1.0, note)
 
 
 def geometric_schedule(start: float, doublings: int = 10) -> list[float]:

@@ -10,6 +10,7 @@ against independent formulas.  For a metric ``dt^2 + G dtheta^2`` with
 * the boundary circle at height ``h`` has length ``2*pi*w(h)`` and
   geodesic curvature ``w'(h)``.
 
+Every chart states ``w`` alone, the function the sweep integrates.
 Every entry is a surface of rotation, so each chart declares
 ``theta_free`` and the sweep integrates it in t alone.
 
@@ -42,7 +43,6 @@ class Oracle:
     """Closed forms for everything the sweep computes."""
 
     gauss_K: Callable[[float, float], float]
-    kappa_g: Callable[[float], float]
     mu: Callable[[float], float]
     lam: Callable[[float], float]
     c_trunc: Callable[[float], float]
@@ -76,11 +76,7 @@ def make_flat_cylinder() -> ZooEntry:
     unit = Jet2(1.0)
 
     def chart() -> EndChart:
-        return EndChart(
-            g_jet=lambda t, theta: unit,
-            sqrt_g_jet=lambda t, theta: unit,
-            theta_free=True,
-        )
+        return EndChart(sqrt_g_jet=lambda t, theta: unit, theta_free=True)
 
     model = SurfaceModel(
         genus=0,
@@ -90,7 +86,6 @@ def make_flat_cylinder() -> ZooEntry:
     )
     oracle = Oracle(
         gauss_K=lambda t, theta: 0.0,
-        kappa_g=lambda h: 0.0,
         mu=lambda h: 2.0 * TWO_PI,
         lam=lambda h: 0.0,
         c_trunc=lambda h: 0.0,
@@ -108,11 +103,7 @@ def make_polar_plane() -> ZooEntry:
     sqrt(G) = t exactly: circles of radius h have length 2*pi*h and
     unit radial growth, curvature vanishes.
     """
-    chart = EndChart(
-        g_jet=lambda t, theta: Jet2(t * t, 2.0 * t, 2.0),
-        sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0),
-        theta_free=True,
-    )
+    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0), theta_free=True)
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -121,7 +112,6 @@ def make_polar_plane() -> ZooEntry:
     )
     oracle = Oracle(
         gauss_K=lambda t, theta: 0.0,
-        kappa_g=lambda h: 1.0,
         mu=lambda h: TWO_PI * h,
         lam=lambda h: TWO_PI,
         c_trunc=lambda h: 0.0,
@@ -197,14 +187,9 @@ def make_paraboloid() -> ZooEntry:
     closed-form arc length t(r) = (r*sqrt(1+r^2) + asinh r)/2.
     """
 
-    def g_jet(t, theta):
-        r, r1, r2 = paraboloid_profile_jets(t)
-        return Jet2(r * r, 2.0 * r * r1, 2.0 * (r1 * r1 + r * r2))
-
-    def sqrt_g_jet(t, theta):
-        return Jet2(*paraboloid_profile_jets(t))
-
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
+    chart = EndChart(
+        sqrt_g_jet=lambda t, theta: Jet2(*paraboloid_profile_jets(t)), theta_free=True
+    )
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -218,7 +203,6 @@ def make_paraboloid() -> ZooEntry:
 
     oracle = Oracle(
         gauss_K=lambda t, theta: (1.0 + paraboloid_radius_oracle(t) ** 2) ** -2,
-        kappa_g=cos_slope,
         mu=lambda h: TWO_PI * paraboloid_radius_oracle(h),
         lam=lambda h: TWO_PI * cos_slope(h),
         c_trunc=lambda h: TWO_PI * (1.0 - cos_slope(h)),
@@ -266,15 +250,9 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
     if not (0.0 < slant < 1.0):
         raise InvalidParameter(f"slant must lie in (0, 1), got {slant!r}")
 
-    def sqrt_g_jet(t, theta):
-        w, w1, w2 = _cone_profile_jets(t, slant)
-        return Jet2(w, w1, w2)
-
-    def g_jet(t, theta):
-        w, w1, w2 = _cone_profile_jets(t, slant)
-        return Jet2(w * w, 2.0 * w * w1, 2.0 * (w1 * w1 + w * w2))
-
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
+    chart = EndChart(
+        sqrt_g_jet=lambda t, theta: Jet2(*_cone_profile_jets(t, slant)), theta_free=True
+    )
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -293,7 +271,6 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
 
     oracle = Oracle(
         gauss_K=K,
-        kappa_g=lambda h: profile(h)[1],
         mu=lambda h: TWO_PI * profile(h)[0],
         lam=lambda h: TWO_PI * profile(h)[1],
         c_trunc=lambda h: TWO_PI * (1.0 - profile(h)[1]),
@@ -315,15 +292,12 @@ def make_catenoid() -> ZooEntry:
     nonnegative-at-infinity hypothesis fails.
     """
 
-    def g_jet(t, theta):
-        return Jet2(1.0 + t * t, 2.0 * t, 2.0)
-
     def sqrt_g_jet(t, theta):
         w = np.sqrt(1.0 + t * t)
         return Jet2(w, t / w, 1.0 / w**3)
 
     def chart() -> EndChart:
-        return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
+        return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
 
     model = SurfaceModel(
         genus=0,
@@ -333,7 +307,6 @@ def make_catenoid() -> ZooEntry:
     )
     oracle = Oracle(
         gauss_K=lambda t, theta: -((1.0 + t * t) ** -2),
-        kappa_g=lambda h: h / math.sqrt(1.0 + h * h),
         mu=lambda h: 2.0 * TWO_PI * math.sqrt(1.0 + h * h),
         lam=lambda h: 2.0 * TWO_PI * h / math.sqrt(1.0 + h * h),
         c_trunc=lambda h: -2.0 * TWO_PI * h / math.sqrt(1.0 + h * h),
@@ -358,15 +331,11 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
     standard nonincreasing control violation.
     """
 
-    def g_jet(t, theta):
-        e = np.exp(-2.0 * t)
-        return Jet2(e, -2.0 * e, 4.0 * e)
-
     def sqrt_g_jet(t, theta):
         e = np.exp(-t)
         return Jet2(e, -e, e)
 
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=True)
+    chart = EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -375,7 +344,6 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
     )
     oracle = Oracle(
         gauss_K=lambda t, theta: -1.0,
-        kappa_g=lambda h: -math.exp(-h),
         mu=lambda h: TWO_PI * math.exp(-h),
         lam=lambda h: -TWO_PI * math.exp(-h),
         c_trunc=lambda h: TWO_PI + TWO_PI * math.exp(-h),

@@ -401,6 +401,22 @@ class TestConfigFiles:
         assert line.split()[1] == "not-applicable"
         assert "analytic core is never sampled" in line
 
+    def test_corollary_not_certified_over_negative_samples(self, tmp_path, capsys):
+        # w = t + 0.5*t^3/(0.25 + t^2) closes smoothly at the pole, but
+        # K < 0 on (0, 0.866): all inside the first cell of the uniform
+        # probe grid, where the scan samples K = -12
+        path = tmp_path / "cap.cfg"
+        path.write_text(
+            "[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n"
+            "[end1]\ng = (t + 0.5*t^3/(0.25 + t^2))^2\n"
+        )
+        assert main(["verify", "--config", str(path), "--strict"]) == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("corollary")
+        )
+        assert line.split()[1] == "not-applicable"
+        assert "not nonnegative" in line
+
     def test_far_chart_edge_gives_a_report(self, tmp_path, capsys):
         # the improper windows t_min + 2^k round back to t_min = 1e17
         path = tmp_path / "far.cfg"

@@ -7,11 +7,20 @@ import pytest
 from cvlab.curvature import _point, gauss_curvature
 from cvlab.jets import DomainError, Jet2
 from cvlab.model import EndChart, chart_from_expression
-from cvlab.zoo import all_entries
+from cvlab.zoo import all_entries, zoo_entry
 
 FLAT = EndChart(g_jet=lambda t, theta: Jet2(1.0))
 CUSP = chart_from_expression("exp(-2*t)")
 POLAR = EndChart(g_jet=lambda t, theta: Jet2(t * t, 2 * t, 2.0))
+
+
+# G of the built-ins whose G is a DSL expression
+G_OF_BUILT_INS = {
+    "flat-cylinder": "1",
+    "polar-plane": "t^2",
+    "catenoid": "1 + t^2",
+    "cusp-cap": "exp(-2*t)",
+}
 
 
 def geodesic_curvature_from_g(end, h, theta):
@@ -55,15 +64,18 @@ class TestGeodesicCurvature:
         )
 
     def test_both_forms_agree(self):
+        # a built-in states sqrt(G); the same G written in the DSL gives
+        # the G-route cross-check
         rng = random.Random(7)
-        for entry in all_entries():
-            for end in entry.model.ends:
+        for name, g in G_OF_BUILT_INS.items():
+            dsl = chart_from_expression(g)
+            for end in zoo_entry(name).model.ends:
                 for _ in range(16):
                     h = end.t_min + rng.uniform(0.05, 6.0)
                     theta = rng.uniform(0.0, 2 * math.pi)
                     a = end.sqrt_jet(h, theta).d1
-                    b = geodesic_curvature_from_g(end, h, theta)
-                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+                    b = geodesic_curvature_from_g(dsl, h, theta)
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
 
 
 def central_fd_curvature(end, t, theta, h=1e-4):

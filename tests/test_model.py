@@ -249,6 +249,43 @@ def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
     assert violation(model) is None
 
 
+class TestOneClosure:
+    """A chart states its metric once; validation reads the ``w`` that
+    the sweep integrates through ``G = w*|w|``."""
+
+    @pytest.mark.parametrize("closures", [{}, {"g_jet", "sqrt_g_jet"}], ids=["neither", "both"])
+    def test_exactly_one_closure(self, closures):
+        unit = lambda t, theta: Jet2(1.0)
+        with pytest.raises(ValueError, match="exactly one of g_jet and sqrt_g_jet"):
+            EndChart(**{name: unit for name in closures})
+
+    def test_sqrt_chart_that_is_not_periodic_is_rejected(self):
+        # w = (1+t)*(2 + sin(theta/2)) has period 4*pi
+        def sqrt_g_jet(t, theta):
+            s = 2 + np.sin(theta / 2)
+            return Jet2((1 + t) * s, s)
+
+        chart = EndChart(sqrt_g_jet=sqrt_g_jet)
+        assert violation(SurfaceModel(0, (chart,), AnalyticCore(0.0))) == (
+            "end 1: G is not 2*pi-periodic in theta "
+            "(t=0.533333, theta=0.9: 13.9399 vs 5.75865)"
+        )
+
+    def test_negative_sqrt_chart_is_rejected(self):
+        # w = (t - 3)^2 - 1/2 < 0 on (2.29, 3.71), where w^2 would pass
+        chart = EndChart(
+            sqrt_g_jet=lambda t, theta: Jet2((t - 3) ** 2 - 0.5 + 0.0 * theta, 2 * (t - 3), 2.0)
+        )
+        assert violation(SurfaceModel(0, (chart,), AnalyticCore(0.0))) == (
+            "end 1: G <= 0 at sampled point (t=2.66667, theta=0)"
+        )
+
+    def test_g_of_a_sqrt_chart_keeps_the_sign_of_w(self):
+        chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(t, 1.0))
+        assert chart.g(np.array([-3.0, 2.0]), 0.0).tolist() == [-9.0, 4.0]
+        assert chart.g(1e200, 0.0) == math.inf
+
+
 def test_chart_sqrt_jet_consistency():
     chart = chart_from_expression("exp(-2*t)")
     direct = chart.sqrt_jet(0.5, 0.0)

@@ -426,6 +426,18 @@ class TestImproper:
         with pytest.raises(ValueError, match="NaN"):
             integrate_improper(lambda t, theta: np.exp(-t), math.nan, theta_free=True)
 
+    @pytest.mark.parametrize("t_lo", [math.inf, -math.inf])
+    def test_infinite_lower_end_is_refused(self, t_lo):
+        # every window edge t_lo + 2^k is t_lo itself, so the walk would
+        # take no window and return an unconverged zero
+        with pytest.raises(ValueError, match="finite lower end"):
+            integrate_improper(lambda t, theta: np.exp(-t), t_lo, theta_free=True)
+
+    def test_lower_end_past_every_window_gives_an_unconverged_zero(self):
+        # each of the _MAX_WINDOWS edges t_lo + 2^k, k < 64, rounds back onto 1e300
+        res = integrate_improper(lambda t, theta: np.exp(-t), 1e300, theta_free=True)
+        assert (res.value, res.evaluations, res.converged) == (0.0, 0, False)
+
     def test_converged_error_estimate_meets_tolerance(self):
         tol = Tolerance()
         for decay in (lambda t: np.exp(-t), lambda t: (1.0 + t) ** -3):

@@ -173,11 +173,7 @@ class TestDetectH1:
         def sqrt_g_jet(t, theta):
             return Jet2(1.0, 0.0, -(t - 5.0) * np.sin(theta) ** 2)
 
-        def g_jet(t, theta):
-            w = sqrt_g_jet(t, theta)
-            return Jet2(1.0, 0.0, 2.0 * w.d2)
-
-        chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet)
+        chart = EndChart(sqrt_g_jet=sqrt_g_jet)
         model = SurfaceModel(
             genus=0,
             ends=(chart,),
@@ -437,6 +433,22 @@ def test_verdict_branch(case):
     assert report.verdicts[row["check"]] == row["want"]
     # the limit is reported whenever it was estimated, certified by h1 or not
     assert report.limit == measured.limit
+
+
+@pytest.mark.parametrize(
+    "kmin,kmax,status,note",
+    [
+        (-1e-11, 0.5, "pass", "K >= 0 sampled everywhere, max K = 0.5 > 0, chi = 1"),
+        (-12.0, 0.5, "not-applicable", "sampled curvature is not nonnegative from the bottom"),
+        (0.0, 1e-10, "not-applicable", "curvature vanishes at every sample"),
+    ],
+    ids=["pass", "negative-sample", "flat"],
+)
+def test_corollary_premise_is_the_sampled_range(kmin, kmax, status, note):
+    # every sample K >= -K_SLACK and some K > K_SLACK, wherever the
+    # negative samples lie
+    verdict = sweep._corollary_verdict(zoo_entry("polar-plane").model, kmin, kmax)
+    assert (verdict.status, verdict.note) == (status, note)
 
 
 def test_tail_limit_notes_why_it_is_missing():
@@ -737,11 +749,7 @@ def _exp_cap_chart(theta_free):
         w = np.exp(-t) * (1.0 if theta_free else 1.0 + 0.5 * np.cos(theta))
         return Jet2(w, -w, w)
 
-    def g_jet(t, theta):
-        w = sqrt_g_jet(t, theta).f
-        return Jet2(w * w, -2.0 * w * w, 4.0 * w * w)
-
-    return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+    return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
 
 
 class TestLockstepSweep:
@@ -876,10 +884,7 @@ def sign_change_model(roots):
             k = k * (t - r)
         return Jet2(1.0, 0.0, -k)
 
-    def g_jet(t, theta):
-        return Jet2(1.0, 0.0, 2.0 * sqrt_g_jet(t, theta).d2)
-
-    chart = EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet)
+    chart = EndChart(sqrt_g_jet=sqrt_g_jet)
     return SurfaceModel(0, (chart,), AnalyticCore(TWO_PI), name="sign-change")
 
 
@@ -937,11 +942,7 @@ def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
         f = np.where(inside(t, negative_in), -t, t)
         return Jet2(f, np.ones_like(f), np.zeros_like(f))
 
-    def g_jet(t, theta):
-        w = sqrt_g_jet(t, theta)
-        return Jet2(w.f * w.f, 2.0 * w.f, 2.0)
-
-    return EndChart(g_jet=g_jet, sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+    return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
 
 
 def _cap(end):

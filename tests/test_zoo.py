@@ -53,11 +53,12 @@ def test_oracle_self_consistency(name):
 
 @pytest.mark.parametrize("name", zoo_names())
 def test_geodesic_curvature_matches_oracle(name):
-    # every zoo end is a surface of rotation, so kappa_g takes no angle
+    # every zoo end is a surface of rotation and all of a surface's ends
+    # are alike, so each boundary circle turns by lambda / (2*pi*ends)
     entry = zoo_entry(name)
     for end in entry.model.ends:
         for h in (0.5, 1.0, 3.0, 12.0, 40.0):
-            want = entry.oracle.kappa_g(h)
+            want = entry.oracle.lam(h) / (TWO_PI * len(entry.model.ends))
             for theta in (0.0, 2.1, 4.9):
                 got = float(end.sqrt_jet(h, theta).d1)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (h, theta)
