@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import json
 import math
 import sys
@@ -231,15 +229,14 @@ def report_to_json_dict(report: SweepReport) -> dict:
 
 
 def report_to_csv(report: SweepReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for s in report.samples:
-        writer.writerow(
-            [repr(s.h), repr(s.mu), repr(s.lam), repr(s.c_trunc),
-             repr(s.quad_error), repr(s.gb_residual)]
-        )
-    return buffer.getvalue()
+    # a float's repr holds no comma, quote or line break, so joining the
+    # fields gives the bytes of csv.writer(lineterminator="\n")
+    rows = [",".join(CSV_HEADER)]
+    rows += [
+        f"{s.h!r},{s.mu!r},{s.lam!r},{s.c_trunc!r},{s.quad_error!r},{s.gb_residual!r}"
+        for s in report.samples
+    ]
+    return "\n".join(rows) + "\n"
 
 
 def _fmt6(x: float | None) -> str:

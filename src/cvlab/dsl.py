@@ -40,7 +40,7 @@ import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -90,24 +90,20 @@ class UnknownIdentifier(ParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # add | sub | mul | div | pow
     left: "Node"
     right: "Node"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -95,14 +95,12 @@ def chart_from_expression(text: str, t_min: float = 0.0) -> EndChart:
     )
 
 
-@dataclass(frozen=True)
-class PolarCap:
+class PolarCap(NamedTuple):
     """Single-end core: the chart closes smoothly at t = 0 with
     sqrt(G)(0) = 0 and d/dt sqrt(G)(0) = 1."""
 
 
-@dataclass(frozen=True)
-class AnalyticCore:
+class AnalyticCore(NamedTuple):
     """Compact core supplied through its exact curvature integral; each
     end is glued to it at that end's ``t_min``."""
 

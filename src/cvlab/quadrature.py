@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,6 +98,9 @@ _WG7 = np.array(
 )
 
 
+_WGK_COLUMN, _WG7_COLUMN = _WGK[:, None], _WG7[:, None]  # the stacked products' right operands
+
+
 class NotMonotone(ValueError):
     """A sequence expected to be nonincreasing increased beyond its
     combined error bars."""
@@ -122,17 +125,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
 
 
-@dataclass(frozen=True)
-class ImproperResult(QuadResult):
-    """Result of an integral over ``[t_lo, inf)``.
+class ImproperResult(NamedTuple):
+    """Result of an integral over ``[t_lo, inf)``: :class:`QuadResult`'s
+    four fields, in the same order, then two more.
 
     ``divergence`` is ``None`` when the tail settled, otherwise one of
     ``"+inf"``, ``"-inf"``, ``"oscillatory"``.  ``partial_sums`` traces
@@ -140,8 +142,12 @@ class ImproperResult(QuadResult):
     evolved.
     """
 
+    value: float
+    error_estimate: float
+    evaluations: int
+    converged: bool
     divergence: str | None = None
-    partial_sums: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    partial_sums: tuple[tuple[float, float], ...] = ()
 
 
 class TailLimit(NamedTuple):
@@ -159,21 +165,21 @@ def _require_finite(values: np.ndarray, jobs) -> None:
 
 def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     """GK15 panels over the intervals of ``jobs``, ``(member, (a, b))``
-    pairs, from one call ``values(members, x)`` on the ``(J, 15)`` node
-    array.  Returns ``(value, error, children)`` per job: ``scale`` times
+    pairs, from one call ``values(members, x)`` on the tuple of members
+    and the ``(J, 15)`` node array.  Returns ``(value, error, children)`` per job: ``scale`` times
     the Kronrod value and the Kronrod-Gauss difference, and the halves.
     The rule pair is a stacked product, bitwise that of a lone panel."""
     members, boxes = zip(*jobs)
-    members = np.array(members)
     ab = np.array(boxes, dtype=float)
     half = 0.5 * (ab[:, 1:] - ab[:, :1])
     mid = 0.5 * (ab[:, :1] + ab[:, 1:])
     fv = np.empty((len(jobs), 15))
     fv[...] = values(members, mid + half * _XGK)
     _require_finite(fv, jobs)
-    kron = half[:, 0] * (fv[:, None, :] @ _WGK[:, None])[:, 0, 0]
+    half = half[:, 0]
+    kron = half * (fv[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
     sub = np.ascontiguousarray(fv[:, 1::2])
-    gauss = half[:, 0] * (sub[:, None, :] @ _WG7[:, None])[:, 0, 0]
+    gauss = half * (sub[:, None, :] @ _WG7_COLUMN)[:, 0, 0]
     scaled, errors = (scale * kron).tolist(), (scale * np.abs(kron - gauss)).tolist()
     rows = zip(jobs, mid[:, 0].tolist(), scaled, errors)
     return [(v, e, ((a, m), (m, b))) for (_, (a, b)), m, v, e in rows]
@@ -258,7 +264,8 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
             else:
                 value = math.fsum([item[2] for item in heap])
                 error = math.fsum([-item[0] for item in heap])
-            if error <= max(abs_tol, rel_tol * abs(value)):  # tol.target(value)
+            target = rel_tol * abs(value)
+            if error <= (target if target > abs_tol else abs_tol):  # tol.target(value)
                 results[k] = QuadResult(value, error, evals[k], True)
             elif evals[k] + 2 * points > budget:
                 results[k] = QuadResult(value, error, evals[k], False)
@@ -280,7 +287,7 @@ def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list
     params = np.asarray(params)
 
     def panels(jobs):
-        return _panels_1d(lambda members, theta: f(params[members][:, None], theta), jobs)
+        return _panels_1d(lambda members, theta: f(params[list(members)][:, None], theta), jobs)
 
     return _adapt_many(panels, [((0.0, math.pi), (math.pi, TWO_PI))] * len(params), 15, tol)
 
@@ -298,14 +305,19 @@ def integrate_bands(
     on ``(J, 15)`` nodes at 15 evaluations a panel instead of 225, on the
     t-panels that the 2-D rule splits such an integrand into.  A band of
     zero width is 0 without an evaluation; a NaN edge is refused with
-    :class:`ValueError`.  Every result equals that of a K = 1 call on its
-    band alone.
+    :class:`ValueError`, and a band with an infinite edge with
+    :class:`DomainError` before anything is evaluated.  Every result
+    equals that of a K = 1 call on its band alone.
     """
     edges = [float(e) for e in edges]
     if any(map(math.isnan, edges)):
         raise ValueError("band edges must not be NaN")
     if any(hi < lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("t_hi must not be below t_lo")
+    if any(map(math.isinf, edges)):
+        for band in zip(edges, edges[1:]):
+            if math.isinf(band[0]) or math.isinf(band[1]):
+                raise DomainError(f"infinite edge on band {band}")
     bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     if theta_free:
         panels = lambda jobs: _panels_1d(lambda _, t: f(t, 0.0), jobs, TWO_PI)

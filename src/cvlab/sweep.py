@@ -28,7 +28,7 @@ decides whether to take the next, run in look-ahead chunks (see
 :func:`cvlab.quadrature._integrate_windows`).  A merged batch that raises fails the
 sweep with its own error.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
-frozen record the samples, the ``lambda = mu'`` differences, one
+named tuple the samples, the ``lambda = mu'`` differences, one
 curvature scan per end (``h1``, beyond which sampled curvature stays
 nonnegative, and the sampled ``K`` range), the extrapolated limit of
 ``lambda`` and the direct route (``c_trunc`` at the last height plus each
@@ -39,8 +39,7 @@ record to form the total curvature and every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +70,7 @@ class NonPositiveMu(ValueError):
     """Total boundary length came out nonpositive; the model is broken."""
 
 
-@dataclass(frozen=True)
-class TruncationSample:
+class TruncationSample(NamedTuple):
     h: float
     mu: float
     lam: float
@@ -81,16 +79,14 @@ class TruncationSample:
     gb_residual: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # pass | fail | not-applicable
     residual: float | None = None
     bound: float | None = None
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     surface: str
     chi: int
     samples: tuple[TruncationSample, ...]
@@ -139,7 +135,7 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
         if end.theta_free:
             w = end.sqrt_jet(hs, 0.0)
             values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
-            totals = [total + float(v) for total, v in zip(totals, values)]
+            totals = [total + v for total, v in zip(totals, values.tolist())]
             continue
 
         def slot_values(i, theta, end=end):
@@ -220,12 +216,13 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
     values, errors = _boundaries(model, heights, tol, slots)
     bands = _end_bands(model, schedule, tol)
     curvatures = _truncated_curvatures(model, bands)
+    closed = TWO_PI * model.chi
     samples = []
     for i, h in enumerate(schedule):
         m, em = values[i], errors[i]
         l, el = values[n + i], errors[n + i]
         c, ec = curvatures[i]
-        residual = abs(TWO_PI * model.chi - c - l)
+        residual = abs(closed - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
     return tuple(samples), values[2 * n :], errors[2 * n :], bands
 
@@ -290,12 +287,19 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
     so sign features much narrower than the uniform spacing still get
     sampled."""
     span = h_probe_max - origin
-    heights = {origin + span * i / (grid - 1) for i in range(grid)}
+    scales = []
     scale = span / 2.0
     while scale > POLE_GUARD:
-        heights.add(origin + scale)
+        scales.append(scale)
         scale /= 2.0
-    return np.array(sorted(heights))
+    # elementwise the float operations of one height at a time, so the
+    # same grid bit for bit; a span past max/grid overflows to inf as a
+    # float does
+    with np.errstate(over="ignore"):
+        uniform = origin + span * np.arange(grid) / (grid - 1)
+    heights = np.sort(np.concatenate([uniform, origin + np.array(scales)]))
+    # np.unique would import numpy.ma on its first call
+    return heights[np.append(True, heights[1:] != heights[:-1])]
 
 
 def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -373,8 +377,7 @@ def _mu_prime_point(model: SurfaceModel, schedule: Sequence[float]) -> tuple[flo
     return h0, step
 
 
-@dataclass(frozen=True)
-class _Measured:
+class _Measured(NamedTuple):
     """Every quantity the verdicts of one sweep read, measured once."""
     samples: tuple[TruncationSample, ...]
     mu_prime: tuple[float, float, float, float, float]  # h0, step, dev_full, dev_half, floor

@@ -23,8 +23,7 @@ inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ class InvalidParameter(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Oracle:
+class Oracle(NamedTuple):
     """Closed forms for everything the sweep computes."""
 
     gauss_K: Callable[[float, float], float]
@@ -52,8 +50,7 @@ class Oracle:
     hypothesis_holds: bool
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     model: SurfaceModel
     oracle: Oracle
 
@@ -293,8 +290,13 @@ def make_catenoid() -> ZooEntry:
     """
 
     def sqrt_g_jet(t, theta):
-        w = np.sqrt(1.0 + t * t)
-        return Jet2(w, t / w, 1.0 / w**3)
+        # 1 + t*t overflows past |t| ~ 1.3e154, where w is |t| to double
+        # precision, and w**3 past 5.6e102, where 1/w^3 is 0 within 1e-308
+        with np.errstate(over="ignore"):
+            w = np.sqrt(1.0 + t * t)
+            if np.isinf(w).any():
+                w = np.where(np.isinf(w), np.abs(t), w)[()]
+            return Jet2(w, t / w, 1.0 / w**3)
 
     def chart() -> EndChart:
         return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)

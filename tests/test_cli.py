@@ -20,6 +20,7 @@ from cvlab.cli import (
 )
 from cvlab.jets import DomainError
 from cvlab.model import AnalyticCore, PolarCap
+from cvlab.sweep import SweepReport, TruncationSample
 
 DIVERGENT_CONFIG = """\
 [surface]
@@ -146,6 +147,24 @@ class TestSweep:
         for row in rows[1:]:
             for cell in row:
                 float(cell)
+
+    def test_csv_is_the_bytes_of_csv_writer(self):
+        # report_to_csv joins the reprs; csv.writer would quote a field
+        # holding a comma, a quote or a line break, which no float repr does
+        edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        samples = tuple(TruncationSample(*edge[i:], *edge[:i]) for i in range(len(edge)))
+        report = SweepReport("hand-built", 1, samples, None, None, None, None, "none", {})
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for s in samples:
+            writer.writerow(
+                [repr(s.h), repr(s.mu), repr(s.lam), repr(s.c_trunc),
+                 repr(s.quad_error), repr(s.gb_residual)]
+            )
+        assert report_to_csv(report) == buffer.getvalue()
+        header_only = report._replace(samples=())
+        assert report_to_csv(header_only) == ",".join(CSV_HEADER) + "\n"
 
     def test_json_artifact_keys_and_round_trip(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,20 @@ class TestAnnulus:
     def test_degenerate_band(self):
         res = integrate_bands(lambda t, theta: 1.0, [2.0, 2.0])[0]
         assert res.value == 0.0 and res.converged
+
+    @pytest.mark.parametrize("theta_free", [True, False])
+    @pytest.mark.parametrize("edges", [[1e308, math.inf], [0.0, 1.0, math.inf], [-math.inf, 0.0]])
+    def test_infinite_edge_is_refused_before_any_evaluation(self, edges, theta_free):
+        # no panel is formed, so no node arithmetic can warn first
+        def f(t, theta):
+            raise AssertionError("evaluated")
+
+        band = next(b for b in zip(edges, edges[1:]) if math.isinf(b[0]) or math.isinf(b[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as got:
+                integrate_bands(f, edges, theta_free=theta_free)
+        assert str(got.value) == f"infinite edge on band {band}"
 
     def test_monotone_refinement_on_closed_form(self):
         end = chart_from_expression("exp(-2*t)")

@@ -874,6 +874,30 @@ def per_step_detect_h1(model, h_probe_max, grid):
     return hi
 
 
+def per_height_probe_grid(origin, h_probe_max, grid):
+    """Reference: the probe grid as a set of scalar heights."""
+    span = h_probe_max - origin
+    heights = {origin + span * i / (grid - 1) for i in range(grid)}
+    scale = span / 2.0
+    while scale > POLE_GUARD:
+        heights.add(origin + scale)
+        scale /= 2.0
+    return np.array(sorted(heights))
+
+
+@pytest.mark.parametrize(
+    "origin, h_probe_max",
+    [(0.0, 64.0), (0.0, 1.0), (0.5, 16.0), (0.25, 7.3), (0.0, 1e-7), (3.0, 3.0000001),
+     (0.0, 1e200), (1e17, 1e17 + 64.0), (0.0, 1e307)],
+)
+def test_probe_grid_is_bitwise_the_scalar_grid(origin, h_probe_max):
+    # the same float operations as one height at a time; a span past
+    # max/grid overflows to inf in both, without a warning
+    got = sweep._probe_heights(origin, h_probe_max, sweep._PROBE_GRID)
+    want = per_height_probe_grid(origin, h_probe_max, sweep._PROBE_GRID)
+    assert got.tobytes() == want.tobytes()
+
+
 def sign_change_model(roots):
     """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``:
     negative below the first root, then alternating at each root."""

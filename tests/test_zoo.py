@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ def test_catenoid_entry():
     assert not entry.oracle.hypothesis_holds
     # lambda increases toward its limit: the nonincreasing control fails
     assert entry.oracle.lam(2.0) > entry.oracle.lam(1.0)
+
+
+@pytest.mark.parametrize("t", [1e103, 1e200, -1e200])
+def test_catenoid_chart_is_finite_far_out(t):
+    # w**3 overflows from 5.6e102 and 1 + t*t past 1.3e154; w = |t| there
+    chart = zoo_entry("catenoid").model.ends[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jet in (chart.sqrt_jet(t, 0.0), chart.sqrt_jet(np.array([2.0, t]), 0.0)):
+            f, d1, d2 = (np.atleast_1d(slot)[-1] for slot in jet)
+            assert (f, d1, d2) == (abs(t), math.copysign(1.0, t), 0.0)
+
+
+def test_catenoid_chart_below_overflow_is_unchanged():
+    t = np.array([0.0, 0.5, 3.0, 1e10, 5e102, 1e150, -7.25])
+    w = np.sqrt(1.0 + t * t)
+    with np.errstate(over="ignore"):
+        want = (w, t / w, 1.0 / w**3)
+    jet = zoo_entry("catenoid").model.ends[0].sqrt_jet(t, 0.0)
+    for got, exact in zip(jet, want):
+        assert got.tobytes() == exact.tobytes()
 
 
 def test_cusp_cap_entry():
