@@ -56,13 +56,6 @@ def test_record_defaults():
     assert SweepReport._field_defaults == {"kmin_sampled": 0.0, "kmax_sampled": 0.0}
 
 
-def test_positional_construction_reads_back_by_name():
-    trace = ((2.0, 0.5),)
-    res = ImproperResult(0.5, 1e-12, 30, False, "+inf", trace)
-    assert (res.value, res.error_estimate, res.evaluations) == (0.5, 1e-12, 30)
-    assert (res.converged, res.divergence, res.partial_sums) == (False, "+inf", trace)
-
-
 def test_only_validating_types_stay_dataclasses():
     # each of these checks or compiles in __post_init__, which a named
     # tuple cannot run
