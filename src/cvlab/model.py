@@ -17,9 +17,10 @@ Truncation applies one global height ``h`` to every end at once, so the
 boundary functionals stay single-variable.  Only orientable surfaces
 can be described; for a nonorientable one, analyze its orientable
 double cover (curvature integrals double, the Euler characteristic
-doubles too).  Validation evaluates one sampling grid per end, the
-positivity angles and the period pairs side by side, reads the first
-violation from masks and raises it as :class:`ModelInvalid`.
+doubles too).  Validation evaluates one sampling grid per distinct
+chart object, the positivity angles and the period pairs side by side,
+reads the first violation from masks and raises it as
+:class:`ModelInvalid`.
 """
 
 from __future__ import annotations
@@ -112,7 +113,12 @@ Core = Union[PolarCap, AnalyticCore]
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Genus, one chart per end, and the core."""
+    """Genus, one chart per end, and the core.
+
+    One chart object may stand at several positions of ``ends``, one end
+    each; validation and the sweep measure it once (:func:`_per_chart`)
+    and count it at every position.
+    """
 
     genus: int
     ends: tuple[EndChart, ...]
@@ -134,6 +140,26 @@ class SurfaceModel:
     @property
     def min_height(self) -> float:
         return max(end.t_min for end in self.ends)
+
+
+def _per_chart(ends, measure) -> list:
+    """``[measure(j, end) for j, end in enumerate(ends)]``, with ``measure``
+    run once per distinct chart object: at the first position ``j`` that
+    holds it, its result then reused at every later position.
+
+    A chart is a pure function of ``(t, theta)``, so one object gives one
+    set of numbers.  The key is object identity: two distinct charts are
+    never merged, even around one closure, and closures are never
+    compared (``EndChart`` equality would compare them).
+    """
+    measured = {}
+    out = []
+    for j, end in enumerate(ends):
+        key = id(end)
+        if key not in measured:
+            measured[key] = measure(j, end)
+        out.append(measured[key])
+    return out
 
 
 _SAMPLES_PER_AXIS = 16  # positivity heights in [t_min, t_min + 8] and angles
@@ -225,7 +251,9 @@ def _period_violation(j: int, ts, values) -> str | None:
 def validate_surface(model: SurfaceModel) -> None:
     """Check model invariants; sampling catches nonpositive G.
 
-    Raises :class:`ModelInvalid` with the first violation found.
+    Raises :class:`ModelInvalid` with the first violation found.  A chart
+    listed at several positions is sampled once, at its first position,
+    which its messages name.
     """
     polar = isinstance(model.core, PolarCap)
     if polar:
@@ -238,7 +266,7 @@ def validate_surface(model: SurfaceModel) -> None:
     elif not isinstance(model.core, AnalyticCore):
         raise ModelInvalid(f"unknown core descriptor {model.core!r}")
 
-    for j, end in enumerate(model.ends):
+    def check(j: int, end: EndChart) -> None:
         ts, thetas = _positivity_probes(end, polar)
         values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
         message = _positivity_violation(j, end, ts, thetas, values, errors)
@@ -247,6 +275,8 @@ def validate_surface(model: SurfaceModel) -> None:
             message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:
             raise ModelInvalid(message)
+
+    _per_chart(model.ends, check)
 
     if polar:
         end = model.ends[0]

@@ -17,20 +17,23 @@ first band starts at its ``t_min``, the pole ``t = 0`` on a polar cap:
 touch a panel's ends.  The integrals of a sweep run in lockstep, one
 batch per end, so each refinement round costs one chart call per end:
 the ``mu`` and ``lambda`` circles of every height and the five of the
-``lambda = mu'`` check are
-one :func:`integrate_circles` call on ``(K, 1)`` heights against
-``(K, 15)`` angles, and the bands one :func:`integrate_bands` call on
-``(K, 15, 1)`` x ``(K, 1, 15)`` nodes.  On a theta-free end the circle
-integrals are ``2*pi`` times point values, all heights in one
-``sqrt_jet`` call, and the bands are 1-D integrals in t on ``(K, 15)``
-nodes.  The improper windows of the direct route, where each step
-decides whether to take the next, run in look-ahead chunks (see
-:func:`cvlab.quadrature._integrate_windows`).  A merged batch that raises fails the
-sweep with its own error.
+``lambda = mu'`` check are one :func:`integrate_circles` call on
+``(K, 1)`` heights against ``(K, 15)`` angles, and the bands one
+:func:`integrate_bands` call on ``(K, 15, 1)`` x ``(K, 1, 15)`` nodes.
+On a theta-free end the circle integrals are ``2*pi`` times point
+values, all heights in one ``sqrt_jet`` call, and the bands are 1-D
+integrals in t on ``(K, 15)`` nodes.  The improper windows of the
+direct route, where each step decides whether to take the next, run in
+look-ahead chunks (see :func:`cvlab.quadrature._integrate_windows`).  A
+merged batch that raises fails the sweep with its own error.  A chart
+object that stands at several ends is measured once, keyed by object
+identity (:func:`cvlab.model._per_chart`), and its numbers are added at
+each of its positions in end order, so every sum is that of measuring
+each end apart.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
 named tuple the samples, the ``lambda = mu'`` differences, one
-curvature scan per end (``h1``, beyond which sampled curvature stays
-nonnegative, and the sampled ``K`` range), the extrapolated limit of
+curvature scan per distinct chart (``h1``, beyond which sampled
+curvature stays nonnegative, and the sampled ``K`` range), the extrapolated limit of
 ``lambda`` and the direct route (``c_trunc`` at the last height plus each
 end's improper tail beyond it), and :func:`_report` reads only that
 record to form the total curvature and every verdict.
@@ -44,7 +47,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .curvature import gauss_curvature
-from .model import EndChart, PolarCap, SurfaceModel, POLE_GUARD, validate_surface
+from .model import EndChart, PolarCap, SurfaceModel, POLE_GUARD, _per_chart, validate_surface
 from .quadrature import (
     DEFAULT_TOL,
     ImproperResult,
@@ -125,26 +128,31 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
     ``sqrt_jet(heights, 0)`` call gives every value, ``2*pi`` times the
     value at theta = 0 with no quadrature error; on any other end the
     circles of all pairs run as one :func:`integrate_circles` batch.
-    Returns ``(values, errors)``; the first nonpositive mu in the given
-    order raises :class:`NonPositiveMu`.
+    Each distinct chart is measured once and added at each of its
+    positions, in end order.  Returns ``(values, errors)``; the first
+    nonpositive mu in the given order raises :class:`NonPositiveMu`.
     """
     hs = np.array(heights, dtype=float)
     is_mu = np.array([slot == "f" for slot in slots])
-    totals, errors = [0.0] * hs.size, [0.0] * hs.size
-    for end in model.ends:
+
+    def circles(j, end):
         if end.theta_free:
             w = end.sqrt_jet(hs, 0.0)
             values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
-            totals = [total + v for total, v in zip(totals, values.tolist())]
-            continue
+            return values.tolist(), None
 
-        def slot_values(i, theta, end=end):
+        def slot_values(i, theta):
             w = end.sqrt_jet(hs[i], theta)
             return np.where(is_mu[i], w.f, w.d1)
 
-        for i, res in enumerate(integrate_circles(slot_values, np.arange(hs.size), tol)):
-            totals[i] += res.value
-            errors[i] += res.error_estimate
+        results = integrate_circles(slot_values, np.arange(hs.size), tol)
+        return [res.value for res in results], [res.error_estimate for res in results]
+
+    totals, errors = [0.0] * hs.size, [0.0] * hs.size
+    for values, errs in _per_chart(model.ends, circles):
+        totals = [total + v for total, v in zip(totals, values)]
+        if errs is not None:
+            errors = [error + e for error, e in zip(errors, errs)]
     for h, mu_slot, total in zip(heights, is_mu, totals):
         if mu_slot and total <= 0.0:
             raise NonPositiveMu(f"mu({h}) = {total} <= 0")
@@ -161,13 +169,13 @@ def _end_bands(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
     each height from the height before, or from the chart edge ``t_min``
     for the first height, the pole ``t = 0`` on a polar cap; a first
     height on the edge gives a zero-width band.  An end's bands are one
-    :func:`integrate_bands` batch."""
-    return [
-        integrate_bands(
+    :func:`integrate_bands` batch, run once per distinct chart."""
+    return _per_chart(
+        model.ends,
+        lambda j, end: integrate_bands(
             _curvature_density(end), [end.t_min, *schedule], tol, theta_free=end.theta_free
-        )
-        for end in model.ends
-    ]
+        ),
+    )
 
 
 def _truncated_curvatures(model: SurfaceModel, bands) -> list[tuple[float, float]]:
@@ -233,7 +241,8 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
 
     Every end is evaluated on one :func:`_probe_heights` grid from
     ``model.min_height`` to ``h_probe_max``, each height clamped to the
-    end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call;
+    end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call per
+    distinct chart;
     those values give the violating rows and ``kmin``/``kmax``.  The boundary of the last
     violation is then refined by bisection to ``h_probe_max / 2**12``:
     the midpoints of every bracket it can reach are probed in one call
@@ -244,10 +253,10 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
         raise ValueError("h_probe_max must exceed every chart edge")
 
     def curvatures(t):
-        return [
-            _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), _PROBE_THETAS)
-            for end in model.ends
-        ]
+        def grid(j, end):
+            return _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), _PROBE_THETAS)
+
+        return _per_chart(model.ends, grid)
 
     def bad_rows(ks):
         return np.any([np.any(k < -K_SLACK, axis=1) for k in ks], axis=0)
@@ -293,10 +302,15 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
         scales.append(scale)
         scale /= 2.0
     # elementwise the float operations of one height at a time, so the
-    # same grid bit for bit; a span past max/grid overflows to inf as a
-    # float does
+    # same grid bit for bit; where span*i overflows (a span past about
+    # max/grid), the fraction i/(grid-1) is scaled instead, whose rounding
+    # may pass h_probe_max
+    steps = np.arange(grid)
     with np.errstate(over="ignore"):
-        uniform = origin + span * np.arange(grid) / (grid - 1)
+        uniform = origin + span * steps / (grid - 1)
+    if math.isinf(uniform[-1]):  # span*i is largest at the last step
+        far = np.isinf(uniform)
+        uniform[far] = np.minimum(origin + span * (steps[far] / (grid - 1)), h_probe_max)
     heights = np.sort(np.concatenate([uniform, origin + np.array(scales)]))
     # np.unique would import numpy.ma on its first call
     return heights[np.append(True, heights[1:] != heights[:-1])]
@@ -321,18 +335,28 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Toler
     t_min)*2^k``, counting the evaluations of both.  An end whose last two
     bands each lie within ``tol.target(0)``, value plus error, is quiet:
     its tail is 0, with their sum as error.  An end whose tail does not
-    converge adds only its evaluations; the first divergence is reported."""
+    converge adds only its evaluations; the first divergence is reported.
+    A chart's tail is integrated once and added at each of its positions;
+    the evaluations count each distinct chart's bands and tail once, the
+    work actually spent."""
     total, err = _truncated_curvatures(model, bands)[-1]
-    evals = sum(band.evaluations for per_end in bands for band in per_end)
-    divergence, converged, trace = None, True, ()
-    for end, per_end in zip(model.ends, bands):
-        quiet = [abs(band.value) + band.error_estimate for band in per_end[-2:]]
+    spent = []
+
+    def tail(j, end):
+        spent.extend(band.evaluations for band in bands[j])
+        quiet = [abs(band.value) + band.error_estimate for band in bands[j][-2:]]
         if max(quiet) <= tol.target(0.0):
-            err += sum(quiet)
-            continue
+            return sum(quiet), None
         edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
         res = _integrate_windows(_curvature_density(end), edges, tol, end.theta_free)
-        evals += res.evaluations
+        spent.append(res.evaluations)
+        return None, res
+
+    divergence, converged, trace = None, True, ()
+    for quiet, res in _per_chart(model.ends, tail):
+        if res is None:
+            err += quiet
+            continue
         if res.divergence is not None or not res.converged:
             divergence = divergence or res.divergence
             converged = False
@@ -340,7 +364,7 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Toler
             continue
         total += res.value
         err += res.error_estimate
-    return ImproperResult(total, err, evals, converged, divergence, trace)
+    return ImproperResult(total, err, sum(spent), converged, divergence, trace)
 
 
 def _mu_prime_heights(h0: float, step: float) -> list[float]:

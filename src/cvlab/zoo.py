@@ -68,16 +68,14 @@ def make_flat_cylinder() -> ZooEntry:
 
     G = 1 on both ends: every boundary circle is a unit-speed geodesic
     of length 2*pi, so mu = 4*pi, lambda = 0, and all curvature
-    integrals vanish.
+    integrals vanish.  One chart object stands for both ends, so the
+    sweep measures it once.
     """
     unit = Jet2(1.0)
-
-    def chart() -> EndChart:
-        return EndChart(sqrt_g_jet=lambda t, theta: unit, theta_free=True)
-
+    end = EndChart(sqrt_g_jet=lambda t, theta: unit, theta_free=True)
     model = SurfaceModel(
         genus=0,
-        ends=(chart(), chart()),
+        ends=(end, end),
         core=AnalyticCore(0.0),
         name="flat-cylinder",
     )
@@ -286,7 +284,8 @@ def make_catenoid() -> ZooEntry:
     each half; the waist t = 0 is a geodesic, so the core contributes
     nothing, and each end carries curvature integral -2*pi, the
     classical total -4*pi.  Curvature is negative everywhere, so the
-    nonnegative-at-infinity hypothesis fails.
+    nonnegative-at-infinity hypothesis fails.  One chart object stands
+    for both ends, so the sweep measures it once.
     """
 
     def sqrt_g_jet(t, theta):
@@ -298,12 +297,10 @@ def make_catenoid() -> ZooEntry:
                 w = np.where(np.isinf(w), np.abs(t), w)[()]
             return Jet2(w, t / w, 1.0 / w**3)
 
-    def chart() -> EndChart:
-        return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
-
+    end = EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
     model = SurfaceModel(
         genus=0,
-        ends=(chart(), chart()),
+        ends=(end, end),
         core=AnalyticCore(0.0),
         name="catenoid",
     )

@@ -55,6 +55,14 @@ def violation(model):
 
 
 class TestValidateSurface:
+    def test_repeated_bad_chart_named_at_its_first_position(self):
+        # a chart listed twice is sampled once, at end 1
+        bad = EndChart(g_jet=lambda t, theta: Jet2(1.0 - t, -1.0, 0.0))
+        model = SurfaceModel(0, (flat_chart(), bad, bad), AnalyticCore(0.0))
+        assert violation(model).startswith("end 2: G <= 0 at sampled point (t=")
+        model = SurfaceModel(0, (bad, bad), AnalyticCore(0.0))
+        assert violation(model).startswith("end 1: G <= 0 at sampled point (t=")
+
     def test_flat_cylinder_accepted(self):
         model = SurfaceModel(
             genus=0,

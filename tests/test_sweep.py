@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvlab.sweep as sweep
-from cvlab.cli import RunConfig
+from cvlab.cli import RunConfig, report_to_csv, report_to_json_dict
 from cvlab.jets import DomainError, Jet2
 from cvlab.model import (
     POLE_GUARD,
@@ -828,7 +830,8 @@ class TestProbeColumns:
 
     @pytest.mark.parametrize("name", ["paraboloid", "catenoid", "three-ends"])
     def test_sweep_scans_each_end_once(self, name, monkeypatch):
-        # h1 and the sampled K range come from one grid scan per end
+        # h1 and the sampled K range come from one grid scan per distinct
+        # chart: the catenoid lists one chart object twice
         model = three_ends() if name == "three-ends" else zoo_entry(name).model
         schedule = BAND_SCHEDULES[name]
         rows = len(sweep._probe_heights(model.min_height, schedule[-1], sweep._PROBE_GRID))
@@ -842,7 +845,7 @@ class TestProbeColumns:
 
         monkeypatch.setattr(sweep, "gauss_curvature", recording)
         run_sweep(model, schedule)
-        assert sorted(scans) == sorted(id(end) for end in model.ends)
+        assert sorted(scans) == sorted({id(end) for end in model.ends})
 
 
 def per_step_detect_h1(model, h_probe_max, grid):
@@ -877,7 +880,12 @@ def per_step_detect_h1(model, h_probe_max, grid):
 def per_height_probe_grid(origin, h_probe_max, grid):
     """Reference: the probe grid as a set of scalar heights."""
     span = h_probe_max - origin
-    heights = {origin + span * i / (grid - 1) for i in range(grid)}
+    heights = set()
+    for i in range(grid):
+        h = origin + span * i / (grid - 1)
+        if math.isinf(h):  # span*i overflowed
+            h = min(origin + span * (i / (grid - 1)), h_probe_max)
+        heights.add(h)
     scale = span / 2.0
     while scale > POLE_GUARD:
         heights.add(origin + scale)
@@ -888,14 +896,16 @@ def per_height_probe_grid(origin, h_probe_max, grid):
 @pytest.mark.parametrize(
     "origin, h_probe_max",
     [(0.0, 64.0), (0.0, 1.0), (0.5, 16.0), (0.25, 7.3), (0.0, 1e-7), (3.0, 3.0000001),
-     (0.0, 1e200), (1e17, 1e17 + 64.0), (0.0, 1e307)],
+     (0.0, 1e200), (1e17, 1e17 + 64.0), (0.0, 1e307), (0.0, 1.7e308)],
 )
 def test_probe_grid_is_bitwise_the_scalar_grid(origin, h_probe_max):
-    # the same float operations as one height at a time; a span past
-    # max/grid overflows to inf in both, without a warning
+    # the same float operations as one height at a time; past span*i's
+    # overflow both scale the fraction, finite and capped at h_probe_max,
+    # without a warning
     got = sweep._probe_heights(origin, h_probe_max, sweep._PROBE_GRID)
     want = per_height_probe_grid(origin, h_probe_max, sweep._PROBE_GRID)
     assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all() and got[-1] <= h_probe_max
 
 
 def sign_change_model(roots):
@@ -1034,17 +1044,22 @@ class TestMergedBatches:
 
 CHART_CALL_CASES = {
     "paraboloid": (lambda: zoo_entry("paraboloid").model, DEEP_SCHEDULE),
+    "catenoid": (lambda: zoo_entry("catenoid").model, SCHEDULES["catenoid"]),
+    "flat-cylinder": (lambda: zoo_entry("flat-cylinder").model, SCHEDULES["flat-cylinder"]),
     "theta-cap": (theta_cap, RunConfig("theta-cap").schedule()),
     "three-ends": (three_ends, BAND_SCHEDULES["three-ends"]),
 }
 
 
 @pytest.mark.parametrize(
-    "name,calls", [("paraboloid", 11), ("theta-cap", 6), ("three-ends", 19)]
+    "name,calls",
+    [("paraboloid", 11), ("catenoid", 6), ("flat-cylinder", 4), ("theta-cap", 6),
+     ("three-ends", 19)],
 )
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the
-    # merged batches merged and the direct route on the truncation's bands
+    # merged batches merged, the direct route on the truncation's bands
+    # and a chart listed at two positions measured once
     build, schedule = CHART_CALL_CASES[name]
     model = build()
     counted = []
@@ -1058,3 +1073,48 @@ def test_chart_calls_per_sweep(name, calls, monkeypatch):
         monkeypatch.setattr(EndChart, method, counting)
     run_sweep(model, schedule)
     assert len(counted) == calls
+
+
+def theta_end():
+    # G varies in theta and K < 0 up to t ~ 7: circle batches, 2-D bands
+    # and an h1 bisection between grid rows
+    return chart_from_expression("(1 + t)^2*(1 + 0.2*cos(2*theta)*exp(-(t - 2)^2))^2")
+
+
+# (distinct charts, the chart at each position, core curvature, schedule);
+# the core closes Gauss-Bonnet, since every end but the catenoid's has
+# sqrt(G)' = 1 at its edge
+REPEATED_CHARTS = {
+    "zoo-theta-free": (
+        lambda: [zoo_entry("catenoid").model.ends[0]], (0, 0), 0.0, SCHEDULES["catenoid"]
+    ),
+    "dsl-theta": (lambda: [theta_end()], (0, 0), -2 * TWO_PI, list(np.geomspace(1.0, 16.0, 8))),
+    "non-adjacent": (
+        lambda: [chart_from_expression("(1 + t)^2", t_min=0.25), theta_end()],
+        (0, 1, 0),
+        -4 * TWO_PI,
+        list(np.geomspace(1.0, 16.0, 8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_CHARTS)
+def test_repeated_chart_reports_as_distinct_charts(name):
+    # one chart object at several positions is measured once; the report
+    # must be that of distinct objects around the same closures, which
+    # are measured one by one
+    build, positions, core, schedule = REPEATED_CHARTS[name]
+    charts = build()
+    shared = SurfaceModel(0, tuple(charts[k] for k in positions), AnalyticCore(core), name)
+    apart = SurfaceModel(
+        0, tuple(dataclasses.replace(charts[k]) for k in positions), AnalyticCore(core), name
+    )
+    assert len({id(end) for end in apart.ends}) == len(positions)
+    want, got = run_sweep(apart, schedule), run_sweep(shared, schedule)
+    assert got == want
+    assert json.dumps(report_to_json_dict(got), indent=2) == json.dumps(
+        report_to_json_dict(want), indent=2
+    )
+    assert report_to_csv(got) == report_to_csv(want)
+    if any(not charts[k].theta_free for k in positions):
+        assert shared.min_height < got.h1 < schedule[-1]
