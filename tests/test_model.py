@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -55,13 +56,16 @@ def violation(model):
 
 
 class TestValidateSurface:
-    def test_repeated_bad_chart_named_at_its_first_position(self):
-        # a chart listed twice is sampled once, at end 1
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_repeated_bad_chart_named_at_its_first_position(self, before):
+        # a chart listed twice is sampled once, at its first position, and
+        # raises the message of two distinct charts around its closure
         bad = EndChart(g_jet=lambda t, theta: Jet2(1.0 - t, -1.0, 0.0))
-        model = SurfaceModel(0, (flat_chart(), bad, bad), AnalyticCore(0.0))
-        assert violation(model).startswith("end 2: G <= 0 at sampled point (t=")
-        model = SurfaceModel(0, (bad, bad), AnalyticCore(0.0))
-        assert violation(model).startswith("end 1: G <= 0 at sampled point (t=")
+        head = (flat_chart(),) * before
+        shared = SurfaceModel(0, (*head, bad, bad), AnalyticCore(0.0))
+        apart = SurfaceModel(0, (*head, bad, dataclasses.replace(bad)), AnalyticCore(0.0))
+        assert violation(shared) == violation(apart)
+        assert violation(shared).startswith(f"end {before + 1}: G <= 0 at sampled point (t=")
 
     def test_flat_cylinder_accepted(self):
         model = SurfaceModel(
