@@ -27,9 +27,11 @@ direct route, where each step decides whether to take the next, run in
 look-ahead chunks (see :func:`cvlab.quadrature._integrate_windows`).  A
 merged batch that raises fails the sweep with its own error.  A chart
 object that stands at several ends is measured once, keyed by object
-identity (:func:`cvlab.model._per_chart`), and its numbers are added at
-each of its positions in end order, so every sum is that of measuring
-each end apart.
+identity (:func:`cvlab.model._per_chart`), which hands back one result
+per end.  Every sum of a sweep is one pass over those per-end results in
+end order: a height's circles in :func:`_boundaries`, and the bands of
+``c_trunc`` and the tails of the direct route in :func:`_running_sums`.
+So every sum is that of measuring each end apart.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
 named tuple the samples, the ``lambda = mu'`` differences, one
 curvature scan per distinct chart (``h1``, beyond which sampled
@@ -52,6 +54,7 @@ from .quadrature import (
     DEFAULT_TOL,
     ImproperResult,
     NotMonotone,
+    QuadResult,
     TailLimit,
     Tolerance,
     _doublings,
@@ -134,12 +137,13 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
     """
     hs = np.array(heights, dtype=float)
     is_mu = np.array([slot == "f" for slot in slots])
+    zeros = [0.0] * hs.size  # never mutated: every sum below builds a new list
 
     def circles(j, end):
         if end.theta_free:
             w = end.sqrt_jet(hs, 0.0)
             values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
-            return values.tolist(), None
+            return values.tolist(), zeros
 
         def slot_values(i, theta):
             w = end.sqrt_jet(hs[i], theta)
@@ -148,11 +152,10 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
         results = integrate_circles(slot_values, np.arange(hs.size), tol)
         return [res.value for res in results], [res.error_estimate for res in results]
 
-    totals, errors = [0.0] * hs.size, [0.0] * hs.size
+    totals, errors = zeros, zeros
     for values, errs in _per_chart(model.ends, circles):
         totals = [total + v for total, v in zip(totals, values)]
-        if errs is not None:
-            errors = [error + e for error, e in zip(errors, errs)]
+        errors = [error + e for error, e in zip(errors, errs)]
     for h, mu_slot, total in zip(heights, is_mu, totals):
         if mu_slot and total <= 0.0:
             raise NonPositiveMu(f"mu({h}) = {total} <= 0")
@@ -164,32 +167,17 @@ def _curvature_density(end: EndChart):
     return lambda t, theta: -end.sqrt_jet(t, theta).d2
 
 
-def _end_bands(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance):
-    """Per end, the :class:`QuadResult` of the curvature integral up to
-    each height from the height before, or from the chart edge ``t_min``
-    for the first height, the pole ``t = 0`` on a polar cap; a first
-    height on the edge gives a zero-width band.  An end's bands are one
-    :func:`integrate_bands` batch, run once per distinct chart."""
-    return _per_chart(
-        model.ends,
-        lambda j, end: integrate_bands(
-            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=end.theta_free
-        ),
-    )
-
-
-def _truncated_curvatures(model: SurfaceModel, bands) -> list[tuple[float, float]]:
-    """``(c_trunc, error)`` at each height: the core term plus the running
-    sums of the :func:`_end_bands` in schedule order."""
-    total = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
-    err = 0.0
-    out = []
-    for row in zip(*bands):
-        for band in row:
-            total += band.value
-            err += band.error_estimate
-        out.append((total, err))
-    return out
+def _running_sums(total: float, err: float, rows) -> list[tuple[float, float]]:
+    """``(value, error)`` after each row of per-chart results, every
+    row's values and error estimates added in end order onto ``(total,
+    err)``: the one pass behind ``c_trunc`` and the direct route."""
+    sums = []
+    for row in rows:
+        for res in row:
+            total += res.value
+            err += res.error_estimate
+        sums.append((total, err))
+    return sums
 
 
 def sweep_samples(
@@ -214,16 +202,24 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
 
 
 def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, probes=()):
-    """``(samples, values, errors, bands)`` on a checked schedule:
-    :func:`sweep_samples`, the boundary values and errors at the extra
-    ``(height, slot)`` ``probes``, which ride in the boundary batch, and
-    the :func:`_end_bands` that ``c_trunc`` sums."""
+    """``(samples, values, errors, bands, c_last)`` on a checked schedule:
+    :func:`sweep_samples`; the boundary values and errors at the extra
+    ``(height, slot)`` ``probes``, which ride in the boundary batch; per
+    end the :class:`QuadResult` of each band, up to a height from the one
+    before or from ``t_min``, the pole on a polar cap; and ``(c_trunc,
+    error)`` at the last height.  ``c_trunc`` sums the bands onto the core."""
     n = len(schedule)
     heights = [*schedule, *schedule, *(h for h, _ in probes)]
     slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
     values, errors = _boundaries(model, heights, tol, slots)
-    bands = _end_bands(model, schedule, tol)
-    curvatures = _truncated_curvatures(model, bands)
+    bands = _per_chart(
+        model.ends,
+        lambda j, end: integrate_bands(
+            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=end.theta_free
+        ),
+    )
+    core = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
+    curvatures = _running_sums(core, 0.0, zip(*bands))
     closed = TWO_PI * model.chi
     samples = []
     for i, h in enumerate(schedule):
@@ -232,7 +228,7 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
         c, ec = curvatures[i]
         residual = abs(closed - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
-    return tuple(samples), values[2 * n :], errors[2 * n :], bands
+    return tuple(samples), values[2 * n :], errors[2 * n :], bands, curvatures[-1]
 
 
 def _curvature_scan(model: SurfaceModel, h_probe_max: float):
@@ -251,6 +247,8 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
     """
     if h_probe_max <= model.min_height:
         raise ValueError("h_probe_max must exceed every chart edge")
+    if not math.isfinite(h_probe_max - model.min_height):
+        raise ValueError(f"probe span from {model.min_height} to {h_probe_max} is not finite")
 
     def curvatures(t):
         def grid(j, end):
@@ -329,42 +327,35 @@ def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> n
     return np.broadcast_to(k, (heights.size, thetas.size))
 
 
-def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, tol: Tolerance):
-    """The direct route: ``c_trunc(h_max)``, core term included, plus per
-    end the integral of ``K dA`` on the windows ``t_min + (h_max -
+def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance):
+    """The direct route: ``c_last``, ``(c_trunc, error)`` at ``h_max``, plus
+    per end the integral of ``K dA`` on the windows ``t_min + (h_max -
     t_min)*2^k``, counting the evaluations of both.  An end whose last two
     bands each lie within ``tol.target(0)``, value plus error, is quiet:
-    its tail is 0, with their sum as error.  An end whose tail does not
-    converge adds only its evaluations; the first divergence is reported.
+    its tail is 0, with their sum as error.  A tail that does not converge
+    adds only its evaluations; the first divergence and trace are reported.
     A chart's tail is integrated once and added at each of its positions;
     the evaluations count each distinct chart's bands and tail once, the
     work actually spent."""
-    total, err = _truncated_curvatures(model, bands)[-1]
     spent = []
 
     def tail(j, end):
         spent.extend(band.evaluations for band in bands[j])
         quiet = [abs(band.value) + band.error_estimate for band in bands[j][-2:]]
         if max(quiet) <= tol.target(0.0):
-            return sum(quiet), None
+            return QuadResult(0.0, sum(quiet), 0, True)
         edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
         res = _integrate_windows(_curvature_density(end), edges, tol, end.theta_free)
         spent.append(res.evaluations)
-        return None, res
+        return res
 
-    divergence, converged, trace = None, True, ()
-    for quiet, res in _per_chart(model.ends, tail):
-        if res is None:
-            err += quiet
-            continue
-        if res.divergence is not None or not res.converged:
-            divergence = divergence or res.divergence
-            converged = False
-            trace = trace or res.partial_sums
-            continue
-        total += res.value
-        err += res.error_estimate
-    return ImproperResult(total, err, sum(spent), converged, divergence, trace)
+    tails = _per_chart(model.ends, tail)
+    settled = [res for res in tails if res.converged]
+    failed = [res for res in tails if not res.converged]
+    total, err = _running_sums(*c_last, [settled])[-1]
+    divergence = next(filter(None, (res.divergence for res in failed)), None)
+    trace = next(filter(None, (res.partial_sums for res in failed)), ())
+    return ImproperResult(total, err, sum(spent), not failed, divergence, trace)
 
 
 def _mu_prime_heights(h0: float, step: float) -> list[float]:
@@ -421,12 +412,12 @@ def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> 
     _check_schedule(model, schedule)
     h0, step = _mu_prime_point(model, schedule)
     probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
-    samples, values, errors, bands = _sweep_samples(model, schedule, tol, probes)
+    samples, values, errors, bands, c_last = _sweep_samples(model, schedule, tol, probes)
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
     h1, kmin, kmax = _curvature_scan(model, schedule[-1])
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    direct = _total_curvature_direct(model, schedule[-1], bands, tol)
+    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 

@@ -448,6 +448,20 @@ class TestConfigFiles:
         assert "Traceback" not in captured.err
         assert "theorem" in captured.out
 
+    def test_infinite_probe_span_exits_one(self, tmp_path, capsys):
+        # h_max - t_min overflows to inf, a span the curvature scan refuses
+        path = tmp_path / "wide.cfg"
+        path.write_text(
+            "[surface]\ngenus = 0\nends = 1\ncore = analytic:6.283185307179586\n\n"
+            "[end1]\ng = 1\nt_min = -1e308\n"
+        )
+        assert main(["verify", "--config", str(path), "--h-min", "1", "--h-max", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "not finite" in captured.err
+
     def test_divergent_end_reported_not_crashed(self, tmp_path, capsys):
         path = tmp_path / "flared.cfg"
         path.write_text(DIVERGENT_CONFIG)

@@ -195,6 +195,13 @@ class TestDetectH1:
         with pytest.raises(ValueError):
             sweep._curvature_scan(zoo_entry("polar-plane").model, 0.0)
 
+    def test_probe_span_must_be_finite(self):
+        # 1e308 - (-1e308) overflows: halving an infinite span toward the
+        # origin would never reach POLE_GUARD
+        model = SurfaceModel(0, (chart_from_expression("1", t_min=-1e308),), AnalyticCore(TWO_PI))
+        with pytest.raises(ValueError, match="probe span .* is not finite"):
+            sweep._curvature_scan(model, 1e308)
+
 
 class TestRunSweep:
     def test_flat_cylinder_all_pass(self, reports):
@@ -540,6 +547,30 @@ class TestDirectTotalCurvature:
         res = _direct_route(name)
         assert counted
         assert res.evaluations == sum(counted)
+
+    def test_failed_tails_report_the_first_and_add_only_settled_ones(self):
+        # two flaring ends diverge at different rates between two settling
+        # ones: the route fails with the first failed end's direction and
+        # trace, and its value adds only the settled tails
+        settle, slow, fast, wide = (
+            chart_from_expression(g) for g in ("1 + t^2", "(1 + t)^4", "(1 + t)^6", "2.25 + t^2")
+        )
+        schedule = [float(h) for h in np.geomspace(1.0, 16.0, 8)]
+
+        def measure(*ends):
+            model = SurfaceModel(0, ends, AnalyticCore(-7 * TWO_PI))
+            return sweep._measure(model, schedule, sweep.DEFAULT_TOL)
+
+        m = measure(settle, slow, fast, wide)
+        alone_slow, alone_fast = measure(settle, slow).direct, measure(settle, fast).direct
+        assert alone_slow.partial_sums != alone_fast.partial_sums
+        assert not m.direct.converged
+        assert m.direct.divergence == alone_slow.divergence == "-inf"
+        assert m.direct.partial_sums == alone_slow.partial_sums
+        # sqrt(G) = sqrt(c^2 + t^2) has the tail -2*pi*(1 - h/sqrt(c^2 + h^2))
+        h = schedule[-1]
+        tails = sum(-TWO_PI * (1.0 - h / math.sqrt(c2 + h * h)) for c2 in (1.0, 2.25))
+        assert m.direct.value == pytest.approx(m.samples[-1].c_trunc + tails, rel=0.0, abs=1e-9)
 
 
 # the verdicts of the exp(-2t) surface below, the same at both heights
