@@ -558,6 +558,7 @@ class TestDirectTotalCurvature:
         schedule = [float(h) for h in np.geomspace(1.0, 16.0, 8)]
 
         def measure(*ends):
+            # the core's value does not reach the tails
             model = SurfaceModel(0, ends, AnalyticCore(-7 * TWO_PI))
             return sweep._measure(model, schedule, sweep.DEFAULT_TOL)
 
