@@ -1,35 +1,26 @@
-"""Adaptive quadrature over boundary circles, end bands, and full ends.
+"""Quadrature over boundary circles, end bands, and full ends.
 
-All integrals run on panels carrying an embedded Gauss(7)/Kronrod(15)
-rule pair; the panel error is the difference of the two rules.  One
-worst-first driver, as in QUADPACK's QAG, refines circles and bands
-alike: it keeps a heap of the live panels and splits the one with the
-largest error (the older one on a tie) in two, until the summed error
-estimate meets the tolerance.  It stops early, with ``converged=False``,
-before a split whose two new panels would take the evaluation count past
-``max_evaluations``; a budget below the cost of the starting panels is
-refused with :class:`ValueError`.  A band whose integrand the caller
-declares theta-free is ``2*pi`` times a 1-D integral in t.  Improper
-integrals over ``[t_lo, inf)`` walk doubling windows and accelerate the
-partial sums with a geometric tail model; divergence is detected and
-reported as a first-class result, never as an exception.
-
-The driver runs K integrals in lockstep (:func:`integrate_circles`,
-:func:`integrate_bands`): each keeps its own heap, tie-break, stopping
-rule and budget, so it returns exactly what a lone run returns, while
-every refinement round integrates the new panels of all K integrals
-with one call of the integrand.  A batched integrand gets one row per
-panel of the round: ``(K, 15)`` abscissae in 1-D, ``(K, 15, 1)`` and
-``(K, 1, 15)`` node arrays for 15 x 15 grids in 2-D (as in QUADPACK's
-vectorised QK15, one level up); a single integral is the K = 1 call.
-The improper windows, a chain whose every step decides whether to take
-the next, are integrated in look-ahead chunks, one
-:func:`integrate_bands` call each, and read one by one in the same loop
-(:func:`_integrate_windows`); windows past the stop are integrated and
-discarded but still counted.
-Integrands must be written with numpy functions; a scalar result is
-broadcast to the nodes' shape, and a non-finite value anywhere fails
-the whole call with :class:`DomainError`.
+Every theta integral runs one rule: the equispaced trapezoid mean ``T_N``
+on ``[0, 2*pi)``, valued ``2*pi*T_N``, with the same rule rotated by
+``_SHIFT`` as its error partner, ``2*pi*|T_N - T_N^rot|``.  Both start at
+``_FLOOR`` points and double by their midpoints.  On smooth periodic
+integrands it converges geometrically (Trefethen and Weideman, SIAM
+Review 56(3), 2014); a frequency that aliases onto ``T_N`` moves the
+rotated rule, save at phases where both read the same value.
+:func:`integrate_circles` runs it alone.  :func:`integrate_bands` runs one
+worst-first driver in t, as in QUADPACK's QAG, over band panels: a
+t-interval at a theta level, valued ``2*pi`` times Gauss(7)/Kronrod(15)
+in t of the theta mean.  A theta-free band is the one-point case, ``2*pi``
+times GK15 of ``f(t, 0)``.  Either runs K integrals in lockstep, one
+integrand call per round (per theta level for bands), each result that
+of a lone run, and stops with ``converged=False`` before a refinement
+that would pass ``max_evaluations``.  Improper integrals over ``[t_lo,
+inf)`` walk doubling windows in look-ahead chunks, one
+:func:`integrate_bands` call each (:func:`_integrate_windows`), and
+accelerate the partial sums with a geometric tail model; divergence is a
+first-class result, never an exception.  Integrands must be written with
+numpy functions; a scalar result is broadcast to the nodes' shape, and a
+non-finite value anywhere fails the whole call with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -45,57 +36,17 @@ from .jets import DomainError
 
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Kronrod 15-point abscissae on [-1, 1]; odd indices are the
-# embedded 7-point Gauss nodes.
-_XGK = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
-_WG7 = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-        0.381830050505119,
-        0.279705391489277,
-        0.129484966168870,
-    ]
-)
+# The Gauss-Kronrod 15-point rule on [-1, 1] is symmetric about 0: its
+# abscissae from the center out, then its weights and the embedded 7-point
+# Gauss weights, whose nodes are the odd indices of the full rule.
+_X_RIGHT = (0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
+            0.864864423359769, 0.949107912342759, 0.991455371120813)
+_XGK = np.array([*(-x for x in reversed(_X_RIGHT)), 0.0, *_X_RIGHT])
+_WGK_RIGHT = (0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
+              0.104790010322250, 0.063092092629979, 0.022935322010529)
+_WGK = np.array([*reversed(_WGK_RIGHT), 0.209482141084728, *_WGK_RIGHT])
+_WG7_RIGHT = (0.381830050505119, 0.279705391489277, 0.129484966168870)
+_WG7 = np.array([*reversed(_WG7_RIGHT), 0.417959183673469, *_WG7_RIGHT])
 
 
 _WGK_COLUMN, _WG7_COLUMN = _WGK[:, None], _WG7[:, None]  # the stacked products' right operands
@@ -155,96 +106,103 @@ class TailLimit(NamedTuple):
     error_bound: float
 
 
+_FLOOR = 8  # points of each theta rule in a circle's first round and a band's first panel
+_SHIFT = 0.6180339887 * TWO_PI / _FLOOR  # the rotated rule's offset: an irrational share of a step
+
+
+def _thetas(n: int) -> np.ndarray:
+    """The ``n``-point rule on ``[0, 2*pi)``, then it rotated by ``_SHIFT``;
+    the odd nodes of each half of ``_thetas(2*n)`` are its midpoints."""
+    base = TWO_PI * np.arange(n) / n
+    return np.concatenate([base, base + _SHIFT])
+
+
+def _start_cost(theta_free: bool) -> int:
+    """Evaluations of a band's starting panel, at theta = 0 or on both floor rules."""
+    return 15 if theta_free else 30 * _FLOOR
+
+
 def _require_finite(values: np.ndarray, jobs) -> None:
     if np.isfinite(values).all():
         return
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-    box = jobs[int(np.argmin(finite))][1]
-    raise DomainError(f"non-finite integrand value on panel {box}")
+    interval = jobs[int(np.argmin(finite))][1][:2]
+    raise DomainError(f"non-finite integrand value on panel {interval}")
+
+
+def _gk15(half: np.ndarray, fv: np.ndarray):
+    """Kronrod and Gauss values of the ``(J, 15)`` rows ``fv`` on panels of
+    half-widths ``half``, as stacked products: bitwise a lone panel's."""
+    kron = half * (fv[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
+    sub = np.ascontiguousarray(fv[:, 1::2])
+    gauss = half * (sub[:, None, :] @ _WG7_COLUMN)[:, 0, 0]
+    return kron, gauss
 
 
 def _panels_1d(values: Callable, jobs, scale: float = 1.0):
     """GK15 panels over the intervals of ``jobs``, ``(member, (a, b))``
-    pairs, from one call ``values(members, x)`` on the tuple of members
-    and the ``(J, 15)`` node array.  Returns ``(value, error, children)`` per job: ``scale`` times
-    the Kronrod value and the Kronrod-Gauss difference, and the halves.
-    The rule pair is a stacked product, bitwise that of a lone panel."""
-    members, boxes = zip(*jobs)
-    ab = np.array(boxes, dtype=float)
+    pairs, from one call ``values(x)`` on ``(J, 15)`` nodes.  Returns
+    ``(value, error, 15, children)`` per job: ``scale`` times the Kronrod
+    value and the Kronrod-Gauss difference, and the halves."""
+    ab = np.array([box for _, box in jobs], dtype=float)
     half = 0.5 * (ab[:, 1:] - ab[:, :1])
     mid = 0.5 * (ab[:, :1] + ab[:, 1:])
     fv = np.empty((len(jobs), 15))
-    fv[...] = values(members, mid + half * _XGK)
+    fv[...] = values(mid + half * _XGK)
     _require_finite(fv, jobs)
-    half = half[:, 0]
-    kron = half * (fv[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
-    sub = np.ascontiguousarray(fv[:, 1::2])
-    gauss = half * (sub[:, None, :] @ _WG7_COLUMN)[:, 0, 0]
+    kron, gauss = _gk15(half[:, 0], fv)
     scaled, errors = (scale * kron).tolist(), (scale * np.abs(kron - gauss)).tolist()
     rows = zip(jobs, mid[:, 0].tolist(), scaled, errors)
-    return [(v, e, ((a, m), (m, b))) for (_, (a, b)), m, v, e in rows]
+    return [(v, e, 15, ((a, m), (m, b))) for (_, (a, b)), m, v, e in rows]
 
 
-def _panels_2d(f: Callable, jobs):
-    """Tensor-product panels over the boxes of ``jobs``, ``(member, (a, b,
-    c, d))`` pairs for ``[a, b] x [c, d]`` in ``(t, theta)``, from one call
-    ``f(t, theta)`` on ``(J, 15, 1)`` and ``(J, 1, 15)`` node arrays.  Each
-    box splits in two along the axis of larger variation.
-
-    The rule pair, the error and the variations of all J panels are
-    stacked products; a stacked matmul reduces each panel on its own, so
-    every number is bitwise that of a lone panel."""
-    box = np.array([box for _, box in jobs], dtype=float)
-    a, b, c, d = (box[:, i : i + 1] for i in range(4))
-    half_t = 0.5 * (b - a)
-    half_s = 0.5 * (d - c)
-    tv = 0.5 * (a + b) + half_t * _XGK
-    sv = 0.5 * (c + d) + half_s * _XGK
-    grids = np.empty((len(jobs), 15, 15))
-    grids[...] = f(tv[:, :, None], sv[:, None, :])
-    _require_finite(grids, jobs)
-    area = (half_t * half_s)[:, 0]
-    kron = area * ((_WGK @ grids)[:, None, :] @ _WGK[:, None])[:, 0, 0]
-    sub = np.ascontiguousarray(grids[:, 1::2, 1::2])
-    gauss = area * ((_WG7 @ sub)[:, None, :] @ _WG7[:, None])[:, 0, 0]
-    row_means = grids.mean(axis=2)
-    col_means = grids.mean(axis=1)
-    var_t = row_means.max(axis=1) - row_means.min(axis=1)
-    var_s = col_means.max(axis=1) - col_means.min(axis=1)
-    out = []
-    for (_, (a, b, c, d)), value, error, vt, vs in zip(
-        jobs, kron.tolist(), np.abs(kron - gauss).tolist(), var_t.tolist(), var_s.tolist()
-    ):
-        if vt > vs or (vt == vs and (b - a) >= (d - c)):
-            mid = 0.5 * (a + b)
-            children = ((a, mid, c, d), (mid, b, c, d))
-        else:
-            mid = 0.5 * (c + d)
-            children = ((a, b, c, mid), (a, b, mid, d))
-        out.append((value, error, children))
+def _theta_panels(f: Callable, jobs):
+    """Band panels over the boxes ``(a, b, n)`` of ``jobs``, ``(member,
+    box)`` pairs, from one call ``f(t, theta)`` per level ``n`` on ``(J,
+    15, 1)`` t-nodes and the ``(1, 1, 2*n)`` angles of :func:`_thetas`.
+    Returns ``(value, error, 30*n, children)`` per job: ``2*pi`` times the
+    Kronrod value of the theta mean; the Kronrod-Gauss difference plus the
+    Kronrod integral of ``|T_n - T_n^rot|``; and the t-halves, or ``(a, b,
+    2*n)`` when the theta part of the error is the larger."""
+    out = [None] * len(jobs)
+    levels: dict[int, list[int]] = {}
+    for i, (_, box) in enumerate(jobs):
+        levels.setdefault(box[2], []).append(i)
+    for n, rows in levels.items():
+        group = [jobs[i] for i in rows]
+        ab = np.array([box[:2] for _, box in group])
+        half = 0.5 * (ab[:, 1:] - ab[:, :1])
+        mid = 0.5 * (ab[:, :1] + ab[:, 1:])
+        grids = np.empty((len(rows), 15, 2 * n))
+        grids[...] = f((mid + half * _XGK)[:, :, None], _thetas(n)[None, None, :])
+        _require_finite(grids, group)
+        means = grids.reshape(len(rows), 15, 2, n).sum(axis=3) / n
+        plain = np.ascontiguousarray(means[:, :, 0])
+        drift = np.abs(plain - means[:, :, 1])
+        half = half[:, 0]
+        kron, gauss = _gk15(half, plain)
+        theta_err = TWO_PI * half * (drift[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
+        t_err = TWO_PI * np.abs(kron - gauss)
+        parts = zip(rows, group, mid[:, 0].tolist(), (TWO_PI * kron).tolist(), t_err.tolist(),
+                    theta_err.tolist())
+        for i, (_, (a, b, _)), m, value, te, se in parts:
+            children = ((a, m, n), (m, b, n)) if te >= se else ((a, b, 2 * n),)
+            out[i] = (value, te + se, 30 * n, children)
     return out
 
 
-def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[QuadResult]:
+def _adapt_many(panels: Callable, starts, tol: Tolerance) -> list[QuadResult]:
     """Worst-first adaptive refinement of several integrals in lockstep.
 
     ``starts[k]`` lists the starting boxes of integral ``k``;
-    ``panels(jobs)`` integrates ``(k, box)`` pairs with ``points``
-    evaluations each, in one call, and returns ``(value, error,
-    children)`` per job.  Each integral keeps its own heap of live panels,
-    largest error first, ties broken by creation order, and stops on its
-    own once its summed error meets the tolerance, or before a split whose
-    two children would exceed ``tol.max_evaluations``.  Each round the
-    children of every integral still running go to one ``panels`` call,
-    so the results are exactly those of one run per integral.  A budget
-    that cannot pay for the starting panels raises :class:`ValueError`.
+    ``panels(jobs)`` integrates ``(k, box)`` pairs and returns ``(value,
+    error, evaluations, children)`` per job, the children costing twice
+    the panel.  Each integral keeps its own heap, largest error first,
+    ties broken by creation order, and stops once its summed error meets
+    the tolerance, or before children that would take it past
+    ``tol.max_evaluations``.  The children of every integral still running
+    go to one ``panels`` call, so each result is that of a lone run.
     """
-    for boxes in starts:
-        if len(boxes) * points > tol.max_evaluations:
-            raise ValueError(
-                f"max_evaluations={tol.max_evaluations} cannot pay for the "
-                f"{len(boxes) * points} evaluations of the starting panels"
-            )
     abs_tol, rel_tol, budget = tol.abs_tol, tol.rel_tol, tol.max_evaluations
     heaps: list[list] = [[] for _ in starts]
     evals = [0] * len(starts)
@@ -252,9 +210,9 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
     live = list(range(len(starts)))
     jobs = [(k, box) for k in live for box in starts[k]]
     while jobs:
-        for (k, _), (value, error, children) in zip(jobs, panels(jobs)):
-            evals[k] += points  # grows with every panel: the creation-order tie-break
-            heapq.heappush(heaps[k], (-error, evals[k], value, children))
+        for (k, _), (value, error, cost, children) in zip(jobs, panels(jobs)):
+            evals[k] += cost  # grows with every panel: the creation-order tie-break
+            heapq.heappush(heaps[k], (-error, evals[k], value, cost, children))
         jobs, running = [], []
         for k in live:
             heap = heaps[k]
@@ -267,10 +225,10 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
             target = rel_tol * abs(value)
             if error <= (target if target > abs_tol else abs_tol):  # tol.target(value)
                 results[k] = QuadResult(value, error, evals[k], True)
-            elif evals[k] + 2 * points > budget:
+            elif evals[k] + 2 * heap[0][3] > budget:
                 results[k] = QuadResult(value, error, evals[k], False)
             else:
-                jobs += [(k, child) for child in heapq.heappop(heap)[3]]
+                jobs += [(k, child) for child in heapq.heappop(heap)[4]]
                 running.append(k)
         live = running
     return results
@@ -278,18 +236,39 @@ def _adapt_many(panels: Callable, starts, points: int, tol: Tolerance) -> list[Q
 
 def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list[QuadResult]:
     """Integrate ``f(p, theta)`` over ``[0, 2*pi]`` for every ``p`` in
-    ``params``, all in lockstep.
+    ``params``, all in lockstep, by the rotated trapezoid pair.
 
-    Each round ``f`` is called once, with the ``(J, 1)`` array of the
-    parameters and the ``(J, 15)`` array of the nodes of the round's J
-    panels; every result equals that of a K = 1 call on its ``p`` alone.
+    Each round ``f`` is called once, on the ``(J, 1)`` parameters of the J
+    circles still running and the ``(1, M)`` new angles: both floor rules,
+    then the midpoints of both.  A circle at level ``n`` has spent ``2*n``
+    evaluations; it stops once its error meets the tolerance, or
+    unconverged before a doubling would pass ``tol.max_evaluations``.
+    Every result equals that of a K = 1 call on its ``p`` alone.
     """
     params = np.asarray(params)
-
-    def panels(jobs):
-        return _panels_1d(lambda members, theta: f(params[list(members)][:, None], theta), jobs)
-
-    return _adapt_many(panels, [((0.0, math.pi), (math.pi, TWO_PI))] * len(params), 15, tol)
+    sums = np.zeros((len(params), 2))  # running sums of each rule's values
+    results: list = [None] * len(params)
+    live = list(range(len(params)))
+    n, theta = _FLOOR, _thetas(_FLOOR)
+    while live:
+        fv = np.empty((len(live), theta.size))
+        fv[...] = f(params[live][:, None], theta[None, :])
+        if not np.isfinite(fv).all():
+            bad = params[live][int(np.argmin(np.isfinite(fv).all(axis=1)))]
+            raise DomainError(f"non-finite integrand value on the circle of parameter {bad}")
+        sums[live] += fv.reshape(len(live), 2, -1).sum(axis=2)
+        plain, rotated = sums[live].T
+        values = (TWO_PI * plain / n).tolist()
+        errors = (TWO_PI * np.abs(plain - rotated) / n).tolist()
+        running = []
+        for k, value, error in zip(live, values, errors):
+            converged = error <= tol.target(value)
+            if converged or 4 * n > tol.max_evaluations:  # a doubling costs 2*n more
+                results[k] = QuadResult(value, error, 2 * n, converged)
+            else:
+                running.append(k)
+        live, n, theta = running, 2 * n, _thetas(2 * n)[1::2]
+    return results
 
 
 def integrate_bands(
@@ -298,16 +277,16 @@ def integrate_bands(
     """Integrate ``f(t, theta)`` over every band ``[edges[i], edges[i+1]] x
     [0, 2*pi]``, all in lockstep.
 
-    Each round ``f`` is called once, on ``(J, 15, 1)`` and ``(J, 1, 15)``
-    node arrays for the round's J tensor-product panels.  With
+    Each band starts as one panel at level ``_FLOOR``, and each round
+    ``f`` is called once per level (:func:`_theta_panels`).  With
     ``theta_free`` the caller vouches that ``f`` does not depend on theta;
-    each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, called
-    on ``(J, 15)`` nodes at 15 evaluations a panel instead of 225, on the
-    t-panels that the 2-D rule splits such an integrand into.  A band of
-    zero width is 0 without an evaluation; a NaN edge is refused with
-    :class:`ValueError`, and a band with an infinite edge with
-    :class:`DomainError` before anything is evaluated.  Every result
-    equals that of a K = 1 call on its band alone.
+    each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, one
+    call a round on ``(J, 15)`` nodes.  A budget below the starting panel
+    is refused with :class:`ValueError`.  A band of zero width is 0
+    without an evaluation; a NaN edge is refused with :class:`ValueError`,
+    and a band with an infinite edge with :class:`DomainError` before
+    anything is evaluated.  Every result equals that of a K = 1 call on
+    its band alone.
     """
     edges = [float(e) for e in edges]
     if any(map(math.isnan, edges)):
@@ -319,13 +298,18 @@ def integrate_bands(
             if math.isinf(band[0]) or math.isinf(band[1]):
                 raise DomainError(f"infinite edge on band {band}")
     bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    cost = _start_cost(theta_free)
+    if bands and cost > tol.max_evaluations:
+        raise ValueError(
+            f"max_evaluations={tol.max_evaluations} cannot pay for the "
+            f"{cost} evaluations of the starting panels"
+        )
     if theta_free:
-        panels = lambda jobs: _panels_1d(lambda _, t: f(t, 0.0), jobs, TWO_PI)
-        found = iter(_adapt_many(panels, [(band,) for band in bands], 15, tol))
+        panels = lambda jobs: _panels_1d(lambda t: f(t, 0.0), jobs, TWO_PI)
+        found = iter(_adapt_many(panels, [(band,) for band in bands], tol))
     else:
-        panels = lambda jobs: _panels_2d(f, jobs)
-        starts = [((lo, hi, 0.0, TWO_PI),) for lo, hi in bands]
-        found = iter(_adapt_many(panels, starts, 225, tol))
+        panels = lambda jobs: _theta_panels(f, jobs)
+        found = iter(_adapt_many(panels, [((lo, hi, _FLOOR),) for lo, hi in bands], tol))
     return [
         next(found) if hi > lo else QuadResult(0.0, 0.0, 0, True)
         for lo, hi in zip(edges, edges[1:])
@@ -378,11 +362,12 @@ def integrate_improper(
     (``1e300``) walks no window and gives an unconverged 0 with no
     evaluations.  Each look-ahead chunk of windows is one
     :func:`integrate_bands` call, which is passed
-    ``theta_free``, so ``f`` gets ``(J, 15, 1)`` and ``(J, 1, 15)`` node
-    arrays, or ``(J, 15)`` and theta = 0 when theta-free, one row per
-    panel of a refinement round: J = 2 in the first chunk's first round,
-    up to 4 in a later chunk's, and two per window still refining after
-    that, so J <= 8.  It must act elementwise.
+    ``theta_free``, so ``f`` gets ``(J, 15, 1)`` t-nodes against ``(1, 1,
+    2*n)`` angles, one call per theta level ``n``, or ``(J, 15)`` and
+    theta = 0 when theta-free, one row per panel of a refinement round:
+    J = 2 in the first chunk's first round, up to 4 in a later chunk's,
+    and at most two per window still refining after that, so J <= 8.  It
+    must act elementwise.
     """
     return _integrate_windows(f, [t_lo, *_doublings(t_lo, 1.0)], tol, theta_free)
 
@@ -416,7 +401,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
     if math.isinf(edges[0]):
         raise ValueError("an improper integral needs a finite lower end")
     edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
-    points = 15 if theta_free else 225
+    points = _start_cost(theta_free)
     spent = 0  # evaluations of every window integrated, look-ahead included
     total = 0.0
     quad_err = 0.0

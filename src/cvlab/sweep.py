@@ -15,14 +15,15 @@ once and the values and error estimates are prefix-summed.  Each end's
 first band starts at its ``t_min``, the pole ``t = 0`` on a polar cap:
 ``K dA = -d2 sqrt(G) dt dtheta`` has no division, and GK15 nodes never
 touch a panel's ends.  The integrals of a sweep run in lockstep, one
-batch per end, so each refinement round costs one chart call per end:
-the ``mu`` and ``lambda`` circles of every height and the five of the
-``lambda = mu'`` check are one :func:`integrate_circles` call on
-``(K, 1)`` heights against ``(K, 15)`` angles, and the bands one
-:func:`integrate_bands` call on ``(K, 15, 1)`` x ``(K, 1, 15)`` nodes.
+batch per end, so each round costs one chart call per end and theta
+level: the ``mu`` and ``lambda`` circles of every height and the five of
+the ``lambda = mu'`` check are one :func:`integrate_circles` batch, each
+round ``(J, 1)`` heights against the ``(1, M)`` new angles of the
+rotated trapezoid pair, and the bands one :func:`integrate_bands` batch,
+``(J, 15, 1)`` t-nodes against ``(1, 1, 2*n)`` angles per level ``n``.
 On a theta-free end the circle integrals are ``2*pi`` times point
 values, all heights in one ``sqrt_jet`` call, and the bands are 1-D
-integrals in t on ``(K, 15)`` nodes.  The improper windows of the
+integrals in t on ``(J, 15)`` nodes.  The improper windows of the
 direct route, where each step decides whether to take the next, run in
 look-ahead chunks (see :func:`cvlab.quadrature._integrate_windows`).  A
 merged batch that raises fails the sweep with its own error.  A chart

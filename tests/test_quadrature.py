@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import i0
 from hypothesis import strategies as st
 
 import cvlab.quadrature as quadrature
@@ -17,7 +18,6 @@ from cvlab.quadrature import (
     _divergence_direction,
     _geometric_tail,
     _panels_1d,
-    _panels_2d,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -93,96 +93,88 @@ def test_trig_polynomials_integrate_to_constant_term(coeffs, constant):
 class TestPanelExactness:
     @pytest.mark.parametrize("degree", range(14))
     def test_polynomials_exact_on_single_panel(self, degree):
-        value, _, _ = _panels_1d(lambda _, x: x**degree, [(0, (0.0, TWO_PI))])[0]
+        value, _, _, _ = _panels_1d(lambda x: x**degree, [(0, (0.0, TWO_PI))])[0]
         exact = TWO_PI ** (degree + 1) / (degree + 1)
         assert value == pytest.approx(exact, rel=1e-13)
 
 
-def per_panel_2d(f, jobs):
-    """The 2-D rule one panel at a time, as before it was stacked."""
-    wgk, wg7, gauss_idx = quadrature._WGK, quadrature._WG7, np.arange(1, 15, 2)
-    box = np.array([box for _, box in jobs], dtype=float)
-    a, b, c, d = (box[:, i : i + 1] for i in range(4))
-    half_t = 0.5 * (b - a)
-    half_s = 0.5 * (d - c)
-    tv = 0.5 * (a + b) + half_t * quadrature._XGK
-    sv = 0.5 * (c + d) + half_s * quadrature._XGK
-    grids = np.empty((len(jobs), 15, 15))
-    grids[...] = f(tv[:, :, None], sv[:, None, :])
+def per_panel_1d(values, jobs, scale=1.0):
+    """The 1-D rule one panel at a time, as before it was stacked."""
+    ab = np.array([box for _, box in jobs], dtype=float)
+    half = 0.5 * (ab[:, 1:] - ab[:, :1])
+    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
+    fv = np.empty((len(jobs), 15))
+    fv[...] = values(mid + half * quadrature._XGK)
     out = []
-    for (_, (a, b, c, d)), ht, hs, grid in zip(
-        jobs, half_t[:, 0].tolist(), half_s[:, 0].tolist(), grids
-    ):
-        kron = ht * hs * float(wgk @ grid @ wgk)
-        sub = grid[np.ix_(gauss_idx, gauss_idx)]
-        gauss = ht * hs * float(wg7 @ sub @ wg7)
-        row_means = grid.mean(axis=1)
-        col_means = grid.mean(axis=0)
-        var_t = float(row_means.max() - row_means.min())
-        var_s = float(col_means.max() - col_means.min())
-        if var_t > var_s or (var_t == var_s and (b - a) >= (d - c)):
-            mid = 0.5 * (a + b)
-            children = ((a, mid, c, d), (mid, b, c, d))
-        else:
-            mid = 0.5 * (c + d)
-            children = ((a, b, c, mid), (a, b, mid, d))
-        out.append((kron, abs(kron - gauss), children))
+    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
+        kron = h * float(quadrature._WGK @ row)
+        gauss = h * float(quadrature._WG7 @ row[np.arange(1, 15, 2)])
+        out.append((scale * kron, scale * abs(kron - gauss), 15, ((a, m), (m, b))))
+    return out
+
+
+def per_panel_theta(f, jobs):
+    """The band rule one panel at a time: GK15 in t of both theta rules'
+    means, each panel its own call of ``f``."""
+    wgk, wg7 = quadrature._WGK, quadrature._WG7
+    out = []
+    for _, (a, b, n) in jobs:
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        grid = np.empty((15, 2 * n))
+        grid[...] = f((mid + half * quadrature._XGK)[:, None], quadrature._thetas(n)[None, :])
+        plain = np.array([row[:n].sum() / n for row in grid])
+        rotated = np.array([row[n:].sum() / n for row in grid])
+        kron = half * float(wgk @ plain)
+        gauss = half * float(wg7 @ plain[np.arange(1, 15, 2)])
+        t_err = TWO_PI * abs(kron - gauss)
+        theta_err = TWO_PI * half * float(wgk @ np.abs(plain - rotated))
+        children = ((a, mid, n), (mid, b, n)) if t_err >= theta_err else ((a, b, 2 * n),)
+        out.append((TWO_PI * kron, t_err + theta_err, 30 * n, children))
     return out
 
 
 class TestStackedPanels:
-    """The stacked 2-D rule against the per-panel loop, bit for bit."""
+    """The stacked band rule against the per-panel loop, bit for bit."""
 
     @staticmethod
     def random_jobs(rng, count):
         lo = rng.uniform(0.0, 50.0, count)
         width = rng.uniform(1e-3, 20.0, count)
-        c = rng.uniform(0.0, 3.0, count)
-        return [
-            (k, (float(a), float(a + w), float(s), float(s + h)))
-            for k, (a, w, s, h) in enumerate(zip(lo, width, c, rng.uniform(1e-3, 3.0, count)))
-        ]
+        levels = rng.choice([8, 16, 32], count)
+        return [(k, (float(a), float(a + w), int(n))) for k, (a, w, n) in enumerate(zip(lo, width, levels))]
 
     @pytest.mark.parametrize("count", [1, 2, 15, 64])
     def test_random_grids_match_per_panel_loop(self, count):
+        # the values are a function of the node, so the per-panel calls see
+        # the same numbers; only correctly rounded operations, so no
+        # vectorised math routine can round a row differently
         rng = np.random.default_rng(count)
         for _ in range(20):
             jobs = self.random_jobs(rng, count)
-            scale = 10.0 ** rng.uniform(-8, 8, (count, 1, 1))
-            grids = scale * rng.standard_normal((count, 15, 15))
-            assert _panels_2d(lambda t, s: grids, jobs) == per_panel_2d(lambda t, s: grids, jobs)
+            c = rng.uniform(-3.0, 3.0, 3)
+            f = lambda t, s: (t * t - c[0] * t + 1.0 / (t - 25.5)) * (s * s * s - c[1] * s + c[2])
+            assert quadrature._theta_panels(f, jobs) == per_panel_theta(f, jobs)
 
     def test_integrand_on_nodes_matches_per_panel_loop(self):
         jobs = self.random_jobs(np.random.default_rng(7), 40)
-        f = lambda t, s: t * t * (1.0 + 0.3 * np.cos(3.0 * s) * np.exp(-t))
-        assert _panels_2d(f, jobs) == per_panel_2d(f, jobs)
+        f = lambda t, s: t * t * (1.0 + 0.3 * s * (TWO_PI - s) / (1.0 + t))
+        assert quadrature._theta_panels(f, jobs) == per_panel_theta(f, jobs)
 
-    def test_constant_grid_ties_split_the_longer_side(self):
-        # var_t == var_s == 0: the tie goes to t when b - a >= d - c
-        jobs = [(0, (0.0, 2.0, 0.0, 2.0)), (1, (0.0, 1.0, 0.0, 2.0)), (2, (0.0, 3.0, 0.0, 2.0))]
-        got = _panels_2d(lambda t, s: 1.5, jobs)
-        assert got == per_panel_2d(lambda t, s: 1.5, jobs)
-        assert [children for _, _, children in got] == [
-            ((0.0, 1.0, 0.0, 2.0), (1.0, 2.0, 0.0, 2.0)),
-            ((0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 2.0)),
-            ((0.0, 1.5, 0.0, 2.0), (1.5, 3.0, 0.0, 2.0)),
+    def test_constant_grid_ties_split_in_t(self):
+        # t error == theta error == 0: the tie goes to the t-halves
+        jobs = [(0, (0.0, 2.0, 8)), (1, (1.0, 3.0, 16))]
+        got = quadrature._theta_panels(lambda t, s: 1.5, jobs)
+        assert got == per_panel_theta(lambda t, s: 1.5, jobs)
+        assert [children for *_, children in got] == [
+            ((0.0, 1.0, 8), (1.0, 2.0, 8)),
+            ((1.0, 2.0, 16), (2.0, 3.0, 16)),
         ]
 
-
-def per_panel_1d(values, jobs, scale=1.0):
-    """The 1-D rule one panel at a time, as before it was stacked."""
-    members = np.array([k for k, _ in jobs])
-    ab = np.array([box for _, box in jobs], dtype=float)
-    half = 0.5 * (ab[:, 1:] - ab[:, :1])
-    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
-    fv = np.empty((len(jobs), 15))
-    fv[...] = values(members, mid + half * quadrature._XGK)
-    out = []
-    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
-        kron = h * float(quadrature._WGK @ row)
-        gauss = h * float(quadrature._WG7 @ row[np.arange(1, 15, 2)])
-        out.append((scale * kron, scale * abs(kron - gauss), ((a, m), (m, b))))
-    return out
+    def test_larger_theta_error_doubles_the_level(self):
+        jobs = [(0, (0.0, 1.0, 8))]
+        got = quadrature._theta_panels(lambda t, s: np.exp(4.0 * np.cos(s)) + t, jobs)
+        assert got == per_panel_theta(lambda t, s: np.exp(4.0 * np.cos(s)) + t, jobs)
+        assert got[0][3] == ((0.0, 1.0, 16),)
 
 
 class TestStackedPanels1d:
@@ -197,14 +189,14 @@ class TestStackedPanels1d:
             width = rng.uniform(1e-6, 30.0, count)
             jobs = [(k, (float(a), float(a + w))) for k, (a, w) in enumerate(zip(lo, width))]
             rows = 10.0 ** rng.uniform(-8, 8, (count, 1)) * rng.standard_normal((count, 15))
-            f = lambda _, x: rows
+            f = lambda x: rows
             assert _panels_1d(f, jobs, scale) == per_panel_1d(f, jobs, scale)
 
     def test_integrand_on_nodes_matches_per_panel_loop(self):
         rng = np.random.default_rng(7)
         lo = rng.uniform(0.0, 20.0, 40)
         jobs = [(k, (float(a), float(a + 0.5 * k + 0.1))) for k, a in enumerate(lo)]
-        f = lambda _, t: t * t * np.exp(-0.3 * t) * np.cos(3.0 * t)
+        f = lambda t: t * t * np.exp(-0.3 * t) * np.cos(3.0 * t)
         assert _panels_1d(f, jobs, TWO_PI) == per_panel_1d(f, jobs, TWO_PI)
 
 
@@ -286,9 +278,9 @@ class TestAdaptiveDriver:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("peaked", (0.11355122822910524, 1.759489568649977e-10, 210)),
-            ("oscillatory", (-1.0102146766395899, 3.219646771412954e-15, 90)),
-            ("theta-dependent", (9.853741083996525, 3.016311644898906e-10, 90)),
+            ("peaked", (0.11355122822910563, 2.179917811255395e-17, 128)),
+            ("oscillatory", (-1.0102146766395936, 1.3951473992034527e-15, 16)),
+            ("theta-dependent", (9.853741083996557, 2.7902947984069054e-15, 16)),
         ],
     )
     def test_circle_pinned(self, name, expected):
@@ -300,9 +292,9 @@ class TestAdaptiveDriver:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("peaked", (0.15695668627364504, 1.2428108591870188e-09, 13725)),
-            ("oscillatory", (1.596035743799475, 1.5810669797992677e-08, 58275)),
-            ("theta-dependent", (32.51932261847515, 2.9452941838897795e-07, 26775)),
+            ("peaked", (0.15695668615116187, 4.107389973809983e-10, 18960)),
+            ("oscillatory", (1.5960357605236961, 3.990414974827157e-13, 720)),
+            ("theta-dependent", (32.51932261847524, 1.4216668350140121e-11, 240)),
         ],
     )
     def test_annulus_pinned(self, name, expected):
@@ -311,56 +303,59 @@ class TestAdaptiveDriver:
         assert (res.value, res.error_estimate, res.evaluations) == expected
 
     def test_annulus_stops_before_exceeding_budget(self):
-        # a split costs two 15 x 15 panels; the driver stops before one
-        # that would overrun the budget
+        # refining a panel costs twice that panel, at 30 evaluations per
+        # point of a theta rule; the driver stops before a refinement that
+        # would overrun the budget
         tol = Tolerance(max_evaluations=1000)
         res = integrate_bands(PINNED_INTEGRANDS["peaked"], [0.5, 2.5], tol)[0]
         assert not res.converged
-        assert res.evaluations <= 1000 < res.evaluations + 450
+        assert res.evaluations == 720  # a panel at 8 points and two at 16
+        assert res.evaluations <= 1000 < res.evaluations + 2 * 30 * 16
 
     def test_equal_errors_split_the_older_panel_first(self):
-        # a constant gives both starting halves the same error estimate;
-        # the unreachable tolerance lets the budget stop the driver
+        # a constant gives both halves of the starting panel the same error
+        # estimate; the unreachable tolerance lets the budget stop the driver
         left_half = []
 
-        def recording(_, theta):
-            left_half.extend(bool(row.max() <= math.pi) for row in theta)
-            return np.ones_like(theta)
+        def recording(t, theta):
+            left_half.extend(bool(row.max() <= 1.0) for row in t)
+            return np.ones_like(t)
 
         tol = Tolerance(abs_tol=1e-300, rel_tol=1e-300, max_evaluations=100)
-        res = integrate_circles(recording, [0.0], tol)[0]
+        res = integrate_bands(recording, [0.0, 2.0], tol, theta_free=True)[0]
         assert not res.converged
-        assert res.evaluations == 90
-        assert left_half == [True, False, True, True, False, False]
+        assert res.evaluations == 75
+        assert left_half == [False, True, False, True, True]
 
     @staticmethod
-    def _node_ranges(f, t_lo, t_hi):
-        ranges = []
+    def _panel_shapes(f, t_lo, t_hi):
+        shapes = []
 
         def recording(t, theta):
-            # one row per panel of the round
-            for tp, sp in zip(t, theta):
-                ranges.append(((tp.min(), tp.max()), (sp.min(), sp.max())))
+            # one row per panel of the round at this call's theta level
+            shapes.extend(((tp.min(), tp.max()), theta.size) for tp in t)
             return f(t, theta)
 
         res = integrate_bands(recording, [t_lo, t_hi])[0]
         assert res.converged
-        assert len(ranges) > 1
-        return ranges
+        assert len(shapes) > 1
+        return shapes
 
     def test_theta_only_integrand_never_split_in_t(self):
-        ranges = self._node_ranges(
+        # its t error vanishes, so each refinement doubles the theta level
+        shapes = self._panel_shapes(
             lambda t, theta: np.exp(-20.0 * (theta - 3.0) ** 2) + 0.0 * t, 0.5, 2.5
         )
-        assert len({t_range for t_range, _ in ranges}) == 1
-        assert len({s_range for _, s_range in ranges}) > 1
+        assert len({t_range for t_range, _ in shapes}) == 1
+        assert [angles for _, angles in shapes] == [16, 32, 64, 128]
 
     def test_t_only_integrand_never_split_in_theta(self):
-        ranges = self._node_ranges(
+        # its two theta rules agree to the bit, so every refinement halves t
+        shapes = self._panel_shapes(
             lambda t, theta: np.exp(-20.0 * (t - 1.0) ** 2) + 0.0 * theta, 0.0, 2.0
         )
-        assert len({s_range for _, s_range in ranges}) == 1
-        assert len({t_range for t_range, _ in ranges}) > 1
+        assert {angles for _, angles in shapes} == {16}
+        assert len({t_range for t_range, _ in shapes}) > 1
 
 
 class TestImproper:
@@ -416,7 +411,8 @@ class TestImproper:
     def test_integrand_gets_batched_nodes(self, theta_free):
         # the windows run in chunks of 2, then 4, one integrate_bands call
         # each: a chunk's first panels come as J = 2 or 4 rows, and each
-        # split round brings two halves per window still refining
+        # later round brings at most two panels per window still refining,
+        # one call per theta level
         shapes = []
 
         def recording(t, theta):
@@ -430,10 +426,12 @@ class TestImproper:
         assert res.converged
         if theta_free:
             allowed = {((j, 15), ()) for j in (2, 4, 6, 8)}
+            assert shapes[0] == ((2, 15), ())
         else:
-            allowed = {((j, 15, 1), (j, 1, 15)) for j in (2, 4, 6, 8)}
+            angles = [16 * 2**i for i in range(8)]
+            allowed = {((j, 15, 1), (1, 1, m)) for j in range(1, 9) for m in angles}
+            assert shapes[0] == ((2, 15, 1), (1, 1, 16))
         assert set(shapes) <= allowed
-        assert shapes[0] == min(allowed)
 
     def test_nan_lower_end_is_refused(self):
         # every window edge is NaN, so none is above the one before: the
@@ -538,7 +536,7 @@ class TestThetaFree:
         flat = integrate_bands(f, [0.5, 2.5], theta_free=True)[0]
         assert full.converged and flat.converged
         assert flat.value == pytest.approx(full.value, rel=1e-12, abs=0.0)
-        assert flat.evaluations * 15 == full.evaluations
+        assert flat.evaluations * 2 * quadrature._FLOOR == full.evaluations
 
     def test_integrand_is_read_at_theta_zero(self):
         thetas = []
@@ -559,7 +557,7 @@ class TestThetaFree:
         assert flat.converged and full.converged
         assert flat.value == pytest.approx(-TWO_PI, abs=1e-8)
         assert flat.value == pytest.approx(full.value, rel=1e-12)
-        assert flat.evaluations * 15 == full.evaluations
+        assert flat.evaluations * 2 * quadrature._FLOOR == full.evaluations
         assert len(flat.partial_sums) == len(full.partial_sums)
 
 
@@ -576,11 +574,64 @@ class TestStartingBudget:
         assert res.value == pytest.approx(TWO_PI * math.sqrt(math.pi / 20.0), rel=1e-3)
 
     def test_circle_fits_the_floor(self):
-        # the two starting half-period panels cost 30 of the minimum 100
+        # both 8-point floor rules cost 16 of the minimum 100
         res = integrate_circles(
             lambda _, theta: np.cos(theta) ** 2, [0.0], Tolerance(max_evaluations=100)
         )[0]
         assert res.converged and res.evaluations <= 100
+
+
+class TestThetaRule:
+    """The rotated trapezoid pair behind every theta integral."""
+
+    def test_no_frequency_aliases_unnoticed(self):
+        # cos(k*theta) equals 1 on every node of a power-of-two rule whose
+        # size divides k; the rotated rule moves, so the pair must either
+        # refine past k or report an error that covers the miss
+        ks = np.arange(1, 241)
+        circles = integrate_circles(lambda k, theta: 1.0 + 0.5 * np.cos(k * theta), ks)
+        band_exact = TWO_PI * (1.0 - math.exp(-1.0))
+        missed = [
+            ("circle", int(k), r)
+            for k, r in zip(ks, circles)
+            if r.converged and abs(r.value - TWO_PI) > 10.0 * r.error_estimate + 1e-9
+        ]
+        for k in ks:
+            f = lambda t, theta: np.exp(-t) * (1.0 + 0.5 * np.cos(k * theta))
+            r = integrate_bands(f, [0.0, 1.0])[0]
+            if r.converged and abs(r.value - band_exact) > 10.0 * r.error_estimate + 1e-9:
+                missed.append(("band", int(k), r))
+        assert missed == []
+
+    def test_smooth_periodic_integrand_converges_geometrically(self):
+        # the trapezoid error on exp(4*cos(theta)) is about 4*pi*I_N(4):
+        # 5e-8 at N = 16, below 1e-23 at N = 32.  The rotated rule's error
+        # is that times cos(N*shift), so their distance, the estimate, is
+        # 0.91 of the error at N = 16: within the verdicts' factor of 10
+        f = lambda _, theta: np.exp(4.0 * np.cos(theta))
+        exact = TWO_PI * i0(4.0)
+        res = integrate_circles(f, [0.0])[0]
+        assert res.converged and res.evaluations == 32
+        assert res.error_estimate <= DEFAULT_TOL.target(exact)
+        assert res.error_estimate < abs(res.value - exact) <= 10.0 * res.error_estimate
+        tight = integrate_circles(f, [0.0], Tolerance(abs_tol=1e-15, rel_tol=1e-15))[0]
+        assert tight.converged and tight.evaluations == 64
+        assert tight.value == pytest.approx(exact, rel=1e-14)
+
+    def test_kink_ends_unconverged_on_its_budget(self):
+        # |cos| has kinks at pi/2 and 3*pi/2: the trapezoid error decays
+        # only like N^-2, so no level within 1,000 evaluations meets 1e-8
+        tol = Tolerance(max_evaluations=1000)
+        res = integrate_circles(lambda _, theta: np.abs(np.cos(theta)), [0.0], tol)[0]
+        assert not res.converged
+        assert res.evaluations == 512  # doubling to 1,024 would pass the budget
+        assert abs(res.value - 4.0) <= res.error_estimate
+
+    def test_non_finite_value_names_the_t_interval(self):
+        band = lambda t, theta: np.where(t > 2.5, np.nan, 1.0 + 0.0 * theta)
+        with pytest.raises(DomainError) as got:
+            integrate_bands(band, [2.0, 3.0])
+        assert str(got.value) == "non-finite integrand value on panel (2.0, 3.0)"
 
 
 def _outcome(res):
@@ -605,14 +656,15 @@ class TestLockstep:
 
         def recording(p, theta):
             shapes.append((p.shape, theta.shape))
-            return np.exp(-p * (theta - 3.0) ** 2)
+            return np.exp(p * (np.cos(theta - 3.0) - 1.0))
 
         batch = integrate_circles(recording, [1.0, 20.0, 80.0])
-        # the first round holds both starting halves of every circle
-        assert shapes[0] == ((6, 1), (6, 15))
-        # two 15-node panels a round: the starting halves, then two children
-        assert len(shapes) == max(r.evaluations for r in batch) // 30
-        assert all(p[1] == 1 and t[1] == 15 and p[0] == t[0] for p, t in shapes)
+        # the first round holds both 8-point floor rules of every circle;
+        # each later round the midpoints of both rules, on the circles
+        # still running, so a round at level n brings 2*n new angles
+        assert shapes == [((3, 1), (1, 16)), ((3, 1), (1, 16)), ((2, 1), (1, 32)), ((1, 1), (1, 64))]
+        assert [r.evaluations for r in batch] == [32, 64, 128]
+        assert all(r.converged for r in batch)
 
     @pytest.mark.parametrize("name", sorted(PINNED_INTEGRANDS))
     def test_bands_match_lone_annuli(self, name):
@@ -642,19 +694,20 @@ class TestLockstep:
             return np.exp(-t) + 0.0 * theta
 
         integrate_bands(recording, [0.0, 1.0, 2.0], Tolerance(abs_tol=1e-6, rel_tol=1e-6))
-        assert shapes[0] == ((2, 15, 1), (2, 1, 15))
+        assert shapes[0] == ((2, 15, 1), (1, 1, 16))
         shapes.clear()
         integrate_bands(recording, [0.0, 1.0, 2.0], theta_free=True)
         assert shapes[0] == ((2, 15), ())
 
     def test_exhausted_member_leaves_the_others_alone(self):
-        # the sharp circle runs out of budget, the broad one converges
-        f = lambda p, theta: np.exp(-p * (theta - 3.0) ** 2)
+        # the sharp circle runs out of budget, the broad one converges; both
+        # are periodic, a peak of width about p^-1/2 at theta = 3
+        f = lambda p, theta: np.exp(p * (np.cos(theta - 3.0) - 1.0))
         tol = Tolerance(max_evaluations=150)
-        batch = integrate_circles(f, [1.0, 80.0], tol)
+        batch = integrate_circles(f, [1.0, 400.0], tol)
         assert [r.converged for r in batch] == [True, False]
         assert batch[1].evaluations <= 150
-        lone = [integrate_circles(f, [p], tol)[0] for p in (1.0, 80.0)]
+        lone = [integrate_circles(f, [p], tol)[0] for p in (1.0, 400.0)]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
 
     def test_exhausted_band_leaves_the_others_alone(self):
@@ -703,7 +756,7 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     with the walk when a chunk raises under a budget that binds: the walk
     then shares out the budget at every window of that chunk (see
     ``test_budget_binds_inside_a_chunk_walked_again``)."""
-    points = 15 if theta_free else 225
+    points = quadrature._start_cost(theta_free)
     edges = t_lo
     total = 0.0
     quad_err = 0.0
