@@ -32,15 +32,15 @@ def _point(t, theta, bad) -> str:
 
 def gauss_curvature(end: EndChart, t, theta):
     """Gaussian curvature ``-(d2 sqrt(G)) / sqrt(G)`` at chart points."""
-    if np.any(t < end.t_min - 1e-12):
+    if np.less(t, end.t_min - 1e-12).any():
         raise ValueError(f"t={float(np.min(t))} lies below the chart edge t_min={end.t_min}")
     w = end.sqrt_jet(t, theta)
     bad = ~(np.isfinite(w.f) & np.isfinite(w.d1) & np.isfinite(w.d2)) | (w.f <= 0.0)
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"sqrt(G) not positive/finite at {_point(t, theta, bad)}")
     with np.errstate(over="ignore"):
         k = -w.d2 / w.f
     bad = ~np.isfinite(k)
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"non-finite curvature at {_point(t, theta, bad)}")
     return k

@@ -20,7 +20,9 @@ double cover (curvature integrals double, the Euler characteristic
 doubles too).  Validation evaluates one sampling grid per distinct
 chart object, the positivity angles and the period pairs side by side,
 reads the first violation from masks and raises it as
-:class:`ModelInvalid`.
+:class:`ModelInvalid`.  The masks run on the columns the chart returns:
+a value without a theta axis is one column, which stands for every
+angle, and only a value with a theta axis fills the grid.
 """
 
 from __future__ import annotations
@@ -180,23 +182,35 @@ def _evaluate(end: EndChart, ts, thetas):
     """G on the ``(ts, thetas)`` grid, NaN where a point raised, and the
     DomainError raised at each such point, keyed by its index.
 
-    The grid is one call.  Only when it raises are the rows called, and
-    only in a row that raises are its points called one by one.
+    The grid is one call.  A value without a theta axis (0-d, ``(1, 1)``
+    or ``(ts.size, 1)``) comes back as that one column, ``(1, 1)`` or
+    ``(ts.size, 1)``: every angle of a row holds the same value, so the
+    checks read the column in place of the grid.  Any other value is
+    broadcast to the full grid.  Only when the grid raises are the rows
+    called, and only in a row that raises are its points called one by
+    one; that walk fills the full grid.
     """
+    try:
+        value = np.asarray(end.g(ts[:, None], thetas[None, :]), dtype=float)
+    except DomainError:
+        pass
+    else:
+        if value.shape in ((), (1, 1), (ts.size, 1)):
+            return value.reshape(-1, 1), {}
+        values = np.empty((ts.size, thetas.size))
+        values[:] = value
+        return values, {}
     values = np.full((ts.size, thetas.size), np.nan)
     errors = {}
-    try:
-        values[:] = end.g(ts[:, None], thetas[None, :])
-    except DomainError:
-        for i, t in enumerate(ts):
-            try:
-                values[i] = end.g(t, thetas)
-            except DomainError:
-                for k, theta in enumerate(thetas):
-                    try:
-                        values[i, k] = end.g(t, theta)
-                    except DomainError as err:
-                        errors[i, k] = err
+    for i, t in enumerate(ts):
+        try:
+            values[i] = end.g(t, thetas)
+        except DomainError:
+            for k, theta in enumerate(thetas):
+                try:
+                    values[i, k] = end.g(t, theta)
+                except DomainError as err:
+                    errors[i, k] = err
     return values, errors
 
 
@@ -206,11 +220,15 @@ _PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
 
 
 def _positivity_violation(j: int, end: EndChart, ts, thetas, values, errors) -> str | None:
-    """The first positivity or theta-free violation in row-major order."""
+    """The first positivity or theta-free violation in row-major order.
+
+    One column of ``values`` stands for every angle of its rows, so its
+    rows cannot vary in theta and are not compared.
+    """
     values = values[:, : thetas.size]
     errors = {(i, k): err for (i, k), err in errors.items() if k < thetas.size}
     bad = ~(np.isfinite(values) & (values > 0.0))
-    if end.theta_free:
+    if end.theta_free and values.shape[1] > 1:
         # a row's reference is its first value that is not NaN; a point
         # before it is itself bad or an overflow, which is skipped
         first = values[np.arange(ts.size), np.isnan(values).argmin(axis=1)]
@@ -270,7 +288,7 @@ def validate_surface(model: SurfaceModel) -> None:
         ts, thetas = _positivity_probes(end, polar)
         values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
         message = _positivity_violation(j, end, ts, thetas, values, errors)
-        if message is None:
+        if message is None and values.shape[1] > 1:  # one column is periodic
             rows = slice(1, None, max(1, len(ts) // 4))
             message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:

@@ -240,11 +240,16 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
     ``model.min_height`` to ``h_probe_max``, each height clamped to the
     end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call per
     distinct chart;
-    those values give the violating rows and ``kmin``/``kmax``.  The boundary of the last
-    violation is then refined by bisection to ``h_probe_max / 2**12``:
-    the midpoints of every bracket it can reach are probed in one call
-    per end and the bisection reads its steps from them.  ``h1`` is
-    ``None`` when violations persist up to the probe ceiling.
+    those values give the violating rows and ``kmin``/``kmax``, reduced
+    on the columns the chart returns.  The boundary of the last
+    violation is then refined by bisection to ``max(h_probe_max,
+    h_probe_max - model.min_height) / 2**12``, never below a 4096th of
+    the span: a bracket is at most one uniform grid cell, a 63rd of the span
+    on the default grid, so it is bisected at most seven levels deep.
+    The midpoints of every bracket it can reach, at most 127, are probed
+    in one call per distinct chart and the bisection reads its steps
+    from them.  ``h1`` is ``None`` when violations persist up to the
+    probe ceiling.
     """
     if h_probe_max <= model.min_height:
         raise ValueError("h_probe_max must exceed every chart edge")
@@ -257,22 +262,27 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
 
         return _per_chart(model.ends, grid)
 
-    def bad_rows(ks):
-        return np.any([np.any(k < -K_SLACK, axis=1) for k in ks], axis=0)
+    def bad_rows(ks, rows):
+        bad = np.zeros(rows, dtype=bool)
+        for k in ks:
+            bad |= (k < -K_SLACK).any(axis=1)
+        return bad
 
     origin = model.min_height
     heights = _probe_heights(origin, h_probe_max, _PROBE_GRID)
     ks = curvatures(heights)
-    kmin = min(float(np.min(k)) for k in ks)
-    kmax = max(float(np.max(k)) for k in ks)
-    violating = np.flatnonzero(bad_rows(ks))
+    kmin = min(float(k.min()) for k in ks)
+    kmax = max(float(k.max()) for k in ks)
+    violating = np.flatnonzero(bad_rows(ks, heights.size))
     if violating.size == 0:
         return origin, kmin, kmax
     last_bad = violating[-1]
     if last_bad == len(heights) - 1:
         return None, kmin, kmax
     lo, hi = float(heights[last_bad]), float(heights[last_bad + 1])
-    resolution = h_probe_max / 4096.0
+    # h_probe_max alone is nonpositive for a probe ceiling at or below 0,
+    # and a tiny share of a span that reaches far below 0
+    resolution = max(h_probe_max, h_probe_max - origin) / 4096.0
     # every bracket the bisection can reach, level by level, and then
     # all of their midpoints as one probe
     brackets, level = [], [(lo, hi)]
@@ -280,7 +290,8 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
         level = [(a, b) for a, b in level if b - a > resolution]
         brackets += level
         level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    bad = dict(zip(brackets, bad_rows(curvatures(np.array([0.5 * (a + b) for a, b in brackets])))))
+    midpoints = np.array([0.5 * (a + b) for a, b in brackets])
+    bad = dict(zip(brackets, bad_rows(curvatures(midpoints), midpoints.size)))
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if bad[lo, hi]:
@@ -295,11 +306,11 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
     so sign features much narrower than the uniform spacing still get
     sampled."""
     span = h_probe_max - origin
-    scales = []
-    scale = span / 2.0
-    while scale > POLE_GUARD:
-        scales.append(scale)
-        scale /= 2.0
+    # span/2, span/4, ... while above POLE_GUARD: halving is exact, so
+    # ldexp gives each scale bit for bit; a span below 2**a is at most
+    # 2**-27 < POLE_GUARD after a + 27 halvings
+    scales = np.ldexp(span, -np.arange(1, math.frexp(span)[1] + 27))
+    scales = scales[scales > POLE_GUARD]
     # elementwise the float operations of one height at a time, so the
     # same grid bit for bit; where span*i overflows (a span past about
     # max/grid), the fraction i/(grid-1) is scaled instead, whose rounding
@@ -310,7 +321,7 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
     if math.isinf(uniform[-1]):  # span*i is largest at the last step
         far = np.isinf(uniform)
         uniform[far] = np.minimum(origin + span * (steps[far] / (grid - 1)), h_probe_max)
-    heights = np.sort(np.concatenate([uniform, origin + np.array(scales)]))
+    heights = np.sort(np.concatenate([uniform, origin + scales]))
     # np.unique would import numpy.ma on its first call
     return heights[np.append(True, heights[1:] != heights[:-1])]
 
@@ -319,12 +330,16 @@ def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> n
     """Gaussian curvature on the ``(heights, thetas)`` grid as one call.
 
     A theta-free end is evaluated on the first theta column alone, which
-    holds every value of its rows.  A chart with constant curvature may
-    return a 0-d K; it is broadcast so every grid point is present.
+    holds every value of its rows.  A curvature without a theta axis
+    (0-d, ``(1, 1)`` or ``(heights.size, 1)``) comes back as that one
+    column, ``(1, 1)`` or ``(heights.size, 1)``, whose rows hold every
+    value of the grid's rows; any other is broadcast to the full grid.
     """
     if end.theta_free:
         thetas = thetas[:1]
     k = gauss_curvature(end, heights[:, None], thetas[None, :])
+    if np.shape(k) in ((), (1, 1), (heights.size, 1)):
+        return np.reshape(k, (-1, 1))
     return np.broadcast_to(k, (heights.size, thetas.size))
 
 

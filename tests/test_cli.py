@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -226,8 +227,35 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: {option[2:].replace('-', '_')} = {value} is not finite\n"
 
+# K < 0 below t = -5, where the end has shrunk by a factor of 3: every
+# height of --h-min -9 --h-max -1 lies below 0
+NEGATIVE_END_CONFIG = """\
+[surface]
+genus = 0
+ends = 1
+core = analytic:6.28204438609089
+
+[end1]
+g = (2 + tanh(t + 5))^2
+t_min = -10
+"""
+
 
 class TestConfigFiles:
+    def test_probe_ceiling_below_zero_ends(self, tmp_path, capsys):
+        # a resolution of h_max/4096 < 0 never stopped the h1 bisection
+        path = tmp_path / "neg.cfg"
+        path.write_text(NEGATIVE_END_CONFIG)
+        assert main(["verify", "--config", str(path), "--h-min", "-9", "--h-max", "-1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "all checks pass or are not applicable" in captured.out
+        assert re.search(r"^theorem +pass ", captured.out, re.M)
+        args = ["sweep", "--config", str(path), "--h-min", "-9", "--h-max", "-1",
+                "--format", "json", "--out", "-"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["h1"] == -5.0
+
     def test_cusp_config_loads(self, tmp_path):
         path = tmp_path / "cusp.cfg"
         path.write_text(CUSP_CONFIG)

@@ -940,17 +940,18 @@ def test_probe_grid_is_bitwise_the_scalar_grid(origin, h_probe_max):
     assert np.isfinite(got).all() and got[-1] <= h_probe_max
 
 
-def sign_change_model(roots):
-    """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``:
-    negative below the first root, then alternating at each root."""
+def sign_change_model(roots, t_min=0.0, theta_free=False):
+    """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``,
+    without the ``sin^2`` when theta-free: negative below the first root,
+    then alternating at each root."""
 
     def sqrt_g_jet(t, theta):
-        k = np.sin(theta) ** 2
+        k = 1.0 if theta_free else np.sin(theta) ** 2
         for r in roots:
             k = k * (t - r)
         return Jet2(1.0, 0.0, -k)
 
-    chart = EndChart(sqrt_g_jet=sqrt_g_jet)
+    chart = EndChart(sqrt_g_jet=sqrt_g_jet, t_min=t_min, theta_free=theta_free)
     return SurfaceModel(0, (chart,), AnalyticCore(TWO_PI), name="sign-change")
 
 
@@ -987,6 +988,64 @@ class TestLookahead:
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
         assert sweep._curvature_scan(model, 10.0)[0] == want
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
+
+
+def probe_sizes(model, h_probe_max):
+    """``(h1, sizes)``: the scan's ``h1`` and the number of heights in each
+    curvature call it makes."""
+    sizes = []
+
+    def counting(end, t, theta):
+        sizes.append(np.shape(t)[0])
+        return curvature(end, t, theta)
+
+    curvature, sweep.gauss_curvature = sweep.gauss_curvature, counting
+    try:
+        return sweep._curvature_scan(model, h_probe_max)[0], sizes
+    finally:
+        sweep.gauss_curvature = curvature
+
+
+class TestBisectionBound:
+    """The h1 bisection stops at ``max(h_probe_max, h_probe_max - origin) /
+    4096``: at most seven levels below one of the 63 cells of the default
+    grid, so at most 127 midpoints, whatever the origin's sign."""
+
+    @pytest.mark.parametrize("theta_free", [True, False])
+    @pytest.mark.parametrize(
+        "t_min, root, h_probe_max",
+        [
+            (-10.0, -5.0, -1.0),  # a ceiling below 0: the resolution was negative
+            (-10.0, -5.0, 0.0),  # a ceiling at 0: the resolution was 0
+            (-1e5, -5000.0, 64.0),  # far below 0: 131,071 midpoints before
+            (-3.0, 1.3, 10.0),
+            (0.0, 5.0, 10.0),  # the default origin keeps h_probe_max / 4096
+            (2.0, 7.7, 64.0),
+            (1e6, 1e6 + 3.3, 1e6 + 64.0),
+        ],
+    )
+    def test_midpoints_stay_within_127(self, t_min, root, h_probe_max, theta_free):
+        model = sign_change_model([root], t_min, theta_free)
+        h1, sizes = probe_sizes(model, h_probe_max)
+        # the grid scan, then every midpoint as one probe: none when the
+        # grid bracket is already within the resolution (t_min = 1e6)
+        assert len(sizes) == 2 and sizes[1] <= 127
+        resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
+        assert h1 - resolution <= root <= h1
+        if t_min >= 0.0:
+            assert h1 == per_step_detect_h1(model, h_probe_max, sweep._PROBE_GRID)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(0.02, 0.98), st.booleans())
+    def test_drawn_origins_stay_within_127(self, t_min, span, at, theta_free):
+        h_probe_max = t_min + span
+        root = t_min + at * (h_probe_max - t_min)
+        h1, sizes = probe_sizes(sign_change_model([root], t_min, theta_free), h_probe_max)
+        if len(sizes) == 2:  # K < -K_SLACK somewhere below the last grid row
+            assert sizes[1] <= 127
+            resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
+            slack = 1e-9 * max(1.0, abs(root))  # K_SLACK and rounding of t - root
+            assert h1 - resolution <= root + slack and root <= h1 + slack
 
 
 def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
