@@ -58,7 +58,6 @@ __all__ = [
     "eval_jet",
     "parse_metric",
     "serialize",
-    "uses_theta",
 ]
 
 VARIABLES = ("t", "theta")
@@ -322,19 +321,6 @@ def serialize(expr: MetricExpr | Node) -> str:
     """
     node = expr.root if isinstance(expr, MetricExpr) else expr
     return _serialize_node(node)
-
-
-def uses_theta(expr: MetricExpr | Node) -> bool:
-    """Whether the tree contains the variable ``theta`` anywhere, even
-    under a factor that makes it vanish (``t^2 + 0*theta``)."""
-    node = expr.root if isinstance(expr, MetricExpr) else expr
-    if isinstance(node, Var):
-        return node.name == "theta"
-    if isinstance(node, Unary):
-        return uses_theta(node.arg)
-    if isinstance(node, Binary):
-        return uses_theta(node.left) or uses_theta(node.right)
-    return False
 
 
 # op -> (rule when an operand has t, rule when neither does).  A t-free

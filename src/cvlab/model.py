@@ -20,9 +20,12 @@ double cover (curvature integrals double, the Euler characteristic
 doubles too).  Validation evaluates one sampling grid per distinct
 chart object, the positivity angles and the period pairs side by side,
 reads the first violation from masks and raises it as
-:class:`ModelInvalid`.  The masks run on the columns the chart returns:
-a value without a theta axis is one column, which stands for every
-angle, and only a value with a theta axis fills the grid.
+:class:`ModelInvalid`.  The masks run on the columns the chart returns
+(:func:`_on_grid`): a value without a theta axis is one column, which
+stands for every angle, and only a value with a theta axis fills the
+grid.  That shape is also the measurement of theta dependence:
+:func:`validate_surface` returns, per end, whether the chart's grid came
+back as one column, and the sweep integrates such an end in t alone.
 """
 
 from __future__ import annotations
@@ -55,16 +58,14 @@ class EndChart:
     scalar or numpy-array points and must use numpy functions; a jet with
     scalar slots (``Jet2(1.0)``) stands for every point.
 
-    ``theta_free`` declares that ``G`` does not depend on theta (a
-    rotation-symmetric end); boundary circles and curvature bands are
-    then integrated in t alone.  Validation checks the declaration on
-    its sample grid.
+    Whether ``G`` depends on theta is read from the shape of its value,
+    not declared: a chart that returns no theta axis on the validation
+    grid (a rotation-symmetric end) is integrated in t alone.
     """
 
     g_jet: Callable[..., Jet2] | None = None
     t_min: float = 0.0
     sqrt_g_jet: Callable[..., Jet2] | None = None
-    theta_free: bool = False
 
     def __post_init__(self):
         if (self.g_jet is None) == (self.sqrt_g_jet is None):
@@ -84,18 +85,11 @@ class EndChart:
 
 
 def chart_from_expression(text: str, t_min: float = 0.0) -> EndChart:
-    """Build an end chart from DSL source text.
-
-    The chart is theta-free exactly when the tree has no ``theta``.
-    """
-    from .dsl import eval_jet, parse_metric, uses_theta
+    """Build an end chart from DSL source text."""
+    from .dsl import eval_jet, parse_metric
 
     expr = parse_metric(text)
-    return EndChart(
-        g_jet=lambda t, theta: eval_jet(expr, t, theta),
-        t_min=t_min,
-        theta_free=not uses_theta(expr),
-    )
+    return EndChart(g_jet=lambda t, theta: eval_jet(expr, t, theta), t_min=t_min)
 
 
 class PolarCap(NamedTuple):
@@ -178,28 +172,35 @@ def _positivity_probes(end: EndChart, skip_pole: bool):
     return np.array(ts), thetas
 
 
+def _on_grid(value, rows: int, cols: int) -> np.ndarray:
+    """A chart quantity ``value`` computed on a ``(rows, cols)`` grid of
+    heights against angles, as the array its checks reduce.
+
+    A value without a theta axis (0-d, ``(1, 1)`` or ``(rows, 1)``) comes
+    back as that one column, ``(1, 1)`` or ``(rows, 1)``: every angle of a
+    row holds the same value, so a reduction reads the column in place of
+    the grid.  Any other value is broadcast, read-only, to the full grid.
+    """
+    value = np.asarray(value, dtype=float)
+    if value.shape in ((), (1, 1), (rows, 1)):
+        return value.reshape(-1, 1)
+    return np.broadcast_to(value, (rows, cols))
+
+
 def _evaluate(end: EndChart, ts, thetas):
     """G on the ``(ts, thetas)`` grid, NaN where a point raised, and the
     DomainError raised at each such point, keyed by its index.
 
-    The grid is one call.  A value without a theta axis (0-d, ``(1, 1)``
-    or ``(ts.size, 1)``) comes back as that one column, ``(1, 1)`` or
-    ``(ts.size, 1)``: every angle of a row holds the same value, so the
-    checks read the column in place of the grid.  Any other value is
-    broadcast to the full grid.  Only when the grid raises are the rows
-    called, and only in a row that raises are its points called one by
-    one; that walk fills the full grid.
+    The grid is one call, read by :func:`_on_grid`.  Only when it raises
+    are the rows called, and only in a row that raises are its points
+    called one by one; that walk fills the full grid.
     """
     try:
-        value = np.asarray(end.g(ts[:, None], thetas[None, :]), dtype=float)
+        value = end.g(ts[:, None], thetas[None, :])
     except DomainError:
         pass
     else:
-        if value.shape in ((), (1, 1), (ts.size, 1)):
-            return value.reshape(-1, 1), {}
-        values = np.empty((ts.size, thetas.size))
-        values[:] = value
-        return values, {}
+        return _on_grid(value, ts.size, thetas.size), {}
     values = np.full((ts.size, thetas.size), np.nan)
     errors = {}
     for i, t in enumerate(ts):
@@ -219,35 +220,20 @@ _PERIOD_THETAS = np.array([0.0, 0.9, 2.5, 4.2])
 _PERIOD_PAIRS = np.concatenate([_PERIOD_THETAS, _PERIOD_THETAS + 2.0 * math.pi])
 
 
-def _positivity_violation(j: int, end: EndChart, ts, thetas, values, errors) -> str | None:
-    """The first positivity or theta-free violation in row-major order.
-
-    One column of ``values`` stands for every angle of its rows, so its
-    rows cannot vary in theta and are not compared.
-    """
+def _positivity_violation(j: int, ts, thetas, values, errors) -> str | None:
+    """The first positivity violation in row-major order."""
     values = values[:, : thetas.size]
     errors = {(i, k): err for (i, k), err in errors.items() if k < thetas.size}
     bad = ~(np.isfinite(values) & (values > 0.0))
-    if end.theta_free and values.shape[1] > 1:
-        # a row's reference is its first value that is not NaN; a point
-        # before it is itself bad or an overflow, which is skipped
-        first = values[np.arange(ts.size), np.isnan(values).argmin(axis=1)]
-        bad |= values != first[:, None]
     for index, err in errors.items():
         # too large to represent is still positive
         bad[index] = not isinstance(err, Overflow)
     if not bad.any():
         return None
     i, k = np.argwhere(bad)[0]
-    t, theta, value = ts[i], thetas[k], values[i, k]
     if (i, k) in errors:
-        return f"end {j + 1}: evaluation failed at (t={t:g}): {errors[i, k]}"
-    if not (value > 0.0 and math.isfinite(value)):
-        return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
-    return (
-        f"end {j + 1}: declared theta-free but G varies in theta "
-        f"(t={t:g}, theta={theta:g}: {value:g} vs {first[i]:g})"
-    )
+        return f"end {j + 1}: evaluation failed at (t={ts[i]:g}): {errors[i, k]}"
+    return f"end {j + 1}: G <= 0 at sampled point (t={ts[i]:g}, theta={thetas[k]:g})"
 
 
 def _period_violation(j: int, ts, values) -> str | None:
@@ -266,12 +252,15 @@ def _period_violation(j: int, ts, values) -> str | None:
     )
 
 
-def validate_surface(model: SurfaceModel) -> None:
+def validate_surface(model: SurfaceModel) -> list[bool]:
     """Check model invariants; sampling catches nonpositive G.
 
     Raises :class:`ModelInvalid` with the first violation found.  A chart
     listed at several positions is sampled once, at its first position,
-    which its messages name.
+    which its messages name.  Returns one flag per end position: true
+    when that chart's grid call returned a value without a theta axis,
+    so the sweep may integrate it in t alone.  A grid that raised was
+    walked row by row and counts as theta-dependent.
     """
     polar = isinstance(model.core, PolarCap)
     if polar:
@@ -284,17 +273,19 @@ def validate_surface(model: SurfaceModel) -> None:
     elif not isinstance(model.core, AnalyticCore):
         raise ModelInvalid(f"unknown core descriptor {model.core!r}")
 
-    def check(j: int, end: EndChart) -> None:
+    def check(j: int, end: EndChart) -> bool:
         ts, thetas = _positivity_probes(end, polar)
         values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
-        message = _positivity_violation(j, end, ts, thetas, values, errors)
-        if message is None and values.shape[1] > 1:  # one column is periodic
+        message = _positivity_violation(j, ts, thetas, values, errors)
+        column = values.shape[1] == 1
+        if message is None and not column:  # one column is periodic
             rows = slice(1, None, max(1, len(ts) // 4))
             message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:
             raise ModelInvalid(message)
+        return column
 
-    _per_chart(model.ends, check)
+    columns = _per_chart(model.ends, check)
 
     if polar:
         end = model.ends[0]
@@ -314,3 +305,4 @@ def validate_surface(model: SurfaceModel) -> None:
                     "polar cap: d/dt sqrt(G) at the pole is "
                     f"{w.d1:.6f}, expected 1"
                 )
+    return columns

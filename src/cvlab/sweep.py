@@ -21,9 +21,11 @@ the ``lambda = mu'`` check are one :func:`integrate_circles` batch, each
 round ``(J, 1)`` heights against the ``(1, M)`` new angles of the
 rotated trapezoid pair, and the bands one :func:`integrate_bands` batch,
 ``(J, 15, 1)`` t-nodes against ``(1, 1, 2*n)`` angles per level ``n``.
-On a theta-free end the circle integrals are ``2*pi`` times point
-values, all heights in one ``sqrt_jet`` call, and the bands are 1-D
-integrals in t on ``(J, 15)`` nodes.  The improper windows of the
+An end is theta-free when its chart returned no theta axis on the
+validation grid (:func:`cvlab.model.validate_surface` returns one flag
+per end).  On a theta-free end the circle integrals are ``2*pi`` times
+point values, all heights in one ``sqrt_jet`` call, and the bands are
+1-D integrals in t on ``(J, 15)`` nodes.  The improper windows of the
 direct route, where each step decides whether to take the next, run in
 look-ahead chunks (see :func:`cvlab.quadrature._integrate_windows`).  A
 merged batch that raises fails the sweep with its own error.  A chart
@@ -50,7 +52,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .curvature import gauss_curvature
-from .model import EndChart, PolarCap, SurfaceModel, POLE_GUARD, _per_chart, validate_surface
+from .model import (
+    POLE_GUARD,
+    EndChart,
+    PolarCap,
+    SurfaceModel,
+    _on_grid,
+    _per_chart,
+    validate_surface,
+)
 from .quadrature import (
     DEFAULT_TOL,
     ImproperResult,
@@ -124,14 +134,16 @@ def residual_bound(quad_error: float) -> float:
     return 10.0 * quad_error + 1e-9
 
 
-def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, slots):
+def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, slots, theta_free):
     """Per-end sums of the circle integrals of one jet slot of sqrt(G):
     slot ``"f"`` gives mu, slot ``"d1"`` gives lambda.
 
-    ``heights`` and ``slots`` pair up.  On a theta-free end one
-    ``sqrt_jet(heights, 0)`` call gives every value, ``2*pi`` times the
-    value at theta = 0 with no quadrature error; on any other end the
-    circles of all pairs run as one :func:`integrate_circles` batch.
+    ``heights`` and ``slots`` pair up, and ``theta_free`` holds one flag
+    per end, as :func:`cvlab.model.validate_surface` returns them.  On a
+    theta-free end one ``sqrt_jet(heights, 0)`` call gives every value,
+    ``2*pi`` times the value at theta = 0 with no quadrature error; on
+    any other end the circles of all pairs run as one
+    :func:`integrate_circles` batch.
     Each distinct chart is measured once and added at each of its
     positions, in end order.  Returns ``(values, errors)``; the first
     nonpositive mu in the given order raises :class:`NonPositiveMu`.
@@ -141,7 +153,7 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
     zeros = [0.0] * hs.size  # never mutated: every sum below builds a new list
 
     def circles(j, end):
-        if end.theta_free:
+        if theta_free[j]:
             w = end.sqrt_jet(hs, 0.0)
             values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
             return values.tolist(), zeros
@@ -184,11 +196,13 @@ def _running_sums(total: float, err: float, rows) -> list[tuple[float, float]]:
 def sweep_samples(
     model: SurfaceModel, schedule: Sequence[float], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[TruncationSample, ...]:
-    """One sample per height of a strictly increasing schedule: the
-    boundary circles of all heights run as one batch per end, and so do
-    the curvature bands between consecutive heights."""
+    """One sample per height of a strictly increasing schedule, on a
+    validated model: the boundary circles of all heights run as one
+    batch per end, and so do the curvature bands between consecutive
+    heights."""
+    theta_free = validate_surface(model)
     _check_schedule(model, schedule)
-    return _sweep_samples(model, schedule, tol)[0]
+    return _sweep_samples(model, schedule, tol, theta_free)[0]
 
 
 def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
@@ -202,8 +216,11 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
         raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
 
 
-def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, probes=()):
-    """``(samples, values, errors, bands, c_last)`` on a checked schedule:
+def _sweep_samples(
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, theta_free, probes=()
+):
+    """``(samples, values, errors, bands, c_last)`` on a checked schedule,
+    with ``theta_free`` as :func:`cvlab.model.validate_surface` returns it:
     :func:`sweep_samples`; the boundary values and errors at the extra
     ``(height, slot)`` ``probes``, which ride in the boundary batch; per
     end the :class:`QuadResult` of each band, up to a height from the one
@@ -212,11 +229,11 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
     n = len(schedule)
     heights = [*schedule, *schedule, *(h for h, _ in probes)]
     slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
-    values, errors = _boundaries(model, heights, tol, slots)
+    values, errors = _boundaries(model, heights, tol, slots, theta_free)
     bands = _per_chart(
         model.ends,
         lambda j, end: integrate_bands(
-            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=end.theta_free
+            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=theta_free[j]
         ),
     )
     core = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
@@ -232,14 +249,15 @@ def _sweep_samples(model: SurfaceModel, schedule: Sequence[float], tol: Toleranc
     return tuple(samples), values[2 * n :], errors[2 * n :], bands, curvatures[-1]
 
 
-def _curvature_scan(model: SurfaceModel, h_probe_max: float):
+def _curvature_scan(model: SurfaceModel, h_probe_max: float, theta_free):
     """``(h1, kmin, kmax)``: the smallest height beyond which sampled
     curvature stays ``>= -K_SLACK``, and the curvature range of the scan.
 
     Every end is evaluated on one :func:`_probe_heights` grid from
     ``model.min_height`` to ``h_probe_max``, each height clamped to the
     end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call per
-    distinct chart;
+    distinct chart, at the first angle alone on an end that ``theta_free``
+    marks;
     those values give the violating rows and ``kmin``/``kmax``, reduced
     on the columns the chart returns.  The boundary of the last
     violation is then refined by bisection to ``max(h_probe_max,
@@ -258,7 +276,8 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
 
     def curvatures(t):
         def grid(j, end):
-            return _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), _PROBE_THETAS)
+            thetas = _PROBE_THETAS[:1] if theta_free[j] else _PROBE_THETAS
+            return _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), thetas)
 
         return _per_chart(model.ends, grid)
 
@@ -284,12 +303,15 @@ def _curvature_scan(model: SurfaceModel, h_probe_max: float):
     # and a tiny share of a span that reaches far below 0
     resolution = max(h_probe_max, h_probe_max - origin) / 4096.0
     # every bracket the bisection can reach, level by level, and then
-    # all of their midpoints as one probe
+    # all of their midpoints as one probe; none when the grid bracket is
+    # already within the resolution
     brackets, level = [], [(lo, hi)]
     while level:
         level = [(a, b) for a, b in level if b - a > resolution]
         brackets += level
         level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    if not brackets:
+        return hi, kmin, kmax
     midpoints = np.array([0.5 * (a + b) for a, b in brackets])
     bad = dict(zip(brackets, bad_rows(curvatures(midpoints), midpoints.size)))
     while hi - lo > resolution:
@@ -327,23 +349,16 @@ def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
 
 
 def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Gaussian curvature on the ``(heights, thetas)`` grid as one call.
-
-    A theta-free end is evaluated on the first theta column alone, which
-    holds every value of its rows.  A curvature without a theta axis
-    (0-d, ``(1, 1)`` or ``(heights.size, 1)``) comes back as that one
-    column, ``(1, 1)`` or ``(heights.size, 1)``, whose rows hold every
-    value of the grid's rows; any other is broadcast to the full grid.
-    """
-    if end.theta_free:
-        thetas = thetas[:1]
+    """Gaussian curvature on the ``(heights, thetas)`` grid as one call,
+    as :func:`cvlab.model._on_grid` reads it: one column when it has no
+    theta axis, else the full grid."""
     k = gauss_curvature(end, heights[:, None], thetas[None, :])
-    if np.shape(k) in ((), (1, 1), (heights.size, 1)):
-        return np.reshape(k, (-1, 1))
-    return np.broadcast_to(k, (heights.size, thetas.size))
+    return _on_grid(k, heights.size, thetas.size)
 
 
-def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance):
+def _total_curvature_direct(
+    model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance, theta_free
+):
     """The direct route: ``c_last``, ``(c_trunc, error)`` at ``h_max``, plus
     per end the integral of ``K dA`` on the windows ``t_min + (h_max -
     t_min)*2^k``, counting the evaluations of both.  An end whose last two
@@ -361,7 +376,7 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, to
         if max(quiet) <= tol.target(0.0):
             return QuadResult(0.0, sum(quiet), 0, True)
         edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
-        res = _integrate_windows(_curvature_density(end), edges, tol, end.theta_free)
+        res = _integrate_windows(_curvature_density(end), edges, tol, theta_free[j])
         spent.append(res.evaluations)
         return res
 
@@ -421,19 +436,24 @@ class _Measured(NamedTuple):
     direct: ImproperResult
 
 
-def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
-    """Run each measurement of a sweep once.  The five heights of the
-    ``lambda = mu'`` check ride in the samples' boundary batch, and the
+def _measure(
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, theta_free
+) -> _Measured:
+    """Run each measurement of a sweep once, with ``theta_free`` as
+    :func:`cvlab.model.validate_surface` returns it.  The five heights of
+    the ``lambda = mu'`` check ride in the samples' boundary batch, and the
     direct route continues the truncation's bands beyond the last height."""
     _check_schedule(model, schedule)
     h0, step = _mu_prime_point(model, schedule)
     probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
-    samples, values, errors, bands, c_last = _sweep_samples(model, schedule, tol, probes)
+    samples, values, errors, bands, c_last = _sweep_samples(
+        model, schedule, tol, theta_free, probes
+    )
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
-    h1, kmin, kmax = _curvature_scan(model, schedule[-1])
+    h1, kmin, kmax = _curvature_scan(model, schedule[-1], theta_free)
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol)
+    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol, theta_free)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 
@@ -443,13 +463,14 @@ def run_sweep(
     tol: Tolerance = DEFAULT_TOL,
 ) -> SweepReport:
     """Run the full truncation procedure over an increasing height schedule:
-    check the schedule and the model, measure everything the verdicts read
-    once (:func:`_measure`), then judge those numbers alone (:func:`_report`)."""
+    check the schedule and the model, whose validation measures which ends
+    are theta-free, measure everything the verdicts read once
+    (:func:`_measure`), then judge those numbers alone (:func:`_report`)."""
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
-    validate_surface(model)
-    return _report(model, _measure(model, schedule, tol))
+    theta_free = validate_surface(model)
+    return _report(model, _measure(model, schedule, tol, theta_free))
 
 
 def _report(model: SurfaceModel, m: _Measured) -> SweepReport:

@@ -11,8 +11,9 @@ against independent formulas.  For a metric ``dt^2 + G dtheta^2`` with
   geodesic curvature ``w'(h)``.
 
 Every chart states ``w`` alone, the function the sweep integrates.
-Every entry is a surface of rotation, so each chart declares
-``theta_free`` and the sweep integrates it in t alone.
+Every entry is a surface of rotation: each chart returns no theta axis,
+so validation measures it theta-free and the sweep integrates it in t
+alone.
 
 The catenoid and the capped pseudosphere-like cusp violate the
 "curvature nonnegative far out" hypothesis on purpose: they pin down
@@ -72,7 +73,7 @@ def make_flat_cylinder() -> ZooEntry:
     sweep measures it once.
     """
     unit = Jet2(1.0)
-    end = EndChart(sqrt_g_jet=lambda t, theta: unit, theta_free=True)
+    end = EndChart(sqrt_g_jet=lambda t, theta: unit)
     model = SurfaceModel(
         genus=0,
         ends=(end, end),
@@ -98,7 +99,7 @@ def make_polar_plane() -> ZooEntry:
     sqrt(G) = t exactly: circles of radius h have length 2*pi*h and
     unit radial growth, curvature vanishes.
     """
-    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0), theta_free=True)
+    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(t, 1.0, 0.0))
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -182,9 +183,7 @@ def make_paraboloid() -> ZooEntry:
     closed-form arc length t(r) = (r*sqrt(1+r^2) + asinh r)/2.
     """
 
-    chart = EndChart(
-        sqrt_g_jet=lambda t, theta: Jet2(*paraboloid_profile_jets(t)), theta_free=True
-    )
+    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(*paraboloid_profile_jets(t)))
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -245,9 +244,7 @@ def make_capped_cone(slant: float = 0.5) -> ZooEntry:
     if not (0.0 < slant < 1.0):
         raise InvalidParameter(f"slant must lie in (0, 1), got {slant!r}")
 
-    chart = EndChart(
-        sqrt_g_jet=lambda t, theta: Jet2(*_cone_profile_jets(t, slant)), theta_free=True
-    )
+    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(*_cone_profile_jets(t, slant)))
     model = SurfaceModel(
         genus=0,
         ends=(chart,),
@@ -297,7 +294,7 @@ def make_catenoid() -> ZooEntry:
                 w = np.where(np.isinf(w), np.abs(t), w)[()]
             return Jet2(w, t / w, 1.0 / w**3)
 
-    end = EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
+    end = EndChart(sqrt_g_jet=sqrt_g_jet)
     model = SurfaceModel(
         genus=0,
         ends=(end, end),
@@ -334,7 +331,7 @@ def make_hyperbolic_cusp_cap() -> ZooEntry:
         e = np.exp(-t)
         return Jet2(e, -e, e)
 
-    chart = EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=True)
+    chart = EndChart(sqrt_g_jet=sqrt_g_jet)
     model = SurfaceModel(
         genus=0,
         ends=(chart,),

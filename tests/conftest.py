@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cvlab.sweep as sweep
+from cvlab.model import validate_surface
 from cvlab.sweep import geometric_schedule, run_sweep
 from cvlab.zoo import zoo_entry
 
@@ -26,8 +27,15 @@ def mu_prime_order(model, h0, step, tol=sweep.DEFAULT_TOL):
     ``h0``, measured apart from a sweep: its five heights as one boundary
     batch of their own."""
     heights = sweep._mu_prime_heights(h0, step)
-    values, errors = sweep._boundaries(model, heights, tol, sweep._MU_PRIME_SLOTS)
+    slots = sweep._MU_PRIME_SLOTS
+    values, errors = sweep._boundaries(model, heights, tol, slots, validate_surface(model))
     return sweep._mu_prime_order(values, errors, step)
+
+
+def curvature_scan(model, h_probe_max):
+    """``(h1, kmin, kmax)`` of the curvature scan, on the theta-free flags
+    that validation measures, as a sweep runs it."""
+    return sweep._curvature_scan(model, h_probe_max, validate_surface(model))
 
 
 @pytest.fixture(scope="session")

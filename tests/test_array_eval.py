@@ -17,9 +17,9 @@ from cvlab.model import (
     chart_from_expression,
 )
 from cvlab.quadrature import _XGK
-from cvlab.sweep import K_SLACK, _curvature_scan
+from cvlab.sweep import K_SLACK
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import SCHEDULES
+from conftest import SCHEDULES, curvature_scan
 from test_dsl import random_expression
 
 REL = 1e-12
@@ -195,9 +195,9 @@ def test_probe_scans_match_per_height_loop(name):
     else:
         model, h_probe_max = zoo_entry(name).model, SCHEDULES[name][-1]
     want = reference_detect_h1(model, h_probe_max)
-    h1 = _curvature_scan(model, h_probe_max)[0]
+    h1 = curvature_scan(model, h_probe_max)[0]
     assert h1 == want and type(h1) is type(want)
-    assert _curvature_scan(model, h_probe_max) == (
+    assert curvature_scan(model, h_probe_max) == (
         want, *reference_curvature_range(model, h_probe_max)
     )
     if name == "three-ends":

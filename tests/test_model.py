@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvlab.model as model_module
-from cvlab.jets import DomainError, Jet2, Overflow
+from cvlab.dsl import Binary, Const, Unary, Var, serialize
+from cvlab.jets import DomainError, Jet2
 from cvlab.model import (
     AnalyticCore,
     EndChart,
@@ -191,16 +194,17 @@ class TestValidationGrid:
         assert shapes[0] == (19, 1)
         assert any(shape == () for shape in shapes) == grid_raises
 
-    @pytest.mark.parametrize("theta_free", [False, True])
-    def test_nan_grid_point_gets_its_message(self, theta_free):
-        # NaN at the grid point t = 8*5/15, theta = 2*pi*3/16, without raising
+    @pytest.mark.parametrize("walk_rows", [False, True])
+    def test_nan_grid_point_gets_its_message(self, walk_rows):
+        # NaN at the grid point t = 8*5/15, theta = 2*pi*3/16, without
+        # raising, on the grid or on the rows of a grid that raised
         def g_jet(t, theta):
+            if walk_rows and np.ndim(t) == 2:
+                raise DomainError("grid refused")
             hit = (np.abs(t - 8.0 * 5 / 15) < 1e-12) & (np.abs(theta - 2 * math.pi * 3 / 16) < 1e-12)
             return Jet2(np.where(hit, np.nan, 1.0 + 0.0 * t * theta))
 
-        model = SurfaceModel(
-            0, (EndChart(g_jet=g_jet, theta_free=theta_free),), AnalyticCore(0.0)
-        )
+        model = SurfaceModel(0, (EndChart(g_jet=g_jet),), AnalyticCore(0.0))
         assert violation(model) == (
             "end 1: G <= 0 at sampled point (t=2.66667, theta=1.1781)"
         )
@@ -251,16 +255,6 @@ def test_grid_that_raises_calls_points_only_in_the_row_that_raised():
     assert calls == [(2, 2)] + [(0, 1)] * 19 + [(0, 0)] * 24
 
 
-def test_theta_free_row_that_starts_with_an_overflow_takes_the_next_value():
-    def g_jet(t, theta):
-        if np.any((np.asarray(t) > 60.0) & (np.asarray(theta) == 0.0)):
-            raise Overflow("overflow in exp(1000.0)")
-        return Jet2(2.0 + 0.0 * t * theta)
-
-    model = SurfaceModel(0, (EndChart(g_jet=g_jet, theta_free=True),), AnalyticCore(0.0))
-    assert violation(model) is None
-
-
 class TestOneClosure:
     """A chart states its metric once; validation reads the ``w`` that
     the sweep integrates through ``G = w*|w|``."""
@@ -306,7 +300,39 @@ def test_chart_sqrt_jet_consistency():
     assert direct.d2 == pytest.approx(direct.f, rel=1e-12)
 
 
+def contains_theta(node):
+    """Whether a DSL tree contains the variable ``theta`` anywhere, even
+    under a factor that makes it vanish (``t^2 + 0*theta``)."""
+    if isinstance(node, Var):
+        return node.name == "theta"
+    if isinstance(node, Unary):
+        return contains_theta(node.arg)
+    if isinstance(node, Binary):
+        return contains_theta(node.left) or contains_theta(node.right)
+    return False
+
+
+# trees that never raise and stay finite on the validation grid, whose
+# theta enters through cos and sin only, so every G below is periodic
+_leaves = st.one_of(
+    st.builds(Const, st.floats(0.1, 3.0)),
+    st.just(Var("t")),
+    st.sampled_from([Unary("cos", Var("theta")), Unary("sin", Var("theta"))]),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "tanh"]), children),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul"]), children, children),
+    ),
+    max_leaves=12,
+)
+
+
 class TestThetaFreeDeclaration:
+    """Whether an end is theta-free is measured by validation, from the
+    shape of the value its grid call returns, not declared."""
+
     @pytest.mark.parametrize(
         "expr,theta_free",
         [
@@ -317,27 +343,21 @@ class TestThetaFreeDeclaration:
         ],
     )
     def test_derived_from_the_tree(self, expr, theta_free):
-        assert chart_from_expression(expr).theta_free is theta_free
+        chart = chart_from_expression(expr, t_min=1.0)  # G > 0 from t_min on
+        assert validate_surface(SurfaceModel(0, (chart,), AnalyticCore(0.0))) == [theta_free]
 
-    def test_zoo_charts_are_declared(self):
-        assert all(end.theta_free for entry in all_entries() for end in entry.model.ends)
+    def test_zoo_charts_are_measured_theta_free(self):
+        for entry in all_entries():
+            assert validate_surface(entry.model) == [True] * len(entry.model.ends), entry.name
 
-    @pytest.mark.parametrize("walk_rows", [False, True], ids=["grid", "row-walk"])
-    def test_varying_g_declared_theta_free_rejected(self, walk_rows):
-        g_jet = chart_from_expression("2 + sin(theta)").g_jet
+    @settings(max_examples=150, deadline=None)
+    @given(_trees)
+    def test_measured_flag_is_the_tree_walk(self, tree):
+        # G = 2 + sin(tree) lies in [1, 3]: valid whatever the tree
+        g = Binary("add", Const(2.0), Unary("sin", tree))
+        assert validate_surface(one_end(serialize(g))) == [not contains_theta(g)]
 
-        def refusing(t, theta):
-            if walk_rows and np.ndim(t) == 2:
-                raise DomainError("grid refused")
-            return g_jet(t, theta)
-
-        model = SurfaceModel(
-            genus=0,
-            ends=(EndChart(g_jet=refusing, theta_free=True),),
-            core=AnalyticCore(0.0),
-        )
-        with pytest.raises(ModelInvalid, match="end 1: declared theta-free but G varies in theta"):
-            validate_surface(model)
-        # the same G without the declaration is a valid chart
-        honest = SurfaceModel(model.genus, (EndChart(g_jet=refusing),), model.core)
-        assert violation(honest) is None
+    def test_repeated_chart_gets_its_flag_at_every_position(self):
+        flat, turning = chart_from_expression("1 + t^2"), chart_from_expression("2 + cos(theta)")
+        model = SurfaceModel(0, (flat, turning, flat), AnalyticCore(0.0))
+        assert validate_surface(model) == [True, False, True]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cvlab.sweep as sweep
-from cvlab.model import PolarCap, SurfaceModel, chart_from_expression
+from cvlab.model import PolarCap, SurfaceModel, chart_from_expression, validate_surface
 
 TWO_PI = 2.0 * math.pi
 SCHEDULE = [0.5, 1.5, 3.0, 6.0]
@@ -88,18 +88,19 @@ def _agrees(got_value, got_error, want):
 def test_sweep_integrals_match_nested_quad(a, b, c, k, d):
     text = f"(t + {a!r}*t^2*exp(-{b!r}*t)*(1 + {c!r}*cos({k}*theta + {d!r})))^2"
     model = SurfaceModel(0, (chart_from_expression(text),), PolarCap(), "reference")
-    assert not model.ends[0].theta_free
+    theta_free = validate_surface(model)
+    assert theta_free == [False]
     w, dw, d2w = _profile(a, b, c, k, d)
     tol = sweep.DEFAULT_TOL
 
     heights = [*SCHEDULE, *SCHEDULE]
     slots = ("f",) * len(SCHEDULE) + ("d1",) * len(SCHEDULE)
-    values, errors = sweep._boundaries(model, heights, tol, slots)
+    values, errors = sweep._boundaries(model, heights, tol, slots, theta_free)
     for h, slot, value, error in zip(heights, slots, values, errors):
         want = _circle(w if slot == "f" else dw, h)
         assert _agrees(value, error, want), (slot, h, value, error, want)
 
-    bands = sweep._sweep_samples(model, SCHEDULE, tol)[3][0]
+    bands = sweep._sweep_samples(model, SCHEDULE, tol, theta_free)[3][0]
     for lo, hi, res in zip([0.0, *SCHEDULE], SCHEDULE, bands):
         assert res.converged, (lo, hi, res)
         want = _band(lambda t, theta: -d2w(t, theta), lo, hi)

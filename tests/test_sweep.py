@@ -30,7 +30,7 @@ from cvlab.sweep import (
     sweep_samples,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import DEEP_SCHEDULE, SCHEDULES, mu_prime_order
+from conftest import DEEP_SCHEDULE, SCHEDULES, curvature_scan, mu_prime_order
 from test_array_eval import theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
@@ -164,16 +164,17 @@ def test_theta_dependent_log_end_meets_closed_forms(b, e, k, t_min):
 class TestDetectH1:
     def test_paraboloid_found_at_origin(self):
         model = zoo_entry("paraboloid").model
-        assert sweep._curvature_scan(model, 64.0)[0] == pytest.approx(0.0, abs=1e-9)
+        assert curvature_scan(model, 64.0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_cusp_not_found(self):
-        assert sweep._curvature_scan(zoo_entry("cusp-cap").model, 64.0)[0] is None
+        assert curvature_scan(zoo_entry("cusp-cap").model, 64.0)[0] is None
 
     def test_constructed_sign_change_located(self, monkeypatch):
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
         # negative somewhere for every t < 5, nonnegative beyond
         def sqrt_g_jet(t, theta):
-            return Jet2(1.0, 0.0, -(t - 5.0) * np.sin(theta) ** 2)
+            # the value carries theta's axis, so validation measures the end 2-D
+            return Jet2(1.0 + 0.0 * theta, 0.0, -(t - 5.0) * np.sin(theta) ** 2)
 
         chart = EndChart(sqrt_g_jet=sqrt_g_jet)
         model = SurfaceModel(
@@ -183,24 +184,24 @@ class TestDetectH1:
             name="sign-change",
         )
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
-        h1 = sweep._curvature_scan(model, 10.0)[0]
+        h1 = curvature_scan(model, 10.0)[0]
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
     def test_curvature_range_scan(self):
-        _, kmin, kmax = sweep._curvature_scan(zoo_entry("capped-cone").model, 64.0)
+        _, kmin, kmax = curvature_scan(zoo_entry("capped-cone").model, 64.0)
         assert kmin >= 0.0
         assert kmax > 1e-3
 
     def test_probe_ceiling_must_clear_chart_edges(self):
         with pytest.raises(ValueError):
-            sweep._curvature_scan(zoo_entry("polar-plane").model, 0.0)
+            curvature_scan(zoo_entry("polar-plane").model, 0.0)
 
     def test_probe_span_must_be_finite(self):
         # 1e308 - (-1e308) overflows: halving an infinite span toward the
         # origin would never reach POLE_GUARD
         model = SurfaceModel(0, (chart_from_expression("1", t_min=-1e308),), AnalyticCore(TWO_PI))
         with pytest.raises(ValueError, match="probe span .* is not finite"):
-            sweep._curvature_scan(model, 1e308)
+            curvature_scan(model, 1e308)
 
 
 class TestRunSweep:
@@ -498,7 +499,8 @@ def test_mu_prime_point_survives_heights_whose_product_overflows():
 
 def _direct_route(name):
     """The direct route of a zoo surface on its test schedule."""
-    return sweep._measure(zoo_entry(name).model, SCHEDULES[name], sweep.DEFAULT_TOL).direct
+    model = zoo_entry(name).model
+    return sweep._measure(model, SCHEDULES[name], sweep.DEFAULT_TOL, validate_surface(model)).direct
 
 
 class TestDirectTotalCurvature:
@@ -560,7 +562,7 @@ class TestDirectTotalCurvature:
         def measure(*ends):
             # the core's value does not reach the tails
             model = SurfaceModel(0, ends, AnalyticCore(-7 * TWO_PI))
-            return sweep._measure(model, schedule, sweep.DEFAULT_TOL)
+            return sweep._measure(model, schedule, sweep.DEFAULT_TOL, validate_surface(model))
 
         m = measure(settle, slow, fast, wide)
         alone_slow, alone_fast = measure(settle, slow).direct, measure(settle, fast).direct
@@ -775,6 +777,17 @@ class TestThetaFreeSweep:
             assert flat.c_trunc == pytest.approx(TWO_PI * (1.0 - math.cosh(flat.h)), rel=1e-9)
 
 
+def test_theta_bump_between_sample_heights_is_measured_2d():
+    # w = t*(1 + 0.5*cos(theta)*exp(-(t - 80)^2)) varies in theta only
+    # near t = 80, between validation's sample heights; its value still
+    # has a theta axis, so the end is 2-D and mu(80) is the circle mean
+    # 2*pi*80, not the point value 2*pi*120 at theta = 0
+    model = _dsl_cap("(t*(1 + 0.5*cos(theta)*exp(-(t - 80)^2)))^2")
+    assert validate_surface(model) == [False]
+    sample = sweep_samples(model, [1.0, 8.0, 64.0, 80.0])[-1]
+    assert abs(sample.mu - TWO_PI * 80.0) <= residual_bound(sample.quad_error)
+
+
 def _exp_cap_chart(theta_free):
     """``sqrt(G) = exp(-t) * (1 + 0.5*cos(theta))`` (theta dropped when
     ``theta_free``): mu underflows to exactly 0 between h = 700 and 760."""
@@ -783,7 +796,7 @@ def _exp_cap_chart(theta_free):
         w = np.exp(-t) * (1.0 if theta_free else 1.0 + 0.5 * np.cos(theta))
         return Jet2(w, -w, w)
 
-    return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+    return EndChart(sqrt_g_jet=sqrt_g_jet)
 
 
 class TestLockstepSweep:
@@ -835,7 +848,7 @@ def test_rotation_leaves_the_samples_unchanged(a):
 
     schedule = [1.0, 2.0, 4.0, 8.0, 16.0]
     base, turned = cap(0.0), cap(a)
-    assert not turned.ends[0].theta_free
+    assert validate_surface(turned) == [False]
     for s, r in zip(sweep_samples(base, schedule), sweep_samples(turned, schedule)):
         bound = residual_bound(s.quad_error + r.quad_error)
         for field in ("mu", "lam", "c_trunc"):
@@ -848,15 +861,16 @@ class TestProbeColumns:
         model = three_ends() if name == "three-ends" else (
             theta_cap() if name == "theta-cap" else zoo_entry(name).model
         )
+        theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
         columns = []
         curvature = sweep.gauss_curvature
 
         def recording(end, t, theta):
-            columns.append((end.theta_free, np.shape(theta)[-1]))
+            columns.append((theta_free[id(end)], np.shape(theta)[-1]))
             return curvature(end, t, theta)
 
         monkeypatch.setattr(sweep, "gauss_curvature", recording)
-        sweep._curvature_scan(model, 16.0)
+        curvature_scan(model, 16.0)
         assert columns
         assert all(n == (1 if free else 16) for free, n in columns)
 
@@ -943,15 +957,16 @@ def test_probe_grid_is_bitwise_the_scalar_grid(origin, h_probe_max):
 def sign_change_model(roots, t_min=0.0, theta_free=False):
     """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``,
     without the ``sin^2`` when theta-free: negative below the first root,
-    then alternating at each root."""
+    then alternating at each root.  Otherwise the value ``sqrt(G) = 1``
+    carries theta's axis, so validation measures the end 2-D."""
 
     def sqrt_g_jet(t, theta):
         k = 1.0 if theta_free else np.sin(theta) ** 2
         for r in roots:
             k = k * (t - r)
-        return Jet2(1.0, 0.0, -k)
+        return Jet2(1.0 if theta_free else 1.0 + 0.0 * theta, 0.0, -k)
 
-    chart = EndChart(sqrt_g_jet=sqrt_g_jet, t_min=t_min, theta_free=theta_free)
+    chart = EndChart(sqrt_g_jet=sqrt_g_jet, t_min=t_min)
     return SurfaceModel(0, (chart,), AnalyticCore(TWO_PI), name="sign-change")
 
 
@@ -972,7 +987,7 @@ class TestLookahead:
 
         monkeypatch.setattr(sweep, "gauss_curvature", counting)
         monkeypatch.setattr(sweep, "_PROBE_GRID", grid)
-        h1 = sweep._curvature_scan(model, 10.0)[0]
+        h1 = curvature_scan(model, 10.0)[0]
         assert h1 == want
         assert abs(h1 - 5.0) <= 10.0 / 4096.0
         # the grid scan, then the whole bisection tree
@@ -986,7 +1001,7 @@ class TestLookahead:
         assert not any(4.05 < h < 4.5 for h in heights)
         want = per_step_detect_h1(model, 10.0, 16)
         monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
-        assert sweep._curvature_scan(model, 10.0)[0] == want
+        assert curvature_scan(model, 10.0)[0] == want
         assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
 
 
@@ -1001,7 +1016,7 @@ def probe_sizes(model, h_probe_max):
 
     curvature, sweep.gauss_curvature = sweep.gauss_curvature, counting
     try:
-        return sweep._curvature_scan(model, h_probe_max)[0], sizes
+        return curvature_scan(model, h_probe_max)[0], sizes
     finally:
         sweep.gauss_curvature = curvature
 
@@ -1026,10 +1041,11 @@ class TestBisectionBound:
     )
     def test_midpoints_stay_within_127(self, t_min, root, h_probe_max, theta_free):
         model = sign_change_model([root], t_min, theta_free)
+        assert validate_surface(model) == [theta_free]
         h1, sizes = probe_sizes(model, h_probe_max)
-        # the grid scan, then every midpoint as one probe: none when the
-        # grid bracket is already within the resolution (t_min = 1e6)
-        assert len(sizes) == 2 and sizes[1] <= 127
+        # the grid scan, then every midpoint as one probe; no probe when
+        # the grid bracket is already within the resolution (t_min = 1e6)
+        assert len(sizes) == (1 if t_min == 1e6 else 2) and max(sizes[1:], default=0) <= 127
         resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
         assert h1 - resolution <= root <= h1
         if t_min >= 0.0:
@@ -1051,7 +1067,7 @@ class TestBisectionBound:
 def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
     """``sqrt(G) = t``, but raising :class:`DomainError` that names the
     first point inside a ``raise_in`` window, and negative inside a
-    ``negative_in`` window."""
+    ``negative_in`` window; with a theta axis unless ``theta_free``."""
 
     def inside(t, windows):
         hit = np.zeros(t.shape, dtype=bool)
@@ -1060,14 +1076,14 @@ def _faulty_chart(raise_in=(), negative_in=(), theta_free=True):
         return hit
 
     def sqrt_g_jet(t, theta):
-        t = np.asarray(t + 0.0 * theta)
+        t = np.asarray(t if theta_free else t + 0.0 * theta)
         hit = inside(t, raise_in)
         if hit.any():
             raise DomainError(f"fault at t={float(t[hit][0])!r}")
         f = np.where(inside(t, negative_in), -t, t)
         return Jet2(f, np.ones_like(f), np.zeros_like(f))
 
-    return EndChart(sqrt_g_jet=sqrt_g_jet, theta_free=theta_free)
+    return EndChart(sqrt_g_jet=sqrt_g_jet)
 
 
 def _cap(end):
@@ -1091,20 +1107,25 @@ MU_PRIME_FAULTS = {
     "nonpositive-mu": {"negative_in": [(2.85, 2.9)]},
     "nonpositive-mu-after-band": {"negative_in": [(2.85, 2.9)], "raise_in": [(5.0, 6.0)]},
 }
-# name: (model builder, fault windows of the values the error may name)
+# name: (model builder, fault windows of the values the error may name,
+# theta-free flag); validation would refuse these charts, so the flag is
+# the shape each chart returns
 FAULT_CASES = {
     **{
         f"{name}-{free}": (
             lambda w=windows, free=free: _cap(_faulty_chart(raise_in=w, theta_free=free)),
             windows,
+            free,
         )
         for name, windows in CAP_FAULTS.items()
         for free in (True, False)
     },
     # the DSL names the log's argument t - 0.6, negative below t = 0.6
-    "dsl-cap": (lambda: _cap(chart_from_expression("t^2 + 0*log(t - 0.6)")), [(-0.6, 0.0)]),
+    "dsl-cap": (
+        lambda: _cap(chart_from_expression("t^2 + 0*log(t - 0.6)")), [(-0.6, 0.0)], True
+    ),
     **{
-        name: (lambda f=faults: _analytic(_faulty_chart(**f)), sum(faults.values(), []))
+        name: (lambda f=faults: _analytic(_faulty_chart(**f)), sum(faults.values(), []), True)
         for name, faults in MU_PRIME_FAULTS.items()
     },
 }
@@ -1118,16 +1139,16 @@ class TestMergedBatches:
     @pytest.mark.parametrize("name", zoo_names() + ("theta-cap",))
     def test_mu_prime_equals_the_separate_measurement(self, name):
         model = theta_cap() if name == "theta-cap" else zoo_entry(name).model
-        m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL)
+        m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL, validate_surface(model))
         assert m.mu_prime[2:] == mu_prime_order(model, *m.mu_prime[:2])
 
     @pytest.mark.parametrize("name", FAULT_CASES)
     def test_fault_fails_the_sweep(self, name):
         # the error is one a lone call raises too, and it names a point of
         # a fault window; with two faults either one may be named
-        build, windows = FAULT_CASES[name]
+        build, windows, theta_free = FAULT_CASES[name]
         with pytest.raises((DomainError, OverflowError, NonPositiveMu)) as caught:
-            sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL)
+            sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL, [theta_free])
         message = str(caught.value)
         named = [float(x) for x in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", message)]
         assert any(lo < x < hi for x in named for lo, hi in windows), message
@@ -1207,5 +1228,5 @@ def test_repeated_chart_reports_as_distinct_charts(name):
         report_to_json_dict(want), indent=2
     )
     assert report_to_csv(got) == report_to_csv(want)
-    if any(not charts[k].theta_free for k in positions):
+    if not all(validate_surface(shared)):
         assert shared.min_height < got.h1 < schedule[-1]

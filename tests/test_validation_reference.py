@@ -7,9 +7,11 @@ with ``np.ldexp``.  The references below are the earlier code, kept
 verbatim: every chart value broadcast to the ``19 x 24`` grid and every
 mask run over it, and the refinement built by a halving loop.
 Hypothesis draws the charts (return shape, nonpositive, NaN, infinite
-and raising rows, a theta factor that can break positivity, periodicity
-or a theta-free declaration) and the probe spans; the messages must be
-equal and the grids equal bit for bit.
+and raising rows, a theta factor that can break positivity or
+periodicity) and the probe spans; the messages must be equal and the
+grids equal bit for bit.  The theta-free flag that validation returns
+is measured from the same shape: true exactly when the grid call
+returned no theta axis.
 """
 
 import math
@@ -57,13 +59,10 @@ def full_grid_evaluate(end, ts, thetas):
     return values, errors
 
 
-def full_grid_positivity(j, end, ts, thetas, values, errors):
+def full_grid_positivity(j, ts, thetas, values, errors):
     values = values[:, : thetas.size]
     errors = {(i, k): err for (i, k), err in errors.items() if k < thetas.size}
     bad = ~(np.isfinite(values) & (values > 0.0))
-    if end.theta_free:
-        first = values[np.arange(ts.size), np.isnan(values).argmin(axis=1)]
-        bad |= values != first[:, None]
     for index, err in errors.items():
         bad[index] = not isinstance(err, Overflow)
     if not bad.any():
@@ -72,12 +71,8 @@ def full_grid_positivity(j, end, ts, thetas, values, errors):
     t, theta, value = ts[i], thetas[k], values[i, k]
     if (i, k) in errors:
         return f"end {j + 1}: evaluation failed at (t={t:g}): {errors[i, k]}"
-    if not (value > 0.0 and math.isfinite(value)):
-        return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
-    return (
-        f"end {j + 1}: declared theta-free but G varies in theta "
-        f"(t={t:g}, theta={theta:g}: {value:g} vs {first[i]:g})"
-    )
+    assert not (value > 0.0 and math.isfinite(value))
+    return f"end {j + 1}: G <= 0 at sampled point (t={t:g}, theta={theta:g})"
 
 
 def full_grid_period(j, ts, values):
@@ -102,7 +97,7 @@ def full_grid_violation(model):
     def check(j, end):
         ts, thetas = _positivity_probes(end, False)
         values, errors = full_grid_evaluate(end, ts, np.concatenate([thetas, PERIOD_PAIRS]))
-        message = full_grid_positivity(j, end, ts, thetas, values, errors)
+        message = full_grid_positivity(j, ts, thetas, values, errors)
         if message is None:
             rows = slice(1, None, max(1, len(ts) // 4))
             message = full_grid_period(j, ts[rows], values[rows, thetas.size :])
@@ -110,6 +105,16 @@ def full_grid_violation(model):
 
     _per_chart(model.ends, check)
     return next((m for m in messages if m is not None), None)
+
+
+def returns_no_theta_axis(end):
+    """The theta-free flag: the grid call returns a value without a theta
+    axis; a grid call that raises counts as theta-dependent."""
+    try:
+        value = end.g(TS[:, None], GRID_THETAS[None, :])
+    except DomainError:
+        return False
+    return np.shape(value) in ((), (1, 1), (TS.size, 1))
 
 
 def violation(model):
@@ -142,7 +147,7 @@ FACTORS = {
 }
 
 
-def drawn_chart(shape, rows, factor, a, theta_free):
+def drawn_chart(shape, rows, factor, a):
     """``G = base(t)*factor(theta)`` on the validation grid of ``t_min = 0``.
 
     ``shape`` is what a grid call returns: ``"0-d"`` and ``"(1, 1)"``
@@ -171,7 +176,7 @@ def drawn_chart(shape, rows, factor, a, theta_free):
         with np.errstate(invalid="ignore"):
             return Jet2(column * FACTORS[factor](np.asarray(theta, dtype=float), a))
 
-    return EndChart(g_jet=g_jet, theta_free=theta_free)
+    return EndChart(g_jet=g_jet)
 
 
 @st.composite
@@ -185,7 +190,7 @@ def charts(draw):
         for i, kind in draw(st.lists(st.tuples(st.integers(0, TS.size - 1), row_kind), max_size=3)):
             rows[i] = kind
     factor = draw(st.sampled_from(sorted(FACTORS))) if shape == "(N, 24)" else "flat"
-    return drawn_chart(shape, rows, factor, draw(st.floats(0.1, 2.0)), draw(st.booleans()))
+    return drawn_chart(shape, rows, factor, draw(st.floats(0.1, 2.0)))
 
 
 def one_end(chart):
@@ -198,36 +203,43 @@ NAN_ROW = [2.0] * 7 + ["nan"] + [2.0] * 11
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(charts(), min_size=1, max_size=2))
-@example([drawn_chart("(N, 1)", NAN_ROW, "flat", 1.0, True)])
-@example([drawn_chart("(N, 1)", NAN_ROW, "flat", 1.0, False)])
-@example([drawn_chart("0-d", ["nan"] * TS.size, "flat", 1.0, True)])
-@example([drawn_chart("(N, 24)", POSITIVE, "cos", 0.5, True)])
-@example([drawn_chart("(N, 24)", POSITIVE, "aperiodic", 1.0, False)])
-@example([drawn_chart("(N, 1)", POSITIVE, "flat", 1.0, True),
-          drawn_chart("(N, 24)", POSITIVE, "cos", 1.5, False)])
+@example([drawn_chart("(N, 1)", NAN_ROW, "flat", 1.0)])
+@example([drawn_chart("0-d", ["nan"] * TS.size, "flat", 1.0)])
+@example([drawn_chart("(N, 24)", POSITIVE, "cos", 0.5)])
+@example([drawn_chart("(N, 24)", POSITIVE, "aperiodic", 1.0)])
+@example([drawn_chart("(N, 1)", POSITIVE, "flat", 1.0),
+          drawn_chart("(N, 24)", POSITIVE, "cos", 1.5)])
 def test_validation_equals_the_full_grid(ends):
     model = SurfaceModel(0, tuple(ends), AnalyticCore(0.0))
     assert violation(model) == full_grid_violation(model)
+    if violation(model) is None:
+        assert validate_surface(model) == [returns_no_theta_axis(end) for end in ends]
 
 
 def test_theta_free_values_are_read_as_one_column(monkeypatch):
-    # each shape without a theta axis reaches the checks as one column;
-    # the lying theta-free chart returns a theta axis and keeps its grid
+    # each shape without a theta axis reaches the checks as one column and
+    # is measured theta-free; a theta axis, or a grid that raised and was
+    # walked row by row, keeps the full grid and is measured theta-dependent
     seen = []
     positivity = model_module._positivity_violation
 
-    def recording(j, end, ts, thetas, values, errors):
+    def recording(j, ts, thetas, values, errors):
         seen.append(values.shape)
-        return positivity(j, end, ts, thetas, values, errors)
+        return positivity(j, ts, thetas, values, errors)
 
     monkeypatch.setattr(model_module, "_positivity_violation", recording)
-    for shape in ("0-d", "(1, 1)", "(N, 1)"):
-        assert violation(one_end(drawn_chart(shape, POSITIVE, "flat", 1.0, True))) is None
-    lying = one_end(drawn_chart("(N, 24)", POSITIVE, "cos", 0.5, True))
-    message = violation(lying)
-    assert message.startswith("end 1: declared theta-free but G varies in theta")
-    assert message == full_grid_violation(lying)
-    assert seen == [(1, 1), (1, 1), (TS.size, 1), (TS.size, GRID_THETAS.size)]
+    overflow_row = POSITIVE[:-1] + [("overflow", None)]
+    cases = [
+        (drawn_chart("0-d", POSITIVE, "flat", 1.0), True),
+        (drawn_chart("(1, 1)", POSITIVE, "flat", 1.0), True),
+        (drawn_chart("(N, 1)", POSITIVE, "flat", 1.0), True),
+        (drawn_chart("(N, 24)", POSITIVE, "cos", 0.5), False),
+        (drawn_chart("(N, 1)", overflow_row, "flat", 1.0), False),
+    ]
+    for chart, flat in cases:
+        assert validate_surface(one_end(chart)) == [flat]
+    full = (TS.size, GRID_THETAS.size)
+    assert seen == [(1, 1), (1, 1), (TS.size, 1), full, full]
 
 
 # -- reference: the loop-built probe grid ---------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import cvlab.model as model_module
 from cvlab.model import AnalyticCore, PolarCap, validate_surface
 from cvlab.quadrature import Tolerance
-from cvlab.sweep import _curvature_scan, sweep_samples
+from cvlab.sweep import sweep_samples
 from cvlab.zoo import (
     InvalidParameter,
     all_entries,
@@ -19,6 +19,7 @@ from cvlab.zoo import (
     zoo_entry,
     zoo_names,
 )
+from conftest import curvature_scan
 
 TWO_PI = 2.0 * math.pi
 HEIGHTS = [0.25 * (k + 1) for k in range(32)]
@@ -89,7 +90,7 @@ def test_computed_quantities_match_oracles(name):
 @pytest.mark.parametrize("name", zoo_names())
 def test_hypothesis_flag_agrees_with_detection(name):
     entry = zoo_entry(name)
-    h1 = _curvature_scan(entry.model, h_probe_max=64.0)[0]
+    h1 = curvature_scan(entry.model, 64.0)[0]
     assert (h1 is not None) == entry.oracle.hypothesis_holds, (name, h1)
 
 
