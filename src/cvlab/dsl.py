@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import operator
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
@@ -179,15 +178,20 @@ class _Parser:
     def too_deep(self) -> ParseError:
         return self.error(f"nesting deeper than {MAX_NESTING} levels")
 
-    @contextmanager
-    def deeper(self):
-        """Open one more nesting level at the next token."""
+    def deeper(self) -> None:
+        """Open one more nesting level at the next token, which
+        :meth:`close` closes.  A :class:`ParseError` discards the parser,
+        so no level is closed on the way out."""
         if self.depth == MAX_NESTING:
             raise self.too_deep()
         self.depth += 1
-        self.peak = max(self.peak, self.depth)
-        yield
+        if self.depth > self.peak:
+            self.peak = self.depth
+
+    def close(self, node: Node) -> Node:
+        """Close the level :meth:`deeper` opened and return ``node``."""
         self.depth -= 1
+        return node
 
     def expect_op(self, symbol: str) -> None:
         kind, text, _ = self.peek()
@@ -202,16 +206,20 @@ class _Parser:
             raise self.error(f"unexpected trailing input {text!r}")
         return node
 
-    @contextmanager
-    def chain(self):
-        """Parse a left-associative chain ``operand (op operand)*`` at the
-        depth it yields.  Each operator (:meth:`link`) nests everything to
+    def chain(self) -> tuple[int, int]:
+        """Start a left-associative chain ``operand (op operand)*`` at the
+        current depth; returns ``(outer, enclosing)`` for :meth:`link` and
+        :meth:`unchain`.  Each operator (:meth:`link`) nests everything to
         its left one level deeper, as the tree does, and opens one level
         for its right operand; ``peak`` follows the deepest level."""
         outer, enclosing = self.depth, self.peak
         self.peak = outer
-        yield outer
+        return outer, enclosing
+
+    def unchain(self, outer: int, enclosing: int, node: Node) -> Node:
+        """End the chain that :meth:`chain` started and return ``node``."""
         self.depth, self.peak = outer, max(enclosing, self.peak)
+        return node
 
     def link(self, outer: int) -> None:
         """Take the next operator of the chain at depth ``outer``."""
@@ -221,37 +229,37 @@ class _Parser:
         self.depth, self.peak = outer + 1, self.peak + 1
 
     def expression(self) -> Node:
-        with self.chain() as outer:
-            node = self.term()
-            while True:
-                kind, text, _ = self.peek()
-                if kind != "op" or text not in "+-":
-                    return node
-                self.link(outer)
-                node = Binary("add" if text == "+" else "sub", node, self.term())
+        outer, enclosing = self.chain()
+        node = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in "+-":
+                return self.unchain(outer, enclosing, node)
+            self.link(outer)
+            node = Binary("add" if text == "+" else "sub", node, self.term())
 
     def term(self) -> Node:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
-            with self.deeper():
-                self.take()
-                return Unary("neg", self.term())
-        with self.chain() as outer:
-            node = self.factor()
-            while True:
-                kind, text, _ = self.peek()
-                if kind != "op" or text not in "*/":
-                    return node
-                self.link(outer)
-                node = Binary("mul" if text == "*" else "div", node, self.factor())
+            self.deeper()
+            self.take()
+            return self.close(Unary("neg", self.term()))
+        outer, enclosing = self.chain()
+        node = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in "*/":
+                return self.unchain(outer, enclosing, node)
+            self.link(outer)
+            node = Binary("mul" if text == "*" else "div", node, self.factor())
 
     def factor(self) -> Node:
         node = self.base()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
-            with self.deeper():
-                self.take()
-                return Binary("pow", node, self.factor())
+            self.deeper()
+            self.take()
+            return self.close(Binary("pow", node, self.factor()))
         return node
 
     def base(self) -> Node:
@@ -264,22 +272,22 @@ class _Parser:
             if text in VARIABLES:
                 return Var(text)
             if text in FUNCTIONS:
-                with self.deeper():
-                    self.expect_op("(")
-                    arg = self.expression()
-                    self.expect_op(")")
-                return Unary(text, arg)
+                self.deeper()
+                self.expect_op("(")
+                arg = self.expression()
+                self.expect_op(")")
+                return self.close(Unary(text, arg))
             raise UnknownIdentifier(text, _byte_offset(self.source, idx))
         if kind == "op" and text == "(":
-            with self.deeper():
-                self.take()
-                node = self.expression()
-                self.expect_op(")")
-            return node
+            self.deeper()
+            self.take()
+            node = self.expression()
+            self.expect_op(")")
+            return self.close(node)
         if kind == "op" and text == "-":
-            with self.deeper():
-                self.take()
-                return Unary("neg", self.base())
+            self.deeper()
+            self.take()
+            return self.close(Unary("neg", self.base()))
         raise self.error(
             f"expected a value, got {text!r}" if text else "unexpected end of input",
             frozenset({"number", "t", "theta", "name(", "(", "-"}),

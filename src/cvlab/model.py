@@ -58,9 +58,10 @@ class EndChart:
     scalar or numpy-array points and must use numpy functions; a jet with
     scalar slots (``Jet2(1.0)``) stands for every point.
 
-    Whether ``G`` depends on theta is read from the shape of its value,
-    not declared: a chart that returns no theta axis on the validation
-    grid (a rotation-symmetric end) is integrated in t alone.
+    Whether the chart depends on theta is read from the shape of its
+    jet, not declared: a chart whose jet has no theta axis in any slot on
+    the validation grid (a rotation-symmetric end) is integrated in t
+    alone.
     """
 
     g_jet: Callable[..., Jet2] | None = None
@@ -72,11 +73,22 @@ class EndChart:
             raise ValueError("an end chart takes exactly one of g_jet and sqrt_g_jet")
 
     def g(self, t, theta):
+        """``G`` at the points, shaped as the whole jet: a derivative slot
+        with a theta axis gives the value one, so that the shape of ``G``
+        measures the theta dependence of every slot the sweep reads."""
         if self.g_jet is not None:
-            return self.g_jet(t, theta).f
-        w = self.sqrt_g_jet(t, theta).f
-        with np.errstate(over="ignore"):
-            return w * np.abs(w)
+            jet = self.g_jet(t, theta)
+            value = jet.f
+        else:
+            jet = self.sqrt_g_jet(t, theta)
+            with np.errstate(over="ignore"):
+                value = jet.f * np.abs(jet.f)
+        # a slot that is not an array is a constant, which widens nothing
+        shape = np.shape(value)
+        wider = [s.shape for s in jet[1:] if isinstance(s, np.ndarray) and s.shape != shape]
+        if not wider:
+            return value
+        return np.broadcast_to(value, np.broadcast_shapes(shape, *wider))
 
     def sqrt_jet(self, t, theta) -> Jet2:
         if self.sqrt_g_jet is not None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -122,12 +123,11 @@ def _start_cost(theta_free: bool) -> int:
     return 15 if theta_free else 30 * _FLOOR
 
 
-def _require_finite(values: np.ndarray, jobs) -> None:
+def _require_finite(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     if np.isfinite(values).all():
         return
-    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-    interval = jobs[int(np.argmin(finite))][1][:2]
-    raise DomainError(f"non-finite integrand value on panel {interval}")
+    i = int(np.argmin(np.isfinite(values).reshape(len(values), -1).all(axis=1)))
+    raise DomainError(f"non-finite integrand value on panel {(a[i].item(), b[i].item())}")
 
 
 def _gk15(half: np.ndarray, fv: np.ndarray):
@@ -139,96 +139,137 @@ def _gk15(half: np.ndarray, fv: np.ndarray):
     return kron, gauss
 
 
+def _line_panels(values: Callable, a: np.ndarray, b: np.ndarray, levels, scale: float = 1.0):
+    """GK15 panels over the intervals ``[a, b]`` from one call ``values(x)``
+    on ``(J, 15)`` nodes, in the panel protocol of :func:`_adapt_many`;
+    ``levels`` is not read.  Returns ``scale`` times the Kronrod value and
+    the Kronrod-Gauss difference, 15 evaluations and a split in t, per
+    panel."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    fv = np.empty((a.size, 15))
+    fv[...] = values(mid[:, None] + half[:, None] * _XGK)
+    _require_finite(fv, a, b)
+    kron, gauss = _gk15(half, fv)
+    return scale * kron, scale * np.abs(kron - gauss), [15] * a.size, [True] * a.size
+
+
 def _panels_1d(values: Callable, jobs, scale: float = 1.0):
-    """GK15 panels over the intervals of ``jobs``, ``(member, (a, b))``
-    pairs, from one call ``values(x)`` on ``(J, 15)`` nodes.  Returns
-    ``(value, error, 15, children)`` per job: ``scale`` times the Kronrod
-    value and the Kronrod-Gauss difference, and the halves."""
-    ab = np.array([box for _, box in jobs], dtype=float)
-    half = 0.5 * (ab[:, 1:] - ab[:, :1])
-    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
-    fv = np.empty((len(jobs), 15))
-    fv[...] = values(mid + half * _XGK)
-    _require_finite(fv, jobs)
-    kron, gauss = _gk15(half[:, 0], fv)
-    scaled, errors = (scale * kron).tolist(), (scale * np.abs(kron - gauss)).tolist()
-    rows = zip(jobs, mid[:, 0].tolist(), scaled, errors)
-    return [(v, e, 15, ((a, m), (m, b))) for (_, (a, b)), m, v, e in rows]
+    """:func:`_line_panels` over the intervals of ``jobs``, ``(member, (a,
+    b))`` pairs, as one ``(value, error, 15, children)`` row per job, the
+    children being the t-halves: the per-panel form of the 1-D rule, in
+    which the pinned driver tests read single panels."""
+    a, b = np.array([box for _, box in jobs], dtype=float).T
+    value, error, _, _ = _line_panels(values, a, b, None, scale)
+    return [
+        (v, e, 15, ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)))
+        for (_, (lo, hi)), v, e in zip(jobs, value.tolist(), error.tolist())
+    ]
 
 
-def _theta_panels(f: Callable, jobs):
-    """Band panels over the boxes ``(a, b, n)`` of ``jobs``, ``(member,
-    box)`` pairs, from one call ``f(t, theta)`` per level ``n`` on ``(J,
-    15, 1)`` t-nodes and the ``(1, 1, 2*n)`` angles of :func:`_thetas`.
-    Returns ``(value, error, 30*n, children)`` per job: ``2*pi`` times the
-    Kronrod value of the theta mean; the Kronrod-Gauss difference plus the
-    Kronrod integral of ``|T_n - T_n^rot|``; and the t-halves, or ``(a, b,
-    2*n)`` when the theta part of the error is the larger."""
-    out = [None] * len(jobs)
-    levels: dict[int, list[int]] = {}
-    for i, (_, box) in enumerate(jobs):
-        levels.setdefault(box[2], []).append(i)
-    for n, rows in levels.items():
-        group = [jobs[i] for i in rows]
-        ab = np.array([box[:2] for _, box in group])
-        half = 0.5 * (ab[:, 1:] - ab[:, :1])
-        mid = 0.5 * (ab[:, :1] + ab[:, 1:])
-        grids = np.empty((len(rows), 15, 2 * n))
-        grids[...] = f((mid + half * _XGK)[:, :, None], _thetas(n)[None, None, :])
-        _require_finite(grids, group)
-        means = grids.reshape(len(rows), 15, 2, n).sum(axis=3) / n
-        plain = np.ascontiguousarray(means[:, :, 0])
-        drift = np.abs(plain - means[:, :, 1])
-        half = half[:, 0]
-        kron, gauss = _gk15(half, plain)
-        theta_err = TWO_PI * half * (drift[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
-        t_err = TWO_PI * np.abs(kron - gauss)
-        parts = zip(rows, group, mid[:, 0].tolist(), (TWO_PI * kron).tolist(), t_err.tolist(),
-                    theta_err.tolist())
-        for i, (_, (a, b, _)), m, value, te, se in parts:
-            children = ((a, m, n), (m, b, n)) if te >= se else ((a, b, 2 * n),)
-            out[i] = (value, te + se, 30 * n, children)
-    return out
+def _band_level(f: Callable, a: np.ndarray, b: np.ndarray, n: int):
+    """:func:`_band_panels` at the one theta level ``n``: value, error and split."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    grids = np.empty((a.size, 15, 2 * n))
+    grids[...] = f((mid[:, None] + half[:, None] * _XGK)[:, :, None], _thetas(n)[None, None, :])
+    _require_finite(grids, a, b)
+    means = grids.reshape(a.size, 15, 2, n).sum(axis=3) / n
+    plain = np.ascontiguousarray(means[:, :, 0])
+    drift = np.abs(plain - means[:, :, 1])
+    kron, gauss = _gk15(half, plain)
+    theta_err = TWO_PI * half * (drift[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
+    t_err = TWO_PI * np.abs(kron - gauss)
+    return TWO_PI * kron, t_err + theta_err, t_err >= theta_err
 
 
-def _adapt_many(panels: Callable, starts, tol: Tolerance) -> list[QuadResult]:
+def _band_panels(f: Callable, a: np.ndarray, b: np.ndarray, levels):
+    """Band panels over ``[a, b]`` at the theta ``levels``, in the panel
+    protocol of :func:`_adapt_many`: one call ``f(t, theta)`` per level
+    ``n``, in the order the levels first appear, on ``(J, 15, 1)`` t-nodes
+    and the ``(1, 1, 2*n)`` angles of :func:`_thetas`.  Returns per panel
+    ``2*pi`` times the Kronrod value of the theta mean; the Kronrod-Gauss
+    difference plus the Kronrod integral of ``|T_n - T_n^rot|``; ``30*n``
+    evaluations; and a split in t when the t part of the error is the
+    larger or equal, else a doubling of the level."""
+    if levels.count(levels[0]) == len(levels):
+        value, error, split = _band_level(f, a, b, levels[0])
+    else:
+        value, error, split = np.empty(a.size), np.empty(a.size), np.empty(a.size, bool)
+        at = np.array(levels)
+        for n in dict.fromkeys(levels):
+            rows = at == n
+            value[rows], error[rows], split[rows] = _band_level(f, a[rows], b[rows], n)
+    return value, error, [30 * n for n in levels], split.tolist()
+
+
+def _children(a: float, b: float, n: int, split: bool) -> tuple:
+    """The boxes that refine the box ``(a, b, n)``: its t-halves, or with
+    ``split`` false the same interval at theta level ``2*n``."""
+    if split:
+        m = 0.5 * (a + b)
+        return ((a, m, n), (m, b, n))
+    return ((a, b, 2 * n),)
+
+
+def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance, decided):
     """Worst-first adaptive refinement of several integrals in lockstep.
 
-    ``starts[k]`` lists the starting boxes of integral ``k``;
-    ``panels(jobs)`` integrates ``(k, box)`` pairs and returns ``(value,
-    error, evaluations, children)`` per job, the children costing twice
-    the panel.  Each integral keeps its own heap, largest error first,
-    ties broken by creation order, and stops once its summed error meets
-    the tolerance, or before children that would take it past
-    ``tol.max_evaluations``.  The children of every integral still running
-    go to one ``panels`` call, so each result is that of a lone run.
+    Integral ``k`` starts as the box ``(lo[k], hi[k], _FLOOR)``, an
+    interval in t at a theta level.  ``panels(a, b, levels)``, the panel
+    protocol, integrates the boxes ``(a[i], b[i], levels[i])`` and returns
+    the value and error arrays and the evaluation and split lists of its
+    panels; refining a box gives its :func:`_children`, which cost twice
+    the panel.  Each integral stops once its summed error meets the
+    tolerance, or unconverged once its ``|value| - error`` passes
+    ``decided[k]`` (when ``decided`` is given) or before children that
+    would take it past ``tol.max_evaluations``.  The first round scores
+    every integral's one panel from the arrays at once, and only an
+    integral that goes on gets a heap, largest error first, ties broken
+    by creation order.  The children of every integral still running go
+    to one ``panels`` call, so each result is that of a lone run.
     """
     abs_tol, rel_tol, budget = tol.abs_tol, tol.rel_tol, tol.max_evaluations
-    heaps: list[list] = [[] for _ in starts]
-    evals = [0] * len(starts)
-    results: list = [None] * len(starts)
-    live = list(range(len(starts)))
-    jobs = [(k, box) for k in live for box in starts[k]]
+    if not lo.size:
+        return []
+    value, error, evals, split = panels(lo, hi, [_FLOOR] * lo.size)
+    settled = error <= np.maximum(rel_tol * np.abs(value), abs_tol)  # tol.target(value)
+    # value + 0.0 is what fsum returns for one term: fsum([-0.0]) is 0.0
+    values, errors, settled = (value + 0.0).tolist(), error.tolist(), settled.tolist()
+    results = list(map(QuadResult, values, errors, evals, settled))
+    if all(settled):
+        return results
+    limits = [math.inf] * lo.size if decided is None else decided
+    live = [
+        k
+        for k, done in enumerate(settled)
+        if not (done or abs(values[k]) - errors[k] > limits[k] or 3 * evals[k] > budget)
+    ]
+    heaps = {k: [] for k in live}
+    jobs = [
+        (k, box) for k in live for box in _children(lo[k].item(), hi[k].item(), _FLOOR, split[k])
+    ]
     while jobs:
-        for (k, _), (value, error, cost, children) in zip(jobs, panels(jobs)):
-            evals[k] += cost  # grows with every panel: the creation-order tie-break
-            heapq.heappush(heaps[k], (-error, evals[k], value, cost, children))
+        a, b, levels = zip(*(box for _, box in jobs))
+        value, error, cost, split = panels(np.array(a), np.array(b), levels)
+        rows = zip(jobs, value.tolist(), error.tolist(), cost, split)
+        for (k, box), v, e, c, s in rows:
+            evals[k] += c  # grows with every panel: the creation-order tie-break
+            heapq.heappush(heaps[k], (-e, evals[k], v, c, *box, s))
         jobs, running = [], []
         for k in live:
             heap = heaps[k]
             if len(heap) == 1:
-                # what fsum returns for one term: fsum([-0.0]) is 0.0
-                value, error = heap[0][2] + 0.0, -heap[0][0]
+                v, e = heap[0][2] + 0.0, -heap[0][0]
             else:
-                value = math.fsum([item[2] for item in heap])
-                error = math.fsum([-item[0] for item in heap])
-            target = rel_tol * abs(value)
-            if error <= (target if target > abs_tol else abs_tol):  # tol.target(value)
-                results[k] = QuadResult(value, error, evals[k], True)
-            elif evals[k] + 2 * heap[0][3] > budget:
-                results[k] = QuadResult(value, error, evals[k], False)
+                v = math.fsum([item[2] for item in heap])
+                e = math.fsum([-item[0] for item in heap])
+            target = rel_tol * abs(v)
+            if e <= (target if target > abs_tol else abs_tol):
+                results[k] = QuadResult(v, e, evals[k], True)
+            elif abs(v) - e > limits[k] or evals[k] + 2 * heap[0][3] > budget:
+                results[k] = QuadResult(v, e, evals[k], False)
             else:
-                jobs += [(k, child) for child in heapq.heappop(heap)[4]]
+                _, _, _, _, a, b, n, s = heapq.heappop(heap)
+                jobs += [(k, child) for child in _children(a, b, n, s)]
                 running.append(k)
         live = running
     return results
@@ -272,16 +313,23 @@ def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list
 
 
 def integrate_bands(
-    f: Callable, edges: Sequence[float], tol: Tolerance = DEFAULT_TOL, *, theta_free: bool = False
+    f: Callable,
+    edges: Sequence[float],
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    theta_free: bool = False,
+    decided: Sequence[float] | None = None,
 ) -> list[QuadResult]:
     """Integrate ``f(t, theta)`` over every band ``[edges[i], edges[i+1]] x
     [0, 2*pi]``, all in lockstep.
 
     Each band starts as one panel at level ``_FLOOR``, and each round
-    ``f`` is called once per level (:func:`_theta_panels`).  With
+    ``f`` is called once per level (:func:`_band_panels`).  With
     ``theta_free`` the caller vouches that ``f`` does not depend on theta;
     each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, one
-    call a round on ``(J, 15)`` nodes.  A budget below the starting panel
+    call a round on ``(J, 15)`` nodes (:func:`_line_panels`).  ``decided``
+    gives one magnitude per band: a band whose ``|value| - error`` passes
+    it stops refining, unconverged.  A budget below the starting panel
     is refused with :class:`ValueError`.  A band of zero width is 0
     without an evaluation; a NaN edge is refused with :class:`ValueError`,
     and a band with an infinite edge with :class:`DomainError` before
@@ -291,34 +339,38 @@ def integrate_bands(
     edges = [float(e) for e in edges]
     if any(map(math.isnan, edges)):
         raise ValueError("band edges must not be NaN")
-    if any(hi < lo for lo, hi in zip(edges, edges[1:])):
+    if edges != sorted(edges):
         raise ValueError("t_hi must not be below t_lo")
     if any(map(math.isinf, edges)):
         for band in zip(edges, edges[1:]):
             if math.isinf(band[0]) or math.isinf(band[1]):
                 raise DomainError(f"infinite edge on band {band}")
-    bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    if decided is not None and len(decided) != len(edges) - 1:
+        raise ValueError("decided needs one magnitude per band")
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    wide = hi > lo
     cost = _start_cost(theta_free)
-    if bands and cost > tol.max_evaluations:
+    if cost > tol.max_evaluations and wide.any():
         raise ValueError(
             f"max_evaluations={tol.max_evaluations} cannot pay for the "
             f"{cost} evaluations of the starting panels"
         )
     if theta_free:
-        panels = lambda jobs: _panels_1d(lambda t: f(t, 0.0), jobs, TWO_PI)
-        found = iter(_adapt_many(panels, [(band,) for band in bands], tol))
+        panels = partial(_line_panels, lambda t: f(t, 0.0), scale=TWO_PI)
     else:
-        panels = lambda jobs: _theta_panels(f, jobs)
-        found = iter(_adapt_many(panels, [((lo, hi, _FLOOR),) for lo, hi in bands], tol))
-    return [
-        next(found) if hi > lo else QuadResult(0.0, 0.0, 0, True)
-        for lo, hi in zip(edges, edges[1:])
-    ]
+        panels = partial(_band_panels, f)
+    if wide.all():
+        return _adapt_many(panels, lo, hi, tol, decided)
+    if decided is not None:
+        decided = [d for d, w in zip(decided, wide.tolist()) if w]
+    found = iter(_adapt_many(panels, lo[wide], hi[wide], tol, decided))
+    return [next(found) if w else QuadResult(0.0, 0.0, 0, True) for w in wide.tolist()]
 
 
 _FIRST_WINDOWS = 2  # the shortest improper walk that can stop
 _CHUNK = 4  # bands per look-ahead chunk after the first
 _MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
+_DIVERGED = 1e14  # |running sum| past which the improper walk reports divergence
 
 
 def _geometric_tail(increments: Sequence[float]):
@@ -383,7 +435,12 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
     while that model is missing or has no drift yet, once the last two
     increments do.  Growing same-sign increments are reported as
     ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
-    with ``converged=False``.
+    with ``converged=False``, and so is a running sum past
+    ``_DIVERGED``, with its sign.  Each window is ``decided`` for
+    :func:`integrate_bands` once its ``|value| - error`` passes
+    ``_DIVERGED + |total|`` (the first window of a chunk) or
+    ``2*_DIVERGED`` (a later one): it stops refining, so a divergent
+    walk's value, error, trace and evaluations are not refined ones.
 
     The windows are integrated in look-ahead chunks, ``_FIRST_WINDOWS``
     and then ``_CHUNK`` at a time, one :func:`integrate_bands` call per
@@ -419,8 +476,14 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
         if left < max(100, (len(chunk) - 1) * points):
             break
         window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
+        # the walk stops at a window that takes |total| past _DIVERGED, so
+        # refining a window whose |value| - error passes these cannot move
+        # where it stops or which way it diverges: before the first window
+        # of a chunk |total| is known, before a later one it is at most
+        # _DIVERGED, or the walk stopped earlier
+        decided = [_DIVERGED + abs(total), *[2.0 * _DIVERGED] * (len(chunk) - 2)]
         try:
-            parts = integrate_bands(f, chunk, window_tol, theta_free=theta_free)
+            parts = integrate_bands(f, chunk, window_tol, theta_free=theta_free, decided=decided)
         except (DomainError, OverflowError):
             # a window that raises propagates: no divergence can be read
             # from the densities before it, or the walk would have stopped
@@ -440,7 +503,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
             trace.append((upper, total))
 
             direction = _divergence_direction(densities)
-            if abs(total) > 1e14:
+            if abs(total) > _DIVERGED:
                 direction = "+inf" if total > 0 else "-inf"
             if direction is not None:
                 return ImproperResult(total, quad_err, spent, False, direction, tuple(trace))

@@ -133,6 +133,15 @@ def per_panel_theta(f, jobs):
     return out
 
 
+def stacked_band_rows(f, jobs):
+    """The stacked band rule's columns as per-panel rows, each with the
+    children the driver makes from its split."""
+    a, b, levels = zip(*(box for _, box in jobs))
+    value, error, cost, split = quadrature._band_panels(f, np.array(a), np.array(b), levels)
+    rows = zip(jobs, value.tolist(), error.tolist(), cost, split)
+    return [(v, e, c, quadrature._children(*box, s)) for (_, box), v, e, c, s in rows]
+
+
 class TestStackedPanels:
     """The stacked band rule against the per-panel loop, bit for bit."""
 
@@ -153,17 +162,17 @@ class TestStackedPanels:
             jobs = self.random_jobs(rng, count)
             c = rng.uniform(-3.0, 3.0, 3)
             f = lambda t, s: (t * t - c[0] * t + 1.0 / (t - 25.5)) * (s * s * s - c[1] * s + c[2])
-            assert quadrature._theta_panels(f, jobs) == per_panel_theta(f, jobs)
+            assert stacked_band_rows(f, jobs) == per_panel_theta(f, jobs)
 
     def test_integrand_on_nodes_matches_per_panel_loop(self):
         jobs = self.random_jobs(np.random.default_rng(7), 40)
         f = lambda t, s: t * t * (1.0 + 0.3 * s * (TWO_PI - s) / (1.0 + t))
-        assert quadrature._theta_panels(f, jobs) == per_panel_theta(f, jobs)
+        assert stacked_band_rows(f, jobs) == per_panel_theta(f, jobs)
 
     def test_constant_grid_ties_split_in_t(self):
         # t error == theta error == 0: the tie goes to the t-halves
         jobs = [(0, (0.0, 2.0, 8)), (1, (1.0, 3.0, 16))]
-        got = quadrature._theta_panels(lambda t, s: 1.5, jobs)
+        got = stacked_band_rows(lambda t, s: 1.5, jobs)
         assert got == per_panel_theta(lambda t, s: 1.5, jobs)
         assert [children for *_, children in got] == [
             ((0.0, 1.0, 8), (1.0, 2.0, 8)),
@@ -172,7 +181,7 @@ class TestStackedPanels:
 
     def test_larger_theta_error_doubles_the_level(self):
         jobs = [(0, (0.0, 1.0, 8))]
-        got = quadrature._theta_panels(lambda t, s: np.exp(4.0 * np.cos(s)) + t, jobs)
+        got = stacked_band_rows(lambda t, s: np.exp(4.0 * np.cos(s)) + t, jobs)
         assert got == per_panel_theta(lambda t, s: np.exp(4.0 * np.cos(s)) + t, jobs)
         assert got[0][3] == ((0.0, 1.0, 16),)
 
@@ -686,6 +695,36 @@ class TestLockstep:
         lone = [integrate_bands(f, [lo, hi], theta_free=True)[0] for lo, hi in zip(edges, edges[1:])]
         assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
 
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_first_round_settles_beside_refining_bands(self, theta_free):
+        # sqrt(|t - 2.5|) settles on the first panel of every band but the
+        # one holding its kink; the first round settles those as arrays and
+        # only the kinked band goes on to refine
+        f = lambda t, theta: np.sqrt(np.abs(t - 2.5)) * (1.0 + 0.3 * np.cos(theta) ** 2)
+        edges = [0.0, 0.5, 1.0, 2.0, 3.0, 3.0, 4.0]
+        batch = integrate_bands(f, edges, theta_free=theta_free)
+        lone = [
+            integrate_bands(f, [lo, hi], theta_free=theta_free)[0] for lo, hi in zip(edges, edges[1:])
+        ]
+        assert [_outcome(r) for r in batch] == [_outcome(r) for r in lone]
+        first = quadrature._start_cost(theta_free)
+        assert [r.evaluations == first for r in batch] == [True, True, True, False, False, True]
+        assert all(r.converged for r in batch)
+
+    def test_decided_band_stops_on_its_first_panel(self):
+        # exp(3t) passes |value| - error > 1e10 on its first panel on both
+        # bands; a band without a magnitude refines to the tolerance
+        f = lambda t, theta: np.exp(3.0 * t)
+        edges = [0.0, 8.0, 12.0]
+        free = integrate_bands(f, edges, theta_free=True)
+        assert [(r.evaluations, r.converged) for r in free] == [(75, True), (45, True)]
+        batch = integrate_bands(f, edges, theta_free=True, decided=[math.inf, 1e10])
+        assert _outcome(batch[0]) == _outcome(free[0])
+        assert (batch[1].evaluations, batch[1].converged) == (15, False)
+        assert abs(batch[1].value) - batch[1].error_estimate > 1e10
+        lone = integrate_bands(f, edges[1:], theta_free=True, decided=[1e10])[0]
+        assert _outcome(batch[1]) == _outcome(lone)
+
     def test_band_nodes_are_batched(self):
         shapes = []
 
@@ -755,7 +794,9 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     integrated exactly the windows walked so far.  It therefore disagrees
     with the walk when a chunk raises under a budget that binds: the walk
     then shares out the budget at every window of that chunk (see
-    ``test_budget_binds_inside_a_chunk_walked_again``)."""
+    ``test_budget_binds_inside_a_chunk_walked_again``).  Each window gets
+    the walk's decided magnitude: ``1e14`` plus ``|total|`` at a chunk
+    start, ``2e14`` elsewhere."""
     points = quadrature._start_cost(theta_free)
     edges = t_lo
     total = 0.0
@@ -766,7 +807,9 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     chunk_start, chunk = 0, quadrature._FIRST_WINDOWS
     for k in range(64):
         upper = t_lo + 2.0**k
+        decided = 2.0 * quadrature._DIVERGED
         if k == chunk_start:
+            decided = quadrature._DIVERGED + abs(total)
             left = tol.max_evaluations - evals
             if left < max(100, min(chunk, 64 - k) * points):
                 break
@@ -775,7 +818,9 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
             )
             chunk_start, chunk = k + chunk, quadrature._CHUNK
         try:
-            part = integrate_bands(f, (edges, upper), window_tol, theta_free=theta_free)[0]
+            part = integrate_bands(
+                f, (edges, upper), window_tol, theta_free=theta_free, decided=[decided]
+            )[0]
         except (DomainError, OverflowError):
             direction = _divergence_direction(densities)
             if direction is not None:
@@ -788,7 +833,7 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
         total += part.value
         increments.append(part.value)
         trace.append((upper, total))
-        if abs(total) > 1e14:
+        if abs(total) > quadrature._DIVERGED:
             direction = "+inf" if total > 0 else "-inf"
             return ImproperResult(total, quad_err, evals, False, direction, tuple(trace))
         direction = _divergence_direction(densities)
@@ -908,6 +953,23 @@ class TestLookahead:
         assert res.converged
         assert res.partial_sums[-1][0] == 128.0
         assert res.value == pytest.approx(-TWO_PI * math.exp(-16.0), rel=1e-9)
+
+    def test_decided_window_ends_a_funnel_walk(self, monkeypatch):
+        # the direct route's tail of G = cosh(t)^2 beyond h = 16, on the
+        # windows [16, 32, 64, ...]: the first panel of [16, 32] already
+        # takes |total| past 1e14 by more than its error, so neither window
+        # of the chunk is refined (4 rounds and 180 evaluations before)
+        calls = self._recorded(monkeypatch)
+        density = _curvature_density_of("cosh(t)^2")
+        edges = [16.0, *quadrature._doublings(0.0, 32.0)]
+        res = quadrature._integrate_windows(density, edges, DEFAULT_TOL, True)
+        assert (res.divergence, res.converged, res.evaluations) == ("-inf", False, 30)
+        assert len(res.partial_sums) == 1
+        window = -TWO_PI * (math.sinh(32.0) - math.sinh(16.0))
+        assert res.partial_sums[0][1] == pytest.approx(window)
+        (chunk, parts), = calls
+        assert chunk == [16.0, 32.0, 64.0]
+        assert [(r.evaluations, r.converged) for r in parts] == [(15, False), (15, False)]
 
     def test_first_chunks_hold_two_then_four_windows(self, monkeypatch):
         calls = self._recorded(monkeypatch)

@@ -788,6 +788,19 @@ def test_theta_bump_between_sample_heights_is_measured_2d():
     assert abs(sample.mu - TWO_PI * 80.0) <= residual_bound(sample.quad_error)
 
 
+def test_theta_in_a_derivative_slot_is_measured_2d():
+    # sqrt(G) = 1 has no theta axis, but its second t-derivative, the
+    # curvature density, does: the end is 2-D, so K = (t - 5)*sin^2(theta)
+    # is scanned over every angle, not read at theta = 0 where it vanishes
+    chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(1.0, 0.0, -(t - 5) * np.sin(theta) ** 2))
+    model = SurfaceModel(0, (chart,), AnalyticCore(0.0))
+    assert validate_surface(model) == [False]
+    report = run_sweep(model, [1.0, 2.0, 4.0, 8.0, 16.0])
+    assert report.h1 == 5.0
+    assert report.kmin_sampled == pytest.approx(-5.0, abs=1e-6)
+    assert report.kmax_sampled == pytest.approx(11.0, abs=1e-6)
+
+
 def _exp_cap_chart(theta_free):
     """``sqrt(G) = exp(-t) * (1 + 0.5*cos(theta))`` (theta dropped when
     ``theta_free``): mu underflows to exactly 0 between h = 700 and 760."""
