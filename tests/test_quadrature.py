@@ -796,7 +796,8 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL, *, theta_free=False):
     then shares out the budget at every window of that chunk (see
     ``test_budget_binds_inside_a_chunk_walked_again``).  Each window gets
     the walk's decided magnitude: ``1e14`` plus ``|total|`` at a chunk
-    start, ``2e14`` elsewhere."""
+    start, ``2e14`` elsewhere; in a chunk walked again every window
+    starts a chunk of one, which this reference does not model either."""
     points = quadrature._start_cost(theta_free)
     edges = t_lo
     total = 0.0
@@ -958,7 +959,8 @@ class TestLookahead:
         # the direct route's tail of G = cosh(t)^2 beyond h = 16, on the
         # windows [16, 32, 64, ...]: the first panel of [16, 32] already
         # takes |total| past 1e14 by more than its error, so neither window
-        # of the chunk is refined (4 rounds and 180 evaluations before)
+        # of the chunk is refined; refining both to 1e-8 takes 4 rounds
+        # and 180 evaluations
         calls = self._recorded(monkeypatch)
         density = _curvature_density_of("cosh(t)^2")
         edges = [16.0, *quadrature._doublings(0.0, 32.0)]
