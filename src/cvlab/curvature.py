@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import DomainError
+from .jets import DomainError, Jet2
 from .model import EndChart
 
 __all__ = ["gauss_curvature"]
@@ -34,7 +34,13 @@ def gauss_curvature(end: EndChart, t, theta):
     """Gaussian curvature ``-(d2 sqrt(G)) / sqrt(G)`` at chart points."""
     if np.less(t, end.t_min - 1e-12).any():
         raise ValueError(f"t={float(np.min(t))} lies below the chart edge t_min={end.t_min}")
-    w = end.sqrt_jet(t, theta)
+    return _jet_curvature(end.sqrt_jet(t, theta), t, theta)
+
+
+def _jet_curvature(w: Jet2, t, theta):
+    """``-w.d2 / w.f`` for the jet ``w`` of sqrt(G) at the points ``(t,
+    theta)``, with the checks of :func:`gauss_curvature`: sqrt(G) positive
+    and finite with finite derivatives, and the curvature finite."""
     bad = ~(np.isfinite(w.f) & np.isfinite(w.d1) & np.isfinite(w.d2)) | (w.f <= 0.0)
     if bad.any():
         raise DomainError(f"sqrt(G) not positive/finite at {_point(t, theta, bad)}")

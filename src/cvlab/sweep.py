@@ -36,9 +36,10 @@ end order: a height's circles in :func:`_boundaries`, and the bands of
 ``c_trunc`` and the tails of the direct route in :func:`_running_sums`.
 So every sum is that of measuring each end apart.
 ``run_sweep`` measures, then judges: :func:`_measure` puts into one
-named tuple the samples, the ``lambda = mu'`` differences, one
-curvature scan per distinct chart (``h1``, beyond which sampled
-curvature stays nonnegative, and the sampled ``K`` range), the extrapolated limit of
+named tuple the samples, the ``lambda = mu'`` differences, ``h1`` (beyond
+which sampled curvature stays nonnegative) and the sampled ``K`` range,
+both read at the truncation's band nodes, whose spacing is relative to
+the band width (:func:`_sign_height`), the extrapolated limit of
 ``lambda`` and the direct route (``c_trunc`` at the last height plus each
 end's improper tail beyond it), and :func:`_report` reads only that
 record to form the total curvature and every verdict.
@@ -51,17 +52,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import gauss_curvature
-from .model import (
-    POLE_GUARD,
-    EndChart,
-    PolarCap,
-    SurfaceModel,
-    _on_grid,
-    _per_chart,
-    validate_surface,
-)
+from .curvature import _jet_curvature
+from .model import EndChart, PolarCap, SurfaceModel, _per_chart, validate_surface
 from .quadrature import (
+    _FLOOR,
     DEFAULT_TOL,
     ImproperResult,
     NotMonotone,
@@ -70,6 +64,7 @@ from .quadrature import (
     Tolerance,
     _doublings,
     _integrate_windows,
+    _thetas,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -78,8 +73,7 @@ from .quadrature import (
 TWO_PI = 2.0 * math.pi
 
 K_SLACK = 1e-10  # sampled curvature this far below zero still counts as >= 0
-_PROBE_GRID = 64  # uniform heights of the curvature probe scans
-_PROBE_THETAS = TWO_PI * np.arange(16) / 16  # their angles
+_REFINE_HEIGHTS = 64  # heights the h1 refinement may probe per distinct chart
 _MU_PRIME_SLOTS = ("d1", "f", "f", "f", "f")  # lambda at h0, then mu at h0 +- step, +- step/2
 
 
@@ -180,6 +174,29 @@ def _curvature_density(end: EndChart):
     return lambda t, theta: -end.sqrt_jet(t, theta).d2
 
 
+def _signed_density(end: EndChart, rows: list):
+    """:func:`_curvature_density`, which also appends to ``rows`` the
+    :func:`_k_rows` of ``K = -w''/w`` on the jet it evaluates, checked as
+    :func:`cvlab.curvature.gauss_curvature` checks it."""
+
+    def density(t, theta):
+        w = end.sqrt_jet(t, theta)
+        rows.append(_k_rows(t, theta, _jet_curvature(w, t, theta)))
+        return -w.d2
+
+    return density
+
+
+def _k_rows(t, theta, k):
+    """``(heights, least, largest)`` of the curvature ``k`` at ``(t, theta)``:
+    reduced over the last axis, the angles', when ``theta`` is an array."""
+    if np.ndim(theta):
+        k = np.broadcast_to(k, np.broadcast_shapes(np.shape(t), np.shape(k)))
+        return t[..., 0], k.min(axis=-1), k.max(axis=-1)
+    k = np.broadcast_to(k, np.shape(t))
+    return t, k, k
+
+
 def _running_sums(total: float, err: float, rows) -> list[tuple[float, float]]:
     """``(value, error)`` after each row of per-chart results, every
     row's values and error estimates added in end order onto ``(total,
@@ -214,28 +231,34 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
         raise ValueError("schedule must be strictly increasing")
     if schedule[0] < model.min_height:
         raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
+    if not math.isfinite(schedule[-1] - model.min_height):
+        raise ValueError(f"probe span from {model.min_height} to {schedule[-1]} is not finite")
 
 
 def _sweep_samples(
     model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, theta_free, probes=()
 ):
-    """``(samples, values, errors, bands, c_last)`` on a checked schedule,
-    with ``theta_free`` as :func:`cvlab.model.validate_surface` returns it:
-    :func:`sweep_samples`; the boundary values and errors at the extra
-    ``(height, slot)`` ``probes``, which ride in the boundary batch; per
-    end the :class:`QuadResult` of each band, up to a height from the one
-    before or from ``t_min``, the pole on a polar cap; and ``(c_trunc,
-    error)`` at the last height.  ``c_trunc`` sums the bands onto the core."""
+    """``(samples, values, errors, bands, c_last, rows)`` on a checked
+    schedule, with ``theta_free`` as :func:`cvlab.model.validate_surface`
+    returns it: :func:`sweep_samples`; the boundary values and errors at
+    the extra ``(height, slot)`` ``probes``, which ride in the boundary
+    batch; per end the :class:`QuadResult` of each band, up to a height
+    from the one before or from ``t_min``, the pole on a polar cap;
+    ``(c_trunc, error)`` at the last height; and per end the
+    :func:`_k_rows` of every band node, read by :func:`_sign_height`.
+    ``c_trunc`` sums the bands onto the core."""
     n = len(schedule)
     heights = [*schedule, *schedule, *(h for h, _ in probes)]
     slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
     values, errors = _boundaries(model, heights, tol, slots, theta_free)
-    bands = _per_chart(
-        model.ends,
-        lambda j, end: integrate_bands(
-            _curvature_density(end), [end.t_min, *schedule], tol, theta_free=theta_free[j]
-        ),
-    )
+
+    def truncation_bands(j, end):
+        rows = []
+        density = _signed_density(end, rows)
+        edges = [end.t_min, *schedule]
+        return integrate_bands(density, edges, tol, theta_free=theta_free[j]), rows
+
+    bands, rows = zip(*_per_chart(model.ends, truncation_bands))
     core = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
     curvatures = _running_sums(core, 0.0, zip(*bands))
     closed = TWO_PI * model.chi
@@ -246,114 +269,76 @@ def _sweep_samples(
         c, ec = curvatures[i]
         residual = abs(closed - c - l)
         samples.append(TruncationSample(h, m, l, c, em + el + ec, residual))
-    return tuple(samples), values[2 * n :], errors[2 * n :], bands, curvatures[-1]
+    return tuple(samples), values[2 * n :], errors[2 * n :], bands, curvatures[-1], rows
 
 
-def _curvature_scan(model: SurfaceModel, h_probe_max: float, theta_free):
+def _sign_height(model: SurfaceModel, h_max: float, rows, theta_free):
     """``(h1, kmin, kmax)``: the smallest height beyond which sampled
-    curvature stays ``>= -K_SLACK``, and the curvature range of the scan.
-
-    Every end is evaluated on one :func:`_probe_heights` grid from
-    ``model.min_height`` to ``h_probe_max``, each height clamped to the
-    end's ``t_min + POLE_GUARD``, in one :func:`_curvature_grid` call per
-    distinct chart, at the first angle alone on an end that ``theta_free``
-    marks;
-    those values give the violating rows and ``kmin``/``kmax``, reduced
-    on the columns the chart returns.  The boundary of the last
-    violation is then refined by bisection to ``max(h_probe_max,
-    h_probe_max - model.min_height) / 2**12``, never below a 4096th of
-    the span: a bracket is at most one uniform grid cell, a 63rd of the span
-    on the default grid, so it is bisected at most seven levels deep.
-    The midpoints of every bracket it can reach, at most 127, are probed
-    in one call per distinct chart and the bisection reads its steps
-    from them.  ``h1`` is ``None`` when violations persist up to the
-    probe ceiling.
-    """
-    if h_probe_max <= model.min_height:
-        raise ValueError("h_probe_max must exceed every chart edge")
-    if not math.isfinite(h_probe_max - model.min_height):
-        raise ValueError(f"probe span from {model.min_height} to {h_probe_max} is not finite")
-
-    def curvatures(t):
-        def grid(j, end):
-            thetas = _PROBE_THETAS[:1] if theta_free[j] else _PROBE_THETAS
-            return _curvature_grid(end, np.maximum(t, end.t_min + POLE_GUARD), thetas)
-
-        return _per_chart(model.ends, grid)
-
-    def bad_rows(ks, rows):
-        bad = np.zeros(rows, dtype=bool)
-        for k in ks:
-            bad |= (k < -K_SLACK).any(axis=1)
-        return bad
-
+    curvature stays ``>= -K_SLACK``, and the sampled ``K`` range, from
+    each distinct chart's band-node ``rows`` at or above ``model.min_height``.
+    ``h1`` is ``model.min_height`` when no node is bad, ``None`` when a
+    chart's last node is, and else the highest :func:`_refine_h1` of the
+    charts whose bracket, from the last bad node to the next node,
+    reaches above every chart's last bad node."""
     origin = model.min_height
-    heights = _probe_heights(origin, h_probe_max, _PROBE_GRID)
-    ks = curvatures(heights)
-    kmin = min(float(k.min()) for k in ks)
-    kmax = max(float(k.max()) for k in ks)
-    violating = np.flatnonzero(bad_rows(ks, heights.size))
-    if violating.size == 0:
+
+    def signs(j, end):
+        # kmin, kmax, the last bad node (-inf: none) and the next node (inf: none)
+        t, least, largest = (np.concatenate([np.ravel(r[i]) for r in rows[j]]) for i in range(3))
+        read = t >= origin
+        t, least = t[read], least[read]
+        bad = t[least < -K_SLACK].max(initial=-math.inf)
+        return least.min(), largest[read].max(), bad, t[t > bad].min(initial=math.inf)
+
+    charts = _per_chart(model.ends, signs)
+    kmin, kmax = float(min(c[0] for c in charts)), float(max(c[1] for c in charts))
+    floor = max(c[2] for c in charts)
+    if floor == -math.inf:
         return origin, kmin, kmax
-    last_bad = violating[-1]
-    if last_bad == len(heights) - 1:
+    if any(after == math.inf for _, _, _, after in charts):
         return None, kmin, kmax
-    lo, hi = float(heights[last_bad]), float(heights[last_bad + 1])
-    # h_probe_max alone is nonpositive for a probe ceiling at or below 0,
-    # and a tiny share of a span that reaches far below 0
-    resolution = max(h_probe_max, h_probe_max - origin) / 4096.0
-    # every bracket the bisection can reach, level by level, and then
-    # all of their midpoints as one probe; none when the grid bracket is
-    # already within the resolution
-    brackets, level = [], [(lo, hi)]
-    while level:
-        level = [(a, b) for a, b in level if b - a > resolution]
-        brackets += level
-        level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    if not brackets:
-        return hi, kmin, kmax
-    midpoints = np.array([0.5 * (a + b) for a, b in brackets])
-    bad = dict(zip(brackets, bad_rows(curvatures(midpoints), midpoints.size)))
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if bad[lo, hi]:
-            lo = mid
+    # h_max alone is nonpositive for a last height at or below 0, and a
+    # tiny share of a span that reaches far below 0
+    scale = max(h_max, h_max - origin)
+
+    def height(j, end):
+        _, _, bad, after = charts[j]
+        if bad == -math.inf or after <= floor:  # this chart cannot set h1
+            return origin
+        return _refine_h1(end, theta_free[j], float(bad), float(after), scale)
+
+    return max(_per_chart(model.ends, height)), kmin, kmax
+
+
+def _refine_h1(end: EndChart, theta_free: bool, lo: float, hi: float, scale: float) -> float:
+    """The top of the bracket ``(lo, hi]``, from a bad height to a good
+    one, narrowed to ``scale / 4096``.  The bracket lies within ``scale``,
+    so the fewest rounds ``r <= 3`` of ``n <= _REFINE_HEIGHTS // r``
+    equispaced interior heights with ``(n + 1)**r`` past the bracket's
+    ratio to that resolution reach it; each round is one
+    :func:`_least_curvature` call and keeps the cell above the last bad
+    height.  A GK15 node gap is at most 0.104 of its panel, so one round
+    does on a band narrower than ``scale / 6.5``, and two on any band
+    from the highest chart edge."""
+    ratio = 4096.0 * (hi - lo) / scale
+    rounds = next(r for r in (1, 2, 3) if (_REFINE_HEIGHTS // r + 1) ** r >= ratio)
+    n = math.ceil(ratio ** (1.0 / rounds)) - 1
+    for _ in range(rounds if n > 0 else 0):
+        ts = lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
+        bad = np.flatnonzero(_least_curvature(end, ts, theta_free) < -K_SLACK)
+        if bad.size:
+            i = bad[-1]
+            lo, hi = ts[i], ts[i + 1] if i + 1 < n else hi
         else:
-            hi = mid
-    return hi, kmin, kmax
+            hi = ts[0]
+    return float(hi)
 
 
-def _probe_heights(origin: float, h_probe_max: float, grid: int) -> np.ndarray:
-    """Uniform height grid plus geometric refinement toward the origin,
-    so sign features much narrower than the uniform spacing still get
-    sampled."""
-    span = h_probe_max - origin
-    # span/2, span/4, ... while above POLE_GUARD: halving is exact, so
-    # ldexp gives each scale bit for bit; a span below 2**a is at most
-    # 2**-27 < POLE_GUARD after a + 27 halvings
-    scales = np.ldexp(span, -np.arange(1, math.frexp(span)[1] + 27))
-    scales = scales[scales > POLE_GUARD]
-    # elementwise the float operations of one height at a time, so the
-    # same grid bit for bit; where span*i overflows (a span past about
-    # max/grid), the fraction i/(grid-1) is scaled instead, whose rounding
-    # may pass h_probe_max
-    steps = np.arange(grid)
-    with np.errstate(over="ignore"):
-        uniform = origin + span * steps / (grid - 1)
-    if math.isinf(uniform[-1]):  # span*i is largest at the last step
-        far = np.isinf(uniform)
-        uniform[far] = np.minimum(origin + span * (steps[far] / (grid - 1)), h_probe_max)
-    heights = np.sort(np.concatenate([uniform, origin + scales]))
-    # np.unique would import numpy.ma on its first call
-    return heights[np.append(True, heights[1:] != heights[:-1])]
-
-
-def _curvature_grid(end: EndChart, heights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Gaussian curvature on the ``(heights, thetas)`` grid as one call,
-    as :func:`cvlab.model._on_grid` reads it: one column when it has no
-    theta axis, else the full grid."""
-    k = gauss_curvature(end, heights[:, None], thetas[None, :])
-    return _on_grid(k, heights.size, thetas.size)
+def _least_curvature(end: EndChart, heights: np.ndarray, theta_free: bool) -> np.ndarray:
+    """The least K at each height over the angles of a band's first
+    panel, or at theta = 0 alone on a theta-free end: one chart call."""
+    t, theta = (heights, 0.0) if theta_free else (heights[:, None], _thetas(_FLOOR)[None, :])
+    return _k_rows(t, theta, _jet_curvature(end.sqrt_jet(t, theta), t, theta))[1]
 
 
 def _total_curvature_direct(
@@ -441,16 +426,17 @@ def _measure(
 ) -> _Measured:
     """Run each measurement of a sweep once, with ``theta_free`` as
     :func:`cvlab.model.validate_surface` returns it.  The five heights of
-    the ``lambda = mu'`` check ride in the samples' boundary batch, and the
-    direct route continues the truncation's bands beyond the last height."""
+    the ``lambda = mu'`` check ride in the samples' boundary batch, ``h1``
+    and the sampled ``K`` range are read from the truncation's band nodes,
+    and the direct route continues those bands beyond the last height."""
     _check_schedule(model, schedule)
     h0, step = _mu_prime_point(model, schedule)
     probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
-    samples, values, errors, bands, c_last = _sweep_samples(
+    samples, values, errors, bands, c_last, rows = _sweep_samples(
         model, schedule, tol, theta_free, probes
     )
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
-    h1, kmin, kmax = _curvature_scan(model, schedule[-1], theta_free)
+    h1, kmin, kmax = _sign_height(model, schedule[-1], rows, theta_free)
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
     direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol, theta_free)
@@ -533,11 +519,13 @@ def _tail_limit(samples, tail_from: float) -> tuple[TailLimit | None, str]:
 
 
 def _monotone_verdict(samples, tail_from: float, h1: float | None) -> Verdict:
-    """No step beyond ``tail_from`` raises lambda past its error bars."""
+    """No step from ``tail_from`` on raises lambda past its error bars: a
+    step that straddles ``tail_from`` is not judged, as
+    :func:`cvlab.quadrature.estimate_tail_limit` reads no sample below it."""
     increases = [
         b.lam - a.lam
         for a, b in zip(samples, samples[1:])
-        if a.h > tail_from or b.h > tail_from
+        if a.h >= tail_from
         if b.lam > a.lam + residual_bound(a.quad_error + b.quad_error)
     ]
     if not increases:
@@ -600,8 +588,8 @@ def _theorem_verdict(
 def _corollary_verdict(model: SurfaceModel, kmin: float, kmax: float) -> Verdict:
     """``chi >= 1`` when ``K >= 0`` everywhere and somewhere ``K > 0``.
 
-    The premise is read from the curvature scan's range: every sample
-    ``K >= -K_SLACK`` and some ``K > K_SLACK``.  It is sampled only when
+    The premise is read from the sampled range on the band nodes: every
+    sample ``K >= -K_SLACK`` and some ``K > K_SLACK``.  It is sampled only when
     the ends cover the whole surface, that is on a polar cap; an analytic
     core is a number, never probed.
     """

@@ -32,10 +32,21 @@ def mu_prime_order(model, h0, step, tol=sweep.DEFAULT_TOL):
     return sweep._mu_prime_order(values, errors, step)
 
 
+def probe_schedule(model, h_probe_max):
+    """The doubling ladder of 11 heights from ``model.min_height`` up to
+    ``h_probe_max``: ``origin + span * 2**-k``, k = 10..0."""
+    origin = model.min_height
+    return [origin + (h_probe_max - origin) * 2.0**-k for k in range(10, -1, -1)]
+
+
 def curvature_scan(model, h_probe_max):
-    """``(h1, kmin, kmax)`` of the curvature scan, on the theta-free flags
-    that validation measures, as a sweep runs it."""
-    return sweep._curvature_scan(model, h_probe_max, validate_surface(model))
+    """``(h1, kmin, kmax)`` as a sweep measures them (:func:`sweep._measure`)
+    on the :func:`probe_schedule` up to ``h_probe_max``, with the
+    theta-free flags that validation measures."""
+    m = sweep._measure(
+        model, probe_schedule(model, h_probe_max), sweep.DEFAULT_TOL, validate_surface(model)
+    )
+    return m.h1, m.kmin, m.kmax
 
 
 @pytest.fixture(scope="session")

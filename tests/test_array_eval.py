@@ -9,17 +9,18 @@ import pytest
 from cvlab.curvature import gauss_curvature
 from cvlab.dsl import MetricExpr, eval_jet
 from cvlab.jets import DomainError, Jet2, Overflow, jcosh, jexp, jlog, jpow, jsqrt
+import cvlab.sweep as sweep
 from cvlab.model import (
-    POLE_GUARD,
     AnalyticCore,
     PolarCap,
     SurfaceModel,
     chart_from_expression,
+    validate_surface,
 )
-from cvlab.quadrature import _XGK
+from cvlab.quadrature import _FLOOR, _XGK, _thetas
 from cvlab.sweep import K_SLACK
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import SCHEDULES, curvature_scan
+from conftest import SCHEDULES, curvature_scan, probe_schedule
 from test_dsl import random_expression
 
 REL = 1e-12
@@ -109,62 +110,89 @@ def test_single_out_of_domain_entry_raises_domain_error():
         assert not isinstance(err.value, Overflow)
 
 
-# --- probe scans: one grid call per end against the per-height loop ------
+# --- h1 and the K range: the band nodes against a per-height loop -------
 
 
-def reference_heights(origin, h_probe_max, grid=64):
-    span = h_probe_max - origin
-    heights = {origin + span * i / (grid - 1) for i in range(grid)}
-    scale = span / 2.0
-    while scale > POLE_GUARD:
-        heights.add(origin + scale)
-        scale /= 2.0
-    return sorted(heights)
+def recorded_band_nodes(model, schedule):
+    """The ``(t, theta)`` of every density call of the truncation's band
+    batch, one list per distinct chart in end order."""
+    charts = []
+    integrate = sweep.integrate_bands
+
+    def recording(f, edges, tol, **kwargs):
+        nodes = []
+        charts.append(nodes)
+
+        def density(t, theta):
+            nodes.append((t, theta))
+            return f(t, theta)
+
+        return integrate(density, edges, tol, **kwargs)
+
+    sweep.integrate_bands = recording
+    try:
+        sweep.sweep_samples(model, schedule)
+    finally:
+        sweep.integrate_bands = integrate
+    return charts
 
 
-def reference_detect_h1(model, h_probe_max):
-    """Per-height scan: one curvature row per (height, end), ends
-    short-circuited at the first violating one."""
-    thetas = 2.0 * math.pi * np.arange(16) / 16
+def least_k(end, h, thetas):
+    """The least and largest K at the height ``h`` over ``thetas``: one
+    row per call."""
+    k = gauss_curvature(end, h, thetas)
+    return float(np.min(k)), float(np.max(k))
 
-    def bad_at(t):
-        for end in model.ends:
-            te = max(t, end.t_min + POLE_GUARD)
-            if np.any(gauss_curvature(end, te, thetas) < -K_SLACK):
-                return True
-        return False
 
-    origin = max(end.t_min for end in model.ends)
-    heights = reference_heights(origin, h_probe_max)
-    last_bad = None
-    for i, t in enumerate(heights):
-        if bad_at(t):
-            last_bad = i
-    if last_bad is None:
-        return origin
-    if last_bad == len(heights) - 1:
-        return None
-    lo, hi = heights[last_bad], heights[last_bad + 1]
-    while hi - lo > h_probe_max / 4096.0:
-        mid = 0.5 * (lo + hi)
-        if bad_at(mid):
-            lo = mid
+def reference_refine(end, thetas, lo, hi, scale):
+    """The h1 bracket ``(lo, hi]`` narrowed to ``scale / 4096`` in the
+    fewest rounds, at most three, of at most 64 equispaced heights in all,
+    one height per call."""
+    ratio = 4096.0 * (hi - lo) / scale
+    rounds = 1 if ratio <= 65 else 2 if ratio <= 33**2 else 3
+    n = math.ceil(ratio ** (1.0 / rounds)) - 1
+    for _ in range(rounds if n > 0 else 0):
+        heights = [lo + (hi - lo) * i / (n + 1) for i in range(1, n + 1)]
+        bad = [i for i, h in enumerate(heights) if least_k(end, h, thetas)[0] < -K_SLACK]
+        if bad:
+            lo, hi = heights[bad[-1]], heights[bad[-1] + 1] if bad[-1] + 1 < n else hi
         else:
-            hi = mid
-    return hi
+            hi = heights[0]
+    return float(hi)
 
 
-def reference_curvature_range(model, h_probe_max):
-    """Per-height range of K on the h1 scan's grid, every end at every
-    height, clamped to its own ``t_min + POLE_GUARD``."""
-    thetas = 2.0 * math.pi * np.arange(16) / 16
-    kmin, kmax = math.inf, -math.inf
-    for end in model.ends:
-        for t in reference_heights(max(e.t_min for e in model.ends), h_probe_max):
-            k = gauss_curvature(end, max(t, end.t_min + POLE_GUARD), thetas)
-            kmin = min(kmin, float(np.min(k)))
-            kmax = max(kmax, float(np.max(k)))
-    return kmin, kmax
+def reference_sign_height(model, schedule):
+    """Per-height loop: ``(h1, kmin, kmax)`` from K at every band node at
+    or above the highest chart edge, each node's angles one call, and the
+    last bad node's bracket narrowed by :func:`reference_refine` on each
+    chart whose bracket reaches above every chart's last bad node."""
+    origin, h_max = model.min_height, schedule[-1]
+    theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
+    charts = list({id(end): end for end in model.ends}.values())
+    kmin, kmax, brackets = math.inf, -math.inf, []
+    for end, nodes in zip(charts, recorded_band_nodes(model, schedule)):
+        least = {}
+        for t, theta in nodes:
+            for h in np.ravel(t).tolist():
+                if h >= origin:
+                    lo, hi = least_k(end, h, np.ravel(theta))
+                    least[h] = min(least.get(h, math.inf), lo)
+                    kmin, kmax = min(kmin, lo), max(kmax, hi)
+        bad = [h for h, k in least.items() if k < -K_SLACK]
+        if bad:
+            after = [h for h in least if h > max(bad)]
+            brackets.append((end, max(bad), min(after) if after else None))
+    if not brackets:
+        return origin, kmin, kmax
+    if any(after is None for _, _, after in brackets):
+        return None, kmin, kmax
+    floor = max(bad for _, bad, _ in brackets)
+    h1 = origin
+    for end, lo, hi in brackets:
+        if hi > floor:
+            thetas = np.array([0.0]) if theta_free[id(end)] else _thetas(_FLOOR)
+            h1 = max(h1, reference_refine(end, thetas, lo, hi, max(h_max, h_max - origin)))
+    return h1, kmin, kmax
 
 
 def theta_cap():
@@ -194,12 +222,10 @@ def test_probe_scans_match_per_height_loop(name):
         model = build()
     else:
         model, h_probe_max = zoo_entry(name).model, SCHEDULES[name][-1]
-    want = reference_detect_h1(model, h_probe_max)
+    want = reference_sign_height(model, probe_schedule(model, h_probe_max))
     h1 = curvature_scan(model, h_probe_max)[0]
-    assert h1 == want and type(h1) is type(want)
-    assert curvature_scan(model, h_probe_max) == (
-        want, *reference_curvature_range(model, h_probe_max)
-    )
+    assert h1 == want[0] and type(h1) is type(want[0])
+    assert curvature_scan(model, h_probe_max) == want
     if name == "three-ends":
-        # the scan saw violations on two ends and the bisection ran past t = 5
+        # violations on two ends, and the refinement ran past t = 5
         assert 5.0 < h1 < 5.0 + h_probe_max / 4096.0

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import cvlab.sweep as sweep
 from cvlab.cli import RunConfig, report_to_csv, report_to_json_dict
+from cvlab.curvature import gauss_curvature
 from cvlab.jets import DomainError, Jet2
 from cvlab.model import (
-    POLE_GUARD,
     AnalyticCore,
     EndChart,
     ModelInvalid,
@@ -21,7 +21,7 @@ from cvlab.model import (
     chart_from_expression,
     validate_surface,
 )
-from cvlab.quadrature import ImproperResult, TailLimit
+from cvlab.quadrature import _XGK, ImproperResult, TailLimit
 from cvlab.sweep import (
     NonPositiveMu,
     Verdict,
@@ -30,8 +30,8 @@ from cvlab.sweep import (
     sweep_samples,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import DEEP_SCHEDULE, SCHEDULES, curvature_scan, mu_prime_order
-from test_array_eval import theta_cap, three_ends
+from conftest import DEEP_SCHEDULE, SCHEDULES, curvature_scan, mu_prime_order, probe_schedule
+from test_array_eval import recorded_band_nodes, reference_sign_height, theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,7 +169,7 @@ class TestDetectH1:
     def test_cusp_not_found(self):
         assert curvature_scan(zoo_entry("cusp-cap").model, 64.0)[0] is None
 
-    def test_constructed_sign_change_located(self, monkeypatch):
+    def test_constructed_sign_change_located(self):
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
         # negative somewhere for every t < 5, nonnegative beyond
         def sqrt_g_jet(t, theta):
@@ -183,7 +183,6 @@ class TestDetectH1:
             core=AnalyticCore(TWO_PI),
             name="sign-change",
         )
-        monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
         h1 = curvature_scan(model, 10.0)[0]
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
@@ -197,11 +196,65 @@ class TestDetectH1:
             curvature_scan(zoo_entry("polar-plane").model, 0.0)
 
     def test_probe_span_must_be_finite(self):
-        # 1e308 - (-1e308) overflows: halving an infinite span toward the
-        # origin would never reach POLE_GUARD
+        # 1e308 - (-1e308) overflows: the h1 resolution, a 4096th of that
+        # span, would be infinite
         model = SurfaceModel(0, (chart_from_expression("1", t_min=-1e308),), AnalyticCore(TWO_PI))
         with pytest.raises(ValueError, match="probe span .* is not finite"):
-            curvature_scan(model, 1e308)
+            run_sweep(model, [1.0, 2.0, 1e308])
+
+
+# the polar cap of a bump on the flank t in [3.23, 4.76] at theta = 0,
+# where K < 0 falls between the heights of a uniform 64-row grid
+BUMP_CAP = "t^2*(1+0.3*t^2*exp(-t)*exp(40*(cos(theta)-1))*exp(-50*(t-4)^2))^2"
+
+
+class TestBandNodeSigns:
+    """``h1`` and the sampled K range are read at the band nodes."""
+
+    def test_bump_flank_between_grid_heights_is_found(self):
+        model = _dsl_cap(BUMP_CAP)
+        report = run_sweep(model, RunConfig("bump").schedule())
+        # the upper edge of K < 0, where K(t, 0) crosses -K_SLACK
+        lo, hi = 4.7, 4.8
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gauss_curvature(model.ends[0], mid, 0.0) < -sweep.K_SLACK else (lo, mid)
+        assert report.h1 - 64.0 / 4096.0 <= hi <= report.h1
+        assert report.verdicts["lambda-monotone"].status == "pass"
+
+    @pytest.mark.parametrize(
+        "g, status, note",
+        [
+            # K = 1/(2*cosh(t/2)^2) > 0 with no false K at the pole
+            ("(2*tanh(t/2))^2", "pass", "K >= 0 sampled everywhere"),
+            ("t^2", "not-applicable", "curvature vanishes at every sample"),
+        ],
+    )
+    def test_dsl_cap_corollary(self, g, status, note):
+        report = run_sweep(_dsl_cap(g), RunConfig("cap").schedule())
+        assert report.h1 == 0.0
+        verdict = report.verdicts["corollary"]
+        assert verdict.status == status and verdict.note.startswith(note)
+
+    def test_negative_curvature_next_to_the_pole_is_found(self):
+        # w = t + 0.5*t^3/(0.25 + t^2): K < 0 on (0, 0.866), whose edge the
+        # refinement narrows to 64/4096
+        report = run_sweep(_dsl_cap("(t + 0.5*t^3/(0.25 + t^2))^2"), RunConfig("cap").schedule())
+        edge = math.sqrt(3.0) / 2.0
+        assert edge <= report.h1 <= edge + 64.0 / 4096.0
+        assert report.kmin_sampled < -11.9
+        assert report.verdicts["corollary"].status == "not-applicable"
+
+
+class TestMonotoneRule:
+    def test_step_that_straddles_tail_from_is_not_judged(self):
+        # lambda rises only from h = 1 to h = 2, across tail_from = 1.5: the
+        # tail limit reads no sample below 1.5, and neither does the verdict
+        lams = [1.0, 2.0, 1.5, 1.25]
+        samples = [sweep.TruncationSample(h, 0.0, lam, 0.0, 0.0, 0.0) for h, lam in zip(
+            [1.0, 2.0, 3.0, 4.0], lams)]
+        assert sweep._monotone_verdict(samples, 1.5, 1.5).status == "pass"
+        assert sweep._monotone_verdict(samples, 1.0, 1.0).status == "fail"
 
 
 class TestRunSweep:
@@ -791,14 +844,18 @@ def test_theta_bump_between_sample_heights_is_measured_2d():
 def test_theta_in_a_derivative_slot_is_measured_2d():
     # sqrt(G) = 1 has no theta axis, but its second t-derivative, the
     # curvature density, does: the end is 2-D, so K = (t - 5)*sin^2(theta)
-    # is scanned over every angle, not read at theta = 0 where it vanishes
+    # is read over every angle, not at theta = 0 where it vanishes; h1
+    # lies within the resolution 16/4096 above 5
     chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(1.0, 0.0, -(t - 5) * np.sin(theta) ** 2))
     model = SurfaceModel(0, (chart,), AnalyticCore(0.0))
     assert validate_surface(model) == [False]
     report = run_sweep(model, [1.0, 2.0, 4.0, 8.0, 16.0])
-    assert report.h1 == 5.0
-    assert report.kmin_sampled == pytest.approx(-5.0, abs=1e-6)
-    assert report.kmax_sampled == pytest.approx(11.0, abs=1e-6)
+    assert 5.0 <= report.h1 <= 5.0 + 16.0 / 4096.0
+    # the K range is read at the band nodes, the outermost of which lie
+    # 0.0043 of a band's width inside [0, 1] and [8, 16]
+    gap = 1.0 - _XGK[-1]
+    assert report.kmin_sampled == pytest.approx(-5.0 + 0.5 * gap, abs=1e-6)
+    assert report.kmax_sampled == pytest.approx(11.0 - 4.0 * gap, abs=1e-6)
 
 
 def _exp_cap_chart(theta_free):
@@ -868,103 +925,62 @@ def test_rotation_leaves_the_samples_unchanged(a):
             assert abs(getattr(s, field) - getattr(r, field)) <= bound, (s.h, field)
 
 
+def refinement_calls(model, schedule, monkeypatch):
+    """``(end id, heights)`` of every h1 refinement call of a sweep, and
+    ``(theta-free flag, angles, inside a refinement call)`` of every
+    ``sqrt_jet`` call."""
+    theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
+    refined, jets, inside = [], [], []
+    least, sqrt_jet = sweep._least_curvature, EndChart.sqrt_jet
+
+    def refining(end, heights, free):
+        refined.append((id(end), heights.size))
+        inside.append(True)
+        try:
+            return least(end, heights, free)
+        finally:
+            inside.pop()
+
+    def recording(self, t, theta):
+        jets.append((theta_free[id(self)], np.size(theta), bool(inside)))
+        return sqrt_jet(self, t, theta)
+
+    monkeypatch.setattr(sweep, "_least_curvature", refining)
+    monkeypatch.setattr(EndChart, "sqrt_jet", recording)
+    run_sweep(model, schedule)
+    return refined, jets
+
+
 class TestProbeColumns:
     @pytest.mark.parametrize("name", ["paraboloid", "three-ends", "theta-cap"])
     def test_theta_free_ends_probe_one_column(self, name, monkeypatch):
+        # every chart call of a sweep on a theta-free end reads one angle,
+        # the h1 refinement's among them; the refinement reads a 2-D end at
+        # the 16 angles of a band's first panel
         model = three_ends() if name == "three-ends" else (
             theta_cap() if name == "theta-cap" else zoo_entry(name).model
         )
-        theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
-        columns = []
-        curvature = sweep.gauss_curvature
-
-        def recording(end, t, theta):
-            columns.append((theta_free[id(end)], np.shape(theta)[-1]))
-            return curvature(end, t, theta)
-
-        monkeypatch.setattr(sweep, "gauss_curvature", recording)
-        curvature_scan(model, 16.0)
-        assert columns
-        assert all(n == (1 if free else 16) for free, n in columns)
+        refined, jets = refinement_calls(model, BAND_SCHEDULES[name], monkeypatch)
+        assert jets
+        assert all(n == 1 for free, n, _ in jets if free)
+        assert all(n == 16 for free, n, inside in jets if inside and not free)
+        assert bool(refined) == (name != "paraboloid")
 
     @pytest.mark.parametrize("name", ["paraboloid", "catenoid", "three-ends"])
     def test_sweep_scans_each_end_once(self, name, monkeypatch):
-        # h1 and the sampled K range come from one grid scan per distinct
-        # chart: the catenoid lists one chart object twice
+        # h1 and the sampled K range come from the band nodes.  Only a
+        # chart whose bracket can set h1 is refined, in at most three calls
+        # of 64 heights in all: no chart when K >= 0 (paraboloid) or when
+        # the last node is bad (catenoid, whose one chart stands twice), and
+        # on three-ends the second end alone (K < 0 below t = 5, the first
+        # below t = 3)
         model = three_ends() if name == "three-ends" else zoo_entry(name).model
-        schedule = BAND_SCHEDULES[name]
-        rows = len(sweep._probe_heights(model.min_height, schedule[-1], sweep._PROBE_GRID))
-        scans = []
-        curvature = sweep.gauss_curvature
-
-        def recording(end, t, theta):
-            if np.shape(t)[0] == rows:
-                scans.append(id(end))
-            return curvature(end, t, theta)
-
-        monkeypatch.setattr(sweep, "gauss_curvature", recording)
-        run_sweep(model, schedule)
-        assert sorted(scans) == sorted({id(end) for end in model.ends})
-
-
-def per_step_detect_h1(model, h_probe_max, grid):
-    """Reference: the h1 scan with one probe per bisection step."""
-    def bad_at(t):
-        bad = np.zeros(t.shape, dtype=bool)
-        for end in model.ends:
-            todo = ~bad
-            te = np.maximum(t[todo], end.t_min + POLE_GUARD)
-            bad[todo] = np.any(
-                sweep._curvature_grid(end, te, sweep._PROBE_THETAS) < -sweep.K_SLACK, axis=1
-            )
-        return bad
-
-    origin = max(end.t_min for end in model.ends)
-    heights = sweep._probe_heights(origin, h_probe_max, grid)
-    violating = np.flatnonzero(bad_at(heights))
-    if violating.size == 0:
-        return origin
-    if violating[-1] == len(heights) - 1:
-        return None
-    lo, hi = float(heights[violating[-1]]), float(heights[violating[-1] + 1])
-    while hi - lo > h_probe_max / 4096.0:
-        mid = 0.5 * (lo + hi)
-        if bad_at(np.array([mid]))[0]:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def per_height_probe_grid(origin, h_probe_max, grid):
-    """Reference: the probe grid as a set of scalar heights."""
-    span = h_probe_max - origin
-    heights = set()
-    for i in range(grid):
-        h = origin + span * i / (grid - 1)
-        if math.isinf(h):  # span*i overflowed
-            h = min(origin + span * (i / (grid - 1)), h_probe_max)
-        heights.add(h)
-    scale = span / 2.0
-    while scale > POLE_GUARD:
-        heights.add(origin + scale)
-        scale /= 2.0
-    return np.array(sorted(heights))
-
-
-@pytest.mark.parametrize(
-    "origin, h_probe_max",
-    [(0.0, 64.0), (0.0, 1.0), (0.5, 16.0), (0.25, 7.3), (0.0, 1e-7), (3.0, 3.0000001),
-     (0.0, 1e200), (1e17, 1e17 + 64.0), (0.0, 1e307), (0.0, 1.7e308)],
-)
-def test_probe_grid_is_bitwise_the_scalar_grid(origin, h_probe_max):
-    # the same float operations as one height at a time; past span*i's
-    # overflow both scale the fraction, finite and capped at h_probe_max,
-    # without a warning
-    got = sweep._probe_heights(origin, h_probe_max, sweep._PROBE_GRID)
-    want = per_height_probe_grid(origin, h_probe_max, sweep._PROBE_GRID)
-    assert got.tobytes() == want.tobytes()
-    assert np.isfinite(got).all() and got[-1] <= h_probe_max
+        refined, _ = refinement_calls(model, BAND_SCHEDULES[name], monkeypatch)
+        want = [model.ends[1]] if name == "three-ends" else []
+        assert sorted({end for end, _ in refined}) == sorted(map(id, want))
+        for end in want:
+            sizes = [n for key, n in refined if key == id(end)]
+            assert len(sizes) <= 3 and sum(sizes) <= 64
 
 
 def sign_change_model(roots, t_min=0.0, theta_free=False):
@@ -984,60 +1000,64 @@ def sign_change_model(roots, t_min=0.0, theta_free=False):
 
 
 class TestLookahead:
-    """The h1 bisection reads a tree of probes made in one call; its
-    outcome must equal that of the step-by-step bisection."""
+    """The h1 refinement reads a round of heights from one call; its
+    outcome must equal that of the per-height loop."""
 
     @pytest.mark.parametrize("grid", [8, 16, 64])
     def test_detect_h1_matches_per_step_bisection(self, grid, monkeypatch):
+        # ``grid`` heights log-spaced on [0.5, 10]: the band nodes, and so
+        # the bracket about t = 5, move with the schedule.  On one end a
+        # bracket lies in one band from the chart edge, so two rounds do
         model = sign_change_model([5.0])
-        want = per_step_detect_h1(model, 10.0, grid)
+        schedule = [float(h) for h in np.geomspace(0.5, 10.0, grid)]
+        want = reference_sign_height(model, schedule)[0]
         calls = []
-        curvature = sweep.gauss_curvature
+        least = sweep._least_curvature
 
-        def counting(end, t, theta):
-            calls.append(np.shape(t))
-            return curvature(end, t, theta)
+        def counting(end, heights, theta_free):
+            calls.append(heights.size)
+            return least(end, heights, theta_free)
 
-        monkeypatch.setattr(sweep, "gauss_curvature", counting)
-        monkeypatch.setattr(sweep, "_PROBE_GRID", grid)
-        h1 = curvature_scan(model, 10.0)[0]
+        monkeypatch.setattr(sweep, "_least_curvature", counting)
+        h1 = sweep._measure(model, schedule, sweep.DEFAULT_TOL, validate_surface(model)).h1
         assert h1 == want
-        assert abs(h1 - 5.0) <= 10.0 / 4096.0
-        # the grid scan, then the whole bisection tree
-        assert len(calls) == 2
+        assert h1 - 10.0 / 4096.0 <= 5.0 <= h1
+        assert 1 <= len(calls) <= 2 and sum(calls) <= 64
 
-    def test_two_sign_changes_inside_one_bracket(self, monkeypatch):
-        # K < 0 below 4.05 and on (4.2, 4.5), all within the grid bracket
-        # [4, 4.67]; the bisection settles on one of the two upward crossings
-        model = sign_change_model([4.05, 4.2, 4.5])
-        heights = sweep._probe_heights(0.0, 10.0, 16)
-        assert not any(4.05 < h < 4.5 for h in heights)
-        want = per_step_detect_h1(model, 10.0, 16)
-        monkeypatch.setattr(sweep, "_PROBE_GRID", 16)
+    def test_two_sign_changes_inside_one_bracket(self):
+        # K < 0 below 4.05 and on (4.12, 4.2), both between the band nodes
+        # 4.0097 and 4.257; the refinement settles on one of the two upward
+        # crossings
+        model = sign_change_model([4.05, 4.12, 4.2])
+        schedule = probe_schedule(model, 10.0)
+        nodes = [h for t, _ in recorded_band_nodes(model, schedule)[0] for h in np.ravel(t)]
+        assert not any(4.05 < h < 4.2 for h in nodes)
+        want = reference_sign_height(model, schedule)[0]
         assert curvature_scan(model, 10.0)[0] == want
-        assert min(abs(want - 4.05), abs(want - 4.5)) <= 10.0 / 4096.0
+        assert min(abs(want - 4.05), abs(want - 4.2)) <= 10.0 / 4096.0
 
 
 def probe_sizes(model, h_probe_max):
-    """``(h1, sizes)``: the scan's ``h1`` and the number of heights in each
-    curvature call it makes."""
+    """``(h1, sizes)``: ``h1`` as a sweep measures it and the number of
+    heights in each refinement call it makes."""
     sizes = []
 
-    def counting(end, t, theta):
-        sizes.append(np.shape(t)[0])
-        return curvature(end, t, theta)
+    def counting(end, heights, theta_free):
+        sizes.append(heights.size)
+        return least(end, heights, theta_free)
 
-    curvature, sweep.gauss_curvature = sweep.gauss_curvature, counting
+    least, sweep._least_curvature = sweep._least_curvature, counting
     try:
         return curvature_scan(model, h_probe_max)[0], sizes
     finally:
-        sweep.gauss_curvature = curvature
+        sweep._least_curvature = least
 
 
 class TestBisectionBound:
-    """The h1 bisection stops at ``max(h_probe_max, h_probe_max - origin) /
-    4096``: at most seven levels below one of the 63 cells of the default
-    grid, so at most 127 midpoints, whatever the origin's sign."""
+    """The h1 refinement stops at ``max(h_probe_max, h_probe_max - origin)
+    / 4096`` after at most three calls of 64 heights in all, whatever the
+    origin's sign: a bracket lies within that span, and three rounds of 21
+    heights split it 10,648-fold."""
 
     @pytest.mark.parametrize("theta_free", [True, False])
     @pytest.mark.parametrize(
@@ -1056,13 +1076,33 @@ class TestBisectionBound:
         model = sign_change_model([root], t_min, theta_free)
         assert validate_surface(model) == [theta_free]
         h1, sizes = probe_sizes(model, h_probe_max)
-        # the grid scan, then every midpoint as one probe; no probe when
-        # the grid bracket is already within the resolution (t_min = 1e6)
-        assert len(sizes) == (1 if t_min == 1e6 else 2) and max(sizes[1:], default=0) <= 127
+        # no call when the node bracket is already within the resolution
+        # (t_min = 1e6)
+        assert len(sizes) <= 3 and sum(sizes) <= 64
+        assert (not sizes) == (t_min == 1e6)
         resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
         assert h1 - resolution <= root <= h1
-        if t_min >= 0.0:
-            assert h1 == per_step_detect_h1(model, h_probe_max, sweep._PROBE_GRID)
+        assert h1 == reference_sign_height(model, probe_schedule(model, h_probe_max))[0]
+
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_wide_head_band_takes_three_rounds(self, theta_free, monkeypatch):
+        # the head band [-9000, 90] of the first end is one panel whose top
+        # node, 51.2, is the only one above the highest chart edge 0: the
+        # bracket (51.2, 90.02) is 0.39 of the span 100, past two rounds
+        sizes = []
+        least = sweep._least_curvature
+
+        def counting(end, heights, free):
+            sizes.append(heights.size)
+            return least(end, heights, free)
+
+        flat = EndChart(sqrt_g_jet=lambda t, theta: Jet2(1.0, 0.0, 0.0))
+        wide = sign_change_model([70.0], -9000.0, theta_free).ends[0]
+        model = SurfaceModel(0, (wide, flat), AnalyticCore(0.0))
+        monkeypatch.setattr(sweep, "_least_curvature", counting)
+        m = sweep._measure(model, [90.0, 95.0, 100.0], sweep.DEFAULT_TOL, validate_surface(model))
+        assert len(sizes) == 3 and sum(sizes) <= 64
+        assert m.h1 - 100.0 / 4096.0 <= 70.0 <= m.h1
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(0.02, 0.98), st.booleans())
@@ -1070,8 +1110,8 @@ class TestBisectionBound:
         h_probe_max = t_min + span
         root = t_min + at * (h_probe_max - t_min)
         h1, sizes = probe_sizes(sign_change_model([root], t_min, theta_free), h_probe_max)
-        if len(sizes) == 2:  # K < -K_SLACK somewhere below the last grid row
-            assert sizes[1] <= 127
+        assert len(sizes) <= 3 and sum(sizes) <= 64
+        if h1 != t_min:  # K < -K_SLACK at some band node
             resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
             slack = 1e-9 * max(1.0, abs(root))  # K_SLACK and rounding of t - root
             assert h1 - resolution <= root + slack and root <= h1 + slack
@@ -1107,12 +1147,19 @@ def _analytic(end):
     return SurfaceModel(0, (end,), AnalyticCore(0.0))
 
 
-# the windows below t = 1 lie in the head [0, 1] of the schedule [1, 2, 4, 8]
+# the windows below t = 1 lie in the head [0, 1] of the schedule [1, 2, 4, 8],
+# whose band of w'' = 0 is one GK15 panel with nodes at 0.0676, 0.129, ...,
+# 0.5, 0.604, ...; "sliver-and-head" lies between them and "sliver-at-a-node"
+# holds two
 CAP_FAULTS = {
     "sliver-and-head": [(0.07, 0.11), (0.5, 0.6)],
+    "sliver-at-a-node": [(0.06, 0.07), (0.6, 0.61)],
     "sliver-and-band": [(0.07, 0.11), (5.0, 6.0)],
     "band": [(5.0, 6.0)],
 }
+# faults no chart call of the sweep reaches: only the probe grid of the
+# curvature scan that the band nodes replaced sampled them
+MISSED_FAULTS = {"sliver-and-head-True", "sliver-and-head-False"}
 # the mu' heights of the schedule [1, 2, 4, 8] are 2.828 +- 0.05 and +- 0.025
 MU_PRIME_FAULTS = {
     "mu-prime-and-band": {"raise_in": [(2.7, 2.9)]},
@@ -1131,6 +1178,16 @@ FAULT_CASES = {
             free,
         )
         for name, windows in CAP_FAULTS.items()
+        for free in (True, False)
+    },
+    # sqrt(G) < 0 at the band nodes in (5, 6), which read K with the checks
+    # of gauss_curvature
+    **{
+        f"nonpositive-band-{free}": (
+            lambda free=free: _cap(_faulty_chart(negative_in=[(5.0, 6.0)], theta_free=free)),
+            [(5.0, 6.0)],
+            free,
+        )
         for free in (True, False)
     },
     # the DSL names the log's argument t - 0.6, negative below t = 0.6
@@ -1158,8 +1215,14 @@ class TestMergedBatches:
     @pytest.mark.parametrize("name", FAULT_CASES)
     def test_fault_fails_the_sweep(self, name):
         # the error is one a lone call raises too, and it names a point of
-        # a fault window; with two faults either one may be named
+        # a fault window; with two faults either one may be named.  A
+        # pinned miss: faults between the band nodes leave the sweep of
+        # the flat cap w = t whole
         build, windows, theta_free = FAULT_CASES[name]
+        if name in MISSED_FAULTS:
+            m = sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL, [theta_free])
+            assert (m.h1, m.kmin, m.kmax) == (0.0, 0.0, 0.0)
+            return
         with pytest.raises((DomainError, OverflowError, NonPositiveMu)) as caught:
             sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL, [theta_free])
         message = str(caught.value)
@@ -1178,8 +1241,8 @@ CHART_CALL_CASES = {
 
 @pytest.mark.parametrize(
     "name,calls",
-    [("paraboloid", 11), ("catenoid", 6), ("flat-cylinder", 4), ("theta-cap", 6),
-     ("three-ends", 19)],
+    [("paraboloid", 10), ("catenoid", 5), ("flat-cylinder", 3), ("theta-cap", 5),
+     ("three-ends", 14)],
 )
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the

@@ -1,15 +1,12 @@
-"""Validation and the probe grid against the full-grid, loop-built references.
+"""Validation against the full-grid, loop-built reference.
 
 ``validate_surface`` reads a chart value without a theta axis (0-d,
 ``(1, 1)`` or ``(N, 1)``) as one column and skips the checks that one
-column cannot fail; ``_probe_heights`` builds its geometric refinement
-with ``np.ldexp``.  The references below are the earlier code, kept
+column cannot fail.  The reference below is the earlier code, kept
 verbatim: every chart value broadcast to the ``19 x 24`` grid and every
-mask run over it, and the refinement built by a halving loop.
-Hypothesis draws the charts (return shape, nonpositive, NaN, infinite
-and raising rows, a theta factor that can break positivity or
-periodicity) and the probe spans; the messages must be equal and the
-grids equal bit for bit.  The theta-free flag that validation returns
+mask run over it.  Hypothesis draws the charts (return shape,
+nonpositive, NaN, infinite and raising rows, a theta factor that can
+break positivity or periodicity); the messages must be equal.  The theta-free flag that validation returns
 is measured from the same shape: true exactly when the grid call
 returned no theta axis.
 """
@@ -21,10 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvlab.model as model_module
-import cvlab.sweep as sweep
 from cvlab.jets import DomainError, Jet2, Overflow
 from cvlab.model import (
-    POLE_GUARD,
     AnalyticCore,
     EndChart,
     ModelInvalid,
@@ -240,43 +235,3 @@ def test_theta_free_values_are_read_as_one_column(monkeypatch):
         assert validate_surface(one_end(chart)) == [flat]
     full = (TS.size, GRID_THETAS.size)
     assert seen == [(1, 1), (1, 1), (TS.size, 1), full, full]
-
-
-# -- reference: the loop-built probe grid ---------------------------------------
-
-
-def loop_probe_heights(origin, h_probe_max, grid):
-    span = h_probe_max - origin
-    scales = []
-    scale = span / 2.0
-    while scale > POLE_GUARD:
-        scales.append(scale)
-        scale /= 2.0
-    steps = np.arange(grid)
-    with np.errstate(over="ignore"):
-        uniform = origin + span * steps / (grid - 1)
-    if math.isinf(uniform[-1]):
-        far = np.isinf(uniform)
-        uniform[far] = np.minimum(origin + span * (steps[far] / (grid - 1)), h_probe_max)
-    heights = np.sort(np.concatenate([uniform, origin + np.array(scales)]))
-    return heights[np.append(True, heights[1:] != heights[:-1])]
-
-
-finite = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(finite, finite, st.sampled_from([sweep._PROBE_GRID, 8, 16]))
-@example(0.0, 1e307, sweep._PROBE_GRID)
-@example(0.0, 1.7e308, sweep._PROBE_GRID)
-@example(-1e307, 1e307, sweep._PROBE_GRID)
-@example(-1e5, 64.0, sweep._PROBE_GRID)
-@example(3.0, 3.0000001, sweep._PROBE_GRID)
-@example(0.0, 1e-8, sweep._PROBE_GRID)
-@example(1e17, 1e17 + 64.0, sweep._PROBE_GRID)
-def test_probe_grid_equals_the_halving_loop(origin, h_probe_max, grid):
-    if not (h_probe_max > origin and math.isfinite(h_probe_max - origin)):
-        return  # a span the curvature scan refuses
-    got = sweep._probe_heights(origin, h_probe_max, grid)
-    want = loop_probe_heights(origin, h_probe_max, grid)
-    assert got.tobytes() == want.tobytes()
