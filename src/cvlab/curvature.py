@@ -41,12 +41,13 @@ def _jet_curvature(w: Jet2, t, theta):
     """``-w.d2 / w.f`` for the jet ``w`` of sqrt(G) at the points ``(t,
     theta)``, with the checks of :func:`gauss_curvature`: sqrt(G) positive
     and finite with finite derivatives, and the curvature finite."""
+    with np.errstate(all="ignore"):
+        k = -w.d2 / w.f
+        # every check in one reduction: a finite k over a finite positive
+        # sqrt(G) has a finite d2
+        if (np.isfinite(k) & np.isfinite(w.d1) & (w.f > 0.0) & (w.f < np.inf)).all():
+            return k
     bad = ~(np.isfinite(w.f) & np.isfinite(w.d1) & np.isfinite(w.d2)) | (w.f <= 0.0)
     if bad.any():
         raise DomainError(f"sqrt(G) not positive/finite at {_point(t, theta, bad)}")
-    with np.errstate(over="ignore"):
-        k = -w.d2 / w.f
-    bad = ~np.isfinite(k)
-    if bad.any():
-        raise DomainError(f"non-finite curvature at {_point(t, theta, bad)}")
-    return k
+    raise DomainError(f"non-finite curvature at {_point(t, theta, ~np.isfinite(k))}")

@@ -190,11 +190,13 @@ def _signed_density(end: EndChart, rows: list):
 def _k_rows(t, theta, k):
     """``(heights, least, largest)`` of the curvature ``k`` at ``(t, theta)``:
     reduced over the last axis, the angles', when ``theta`` is an array."""
+    k = (k, k)
     if np.ndim(theta):
-        k = np.broadcast_to(k, np.broadcast_shapes(np.shape(t), np.shape(k)))
-        return t[..., 0], k.min(axis=-1), k.max(axis=-1)
-    k = np.broadcast_to(k, np.shape(t))
-    return t, k, k
+        t = t[..., 0]
+        k = (k[0].min(axis=-1), k[1].max(axis=-1)) if np.ndim(k[0]) else k
+    if np.shape(k[0]) != t.shape:  # no axis of the heights
+        k = [np.broadcast_to(x, t.shape) for x in k]
+    return (t, *k)
 
 
 def _running_sums(total: float, err: float, rows) -> list[tuple[float, float]]:
@@ -284,11 +286,15 @@ def _sign_height(model: SurfaceModel, h_max: float, rows, theta_free):
 
     def signs(j, end):
         # kmin, kmax, the last bad node (-inf: none) and the next node (inf: none)
-        t, least, largest = (np.concatenate([np.ravel(r[i]) for r in rows[j]]) for i in range(3))
-        read = t >= origin
-        t, least = t[read], least[read]
+        if len(rows[j]) == 1:
+            t, least, largest = rows[j][0]
+        else:
+            t, least, largest = (np.concatenate([r[i].ravel() for r in rows[j]]) for i in range(3))
+        if end.t_min < origin:  # only then can a node lie below origin
+            read = t >= origin
+            t, least, largest = t[read], least[read], largest[read]
         bad = t[least < -K_SLACK].max(initial=-math.inf)
-        return least.min(), largest[read].max(), bad, t[t > bad].min(initial=math.inf)
+        return least.min(), largest.max(), bad, t[t > bad].min(initial=math.inf)
 
     charts = _per_chart(model.ends, signs)
     kmin, kmax = float(min(c[0] for c in charts)), float(max(c[1] for c in charts))
