@@ -43,8 +43,7 @@ def _jet_curvature(w: Jet2, t, theta):
     and finite with finite derivatives, and the curvature finite."""
     with np.errstate(all="ignore"):
         k = -w.d2 / w.f
-        # every check in one reduction: a finite k over a finite positive
-        # sqrt(G) has a finite d2
+        # one reduction: a finite k over a finite positive sqrt(G) has a finite d2
         if (np.isfinite(k) & np.isfinite(w.d1) & (w.f > 0.0) & (w.f < np.inf)).all():
             return k
     bad = ~(np.isfinite(w.f) & np.isfinite(w.d1) & np.isfinite(w.d2)) | (w.f <= 0.0)

@@ -286,10 +286,7 @@ def _sign_height(model: SurfaceModel, h_max: float, rows, theta_free):
 
     def signs(j, end):
         # kmin, kmax, the last bad node (-inf: none) and the next node (inf: none)
-        if len(rows[j]) == 1:
-            t, least, largest = rows[j][0]
-        else:
-            t, least, largest = (np.concatenate([r[i].ravel() for r in rows[j]]) for i in range(3))
+        t, least, largest = (np.concatenate(column, axis=None) for column in zip(*rows[j]))
         if end.t_min < origin:  # only then can a node lie below origin
             read = t >= origin
             t, least, largest = t[read], least[read], largest[read]
