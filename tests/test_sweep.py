@@ -218,7 +218,8 @@ class TestBandNodeSigns:
         lo, hi = 4.7, 4.8
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if gauss_curvature(model.ends[0], mid, 0.0) < -sweep.K_SLACK else (lo, mid)
+            bad = gauss_curvature(model.ends[0], mid, 0.0) < -sweep.K_SLACK
+            lo, hi = (mid, hi) if bad else (lo, mid)
         assert report.h1 - 64.0 / 4096.0 <= hi <= report.h1
         assert report.verdicts["lambda-monotone"].status == "pass"
 
@@ -566,7 +567,6 @@ class TestDirectTotalCurvature:
         # hypothesis-satisfying surfaces have integrable negative part;
         # here it vanishes identically and the positive part carries all
         # of the curvature
-        from cvlab.curvature import gauss_curvature
         from cvlab.quadrature import integrate_improper
 
         entry = zoo_entry("capped-cone")

@@ -6,9 +6,9 @@ column cannot fail.  The reference below is the earlier code, kept
 verbatim: every chart value broadcast to the ``19 x 24`` grid and every
 mask run over it.  Hypothesis draws the charts (return shape,
 nonpositive, NaN, infinite and raising rows, a theta factor that can
-break positivity or periodicity); the messages must be equal.  The theta-free flag that validation returns
-is measured from the same shape: true exactly when the grid call
-returned no theta axis.
+break positivity or periodicity); the messages must be equal.  The
+theta-free flag that validation returns is measured from the same
+shape: true exactly when the grid call returned no theta axis.
 """
 
 import math
