@@ -10,7 +10,8 @@ For each seed, workload and ``--trace`` level (0, then 1) the script runs
 ``perfbench/run.py`` of this checkout in a fresh interpreter.  With
 ``--parent`` it runs the same job on that checkout first, so every
 parent/change pair is taken back to back.  The file records each run's
-result and info lines next to the seeds, the seconds and the versions.
+result and info lines next to the seeds, the seconds, the versions and
+each tree's ``git describe --dirty``, taken before the first run.
 The exit code is 1 unless every run finished and reported
 ``"correct": true`` with ``"failed": 0``.
 """
@@ -82,6 +83,9 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.parent is not None:
         trees = {"parent": args.parent.resolve(), "change": ROOT}
+    # described before the first run, so an edit made while the runs go
+    # on cannot mark the measured code -dirty
+    commits = {name: commit_of(tree) for name, tree in trees.items()}
     runs = {name: [] for name in trees}
     for seed in args.seeds:
         for workload in WORKLOADS:
@@ -99,7 +103,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "workloads": WORKLOADS,
         "versions": versions(),
-        "commits": {name: commit_of(tree) for name, tree in trees.items()},
+        "commits": commits,
         "runs": runs,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")

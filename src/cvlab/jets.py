@@ -94,16 +94,9 @@ class Jet2(NamedTuple):
     def __pow__(self, exponent) -> "Jet2":
         return jpow(self, exponent)
 
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.f).all()
-            and np.isfinite(self.d1).all()
-            and np.isfinite(self.d2).all()
-        )
 
-
-def ensure_finite(jet: Jet2, context: str = "expression") -> Jet2:
-    if not jet.is_finite():
+def ensure_finite(jet: Jet2, context: str) -> Jet2:
+    if not (np.isfinite(jet.f).all() and np.isfinite(jet.d1).all() and np.isfinite(jet.d2).all()):
         raise DomainError(f"non-finite result in {context}")
     return jet
 

@@ -139,31 +139,18 @@ def _gk15(half: np.ndarray, fv: np.ndarray):
     return kron, gauss
 
 
-def _line_panels(values: Callable, a: np.ndarray, b: np.ndarray, levels, scale: float = 1.0):
+def _line_panels(values: Callable, a: np.ndarray, b: np.ndarray, levels):
     """GK15 panels over the intervals ``[a, b]`` from one call ``values(x)``
     on ``(J, 15)`` nodes, in the panel protocol of :func:`_adapt_many`;
-    ``levels`` is not read.  Returns ``scale`` times the Kronrod value and
+    ``levels`` is not read.  Returns ``2*pi`` times the Kronrod value and
     the Kronrod-Gauss difference, 15 evaluations and a split in t, per
-    panel."""
+    panel: a theta-free band."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     fv = np.empty((a.size, 15))
     fv[...] = values(mid[:, None] + half[:, None] * _XGK)
     _require_finite(fv, a, b)
     kron, gauss = _gk15(half, fv)
-    return scale * kron, scale * np.abs(kron - gauss), [15] * a.size, [True] * a.size
-
-
-def _panels_1d(values: Callable, jobs, scale: float = 1.0):
-    """:func:`_line_panels` over the intervals of ``jobs``, ``(member, (a,
-    b))`` pairs, as one ``(value, error, 15, children)`` row per job, the
-    children being the t-halves: the per-panel form of the 1-D rule, in
-    which the pinned driver tests read single panels."""
-    a, b = np.array([box for _, box in jobs], dtype=float).T
-    value, error, _, _ = _line_panels(values, a, b, None, scale)
-    return [
-        (v, e, 15, ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)))
-        for (_, (lo, hi)), v, e in zip(jobs, value.tolist(), error.tolist())
-    ]
+    return TWO_PI * kron, TWO_PI * np.abs(kron - gauss), [15] * a.size, [True] * a.size
 
 
 def _band_level(f: Callable, a: np.ndarray, b: np.ndarray, n: int):
@@ -184,20 +171,18 @@ def _band_level(f: Callable, a: np.ndarray, b: np.ndarray, n: int):
 def _band_panels(f: Callable, a: np.ndarray, b: np.ndarray, levels):
     """Band panels over ``[a, b]`` at the theta ``levels``, in the panel
     protocol of :func:`_adapt_many`: one call ``f(t, theta)`` per level
-    ``n``, in the order the levels first appear, on ``(J, 15, 1)`` t-nodes
-    and the ``(1, 1, 2*n)`` angles of :func:`_thetas`.  Returns per panel
-    ``2*pi`` times the Kronrod value of the theta mean; the Kronrod-Gauss
-    difference plus the Kronrod integral of ``|T_n - T_n^rot|``; ``30*n``
-    evaluations; and a split in t when the t part of the error is the
-    larger or equal, else a doubling of the level."""
-    if levels.count(levels[0]) == len(levels):
-        value, error, split = _band_level(f, a, b, levels[0])
-    else:
-        value, error, split = np.empty(a.size), np.empty(a.size), np.empty(a.size, bool)
-        at = np.array(levels)
-        for n in dict.fromkeys(levels):
-            rows = at == n
-            value[rows], error[rows], split[rows] = _band_level(f, a[rows], b[rows], n)
+    ``n``, in the order the levels first appear, on the ``(J, 15, 1)``
+    t-nodes of that level's panels and the ``(1, 1, 2*n)`` angles of
+    :func:`_thetas`.  Returns per panel ``2*pi`` times the Kronrod value
+    of the theta mean; the Kronrod-Gauss difference plus the Kronrod
+    integral of ``|T_n - T_n^rot|``; ``30*n`` evaluations; and a split in
+    t when the t part of the error is the larger or equal, else a
+    doubling of the level."""
+    value, error, split = np.empty(a.size), np.empty(a.size), np.empty(a.size, bool)
+    at = np.array(levels)
+    for n in dict.fromkeys(levels):
+        rows = at == n
+        value[rows], error[rows], split[rows] = _band_level(f, a[rows], b[rows], n)
     return value, error, [30 * n for n in levels], split.tolist()
 
 
@@ -224,8 +209,10 @@ def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance
     would take it past ``tol.max_evaluations``.  The first round scores
     every integral's one panel from the arrays at once, and only an
     integral that goes on gets a heap, largest error first, ties broken
-    by creation order.  The children of every integral still running go
-    to one ``panels`` call, so each result is that of a lone run.
+    by creation order, whose values and errors each round are two
+    :func:`math.fsum` sums, over one panel after a theta doubling too.
+    The children of every integral still running go to one ``panels``
+    call, so each result is that of a lone run.
     """
     abs_tol, rel_tol, budget = tol.abs_tol, tol.rel_tol, tol.max_evaluations
     if not lo.size:
@@ -257,11 +244,8 @@ def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance
         jobs, running = [], []
         for k in live:
             heap = heaps[k]
-            if len(heap) == 1:
-                v, e = heap[0][2] + 0.0, -heap[0][0]
-            else:
-                v = math.fsum([item[2] for item in heap])
-                e = math.fsum([-item[0] for item in heap])
+            v = math.fsum([item[2] for item in heap])
+            e = math.fsum([-item[0] for item in heap])
             target = rel_tol * abs(v)
             if e <= (target if target > abs_tol else abs_tol):
                 results[k] = QuadResult(v, e, evals[k], True)
@@ -356,7 +340,7 @@ def integrate_bands(
             f"{cost} evaluations of the starting panels"
         )
     if theta_free:
-        panels = partial(_line_panels, lambda t: f(t, 0.0), scale=TWO_PI)
+        panels = partial(_line_panels, lambda t: f(t, 0.0))
     else:
         panels = partial(_band_panels, f)
     if wide.all():

@@ -234,7 +234,10 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
     if schedule[0] < model.min_height:
         raise ValueError(f"height {schedule[0]} lies below the chart edge {model.min_height}")
     if not math.isfinite(schedule[-1] - model.min_height):
-        raise ValueError(f"probe span from {model.min_height} to {schedule[-1]} is not finite")
+        raise ValueError(
+            f"span from the highest t_min {model.min_height} to the last height "
+            f"{schedule[-1]} is not finite"
+        )
 
 
 def _sweep_samples(
@@ -274,7 +277,7 @@ def _sweep_samples(
     return tuple(samples), values[2 * n :], errors[2 * n :], bands, curvatures[-1], rows
 
 
-def _sign_height(model: SurfaceModel, h_max: float, rows, theta_free):
+def _sign_height(model: SurfaceModel, h_max: float, rows):
     """``(h1, kmin, kmax)``: the smallest height beyond which sampled
     curvature stays ``>= -K_SLACK``, and the sampled ``K`` range, from
     each distinct chart's band-node ``rows`` at or above ``model.min_height``.
@@ -308,27 +311,27 @@ def _sign_height(model: SurfaceModel, h_max: float, rows, theta_free):
         _, _, bad, after = charts[j]
         if bad == -math.inf or after <= floor:  # this chart cannot set h1
             return origin
-        return _refine_h1(end, theta_free[j], float(bad), float(after), scale)
+        return _refine_h1(end, float(bad), float(after), scale)
 
     return max(_per_chart(model.ends, height)), kmin, kmax
 
 
-def _refine_h1(end: EndChart, theta_free: bool, lo: float, hi: float, scale: float) -> float:
+def _refine_h1(end: EndChart, lo: float, hi: float, scale: float) -> float:
     """The top of the bracket ``(lo, hi]``, from a bad height to a good
     one, narrowed to ``scale / 4096``.  The bracket lies within ``scale``,
     so the fewest rounds ``r <= 3`` of ``n <= _REFINE_HEIGHTS // r``
     equispaced interior heights with ``(n + 1)**r`` past the bracket's
     ratio to that resolution reach it; each round is one
-    :func:`_least_curvature` call and keeps the cell above the last bad
-    height.  A GK15 node gap is at most 0.104 of its panel, so one round
-    does on a band narrower than ``scale / 6.5``, and two on any band
-    from the highest chart edge."""
+    :func:`_least_curvature` call, on a theta-free end too, and keeps the
+    cell above the last bad height.  A GK15 node gap is at most 0.104 of
+    its panel, so one round does on a band narrower than ``scale / 6.5``,
+    and two on any band from the highest chart edge."""
     ratio = 4096.0 * (hi - lo) / scale
     rounds = next(r for r in (1, 2, 3) if (_REFINE_HEIGHTS // r + 1) ** r >= ratio)
     n = math.ceil(ratio ** (1.0 / rounds)) - 1
     for _ in range(rounds if n > 0 else 0):
         ts = lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
-        bad = np.flatnonzero(_least_curvature(end, ts, theta_free) < -K_SLACK)
+        bad = np.flatnonzero(_least_curvature(end, ts) < -K_SLACK)
         if bad.size:
             i = bad[-1]
             lo, hi = ts[i], ts[i + 1] if i + 1 < n else hi
@@ -337,10 +340,12 @@ def _refine_h1(end: EndChart, theta_free: bool, lo: float, hi: float, scale: flo
     return float(hi)
 
 
-def _least_curvature(end: EndChart, heights: np.ndarray, theta_free: bool) -> np.ndarray:
-    """The least K at each height over the angles of a band's first
-    panel, or at theta = 0 alone on a theta-free end: one chart call."""
-    t, theta = (heights, 0.0) if theta_free else (heights[:, None], _thetas(_FLOOR)[None, :])
+def _least_curvature(end: EndChart, heights: np.ndarray) -> np.ndarray:
+    """The least K at each height over the 16 angles of a band's first
+    panel: one chart call, ``heights[:, None]`` against ``(1, 16)``
+    angles.  A theta-free chart answers with one column, which
+    :func:`_k_rows` reduces as it is."""
+    t, theta = heights[:, None], _thetas(_FLOOR)[None, :]
     return _k_rows(t, theta, _jet_curvature(end.sqrt_jet(t, theta), t, theta))[1]
 
 
@@ -439,7 +444,7 @@ def _measure(
         model, schedule, tol, theta_free, probes
     )
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
-    h1, kmin, kmax = _sign_height(model, schedule[-1], rows, theta_free)
+    h1, kmin, kmax = _sign_height(model, schedule[-1], rows)
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
     direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol, theta_free)

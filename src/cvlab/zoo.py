@@ -208,26 +208,28 @@ def make_paraboloid() -> ZooEntry:
     return ZooEntry(model, oracle)
 
 
-_CONE_CAP_RADIUS = 10.0
+_CONE_TC = 10.0  # the cap radius, where the blend meets the exact cone
 
 
-def _cone_profile_jets(t, slant: float, tc: float = _CONE_CAP_RADIUS):
+def _cone_profile_jets(t, slant: float):
     """w = sqrt(G) for a smooth cap blending into an exact cone.
 
     The radial derivative w' descends from 1 to the slant along a
-    quintic smoothstep on [0, tc]; beyond tc the surface is the exact
-    cone w = slant*t + b.  The blend keeps w' nonincreasing, hence
+    quintic smoothstep on [0, _CONE_TC]; beyond it the surface is the
+    exact cone w = slant*t + b.  The blend keeps w' nonincreasing, hence
     curvature nonnegative, and w'' vanishes at both junctions.
     """
-    cone = t >= tc
-    u = np.minimum(t, tc) / tc  # the cap polynomials stay bounded on the cone
+    cone = t >= _CONE_TC
+    u = np.minimum(t, _CONE_TC) / _CONE_TC  # the cap polynomials stay bounded on the cone
     p = ((6.0 * u - 15.0) * u + 10.0) * u**3
     dp = ((30.0 * u - 60.0) * u + 30.0) * u**2
     P = ((u - 3.0) * u + 2.5) * u**4
     return (
-        np.where(cone, slant * t + 0.5 * (1.0 - slant) * tc, t - (1.0 - slant) * tc * P),
+        np.where(
+            cone, slant * t + 0.5 * (1.0 - slant) * _CONE_TC, t - (1.0 - slant) * _CONE_TC * P
+        ),
         np.where(cone, slant, 1.0 - (1.0 - slant) * p),
-        np.where(cone, 0.0, -(1.0 - slant) * dp / tc),
+        np.where(cone, 0.0, -(1.0 - slant) * dp / _CONE_TC),
     )
 
 

@@ -384,6 +384,25 @@ class TestConfigFiles:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "genus,end,message",
+        [
+            (0, "g = t^2\nt_min = 1\n", "PolarCap requires the chart to start at t = 0"),
+            (1, "g = t^2\n", "PolarCap core implies genus 0 (chi = 1)"),
+            (0, "g = 4*t\n", "polar cap: sqrt(G) does not vanish linearly at the pole"),
+            (0, "g = (t + 8000*t^2)^2\n", "polar cap: d/dt sqrt(G) at the pole is 1.016000"),
+        ],
+        ids=["t_min", "genus", "not-linear", "slope"],
+    )
+    def test_polar_cap_violation_exits_one(self, tmp_path, capsys, genus, end, message):
+        path = tmp_path / "cap.cfg"
+        path.write_text(f"[surface]\ngenus = {genus}\nends = 1\ncore = polar-cap\n\n[end1]\n{end}")
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "extra,where",
         [
             ("\n[end2]\ng = t^2\n", "unknown section [end2]"),
@@ -450,8 +469,7 @@ class TestConfigFiles:
 
     def test_corollary_not_certified_over_negative_samples(self, tmp_path, capsys):
         # w = t + 0.5*t^3/(0.25 + t^2) closes smoothly at the pole, but
-        # K < 0 on (0, 0.866): all inside the first cell of the uniform
-        # probe grid, where the scan samples K = -12
+        # K < 0 on (0, 0.866), where the head band's nodes read it
         path = tmp_path / "cap.cfg"
         path.write_text(
             "[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n"
@@ -477,7 +495,7 @@ class TestConfigFiles:
         assert "theorem" in captured.out
 
     def test_infinite_probe_span_exits_one(self, tmp_path, capsys):
-        # h_max - t_min overflows to inf, a span the curvature scan refuses
+        # h_max - t_min overflows to inf, a span the schedule check refuses
         path = tmp_path / "wide.cfg"
         path.write_text(
             "[surface]\ngenus = 0\nends = 1\ncore = analytic:6.283185307179586\n\n"

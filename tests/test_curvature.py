@@ -46,6 +46,13 @@ class TestGaussCurvature:
     def test_polar_plane_is_flat(self):
         assert gauss_curvature(POLAR, 2.0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_height_below_the_chart_edge_is_refused(self):
+        # within 1e-12 of the edge a height still counts as on it
+        end = chart_from_expression("exp(-2*t)", t_min=2.0)
+        assert gauss_curvature(end, 2.0 - 1e-13, 0.0) == pytest.approx(-1.0, rel=1e-12)
+        with pytest.raises(ValueError, match=r"t=1\.5 lies below the chart edge t_min=2\.0"):
+            gauss_curvature(end, np.array([3.0, 1.5]), 0.0)
+
     def test_domain_error_on_vanishing_metric(self):
         with pytest.raises(DomainError):
             gauss_curvature(chart_from_expression("1 - t"), 1.0, 0.0)

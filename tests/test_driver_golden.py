@@ -19,10 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from cvlab.quadrature import Tolerance, _panels_1d, integrate_bands, integrate_circles
-
-TWO_PI = 2.0 * math.pi
-
+from cvlab.quadrature import Tolerance, _line_panels, integrate_bands, integrate_circles
 
 def _odd(t, theta):
     return -t + 0.0 * theta
@@ -123,6 +120,7 @@ def test_driver_results_are_pinned_bit_for_bit(name):
 def test_odd_panel_value_is_negative_zero():
     # the case above is only a test of the one-panel sum if the panel
     # itself returns -0.0
-    (value, error, _, _), = _panels_1d(lambda t: _odd(t, 0.0), [(0, (-1e-160, 1e-160))], TWO_PI)
-    assert value == 0.0 and math.copysign(1.0, value) == -1.0
-    assert error == 0.0
+    a, b = np.array([-1e-160]), np.array([1e-160])
+    value, error, _, _ = _line_panels(lambda t: _odd(t, 0.0), a, b, None)
+    assert value[0] == 0.0 and math.copysign(1.0, value[0]) == -1.0
+    assert error[0] == 0.0

@@ -17,7 +17,6 @@ from cvlab.quadrature import (
     Tolerance,
     _divergence_direction,
     _geometric_tail,
-    _panels_1d,
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
@@ -93,24 +92,34 @@ def test_trig_polynomials_integrate_to_constant_term(coeffs, constant):
 class TestPanelExactness:
     @pytest.mark.parametrize("degree", range(14))
     def test_polynomials_exact_on_single_panel(self, degree):
-        value, _, _, _ = _panels_1d(lambda x: x**degree, [(0, (0.0, TWO_PI))])[0]
-        exact = TWO_PI ** (degree + 1) / (degree + 1)
-        assert value == pytest.approx(exact, rel=1e-13)
+        value, _, _, _ = quadrature._line_panels(
+            lambda x: x**degree, np.array([0.0]), np.array([TWO_PI]), None
+        )
+        exact = TWO_PI * TWO_PI ** (degree + 1) / (degree + 1)
+        assert value[0] == pytest.approx(exact, rel=1e-13)
 
 
-def per_panel_1d(values, jobs, scale=1.0):
-    """The 1-D rule one panel at a time, as before it was stacked."""
-    ab = np.array([box for _, box in jobs], dtype=float)
-    half = 0.5 * (ab[:, 1:] - ab[:, :1])
-    mid = 0.5 * (ab[:, :1] + ab[:, 1:])
-    fv = np.empty((len(jobs), 15))
-    fv[...] = values(mid + half * quadrature._XGK)
+def per_panel_1d(values, a, b):
+    """The 1-D rule one panel at a time, as before it was stacked: per
+    panel ``2*pi`` times the Kronrod value and the Kronrod-Gauss
+    difference."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    fv = np.empty((a.size, 15))
+    fv[...] = values(mid[:, None] + half[:, None] * quadrature._XGK)
     out = []
-    for (_, (a, b)), h, m, row in zip(jobs, half[:, 0].tolist(), mid[:, 0].tolist(), fv):
+    for h, row in zip(half.tolist(), fv):
         kron = h * float(quadrature._WGK @ row)
         gauss = h * float(quadrature._WG7 @ row[np.arange(1, 15, 2)])
-        out.append((scale * kron, scale * abs(kron - gauss), 15, ((a, m), (m, b))))
+        out.append((TWO_PI * kron, TWO_PI * abs(kron - gauss)))
     return out
+
+
+def stacked_1d(values, a, b):
+    """:func:`quadrature._line_panels` as ``(value, error)`` per panel; every
+    panel costs 15 evaluations and splits in t."""
+    value, error, cost, split = quadrature._line_panels(values, a, b, None)
+    assert cost == [15] * a.size and split == [True] * a.size
+    return list(zip(value.tolist(), error.tolist()))
 
 
 def per_panel_theta(f, jobs):
@@ -192,21 +201,22 @@ class TestStackedPanels1d:
     @pytest.mark.parametrize("scale", [1.0, TWO_PI])
     @pytest.mark.parametrize("count", [1, 2, 15, 64])
     def test_random_rows_match_per_panel_loop(self, count, scale):
+        # rows with and without a factor 2*pi: the rule's own factor 2*pi
+        # multiplies the Kronrod sum, never the rows
         rng = np.random.default_rng(count)
         for _ in range(20):
             lo = rng.uniform(-50.0, 50.0, count)
-            width = rng.uniform(1e-6, 30.0, count)
-            jobs = [(k, (float(a), float(a + w))) for k, (a, w) in enumerate(zip(lo, width))]
-            rows = 10.0 ** rng.uniform(-8, 8, (count, 1)) * rng.standard_normal((count, 15))
+            hi = lo + rng.uniform(1e-6, 30.0, count)
+            rows = scale * 10.0 ** rng.uniform(-8, 8, (count, 1)) * rng.standard_normal((count, 15))
             f = lambda x: rows
-            assert _panels_1d(f, jobs, scale) == per_panel_1d(f, jobs, scale)
+            assert stacked_1d(f, lo, hi) == per_panel_1d(f, lo, hi)
 
     def test_integrand_on_nodes_matches_per_panel_loop(self):
         rng = np.random.default_rng(7)
         lo = rng.uniform(0.0, 20.0, 40)
-        jobs = [(k, (float(a), float(a + 0.5 * k + 0.1))) for k, a in enumerate(lo)]
+        hi = lo + 0.5 * np.arange(40) + 0.1
         f = lambda t: t * t * np.exp(-0.3 * t) * np.cos(3.0 * t)
-        assert _panels_1d(f, jobs, TWO_PI) == per_panel_1d(f, jobs, TWO_PI)
+        assert stacked_1d(f, lo, hi) == per_panel_1d(f, lo, hi)
 
 
 class TestAnnulus:
@@ -415,6 +425,17 @@ class TestImproper:
         )
         assert not res.converged
         assert res.divergence is not None
+
+    def test_alternating_growth_is_oscillatory(self):
+        # t^2, negated on [2, 4), [8, 16), ...: the densities of the windows
+        # [0, 1], [1, 2], [2, 4], [4, 8] grow more than 1.5-fold each, with
+        # the signs + + - +, so the fourth window ends the walk
+        def f(t, theta):
+            return np.where(np.floor(np.log2(np.maximum(t, 1.0))) % 2 == 1, -1.0, 1.0) * t**2
+
+        res = integrate_improper(f, 0.0, theta_free=True)
+        assert (res.converged, res.divergence) == (False, "oscillatory")
+        assert (len(res.partial_sums), res.evaluations) == (4, 90)
 
     @pytest.mark.parametrize("theta_free", [False, True])
     def test_integrand_gets_batched_nodes(self, theta_free):
@@ -724,6 +745,14 @@ class TestLockstep:
         assert abs(batch[1].value) - batch[1].error_estimate > 1e10
         lone = integrate_bands(f, edges[1:], theta_free=True, decided=[1e10])[0]
         assert _outcome(batch[1]) == _outcome(lone)
+
+    @pytest.mark.parametrize("decided", [[], [1e10], [1e10, 1e10, 1e10]])
+    def test_decided_needs_one_magnitude_per_band(self, decided):
+        def f(t, theta):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="decided needs one magnitude per band"):
+            integrate_bands(f, [0.0, 8.0, 12.0], theta_free=True, decided=decided)
 
     def test_band_nodes_are_batched(self):
         shapes = []

@@ -199,7 +199,7 @@ class TestDetectH1:
         # 1e308 - (-1e308) overflows: the h1 resolution, a 4096th of that
         # span, would be infinite
         model = SurfaceModel(0, (chart_from_expression("1", t_min=-1e308),), AnalyticCore(TWO_PI))
-        with pytest.raises(ValueError, match="probe span .* is not finite"):
+        with pytest.raises(ValueError, match="span from the highest t_min .* is not finite"):
             run_sweep(model, [1.0, 2.0, 1e308])
 
 
@@ -760,6 +760,10 @@ class TestBandReuse:
                 errors.append(running)
         assert [s.quad_error for s in samples] == errors
 
+    def test_schedule_needs_a_height(self):
+        with pytest.raises(ValueError, match="schedule needs at least one height"):
+            sweep_samples(zoo_entry("paraboloid").model, [])
+
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep_samples(zoo_entry("paraboloid").model, [1.0, 4.0, 2.0])
@@ -927,23 +931,26 @@ def test_rotation_leaves_the_samples_unchanged(a):
 
 def refinement_calls(model, schedule, monkeypatch):
     """``(end id, heights)`` of every h1 refinement call of a sweep, and
-    ``(theta-free flag, angles, inside a refinement call)`` of every
-    ``sqrt_jet`` call."""
+    ``(theta-free flag, angles, columns of the value, inside a refinement
+    call)`` of every ``sqrt_jet`` call; a value of fewer than two axes
+    counts as one column."""
     theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
     refined, jets, inside = [], [], []
     least, sqrt_jet = sweep._least_curvature, EndChart.sqrt_jet
 
-    def refining(end, heights, free):
+    def refining(end, heights):
         refined.append((id(end), heights.size))
         inside.append(True)
         try:
-            return least(end, heights, free)
+            return least(end, heights)
         finally:
             inside.pop()
 
     def recording(self, t, theta):
-        jets.append((theta_free[id(self)], np.size(theta), bool(inside)))
-        return sqrt_jet(self, t, theta)
+        w = sqrt_jet(self, t, theta)
+        columns = np.shape(w.f)[-1] if np.ndim(w.f) >= 2 else 1
+        jets.append((theta_free[id(self)], np.size(theta), columns, bool(inside)))
+        return w
 
     monkeypatch.setattr(sweep, "_least_curvature", refining)
     monkeypatch.setattr(EndChart, "sqrt_jet", recording)
@@ -954,16 +961,19 @@ def refinement_calls(model, schedule, monkeypatch):
 class TestProbeColumns:
     @pytest.mark.parametrize("name", ["paraboloid", "three-ends", "theta-cap"])
     def test_theta_free_ends_probe_one_column(self, name, monkeypatch):
-        # every chart call of a sweep on a theta-free end reads one angle,
-        # the h1 refinement's among them; the refinement reads a 2-D end at
-        # the 16 angles of a band's first panel
+        # every chart call of a sweep on a theta-free end outside the h1
+        # refinement reads one angle; the refinement reads every end at the
+        # 16 angles of a band's first panel, and a theta-free chart answers
+        # it with one column
         model = three_ends() if name == "three-ends" else (
             theta_cap() if name == "theta-cap" else zoo_entry(name).model
         )
         refined, jets = refinement_calls(model, BAND_SCHEDULES[name], monkeypatch)
         assert jets
-        assert all(n == 1 for free, n, _ in jets if free)
-        assert all(n == 16 for free, n, inside in jets if inside and not free)
+        assert all(n == 1 for free, n, _, inside in jets if free and not inside)
+        assert all(n == 16 for _, n, _, inside in jets if inside)
+        assert all(cols == 1 for free, _, cols, inside in jets if free and inside)
+        assert any(free and inside for free, *_, inside in jets) == (name == "three-ends")
         assert bool(refined) == (name != "paraboloid")
 
     @pytest.mark.parametrize("name", ["paraboloid", "catenoid", "three-ends"])
@@ -1014,9 +1024,9 @@ class TestLookahead:
         calls = []
         least = sweep._least_curvature
 
-        def counting(end, heights, theta_free):
+        def counting(end, heights):
             calls.append(heights.size)
-            return least(end, heights, theta_free)
+            return least(end, heights)
 
         monkeypatch.setattr(sweep, "_least_curvature", counting)
         h1 = sweep._measure(model, schedule, sweep.DEFAULT_TOL, validate_surface(model)).h1
@@ -1042,9 +1052,9 @@ def probe_sizes(model, h_probe_max):
     heights in each refinement call it makes."""
     sizes = []
 
-    def counting(end, heights, theta_free):
+    def counting(end, heights):
         sizes.append(heights.size)
-        return least(end, heights, theta_free)
+        return least(end, heights)
 
     least, sweep._least_curvature = sweep._least_curvature, counting
     try:
@@ -1092,9 +1102,9 @@ class TestBisectionBound:
         sizes = []
         least = sweep._least_curvature
 
-        def counting(end, heights, free):
+        def counting(end, heights):
             sizes.append(heights.size)
-            return least(end, heights, free)
+            return least(end, heights)
 
         flat = EndChart(sqrt_g_jet=lambda t, theta: Jet2(1.0, 0.0, 0.0))
         wide = sign_change_model([70.0], -9000.0, theta_free).ends[0]
@@ -1157,8 +1167,8 @@ CAP_FAULTS = {
     "sliver-and-band": [(0.07, 0.11), (5.0, 6.0)],
     "band": [(5.0, 6.0)],
 }
-# faults no chart call of the sweep reaches: only the probe grid of the
-# curvature scan that the band nodes replaced sampled them
+# faults no chart call of the sweep reaches: they lie between the head
+# band's GK15 nodes, so the sweep completes without reading them
 MISSED_FAULTS = {"sliver-and-head-True", "sliver-and-head-False"}
 # the mu' heights of the schedule [1, 2, 4, 8] are 2.828 +- 0.05 and +- 0.025
 MU_PRIME_FAULTS = {
@@ -1247,20 +1257,23 @@ CHART_CALL_CASES = {
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the
     # merged batches merged, the direct route on the truncation's bands
-    # and a chart listed at two positions measured once
+    # and a chart listed at two positions measured once.  Validation
+    # makes the one ``g`` call per distinct chart; the rest are sqrt_jet
     build, schedule = CHART_CALL_CASES[name]
     model = build()
     counted = []
     for method in ("sqrt_jet", "g"):
         original = getattr(EndChart, method)
 
-        def counting(self, t, theta, original=original):
+        def counting(self, t, theta, original=original, method=method):
             counted.append(method)
             return original(self, t, theta)
 
         monkeypatch.setattr(EndChart, method, counting)
     run_sweep(model, schedule)
+    charts = len({id(end) for end in model.ends})
     assert len(counted) == calls
+    assert (counted.count("sqrt_jet"), counted.count("g")) == (calls - charts, charts)
 
 
 def theta_end():
