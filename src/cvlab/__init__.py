@@ -23,7 +23,6 @@ from .quadrature import (
     estimate_tail_limit,
     integrate_bands,
     integrate_circles,
-    integrate_improper,
 )
 from .sweep import (
     NonPositiveMu,

@@ -80,13 +80,15 @@ class RunConfig:
         n = self.steps
         if self.h_min > 0.0:
             ratio = (self.h_max / self.h_min) ** (1.0 / (n - 1))
-            heights = [self.h_min * ratio**i for i in range(n)]
+            heights = [self.h_min * ratio**i for i in range(n - 1)]
+            if math.isinf(ratio):  # h_max / h_min overflows: space the logarithms
+                lo, hi = math.log(self.h_min), math.log(self.h_max)
+                heights[1:] = [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(1, n - 1)]
         else:
             heights = [
-                self.h_min + (self.h_max - self.h_min) * i / (n - 1) for i in range(n)
+                self.h_min + (self.h_max - self.h_min) * i / (n - 1) for i in range(n - 1)
             ]
-        heights[-1] = self.h_max
-        return heights
+        return [*heights, self.h_max]
 
 
 def load_surface_config(path: str | Path) -> SurfaceModel:

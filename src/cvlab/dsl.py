@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .jets import FUNCTIONS, DomainError, Jet2, ensure_finite
+from .jets import DomainError, Jet2, ensure_finite
 from .jets import _BARE, _VALUES, _bare_ipow, _bare_pow, _integer_exponent, _nonzero, _value_pow
 
 __all__ = [
@@ -271,7 +271,7 @@ class _Parser:
             self.take()
             if text in VARIABLES:
                 return Var(text)
-            if text in FUNCTIONS:
+            if text in _BARE:
                 self.deeper()
                 self.expect_op("(")
                 arg = self.expression()
@@ -365,7 +365,7 @@ def _compile(node: Node):
         jet_rule, value_rule = _RULES[node.op]
         rule = jet_rule if has_t else value_rule
         if left_t and node.op == "pow" and isinstance(node.right, Const):
-            if _integer_exponent(node.right.value):  # jpow's test, decided once
+            if _integer_exponent(node.right.value):  # _bare_pow's test, decided once
                 n = int(node.right.value)
                 rule = lambda a, _: _bare_ipow(a, n)
         return has_t, lambda t, theta: rule(left(t, theta), right(t, theta))

@@ -14,11 +14,10 @@ jet with zero derivative slots (forward mode, as in Griewank and
 Walther, *Evaluating Derivatives*, ch. 6), and takes the reduced rules:
 it adds to the value slot only and scales or divides all three.
 Elementary functions raise the exception classes below from explicit
-checks, never from warnings.  Each rule has a bare form that opens no
-``np.errstate``: the compiled DSL kernel calls the bare forms inside the
-one ``np.errstate(all="ignore")`` that :func:`cvlab.dsl.eval_jet` opens.
-The public ``jexp`` ... ``jtanh`` and :func:`jpow` each open that
-context themselves, for charts and other direct callers.
+checks, never from warnings.  The rules (``_BARE``, ``_bare_pow``) open
+no ``np.errstate``: the compiled DSL kernel calls them inside the one
+``np.errstate(all="ignore")`` that :func:`cvlab.dsl.eval_jet` opens, and
+``EndChart.sqrt_jet`` runs the sqrt rule inside its own.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class Jet2(NamedTuple):
     def __rtruediv__(self, other) -> "Jet2":
         return Jet2(other) / self
 
-    def __pow__(self, exponent) -> "Jet2":
-        return jpow(self, exponent)
-
 
 def ensure_finite(jet: Jet2, context: str) -> Jet2:
     if not (np.isfinite(jet.f).all() and np.isfinite(jet.d1).all() and np.isfinite(jet.d2).all()):
@@ -158,18 +154,8 @@ def _jet_rule(name: str, derivatives):
     return rule
 
 
-def _ignoring_errors(bare, name: str):
-    """``bare`` under its own ``np.errstate(all="ignore")``."""
-
-    def rule(x) -> Jet2:
-        with np.errstate(all="ignore"):
-            return bare(x)
-
-    rule.__name__ = rule.__qualname__ = name
-    return rule
-
-
 # the bare rules, for the compiled DSL kernel inside eval_jet's context
+# and for EndChart.sqrt_jet inside its own
 _BARE = {
     "exp": _jet_rule("exp", lambda x, v: (v, v)),
     "log": _jet_rule("log", lambda x, v: (inv := 1.0 / x, -inv * inv)),
@@ -180,8 +166,6 @@ _BARE = {
     "cosh": _jet_rule("cosh", lambda x, c: (np.sinh(x), c)),
     "tanh": _jet_rule("tanh", lambda x, v: (sech2 := 1.0 - v * v, -2.0 * v * sech2)),
 }
-FUNCTIONS = {name: _ignoring_errors(bare, "j" + name) for name, bare in _BARE.items()}
-jexp, jlog, jsqrt, jsin, jcos, jsinh, jcosh, jtanh = FUNCTIONS.values()
 
 
 def _bare_ipow(g: Jet2, n: int) -> Jet2:
@@ -209,7 +193,7 @@ def _integer_exponent(e) -> bool:
     return np.ndim(e) == 0 and float(e).is_integer() and abs(e) < 1e9
 
 
-def jpow(base, exponent) -> Jet2:
+def _bare_pow(base, exponent) -> Jet2:
     """Power with an integer fast path.
 
     The fast path needs a constant exponent: a 0-d integer, given as a
@@ -217,11 +201,6 @@ def jpow(base, exponent) -> Jet2:
     (non-integer, or an array of per-point values) routes through
     exp/log and therefore requires a positive base.
     """
-    with np.errstate(all="ignore"):
-        return _bare_pow(base, exponent)
-
-
-def _bare_pow(base, exponent) -> Jet2:
     g = base if isinstance(base, Jet2) else Jet2(base)
     e = exponent
     if isinstance(e, Jet2) and np.ndim(e.d1) == np.ndim(e.d2) == 0 and e.d1 == e.d2 == 0.0:
@@ -232,7 +211,7 @@ def _bare_pow(base, exponent) -> Jet2:
 
 
 def _value_pow(x, e):
-    """The value slot of ``jpow(x, e)`` for operands without derivatives."""
+    """The value slot of ``_bare_pow(x, e)`` for operands without derivatives."""
     if not _integer_exponent(e):
         return _VALUES["exp"](e * _VALUES["log"](x))
     n = int(e)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .jets import DomainError, Jet2, Overflow, jsqrt
+from .jets import _BARE, DomainError, Jet2, Overflow
 
 POLE_GUARD = 1e-8  # no pointwise evaluation closer to a polar-cap pole
 
@@ -93,7 +93,9 @@ class EndChart:
     def sqrt_jet(self, t, theta) -> Jet2:
         if self.sqrt_g_jet is not None:
             return self.sqrt_g_jet(t, theta)
-        return jsqrt(self.g_jet(t, theta))
+        jet = self.g_jet(t, theta)
+        with np.errstate(all="ignore"):
+            return _BARE["sqrt"](jet)
 
 
 def chart_from_expression(text: str, t_min: float = 0.0) -> EndChart:

@@ -14,11 +14,11 @@ in t of the theta mean.  A theta-free band is the one-point case, ``2*pi``
 times GK15 of ``f(t, 0)``.  Either runs K integrals in lockstep, one
 integrand call per round (per theta level for bands), each result that
 of a lone run, and stops with ``converged=False`` before a refinement
-that would pass ``max_evaluations``.  Improper integrals over ``[t_lo,
-inf)`` walk doubling windows in look-ahead chunks, one
-:func:`integrate_bands` call each (:func:`_integrate_windows`), and
-accelerate the partial sums with a geometric tail model; divergence is a
-first-class result, never an exception.  Integrands must be written with
+that would pass ``max_evaluations``.  The direct route's improper
+integrals over ``[h_max, inf)`` walk doubling windows in look-ahead
+chunks, one :func:`integrate_bands` call each (:func:`_integrate_windows`),
+and accelerate the partial sums with a geometric tail model; divergence is
+a first-class result, never an exception.  Integrands must be written with
 numpy functions; a scalar result is broadcast to the nodes' shape, and a
 non-finite value anywhere fails the whole call with :class:`DomainError`.
 """
@@ -383,41 +383,15 @@ def _doublings(origin: float, width: float) -> list[float]:
     return [origin + width * 2.0**k for k in range(_MAX_WINDOWS)]
 
 
-def integrate_improper(
-    f: Callable,
-    t_lo: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    theta_free: bool = False,
-) -> ImproperResult:
-    """Integrate ``f(t, theta)`` over ``[t_lo, inf) x [0, 2*pi]`` on the
-    window ``[t_lo, t_lo + 1]`` and then ``[t_lo + 2^(k-1), t_lo + 2^k]``,
-    the :func:`_doublings` about ``t_lo``; see :func:`_integrate_windows`.
-    A NaN or infinite ``t_lo`` is refused with :class:`ValueError`; a
-    finite one so far out that every ``t_lo + 2^k`` rounds back onto it
-    (``1e300``) walks no window and gives an unconverged 0 with no
-    evaluations.  Each look-ahead chunk of windows is one
-    :func:`integrate_bands` call, which is passed
-    ``theta_free``, so ``f`` gets ``(J, 15, 1)`` t-nodes against ``(1, 1,
-    2*n)`` angles, one call per theta level ``n``, or ``(J, 15)`` and
-    theta = 0 when theta-free, one row per panel of a refinement round:
-    J = 2 in the first chunk's first round, up to 4 in a later chunk's,
-    and at most two per window still refining after that, so J <= 8.  It
-    must act elementwise.
-    """
-    return _integrate_windows(f, [t_lo, *_doublings(t_lo, 1.0)], tol, theta_free)
-
-
 def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, theta_free: bool):
-    """:func:`integrate_improper` over the windows between ``edges``; an
-    edge not above the one before it (far out, ``t_lo + 2^k`` rounds back
-    onto ``t_lo``) is skipped, and a NaN edge or an infinite first edge is
-    refused with :class:`ValueError`.  An inner edge that overflows to
-    ``inf`` is kept: the window it closes raises like any window whose
-    integrand is not finite.  The walk stops once the tail that the
-    geometric decay of the increments predicts falls below tolerance, or,
-    while that model is missing or has no drift yet, once the last two
-    increments do.  Growing same-sign increments are reported as
+    """Integrate ``f(t, theta)`` over ``[edges[0], inf) x [0, 2*pi]`` on
+    the windows between ``edges``; an edge not above the one before it
+    (far out, where :func:`_doublings` round back onto their origin) is
+    skipped.  An inner edge that overflows to ``inf`` is kept: the window
+    it closes raises like any window whose integrand is not finite.  The
+    walk stops once the tail that the geometric decay of the increments
+    predicts falls below tolerance, or, while that model is missing or
+    has no drift yet, once the last two increments do.  Growing same-sign increments are reported as
     ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
     with ``converged=False``, and so is a running sum past
     ``_DIVERGED``, with its sign.  Each window is ``decided`` for
@@ -435,12 +409,12 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
     :class:`DomainError` or :class:`OverflowError` is taken again as
     one-window chunks, so the window that raises does so at its own step;
     a one-window chunk that raises propagates.  ``evaluations`` counts
-    every window integrated, look-ahead past the stop included.
+    every window integrated, look-ahead past the stop included.  Each
+    chunk is passed ``theta_free``, so ``f`` gets ``(J, 15, 1)`` t-nodes
+    against ``(1, 1, 2*n)`` angles, one call per theta level ``n``, or
+    ``(J, 15)`` and theta = 0 when theta-free, one row per panel of a
+    refinement round; it must act elementwise.
     """
-    if any(map(math.isnan, edges)):
-        raise ValueError("improper window edges must not be NaN")
-    if math.isinf(edges[0]):
-        raise ValueError("an improper integral needs a finite lower end")
     edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
     points = _start_cost(theta_free)
     spent = 0  # evaluations of every window integrated, look-ahead included

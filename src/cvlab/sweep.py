@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import _jet_curvature
+from .curvature import _jet_curvature, gauss_curvature
 from .model import EndChart, PolarCap, SurfaceModel, _per_chart, validate_surface
 from .quadrature import (
     _FLOOR,
@@ -149,7 +149,8 @@ def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, s
     def circles(j, end):
         if theta_free[j]:
             w = end.sqrt_jet(hs, 0.0)
-            values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
+            with np.errstate(over="ignore"):  # mu = 2*pi*w past double range is inf
+                values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
             return values.tolist(), zeros
 
         def slot_values(i, theta):
@@ -346,7 +347,7 @@ def _least_curvature(end: EndChart, heights: np.ndarray) -> np.ndarray:
     angles.  A theta-free chart answers with one column, which
     :func:`_k_rows` reduces as it is."""
     t, theta = heights[:, None], _thetas(_FLOOR)[None, :]
-    return _k_rows(t, theta, _jet_curvature(end.sqrt_jet(t, theta), t, theta))[1]
+    return _k_rows(t, theta, gauss_curvature(end, t, theta))[1]
 
 
 def _total_curvature_direct(

@@ -123,6 +123,9 @@ def _paraboloid_arc_length(r: float) -> float:
     return 0.5 * (r * math.sqrt(1.0 + r * r) + math.asinh(r))
 
 
+_PARABOLOID_FAR = 0.5 * np.finfo(float).max  # the least t whose r*r overflows
+
+
 def paraboloid_profile_jets(t):
     """(r, dr/dt, d2r/dt2) at meridian arc length t of z = r^2/2.
 
@@ -132,9 +135,19 @@ def paraboloid_profile_jets(t):
     t(r) >= r^2/2), so the iterates fall onto it monotonically.  Each
     element stops on its own step, so a value never depends on the other
     points of its batch.  The derivatives are closed forms in r; t <= 0
-    maps to the pole (0, 1, 0).
+    maps to the pole (0, 1, 0).  From half the largest double on, where
+    r*r = 2t overflows, t(r) is r^2/2 to double precision (the rest is
+    below 200), so r = sqrt(2)*sqrt(t), r' = 1/r and r'' = -0.0: the
+    chart is finite at every finite t.
     """
     t = np.asarray(t, dtype=float)
+    far = t >= _PARABOLOID_FAR
+    if far.any():
+        r, r1, r2 = (np.array(s) for s in paraboloid_profile_jets(np.where(far, 0.0, t)))
+        r[far] = math.sqrt(2.0) * np.sqrt(t[far])
+        r1[far] = 1.0 / r[far]
+        r2[far] = -0.0
+        return r[()], r1[()], r2[()]
     flat = t.ravel()
     pole = flat <= 0.0
     r = np.where(pole, 0.0, np.minimum(flat, np.sqrt(2.0 * np.maximum(flat, 0.0))))

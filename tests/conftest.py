@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cvlab.quadrature as quadrature
 import cvlab.sweep as sweep
 from cvlab.model import validate_surface
 from cvlab.sweep import geometric_schedule, run_sweep
@@ -8,7 +9,7 @@ from cvlab.zoo import zoo_entry
 
 # deep doubling schedule for the limit-hungry surfaces; the hypothesis
 # controls stay shallow so their negative curvature remains above the
-# detection slack over the whole probe window
+# detection slack over the whole schedule
 DEEP_SCHEDULE = geometric_schedule(0.0, 10)
 SHALLOW_SCHEDULE = list(np.geomspace(0.5, 64.0, 12))
 
@@ -32,19 +33,26 @@ def mu_prime_order(model, h0, step, tol=sweep.DEFAULT_TOL):
     return sweep._mu_prime_order(values, errors, step)
 
 
-def probe_schedule(model, h_probe_max):
+def walk_from(f, t_lo, tol=quadrature.DEFAULT_TOL, *, theta_free=False):
+    """The improper walk of ``f`` from ``t_lo`` on the explicit windows
+    ``[t_lo, t_lo + 1]`` and then ``[t_lo + 2^(k-1), t_lo + 2^k]``."""
+    edges = [t_lo, *quadrature._doublings(t_lo, 1.0)]
+    return quadrature._integrate_windows(f, edges, tol, theta_free)
+
+
+def doubling_schedule(model, h_max):
     """The doubling ladder of 11 heights from ``model.min_height`` up to
-    ``h_probe_max``: ``origin + span * 2**-k``, k = 10..0."""
+    ``h_max``: ``origin + span * 2**-k``, k = 10..0."""
     origin = model.min_height
-    return [origin + (h_probe_max - origin) * 2.0**-k for k in range(10, -1, -1)]
+    return [origin + (h_max - origin) * 2.0**-k for k in range(10, -1, -1)]
 
 
-def curvature_scan(model, h_probe_max):
+def band_node_signs(model, h_max):
     """``(h1, kmin, kmax)`` as a sweep measures them (:func:`sweep._measure`)
-    on the :func:`probe_schedule` up to ``h_probe_max``, with the
+    on the :func:`doubling_schedule` up to ``h_max``, with the
     theta-free flags that validation measures."""
     m = sweep._measure(
-        model, probe_schedule(model, h_probe_max), sweep.DEFAULT_TOL, validate_surface(model)
+        model, doubling_schedule(model, h_max), sweep.DEFAULT_TOL, validate_surface(model)
     )
     return m.h1, m.kmin, m.kmax
 

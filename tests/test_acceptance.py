@@ -14,12 +14,12 @@ import pytest
 
 from cvlab.cli import main
 from cvlab.dsl import MetricExpr, parse_metric, serialize
-from cvlab.quadrature import NotMonotone, Tolerance, estimate_tail_limit, integrate_improper
+from cvlab.quadrature import NotMonotone, Tolerance, estimate_tail_limit
 from cvlab.model import chart_from_expression
 from cvlab.sweep import sweep_samples
 from cvlab.zoo import zoo_entry, zoo_names
 
-from conftest import mu_prime_order
+from conftest import mu_prime_order, walk_from
 from test_dsl import check_against_finite_differences, random_expression
 
 TWO_PI = 2.0 * math.pi
@@ -194,7 +194,7 @@ def test_criterion_9_divergent_end_is_reported(tmp_path, capsys):
     """A flaring end reports 'does not converge' toward -inf; exit 0 in
     non-strict mode."""
     end = chart_from_expression("exp(t^2)")
-    res = integrate_improper(lambda t, theta: -end.sqrt_jet(t, theta).d2, 0.0)
+    res = walk_from(lambda t, theta: -end.sqrt_jet(t, theta).d2, 0.0)
     ok = (not res.converged) and res.divergence == "-inf"
 
     config = tmp_path / "flared.cfg"

@@ -227,6 +227,20 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: {option[2:].replace('-', '_')} = {value} is not finite\n"
 
+    @pytest.mark.parametrize(
+        "heights",
+        [
+            ["--h-min", "0.5", "--h-max", "1e308"],  # h_max / h_min overflows
+            ["--h-min", "1e-300", "--h-max", "1e300", "--strict"],
+            ["--h-max", "1.7976931348623157e308"],  # the last power of the ratio overflows
+        ],
+    )
+    def test_schedule_near_the_float_range_gives_a_report(self, capsys, heights):
+        assert main(["verify", "--surface", "polar-plane", *heights]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "all checks pass or are not applicable" in captured.out
+
 # K < 0 below t = -5, where the end has shrunk by a factor of 3: every
 # height of --h-min -9 --h-max -1 lies below 0
 NEGATIVE_END_CONFIG = """\
@@ -494,7 +508,7 @@ class TestConfigFiles:
         assert "Traceback" not in captured.err
         assert "theorem" in captured.out
 
-    def test_infinite_probe_span_exits_one(self, tmp_path, capsys):
+    def test_infinite_span_exits_one(self, tmp_path, capsys):
         # h_max - t_min overflows to inf, a span the schedule check refuses
         path = tmp_path / "wide.cfg"
         path.write_text(
@@ -611,6 +625,22 @@ class TestRunConfig:
         assert schedule[0] == pytest.approx(1.0)
         assert schedule[-1] == 64.0
         assert all(b > a for a, b in zip(schedule, schedule[1:]))
+
+    @pytest.mark.parametrize(
+        "h_min, h_max", [(0.5, 1e308), (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7976931348623157e308)]
+    )
+    def test_schedule_past_double_range_keeps_its_endpoints(self, h_min, h_max):
+        schedule = RunConfig(surface="x", h_min=h_min, h_max=h_max, steps=12).schedule()
+        assert len(schedule) == 12
+        assert (schedule[0], schedule[-1]) == (h_min, h_max)
+        assert all(b > a for a, b in zip(schedule, schedule[1:]))
+        assert all(map(math.isfinite, schedule))
+
+    def test_schedule_keeps_the_geometric_formula(self):
+        # the heights perfbench and the tests sweep keep their bits
+        ratio = (64.0 / 1.0) ** (1.0 / 11)
+        want = [1.0 * ratio**i for i in range(11)] + [64.0]
+        assert RunConfig(surface="x", h_min=1.0, h_max=64.0, steps=12).schedule() == want
 
 
 def test_module_entry_point():

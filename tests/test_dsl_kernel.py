@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cvlab.dsl import Const, MetricExpr, Node, Unary, Var, eval_jet, parse_metric
-from cvlab.jets import FUNCTIONS, Jet2, ensure_finite, jpow
+from cvlab.jets import _BARE, Jet2, _bare_pow, ensure_finite
 from test_array_eval import panel_nodes
 from test_dsl import random_expression
 
@@ -31,7 +31,7 @@ def _walk(node: Node, t, theta) -> Jet2:
         arg = _walk(node.arg, t, theta)
         if node.op == "neg":
             return -arg
-        return FUNCTIONS[node.op](arg)
+        return _BARE[node.op](arg)
     left = _walk(node.left, t, theta)
     right = _walk(node.right, t, theta)
     if node.op == "add":
@@ -42,11 +42,11 @@ def _walk(node: Node, t, theta) -> Jet2:
         return left * right
     if node.op == "div":
         return left / right
-    return jpow(left, right)
+    return _bare_pow(left, right)
 
 
 def reference_eval(node: Node, t, theta) -> Jet2:
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         jet = _walk(node, t, theta)
     return ensure_finite(jet, "metric expression")
 

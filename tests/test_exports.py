@@ -1,9 +1,8 @@
-"""Every name ``import cvlab`` exports has a reader: code in the package
-outside its own definition and ``__init__.py``, a script, or README.md.
-A name nothing reads is surface to delete, not to keep."""
+"""Every name ``import cvlab`` exports has a reader in code: the package
+outside its own definition and ``__init__.py``, or a script.  A name
+that only documentation mentions is surface to delete, not to keep."""
 
 import ast
-import re
 import types
 from pathlib import Path
 
@@ -39,11 +38,5 @@ def code_readers():
 
 def test_every_export_has_a_reader():
     readers = code_readers()
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    unread = [
-        name
-        for name in exported_names()
-        if not readers.get(name, set()) - {name}
-        and not re.search(rf"\b{re.escape(name)}\b", readme)
-    ]
+    unread = [name for name in exported_names() if not readers.get(name, set()) - {name}]
     assert unread == []

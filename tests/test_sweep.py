@@ -30,7 +30,7 @@ from cvlab.sweep import (
     sweep_samples,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import DEEP_SCHEDULE, SCHEDULES, curvature_scan, mu_prime_order, probe_schedule
+from conftest import DEEP_SCHEDULE, SCHEDULES, band_node_signs, doubling_schedule, mu_prime_order, walk_from
 from test_array_eval import recorded_band_nodes, reference_sign_height, theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
@@ -161,13 +161,13 @@ def test_theta_dependent_log_end_meets_closed_forms(b, e, k, t_min):
     assert report.verdicts["corollary"].status == "not-applicable"
 
 
-class TestDetectH1:
+class TestSignHeight:
     def test_paraboloid_found_at_origin(self):
         model = zoo_entry("paraboloid").model
-        assert curvature_scan(model, 64.0)[0] == pytest.approx(0.0, abs=1e-9)
+        assert band_node_signs(model, 64.0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_cusp_not_found(self):
-        assert curvature_scan(zoo_entry("cusp-cap").model, 64.0)[0] is None
+        assert band_node_signs(zoo_entry("cusp-cap").model, 64.0)[0] is None
 
     def test_constructed_sign_change_located(self):
         # synthetic chart whose curvature is (t - 5) * sin^2(theta):
@@ -183,19 +183,19 @@ class TestDetectH1:
             core=AnalyticCore(TWO_PI),
             name="sign-change",
         )
-        h1 = curvature_scan(model, 10.0)[0]
+        h1 = band_node_signs(model, 10.0)[0]
         assert h1 == pytest.approx(5.0, abs=10.0 / 4096.0 + 1e-6)
 
     def test_curvature_range_scan(self):
-        _, kmin, kmax = curvature_scan(zoo_entry("capped-cone").model, 64.0)
+        _, kmin, kmax = band_node_signs(zoo_entry("capped-cone").model, 64.0)
         assert kmin >= 0.0
         assert kmax > 1e-3
 
-    def test_probe_ceiling_must_clear_chart_edges(self):
+    def test_last_height_must_clear_chart_edges(self):
         with pytest.raises(ValueError):
-            curvature_scan(zoo_entry("polar-plane").model, 0.0)
+            band_node_signs(zoo_entry("polar-plane").model, 0.0)
 
-    def test_probe_span_must_be_finite(self):
+    def test_span_must_be_finite(self):
         # 1e308 - (-1e308) overflows: the h1 resolution, a 4096th of that
         # span, would be infinite
         model = SurfaceModel(0, (chart_from_expression("1", t_min=-1e308),), AnalyticCore(TWO_PI))
@@ -567,15 +567,13 @@ class TestDirectTotalCurvature:
         # hypothesis-satisfying surfaces have integrable negative part;
         # here it vanishes identically and the positive part carries all
         # of the curvature
-        from cvlab.quadrature import integrate_improper
-
         entry = zoo_entry("capped-cone")
         end = entry.model.ends[0]
 
         def k_minus_density(t, theta):
             return np.maximum(-gauss_curvature(end, t, theta), 0.0) * end.sqrt_jet(t, theta).f
 
-        res = integrate_improper(k_minus_density, 1e-6)
+        res = walk_from(k_minus_density, 1e-6)
         assert res.converged
         assert res.value == pytest.approx(0.0, abs=1e-9)
         direct = _direct_route("capped-cone")
@@ -958,7 +956,7 @@ def refinement_calls(model, schedule, monkeypatch):
     return refined, jets
 
 
-class TestProbeColumns:
+class TestThetaFreeColumns:
     @pytest.mark.parametrize("name", ["paraboloid", "three-ends", "theta-cap"])
     def test_theta_free_ends_probe_one_column(self, name, monkeypatch):
         # every chart call of a sweep on a theta-free end outside the h1
@@ -1039,15 +1037,15 @@ class TestLookahead:
         # 4.0097 and 4.257; the refinement settles on one of the two upward
         # crossings
         model = sign_change_model([4.05, 4.12, 4.2])
-        schedule = probe_schedule(model, 10.0)
+        schedule = doubling_schedule(model, 10.0)
         nodes = [h for t, _ in recorded_band_nodes(model, schedule)[0] for h in np.ravel(t)]
         assert not any(4.05 < h < 4.2 for h in nodes)
         want = reference_sign_height(model, schedule)[0]
-        assert curvature_scan(model, 10.0)[0] == want
+        assert band_node_signs(model, 10.0)[0] == want
         assert min(abs(want - 4.05), abs(want - 4.2)) <= 10.0 / 4096.0
 
 
-def probe_sizes(model, h_probe_max):
+def refinement_sizes(model, h_max):
     """``(h1, sizes)``: ``h1`` as a sweep measures it and the number of
     heights in each refinement call it makes."""
     sizes = []
@@ -1058,41 +1056,41 @@ def probe_sizes(model, h_probe_max):
 
     least, sweep._least_curvature = sweep._least_curvature, counting
     try:
-        return curvature_scan(model, h_probe_max)[0], sizes
+        return band_node_signs(model, h_max)[0], sizes
     finally:
         sweep._least_curvature = least
 
 
 class TestBisectionBound:
-    """The h1 refinement stops at ``max(h_probe_max, h_probe_max - origin)
+    """The h1 refinement stops at ``max(h_max, h_max - origin)
     / 4096`` after at most three calls of 64 heights in all, whatever the
     origin's sign: a bracket lies within that span, and three rounds of 21
     heights split it 10,648-fold."""
 
     @pytest.mark.parametrize("theta_free", [True, False])
     @pytest.mark.parametrize(
-        "t_min, root, h_probe_max",
+        "t_min, root, h_max",
         [
             (-10.0, -5.0, -1.0),  # a ceiling below 0: the resolution was negative
             (-10.0, -5.0, 0.0),  # a ceiling at 0: the resolution was 0
             (-1e5, -5000.0, 64.0),  # far below 0: 131,071 midpoints before
             (-3.0, 1.3, 10.0),
-            (0.0, 5.0, 10.0),  # the default origin keeps h_probe_max / 4096
+            (0.0, 5.0, 10.0),  # the default origin keeps h_max / 4096
             (2.0, 7.7, 64.0),
             (1e6, 1e6 + 3.3, 1e6 + 64.0),
         ],
     )
-    def test_midpoints_stay_within_127(self, t_min, root, h_probe_max, theta_free):
+    def test_midpoints_stay_within_127(self, t_min, root, h_max, theta_free):
         model = sign_change_model([root], t_min, theta_free)
         assert validate_surface(model) == [theta_free]
-        h1, sizes = probe_sizes(model, h_probe_max)
+        h1, sizes = refinement_sizes(model, h_max)
         # no call when the node bracket is already within the resolution
         # (t_min = 1e6)
         assert len(sizes) <= 3 and sum(sizes) <= 64
         assert (not sizes) == (t_min == 1e6)
-        resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
+        resolution = max(h_max, h_max - t_min) / 4096.0
         assert h1 - resolution <= root <= h1
-        assert h1 == reference_sign_height(model, probe_schedule(model, h_probe_max))[0]
+        assert h1 == reference_sign_height(model, doubling_schedule(model, h_max))[0]
 
     @pytest.mark.parametrize("theta_free", [True, False])
     def test_wide_head_band_takes_three_rounds(self, theta_free, monkeypatch):
@@ -1117,12 +1115,12 @@ class TestBisectionBound:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(0.02, 0.98), st.booleans())
     def test_drawn_origins_stay_within_127(self, t_min, span, at, theta_free):
-        h_probe_max = t_min + span
-        root = t_min + at * (h_probe_max - t_min)
-        h1, sizes = probe_sizes(sign_change_model([root], t_min, theta_free), h_probe_max)
+        h_max = t_min + span
+        root = t_min + at * (h_max - t_min)
+        h1, sizes = refinement_sizes(sign_change_model([root], t_min, theta_free), h_max)
         assert len(sizes) <= 3 and sum(sizes) <= 64
         if h1 != t_min:  # K < -K_SLACK at some band node
-            resolution = max(h_probe_max, h_probe_max - t_min) / 4096.0
+            resolution = max(h_max, h_max - t_min) / 4096.0
             slack = 1e-9 * max(1.0, abs(root))  # K_SLACK and rounding of t - root
             assert h1 - resolution <= root + slack and root <= h1 + slack
 

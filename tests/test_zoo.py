@@ -19,7 +19,7 @@ from cvlab.zoo import (
     zoo_entry,
     zoo_names,
 )
-from conftest import curvature_scan
+from conftest import band_node_signs
 
 TWO_PI = 2.0 * math.pi
 HEIGHTS = [0.25 * (k + 1) for k in range(32)]
@@ -90,7 +90,7 @@ def test_computed_quantities_match_oracles(name):
 @pytest.mark.parametrize("name", zoo_names())
 def test_hypothesis_flag_agrees_with_detection(name):
     entry = zoo_entry(name)
-    h1 = curvature_scan(entry.model, 64.0)[0]
+    h1 = band_node_signs(entry.model, 64.0)[0]
     assert (h1 is not None) == entry.oracle.hypothesis_holds, (name, h1)
 
 
@@ -137,6 +137,35 @@ def test_paraboloid_profile_matches_closed_form_inverse():
     r, r1, r2 = paraboloid_profile_jets(2.0)
     assert r1 == pytest.approx(1.0 / math.sqrt(1.0 + r * r), rel=1e-14)
     assert r2 == pytest.approx(-r / (1.0 + r * r) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [9e307, 1e308, 1.7976931348623157e308])
+def test_paraboloid_chart_is_finite_far_out(t):
+    # r*r = 2t overflows from half the largest double on; there t(r) is
+    # r^2/2 to double precision, so r = sqrt(2t) and r' = 1/r
+    chart = zoo_entry("paraboloid").model.ends[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jet in (chart.sqrt_jet(t, 0.0), chart.sqrt_jet(np.array([2.0, t]), 0.0)):
+            f, d1, d2 = (np.atleast_1d(slot)[-1] for slot in jet)
+            assert np.isfinite([f, d1, d2]).all()
+            assert f == pytest.approx(math.sqrt(2.0) * math.sqrt(t), rel=1e-15)
+            assert (d1, d2) == (1.0 / f, 0.0)
+
+
+def test_paraboloid_chart_below_overflow_is_unchanged():
+    # the values of the Newton inversion before the far branch was added,
+    # up to the largest t whose r*r is finite
+    t = np.array([0.5, 1e10, 1e300, 8.9e307, 8.988465674311578e307])
+    want = (
+        [0.4819445564563284, 141421.35619116144, 1.414213562373095e150,
+         1.3341664064126334e154, 1.3407807929942596e154],
+        [0.9008385530187393, 7.071067813996102e-06, 7.071067811865476e-151,
+         7.495316889958615e-155, 7.458340731200208e-155],
+        [-0.3173839322760954, -3.5355339090402886e-16, -0.0, -0.0, -0.0],
+    )
+    for got, exact in zip(paraboloid_profile_jets(t), want):
+        assert got.tobytes() == np.array(exact).tobytes()
 
 
 def test_paraboloid_radius_solves_arc_length():
