@@ -22,7 +22,6 @@ from .quadrature import (
     Tolerance,
     estimate_tail_limit,
     integrate_bands,
-    integrate_circles,
 )
 from .sweep import (
     NonPositiveMu,

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .model import AnalyticCore, PolarCap, SurfaceModel, chart_from_expression
 from .quadrature import DEFAULT_TOL, Tolerance
-from .sweep import SweepReport, run_sweep
+from .sweep import SweepReport, TruncationSample, run_sweep
 from .zoo import ZOO_BUILDERS, all_entries, zoo_entry
 
 CSV_HEADER = ["h", "mu", "lambda", "c_trunc", "quad_error", "gb_residual"]
@@ -200,6 +200,13 @@ def _finite_or_none(x: float | None):
 
 
 def report_to_json_dict(report: SweepReport) -> dict:
+    """The JSON report, a float that is not finite written as ``null``
+    (strict JSON has no ``Infinity``); the CSV keeps ``inf``."""
+    samples = report.samples
+    # one pass over the sample fields: a sum of finite floats is finite
+    # unless it overflows, and then each field is only checked alone
+    if not math.isfinite(sum(map(sum, samples))):
+        samples = [TruncationSample(*map(_finite_or_none, s)) for s in samples]
     return {
         "surface": report.surface,
         "chi": report.chi,
@@ -216,7 +223,7 @@ def report_to_json_dict(report: SweepReport) -> dict:
                 "quad_error": s.quad_error,
                 "gb_residual": s.gb_residual,
             }
-            for s in report.samples
+            for s in samples
         ],
         "verdicts": {
             name: {

@@ -23,9 +23,8 @@ reads the first violation from masks and raises it as
 :class:`ModelInvalid`.  The masks run on the columns the chart returns
 (:func:`_on_grid`): a value without a theta axis is one column, which
 stands for every angle, and only a value with a theta axis fills the
-grid.  That shape is also the measurement of theta dependence:
-:func:`validate_surface` returns, per end, whether the chart's grid came
-back as one column, and the sweep integrates such an end in t alone.
+grid.  The sweep reads theta dependence the same way, from the shape of
+each answer its quadrature gets (:mod:`cvlab.quadrature`).
 """
 
 from __future__ import annotations
@@ -58,10 +57,9 @@ class EndChart:
     scalar or numpy-array points and must use numpy functions; a jet with
     scalar slots (``Jet2(1.0)``) stands for every point.
 
-    Whether the chart depends on theta is read from the shape of its
-    jet, not declared: a chart whose jet has no theta axis in any slot on
-    the validation grid (a rotation-symmetric end) is integrated in t
-    alone.
+    Whether the chart depends on theta is read from the shape of each
+    value it returns, not declared: a slot with no theta axis (a
+    rotation-symmetric end) is integrated in t alone.
     """
 
     g_jet: Callable[..., Jet2] | None = None
@@ -73,22 +71,12 @@ class EndChart:
             raise ValueError("an end chart takes exactly one of g_jet and sqrt_g_jet")
 
     def g(self, t, theta):
-        """``G`` at the points, shaped as the whole jet: a derivative slot
-        with a theta axis gives the value one, so that the shape of ``G``
-        measures the theta dependence of every slot the sweep reads."""
+        """``G`` at the points."""
         if self.g_jet is not None:
-            jet = self.g_jet(t, theta)
-            value = jet.f
-        else:
-            jet = self.sqrt_g_jet(t, theta)
-            with np.errstate(over="ignore"):
-                value = jet.f * np.abs(jet.f)
-        # a slot that is not an array is a constant, which widens nothing
-        shape = np.shape(value)
-        wider = [s.shape for s in jet[1:] if isinstance(s, np.ndarray) and s.shape != shape]
-        if not wider:
-            return value
-        return np.broadcast_to(value, np.broadcast_shapes(shape, *wider))
+            return self.g_jet(t, theta).f
+        w = self.sqrt_g_jet(t, theta).f
+        with np.errstate(over="ignore"):
+            return w * np.abs(w)
 
     def sqrt_jet(self, t, theta) -> Jet2:
         if self.sqrt_g_jet is not None:
@@ -266,15 +254,12 @@ def _period_violation(j: int, ts, values) -> str | None:
     )
 
 
-def validate_surface(model: SurfaceModel) -> list[bool]:
+def validate_surface(model: SurfaceModel) -> None:
     """Check model invariants; sampling catches nonpositive G.
 
     Raises :class:`ModelInvalid` with the first violation found.  A chart
     listed at several positions is sampled once, at its first position,
-    which its messages name.  Returns one flag per end position: true
-    when that chart's grid call returned a value without a theta axis,
-    so the sweep may integrate it in t alone.  A grid that raised was
-    walked row by row and counts as theta-dependent.
+    which its messages name.
     """
     polar = isinstance(model.core, PolarCap)
     if polar:
@@ -287,19 +272,17 @@ def validate_surface(model: SurfaceModel) -> list[bool]:
     elif not isinstance(model.core, AnalyticCore):
         raise ModelInvalid(f"unknown core descriptor {model.core!r}")
 
-    def check(j: int, end: EndChart) -> bool:
+    def check(j: int, end: EndChart) -> None:
         ts, thetas = _positivity_probes(end, polar)
         values, errors = _evaluate(end, ts, np.concatenate([thetas, _PERIOD_PAIRS]))
         message = _positivity_violation(j, ts, thetas, values, errors)
-        column = values.shape[1] == 1
-        if message is None and not column:  # one column is periodic
+        if message is None and values.shape[1] > 1:  # one column is periodic
             rows = slice(1, None, max(1, len(ts) // 4))
             message = _period_violation(j, ts[rows], values[rows, thetas.size :])
         if message is not None:
             raise ModelInvalid(message)
-        return column
 
-    columns = _per_chart(model.ends, check)
+    _per_chart(model.ends, check)
 
     if polar:
         end = model.ends[0]
@@ -319,4 +302,3 @@ def validate_surface(model: SurfaceModel) -> list[bool]:
                     "polar cap: d/dt sqrt(G) at the pole is "
                     f"{w.d1:.6f}, expected 1"
                 )
-    return columns

@@ -10,17 +10,19 @@ rotated rule, save at phases where both read the same value.
 :func:`integrate_circles` runs it alone.  :func:`integrate_bands` runs one
 worst-first driver in t, as in QUADPACK's QAG, over band panels: a
 t-interval at a theta level, valued ``2*pi`` times Gauss(7)/Kronrod(15)
-in t of the theta mean.  A theta-free band is the one-point case, ``2*pi``
-times GK15 of ``f(t, 0)``.  Either runs K integrals in lockstep, one
-integrand call per round (per theta level for bands), each result that
-of a lone run, and stops with ``converged=False`` before a refinement
-that would pass ``max_evaluations``.  The direct route's improper
-integrals over ``[h_max, inf)`` walk doubling windows in look-ahead
-chunks, one :func:`integrate_bands` call each (:func:`_integrate_windows`),
-and accelerate the partial sums with a geometric tail model; divergence is
-a first-class result, never an exception.  Integrands must be written with
-numpy functions; a scalar result is broadcast to the nodes' shape, and a
-non-finite value anywhere fails the whole call with :class:`DomainError`.
+in t of the theta mean.  Theta dependence is read from each answer: an
+answer with no theta axis (0-d, or a last axis of length 1) is its own
+theta mean, so a circle is ``2*pi`` times it and a band panel ``2*pi``
+times GK15 of it.  Either runs K integrals in lockstep, one integrand
+call per round (per theta level for bands), each result that of a lone
+run, and stops with ``converged=False`` before a refinement that would
+pass ``max_evaluations``.  The direct route's improper integrals over
+``[h_max, inf)`` walk doubling windows in look-ahead chunks, one band
+batch each (:func:`_integrate_windows`), and accelerate the partial
+sums with a geometric tail model; divergence is a first-class result,
+never an exception.  Integrands must be written with numpy functions; a
+scalar result is broadcast to the nodes' shape, and a non-finite value
+anywhere fails the whole call with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -111,16 +113,20 @@ _FLOOR = 8  # points of each theta rule in a circle's first round and a band's f
 _SHIFT = 0.6180339887 * TWO_PI / _FLOOR  # the rotated rule's offset: an irrational share of a step
 
 
+@lru_cache(maxsize=None)
 def _thetas(n: int) -> np.ndarray:
     """The ``n``-point rule on ``[0, 2*pi)``, then it rotated by ``_SHIFT``;
     the odd nodes of each half of ``_thetas(2*n)`` are its midpoints."""
     base = TWO_PI * np.arange(n) / n
-    return np.concatenate([base, base + _SHIFT])
+    angles = np.concatenate([base, base + _SHIFT])
+    angles.flags.writeable = False  # cached: every caller shares it
+    return angles
 
 
-def _start_cost(theta_free: bool) -> int:
-    """Evaluations of a band's starting panel, at theta = 0 or on both floor rules."""
-    return 15 if theta_free else 30 * _FLOOR
+def _is_column(answer) -> bool:
+    """Whether an integrand's answer has no theta axis: 0-d, or a last
+    axis of length 1.  Such an answer is its own theta mean."""
+    return np.shape(answer)[-1:] in ((), (1,))
 
 
 def _require_finite(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -139,25 +145,20 @@ def _gk15(half: np.ndarray, fv: np.ndarray):
     return kron, gauss
 
 
-def _line_panels(values: Callable, a: np.ndarray, b: np.ndarray, levels):
-    """GK15 panels over the intervals ``[a, b]`` from one call ``values(x)``
-    on ``(J, 15)`` nodes, in the panel protocol of :func:`_adapt_many`;
-    ``levels`` is not read.  Returns ``2*pi`` times the Kronrod value and
-    the Kronrod-Gauss difference, 15 evaluations and a split in t, per
-    panel: a theta-free band."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    fv = np.empty((a.size, 15))
-    fv[...] = values(mid[:, None] + half[:, None] * _XGK)
-    _require_finite(fv, a, b)
-    kron, gauss = _gk15(half, fv)
-    return TWO_PI * kron, TWO_PI * np.abs(kron - gauss), [15] * a.size, [True] * a.size
-
-
 def _band_level(f: Callable, a: np.ndarray, b: np.ndarray, n: int):
-    """:func:`_band_panels` at the one theta level ``n``: value, error and split."""
+    """:func:`_band_panels` at the one theta level ``n``: value, error,
+    evaluations per panel and the split list."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    answer = f((mid[:, None] + half[:, None] * _XGK)[:, :, None], _thetas(n)[None, None, :])
+    shape = np.shape(answer)
+    if shape[-1:] in ((), (1,)):  # _is_column, on the shape already read
+        plain = np.empty((a.size, 15))
+        plain[...] = answer[..., 0] if shape else answer
+        _require_finite(plain, a, b)
+        kron, gauss = _gk15(half, plain)
+        return TWO_PI * kron, TWO_PI * np.abs(kron - gauss), 15, [True] * a.size
     grids = np.empty((a.size, 15, 2 * n))
-    grids[...] = f((mid[:, None] + half[:, None] * _XGK)[:, :, None], _thetas(n)[None, None, :])
+    grids[...] = answer
     _require_finite(grids, a, b)
     means = grids.reshape(a.size, 15, 2, n).sum(axis=3) / n
     plain = np.ascontiguousarray(means[:, :, 0])
@@ -165,7 +166,7 @@ def _band_level(f: Callable, a: np.ndarray, b: np.ndarray, n: int):
     kron, gauss = _gk15(half, plain)
     theta_err = TWO_PI * half * (drift[:, None, :] @ _WGK_COLUMN)[:, 0, 0]
     t_err = TWO_PI * np.abs(kron - gauss)
-    return TWO_PI * kron, t_err + theta_err, t_err >= theta_err
+    return TWO_PI * kron, t_err + theta_err, 30 * n, (t_err >= theta_err).tolist()
 
 
 def _band_panels(f: Callable, a: np.ndarray, b: np.ndarray, levels):
@@ -177,13 +178,18 @@ def _band_panels(f: Callable, a: np.ndarray, b: np.ndarray, levels):
     of the theta mean; the Kronrod-Gauss difference plus the Kronrod
     integral of ``|T_n - T_n^rot|``; ``30*n`` evaluations; and a split in
     t when the t part of the error is the larger or equal, else a
-    doubling of the level."""
+    doubling of the level.  A column answer (:func:`_is_column`) is its
+    own theta mean: 15 evaluations, no theta error, a split in t."""
+    if levels.count(levels[0]) == len(levels):  # one level: no masks
+        value, error, cost, split = _band_level(f, a, b, levels[0])
+        return value, error, [cost] * a.size, split
     value, error, split = np.empty(a.size), np.empty(a.size), np.empty(a.size, bool)
+    costs = {}
     at = np.array(levels)
     for n in dict.fromkeys(levels):
         rows = at == n
-        value[rows], error[rows], split[rows] = _band_level(f, a[rows], b[rows], n)
-    return value, error, [30 * n for n in levels], split.tolist()
+        value[rows], error[rows], costs[n], split[rows] = _band_level(f, a[rows], b[rows], n)
+    return value, error, [costs[n] for n in levels], split.tolist()
 
 
 def _children(a: float, b: float, n: int, split: bool) -> tuple:
@@ -195,29 +201,27 @@ def _children(a: float, b: float, n: int, split: bool) -> tuple:
     return ((a, b, 2 * n),)
 
 
-def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance, decided):
-    """Worst-first adaptive refinement of several integrals in lockstep.
+def _adapt_many(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance, decided):
+    """Worst-first adaptive refinement of several band integrals in lockstep.
 
     Integral ``k`` starts as the box ``(lo[k], hi[k], _FLOOR)``, an
-    interval in t at a theta level.  ``panels(a, b, levels)``, the panel
-    protocol, integrates the boxes ``(a[i], b[i], levels[i])`` and returns
-    the value and error arrays and the evaluation and split lists of its
-    panels; refining a box gives its :func:`_children`, which cost twice
-    the panel.  Each integral stops once its summed error meets the
-    tolerance, or unconverged once its ``|value| - error`` passes
-    ``decided[k]`` (when ``decided`` is given) or before children that
-    would take it past ``tol.max_evaluations``.  The first round scores
-    every integral's one panel from the arrays at once, and only an
+    interval in t at a theta level, and each round's boxes are one
+    :func:`_band_panels` call; refining a box gives its :func:`_children`,
+    which cost twice the panel.  Each integral stops once its summed error
+    meets the tolerance, or unconverged once its ``|value| - error``
+    passes ``decided[k]`` (when ``decided`` is given) or before children
+    that would take it past ``tol.max_evaluations``.  The first round
+    scores every integral's one panel from the arrays at once, and only an
     integral that goes on gets a heap, largest error first, ties broken
     by creation order, whose values and errors each round are two
     :func:`math.fsum` sums, over one panel after a theta doubling too.
-    The children of every integral still running go to one ``panels``
-    call, so each result is that of a lone run.
+    The children of every integral still running go to one call, so each
+    result is that of a lone run.
     """
     abs_tol, rel_tol, budget = tol.abs_tol, tol.rel_tol, tol.max_evaluations
     if not lo.size:
         return []
-    value, error, evals, split = panels(lo, hi, [_FLOOR] * lo.size)
+    value, error, evals, split = _band_panels(f, lo, hi, [_FLOOR] * lo.size)
     settled = error <= np.maximum(rel_tol * np.abs(value), abs_tol)  # tol.target(value)
     # value + 0.0 is what fsum returns for one term: fsum([-0.0]) is 0.0
     values, errors, settled = (value + 0.0).tolist(), error.tolist(), settled.tolist()
@@ -236,7 +240,7 @@ def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance
     ]
     while jobs:
         a, b, levels = zip(*(box for _, box in jobs))
-        value, error, cost, split = panels(np.array(a), np.array(b), levels)
+        value, error, cost, split = _band_panels(f, np.array(a), np.array(b), levels)
         rows = zip(jobs, value.tolist(), error.tolist(), cost, split)
         for (k, box), v, e, c, s in rows:
             evals[k] += c  # grows with every panel: the creation-order tie-break
@@ -259,6 +263,52 @@ def _adapt_many(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: Tolerance
     return results
 
 
+def _require_finite_circles(values: np.ndarray, params: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        bad = params[int(np.argmin(np.isfinite(values).all(axis=1)))]
+        raise DomainError(f"non-finite integrand value on the circle of parameter {bad}")
+
+
+def _circles(f: Callable, params, tol: Tolerance):
+    """:func:`integrate_circles` as the four lists ``(values, errors,
+    evaluations, converged)``, one entry per circle."""
+    params = np.asarray(params)
+    count = len(params)
+    if not count:
+        return [], [], [], []
+    n, theta = _FLOOR, _thetas(_FLOOR)
+    answer = f(params[:, None], theta[None, :])
+    if _is_column(answer):
+        column = np.empty((count, 1))
+        column[...] = answer
+        _require_finite_circles(column, params)
+        with np.errstate(over="ignore"):  # 2*pi*f past double range is inf
+            values = (TWO_PI * column[:, 0]).tolist()
+        return values, [0.0] * count, [1] * count, [True] * count
+    values, errors, evals, converged = ([None] * count for _ in range(4))
+    sums = np.zeros((count, 2))  # running sums of each rule's values
+    live = list(range(count))
+    while live:
+        fv = np.empty((len(live), theta.size))
+        fv[...] = answer
+        _require_finite_circles(fv, params[live])
+        sums[live] += fv.reshape(len(live), 2, -1).sum(axis=2)
+        plain, rotated = sums[live].T
+        round_values = (TWO_PI * plain / n).tolist()
+        round_errors = (TWO_PI * np.abs(plain - rotated) / n).tolist()
+        running = []
+        for k, value, error in zip(live, round_values, round_errors):
+            done = error <= tol.target(value)
+            if done or 4 * n > tol.max_evaluations:  # a doubling costs 2*n more
+                values[k], errors[k], evals[k], converged[k] = value, error, 2 * n, done
+            else:
+                running.append(k)
+        live, n, theta = running, 2 * n, _thetas(2 * n)[1::2]
+        if live:
+            answer = f(params[live][:, None], theta[None, :])
+    return values, errors, evals, converged
+
+
 def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list[QuadResult]:
     """Integrate ``f(p, theta)`` over ``[0, 2*pi]`` for every ``p`` in
     ``params``, all in lockstep, by the rotated trapezoid pair.
@@ -268,58 +318,18 @@ def integrate_circles(f: Callable, params, tol: Tolerance = DEFAULT_TOL) -> list
     then the midpoints of both.  A circle at level ``n`` has spent ``2*n``
     evaluations; it stops once its error meets the tolerance, or
     unconverged before a doubling would pass ``tol.max_evaluations``.
-    Every result equals that of a K = 1 call on its ``p`` alone.
+    A first answer with no theta axis (0-d, or a last axis of length 1)
+    does not depend on theta: each circle is then ``2*pi`` times it, with
+    no error, at one evaluation, and ``inf`` past double range.  Every
+    result equals that of a K = 1 call on its ``p`` alone.
     """
-    params = np.asarray(params)
-    sums = np.zeros((len(params), 2))  # running sums of each rule's values
-    results: list = [None] * len(params)
-    live = list(range(len(params)))
-    n, theta = _FLOOR, _thetas(_FLOOR)
-    while live:
-        fv = np.empty((len(live), theta.size))
-        fv[...] = f(params[live][:, None], theta[None, :])
-        if not np.isfinite(fv).all():
-            bad = params[live][int(np.argmin(np.isfinite(fv).all(axis=1)))]
-            raise DomainError(f"non-finite integrand value on the circle of parameter {bad}")
-        sums[live] += fv.reshape(len(live), 2, -1).sum(axis=2)
-        plain, rotated = sums[live].T
-        values = (TWO_PI * plain / n).tolist()
-        errors = (TWO_PI * np.abs(plain - rotated) / n).tolist()
-        running = []
-        for k, value, error in zip(live, values, errors):
-            converged = error <= tol.target(value)
-            if converged or 4 * n > tol.max_evaluations:  # a doubling costs 2*n more
-                results[k] = QuadResult(value, error, 2 * n, converged)
-            else:
-                running.append(k)
-        live, n, theta = running, 2 * n, _thetas(2 * n)[1::2]
-    return results
+    return list(map(QuadResult, *_circles(f, params, tol)))
 
 
-def integrate_bands(
-    f: Callable,
-    edges: Sequence[float],
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    theta_free: bool = False,
-    decided: Sequence[float] | None = None,
-) -> list[QuadResult]:
-    """Integrate ``f(t, theta)`` over every band ``[edges[i], edges[i+1]] x
-    [0, 2*pi]``, all in lockstep.
-
-    Each band starts as one panel at level ``_FLOOR``, and each round
-    ``f`` is called once per level (:func:`_band_panels`).  With
-    ``theta_free`` the caller vouches that ``f`` does not depend on theta;
-    each band is then ``2*pi`` times a 1-D integral of ``f(t, 0)``, one
-    call a round on ``(J, 15)`` nodes (:func:`_line_panels`).  ``decided``
+def _bands(f: Callable, edges: Sequence[float], tol: Tolerance, decided=None) -> list[QuadResult]:
+    """:func:`integrate_bands` without its budget refusal; ``decided``
     gives one magnitude per band: a band whose ``|value| - error`` passes
-    it stops refining, unconverged.  A budget below the starting panel
-    is refused with :class:`ValueError`.  A band of zero width is 0
-    without an evaluation; a NaN edge is refused with :class:`ValueError`,
-    and a band with an infinite edge with :class:`DomainError` before
-    anything is evaluated.  Every result equals that of a K = 1 call on
-    its band alone.
-    """
+    it stops refining, unconverged."""
     edges = [float(e) for e in edges]
     if any(map(math.isnan, edges)):
         raise ValueError("band edges must not be NaN")
@@ -333,22 +343,41 @@ def integrate_bands(
         raise ValueError("decided needs one magnitude per band")
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     wide = hi > lo
-    cost = _start_cost(theta_free)
-    if cost > tol.max_evaluations and wide.any():
+    if wide.all():
+        return _adapt_many(f, lo, hi, tol, decided)
+    if decided is not None:
+        decided = [d for d, w in zip(decided, wide.tolist()) if w]
+    found = iter(_adapt_many(f, lo[wide], hi[wide], tol, decided))
+    return [next(found) if w else QuadResult(0.0, 0.0, 0, True) for w in wide.tolist()]
+
+
+def integrate_bands(
+    f: Callable, edges: Sequence[float], tol: Tolerance = DEFAULT_TOL
+) -> list[QuadResult]:
+    """Integrate ``f(t, theta)`` over every band ``[edges[i], edges[i+1]] x
+    [0, 2*pi]``, all in lockstep.
+
+    Each band starts as one panel at level ``_FLOOR``, and each round
+    ``f`` is called once per level (:func:`_band_panels`); an answer with
+    no theta axis makes that level's panels 1-D rules in t.  A budget
+    below a starting panel that the integrand's answer asks for (240
+    evaluations on a 2-D answer) is refused with :class:`ValueError`
+    once it has answered.  A band of zero width is 0 without an
+    evaluation; a NaN edge is refused with :class:`ValueError`, and a
+    band with an infinite edge with :class:`DomainError` before anything
+    is evaluated.  Every result equals that of a K = 1 call on its band
+    alone.
+    """
+    results = _bands(f, edges, tol)
+    # the driver stops before any refinement past the budget, so only a
+    # starting panel can pass it
+    cost = max([res.evaluations for res in results], default=0)
+    if cost > tol.max_evaluations:
         raise ValueError(
             f"max_evaluations={tol.max_evaluations} cannot pay for the "
             f"{cost} evaluations of the starting panels"
         )
-    if theta_free:
-        panels = partial(_line_panels, lambda t: f(t, 0.0))
-    else:
-        panels = partial(_band_panels, f)
-    if wide.all():
-        return _adapt_many(panels, lo, hi, tol, decided)
-    if decided is not None:
-        decided = [d for d, w in zip(decided, wide.tolist()) if w]
-    found = iter(_adapt_many(panels, lo[wide], hi[wide], tol, decided))
-    return [next(found) if w else QuadResult(0.0, 0.0, 0, True) for w in wide.tolist()]
+    return results
 
 
 _FIRST_WINDOWS = 2  # the shortest improper walk that can stop
@@ -383,7 +412,7 @@ def _doublings(origin: float, width: float) -> list[float]:
     return [origin + width * 2.0**k for k in range(_MAX_WINDOWS)]
 
 
-def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, theta_free: bool):
+def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance):
     """Integrate ``f(t, theta)`` over ``[edges[0], inf) x [0, 2*pi]`` on
     the windows between ``edges``; an edge not above the one before it
     (far out, where :func:`_doublings` round back onto their origin) is
@@ -395,28 +424,28 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
     ``+inf``/``-inf`` divergence, alternating growth as ``oscillatory``,
     with ``converged=False``, and so is a running sum past
     ``_DIVERGED``, with its sign.  Each window is ``decided`` for
-    :func:`integrate_bands` once its ``|value| - error`` passes
+    :func:`_bands` once its ``|value| - error`` passes
     ``_DIVERGED + |total|`` (the first window of a chunk) or
     ``2*_DIVERGED`` (a later one): it stops refining, so a divergent
     walk's value, error, trace and evaluations are not refined ones.
 
     The windows are integrated in look-ahead chunks, ``_FIRST_WINDOWS``
-    and then ``_CHUNK`` at a time, one :func:`integrate_bands` call per
-    chunk, and read one by one.  Each window of a chunk may spend what is
-    left of ``tol.max_evaluations``, and the walk stops unconverged
-    before a chunk whose first panels that cannot pay for, so only the
-    last chunk can take it past its budget.  A chunk that raises
-    :class:`DomainError` or :class:`OverflowError` is taken again as
-    one-window chunks, so the window that raises does so at its own step;
-    a one-window chunk that raises propagates.  ``evaluations`` counts
-    every window integrated, look-ahead past the stop included.  Each
-    chunk is passed ``theta_free``, so ``f`` gets ``(J, 15, 1)`` t-nodes
-    against ``(1, 1, 2*n)`` angles, one call per theta level ``n``, or
-    ``(J, 15)`` and theta = 0 when theta-free, one row per panel of a
-    refinement round; it must act elementwise.
+    and then ``_CHUNK`` at a time, one :func:`_bands` call per chunk, and
+    read one by one.  Each window of a chunk may spend what is left of
+    ``tol.max_evaluations``, and the walk stops unconverged before a
+    chunk once less than 100 is left, the least budget a
+    :class:`Tolerance` takes, so only the last chunk can take the walk
+    past its budget; on an integrand that answers with a theta axis each
+    of its windows pays a 240-point starting panel even when less is
+    left.  A chunk that raises :class:`DomainError` or :class:`OverflowError` is
+    taken again as one-window chunks, so the window that raises does so
+    at its own step; a one-window chunk that raises propagates.
+    ``evaluations`` counts every window integrated, look-ahead past the
+    stop included.  ``f`` gets ``(J, 15, 1)`` t-nodes against ``(1, 1,
+    2*n)`` angles, one call per theta level ``n`` and one row per panel
+    of a refinement round; it must act elementwise.
     """
     edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
-    points = _start_cost(theta_free)
     spent = 0  # evaluations of every window integrated, look-ahead included
     total = 0.0
     quad_err = 0.0
@@ -431,7 +460,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
         width = 1 if start < alone_to else _FIRST_WINDOWS if start == 0 else _CHUNK
         chunk = edges[start : start + width + 1]
         left = tol.max_evaluations - spent
-        if left < max(100, (len(chunk) - 1) * points):
+        if left < 100:
             break
         window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
         # the walk stops at a window that takes |total| past _DIVERGED, so
@@ -441,7 +470,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, thet
         # _DIVERGED, or the walk stopped earlier
         decided = [_DIVERGED + abs(total), *[2.0 * _DIVERGED] * (len(chunk) - 2)]
         try:
-            parts = integrate_bands(f, chunk, window_tol, theta_free=theta_free, decided=decided)
+            parts = _bands(f, chunk, window_tol, decided)
         except (DomainError, OverflowError):
             # a window that raises propagates: no divergence can be read
             # from the densities before it, or the walk would have stopped

@@ -21,17 +21,15 @@ the ``lambda = mu'`` check are one :func:`integrate_circles` batch, each
 round ``(J, 1)`` heights against the ``(1, M)`` new angles of the
 rotated trapezoid pair, and the bands one :func:`integrate_bands` batch,
 ``(J, 15, 1)`` t-nodes against ``(1, 1, 2*n)`` angles per level ``n``.
-An end is theta-free when its chart returned no theta axis on the
-validation grid (:func:`cvlab.model.validate_surface` returns one flag
-per end).  On a theta-free end the circle integrals are ``2*pi`` times
-point values, all heights in one ``sqrt_jet`` call, and the bands are
-1-D integrals in t on ``(J, 15)`` nodes.  The improper windows of the
-direct route, where each step decides whether to take the next, run in
-look-ahead chunks (see :func:`cvlab.quadrature._integrate_windows`).  A
-merged batch that raises fails the sweep with its own error.  A chart
-object that stands at several ends is measured once, keyed by object
-identity (:func:`cvlab.model._per_chart`), which hands back one result
-per end.  Every sum of a sweep is one pass over those per-end results in
+Theta dependence is read from each answer of the chart, at every height
+the sweep reaches: a circle slot or band density with no theta axis is
+integrated as ``2*pi`` times its value, on the bands by a 1-D rule in t.
+The improper windows of the direct route, where each step decides
+whether to take the next, run in look-ahead chunks (see
+:func:`cvlab.quadrature._integrate_windows`).  A merged batch that
+raises fails the sweep with its own error.  A chart object that stands
+at several ends is measured once, keyed by object identity
+(:func:`cvlab.model._per_chart`), which hands back one result per end.  Every sum of a sweep is one pass over those per-end results in
 end order: a height's circles in :func:`_boundaries`, and the bands of
 ``c_trunc`` and the tails of the direct route in :func:`_running_sums`.
 So every sum is that of measuring each end apart.
@@ -62,12 +60,13 @@ from .quadrature import (
     QuadResult,
     TailLimit,
     Tolerance,
+    _circles,
     _doublings,
     _integrate_windows,
+    _is_column,
     _thetas,
     estimate_tail_limit,
     integrate_bands,
-    integrate_circles,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -128,40 +127,30 @@ def residual_bound(quad_error: float) -> float:
     return 10.0 * quad_error + 1e-9
 
 
-def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, slots, theta_free):
+def _boundaries(model: SurfaceModel, heights: Sequence[float], tol: Tolerance, slots):
     """Per-end sums of the circle integrals of one jet slot of sqrt(G):
     slot ``"f"`` gives mu, slot ``"d1"`` gives lambda.
 
-    ``heights`` and ``slots`` pair up, and ``theta_free`` holds one flag
-    per end, as :func:`cvlab.model.validate_surface` returns them.  On a
-    theta-free end one ``sqrt_jet(heights, 0)`` call gives every value,
-    ``2*pi`` times the value at theta = 0 with no quadrature error; on
-    any other end the circles of all pairs run as one
-    :func:`integrate_circles` batch.
-    Each distinct chart is measured once and added at each of its
-    positions, in end order.  Returns ``(values, errors)``; the first
-    nonpositive mu in the given order raises :class:`NonPositiveMu`.
+    ``heights`` and ``slots`` pair up, and the circles of all pairs run
+    as one :func:`cvlab.quadrature.integrate_circles` batch per end, so a
+    chart that answers without a theta axis gives ``2*pi`` times its
+    values with no quadrature error.  Each distinct chart is measured
+    once and added at each of its positions, in end order.  Returns
+    ``(values, errors)``; the first nonpositive mu in the given order
+    raises :class:`NonPositiveMu`.
     """
     hs = np.array(heights, dtype=float)
     is_mu = np.array([slot == "f" for slot in slots])
-    zeros = [0.0] * hs.size  # never mutated: every sum below builds a new list
 
     def circles(j, end):
-        if theta_free[j]:
-            w = end.sqrt_jet(hs, 0.0)
-            with np.errstate(over="ignore"):  # mu = 2*pi*w past double range is inf
-                values = np.broadcast_to(TWO_PI * np.where(is_mu, w.f, w.d1), hs.shape)
-            return values.tolist(), zeros
-
         def slot_values(i, theta):
             w = end.sqrt_jet(hs[i], theta)
             return np.where(is_mu[i], w.f, w.d1)
 
-        results = integrate_circles(slot_values, np.arange(hs.size), tol)
-        return [res.value for res in results], [res.error_estimate for res in results]
+        return _circles(slot_values, np.arange(hs.size), tol)
 
-    totals, errors = zeros, zeros
-    for values, errs in _per_chart(model.ends, circles):
+    totals = errors = [0.0] * hs.size  # never mutated: every sum below builds a new list
+    for values, errs, _, _ in _per_chart(model.ends, circles):
         totals = [total + v for total, v in zip(totals, values)]
         errors = [error + e for error, e in zip(errors, errs)]
     for h, mu_slot, total in zip(heights, is_mu, totals):
@@ -182,19 +171,22 @@ def _signed_density(end: EndChart, rows: list):
 
     def density(t, theta):
         w = end.sqrt_jet(t, theta)
-        rows.append(_k_rows(t, theta, _jet_curvature(w, t, theta)))
+        rows.append(_k_rows(t, _jet_curvature(w, t, theta)))
         return -w.d2
 
     return density
 
 
-def _k_rows(t, theta, k):
-    """``(heights, least, largest)`` of the curvature ``k`` at ``(t, theta)``:
-    reduced over the last axis, the angles', when ``theta`` is an array."""
-    k = (k, k)
-    if np.ndim(theta):
-        t = t[..., 0]
-        k = (k[0].min(axis=-1), k[1].max(axis=-1)) if np.ndim(k[0]) else k
+def _k_rows(t, k):
+    """``(heights, least, largest)`` of the curvature ``k`` at the heights
+    ``t[..., 0]``, against angles on the last axis: ``k`` reduced over
+    that axis, or taken as it is when it has none
+    (:func:`cvlab.quadrature._is_column`)."""
+    t = t[..., 0]
+    if _is_column(k):
+        k = (k[..., 0],) * 2 if np.ndim(k) else (k, k)
+    else:
+        k = (k.min(axis=-1), k.max(axis=-1))
     if np.shape(k[0]) != t.shape:  # no axis of the heights
         k = [np.broadcast_to(x, t.shape) for x in k]
     return (t, *k)
@@ -220,9 +212,9 @@ def sweep_samples(
     validated model: the boundary circles of all heights run as one
     batch per end, and so do the curvature bands between consecutive
     heights."""
-    theta_free = validate_surface(model)
+    validate_surface(model)
     _check_schedule(model, schedule)
-    return _sweep_samples(model, schedule, tol, theta_free)[0]
+    return _sweep_samples(model, schedule, tol)[0]
 
 
 def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
@@ -242,11 +234,10 @@ def _check_schedule(model: SurfaceModel, schedule: Sequence[float]) -> None:
 
 
 def _sweep_samples(
-    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, theta_free, probes=()
+    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, probes=()
 ):
     """``(samples, values, errors, bands, c_last, rows)`` on a checked
-    schedule, with ``theta_free`` as :func:`cvlab.model.validate_surface`
-    returns it: :func:`sweep_samples`; the boundary values and errors at
+    schedule: :func:`sweep_samples`; the boundary values and errors at
     the extra ``(height, slot)`` ``probes``, which ride in the boundary
     batch; per end the :class:`QuadResult` of each band, up to a height
     from the one before or from ``t_min``, the pole on a polar cap;
@@ -256,13 +247,11 @@ def _sweep_samples(
     n = len(schedule)
     heights = [*schedule, *schedule, *(h for h, _ in probes)]
     slots = ("f",) * n + ("d1",) * n + tuple(slot for _, slot in probes)
-    values, errors = _boundaries(model, heights, tol, slots, theta_free)
+    values, errors = _boundaries(model, heights, tol, slots)
 
     def truncation_bands(j, end):
         rows = []
-        density = _signed_density(end, rows)
-        edges = [end.t_min, *schedule]
-        return integrate_bands(density, edges, tol, theta_free=theta_free[j]), rows
+        return integrate_bands(_signed_density(end, rows), [end.t_min, *schedule], tol), rows
 
     bands, rows = zip(*_per_chart(model.ends, truncation_bands))
     core = 0.0 if isinstance(model.core, PolarCap) else model.core.total_curvature
@@ -344,15 +333,12 @@ def _refine_h1(end: EndChart, lo: float, hi: float, scale: float) -> float:
 def _least_curvature(end: EndChart, heights: np.ndarray) -> np.ndarray:
     """The least K at each height over the 16 angles of a band's first
     panel: one chart call, ``heights[:, None]`` against ``(1, 16)``
-    angles.  A theta-free chart answers with one column, which
-    :func:`_k_rows` reduces as it is."""
+    angles."""
     t, theta = heights[:, None], _thetas(_FLOOR)[None, :]
-    return _k_rows(t, theta, gauss_curvature(end, t, theta))[1]
+    return _k_rows(t, gauss_curvature(end, t, theta))[1]
 
 
-def _total_curvature_direct(
-    model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance, theta_free
-):
+def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance):
     """The direct route: ``c_last``, ``(c_trunc, error)`` at ``h_max``, plus
     per end the integral of ``K dA`` on the windows ``t_min + (h_max -
     t_min)*2^k``, counting the evaluations of both.  An end whose last two
@@ -370,7 +356,7 @@ def _total_curvature_direct(
         if max(quiet) <= tol.target(0.0):
             return QuadResult(0.0, sum(quiet), 0, True)
         edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
-        res = _integrate_windows(_curvature_density(end), edges, tol, theta_free[j])
+        res = _integrate_windows(_curvature_density(end), edges, tol)
         spent.append(res.evaluations)
         return res
 
@@ -430,25 +416,20 @@ class _Measured(NamedTuple):
     direct: ImproperResult
 
 
-def _measure(
-    model: SurfaceModel, schedule: Sequence[float], tol: Tolerance, theta_free
-) -> _Measured:
-    """Run each measurement of a sweep once, with ``theta_free`` as
-    :func:`cvlab.model.validate_surface` returns it.  The five heights of
+def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> _Measured:
+    """Run each measurement of a sweep once.  The five heights of
     the ``lambda = mu'`` check ride in the samples' boundary batch, ``h1``
     and the sampled ``K`` range are read from the truncation's band nodes,
     and the direct route continues those bands beyond the last height."""
     _check_schedule(model, schedule)
     h0, step = _mu_prime_point(model, schedule)
     probes = tuple(zip(_mu_prime_heights(h0, step), _MU_PRIME_SLOTS))
-    samples, values, errors, bands, c_last, rows = _sweep_samples(
-        model, schedule, tol, theta_free, probes
-    )
+    samples, values, errors, bands, c_last, rows = _sweep_samples(model, schedule, tol, probes)
     mu_prime = (h0, step, *_mu_prime_order(values, errors, step))
     h1, kmin, kmax = _sign_height(model, schedule[-1], rows)
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol, theta_free)
+    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 
@@ -458,14 +439,14 @@ def run_sweep(
     tol: Tolerance = DEFAULT_TOL,
 ) -> SweepReport:
     """Run the full truncation procedure over an increasing height schedule:
-    check the schedule and the model, whose validation measures which ends
-    are theta-free, measure everything the verdicts read once
-    (:func:`_measure`), then judge those numbers alone (:func:`_report`)."""
+    check the schedule and the model, measure everything the verdicts read
+    once (:func:`_measure`), then judge those numbers alone
+    (:func:`_report`)."""
     schedule = [float(h) for h in schedule]
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 heights")
-    theta_free = validate_surface(model)
-    return _report(model, _measure(model, schedule, tol, theta_free))
+    validate_surface(model)
+    return _report(model, _measure(model, schedule, tol))
 
 
 def _report(model: SurfaceModel, m: _Measured) -> SweepReport:

@@ -12,8 +12,8 @@ against independent formulas.  For a metric ``dt^2 + G dtheta^2`` with
 
 Every chart states ``w`` alone, the function the sweep integrates.
 Every entry is a surface of rotation: each chart returns no theta axis,
-so validation measures it theta-free and the sweep integrates it in t
-alone.
+so the sweep's quadrature reads each answer as its own theta mean and
+integrates in t alone.
 
 The catenoid and the capped pseudosphere-like cusp violate the
 "curvature nonnegative far out" hypothesis on purpose: they pin down

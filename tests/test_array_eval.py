@@ -15,7 +15,6 @@ from cvlab.model import (
     PolarCap,
     SurfaceModel,
     chart_from_expression,
-    validate_surface,
 )
 from cvlab.quadrature import _FLOOR, _XGK, _thetas
 from cvlab.sweep import K_SLACK
@@ -166,7 +165,6 @@ def reference_sign_height(model, schedule):
     last bad node's bracket narrowed by :func:`reference_refine` on each
     chart whose bracket reaches above every chart's last bad node."""
     origin, h_max = model.min_height, schedule[-1]
-    theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
     charts = list({id(end): end for end in model.ends}.values())
     kmin, kmax, brackets = math.inf, -math.inf, []
     for end, nodes in zip(charts, recorded_band_nodes(model, schedule)):
@@ -189,8 +187,7 @@ def reference_sign_height(model, schedule):
     h1 = origin
     for end, lo, hi in brackets:
         if hi > floor:
-            thetas = np.array([0.0]) if theta_free[id(end)] else _thetas(_FLOOR)
-            h1 = max(h1, reference_refine(end, thetas, lo, hi, max(h_max, h_max - origin)))
+            h1 = max(h1, reference_refine(end, _thetas(_FLOOR), lo, hi, max(h_max, h_max - origin)))
     return h1, kmin, kmax
 
 

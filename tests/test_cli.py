@@ -193,6 +193,20 @@ class TestSweep:
         again = json.loads(json.dumps(data))
         assert again == data
 
+    def test_json_report_is_strict_json(self, capsys):
+        # the polar plane's last mu, 2*pi*h at h = 1.8e308, is past double
+        # range: the JSON report writes it as null, the CSV as inf
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        args = ["sweep", "--surface", "polar-plane", "--h-max", "1.7976931348623157e308"]
+        assert main([*args, "--format", "json", "--out", "-"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert data["samples"][-1]["mu"] is None
+        assert all(s["mu"] is not None for s in data["samples"][:-1])
+        assert main([*args, "--format", "csv", "--out", "-"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[1] == "inf"
+
 
 class TestVerify:
     def test_paraboloid_equality_margin(self, capsys):

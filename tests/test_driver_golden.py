@@ -4,9 +4,9 @@ Every value and error estimate below is pinned as ``float.hex``, with
 its evaluation count and ``converged`` flag, so that a change to the
 bookkeeping (how a heap is summed, how the tolerance is tested, how node
 arrays are built) must return exactly these numbers.  The ``-1d`` rows
-are theta-free bands, whose numbers have not moved since the theta rule
-replaced the 15 x 15 tensor panels; the ``-2d`` and circle rows pin that
-rule, the rotated trapezoid pair.  The cases
+are bands whose integrand answers without a theta axis, whose numbers
+have not moved since the theta rule replaced the 15 x 15 tensor panels;
+the ``-2d`` and circle rows pin that rule, the rotated trapezoid pair.  The cases
 cover a batch that converges in its first round, batches that refine
 over several rounds, batches that stop unconverged on their evaluation
 budget, and a one-panel odd integrand whose panel value underflows to
@@ -19,7 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from cvlab.quadrature import Tolerance, _line_panels, integrate_bands, integrate_circles
+from cvlab.quadrature import Tolerance, _band_panels, integrate_bands, integrate_circles
+
 
 def _odd(t, theta):
     return -t + 0.0 * theta
@@ -27,7 +28,7 @@ def _odd(t, theta):
 
 CASES = {
     "one-round-bands-1d": lambda: integrate_bands(
-        lambda t, th: np.exp(-t), [0.0, 0.5, 1.0, 1.0, 2.0], theta_free=True
+        lambda t, th: np.exp(-t), [0.0, 0.5, 1.0, 1.0, 2.0]
     ),
     "one-round-bands-2d": lambda: integrate_bands(
         lambda t, th: np.exp(-t) * (2.0 + np.cos(th)), [0.0, 0.5, 1.0]
@@ -36,7 +37,7 @@ CASES = {
         lambda p, th: p * (2.0 + np.cos(th)), [0.5, 1.0, 3.0]
     ),
     "multi-round-bands-1d": lambda: integrate_bands(
-        lambda t, th: np.sqrt(t), [0.0, 1.0, 4.0, 9.0], theta_free=True
+        lambda t, th: np.sqrt(t), [0.0, 1.0, 4.0, 9.0]
     ),
     "multi-round-bands-2d": lambda: integrate_bands(
         lambda t, th: np.exp(-t + np.cos(3.0 * th)), [0.0, 1.0, 3.0]
@@ -48,7 +49,6 @@ CASES = {
         lambda t, th: np.sqrt(np.abs(t - 1.0 / 3.0)),
         [0.0, 1.0, 2.0],
         Tolerance(max_evaluations=100),
-        theta_free=True,
     ),
     "capped-bands-2d": lambda: integrate_bands(
         lambda t, th: t * np.abs(np.cos(th) - 0.3), [0.0, 1.0, 2.0], Tolerance(max_evaluations=1000)
@@ -56,7 +56,7 @@ CASES = {
     "capped-circles": lambda: integrate_circles(
         lambda p, th: 1.0 / (p - np.cos(th)), [1.001, 1.5], Tolerance(max_evaluations=100)
     ),
-    "odd-bands-1d": lambda: integrate_bands(_odd, [-1e-160, 1e-160], theta_free=True),
+    "odd-bands-1d": lambda: integrate_bands(lambda t, th: -t, [-1e-160, 1e-160]),
     "odd-bands-2d": lambda: integrate_bands(_odd, [-1e-160, 1e-160]),
 }
 
@@ -121,6 +121,6 @@ def test_odd_panel_value_is_negative_zero():
     # the case above is only a test of the one-panel sum if the panel
     # itself returns -0.0
     a, b = np.array([-1e-160]), np.array([1e-160])
-    value, error, _, _ = _line_panels(lambda t: _odd(t, 0.0), a, b, None)
+    value, error, _, _ = _band_panels(lambda t, th: -t, a, b, [8])
     assert value[0] == 0.0 and math.copysign(1.0, value[0]) == -1.0
     assert error[0] == 0.0

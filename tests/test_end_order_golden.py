@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 import cvlab.sweep as sweep
-from cvlab.model import AnalyticCore, SurfaceModel, chart_from_expression, validate_surface
+from cvlab.model import AnalyticCore, SurfaceModel, chart_from_expression
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +50,7 @@ def test_sums_keep_end_order():
     model = SurfaceModel(
         0, tuple(chart_from_expression(g) for g in ENDS), AnalyticCore(CORE), "end-order"
     )
-    m = sweep._measure(model, SCHEDULE, sweep.DEFAULT_TOL, validate_surface(model))
+    m = sweep._measure(model, SCHEDULE, sweep.DEFAULT_TOL)
     assert [s.h for s in m.samples] == SCHEDULE
     assert [tuple(x.hex() for x in s[1:]) for s in m.samples] == SAMPLES
     d = m.direct

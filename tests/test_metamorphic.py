@@ -2,11 +2,11 @@
 agree, with no oracle for either.
 
 A theta-free chart and the same expression made theta-dependent by a
-vanishing ``0*theta`` term give byte-identical JSON reports.  Validation
-measures the first theta-free and the second 2-D, so this pins that an
-end counted as 2-D costs evaluations (240 per band panel against 15),
-not numbers: on an integrand constant in theta both trapezoid rules read
-the value itself, with no theta error.
+vanishing ``0*theta`` term give byte-identical JSON reports.  The
+quadrature reads the first chart's answers as columns and the second's
+as 2-D, so this pins that an end read as 2-D costs evaluations (240 per
+band panel against 15), not numbers: on an integrand constant in theta
+both trapezoid rules read the value itself, with no theta error.
 """
 
 import math
@@ -14,7 +14,7 @@ import math
 import pytest
 
 from cvlab.cli import load_surface_config, main
-from cvlab.model import validate_surface
+from conftest import first_panel_costs
 
 TWO_PI = 2.0 * math.pi
 T_MIN = 0.25
@@ -42,12 +42,14 @@ def config(g: str) -> tuple[str, list[str]]:
 
 
 def json_report(tmp_path, name: str, text: str, options: list[str], capsys):
-    """``(theta-free flags, the JSON report)`` of the surface ``text``."""
+    """``(first band panel's evaluations, the JSON report)`` of the
+    surface ``text``: 15 when its curvature density answers without a
+    theta axis, 240 with it."""
     path = tmp_path / f"{name}.cfg"
     path.write_text(text)
-    flat = validate_surface(load_surface_config(path))
+    (cost,) = first_panel_costs(load_surface_config(path))
     assert main(["sweep", "--config", str(path), *options, "--format", "json", "--out", "-"]) == 0
-    return flat, capsys.readouterr().out
+    return cost, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("g", [*END_FORMS, CAP])
@@ -56,5 +58,5 @@ def test_vanishing_theta_term_leaves_the_report(g, tmp_path, capsys):
     flat, plain = json_report(tmp_path, "plain", text, options, capsys)
     turned = text.replace(f"g = {g}\n", f"g = {g} + 0*theta\n")
     full, with_theta = json_report(tmp_path, "theta", turned, options, capsys)
-    assert (flat, full) == ([True], [False])
+    assert (flat, full) == (15, 240)
     assert with_theta == plain

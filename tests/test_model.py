@@ -20,6 +20,7 @@ from cvlab.model import (
     validate_surface,
 )
 from cvlab.zoo import all_entries
+from conftest import first_panel_costs
 
 
 class TestEulerChar:
@@ -330,8 +331,9 @@ _trees = st.recursive(
 
 
 class TestThetaFreeDeclaration:
-    """Whether an end is theta-free is measured by validation, from the
-    shape of the value its grid call returns, not declared."""
+    """Whether an end depends on theta is read by the quadrature from the
+    shape of each answer its chart gives, not declared; validation returns
+    nothing."""
 
     @pytest.mark.parametrize(
         "expr,theta_free",
@@ -344,20 +346,22 @@ class TestThetaFreeDeclaration:
     )
     def test_derived_from_the_tree(self, expr, theta_free):
         chart = chart_from_expression(expr, t_min=1.0)  # G > 0 from t_min on
-        assert validate_surface(SurfaceModel(0, (chart,), AnalyticCore(0.0))) == [theta_free]
+        model = SurfaceModel(0, (chart,), AnalyticCore(0.0))
+        assert validate_surface(model) is None
+        assert first_panel_costs(model) == [15 if theta_free else 240]
 
     def test_zoo_charts_are_measured_theta_free(self):
         for entry in all_entries():
-            assert validate_surface(entry.model) == [True] * len(entry.model.ends), entry.name
+            assert first_panel_costs(entry.model) == [15] * len(entry.model.ends), entry.name
 
     @settings(max_examples=150, deadline=None)
     @given(_trees)
     def test_measured_flag_is_the_tree_walk(self, tree):
         # G = 2 + sin(tree) lies in [1, 3]: valid whatever the tree
         g = Binary("add", Const(2.0), Unary("sin", tree))
-        assert validate_surface(one_end(serialize(g))) == [not contains_theta(g)]
+        assert first_panel_costs(one_end(serialize(g))) == [240 if contains_theta(g) else 15]
 
     def test_repeated_chart_gets_its_flag_at_every_position(self):
         flat, turning = chart_from_expression("1 + t^2"), chart_from_expression("2 + cos(theta)")
         model = SurfaceModel(0, (flat, turning, flat), AnalyticCore(0.0))
-        assert validate_surface(model) == [True, False, True]
+        assert first_panel_costs(model) == [15, 240, 15]

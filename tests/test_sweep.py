@@ -30,7 +30,16 @@ from cvlab.sweep import (
     sweep_samples,
 )
 from cvlab.zoo import zoo_entry, zoo_names
-from conftest import DEEP_SCHEDULE, SCHEDULES, band_node_signs, doubling_schedule, mu_prime_order, walk_from
+from conftest import (
+    DEEP_SCHEDULE,
+    SCHEDULES,
+    band_node_signs,
+    doubling_schedule,
+    first_panel_costs,
+    mu_prime_order,
+    recorded_circles,
+    walk_from,
+)
 from test_array_eval import recorded_band_nodes, reference_sign_height, theta_cap, three_ends
 
 TWO_PI = 2.0 * math.pi
@@ -554,7 +563,7 @@ def test_mu_prime_point_survives_heights_whose_product_overflows():
 def _direct_route(name):
     """The direct route of a zoo surface on its test schedule."""
     model = zoo_entry(name).model
-    return sweep._measure(model, SCHEDULES[name], sweep.DEFAULT_TOL, validate_surface(model)).direct
+    return sweep._measure(model, SCHEDULES[name], sweep.DEFAULT_TOL).direct
 
 
 class TestDirectTotalCurvature:
@@ -595,7 +604,7 @@ class TestDirectTotalCurvature:
 
             return wrapper
 
-        for fn in ("integrate_circles", "integrate_bands", "_integrate_windows"):
+        for fn in ("integrate_bands", "_integrate_windows"):
             monkeypatch.setattr(sweep, fn, counting(getattr(sweep, fn)))
         res = _direct_route(name)
         assert counted
@@ -613,7 +622,7 @@ class TestDirectTotalCurvature:
         def measure(*ends):
             # the core's value does not reach the tails
             model = SurfaceModel(0, ends, AnalyticCore(-7 * TWO_PI))
-            return sweep._measure(model, schedule, sweep.DEFAULT_TOL, validate_surface(model))
+            return sweep._measure(model, schedule, sweep.DEFAULT_TOL)
 
         m = measure(settle, slow, fast, wide)
         alone_slow, alone_fast = measure(settle, slow).direct, measure(settle, fast).direct
@@ -781,16 +790,21 @@ class TestBandReuse:
             run_sweep(zoo_entry("paraboloid").model, [1.0, 4.0, -2.0])
 
 
+def all_columns(batches):
+    """Whether every circle of the recorded batches was a column answer."""
+    return bool(batches) and all(
+        errors == [0.0] * len(errors) and evals == [1] * len(evals) for errors, evals in batches
+    )
+
+
 class TestThetaFreeSweep:
     @pytest.mark.parametrize("name", zoo_names())
     def test_circles_are_point_values(self, name, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a theta-free end needs no circle quadrature")
-
-        monkeypatch.setattr(sweep, "integrate_circles", forbidden)
+        batches = recorded_circles(monkeypatch)
         model = zoo_entry(name).model
         h = 3.0
         sample = sweep_samples(model, [h])[0]
+        assert all_columns(batches)
         assert sample.mu == sum(TWO_PI * float(e.sqrt_jet(h, 0.0).f) for e in model.ends)
         assert sample.lam == sum(
             TWO_PI * float(e.sqrt_jet(h, 0.0).d1) for e in model.ends
@@ -808,13 +822,11 @@ class TestThetaFreeSweep:
             for slot in ("f", "d1")
         ]
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a theta-free end needs no circle quadrature")
-
-        monkeypatch.setattr(sweep, "integrate_circles", forbidden)
+        batches = recorded_circles(monkeypatch)
         samples = sweep_samples(model, schedule)
         assert [[s.mu for s in samples], [s.lam for s in samples]] == expected
         mu_prime_order(model, schedule[len(schedule) // 2], 0.05)
+        assert all_columns(batches)
 
     def test_collapsed_cap_matches_2d_cap(self):
         # the same metric, once with a vanishing theta term that keeps the
@@ -838,20 +850,51 @@ def test_theta_bump_between_sample_heights_is_measured_2d():
     # has a theta axis, so the end is 2-D and mu(80) is the circle mean
     # 2*pi*80, not the point value 2*pi*120 at theta = 0
     model = _dsl_cap("(t*(1 + 0.5*cos(theta)*exp(-(t - 80)^2)))^2")
-    assert validate_surface(model) == [False]
+    assert first_panel_costs(model) == [240]
     sample = sweep_samples(model, [1.0, 8.0, 64.0, 80.0])[-1]
     assert abs(sample.mu - TWO_PI * 80.0) <= residual_bound(sample.quad_error)
 
 
-def test_theta_in_a_derivative_slot_is_measured_2d():
+def _late_theta_cap():
+    """``sqrt(G) = t*(1 + 0.5*cos(theta)*exp(-(t - 80)^2))`` with exact
+    t-derivatives, whose chart builds the theta term only once some height
+    of a call reaches 70: every height validation samples lies below it."""
+
+    def sqrt_g_jet(t, theta):
+        if np.max(t) < 70.0:
+            return Jet2(t, 1.0, 0.0)
+        c, u = 0.5 * np.cos(theta), t - 80.0
+        b = np.exp(-u * u)
+        db, d2b = -2.0 * u * b, (4.0 * u * u - 2.0) * b
+        return Jet2(t * (1.0 + c * b), 1.0 + c * (b + t * db), c * (2.0 * db + t * d2b))
+
+    return SurfaceModel(0, (EndChart(sqrt_g_jet=sqrt_g_jet),), PolarCap(), "late-theta")
+
+
+def test_theta_axis_above_the_validation_heights_is_read_2d():
+    # the theta term appears only in calls that reach t = 70, above every
+    # height validation samples: the circles at 80 still read their theta
+    # axis, so mu(80) and lambda(80) are the circle means 2*pi*80 and
+    # 2*pi, not the values 2*pi*120 and 2*pi*1.5 at theta = 0
+    schedule = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 80.0, 96.0, 128.0]
+    report = run_sweep(_late_theta_cap(), schedule)
+    sample = report.samples[schedule.index(80.0)]
+    assert abs(sample.mu / TWO_PI - 80.0) <= 1e-9
+    assert abs(sample.lam / TWO_PI - 1.0) <= 1e-9
+
+
+def test_theta_in_a_derivative_slot_is_measured_2d(monkeypatch):
     # sqrt(G) = 1 has no theta axis, but its second t-derivative, the
-    # curvature density, does: the end is 2-D, so K = (t - 5)*sin^2(theta)
+    # curvature density, does: the bands are 2-D, so K = (t - 5)*sin^2(theta)
     # is read over every angle, not at theta = 0 where it vanishes; h1
-    # lies within the resolution 16/4096 above 5
+    # lies within the resolution 16/4096 above 5.  The circles of f and
+    # d1 have no theta axis and stay columns
     chart = EndChart(sqrt_g_jet=lambda t, theta: Jet2(1.0, 0.0, -(t - 5) * np.sin(theta) ** 2))
     model = SurfaceModel(0, (chart,), AnalyticCore(0.0))
-    assert validate_surface(model) == [False]
+    assert first_panel_costs(model) == [240]
+    batches = recorded_circles(monkeypatch)
     report = run_sweep(model, [1.0, 2.0, 4.0, 8.0, 16.0])
+    assert all_columns(batches)
     assert 5.0 <= report.h1 <= 5.0 + 16.0 / 4096.0
     # the K range is read at the band nodes, the outermost of which lie
     # 0.0043 of a band's width inside [0, 1] and [8, 16]
@@ -895,20 +938,14 @@ class TestLockstepSweep:
         assert [s.lam for s in samples] == [one.lam for one in singles]
 
     def test_theta_cap_circles_are_one_batch(self, monkeypatch):
-        batches = []
-        integrate = sweep.integrate_circles
-
-        def recording(f, params, tol):
-            batches.append(len(params))
-            return integrate(f, params, tol)
-
-        monkeypatch.setattr(sweep, "integrate_circles", recording)
+        batches = recorded_circles(monkeypatch)
         schedule = BAND_SCHEDULES["theta-cap"]
         sweep_samples(theta_cap(), schedule)
-        assert batches == [2 * len(schedule)]
+        assert [len(errors) for errors, _ in batches] == [2 * len(schedule)]
+        assert not all_columns(batches)
         batches.clear()
         mu_prime_order(theta_cap(), 8.0, 0.05)
-        assert batches == [5]
+        assert [len(errors) for errors, _ in batches] == [5]
 
 
 @pytest.mark.parametrize("a", [0.7, 2.0])
@@ -920,7 +957,6 @@ def test_rotation_leaves_the_samples_unchanged(a):
 
     schedule = [1.0, 2.0, 4.0, 8.0, 16.0]
     base, turned = cap(0.0), cap(a)
-    assert validate_surface(turned) == [False]
     for s, r in zip(sweep_samples(base, schedule), sweep_samples(turned, schedule)):
         bound = residual_bound(s.quad_error + r.quad_error)
         for field in ("mu", "lam", "c_trunc"):
@@ -929,10 +965,9 @@ def test_rotation_leaves_the_samples_unchanged(a):
 
 def refinement_calls(model, schedule, monkeypatch):
     """``(end id, heights)`` of every h1 refinement call of a sweep, and
-    ``(theta-free flag, angles, columns of the value, inside a refinement
-    call)`` of every ``sqrt_jet`` call; a value of fewer than two axes
-    counts as one column."""
-    theta_free = dict(zip(map(id, model.ends), validate_surface(model)))
+    ``(angles, columns of the value, inside a refinement call)`` of every
+    ``sqrt_jet`` call; a value of fewer than two axes counts as one
+    column."""
     refined, jets, inside = [], [], []
     least, sqrt_jet = sweep._least_curvature, EndChart.sqrt_jet
 
@@ -947,7 +982,7 @@ def refinement_calls(model, schedule, monkeypatch):
     def recording(self, t, theta):
         w = sqrt_jet(self, t, theta)
         columns = np.shape(w.f)[-1] if np.ndim(w.f) >= 2 else 1
-        jets.append((theta_free[id(self)], np.size(theta), columns, bool(inside)))
+        jets.append((np.size(theta), columns, bool(inside)))
         return w
 
     monkeypatch.setattr(sweep, "_least_curvature", refining)
@@ -959,19 +994,21 @@ def refinement_calls(model, schedule, monkeypatch):
 class TestThetaFreeColumns:
     @pytest.mark.parametrize("name", ["paraboloid", "three-ends", "theta-cap"])
     def test_theta_free_ends_probe_one_column(self, name, monkeypatch):
-        # every chart call of a sweep on a theta-free end outside the h1
-        # refinement reads one angle; the refinement reads every end at the
-        # 16 angles of a band's first panel, and a theta-free chart answers
-        # it with one column
+        # every chart call of a sweep reads the angles of a theta rule, at
+        # least 16 (but the polar cap's pole probe, at theta = 0), and a
+        # theta-free chart answers each with one column; the h1 refinement
+        # reads every end at the 16 angles of a band's first panel
         model = three_ends() if name == "three-ends" else (
             theta_cap() if name == "theta-cap" else zoo_entry(name).model
         )
         refined, jets = refinement_calls(model, BAND_SCHEDULES[name], monkeypatch)
+        free = name != "theta-cap"
         assert jets
-        assert all(n == 1 for free, n, _, inside in jets if free and not inside)
-        assert all(n == 16 for _, n, _, inside in jets if inside)
-        assert all(cols == 1 for free, _, cols, inside in jets if free and inside)
-        assert any(free and inside for free, *_, inside in jets) == (name == "three-ends")
+        assert all(n == 1 or n >= 16 for n, _, _ in jets)
+        assert sum(n == 1 for n, _, _ in jets) == int(isinstance(model.core, PolarCap))
+        assert all(n == 16 for n, _, inside in jets if inside)
+        assert all(cols == 1 for _, cols, _ in jets) == free
+        assert any(inside for *_, inside in jets) == (name != "paraboloid")
         assert bool(refined) == (name != "paraboloid")
 
     @pytest.mark.parametrize("name", ["paraboloid", "catenoid", "three-ends"])
@@ -994,8 +1031,8 @@ class TestThetaFreeColumns:
 def sign_change_model(roots, t_min=0.0, theta_free=False):
     """One end with curvature ``prod(t - r for r in roots) * sin^2(theta)``,
     without the ``sin^2`` when theta-free: negative below the first root,
-    then alternating at each root.  Otherwise the value ``sqrt(G) = 1``
-    carries theta's axis, so validation measures the end 2-D."""
+    then alternating at each root.  Otherwise every slot carries theta's
+    axis, so the quadrature reads the end 2-D."""
 
     def sqrt_g_jet(t, theta):
         k = 1.0 if theta_free else np.sin(theta) ** 2
@@ -1027,7 +1064,7 @@ class TestLookahead:
             return least(end, heights)
 
         monkeypatch.setattr(sweep, "_least_curvature", counting)
-        h1 = sweep._measure(model, schedule, sweep.DEFAULT_TOL, validate_surface(model)).h1
+        h1 = sweep._measure(model, schedule, sweep.DEFAULT_TOL).h1
         assert h1 == want
         assert h1 - 10.0 / 4096.0 <= 5.0 <= h1
         assert 1 <= len(calls) <= 2 and sum(calls) <= 64
@@ -1082,7 +1119,7 @@ class TestBisectionBound:
     )
     def test_midpoints_stay_within_127(self, t_min, root, h_max, theta_free):
         model = sign_change_model([root], t_min, theta_free)
-        assert validate_surface(model) == [theta_free]
+        assert first_panel_costs(model) == [15 if theta_free else 240]
         h1, sizes = refinement_sizes(model, h_max)
         # no call when the node bracket is already within the resolution
         # (t_min = 1e6)
@@ -1108,7 +1145,7 @@ class TestBisectionBound:
         wide = sign_change_model([70.0], -9000.0, theta_free).ends[0]
         model = SurfaceModel(0, (wide, flat), AnalyticCore(0.0))
         monkeypatch.setattr(sweep, "_least_curvature", counting)
-        m = sweep._measure(model, [90.0, 95.0, 100.0], sweep.DEFAULT_TOL, validate_surface(model))
+        m = sweep._measure(model, [90.0, 95.0, 100.0], sweep.DEFAULT_TOL)
         assert len(sizes) == 3 and sum(sizes) <= 64
         assert m.h1 - 100.0 / 4096.0 <= 70.0 <= m.h1
 
@@ -1175,15 +1212,13 @@ MU_PRIME_FAULTS = {
     "nonpositive-mu": {"negative_in": [(2.85, 2.9)]},
     "nonpositive-mu-after-band": {"negative_in": [(2.85, 2.9)], "raise_in": [(5.0, 6.0)]},
 }
-# name: (model builder, fault windows of the values the error may name,
-# theta-free flag); validation would refuse these charts, so the flag is
-# the shape each chart returns
+# name: (model builder, fault windows of the values the error may name);
+# validation would refuse these charts, so the sweep is run without it
 FAULT_CASES = {
     **{
         f"{name}-{free}": (
             lambda w=windows, free=free: _cap(_faulty_chart(raise_in=w, theta_free=free)),
             windows,
-            free,
         )
         for name, windows in CAP_FAULTS.items()
         for free in (True, False)
@@ -1194,16 +1229,13 @@ FAULT_CASES = {
         f"nonpositive-band-{free}": (
             lambda free=free: _cap(_faulty_chart(negative_in=[(5.0, 6.0)], theta_free=free)),
             [(5.0, 6.0)],
-            free,
         )
         for free in (True, False)
     },
     # the DSL names the log's argument t - 0.6, negative below t = 0.6
-    "dsl-cap": (
-        lambda: _cap(chart_from_expression("t^2 + 0*log(t - 0.6)")), [(-0.6, 0.0)], True
-    ),
+    "dsl-cap": (lambda: _cap(chart_from_expression("t^2 + 0*log(t - 0.6)")), [(-0.6, 0.0)]),
     **{
-        name: (lambda f=faults: _analytic(_faulty_chart(**f)), sum(faults.values(), []), True)
+        name: (lambda f=faults: _analytic(_faulty_chart(**f)), sum(faults.values(), []))
         for name, faults in MU_PRIME_FAULTS.items()
     },
 }
@@ -1217,7 +1249,7 @@ class TestMergedBatches:
     @pytest.mark.parametrize("name", zoo_names() + ("theta-cap",))
     def test_mu_prime_equals_the_separate_measurement(self, name):
         model = theta_cap() if name == "theta-cap" else zoo_entry(name).model
-        m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL, validate_surface(model))
+        m = sweep._measure(model, BAND_SCHEDULES[name], sweep.DEFAULT_TOL)
         assert m.mu_prime[2:] == mu_prime_order(model, *m.mu_prime[:2])
 
     @pytest.mark.parametrize("name", FAULT_CASES)
@@ -1226,13 +1258,13 @@ class TestMergedBatches:
         # a fault window; with two faults either one may be named.  A
         # pinned miss: faults between the band nodes leave the sweep of
         # the flat cap w = t whole
-        build, windows, theta_free = FAULT_CASES[name]
+        build, windows = FAULT_CASES[name]
         if name in MISSED_FAULTS:
-            m = sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL, [theta_free])
+            m = sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL)
             assert (m.h1, m.kmin, m.kmax) == (0.0, 0.0, 0.0)
             return
         with pytest.raises((DomainError, OverflowError, NonPositiveMu)) as caught:
-            sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL, [theta_free])
+            sweep._measure(build(), [1.0, 2.0, 4.0, 8.0], sweep.DEFAULT_TOL)
         message = str(caught.value)
         named = [float(x) for x in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", message)]
         assert any(lo < x < hi for x in named for lo, hi in windows), message
@@ -1315,5 +1347,5 @@ def test_repeated_chart_reports_as_distinct_charts(name):
         report_to_json_dict(want), indent=2
     )
     assert report_to_csv(got) == report_to_csv(want)
-    if not all(validate_surface(shared)):
+    if name != "zoo-theta-free":
         assert shared.min_height < got.h1 < schedule[-1]

@@ -6,9 +6,9 @@ column cannot fail.  The reference below is the earlier code, kept
 verbatim: every chart value broadcast to the ``19 x 24`` grid and every
 mask run over it.  Hypothesis draws the charts (return shape,
 nonpositive, NaN, infinite and raising rows, a theta factor that can
-break positivity or periodicity); the messages must be equal.  The
-theta-free flag that validation returns is measured from the same
-shape: true exactly when the grid call returned no theta axis.
+break positivity or periodicity); the messages must be equal.
+Validation returns nothing: the sweep reads theta dependence from each
+answer its quadrature gets.
 """
 
 import math
@@ -100,16 +100,6 @@ def full_grid_violation(model):
 
     _per_chart(model.ends, check)
     return next((m for m in messages if m is not None), None)
-
-
-def returns_no_theta_axis(end):
-    """The theta-free flag: the grid call returns a value without a theta
-    axis; a grid call that raises counts as theta-dependent."""
-    try:
-        value = end.g(TS[:, None], GRID_THETAS[None, :])
-    except DomainError:
-        return False
-    return np.shape(value) in ((), (1, 1), (TS.size, 1))
 
 
 def violation(model):
@@ -208,13 +198,13 @@ def test_validation_equals_the_full_grid(ends):
     model = SurfaceModel(0, tuple(ends), AnalyticCore(0.0))
     assert violation(model) == full_grid_violation(model)
     if violation(model) is None:
-        assert validate_surface(model) == [returns_no_theta_axis(end) for end in ends]
+        assert validate_surface(model) is None
 
 
 def test_theta_free_values_are_read_as_one_column(monkeypatch):
-    # each shape without a theta axis reaches the checks as one column and
-    # is measured theta-free; a theta axis, or a grid that raised and was
-    # walked row by row, keeps the full grid and is measured theta-dependent
+    # each shape without a theta axis reaches the checks as one column; a
+    # theta axis, or a grid that raised and was walked row by row, keeps
+    # the full grid
     seen = []
     positivity = model_module._positivity_violation
 
@@ -225,13 +215,13 @@ def test_theta_free_values_are_read_as_one_column(monkeypatch):
     monkeypatch.setattr(model_module, "_positivity_violation", recording)
     overflow_row = POSITIVE[:-1] + [("overflow", None)]
     cases = [
-        (drawn_chart("0-d", POSITIVE, "flat", 1.0), True),
-        (drawn_chart("(1, 1)", POSITIVE, "flat", 1.0), True),
-        (drawn_chart("(N, 1)", POSITIVE, "flat", 1.0), True),
-        (drawn_chart("(N, 24)", POSITIVE, "cos", 0.5), False),
-        (drawn_chart("(N, 1)", overflow_row, "flat", 1.0), False),
+        drawn_chart("0-d", POSITIVE, "flat", 1.0),
+        drawn_chart("(1, 1)", POSITIVE, "flat", 1.0),
+        drawn_chart("(N, 1)", POSITIVE, "flat", 1.0),
+        drawn_chart("(N, 24)", POSITIVE, "cos", 0.5),
+        drawn_chart("(N, 1)", overflow_row, "flat", 1.0),
     ]
-    for chart, flat in cases:
-        assert validate_surface(one_end(chart)) == [flat]
+    for chart in cases:
+        assert validate_surface(one_end(chart)) is None
     full = (TS.size, GRID_THETAS.size)
     assert seen == [(1, 1), (1, 1), (TS.size, 1), full, full]
