@@ -25,13 +25,13 @@ to the core.  Any other section or key is an error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dsl import ParseError
 from .model import AnalyticCore, PolarCap, SurfaceModel, chart_from_expression
 from .quadrature import DEFAULT_TOL, Tolerance
 from .sweep import SweepReport, TruncationSample, run_sweep
@@ -91,26 +91,99 @@ class RunConfig:
         return [*heights, self.h_max]
 
 
+def _inline_comment(line: str) -> int | None:
+    """Where an inline ``;`` or ``#`` comment starts in ``line``, if anywhere.
+
+    A prefix counts at column 0 or after whitespace.  The search runs in
+    rounds, as in the standard library's ``ConfigParser`` on Python
+    3.10-3.12: round ``r`` looks at the ``r``-th occurrence of each prefix,
+    and the first round in which one counts cuts at the leftmost that
+    counts.  So ``xy#z #w ;v`` is cut at ``;``: the first ``;`` counts in
+    round 0, the second ``#`` only in round 1.  (Python 3.13 cuts at the
+    leftmost prefix that counts, here the second ``#``.)
+    """
+    first = None  # (round, column)
+    for prefix in ";#":
+        at, rank = line.find(prefix), 0
+        while at > 0 and not line[at - 1].isspace():
+            at, rank = line.find(prefix, at + 1), rank + 1
+        if at >= 0 and (first is None or (rank, at) < first):
+            first = (rank, at)
+    return None if first is None else first[1]
+
+
+def _read_sections(text: str, path: str | Path) -> dict[str, dict[str, str]]:
+    r"""The ``{section: {key: value}}`` of a config file's text.
+
+    The grammar is that of the standard library's ``ConfigParser`` with
+    ``inline_comment_prefixes=(";", "#")``, ``interpolation=None`` and
+    ``default_section=""`` on Python 3.10-3.12, pinned here on every
+    version: the same texts are accepted, with the same sections, keys and
+    values, and the first line it would refuse raises :class:`InputError`.
+    Lines end at ``\n`` only, as ``io.StringIO`` lines do; ``str.splitlines``
+    would also split at ``\x0c``, ``\x85`` or ``\u2028``.
+    """
+
+    def refuse(n: int, why: str):
+        raise InputError(f"cannot parse config {path}: line {n}: {why}")
+
+    sections: dict[str, dict[str, list[str]]] = {}
+    current = None  # the keys of the section being read
+    parts = None  # the lines of the value being read
+    indent = 0  # the indentation of the last header or key line
+    for n, line in enumerate(text.split("\n"), 1):
+        cut = _inline_comment(line) if ";" in line or "#" in line else None
+        value = line[:cut].strip()
+        if not value:
+            if cut is None and parts is not None:  # a blank line inside a value
+                parts.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if parts is not None and depth > indent:  # a continuation line
+            parts.append(value)
+            continue
+        indent = depth
+        close = value.rfind("]")
+        if value[0] == "[" and close > 1:  # "[name] junk": the name ends at the last "]"
+            name = value[1:close]
+            if name in sections:
+                refuse(n, f"section {name!r} appears twice")
+            current = sections[name] = {}
+            parts = None
+            continue
+        if current is None:
+            refuse(n, f"{value!r} comes before the first [section] header")
+        key, delimiter, rest = value.partition("=")
+        if ":" in key:  # the first "=" or ":" splits the line
+            key, delimiter, rest = value.partition(":")
+        if not delimiter:
+            refuse(n, f"{value!r} is neither a [section] header nor 'key = value'")
+        key = key.rstrip().lower()
+        if not key:
+            refuse(n, f"{value!r} has no key before {delimiter!r}")
+        if key in current:
+            refuse(n, f"key {key!r} appears twice in section {name!r}")
+        parts = current[key] = [rest.strip()]
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
 def load_surface_config(path: str | Path) -> SurfaceModel:
     """Read a surface definition file into a model."""
-    # values are read verbatim: no %-interpolation.  No header can name
-    # the empty default section, so "[DEFAULT]" is an ordinary section
-    # here, stray like any other, and no key reaches every section.
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
-    )
+    # values are read verbatim: no %-interpolation.  "[DEFAULT]" is an
+    # ordinary section, stray like any other: no key reaches every section.
+    file = Path(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = file.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err  # not the path again
         raise InputError(f"cannot read config {path}: {reason}") from err
-    try:
-        parser.read_string(text)
-    except configparser.Error as err:
-        raise InputError(f"cannot parse config {path}: {err}") from err
-    if "surface" not in parser:
+    sections = _read_sections(text, path)
+    if "surface" not in sections:
         raise InputError(f"config {path} lacks a [surface] section")
-    top = parser["surface"]
+    top = sections["surface"]
 
     def need(key: str) -> str:
         if key not in top:
@@ -126,21 +199,24 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
 
     genus = number(int, "surface", "genus", need("genus"))
     n_ends = number(int, "surface", "ends", need("ends"))
-    name = top.get("name", Path(path).stem)
+    name = top.get("name", file.stem)
 
     charts = []
     for j in range(1, n_ends + 1):
         section = f"end{j}"
-        if section not in parser:
+        if section not in sections:
             raise InputError(f"config {path} lacks section [{section}]")
-        spec = parser[section]
+        spec = sections[section]
         if "g" not in spec:
             raise InputError(f"config {path}: [{section}] lacks the metric key 'g'")
         source = spec["g"].strip().strip('"')
         t_min = number(float, section, "t_min", spec.get("t_min", "0.0"))
         if not math.isfinite(t_min):
             raise InputError(f"config {path}: [{section}] t_min {t_min} is not finite")
-        charts.append(chart_from_expression(source, t_min=t_min))
+        try:
+            charts.append(chart_from_expression(source, t_min=t_min))
+        except ParseError as err:
+            raise InputError(f"config {path}: [{section}] g: {err}") from err
 
     core_text = need("core").strip()
     if core_text == "polar-cap":
@@ -161,10 +237,10 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
     model = SurfaceModel(genus=genus, ends=tuple(charts), core=core, name=name)
     keys = {"surface": SURFACE_KEYS}
     keys.update((f"end{j}", END_KEYS) for j in range(1, n_ends + 1))
-    for section in parser.sections():
+    for section, spec in sections.items():
         if section not in keys:
             raise InputError(f"config {path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key in spec:
             if key not in keys[section]:
                 raise InputError(f"config {path}: [{section}] unknown key {key!r}")
     if "chi" in top:

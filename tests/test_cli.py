@@ -1,7 +1,9 @@
+import configparser
 import csv
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -375,7 +377,11 @@ class TestConfigFiles:
             "[surface]\ngenus = 0\nends = 1\ncore = polar-cap\n\n[end1]\ng = 1 + * 2\n"
         )
         assert main(["sweep", "--config", str(path)]) == 1
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config {path}: [end1] g: expected a value, got '*' (at byte offset 4)\n"
+        )
 
     @pytest.mark.parametrize(
         "old,new,message",
@@ -477,6 +483,44 @@ class TestConfigFiles:
         with pytest.raises(InputError, match=r"lacks section \[end1\]"):
             load_surface_config(path)
 
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("genus = 0\n" + CUSP_CONFIG, 1, "'genus = 0' comes before the first [section] header"),
+            (
+                CUSP_CONFIG.replace("genus = 0", "genus 0"),
+                3,
+                "'genus 0' is neither a [section] header nor 'key = value'",
+            ),
+            (CUSP_CONFIG + "\n[end1]\nt_min = 1\n", 12, "section 'end1' appears twice"),
+            (
+                CUSP_CONFIG.replace("ends = 1\n", "ends = 1\nENDS = 1\n"),
+                5,
+                "key 'ends' appears twice in section 'surface'",
+            ),
+        ],
+        ids=["no-header", "no-delimiter", "duplicate-section", "duplicate-key"],
+    )
+    def test_parse_error_is_one_line_naming_path_and_line(
+        self, tmp_path, capsys, text, line, reason
+    ):
+        path = tmp_path / "cusp.cfg"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse config {path}: line {line}: {reason}\n"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(CUSP_CONFIG)
+        marked.write_bytes(CUSP_CONFIG.encode("utf-8-sig"))
+        a, b = load_surface_config(plain), load_surface_config(marked)
+        assert (a.name, a.genus, a.core, a.chi) == (b.name, b.genus, b.core, b.chi)
+        assert [e.t_min for e in a.ends] == [e.t_min for e in b.ends]
+        for t in (0.0, 0.5, 3.0):
+            assert a.ends[0].g(t, 0.0) == b.ends[0].g(t, 0.0)
+
     @pytest.mark.parametrize("genus", [0, 1])
     def test_corollary_not_certified_over_analytic_core(self, tmp_path, capsys, genus):
         # w = t + 0.5*log(1+t) has K >= 0 on the end, but the core value
@@ -571,6 +615,128 @@ class TestConfigFiles:
             assert a.lam == pytest.approx(b.lam, rel=1e-10)
             assert a.c_trunc == pytest.approx(b.c_trunc, rel=1e-9)
         assert user.c_total == pytest.approx(builtin.c_total, abs=1e-8)
+
+
+_REFERENCE = configparser.ConfigParser(
+    inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+)
+
+
+def configparser_sections(text: str) -> dict | None:
+    """The reference reader: what the standard library's ConfigParser, set
+    up as ``cli._read_sections`` documents, reads from ``text``, or None
+    where it refuses the text.  One parser is emptied before each read,
+    since building one costs more than reading a short text."""
+    parser = _REFERENCE
+    for name in parser.sections():
+        parser.remove_section(name)
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def reader_sections(text: str) -> dict | None:
+    try:
+        return cli._read_sections(text, "drawn.cfg")
+    except InputError:
+        return None
+
+
+_LINES = (
+    "[s]", "[t]", "[ e2 ] junk", "[DEFAULT]", "[]", "[a]b]", "[a", "k = v", "K: 1;x",
+    "k = xy#z #w ;v", "a = b", "b=", "=v", ": v", "k", "key = a ; c", "k=v#c",
+    "; comment", "# comment", "x : y = z", "k = [s]", "a\x0cb = c", "k = a\u2028b",
+)
+_CHARS = "=:;#[] \t\n\x0c\u2028abK"
+
+
+def _draw_config_text(rng: random.Random) -> str:
+    """Whole lines from ``_LINES`` and strings over ``_CHARS``, indented at random."""
+    lines = ["[s]"] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            line = rng.choice(_LINES)
+        else:
+            line = "".join(rng.choices(_CHARS, k=rng.randint(0, 10)))
+        lines.append(rng.choice(("", "", " ", "  ", "\t")) + line)
+    return "\n".join(lines)
+
+
+class TestConfigReader:
+    """``cli._read_sections`` keeps the grammar of the standard library's
+    ConfigParser on Python 3.10-3.12: one example per rule here, and a
+    comparison on drawn texts where that ConfigParser is the reference."""
+
+    @pytest.mark.parametrize(
+        "text,sections",
+        [
+            # "=" or ":" splits at the first of either; the key is right-stripped
+            # and lowercased, the value stripped
+            (
+                "[s]\nK: 1;x\nx : y = z\nA = b : c\n",
+                {"s": {"k": "1;x", "x": "y = z", "a": "b : c"}},
+            ),
+            # full-line comments, indented or not
+            ("[s]\n  ; a = b\n# c = d\nk = v\n", {"s": {"k": "v"}}),
+            # an inline prefix counts at column 0 or after whitespace, found in
+            # rounds: the first ";" counts before the second "#"
+            (
+                "[s]\nk = xy#z #w ;v\na = b ;c\nc = d;e#f\n",
+                {"s": {"k": "xy#z #w", "a": "b", "c": "d;e#f"}},
+            ),
+            # deeper-indented lines continue a value; blank lines inside are kept,
+            # trailing ones dropped, and a comment line adds nothing
+            ("[s]\nc = a\n  b\n\n  d\n  ; e\n\n", {"s": {"c": "a\nb\n\nd"}}),
+            # a header runs to the last "]"; section names keep their case and
+            # spaces, and [DEFAULT] is an ordinary section
+            (
+                "[ e2 ] junk\nk = v\n[a]b]\n[DEFAULT]\n[S]\n",
+                {" e2 ": {"k": "v"}, "a]b": {}, "DEFAULT": {}, "S": {}},
+            ),
+            # lines end at "\n" only
+            ("[s]\nk = a\u2028b\nc = d\x0ce\x85\n", {"s": {"k": "a\u2028b", "c": "d\x0ce"}}),
+            ("", {}),
+        ],
+        ids=["delimiters", "full-line-comments", "inline-comments", "continuation", "headers",
+             "line-ends", "empty"],
+    )
+    def test_rule(self, text, sections):
+        assert cli._read_sections(text, "rule.cfg") == sections
+        if sys.version_info < (3, 13):
+            assert configparser_sections(text) == sections
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("k = v\n[s]\n", 1),  # text before the first header
+            ("[s]\nk = v\nk v\n", 3),  # neither a header nor key = value
+            ("[s]\n  = v\n", 2),  # an empty key
+            ("[]\n", 1),  # "[]" is no header
+            ("[s]\n[t]\n[s]\n", 3),  # a duplicate section
+            ("[s]\nk = 1\nK: 2\n", 3),  # a duplicate key
+        ],
+        ids=["before-header", "no-delimiter", "empty-key", "empty-header", "duplicate-section",
+             "duplicate-key"],
+    )
+    def test_refused(self, text, line):
+        with pytest.raises(InputError, match=rf"^cannot parse config refused\.cfg: line {line}: "):
+            cli._read_sections(text, "refused.cfg")
+        assert configparser_sections(text) is None
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13), reason="ConfigParser cuts inline comments otherwise from 3.13"
+    )
+    def test_matches_configparser_on_drawn_texts(self):
+        rng = random.Random(20251)
+        accepted = 0
+        for _ in range(20_000):
+            text = _draw_config_text(rng)
+            expected = configparser_sections(text)
+            assert reader_sections(text) == expected, repr(text)
+            accepted += expected is not None
+        assert accepted > 2_000  # both outcomes are well represented
 
 
 class TestUsageErrors:

@@ -112,7 +112,7 @@ class TestNestingCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: nesting deeper than")
+        assert captured.err.startswith(f"error: config {path}: [end1] g: nesting deeper than")
 
     @pytest.mark.parametrize(
         "source", ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t", "t" + "^t" * 2000]
@@ -168,7 +168,7 @@ class TestNestingCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: nesting deeper than")
+        assert captured.err.startswith(f"error: config {path}: [end1] g: nesting deeper than")
 
 
 class TestSerialize:
