@@ -617,17 +617,19 @@ class TestConfigFiles:
         assert user.c_total == pytest.approx(builtin.c_total, abs=1e-8)
 
 
-_REFERENCE = configparser.ConfigParser(
-    inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
-)
+def reference_parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+    )
 
 
-def configparser_sections(text: str) -> dict | None:
+def configparser_sections(text: str, parser=None) -> dict | None:
     """The reference reader: what the standard library's ConfigParser, set
     up as ``cli._read_sections`` documents, reads from ``text``, or None
-    where it refuses the text.  One parser is emptied before each read,
-    since building one costs more than reading a short text."""
-    parser = _REFERENCE
+    where it refuses the text.  A given ``parser`` is emptied first: reusing
+    one saves building it, which costs more than reading a short text."""
+    if parser is None:
+        parser = reference_parser()
     for name in parser.sections():
         parser.remove_section(name)
     try:
@@ -729,11 +731,11 @@ class TestConfigReader:
         sys.version_info >= (3, 13), reason="ConfigParser cuts inline comments otherwise from 3.13"
     )
     def test_matches_configparser_on_drawn_texts(self):
-        rng = random.Random(20251)
+        rng, parser = random.Random(20251), reference_parser()
         accepted = 0
         for _ in range(20_000):
             text = _draw_config_text(rng)
-            expected = configparser_sections(text)
+            expected = configparser_sections(text, parser)
             assert reader_sections(text) == expected, repr(text)
             accepted += expected is not None
         assert accepted > 2_000  # both outcomes are well represented
