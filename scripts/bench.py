@@ -11,9 +11,14 @@ For each seed, workload and ``--trace`` level (0, then 1) the script runs
 ``--parent`` it runs the same job on that checkout first, so every
 parent/change pair is taken back to back.  The file records each run's
 result and info lines next to the seeds, the seconds, the versions and
-each tree's ``git describe --dirty``, taken before the first run.
-The exit code is 1 unless every run finished and reported
-``"correct": true`` with ``"failed": 0``.
+each tree's ``git describe --dirty``, taken before the first run.  It
+also records, per tree, workload and seed, the traffic of one pass
+counted in a fresh interpreter: band batches (calls of
+``cvlab.quadrature._bands``, and how many of them raised) and chart
+calls (``EndChart.sqrt_jet`` and ``EndChart.g``).  Counts do not depend
+on the machine.  The exit code is 1 unless every run finished and
+reported ``"correct": true`` with ``"failed": 0`` and every tree was
+counted.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +74,64 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float, trace: int) ->
     return {**record, **result, "info": info}
 
 
+def count(tree: Path, seeds: list[int]) -> dict:
+    """``{"<workload>/seed-<n>": counts}`` of one pass from ``tree/src``;
+    runs inside the interpreter that :func:`traffic` starts."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
+    import cvlab.cli as cli
+    import cvlab.quadrature as quadrature
+    import cvlab.sweep as sweep
+    import cvlab.zoo as zoo
+    import workloads
+    from cvlab.model import EndChart
+
+    counts = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            except Exception:
+                counts[key + "_raised"] += 1
+                raise
+        return wrapper
+
+    quadrature._bands = counting("band_batches", quadrature._bands)
+    for name in ("sqrt_jet", "g"):
+        setattr(EndChart, name, counting("chart_calls", getattr(EndChart, name)))
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in seeds:
+            for workload in WORKLOADS:
+                jobs = workloads.generate(workload, seed, Path(workdir) / workload)
+                counts.update(dict.fromkeys(
+                    ("band_batches", "band_batches_raised", "chart_calls", "chart_calls_raised"), 0
+                ))
+                for job, path in jobs:
+                    if job.zoo_builder is not None:
+                        model = getattr(zoo, job.zoo_builder)(*job.zoo_args).model
+                    else:
+                        model = cli.load_surface_config(path)
+                    sweep.run_sweep(model, job.schedule)
+                out[f"{workload}/seed-{seed}"] = dict(counts)
+    return out
+
+
+def traffic(tree: Path, seeds: list[int]) -> dict:
+    """:func:`count` of ``tree`` in a fresh interpreter; a failure is
+    recorded as ``{"error": ...}``."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--count-tree", str(tree),
+               "--seeds", *map(str, seeds)]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True, timeout=600, check=True)
+        return json.loads(done.stdout)
+    except subprocess.CalledProcessError as err:
+        return {"error": err.stderr[-2000:]}
+    except (subprocess.TimeoutExpired, ValueError) as err:
+        return {"error": repr(err)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, help="writes BENCH_<number>.json at the repo root")
@@ -75,7 +139,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
     parser.add_argument("--parent", type=Path, help="checkout to measure before each run")
+    parser.add_argument("--count-tree", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.count_tree is not None:
+        json.dump(count(args.count_tree.resolve(), args.seeds), sys.stdout)
+        return 0
     if args.out is None and args.number is None:
         parser.error("give --number or --out")
     out = args.out or ROOT / f"BENCH_{args.number}.json"
@@ -86,6 +154,7 @@ def main(argv=None) -> int:
     # described before the first run, so an edit made while the runs go
     # on cannot mark the measured code -dirty
     commits = {name: commit_of(tree) for name, tree in trees.items()}
+    counted = {name: traffic(tree, args.seeds) for name, tree in trees.items()}
     runs = {name: [] for name in trees}
     for seed in args.seeds:
         for workload in WORKLOADS:
@@ -104,11 +173,13 @@ def main(argv=None) -> int:
         "workloads": WORKLOADS,
         "versions": versions(),
         "commits": commits,
+        "traffic": counted,
         "runs": runs,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
     ok = all(r.get("correct") is True and r.get("failed") == 0
              for records in runs.values() for r in records)
+    ok = ok and not any("error" in counts for counts in counted.values())
     return 0 if ok else 1
 
 

@@ -239,7 +239,7 @@ def load_surface_config(path: str | Path) -> SurfaceModel:
     keys.update((f"end{j}", END_KEYS) for j in range(1, n_ends + 1))
     for section, spec in sections.items():
         if section not in keys:
-            raise InputError(f"config {path}: unknown section [{section}]")
+            raise InputError(f"config {path}: unknown section {section!r}")
         for key in spec:
             if key not in keys[section]:
                 raise InputError(f"config {path}: [{section}] unknown key {key!r}")

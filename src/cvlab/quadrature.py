@@ -18,11 +18,13 @@ call per round (per theta level for bands), each result that of a lone
 run, and stops with ``converged=False`` before a refinement that would
 pass ``max_evaluations``.  The direct route's improper integrals over
 ``[h_max, inf)`` walk doubling windows in look-ahead chunks, one band
-batch each (:func:`_integrate_windows`), and accelerate the partial
-sums with a geometric tail model; divergence is a first-class result,
-never an exception.  Integrands must be written with numpy functions; a
-scalar result is broadcast to the nodes' shape, and a non-finite value
-anywhere fails the whole call with :class:`DomainError`.
+batch each (:func:`_integrate_windows`), each chunk as long as a decay
+law fitted to the last two increments the walk knows predicts it reads
+(:func:`_decay_law`), and accelerate the partial sums with a geometric
+tail model; divergence is a first-class result, never an exception.
+Integrands must be written with numpy functions; a scalar result is
+broadcast to the nodes' shape, and a non-finite value anywhere fails
+the whole call with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -381,7 +383,7 @@ def integrate_bands(
 
 
 _FIRST_WINDOWS = 2  # the shortest improper walk that can stop
-_CHUNK = 4  # bands per look-ahead chunk after the first
+_TIGHT_WINDOWS = 4  # the longest chunk a budget that pays for fewer windows still gets
 _MAX_WINDOWS = 64  # improper windows before the walk gives up unconverged
 _DIVERGED = 1e14  # |running sum| past which the improper walk reports divergence
 
@@ -412,7 +414,89 @@ def _doublings(origin: float, width: float) -> list[float]:
     return [origin + width * 2.0**k for k in range(_MAX_WINDOWS)]
 
 
-def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance):
+def _law_integral(alpha: float, g: float, u: float, v: float) -> float:
+    """The integral of ``exp(alpha + g*x)`` over ``x`` in ``[u, v]``;
+    :class:`OverflowError` past double range."""
+    if g == 0.0:
+        return math.exp(alpha) * (v - u)
+    return math.exp(alpha + g * u) * math.expm1(g * (v - u)) / g
+
+
+def _decay_law(known: Sequence[tuple], origin: float):
+    """The decay law of the last two ``known`` increments ``(lo, hi,
+    value, evaluations)``: ``(x, alpha, g, sign)``, an increment over a
+    window ``(lo, hi)`` being ``sign`` times the integral of ``exp(alpha
+    + g*x)`` over ``x`` from ``x(lo)`` to ``x(hi)``, with the sign of the
+    last; ``None`` unless the last two are nonzero.
+
+    Each increment is read as its mean magnitude per unit of ``x`` at the
+    middle of ``(x(lo), x(hi))``, and the law is the density through the
+    last two that is exponential in ``x``: with ``x = t`` an exponential
+    decay, with ``x = log(t - origin)`` a power of ``t - origin``.  Of
+    the two, the one that comes closer to the increment before them, in
+    log ratio, is taken; with only two known, the exponential."""
+    last = [(lo, hi, abs(value)) for lo, hi, value, _ in known[-3:]]
+    if len(last) < 2 or not (last[-1][2] and last[-2][2]):
+        return None
+    best = None
+    for x in (lambda t: t, lambda t: math.log(t - origin)):
+        try:
+            (x0, y0), (x1, y1) = [
+                (0.5 * (x(lo) + x(hi)), math.log(size / (x(hi) - x(lo)))) for lo, hi, size in last[-2:]
+            ]
+            g = (y1 - y0) / (x1 - x0)
+            alpha = y1 - g * x1
+            lo, hi, size = last[0]
+            miss = abs(math.log(_law_integral(alpha, g, x(lo), x(hi)) / size)) if len(last) == 3 else 0.0
+        except (ArithmeticError, ValueError):  # a zero width, a log of 0 or less, past range
+            continue
+        if best is None or miss < best[0]:
+            best = (miss, x, alpha, g)
+    if best is None:
+        return None
+    return (*best[1:], math.copysign(1.0, known[-1][2]))
+
+
+def _predicted_windows(law: tuple, edges: Sequence[float], total: float, tol: Tolerance) -> int:
+    """How many of the windows between ``edges`` the walk reads, on the
+    increments the :func:`_decay_law` ``law`` predicts, from the running
+    sum ``total``: up to the second of two in a row below tolerance, or
+    the first that takes the sum past ``_DIVERGED``."""
+    x, alpha, g, sign = law
+    below, u = 0, x(edges[0])
+    for k, hi in enumerate(edges[1:], start=1):
+        v = x(hi)
+        try:
+            step = _law_integral(alpha, g, u, v)
+        except OverflowError:
+            return k
+        total += sign * step
+        if abs(total) > _DIVERGED:
+            return k
+        below = below + 1 if step <= tol.target(total) else 0
+        if below == 2:
+            return k
+        u = v
+    return len(edges) - 1
+
+
+def _chunk_windows(known: Sequence[tuple], edges: Sequence[float], start: int, total: float,
+                   tol: Tolerance, left: int) -> int:
+    """The windows of the next look-ahead chunk, from ``edges[start]``:
+    as many as the walk reads on the increments that the
+    :func:`_decay_law` of ``known`` predicts, with the doubling origin of
+    ``edges``, but at least ``_FIRST_WINDOWS`` on the first chunk and one
+    on a later one, and that least when no law fits.  It holds at most as
+    many as ``left`` pays for at the most one known increment cost, but
+    up to ``_TIGHT_WINDOWS`` when that pays for fewer."""
+    least = _FIRST_WINDOWS if start == 0 else 1
+    law = _decay_law(known, 2.0 * edges[0] - edges[1])
+    width = least if law is None else max(least, _predicted_windows(law, edges[start:], total, tol))
+    cost = max([evaluations for *_, evaluations in known], default=1)
+    return min(width, max(_TIGHT_WINDOWS, left // cost))
+
+
+def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance, known: Sequence[tuple] = ()):
     """Integrate ``f(t, theta)`` over ``[edges[0], inf) x [0, 2*pi]`` on
     the windows between ``edges``; an edge not above the one before it
     (far out, where :func:`_doublings` round back onto their origin) is
@@ -429,23 +513,31 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance):
     ``2*_DIVERGED`` (a later one): it stops refining, so a divergent
     walk's value, error, trace and evaluations are not refined ones.
 
-    The windows are integrated in look-ahead chunks, ``_FIRST_WINDOWS``
-    and then ``_CHUNK`` at a time, one :func:`_bands` call per chunk, and
-    read one by one.  Each window of a chunk may spend what is left of
+    The windows are integrated in look-ahead chunks, one :func:`_bands`
+    call per chunk, and read one by one.  Each chunk holds the windows
+    that a decay law fitted to the last two increments it knows predicts
+    the walk reads (:func:`_chunk_windows`): ``known`` holds the
+    increments ``(lo, hi, value, evaluations)`` before ``edges[0]``, and
+    every window read is added to it.  A wrong prediction costs calls,
+    never numbers.  Each window of a chunk may spend what is left of
     ``tol.max_evaluations``, and the walk stops unconverged before a
     chunk once less than 100 is left, the least budget a
     :class:`Tolerance` takes, so only the last chunk can take the walk
-    past its budget; on an integrand that answers with a theta axis each
-    of its windows pays a 240-point starting panel even when less is
-    left.  A chunk that raises :class:`DomainError` or :class:`OverflowError` is
-    taken again as one-window chunks, so the window that raises does so
-    at its own step; a one-window chunk that raises propagates.
-    ``evaluations`` counts every window integrated, look-ahead past the
-    stop included.  ``f`` gets ``(J, 15, 1)`` t-nodes against ``(1, 1,
-    2*n)`` angles, one call per theta level ``n`` and one row per panel
-    of a refinement round; it must act elementwise.
+    past its budget; it holds at most ``_TIGHT_WINDOWS`` windows when
+    what is left pays for fewer at the most one known increment cost.
+    On an integrand that answers with a theta axis each of its windows
+    pays a 240-point starting panel even when less is left.  A chunk that
+    raises :class:`DomainError` or :class:`OverflowError` is taken again
+    as one-window chunks, so the window that raises does so at its own
+    step; a one-window chunk that raises propagates.  ``evaluations``
+    counts every window integrated, look-ahead past the stop included.
+    ``f`` gets ``(J, 15, 1)`` t-nodes against ``(1, 1, 2*n)`` angles, one
+    call per theta level ``n`` and one row per panel of a refinement
+    round, so J is at most the chunk's windows in a first round and twice
+    them after; it must act elementwise.
     """
     edges = [edges[0], *(hi for lo, hi in zip(edges, edges[1:]) if hi > lo)]
+    known = list(known)
     spent = 0  # evaluations of every window integrated, look-ahead included
     total = 0.0
     quad_err = 0.0
@@ -457,11 +549,11 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance):
     alone_to = 0  # the windows of a chunk that raised, up to here, go one per call
 
     while start + 1 < len(edges):
-        width = 1 if start < alone_to else _FIRST_WINDOWS if start == 0 else _CHUNK
-        chunk = edges[start : start + width + 1]
         left = tol.max_evaluations - spent
         if left < 100:
             break
+        width = 1 if start < alone_to else _chunk_windows(known, edges, start, total, tol, left)
+        chunk = edges[start : start + width + 1]
         window_tol = Tolerance(max(tol.abs_tol / 8.0, 1e-15), tol.rel_tol, max_evaluations=left)
         # the walk stops at a window that takes |total| past _DIVERGED, so
         # refining a window whose |value| - error passes these cannot move
@@ -487,6 +579,7 @@ def _integrate_windows(f: Callable, edges: Sequence[float], tol: Tolerance):
             quad_err += part.error_estimate
             total += part.value
             increments.append(part.value)
+            known.append((lower, upper, part.value, part.evaluations))
             trace.append((upper, total))
 
             direction = _divergence_direction(densities)

@@ -25,7 +25,8 @@ Theta dependence is read from each answer of the chart, at every height
 the sweep reaches: a circle slot or band density with no theta axis is
 integrated as ``2*pi`` times its value, on the bands by a 1-D rule in t.
 The improper windows of the direct route, where each step decides
-whether to take the next, run in look-ahead chunks (see
+whether to take the next, run in look-ahead chunks sized from the decay
+of each end's last truncation bands (see
 :func:`cvlab.quadrature._integrate_windows`).  A merged batch that
 raises fails the sweep with its own error.  A chart object that stands
 at several ends is measured once, keyed by object identity
@@ -338,12 +339,14 @@ def _least_curvature(end: EndChart, heights: np.ndarray) -> np.ndarray:
     return _k_rows(t, gauss_curvature(end, t, theta))[1]
 
 
-def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, tol: Tolerance):
-    """The direct route: ``c_last``, ``(c_trunc, error)`` at ``h_max``, plus
-    per end the integral of ``K dA`` on the windows ``t_min + (h_max -
-    t_min)*2^k``, counting the evaluations of both.  An end whose last two
-    bands each lie within ``tol.target(0)``, value plus error, is quiet:
-    its tail is 0, with their sum as error.  A tail that does not converge
+def _total_curvature_direct(model: SurfaceModel, schedule, bands, c_last, tol: Tolerance):
+    """The direct route: ``c_last``, ``(c_trunc, error)`` at the last
+    height ``h_max``, plus per end the integral of ``K dA`` on the windows
+    ``t_min + (h_max - t_min)*2^k``, counting the evaluations of both.  An
+    end whose last two bands each lie within ``tol.target(0)``, value
+    plus error, is quiet: its tail is 0, with their sum as error.  The
+    walk of any other end knows its bands, whose decay sizes its first
+    look-ahead chunk.  A tail that does not converge
     adds only its evaluations; the first divergence and trace are reported.
     A chart's tail is integrated once and added at each of its positions;
     the evaluations count each distinct chart's bands and tail once, the
@@ -355,8 +358,10 @@ def _total_curvature_direct(model: SurfaceModel, h_max: float, bands, c_last, to
         quiet = [abs(band.value) + band.error_estimate for band in bands[j][-2:]]
         if max(quiet) <= tol.target(0.0):
             return QuadResult(0.0, sum(quiet), 0, True)
+        h_max, lows = schedule[-1], [end.t_min, *schedule]
+        known = [(lo, hi, band.value, band.evaluations) for lo, hi, band in zip(lows, schedule, bands[j])]
         edges = [h_max, *_doublings(end.t_min, 2.0 * (h_max - end.t_min))]
-        res = _integrate_windows(_curvature_density(end), edges, tol)
+        res = _integrate_windows(_curvature_density(end), edges, tol, known)
         spent.append(res.evaluations)
         return res
 
@@ -429,7 +434,7 @@ def _measure(model: SurfaceModel, schedule: Sequence[float], tol: Tolerance) -> 
     h1, kmin, kmax = _sign_height(model, schedule[-1], rows)
     tail_from = h1 if h1 is not None else schedule[len(schedule) // 2 - 1]
     limit, limit_note = _tail_limit(samples, tail_from)
-    direct = _total_curvature_direct(model, schedule[-1], bands, c_last, tol)
+    direct = _total_curvature_direct(model, schedule, bands, c_last, tol)
     return _Measured(samples, mu_prime, h1, kmin, kmax, tail_from, limit, limit_note, direct)
 
 

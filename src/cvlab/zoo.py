@@ -175,7 +175,13 @@ def paraboloid_radius_oracle(t: float) -> float:
     model inverts it by Newton's method).  The absolute ``xtol`` is tiny,
     so the relative ``rtol`` of about 4 ulp decides when to stop, down to
     the smallest radii."""
-    from scipy.optimize import brentq  # here, so no CLI run loads scipy
+    try:
+        from scipy.optimize import brentq  # here, so no CLI run loads scipy
+    except ImportError as err:
+        raise ImportError(
+            "paraboloid_radius_oracle needs scipy, which comes with cvlab's test "
+            "extra: pip install 'cvlab[test]'"
+        ) from err
 
     if t <= 0.0:
         return 0.0

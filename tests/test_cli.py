@@ -439,10 +439,10 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "extra,where",
         [
-            ("\n[end2]\ng = t^2\n", "unknown section [end2]"),
-            ("\n[edn3]\ng = 1\n", "unknown section [edn3]"),
+            ("\n[end2]\ng = t^2\n", "unknown section 'end2'"),
+            ("\n[edn3]\ng = 1\n", "unknown section 'edn3'"),
             ("t_mn = 0.5\n", "[end1] unknown key 't_mn'"),
-            ("\n[surface ]\ng = 1\n", "unknown section [surface ]"),
+            ("\n[surface ]\ng = 1\n", "unknown section 'surface '"),
         ],
         ids=["end-beyond-count", "misspelled-section", "misspelled-end-key", "near-miss-section"],
     )
@@ -455,6 +455,16 @@ class TestConfigFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: config {path}: {where}\n"
+
+    def test_section_name_with_a_line_separator_stays_on_one_line(self, tmp_path, capsys):
+        # str.splitlines() breaks at U+2028; the name is written escaped
+        path = tmp_path / "sep.cfg"
+        path.write_text(CUSP_CONFIG + "\n[x\u2028y]\ng = 1\n", encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err == f"error: config {path}: unknown section 'x\\u2028y'\n"
 
     def test_misspelled_surface_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cusp.cfg"
@@ -473,7 +483,7 @@ class TestConfigFiles:
         assert main(["verify", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: config {path}: unknown section [DEFAULT]\n"
+        assert captured.err == f"error: config {path}: unknown section 'DEFAULT'\n"
 
     def test_keys_are_case_insensitive_sections_are_not(self, tmp_path):
         path = tmp_path / "cusp.cfg"

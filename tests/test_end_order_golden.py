@@ -43,7 +43,7 @@ SAMPLES = [
     ("0x1.4741e8f156dd4p+8", "0x1.2cab2c0b3be9ep+4", "-0x1.9133195c4c9d9p+4", "0x1.fbdb5de767c03p-39", "0x1.6000000000000p-45"),
 ]
 # (value, error estimate, evaluations) of the direct route
-DIRECT = ("-0x1.921fb544438fbp+4", "0x1.489e1ce1ec778p-32", 2430)
+DIRECT = ("-0x1.921fb544438fbp+4", "0x1.489e1ce1ec778p-32", 2490)
 
 
 def test_sums_keep_end_order():

@@ -8,8 +8,10 @@ from scipy.special import i0
 from hypothesis import strategies as st
 
 import cvlab.quadrature as quadrature
+import cvlab.sweep as sweep
+from cvlab.cli import RunConfig
 from cvlab.jets import DomainError
-from cvlab.model import chart_from_expression
+from cvlab.model import AnalyticCore, SurfaceModel, chart_from_expression
 from cvlab.quadrature import (
     DEFAULT_TOL,
     ImproperResult,
@@ -454,10 +456,11 @@ class TestImproper:
 
     @pytest.mark.parametrize("theta_free", [False, True])
     def test_integrand_gets_batched_nodes(self, theta_free):
-        # the windows run in chunks of 2, then 4, one band batch each: a
-        # chunk's first panels come as J = 2 or 4 rows, and each later
-        # round brings at most two panels per window still refining, one
-        # call per theta level; a column answer never leaves the floor level
+        # the windows run in look-ahead chunks, one band batch each: a
+        # chunk's first panels come as one row per window, at most
+        # _MAX_WINDOWS, and each later round brings at most two panels per
+        # window still refining, one call per theta level; a column answer
+        # never leaves the floor level
         shapes = []
 
         def recording(t, theta):
@@ -468,7 +471,9 @@ class TestImproper:
         res = walk_from(recording, 0.0)
         assert res.converged
         angles = [16] if theta_free else [16 * 2**i for i in range(8)]
-        allowed = {((j, 15, 1), (1, 1, m)) for j in range(1, 9) for m in angles}
+        allowed = {
+            ((j, 15, 1), (1, 1, m)) for j in range(1, 2 * quadrature._MAX_WINDOWS + 1) for m in angles
+        }
         assert shapes[0] == ((2, 15, 1), (1, 1, 16))
         assert set(shapes) <= allowed
 
@@ -832,28 +837,25 @@ class TestLockstep:
             integrate_bands(f, [0.0, math.nan, 1.0])
 
 
-def per_window_improper(f, t_lo, tol=DEFAULT_TOL):
+def per_window_improper(f, t_lo, tol=DEFAULT_TOL, starts=(0,)):
     """Reference: the improper walk with one band batch per window and no
-    look-ahead.  The budget is shared out at the windows
-    that start the walk's chunks (0, 2, 6, 10, ...): there the walk has
-    integrated exactly the windows walked so far.  It therefore disagrees
-    with the walk when a chunk raises under a budget that binds: the walk
-    then shares out the budget at every window of that chunk (see
-    ``test_budget_binds_inside_a_chunk_walked_again``).  Each window gets
-    the walk's decided magnitude: ``1e14`` plus ``|total|`` at a chunk
-    start, ``2e14`` elsewhere; in a chunk walked again every window
-    starts a chunk of one, which this reference does not model either."""
+    look-ahead.  The budget is shared out at the windows ``starts``
+    where the walk checks it (its first by default), the start of each of
+    its chunks and the end of its last: there the walk has integrated
+    exactly the windows walked so far, and what is left is each window's
+    budget up to the next start.  Each window gets the
+    walk's decided magnitude: ``1e14`` plus ``|total|`` at a start,
+    ``2e14`` elsewhere."""
     edges = t_lo
     total = 0.0
     quad_err = 0.0
     evals = 0
     increments, densities, trace = [], [], []
     accel_prev = None
-    chunk_start, chunk = 0, quadrature._FIRST_WINDOWS
     for k in range(64):
         upper = t_lo + 2.0**k
         decided = 2.0 * quadrature._DIVERGED
-        if k == chunk_start:
+        if k in starts:
             decided = quadrature._DIVERGED + abs(total)
             left = tol.max_evaluations - evals
             if left < 100:
@@ -861,7 +863,6 @@ def per_window_improper(f, t_lo, tol=DEFAULT_TOL):
             window_tol = Tolerance(
                 abs_tol=max(tol.abs_tol / 8.0, 1e-15), rel_tol=tol.rel_tol, max_evaluations=left
             )
-            chunk_start, chunk = k + chunk, quadrature._CHUNK
         try:
             part = quadrature._bands(f, (edges, upper), window_tol, [decided])[0]
         except (DomainError, OverflowError):
@@ -918,10 +919,24 @@ LOOKAHEAD_CASES = {
         lambda t, theta: np.exp(-t) * (1.0 + 0.5 * np.cos(theta) ** 2), DEFAULT_TOL, 7
     ),
     "stops-at-23": (lambda t, theta: (1.0 + t) ** -1.45, DEFAULT_TOL, 23),
-    "budget": (lambda t, theta: (1.0 + t) ** -1.45, Tolerance(max_evaluations=200), 10),
+    "budget": (lambda t, theta: (1.0 + t) ** -1.45, Tolerance(max_evaluations=200), 8),
     "flared-exp-t2": (_curvature_density_of("exp(t^2)"), DEFAULT_TOL, None),
     "oscillatory": (lambda t, theta: np.sin(math.pi * t) * np.exp(0.5 * t), DEFAULT_TOL, None),
     "underflowing-exp-2t": (_curvature_density_of("exp(-2*t)"), DEFAULT_TOL, 7),
+}
+
+
+# the tail beyond h = 16 of one end at t_min = 0, on the CLI schedule:
+# the windows of its one look-ahead chunk, and the value and error as
+# float.hex of a converged walk, or its divergence.  The numbers are those
+# of the walk in fixed chunks of two, then four windows, which took 3, 3,
+# 1, 2 and 11 band batches here (one of the 3 raising)
+SIZED_TAILS = {
+    "exp(-2*t)": (3, ("-0x1.7b9c3f2b713a8p-21", "0x1.9bf9150ed5259p-35")),
+    "1.2^2 + t^2": (15, ("-0x1.20503ca4428c5p-6", "0x1.291a419ac42eep-33")),
+    "cosh(t)^2": (2, "-inf"),
+    "(1 + t)^6": (18, "-inf"),
+    "(1 + t)^4": (39, "-inf"),
 }
 
 
@@ -947,12 +962,21 @@ class TestLookahead:
         monkeypatch.setattr(quadrature, "_bands", recording)
         return calls
 
+    @staticmethod
+    def _starts(calls):
+        """The window indices at which each chunk that answered starts and
+        ends, on the windows ``[0, 1]`` and then ``[2^(k-1), 2^k]``: the
+        walk checks its budget at each."""
+        index = lambda t: 0 if t == 0.0 else int(math.log2(t)) + 1
+        return {index(t) for edges, out in calls if isinstance(out, list) for t in (edges[0], edges[-1])}
+
     @pytest.mark.parametrize("name", sorted(LOOKAHEAD_CASES))
     def test_matches_per_window_walk(self, name, monkeypatch):
         f, tol, windows = LOOKAHEAD_CASES[name]
-        want = per_window_improper(f, 0.0, tol)
         calls = self._recorded(monkeypatch)
         got = walk_from(f, 0.0, tol)
+        calls = calls[:]  # the reference's own calls are recorded too
+        want = per_window_improper(f, 0.0, tol, self._starts(calls))
         outcome = lambda r: (r.value, r.error_estimate, r.converged, r.divergence, r.partial_sums)
         assert outcome(got) == outcome(want)
         assert got.evaluations == sum(
@@ -991,6 +1015,40 @@ class TestLookahead:
             assert (left, [r.evaluations for r in calls[-1][1]]) == (150, [240] * 4)
             assert res.evaluations == 1440
 
+    @pytest.mark.parametrize("theta_free", [True, False])
+    def test_readme_budget_examples_keep_their_numbers(self, theta_free):
+        # value and error as float.hex, evaluations: those of the walk in
+        # fixed chunks of two, then four windows; its second chunk, entered
+        # with 490 or 150 left, holds four windows here too
+        if theta_free:
+            f, budget = lambda t, theta: np.sin(40.0 * t) * (1.0 + t) ** -1.1, 1000
+            want = ("0x1.247da3b8778c3p-3", "0x1.928d44e2e6fb1p-5", 2370)
+        else:
+            f, budget = lambda t, theta: (1.0 + t) ** -1.45 * (1.0 + 0.5 * np.cos(theta)), 630
+            want = ("0x1.d39b95459c4fap+3", "0x1.c6fc59ac0e439p-1", 1440)
+        res = walk_from(f, 0.0, Tolerance(max_evaluations=budget))
+        assert (res.value.hex(), res.error_estimate.hex(), res.evaluations) == want
+        assert (res.converged, res.divergence, len(res.partial_sums)) == (False, None, 6)
+
+    @pytest.mark.parametrize("expr", SIZED_TAILS)
+    def test_known_bands_size_one_chunk_per_tail(self, expr, monkeypatch):
+        # the direct route's walk beyond h = 16 knows the truncation's
+        # bands, so its first chunk already reaches where the walk stops
+        calls = self._recorded(monkeypatch)
+        walks = []
+        walk = sweep._integrate_windows
+        monkeypatch.setattr(sweep, "_integrate_windows", lambda *args: walks.append(walk(*args)) or walks[-1])
+        model = SurfaceModel(0, (chart_from_expression(expr),), AnalyticCore(0.0), "tail")
+        sweep._measure(model, RunConfig("tail", h_max=16.0).schedule(), DEFAULT_TOL)
+        (res,) = walks
+        chunks = [(len(edges) - 1, type(out)) for edges, out in calls if edges[0] >= 16.0]
+        windows, outcome = SIZED_TAILS[expr]
+        assert chunks == [(windows, list)]
+        if res.converged:
+            assert (res.value.hex(), res.error_estimate.hex()) == outcome
+        else:
+            assert res.divergence == outcome
+
     def test_quiet_increments_stop_a_geometric_model_without_drift(self):
         # the tail of G = exp(-2t) beyond 16 on the windows [16, 32, 64,
         # 128, ...]: after three windows the increments look geometric but
@@ -1022,21 +1080,34 @@ class TestLookahead:
         assert chunk == [16.0, 32.0, 64.0]
         assert [(r.evaluations, r.converged) for r in parts] == [(15, False), (15, False)]
 
-    def test_first_chunks_hold_two_then_four_windows(self, monkeypatch):
+    def test_chunks_follow_the_fitted_decay(self, monkeypatch):
+        # with nothing known the first chunk holds the two windows a walk
+        # needs to stop; the exponential law through [0, 1] and [1, 2]
+        # predicts 6 more, and from three known windows the power law,
+        # which comes closer to the third, predicts the walk past the 23rd
         calls = self._recorded(monkeypatch)
-        walk_from(LOOKAHEAD_CASES["stops-at-23"][0], 0.0)
-        assert [len(edges) - 1 for edges, _ in calls] == [2] + [4] * 6
+        res = walk_from(LOOKAHEAD_CASES["stops-at-23"][0], 0.0)
+        assert [len(edges) - 1 for edges, _ in calls] == [2, 6, 50]
+        assert len(res.partial_sums) == 23
 
     def test_raising_chunk_is_walked_band_by_band(self, monkeypatch):
-        # G = exp(-2t) underflows past t ~ 372: the chunk [32, 512] raises,
-        # its bands are integrated one at a time, and the walk stops at
-        # t = 64, before the band that raises
+        # (1+t)^-3 up to t = 6, then 0, then NaN past t = 40: the law of
+        # [0, 1] and [1, 2] sends the chunk up to 64, which raises; its
+        # windows are integrated one at a time, and the walk stops at
+        # t = 32 after two zero increments, before the window that raises
         calls = self._recorded(monkeypatch)
-        got = walk_from(_curvature_density_of("exp(-2*t)"), 0.0)
-        assert got.converged and got.partial_sums[-1][0] == 64.0
-        assert [(edges, type(results)) for edges, results in calls[2:]] == [
-            ([32.0, 64.0, 128.0, 256.0, 512.0], DomainError),
-            ([32.0, 64.0], list),
+        got = walk_from(
+            lambda t, theta: np.where(t > 40.0, np.nan, np.where(t > 6.0, 0.0, (1.0 + t) ** -3)),
+            0.0,
+        )
+        assert got.converged and got.partial_sums[-1][0] == 32.0
+        assert [(edges, type(results)) for edges, results in calls] == [
+            ([0.0, 1.0, 2.0], list),
+            ([2.0, 4.0, 8.0, 16.0, 32.0, 64.0], DomainError),
+            ([2.0, 4.0], list),
+            ([4.0, 8.0], list),
+            ([8.0, 16.0], list),
+            ([16.0, 32.0], list),
         ]
 
     def test_budget_binds_inside_a_chunk_walked_again(self, monkeypatch):

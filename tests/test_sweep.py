@@ -1281,8 +1281,8 @@ CHART_CALL_CASES = {
 
 @pytest.mark.parametrize(
     "name,calls",
-    [("paraboloid", 10), ("catenoid", 5), ("flat-cylinder", 3), ("theta-cap", 5),
-     ("three-ends", 14)],
+    [("paraboloid", 6), ("catenoid", 4), ("flat-cylinder", 3), ("theta-cap", 5),
+     ("three-ends", 13)],
 )
 def test_chart_calls_per_sweep(name, calls, monkeypatch):
     # chart calls do not depend on the machine: pinning them keeps the

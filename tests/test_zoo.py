@@ -255,6 +255,35 @@ def test_cli_import_leaves_ode_solvers_unloaded(tmp_path):
     ]
 
 
+WITHOUT_SCIPY = """\
+import contextlib, io, sys
+
+sys.modules["scipy"] = None  # every import of scipy now fails
+import cvlab.cli
+from cvlab.zoo import paraboloid_radius_oracle
+
+with contextlib.redirect_stdout(io.StringIO()):
+    print(cvlab.cli.main(["verify", "--surface", "paraboloid"]), file=sys.stderr)
+try:
+    paraboloid_radius_oracle(2.0)
+except ImportError as err:
+    print(err)
+"""
+
+
+def test_runs_without_scipy_and_the_oracle_names_the_extra():
+    # scipy is a test dependency: a sweep does not need it, and the one
+    # function that does says where it comes from
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY], capture_output=True, text=True, check=True
+    )
+    assert done.stderr == "0\n"
+    assert done.stdout == (
+        "paraboloid_radius_oracle needs scipy, which comes with cvlab's test extra: "
+        "pip install 'cvlab[test]'\n"
+    )
+
+
 class TestCappedCone:
     def test_slant_validation(self):
         with pytest.raises(InvalidParameter):
